@@ -62,7 +62,6 @@ struct Args {
     batch: usize,
     pool: u32,
     depth: usize,
-    notify_imm: bool,
     fault_drop_p: f64,
     src_file: Option<PathBuf>,
     dst_file: Option<PathBuf>,
@@ -95,7 +94,6 @@ OPTIONS:
                      message per block (default 16)
   --pool <N>         pool blocks per endpoint (default 32)
   --depth <N>        per-channel queue depth (default 8)
-  --notify-imm       in-band arrival notification (WRITE_WITH_IMM)
   --fault drop=<P>   drop each payload with probability P (exercises
                      the retransmit path)
   --src-file <PATH>  read payload from this file instead of pattern fill
@@ -157,7 +155,6 @@ fn parse_args() -> Result<Args, String> {
         batch: 16,
         pool: 32,
         depth: 8,
-        notify_imm: false,
         fault_drop_p: 0.0,
         src_file: None,
         dst_file: None,
@@ -181,7 +178,6 @@ fn parse_args() -> Result<Args, String> {
             "--batch" => a.batch = flag_parse(it, "--batch")?,
             "--pool" => a.pool = flag_parse(it, "--pool")?,
             "--depth" => a.depth = flag_parse(it, "--depth")?,
-            "--notify-imm" => a.notify_imm = true,
             "--fault" => {
                 let v = flag_value(it, "--fault")?;
                 let p = v
@@ -304,7 +300,6 @@ fn build_cfg(a: &Args) -> LiveConfig {
     cfg.ctrl_batch = a.batch;
     cfg.pool_blocks = a.pool;
     cfg.channel_depth = a.depth;
-    cfg.notify_imm = a.notify_imm;
     cfg.fault_drop_p = a.fault_drop_p;
     cfg.src_file = a.src_file.clone();
     cfg.dst_file = a.dst_file.clone();
@@ -540,13 +535,12 @@ fn main() {
     };
     if matches!(a.mode, Mode::Local) {
         println!(
-            "rftp-live: {} MB in {} KB blocks, {} channels, {} loaders, batch {}{}{}",
+            "rftp-live: {} MB in {} KB blocks, {} channels, {} loaders, batch {}{}",
             a.size >> 20,
             a.block >> 10,
             a.channels,
             a.loaders,
             a.batch,
-            if a.notify_imm { ", notify-imm" } else { "" },
             if a.fault_drop_p > 0.0 {
                 format!(", drop p={}", a.fault_drop_p)
             } else {

@@ -1,11 +1,11 @@
 //! The control-plane coalescing loop, extracted once.
 //!
-//! Every control handler in the suite — the main pipeline's completion
-//! handler and sink-control thread, the split sink's protocol brain, and
-//! the io_uring sink driver — runs the same drain shape: block for a
-//! batch of events, process it, then *dwell* up to the flush window for
-//! more events while a partial ack/credit batch is pending, and flush
-//! before the next unbounded wait so coalescing never costs latency.
+//! Every control handler in the suite — the thread-per-channel sink's
+//! protocol brain and the io_uring sink drivers — runs the same drain
+//! shape: block for a batch of events, process it, then *dwell* up to
+//! the flush window for more events while a partial ack/credit batch is
+//! pending, and flush before the next unbounded wait so coalescing never
+//! costs latency.
 //! This module is that shape, written once; the handlers implement
 //! [`CoalescedSink`] and differ only in what an event is and what a
 //! flush sends.

@@ -708,7 +708,6 @@ fn run_admitted(
         block_size,
         channels,
         total_bytes,
-        notify_imm,
         ..
     } = first
     else {
@@ -717,7 +716,6 @@ fn run_admitted(
 
     let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
     cfg.pool_blocks = lease.len() as u32;
-    cfg.notify_imm = notify_imm;
     if let Some(dir) = &d.cfg.dst_dir {
         cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
     }
@@ -918,7 +916,6 @@ fn run_admitted_shm(
         block_size,
         channels,
         total_bytes,
-        notify_imm,
         ..
     } = first
     else {
@@ -927,7 +924,6 @@ fn run_admitted_shm(
 
     let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
     cfg.pool_blocks = lease.len() as u32;
-    cfg.notify_imm = notify_imm;
     if let Some(dir) = &d.cfg.dst_dir {
         cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
     }

@@ -112,9 +112,9 @@ impl NsHist {
     }
 }
 
-/// Per-stage tail histograms of a live transfer — the split pipeline
-/// fills the side it runs (load/dispatch at the source, place/verify at
-/// the sink); the in-process pipeline leaves them empty.
+/// Per-stage tail histograms of a live transfer — each half fills the
+/// side it runs (load/dispatch at the source, place/verify at the sink);
+/// [`crate::run_live`] merges the two.
 #[derive(Debug, Clone, Default)]
 pub struct StageTails {
     pub load: NsHist,

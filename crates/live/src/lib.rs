@@ -4,35 +4,35 @@
 //! behaviour; this crate proves its *concurrency* behaviour. It runs the
 //! same middleware machinery — the Fig. 7 wire formats, the Fig. 6
 //! buffer-block state machines, the proactive credit granter, and the
-//! out-of-order reassembly buffer — as a native multi-threaded pipeline:
+//! out-of-order reassembly buffer — as a native multi-threaded pipeline.
 //!
-//! * **queue pairs** are bounded `crossbeam` channels carrying real
-//!   encoded bytes (control) and real payload buffers (data);
-//! * **RDMA WRITE placement** is a memcpy into the slot a credit named,
-//!   performed by a per-channel receiver thread (the "NIC");
-//! * **threads** mirror Fig. 2's pool: loaders, a dispatcher, a
-//!   completion handler, per-channel receivers, a control handler, and a
-//!   consumer — synchronized with `parking_lot` locks and condvars.
+//! There is **one** pipeline ([`split`]): a source half (loaders, an
+//! in-order dispatcher, a retransmit watchdog, a control thread) and a
+//! sink half (per-channel receivers, a control pump, and the
+//! `SinkHandler` that grants, reorders, verifies and frees), joined only
+//! by a [`transport`] carrying encoded Fig. 7(a) control frames both ways
+//! and data frames source → sink. What varies is the transport:
+//!
+//! * **in-process channels** ([`channel_transport`]) — both halves in one
+//!   address space; a data frame names the source's pinned block and the
+//!   sink end copies once into the credited slot, the RDMA WRITE
+//!   analogue. [`run_live`] is this, with the two reports merged;
+//! * **TCP** ([`net`]) — `rftp-live --listen` / `--connect` move a file
+//!   between two OS processes; a WRITE becomes one vectored write of
+//!   frame header + payload straight from the pinned block, read
+//!   directly into the credited slot;
+//! * **io_uring** ([`uring`]) and **shared memory** ([`shm`]) — the same
+//!   halves over completion-based and zero-copy data paths, and the
+//!   multi-session [`daemon`] on top.
 //!
 //! A transfer moves pattern data end to end with header validation and
 //! checksum verification at the sink, and reports real wall-clock
-//! throughput (this is actual memory bandwidth, typically several GB/s).
-//!
-//! With a source and/or destination file configured, the same pipeline
-//! runs **disk to disk**: the `store` module supplies an aligned,
-//! `O_DIRECT`-capable block reader and a write-behind sink that `pwrite`s
-//! each block at its final offset the moment it is placed — loaders
-//! become the read-ahead scheduler and sparse placement is the
+//! throughput. With a source and/or destination file configured, the same
+//! pipeline runs **disk to disk**: the `store` module supplies an
+//! aligned, `O_DIRECT`-capable block reader and a write-behind sink that
+//! `pwrite`s each block at its final offset the moment it is placed —
+//! loaders become the read-ahead scheduler and sparse placement is the
 //! reassembly.
-//!
-//! The `transport` / `net` / `split` modules take the final step off the
-//! simulator: the pipeline splits into a standalone source half and sink
-//! half joined only by a [`transport`] — in-process channels for tests,
-//! or real TCP sockets ([`net`]) so `rftp-live --listen` and
-//! `rftp-live --connect` move a file between two OS processes. An RDMA
-//! WRITE becomes one vectored write of frame header + payload straight
-//! from the pinned block; the receiver reads the wire image directly
-//! into the credited slot.
 
 pub mod args;
 pub(crate) mod coalesce;

@@ -1,36 +1,37 @@
-//! The pipeline split in two: a standalone source half and sink half
-//! joined only by a [`crate::transport`].
+//! The live pipeline: a standalone source half and sink half joined
+//! only by a [`crate::transport`].
 //!
-//! [`run_live`](crate::run_live) proves the protocol on shared memory —
-//! both halves in one address space, placement a memcpy between pools.
-//! This module is the same machinery with the address space cut down the
-//! middle: [`run_split_source`] runs loaders → dispatcher → retransmit
-//! watchdog against a [`SourceTransport`], [`run_split_sink`] runs
-//! per-channel receivers → control handler against a [`SinkTransport`],
-//! and nothing crosses except control frames and data frames. Over the
-//! TCP backend ([`crate::net`]) the two halves are two OS processes.
-//!
-//! What changes against the shared-memory pipeline, and why:
+//! [`run_split_source`] runs loaders → dispatcher → retransmit watchdog
+//! against a [`SourceTransport`], [`run_split_sink`] runs per-channel
+//! receivers → control handler against a [`SinkTransport`], and nothing
+//! crosses except control frames and data frames. Over the TCP backend
+//! ([`crate::net`]) the two halves are two OS processes; over the
+//! in-process channel backend ([`run_split_pair`]) they are the
+//! single-process transfer [`run_live`](crate::run_live) reports on.
+//! Every transport sees the same protocol:
 //!
 //! * **Arrivals are in-band.** An RDMA WRITE is invisible to the sink
-//!   CPU, so the shared-memory sink needs the source's completion
-//!   notification (or `notify_imm`) to learn a block landed. A stream
-//!   transport delivers the bytes *through* the sink's receiver — every
-//!   arrival is its own notification, exactly the WRITE-with-immediate
-//!   analogue, so the split sink always runs imm-style.
-//! * **Acks flow sink → source.** The shared-memory source sees its own
-//!   "NIC completion" locally; a TCP send completing says nothing about
-//!   remote placement. The sink acks placed blocks (coalesced
-//!   [`CtrlMsg::AckBatch`], same cap and flush window as the main
-//!   pipeline) and the source retires blocks on those acks.
-//! * **Placement is the socket read.** The receiver reads each frame's
-//!   wire image straight into the slot its credit named — the transport
-//!   hands over the header first, then fills the credited buffer, so
-//!   there is no intermediate copy on either side of the wire.
+//!   CPU, so a verbs sink needs a completion notification to learn a
+//!   block landed. Every live transport delivers the bytes *through*
+//!   the sink's receiver — each arrival is its own notification, exactly
+//!   the WRITE-with-immediate analogue, so the sink always runs
+//!   imm-style.
+//! * **Acks flow sink → source.** A send completing locally says nothing
+//!   about remote placement. The sink acks placed blocks (coalesced
+//!   [`CtrlMsg::AckBatch`], one cap and one flush window for acks and
+//!   grants alike) and the source retires blocks on those acks.
+//! * **Placement is the transport read.** The receiver reads each
+//!   frame's wire image straight into the slot its credit named — the
+//!   transport hands over the header first, then fills the credited
+//!   buffer, so there is no intermediate copy on either side of the wire.
 //!
-//! Everything else — pools, credit granter, reorder buffer, first-
-//! placement dedup bitmap, in-order dispatch, fault injection and the
-//! retransmit watchdog — is the exact machinery of the main pipeline.
+//! In-order dispatch is load-bearing: loaders finish out of order, and
+//! if later sequences could consume credits while an earlier one waits,
+//! the sink's bounded pool could fill with blocks its in-order consumer
+//! cannot accept — a head-of-line deadlock (see DESIGN.md). The
+//! dispatcher's reorder buffer keeps the invariant that the oldest
+//! outstanding sequence always owns a credit; for the same reason a
+//! loader takes a block *before* it claims a sequence number.
 
 use crate::coalesce::{channel_events, drain_coalesced, CoalescedSink, DrainEnd};
 use crate::hist::{NsHist, StageTails};
@@ -258,7 +259,12 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     let geo = PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks);
     let src_backend = SrcBackend::open(cfg)?;
     let direct_io_active = src_backend.direct_active();
+    // Read-ahead limit: how many blocks the source may hold at once. +1
+    // because "no read-ahead" still needs the block in service; capped at
+    // the pool, where the free-list wait already throttles.
     let ra_limit = (cfg.readahead.saturating_add(1)).min(cfg.pool_blocks) as usize;
+    // Modeled-device pacing only applies where there is a device to
+    // model: a pattern source has no read stage.
     let pacer = match &src_backend {
         SrcBackend::File(_) => cfg.src_rate.map(RatePacer::new),
         SrcBackend::Pattern => None,
@@ -267,11 +273,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     let src_pool = AtomicSourcePool::new(geo);
     // Arc'd so a completion-based transport can hold the pool across its
     // in-flight sends (the registered-buffer lifetime).
-    let src_bufs: Arc<Vec<Mutex<SlotBuf>>> = Arc::new(
-        (0..cfg.pool_blocks)
-            .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
-            .collect(),
-    );
+    let src_bufs = Arc::new(alloc_pool(cfg));
     let stock = CreditSlots::new(REMOTE_SLOT_RING);
     let inflight: Vec<Mutex<Option<InFlightInfo>>> =
         (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect();
@@ -322,8 +324,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     let mut tally = Tally::default();
 
     std::thread::scope(|s| {
-        // Loaders: identical to the main pipeline, plus the failure poll
-        // in the free-wait so a dead transport releases them.
+        // Loaders: claim sequence numbers, fill blocks with header +
+        // payload (pattern or file read), hand them to the dispatcher.
+        // The free-wait polls the failure latch so a dead transport
+        // releases them.
         let loader_handles: Vec<_> = (0..cfg.loaders)
             .map(|_| {
                 let loaded_tx = loaded_tx.clone();
@@ -334,6 +338,17 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                     let mut load_ns = 0u64;
                     let mut load_hist = NsHist::new();
                     loop {
+                        // Hold a block BEFORE claiming a sequence:
+                        // claiming first would let sibling loaders absorb
+                        // the whole pool for later sequences and starve
+                        // the one the in-order pipeline needs next.
+                        //
+                        // Read-ahead pacing rides the same wait: a loader
+                        // only prefetches while fewer than `ra_limit`
+                        // blocks are in flight. At the default (full-pool)
+                        // depth that is the free-list wait itself; at
+                        // `readahead = 0` it serializes the transfer for
+                        // overlap-ablation runs.
                         let mut spins = 0;
                         let block = loop {
                             if next_seq.load(Ordering::Relaxed) >= total_blocks || fail.is_set() {
@@ -419,8 +434,8 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                 let mut credit_requests = 0u64;
                 let mut dropped = 0u64;
                 // Dispatch must stay in sequence order (the head-of-line
-                // invariant the main pipeline documents); loaders finish
-                // out of order.
+                // invariant in the module doc); loaders finish out of
+                // order.
                 let mut dispatch_order = ReorderBuffer::<u32>::new();
                 let mut ready: std::collections::VecDeque<u32> = Default::default();
                 let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
@@ -567,12 +582,14 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             })
         };
 
-        // Retransmit watchdog, as in the main pipeline: unacked past the
-        // deadline goes back on the wire. Statically configured runs use
-        // the fixed `retx_timeout`; adaptive runs start from a deadline
-        // that cannot fire before the path is measured (a fixed 100 ms
-        // default fires spuriously at WAN RTTs) and then track the
-        // estimator's `srtt + 4·rttvar`.
+        // Retransmit watchdog — the live analogue of the simulated
+        // engine's TOK_RETX scan: unacked past the deadline goes back on
+        // the wire, rolling the same drop dice as a first send (a
+        // retransmit can itself be lost and retried). Statically
+        // configured runs use the fixed `retx_timeout`; adaptive runs
+        // start from a deadline that cannot fire before the path is
+        // measured (a fixed 100 ms default fires spuriously at WAN RTTs)
+        // and then track the estimator's `srtt + 4·rttvar`.
         let retx_watchdog = (cfg.fault_drop_p > 0.0 || cfg.adaptive).then(|| {
             let data = data.clone();
             let (inflight, src_bufs) = (&inflight, &src_bufs);
@@ -841,9 +858,9 @@ pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 
 /// The sink's protocol brain: negotiation, credit grants, in-order
 /// verify-and-free, and the coalesced sink→source control traffic
-/// (`AckBatch` for placements, `CreditBatch` for grants — same caps and
-/// flush window as the main pipeline). Shared by the thread-per-channel
-/// sink below and the io_uring sink driver ([`crate::uring`]).
+/// (`AckBatch` for placements, `CreditBatch` for grants, one flush
+/// window for both). Shared by the thread-per-channel sink below and the
+/// io_uring sink driver ([`crate::uring`]).
 ///
 /// Buffers arrive as a borrowed *view* (`&[&Mutex<SlotBuf>]`): a
 /// standalone sink passes refs to its own pool, a daemon session passes
@@ -1060,8 +1077,7 @@ impl SinkHandler<'_> {
     }
 }
 
-/// The shared [`drain_coalesced`] loop drives the handler — the same
-/// dwell/flush shape as the main pipeline's control handlers, with
+/// The shared [`drain_coalesced`] loop drives the handler, with
 /// arrivals, peer control frames, and link EOFs as the event stream.
 impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
     type Err = io::Error;
@@ -1208,11 +1224,16 @@ pub fn run_split_sink(
     t: SinkTransport,
     first_ctrl: Option<CtrlMsg>,
 ) -> io::Result<LiveReport> {
-    let snk_bufs: Vec<Mutex<SlotBuf>> = (0..cfg.pool_blocks)
-        .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
-        .collect();
+    let snk_bufs = alloc_pool(cfg);
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     run_sink_session(cfg, t, first_ctrl, &view, None)
+}
+
+/// One endpoint's block pool: `pool_blocks` zeroed, aligned slots.
+fn alloc_pool(cfg: &LiveConfig) -> Vec<Mutex<SlotBuf>> {
+    (0..cfg.pool_blocks)
+        .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
+        .collect()
 }
 
 /// The reusable per-session sink runner the daemon schedules: exactly
@@ -1495,11 +1516,29 @@ pub fn run_split_pair_wan(
     snk_cfg.src_file = None;
     snk_cfg.src_rate = None;
     snk_cfg.fault_drop_p = 0.0;
+    // The sink's pool exists before either half starts, as a listening
+    // sink's does in two-process mode. Zeroing it takes tens of
+    // milliseconds at megabyte blocks; a source that started its clock
+    // while the sink was still allocating would report that wait as
+    // transfer time.
+    let snk_bufs = alloc_pool(&snk_cfg);
+    let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     std::thread::scope(|s| {
-        let sink = s.spawn(|| run_split_sink(&snk_cfg, kt, None));
+        let sink = s.spawn(|| run_sink_session(&snk_cfg, kt, None, &view, None));
         let source = run_split_source(&src_cfg, st);
         let sink = sink.join().expect("sink half panicked");
-        Ok((source?, sink?))
+        match (source, sink) {
+            (Ok(source), Ok(sink)) => Ok((source, sink)),
+            // When one half dies the other sees its links hang up
+            // (`BrokenPipe`); report the root cause, not its echo.
+            (Err(echo), Err(root))
+                if echo.kind() == io::ErrorKind::BrokenPipe
+                    && root.kind() != io::ErrorKind::BrokenPipe =>
+            {
+                Err(root)
+            }
+            (Err(e), _) | (_, Err(e)) => Err(e),
+        }
     })
 }
 
@@ -1552,16 +1591,25 @@ mod tests {
         assert_eq!(snk.checksum_failures, 0);
     }
 
+    /// One payload in four vanishes and the pool is four blocks, so every
+    /// block is reused many times while retransmits of its earlier
+    /// sequences may still sit on a data link. Over the in-process
+    /// transport those stale frames name a block that now holds a newer
+    /// sequence; the claim bitmap must discard each of them unread, or a
+    /// checksum fails.
     #[test]
     fn split_pair_recovers_dropped_payloads() {
-        let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
-        cfg.pool_blocks = 8;
-        cfg.fault_drop_p = 0.2;
+        let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE + 777);
+        cfg.pool_blocks = 4;
+        cfg.fault_drop_p = 0.25;
         cfg.fault_seed = 7;
-        cfg.retx_timeout = std::time::Duration::from_millis(25);
+        cfg.retx_timeout = std::time::Duration::from_millis(5);
         let (src, snk) = run_split_pair(&cfg).expect("split transfer");
         assert_eq!(snk.checksum_failures, 0);
+        assert_eq!((snk.bytes, snk.blocks), (cfg.total_bytes, 128 / SCALE + 1));
+        assert_eq!((src.bytes, src.blocks), (snk.bytes, snk.blocks));
         assert!(src.dropped_payloads >= 1, "fault injector never fired");
+        assert!(src.retransmits > 0);
         assert!(
             src.retransmits >= src.dropped_payloads,
             "every drop needs at least one re-send: {} drops, {} retransmits",
@@ -1581,27 +1629,6 @@ mod tests {
         }
     }
 
-    /// Both halves over the in-proc transport with a WAN shim between
-    /// them — the unit-test form of the two-process `--wan` runs.
-    fn run_wan_pair(
-        cfg: &LiveConfig,
-        wan: &rftp_faults::WanProfile,
-    ) -> io::Result<(LiveReport, LiveReport)> {
-        let pair = channel_transport(cfg.channels, cfg.channel_depth);
-        let (st, kt) = crate::netem::wrap_pair(pair, wan);
-        let mut src_cfg = cfg.clone();
-        src_cfg.dst_file = None;
-        let mut snk_cfg = cfg.clone();
-        snk_cfg.src_file = None;
-        snk_cfg.fault_drop_p = 0.0;
-        std::thread::scope(|s| {
-            let sink = s.spawn(|| run_split_sink(&snk_cfg, kt, None));
-            let source = run_split_source(&src_cfg, st);
-            let sink = sink.join().expect("sink half panicked");
-            Ok((source?, sink?))
-        })
-    }
-
     /// The watchdog regression ISSUE 10 names: at 49 ms RTT a clean
     /// transfer must finish with **zero** retransmits. A fixed 100 ms
     /// deadline survives this; the adaptive deadline must too, even
@@ -1613,7 +1640,7 @@ mod tests {
         cfg.pool_blocks = 16;
         cfg.apply_wan(&wan);
         assert!(cfg.adaptive);
-        let (src, snk) = run_wan_pair(&cfg, &wan).expect("wan transfer");
+        let (src, snk) = run_split_pair_wan(&cfg, &wan).expect("wan transfer");
         assert_eq!(snk.checksum_failures, 0);
         assert_eq!(src.retransmits, 0, "clean 49 ms path must not retransmit");
         assert_eq!(snk.duplicate_payloads, 0);
@@ -1645,7 +1672,7 @@ mod tests {
         let mut cfg = LiveConfig::new(64 * 1024, 1, 1 << 20);
         cfg.pool_blocks = 16;
         cfg.apply_wan(&wan);
-        let (src, snk) = run_wan_pair(&cfg, &wan).expect("wan transfer");
+        let (src, snk) = run_split_pair_wan(&cfg, &wan).expect("wan transfer");
         assert_eq!(snk.checksum_failures, 0);
         assert_eq!(src.retransmits, 0);
         let adapt = snk.adapt.expect("adaptive sink snapshot");

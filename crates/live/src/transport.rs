@@ -8,10 +8,11 @@
 //! source to sink. The layer has two backends:
 //!
 //! * **channels** ([`channel_transport`]) — in-process crossbeam
-//!   channels, the loopback of the suite. Control rides real encoded
-//!   frame bytes; data frames copy the wire image once at send (the
-//!   channel *is* the wire). Used to test the split pipeline without
-//!   sockets, and as the latency floor the TCP backend is compared to.
+//!   channels, the loopback of the suite and the transport under
+//!   [`crate::run_live`]. Control rides real encoded frame bytes; a data
+//!   frame carries the *index* of the source's pinned block, and the
+//!   receiver copies once from that block into the credited slot — the
+//!   one-sided RDMA WRITE analogue (see [`channel_transport`]).
 //! * **TCP** ([`crate::net`]) — real stream sockets, one per link, so
 //!   the two halves can run as separate OS processes on separate hosts.
 //!
@@ -26,7 +27,7 @@ use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder};
 use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The pinned block pool as a transport sees it: slot index → locked
 /// slot buffer, shared between the pipeline and any in-flight sends.
@@ -243,18 +244,64 @@ impl CtrlRx for ChanCtrlRx {
     }
 }
 
-struct ChanDataTx(Closable<(DataFrameHeader, Box<[u8]>)>);
+/// The payload of one data frame on a channel link.
+enum ChanWire {
+    /// A private copy of the wire image, for [`DataTx::send`] callers
+    /// that hold bytes rather than a registered pool.
+    Bytes(Box<[u8]>),
+    /// Index of the source's pinned block holding the wire image.
+    Block(u32),
+}
+
+/// The source pool the `register` hook pinned, shared by both ends of
+/// every data link of one transport pair.
+type Registered = Arc<OnceLock<BufPool>>;
+
+struct ChanDataTx {
+    link: Closable<(DataFrameHeader, ChanWire)>,
+    pool: Registered,
+}
 
 impl DataTx for ChanDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         debug_assert_eq!(wire.len(), hdr.wire_len());
-        self.0.send((hdr, wire.into()))
+        self.link.send((hdr, ChanWire::Bytes(wire.into())))
+    }
+
+    /// The WRITE analogue: with the pool registered, only the block
+    /// index crosses the link and the receiver does the single copy,
+    /// source block → credited slot. Sound for the reason the io_uring
+    /// `send_block` is: the block stays pinned until its ack retires it,
+    /// and an ack is only ever sent after the copy. A frame that is
+    /// still queued when its block has been retired and reused is a
+    /// retransmit whose sequence the sink already claimed, so the sink
+    /// discards it ([`DataRx::discard_wire`]) without reading the block.
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        match self.pool.get() {
+            Some(pool) => {
+                debug_assert!(
+                    std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
+                    "send_block from a pool other than the registered one"
+                );
+                self.link.send((hdr, ChanWire::Block(block)))
+            }
+            None => {
+                let buf = bufs[block as usize].lock();
+                self.send(hdr, &buf[..hdr.wire_len()])
+            }
+        }
     }
 }
 
 struct ChanDataRx {
-    rx: Receiver<(DataFrameHeader, Box<[u8]>)>,
-    pending: Option<Box<[u8]>>,
+    rx: Receiver<(DataFrameHeader, ChanWire)>,
+    pool: Registered,
+    pending: Option<ChanWire>,
 }
 
 impl DataRx for ChanDataRx {
@@ -270,8 +317,17 @@ impl DataRx for ChanDataRx {
     }
 
     fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let wire = self.pending.take().expect("recv_wire without a header");
-        buf[..wire.len()].copy_from_slice(&wire);
+        match self.pending.take().expect("recv_wire without a header") {
+            ChanWire::Bytes(wire) => buf[..wire.len()].copy_from_slice(&wire),
+            ChanWire::Block(block) => {
+                let pool = self
+                    .pool
+                    .get()
+                    .expect("block frame implies a registered pool");
+                let src = pool[block as usize].lock();
+                buf.copy_from_slice(&src[..buf.len()]);
+            }
+        }
         Ok(())
     }
 
@@ -284,6 +340,10 @@ impl DataRx for ChanDataRx {
 /// Build a connected in-process transport pair: `channels` data links of
 /// `depth` frames each, control links deep enough that coalesced control
 /// traffic never blocks on the link itself.
+///
+/// The source's `register` hook keeps the block pool, which makes
+/// [`DataTx::send_block`] one-copy: the link carries block indices and
+/// the sink end copies straight out of the pinned source block.
 pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
     let (c_s2k_tx, c_s2k_rx) = bounded::<CtrlBytes>(1024);
     let (c_k2s_tx, c_k2s_rx) = bounded::<CtrlBytes>(1024);
@@ -292,12 +352,20 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
     let mut data_tx: Vec<Box<dyn DataTx>> = Vec::with_capacity(channels);
     let mut data_rx: Vec<Box<dyn DataRx>> = Vec::with_capacity(channels);
     let mut data_closers = Vec::with_capacity(channels);
+    let pool = Registered::default();
     for _ in 0..channels {
-        let (tx, rx) = bounded::<(DataFrameHeader, Box<[u8]>)>(depth);
-        let (closable, closer) = Closable::new(tx);
+        let (tx, rx) = bounded(depth);
+        let (link, closer) = Closable::new(tx);
         data_closers.push(closer);
-        data_tx.push(Box::new(ChanDataTx(closable)));
-        data_rx.push(Box::new(ChanDataRx { rx, pending: None }));
+        data_tx.push(Box::new(ChanDataTx {
+            link,
+            pool: pool.clone(),
+        }));
+        data_rx.push(Box::new(ChanDataRx {
+            rx,
+            pool: pool.clone(),
+            pending: None,
+        }));
     }
     // Closing the source→sink senders is both the graceful write
     // shutdown and the source's abort: the sink reads end-of-stream
@@ -319,7 +387,10 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
             dec: FrameDecoder::new(),
         }),
         data: Arc::new(data_tx),
-        register: Box::new(|_| Ok(())),
+        register: Box::new(move |bufs| {
+            pool.set(bufs.clone())
+                .map_err(|_| io::Error::other("a pool is already registered"))
+        }),
         transport_threads: 0,
         shutdown_write: Box::new(close_s2k.clone()),
         abort: Arc::new(close_s2k),
@@ -385,5 +456,56 @@ mod tests {
         (src.shutdown_write)();
         assert!(snk.data[0].recv_header().unwrap().is_none());
         assert!(snk.data[1].recv_header().unwrap().is_none());
+    }
+
+    /// The pinned path's invariant: a first arrival copies byte-exactly
+    /// out of the registered block, and a duplicate whose block has since
+    /// been reused is discarded without that block ever being read.
+    #[test]
+    fn registered_send_block_copies_once_and_discard_never_reads_the_block() {
+        let (src, mut snk) = channel_transport(1, 4);
+        let pool: BufPool = Arc::new((0..2).map(|_| Mutex::new(SlotBuf::new(64))).collect());
+        (src.register)(&pool).unwrap();
+        assert!((src.register)(&pool).is_err(), "one pool per transport");
+
+        let hdr = DataFrameHeader {
+            session: 1,
+            seq: 5,
+            slot: 0,
+            len: 64,
+        };
+        let fill = |salt: u8| {
+            let mut buf = pool[1].lock();
+            for (i, b) in buf[..hdr.wire_len()].iter_mut().enumerate() {
+                *b = (i as u8) ^ salt;
+            }
+        };
+        // Sequence 5 goes out twice from block 1: first send + retransmit.
+        fill(0xA5);
+        src.data[0].send_block(hdr, &pool, 1).unwrap();
+        src.data[0].send_block(hdr, &pool, 1).unwrap();
+
+        let got = snk.data[0].recv_header().unwrap().unwrap();
+        assert_eq!(got, hdr);
+        let mut placed = vec![0u8; got.wire_len()];
+        snk.data[0].recv_wire(&mut placed).unwrap();
+        let want: Vec<u8> = (0..hdr.wire_len()).map(|i| (i as u8) ^ 0xA5).collect();
+        assert_eq!(placed, want, "first arrival must be byte-exact");
+
+        // The ack retired block 1 and a loader is refilling it for a newer
+        // sequence: it holds the block's lock. Discarding the stale frame
+        // must complete regardless — i.e. without touching the block.
+        fill(0x3C);
+        let reuse = pool[1].lock();
+        let got = snk.data[0].recv_header().unwrap().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let discarder = std::thread::spawn(move || {
+            snk.data[0].discard_wire(got.wire_len()).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(reuse);
+        discarder.join().unwrap();
+        assert!(finished.is_ok(), "discard_wire blocked on the reused block");
     }
 }

@@ -21,7 +21,6 @@ proptest! {
         depth in 1usize..=8,
         grant in 1u32..=4,
         initial in 1u32..=8,
-        notify_imm in any::<bool>(),
         ctrl_batch in 1usize..=16,
         blocks in 1u64..=48,
     ) {
@@ -36,7 +35,6 @@ proptest! {
         cfg.channel_depth = depth;
         cfg.grant_per_completion = grant;
         cfg.initial_credits = initial;
-        cfg.notify_imm = notify_imm;
         cfg.ctrl_batch = ctrl_batch;
         let r = run_live(&cfg);
         prop_assert_eq!(r.checksum_failures, 0);

@@ -1,6 +1,6 @@
 //! End-to-end tests of the disk-to-disk fast path: real files through
 //! the real thread pipeline, byte integrity checked at the file level
-//! (the pipeline's consumer only validates headers in file mode).
+//! (the sink only validates headers when it writes to a file).
 
 use rftp_core::pattern::checksum;
 use rftp_core::wire::PAYLOAD_HEADER_LEN as HDR;
@@ -243,6 +243,18 @@ fn short_source_is_an_error() {
     let err = try_run_live(&cfg).expect_err("short source must fail");
     assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     cleanup(&[&src]);
+}
+
+/// Its twin on the other half: a destination that cannot be created is
+/// reported as the sink's own error, not as the broken pipe the source
+/// half sees once the sink is gone.
+#[test]
+fn unwritable_destination_is_an_error() {
+    let dst = scratch("no_such_dir").join("dst");
+    let mut cfg = LiveConfig::new(4096, 1, 8192);
+    cfg.dst_file = Some(dst);
+    let err = try_run_live(&cfg).expect_err("unwritable destination must fail");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
 }
 
 /// File-to-file with O_DIRECT-compatible aligned buffers end to end:

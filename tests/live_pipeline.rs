@@ -1,0 +1,94 @@
+//! The live pipeline under tier-1: `rftp_live::run_live` end to end, at
+//! sizes a debug build finishes in a few seconds.
+//!
+//! There is one live data path (the split halves over a transport), and
+//! `run_live` is that path over the in-process transport with the two
+//! halves' reports merged — so these four runs cover the loaders,
+//! dispatcher, watchdog, receivers, sink handler, the one-copy channel
+//! transport, and the merge itself.
+
+use rftp_live::{run_live, try_run_live, LiveConfig};
+use std::time::Duration;
+
+#[test]
+fn pattern_transfer_with_odd_tail_is_exact() {
+    let mut cfg = LiveConfig::new(64 << 10, 2, 32 * (64 << 10) + 777);
+    cfg.pool_blocks = 8;
+    let r = run_live(&cfg);
+    assert_eq!((r.bytes, r.blocks), (cfg.total_bytes, 33));
+    assert_eq!(r.checksum_failures, 0);
+    assert_eq!((r.dropped_payloads, r.retransmits), (0, 0));
+    // Both halves' clocks reach the one report.
+    assert!(r.stages.load_ns > 0.0 && r.stages.dispatch_ns > 0.0);
+    assert!(r.stages.place_ns > 0.0 && r.stages.verify_ns > 0.0);
+    assert!(r.ctrl_msgs > 0);
+    assert!(r.adapt.is_none(), "static run must not grow a controller");
+}
+
+#[test]
+fn seeded_drops_recover_through_the_one_watchdog() {
+    let mut cfg = LiveConfig::new(16 << 10, 2, 64 * (16 << 10));
+    cfg.pool_blocks = 4;
+    cfg.fault_drop_p = 0.2;
+    cfg.fault_seed = 7;
+    cfg.retx_timeout = Duration::from_millis(10);
+    let r = run_live(&cfg);
+    assert_eq!((r.bytes, r.blocks), (cfg.total_bytes, 64));
+    assert_eq!(r.checksum_failures, 0);
+    assert!(r.dropped_payloads >= 1, "fault injector never fired");
+    assert!(
+        r.retransmits >= r.dropped_payloads,
+        "every drop needs a re-send: {} drops, {} retransmits",
+        r.dropped_payloads,
+        r.retransmits
+    );
+}
+
+#[test]
+fn file_to_file_is_byte_identical() {
+    let dir = std::env::temp_dir();
+    let src = dir.join(format!("rftp_tier1_{}_src", std::process::id()));
+    let dst = dir.join(format!("rftp_tier1_{}_dst", std::process::id()));
+    let total = (1usize << 20) + 4321;
+    let data: Vec<u8> = (0..total)
+        .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+        .collect();
+    std::fs::write(&src, &data).expect("write source");
+
+    let mut cfg = LiveConfig::new(64 << 10, 2, total as u64);
+    cfg.pool_blocks = 8;
+    cfg.src_file = Some(src.clone());
+    cfg.dst_file = Some(dst.clone());
+    let r = try_run_live(&cfg).expect("transfer failed");
+    assert_eq!(r.checksum_failures, 0, "header validation failed");
+    assert!(r.stages.flush_ns > 0.0, "write-behind clock never ticked");
+    let copied = std::fs::read(&dst).expect("read back");
+    std::fs::remove_file(&src).ok();
+    std::fs::remove_file(&dst).ok();
+    assert!(copied == data, "destination differs from source");
+}
+
+/// The two things the single-process entry point could never report
+/// before it ran on the split halves.
+#[test]
+fn adaptive_run_reports_controller_state_and_tails() {
+    let mut cfg = LiveConfig::new(32 << 10, 2, 64 * (32 << 10));
+    cfg.pool_blocks = 8;
+    cfg.adaptive = true;
+    let r = run_live(&cfg);
+    assert_eq!(r.checksum_failures, 0);
+    let adapt = r.adapt.expect("adaptive run reports its estimator");
+    assert!(adapt.srtt_us > 0.0, "ack loop never sampled");
+    assert!(
+        adapt.first_block_us > 0.0,
+        "sink never marked the first block"
+    );
+    for (name, h) in [
+        ("load", &r.tails.load),
+        ("dispatch", &r.tails.dispatch),
+        ("place", &r.tails.place),
+        ("verify", &r.tails.verify),
+    ] {
+        assert_eq!(h.count(), r.blocks, "{name} histogram");
+    }
+}
