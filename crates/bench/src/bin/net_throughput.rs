@@ -30,8 +30,11 @@
 //! depth) against the adaptive credit/depth controller per preset.
 //! Writes `BENCH_wan.json` and gates: adaptive at least the best static
 //! point per preset, at least 2× the worst static point at the 49 ms
-//! WAN, zero retransmits on the clean path, and first-block latency
-//! under two round trips. `--gate-only` runs the ani-wan preset alone.
+//! WAN, zero retransmits on the clean path, first-block latency under
+//! two round trips, and — from a same-run pair of adaptive ani-wan
+//! transfers, one clean and one at 0.1 % loss — lossy goodput at least
+//! 0.75 of clean (a drop must cost one ack round trip, not one timeout).
+//! `--gate-only` runs the ani-wan preset alone.
 //!
 //! `--daemon` switches to the multi-session daemon benchmark instead:
 //! aggregate throughput and the per-session fairness ratio (min/max
@@ -291,11 +294,20 @@ const WAN_WORST_STATIC_RATIO: f64 = 2.0;
 /// handshake, so two RTTs is already generous.
 const WAN_FIRST_BLOCK_RTTS: f64 = 2.0;
 
-/// The paper's Table I paths, as bench arms. Every arm runs `drop=0`:
-/// the grid measures the protocol's shape against RTT and rate, and the
-/// zero-retransmit gate needs a clean path to be meaningful (loss runs
-/// live in the e2e tests, where exactly-once is the assertion).
+/// The paper's Table I paths, as bench arms. Every grid arm runs
+/// `drop=0`: the grid measures the protocol's shape against RTT and
+/// rate, and the zero-retransmit gate needs a clean path to be
+/// meaningful.
 const WAN_PRESETS: &[&str] = &["roce-lan,drop=0", "ib-lan,drop=0", "ani-wan,drop=0"];
+/// The loss pair: the adaptive ani-wan arm twice in one run, at the
+/// same volume, once clean and once losing one frame in a thousand. The
+/// ratio of the two is what a drop costs, free of the host's speed.
+const WAN_LOSS_PAIR: [&str; 2] = ["ani-wan,drop=0", "ani-wan,drop=0.001"];
+/// Lossy goodput must hold this share of clean. Three to seven drops
+/// per GiB at a few tens of milliseconds each (one ack round trip, then
+/// the credit refill) is ≈ 0.85–0.9; recovery by timeout (100–200 ms
+/// each, the 2×BDP window drained and refilled) is ≈ 0.6.
+const WAN_LOSSY_OVER_CLEAN: f64 = 0.75;
 
 /// One transfer over loopback TCP with both endpoints behind the WAN
 /// shim — the sink impairs inbound data, the source impairs inbound
@@ -385,7 +397,7 @@ fn wan_arm_json(a: &WanArm, wan: &WanProfile) -> String {
         "    {{\"preset\": \"{}\", \"rtt_us\": {}, \"rate_bps\": {}, \
          \"adaptive\": {}, \"block_size\": {}, \"channels\": {}, \"depth\": {}, \
          \"total_bytes\": {}, \"gbytes_per_sec\": {:.4}, \"blocks\": {}, \
-         \"retransmits\": {}, \"duplicate_payloads\": {}, \
+         \"retransmits\": {}, \"fast_retransmits\": {}, \"duplicate_payloads\": {}, \
          \"source_adapt\": {}, \"sink_adapt\": {}}}",
         a.preset,
         wan.rtt().as_micros(),
@@ -399,6 +411,7 @@ fn wan_arm_json(a: &WanArm, wan: &WanProfile) -> String {
         a.snk.gbytes_per_sec,
         a.snk.blocks,
         a.src.retransmits,
+        a.src.fast_retransmits,
         a.snk.duplicate_payloads,
         adapt_json(a.src.adapt.as_ref()),
         adapt_json(a.snk.adapt.as_ref()),
@@ -578,6 +591,34 @@ fn run_wan_bench(quick: bool, gate_only: bool, out_path: &str) {
     );
     gate_ok &= ratio_pass && retx_pass && first_pass;
 
+    // The loss pair runs last and apart from the grid: same arm, same
+    // volume, back to back, so the ratio compares like with like.
+    let loss_total = if quick { 512 * MB } else { 1024 * MB };
+    println!();
+    let [clean, lossy] = WAN_LOSS_PAIR.map(|spec| {
+        let a = wan_adaptive_arm(spec, 256 * 1024, 4, loss_total, 3);
+        print_wan_arm(&a);
+        a
+    });
+    let lossy_ratio = lossy.snk.gbytes_per_sec / clean.snk.gbytes_per_sec;
+    let lossy_pass = lossy_ratio >= WAN_LOSSY_OVER_CLEAN;
+    println!(
+        "  gate ani-wan: lossy {:.4} / clean {:.4} GB/s = {lossy_ratio:.2} (bound {WAN_LOSSY_OVER_CLEAN}); \
+         {} retransmits, {} ack-driven, {} duplicates  [{}]",
+        lossy.snk.gbytes_per_sec,
+        clean.snk.gbytes_per_sec,
+        lossy.src.retransmits,
+        lossy.src.fast_retransmits,
+        lossy.snk.duplicate_payloads,
+        if lossy_pass { "ok" } else { "FAIL" }
+    );
+    gate_ok &= lossy_pass;
+    let loss_pair_json: Vec<String> = [&clean, &lossy]
+        .iter()
+        .zip(WAN_LOSS_PAIR)
+        .map(|(a, spec)| wan_arm_json(a, &WanProfile::parse(spec).unwrap()))
+        .collect();
+
     let body: Vec<String> = arms
         .iter()
         .map(|a| {
@@ -592,8 +633,10 @@ fn run_wan_bench(quick: bool, gate_only: bool, out_path: &str) {
         "{{\n  \"bench\": \"net_throughput\",\n  \"mode\": \"wan\",\n  \
          \"quick\": {},\n  \"wire\": \"loopback+netem-shim\",\n  \
          \"presets\": [{}],\n  \
-         \"results\": [\n{}\n  ],\n  \"gates\": {{\n    \
+         \"results\": [\n{}\n  ],\n  \
+         \"loss_pair\": {{\"specs\": [\"{}\", \"{}\"], \"results\": [\n{}\n  ]}},\n  \"gates\": {{\n    \
          \"adaptive_vs_best_static\": [{}],\n    \
+         \"ani_lossy_over_clean\": {{\"ratio\": {:.3}, \"bound\": {WAN_LOSSY_OVER_CLEAN}, \"pass\": {}}},\n    \
          \"ani_worst_static_ratio\": {{\"ratio\": {:.2}, \"bound\": {WAN_WORST_STATIC_RATIO}, \"pass\": {}}},\n    \
          \"ani_clean_zero_retransmits\": {{\"retransmits\": {}, \"duplicates\": {}, \"pass\": {}}},\n    \
          \"ani_first_block\": {{\"first_block_us\": {:.1}, \"bound_us\": {:.1}, \"pass\": {}}}\n  }}\n}}\n",
@@ -604,7 +647,12 @@ fn run_wan_bench(quick: bool, gate_only: bool, out_path: &str) {
             .collect::<Vec<_>>()
             .join(", "),
         body.join(",\n"),
+        WAN_LOSS_PAIR[0],
+        WAN_LOSS_PAIR[1],
+        loss_pair_json.join(",\n"),
         vs_best_json.join(", "),
+        lossy_ratio,
+        lossy_pass,
         worst_ratio,
         ratio_pass,
         ani.src.retransmits,

@@ -47,6 +47,7 @@ pub mod duplex;
 pub mod engine;
 pub mod estimator;
 pub mod harness;
+pub mod loss;
 pub mod multi;
 pub mod pool;
 pub mod reorder;
@@ -65,6 +66,7 @@ pub use duplex::DuplexEngine;
 pub use engine::{SinkEngine, SourceEngine, CTRL_RING_SLOTS};
 pub use estimator::{AdaptSnapshot, RttEstimator};
 pub use harness::{build_experiment, run_transfer, Experiment, TransferReport};
+pub use loss::{LossDetector, REORDER_THRESHOLD};
 pub use multi::{Endpoint, MultiEngine};
 pub use pool::{
     AtomicSinkPool, AtomicSourcePool, BlockIdx, IndexQueue, PoolGeometry, SinkPool, SourcePool,

@@ -366,8 +366,11 @@ fn print_report(a: &Args, r: &LiveReport) {
     }
     if a.fault_drop_p > 0.0 || a.wan.is_some() {
         println!(
-            "  faults: {} payloads dropped, {} retransmitted",
-            r.dropped_payloads, r.retransmits
+            "  faults: {} payloads dropped, {} retransmitted ({} ack-driven, {} on the timer)",
+            r.dropped_payloads,
+            r.retransmits,
+            r.fast_retransmits,
+            r.retransmits - r.fast_retransmits
         );
     }
     if let Some(ad) = &r.adapt {
@@ -395,6 +398,7 @@ fn run(a: &Args) -> std::io::Result<LiveReport> {
                 apply_wan(a, &mut cfg);
                 let (src, mut snk) = run_split_pair_wan(&cfg, wan)?;
                 snk.retransmits = src.retransmits;
+                snk.fast_retransmits = src.fast_retransmits;
                 snk.dropped_payloads = src.dropped_payloads;
                 Ok(snk)
             }

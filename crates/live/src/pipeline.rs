@@ -67,8 +67,10 @@ pub struct LiveConfig {
     /// Seed for the drop RNG — same seed, same drop pattern.
     pub fault_seed: u64,
     /// A dispatched block still unacked after this long is retransmitted
-    /// (the watchdog only runs when `fault_drop_p > 0`). Must comfortably
-    /// exceed the pipeline's ack latency or healthy blocks are re-sent.
+    /// by the watchdog's timer (the watchdog runs when `fault_drop_p > 0`
+    /// or `adaptive`; a loss the ack stream reveals is re-sent without
+    /// waiting for it). Must comfortably exceed the pipeline's ack
+    /// latency or healthy blocks are re-sent.
     pub retx_timeout: std::time::Duration,
     /// Source backend: read blocks from this file instead of filling
     /// pattern data. The file must hold at least `total_bytes`.
@@ -239,8 +241,12 @@ pub struct LiveReport {
     pub credit_requests: u64,
     /// Payloads the fault injector dropped on the wire.
     pub dropped_payloads: u64,
-    /// Blocks the watchdog re-sent after an ack timeout.
+    /// Blocks the watchdog re-sent, whichever trigger fired.
     pub retransmits: u64,
+    /// The subset of `retransmits` triggered by ack inference (three
+    /// later sends on the channel acked) rather than the timer. Only the
+    /// source half counts them.
+    pub fast_retransmits: u64,
     /// Arrivals the sink discarded as already-placed duplicates (a
     /// retransmit raced a slow ack).
     pub duplicate_payloads: u64,
@@ -337,11 +343,16 @@ pub(crate) struct InFlightInfo {
     pub(crate) slot: u32,
     pub(crate) len: u32,
     /// When the block last went onto the wire (dispatch or retransmit);
-    /// the watchdog re-sends once `retx_timeout` passes without an ack.
+    /// the watchdog's timer re-sends once the deadline passes without an
+    /// ack.
     pub(crate) sent_at: Instant,
     /// Wire attempts so far — a runaway count means the recovery loop is
     /// broken, not that the fabric is unlucky.
     pub(crate) attempts: u32,
+    /// Data channel the latest attempt went out on, and its send ordinal
+    /// there — what [`rftp_core::LossDetector`] judges the attempt by.
+    pub(crate) ch: usize,
+    pub(crate) ordinal: u64,
 }
 
 pub(crate) fn pattern_seed(seq: u32) -> u64 {
@@ -457,6 +468,7 @@ pub fn try_run_live(cfg: &LiveConfig) -> std::io::Result<LiveReport> {
         credit_requests: src.credit_requests,
         dropped_payloads: src.dropped_payloads,
         retransmits: src.retransmits,
+        fast_retransmits: src.fast_retransmits,
         stages: StageBreakdown {
             load_ns: src.stages.load_ns,
             dispatch_ns: src.stages.dispatch_ns,

@@ -41,13 +41,14 @@ use crate::pipeline::{
 };
 use crate::store::{RatePacer, SlotBuf};
 use crate::transport::{channel_transport, CtrlTx, SinkTransport, SourceTransport};
-use crossbeam::channel::bounded;
+use crossbeam::channel::{bounded, TryRecvError};
 use parking_lot::Mutex;
 use rftp_core::engine::expected_checksum;
 use rftp_core::pattern::{checksum, fill_pattern};
 use rftp_core::wire::{BlockAck, CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use rftp_core::{
-    AtomicSinkPool, AtomicSourcePool, Granter, PoolGeometry, ReorderBuffer, WeightedFair,
+    AtomicSinkPool, AtomicSourcePool, Granter, LossDetector, PoolGeometry, ReorderBuffer,
+    WeightedFair,
 };
 use std::collections::HashMap;
 use std::io;
@@ -197,7 +198,8 @@ impl Controller {
         }
     }
 
-    /// A watchdog deadline expired: count it toward the loss rate.
+    /// The watchdog re-sent a block (either trigger): count it toward
+    /// the loss rate.
     pub(crate) fn on_loss(&self) {
         self.est.lock().on_loss();
     }
@@ -245,6 +247,17 @@ impl Controller {
     }
 }
 
+/// The source's current retransmit deadline. Statically configured runs
+/// use the fixed `retx_timeout`; adaptive runs start from a deadline that
+/// cannot fire before the path is measured (a fixed 100 ms default fires
+/// spuriously at WAN RTTs) and then track the estimator.
+fn retx_deadline(cfg: &LiveConfig, ctl: Option<&Controller>) -> std::time::Duration {
+    match ctl {
+        Some(c) => c.rto(cfg.retx_timeout.max(std::time::Duration::from_millis(100))),
+        None => cfg.retx_timeout,
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Source half
 // ---------------------------------------------------------------------------
@@ -270,17 +283,6 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         SrcBackend::Pattern => None,
     };
 
-    let src_pool = AtomicSourcePool::new(geo);
-    // Arc'd so a completion-based transport can hold the pool across its
-    // in-flight sends (the registered-buffer lifetime).
-    let src_bufs = Arc::new(alloc_pool(cfg));
-    let stock = CreditSlots::new(REMOTE_SLOT_RING);
-    let inflight: Vec<Mutex<Option<InFlightInfo>>> =
-        (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect();
-    // Which pool block carries each in-flight sequence — the ack names a
-    // sequence, and over a real wire the sink cannot name our block.
-    let seq2block: Mutex<HashMap<u32, u32>> = Mutex::new(HashMap::new());
-
     let SourceTransport {
         ctrl_tx,
         mut ctrl_rx,
@@ -290,16 +292,12 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         shutdown_write,
         abort,
     } = t;
-    // Pin the pool into the transport (fixed-buffer registration on
-    // io_uring, no-op elsewhere) before anything is sent.
-    register(&src_bufs)?;
-    let fail = Fail::new(abort);
-    let next_seq = AtomicU64::new(0);
-    let done_flag = AtomicBool::new(false);
-    let (loaded_tx, loaded_rx) = bounded::<u32>(cfg.pool_blocks as usize);
     // The ack-loop estimator: block sent → ack retired, Karn-filtered.
     let ctl = cfg.adaptive.then(|| Controller::new(cfg));
 
+    // The request leaves before the pool exists: zero-filling a BDP-sized
+    // pool takes as long as a WAN round trip, and the sink needs nothing
+    // from it to accept the session and start granting.
     let start = Instant::now();
     ctrl_tx.send(&CtrlMsg::SessionRequest {
         session: SESSION,
@@ -310,12 +308,40 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     })?;
     let mut ctrl_msgs = 1u64;
 
+    let src_pool = AtomicSourcePool::new(geo);
+    // Arc'd so a completion-based transport can hold the pool across its
+    // in-flight sends (the registered-buffer lifetime).
+    let src_bufs = Arc::new(alloc_pool(cfg));
+    let stock = CreditSlots::new(REMOTE_SLOT_RING);
+    let inflight: Vec<Mutex<Option<InFlightInfo>>> =
+        (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect();
+    // Which pool block carries each in-flight sequence — the ack names a
+    // sequence, and over a real wire the sink cannot name our block.
+    let seq2block: Mutex<HashMap<u32, u32>> = Mutex::new(HashMap::new());
+    // Pin the pool into the transport (fixed-buffer registration on
+    // io_uring, no-op elsewhere) before any data is sent.
+    register(&src_bufs)?;
+    let fail = Fail::new(abort);
+    let next_seq = AtomicU64::new(0);
+    let (loaded_tx, loaded_rx) = bounded::<u32>(cfg.pool_blocks as usize);
+
+    // Loss recovery runs on one watchdog thread with two triggers: the
+    // control thread hands it blocks the ack stream proves lost (see
+    // [`rftp_core::LossDetector`]), and a timer scan catches what acks
+    // cannot — the tail of a transfer, a re-send with too few sends
+    // behind it. A clean static run starts neither.
+    let detector = LossDetector::new(cfg.channels);
+    let (lost_tx, lost_rx) = (cfg.fault_drop_p > 0.0 || cfg.adaptive)
+        .then(|| bounded::<u32>(cfg.pool_blocks as usize))
+        .unzip();
+
     #[derive(Default)]
     struct Tally {
         ctrl: u64,
         credit_requests: u64,
         dropped: u64,
         retransmits: u64,
+        fast_retransmits: u64,
         load_ns: u64,
         dispatch_ns: u64,
         load_hist: NsHist,
@@ -407,6 +433,8 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             len,
                             sent_at: Instant::now(),
                             attempts: 0,
+                            ch: 0,
+                            ordinal: 0,
                         });
                         seq2block.lock().insert(seq as u32, block);
                         src_pool.loaded(block).expect("FSM: loaded");
@@ -424,7 +452,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         let dispatcher = {
             let (data, ctrl_tx) = (data.clone(), ctrl_tx.clone());
             let (stock, src_pool, inflight, src_bufs) = (&stock, &src_pool, &inflight, &src_bufs);
-            let (fail, cfg) = (&fail, &cfg);
+            let (fail, cfg, ctl, detector) = (&fail, &cfg, &ctl, &detector);
             s.spawn(move || {
                 let mut rr = 0usize;
                 let mut fault_rng = cfg.fault_seed;
@@ -503,9 +531,18 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                     }
                                     starved_since = Some(Instant::now());
                                 }
-                                if starved_since.is_some_and(|t| {
-                                    t.elapsed() > std::time::Duration::from_millis(20)
-                                }) {
+                                // Re-arm only once the first request's
+                                // answer is overdue: on a measured path
+                                // that is the retransmit deadline — a
+                                // fixed 20 ms re-asks two or three times
+                                // per starvation inside one WAN round
+                                // trip, each answered by a grant the
+                                // first request already earned.
+                                let rearm = match ctl {
+                                    Some(c) => retx_deadline(cfg, Some(c)),
+                                    None => std::time::Duration::from_millis(20),
+                                };
+                                if starved_since.is_some_and(|t| t.elapsed() > rearm) {
                                     stock.request_outstanding.store(false, Ordering::Release);
                                     starved_since = None;
                                 }
@@ -513,20 +550,23 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             }
                         };
                         let t0 = Instant::now();
+                        let ch = rr % data.len();
+                        rr += 1;
                         let info = {
                             let mut inf = inflight[block as usize].lock();
                             let i = inf.as_mut().expect("loaded block untracked");
                             i.slot = slot;
                             i.sent_at = Instant::now();
                             i.attempts = 1;
+                            i.ch = ch;
+                            i.ordinal = detector.on_send(ch);
                             *i
                         };
                         src_pool.start_sending(block).expect("FSM: start_sending");
                         src_pool.posted(block).expect("FSM: posted");
-                        let ch = rr % data.len();
-                        rr += 1;
                         if cfg.fault_drop_p > 0.0 && drop_roll(&mut fault_rng) < cfg.fault_drop_p {
-                            // The wire ate it; the watchdog re-sends.
+                            // The wire ate it — ordinal and all, as a real
+                            // loss would; the watchdog re-sends.
                             dropped += 1;
                         } else {
                             let hdr = DataFrameHeader {
@@ -583,30 +623,39 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         };
 
         // Retransmit watchdog — the live analogue of the simulated
-        // engine's TOK_RETX scan: unacked past the deadline goes back on
-        // the wire, rolling the same drop dice as a first send (a
-        // retransmit can itself be lost and retried). Statically
-        // configured runs use the fixed `retx_timeout`; adaptive runs
-        // start from a deadline that cannot fire before the path is
-        // measured (a fixed 100 ms default fires spuriously at WAN RTTs)
-        // and then track the estimator's `srtt + 4·rttvar`.
-        let retx_watchdog = (cfg.fault_drop_p > 0.0 || cfg.adaptive).then(|| {
+        // engine's TOK_RETX scan, parked on the control thread's hand-off
+        // queue. It wakes for a block the acks prove lost, or after a
+        // quarter deadline to scan for blocks unacked past it; either way
+        // the block is judged again under its in-flight lock, so one
+        // queued twice (or acked meanwhile) is not sent twice. A re-send
+        // can itself be lost and retried. The queue disconnecting — the
+        // control thread finished or failed — ends the thread at once.
+        let retx_watchdog = lost_rx.map(|lost_rx| {
             let data = data.clone();
-            let (inflight, src_bufs) = (&inflight, &src_bufs);
-            let (done_flag, fail, cfg, ctl) = (&done_flag, &fail, &cfg, &ctl);
+            let (inflight, src_bufs, detector) = (&inflight, &src_bufs, &detector);
+            let (fail, cfg, ctl) = (&fail, &cfg, &ctl);
             s.spawn(move || {
-                let mut fault_rng = cfg.fault_seed ^ 0x5EED_5EED_5EED_5EED;
                 let mut rr = 0usize;
                 let mut retransmits = 0u64;
+                let mut fast_retransmits = 0u64;
                 let mut dropped = 0u64;
-                let initial = match ctl {
-                    Some(_) => cfg.retx_timeout.max(std::time::Duration::from_millis(100)),
-                    None => cfg.retx_timeout,
-                };
-                while !done_flag.load(Ordering::Relaxed) && !fail.is_set() {
-                    let deadline = ctl.as_ref().map_or(cfg.retx_timeout, |c| c.rto(initial));
-                    std::thread::sleep(deadline / 4);
-                    for block in 0..cfg.pool_blocks {
+                let mut due: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
+                let mut next_scan = Instant::now() + retx_deadline(cfg, ctl.as_ref()) / 4;
+                loop {
+                    let wait = next_scan.saturating_duration_since(Instant::now());
+                    if lost_rx.recv_batch_timeout(&mut due, cfg.pool_blocks as usize, wait)
+                        == Err(TryRecvError::Disconnected)
+                        || fail.is_set()
+                    {
+                        break;
+                    }
+                    let deadline = retx_deadline(cfg, ctl.as_ref());
+                    if Instant::now() >= next_scan {
+                        due.clear();
+                        due.extend(0..cfg.pool_blocks);
+                        next_scan = Instant::now() + deadline / 4;
+                    }
+                    for block in due.drain(..) {
                         // Hold the entry across the re-send so a racing
                         // ack cannot retire the block mid-send.
                         let mut inf = inflight[block as usize].lock();
@@ -614,6 +663,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                         if i.slot == u32::MAX {
                             continue;
                         }
+                        let by_ack = detector.is_lost(i.ch, i.ordinal);
                         // Karn's backoff: every unacked attempt doubles
                         // this block's own deadline. The RTO tracks
                         // *network* srtt, but the ack can also stall on
@@ -623,19 +673,27 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                         // behind the stall and expire again — a storm
                         // that feeds the loss EWMA instead of the pipe.
                         let shift = i.attempts.saturating_sub(1).min(6);
-                        if i.sent_at.elapsed() < deadline.saturating_mul(1 << shift) {
+                        if !by_ack && i.sent_at.elapsed() < deadline.saturating_mul(1 << shift) {
                             continue;
                         }
                         assert!(i.attempts < 64, "block seq {} will not go through", i.seq);
+                        let ch = rr % data.len();
+                        rr += 1;
                         i.sent_at = Instant::now();
                         i.attempts += 1;
                         retransmits += 1;
+                        fast_retransmits += by_ack as u64;
                         if let Some(c) = ctl {
                             c.on_loss();
                         }
-                        let ch = rr % data.len();
-                        rr += 1;
-                        if drop_roll(&mut fault_rng) < cfg.fault_drop_p {
+                        // The same drop dice as a first send, keyed by
+                        // (sequence, attempt): which re-sends the wire
+                        // eats is a property of the seed, not of the
+                        // order recovery happened to run in.
+                        let mut dice = cfg.fault_seed
+                            ^ 0x5EED_5EED_5EED_5EED
+                            ^ ((i.seq as u64) << 8 | i.attempts as u64);
+                        if drop_roll(&mut dice) < cfg.fault_drop_p {
                             dropped += 1;
                         } else {
                             let hdr = DataFrameHeader {
@@ -651,12 +709,20 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                 .and_then(|()| data[ch].kick())
                             {
                                 fail.set(e);
-                                return (retransmits, dropped);
+                                return (retransmits, fast_retransmits, dropped);
                             }
                         }
+                        // Stamped once the frame is on the link, not
+                        // before: the dispatcher shares these channels,
+                        // and an ordinal drawn ahead of a send it then
+                        // overtakes would read as a hole three acks later.
+                        // Drawn late, the ordinal can only understate how
+                        // long the attempt has been out.
+                        i.ch = ch;
+                        i.ordinal = detector.on_send(ch);
                     }
                 }
-                (retransmits, dropped)
+                (retransmits, fast_retransmits, dropped)
             })
         });
 
@@ -667,11 +733,15 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         let ctrl = {
             let ctrl_tx = ctrl_tx.clone();
             let (stock, src_pool, inflight, seq2block) = (&stock, &src_pool, &inflight, &seq2block);
-            let (done_flag, fail, ctl) = (&done_flag, &fail, &ctl);
+            let (fail, ctl, cfg, detector) = (&fail, &ctl, &cfg, &detector);
             s.spawn(move || {
+                let mut lost_tx = lost_tx;
+                let watched = lost_tx.is_some();
                 let mut ctrl_count = 0u64;
                 let mut completed = 0u64;
-                let retire = |seq: u32| -> io::Result<()> {
+                // Retire one acked sequence; true when recovery is running
+                // and the ack moved its channel's high-water mark.
+                let retire = |seq: u32| -> io::Result<bool> {
                     let block = seq2block
                         .lock()
                         .remove(&seq)
@@ -684,18 +754,20 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                     // Karn's rule: a retransmitted block's ack cannot be
                     // attributed to an attempt, so only first-attempt
                     // acks feed the estimator.
-                    if info.attempts == 1 {
+                    let first_attempt = info.attempts == 1;
+                    if first_attempt {
                         if let Some(c) = ctl {
                             c.on_rtt_sample(info.sent_at.elapsed());
                         }
                     }
                     src_pool.complete(block).expect("FSM: complete");
-                    Ok(())
+                    Ok(watched && detector.on_ack(info.ch, info.ordinal, first_attempt))
                 };
                 while completed < total_blocks {
                     match ctrl_rx.recv() {
                         Ok(Some(msg)) => {
                             ctrl_count += 1;
+                            let mut advanced = false;
                             let handled = match msg {
                                 CtrlMsg::SessionAccept { session, .. } if session == SESSION => {
                                     Ok(())
@@ -718,11 +790,12 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                     if session == SESSION =>
                                 {
                                     completed += 1;
-                                    retire(seq)
+                                    retire(seq).map(|adv| advanced = adv)
                                 }
                                 CtrlMsg::AckBatch { session, acks } if session == SESSION => {
                                     completed += acks.len() as u64;
-                                    acks.iter().try_for_each(|a| retire(a.seq))
+                                    acks.iter()
+                                        .try_for_each(|a| retire(a.seq).map(|adv| advanced |= adv))
                                 }
                                 // Typed admission outcomes: a busy sink
                                 // names a retry delay (transient), a
@@ -743,6 +816,21 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                 fail.set(e);
                                 return ctrl_count;
                             }
+                            // A high-water mark moved: hand the watchdog
+                            // every attempt it now proves lost. (Nothing
+                            // is scanned for acks that moved no mark.)
+                            if let (true, Some(tx)) = (advanced, &lost_tx) {
+                                for block in 0..cfg.pool_blocks {
+                                    let lost =
+                                        inflight[block as usize].lock().as_ref().is_some_and(|i| {
+                                            i.slot != u32::MAX && detector.is_lost(i.ch, i.ordinal)
+                                        });
+                                    if lost {
+                                        // A dead watchdog has set `fail`.
+                                        let _ = tx.send(block);
+                                    }
+                                }
+                            }
                         }
                         Ok(None) => {
                             fail.set(perr("peer closed the control stream mid-transfer"));
@@ -756,7 +844,8 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                         }
                     }
                 }
-                done_flag.store(true, Ordering::Relaxed);
+                // Every block is acked: wake the watchdog to exit now.
+                lost_tx.take();
                 match ctrl_tx.send(&CtrlMsg::DatasetComplete {
                     session: SESSION,
                     total_blocks: total_blocks as u32,
@@ -790,8 +879,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         tally.credit_requests = credit_requests;
         tally.dropped = dropped;
         if let Some(h) = retx_watchdog {
-            let (retransmits, dropped) = h.join().expect("retx watchdog panicked");
+            let (retransmits, fast_retransmits, dropped) =
+                h.join().expect("retx watchdog panicked");
             tally.retransmits = retransmits;
+            tally.fast_retransmits = fast_retransmits;
             tally.dropped += dropped;
         }
         tally.ctrl += ctrl.join().expect("source ctrl panicked");
@@ -816,6 +907,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         credit_requests: tally.credit_requests,
         dropped_payloads: tally.dropped,
         retransmits: tally.retransmits,
+        fast_retransmits: tally.fast_retransmits,
         duplicate_payloads: 0,
         stages: StageBreakdown {
             load_ns: per_block(tally.load_ns),
@@ -1073,6 +1165,12 @@ impl SinkHandler<'_> {
             self.accumulate(retry);
         }
         self.delivered += 1;
+        // A filled hole delivers a pool's worth of blocks in one burst;
+        // the credits they free must leave as they fill a frame, not
+        // after the last block of the burst has been verified.
+        if self.pending_credits.len() >= self.cfg.credit_batch() {
+            self.flush_credits()?;
+        }
         Ok(())
     }
 }
@@ -1470,6 +1568,7 @@ pub(crate) fn run_sink_session(
         credit_requests: 0,
         dropped_payloads: 0,
         retransmits: 0,
+        fast_retransmits: 0,
         duplicate_payloads: tally.2,
         stages: StageBreakdown {
             place_ns: per_block(tally.0),
@@ -1615,6 +1714,76 @@ mod tests {
             "every drop needs at least one re-send: {} drops, {} retransmits",
             src.dropped_payloads,
             src.retransmits
+        );
+    }
+
+    /// Recovery with the timer out of the picture: one send in twenty
+    /// vanishes, the deadline is ten seconds (its first scan would come
+    /// at 2.5 s), and the transfer must still finish at once — only the
+    /// ack stream can have named the lost blocks, and only completion
+    /// waking the watchdog can have let the source return. Seed 32 drops
+    /// 18 first sends, the last of them sequence 450 of 512, and none of
+    /// their re-sends: every casualty has well over three later sends
+    /// behind it on its channel, which is exactly the case the inference
+    /// covers. (A tail drop is the timer's, and so is a lost re-send that
+    /// went out after the stalled source had spent its last credit — at
+    /// zero RTT that is a race, so the seed avoids both.)
+    #[test]
+    fn dropped_payloads_recover_from_acks_alone() {
+        let mut cfg = LiveConfig::new(8 * 1024, 2, 4 << 20);
+        cfg.pool_blocks = 64;
+        cfg.fault_drop_p = 0.05;
+        cfg.fault_seed = 32;
+        cfg.retx_timeout = std::time::Duration::from_secs(10);
+        let t0 = Instant::now();
+        let (src, snk) = run_split_pair(&cfg).expect("split transfer");
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "recovery waited for the timer: {took:?}"
+        );
+        assert_eq!(snk.checksum_failures, 0);
+        assert_eq!((snk.bytes, snk.blocks), (cfg.total_bytes, 512));
+        assert_eq!(src.dropped_payloads, 18, "first sends only");
+        assert_eq!(
+            src.retransmits,
+            src.dropped_payloads + snk.duplicate_payloads,
+            "a re-send replaces a lost frame or is discarded as a duplicate"
+        );
+        assert_eq!(src.fast_retransmits, src.retransmits, "the timer never ran");
+    }
+
+    /// Loss from the impairment shim instead of the injector, over a
+    /// 20 ms path with the adaptive controller running. Neither half can
+    /// see what the shim ate, but the books still close: every arrival
+    /// beyond one per block is a discarded duplicate, so `retransmits −
+    /// duplicates` is what was lost. The ack trigger never fires on a
+    /// block that is merely late, so every duplicate must be the timer's
+    /// (a scheduling stall past the deadline re-sends healthy blocks).
+    #[test]
+    fn shim_loss_recovers_with_exact_accounting() {
+        let wan = rftp_faults::WanProfile::parse("rtt=20ms,drop=0.02,seed=5").unwrap();
+        let mut cfg = LiveConfig::new(16 * 1024, 2, 8 << 20);
+        cfg.pool_blocks = 64;
+        cfg.apply_wan(&wan);
+        let (src, snk) = run_split_pair_wan(&cfg, &wan).expect("wan transfer");
+        assert_eq!(snk.checksum_failures, 0);
+        assert_eq!(snk.blocks, 512);
+        assert_eq!(
+            src.dropped_payloads, 0,
+            "the injector is off; the shim drops"
+        );
+        assert!(src.retransmits > 0, "2% of 512 frames dropped nothing");
+        assert!(
+            snk.duplicate_payloads <= src.retransmits - src.fast_retransmits,
+            "{} re-sends ({} ack-driven), {} of them duplicates",
+            src.retransmits,
+            src.fast_retransmits,
+            snk.duplicate_payloads
+        );
+        assert!(
+            src.fast_retransmits > 0,
+            "mid-transfer drops must be recovered from the acks"
         );
     }
 

@@ -2919,6 +2919,7 @@ mod linux {
             credit_requests: 0,
             dropped_payloads: 0,
             retransmits: 0,
+            fast_retransmits: 0,
             duplicate_payloads: duplicates,
             stages: StageBreakdown {
                 place_ns: per_block(place_ns),
@@ -3349,6 +3350,7 @@ mod linux {
             credit_requests: 0,
             dropped_payloads: 0,
             retransmits: 0,
+            fast_retransmits: 0,
             duplicate_payloads: duplicates,
             stages: StageBreakdown {
                 place_ns: per_block(place_ns),

@@ -3,12 +3,12 @@
 //!
 //! There is one live data path (the split halves over a transport), and
 //! `run_live` is that path over the in-process transport with the two
-//! halves' reports merged — so these four runs cover the loaders,
-//! dispatcher, watchdog, receivers, sink handler, the one-copy channel
-//! transport, and the merge itself.
+//! halves' reports merged — so these runs cover the loaders,
+//! dispatcher, watchdog (both its triggers), receivers, sink handler,
+//! the one-copy channel transport, and the merge itself.
 
 use rftp_live::{run_live, try_run_live, LiveConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[test]
 fn pattern_transfer_with_odd_tail_is_exact() {
@@ -42,6 +42,32 @@ fn seeded_drops_recover_through_the_one_watchdog() {
         r.dropped_payloads,
         r.retransmits
     );
+}
+
+/// The ack-driven trigger on its own (the tier-1 copy of `split.rs`'s
+/// `dropped_payloads_recover_from_acks_alone`): the timer's first scan
+/// is 2.5 s away, so finishing inside 2 s means every lost block was
+/// named by the ack stream and the watchdog was woken by completion.
+/// Seed 32 drops 18 first sends (the last is sequence 450 of 512) and
+/// none of their re-sends, so nothing is left for the timer.
+#[test]
+fn seeded_drops_recover_from_acks_alone() {
+    let mut cfg = LiveConfig::new(8 << 10, 2, 4 << 20);
+    cfg.pool_blocks = 64;
+    cfg.fault_drop_p = 0.05;
+    cfg.fault_seed = 32;
+    cfg.retx_timeout = Duration::from_secs(10);
+    let t0 = Instant::now();
+    let r = run_live(&cfg);
+    let took = t0.elapsed();
+    assert!(
+        took < Duration::from_secs(2),
+        "recovery waited for the timer: {took:?}"
+    );
+    assert_eq!(r.checksum_failures, 0);
+    assert_eq!(r.dropped_payloads, 18);
+    assert_eq!(r.retransmits, r.dropped_payloads + r.duplicate_payloads);
+    assert_eq!(r.fast_retransmits, r.retransmits);
 }
 
 #[test]
