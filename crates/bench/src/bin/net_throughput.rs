@@ -303,11 +303,13 @@ const WAN_PRESETS: &[&str] = &["roce-lan,drop=0", "ib-lan,drop=0", "ani-wan,drop
 /// same volume, once clean and once losing one frame in a thousand. The
 /// ratio of the two is what a drop costs, free of the host's speed.
 const WAN_LOSS_PAIR: [&str; 2] = ["ani-wan,drop=0", "ani-wan,drop=0.001"];
-/// Lossy goodput must hold this share of clean. Three to seven drops
-/// per GiB at a few tens of milliseconds each (one ack round trip, then
-/// the credit refill) is ≈ 0.85–0.9; recovery by timeout (100–200 ms
-/// each, the 2×BDP window drained and refilled) is ≈ 0.6.
-const WAN_LOSSY_OVER_CLEAN: f64 = 0.75;
+/// Lossy goodput must hold this share of clean. A drop holds one sink
+/// slot for the ack round trip its re-send takes while every other slot
+/// keeps cycling, so three to seven drops per GiB cost a few per cent
+/// (≈ 0.95); a sink that frees in sequence order stalls the pipe 25–40 ms
+/// per drop (≈ 0.9), and recovery by timeout (100–200 ms each, the
+/// 2×BDP window drained and refilled) is ≈ 0.6–0.7.
+const WAN_LOSSY_OVER_CLEAN: f64 = 0.85;
 
 /// One transfer over loopback TCP with both endpoints behind the WAN
 /// shim — the sink impairs inbound data, the source impairs inbound

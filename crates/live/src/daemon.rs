@@ -37,7 +37,7 @@ use crate::shm::ShmSessionStreams;
 #[cfg(target_os = "linux")]
 use crate::shm::{sink_transport_for_window, SessionWindow, ShmAssembler};
 use crate::split::run_sink_session;
-use crate::store::SlotBuf;
+use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use crate::uring::{
     run_shared_uring_session, run_uring_session, spawn_shared_uring_driver, UringHub,
@@ -287,7 +287,7 @@ impl AbortSet {
 struct DaemonState {
     cfg: DaemonConfig,
     /// The one slot arena; a session's lease indexes into it.
-    slots: Vec<Mutex<SlotBuf>>,
+    slots: BlockPool,
     arena: SlotArena,
     fair: WeightedFair,
     stop: Arc<AtomicBool>,
@@ -368,9 +368,7 @@ impl Daemon {
             }
             None => None,
         };
-        let slots: Vec<Mutex<SlotBuf>> = (0..cfg.arena_slots)
-            .map(|_| Mutex::new(SlotBuf::new(cfg.slot_cap)))
-            .collect();
+        let slots = BlockPool::new(cfg.arena_slots, cfg.slot_cap);
         let arena = SlotArena::new(cfg.arena_slots);
         let fair = WeightedFair::new(cfg.credit_budget);
         Ok(Daemon {

@@ -3,15 +3,18 @@
 //! The simulated engines in `rftp-core` prove the protocol's *timing*
 //! behaviour; this crate proves its *concurrency* behaviour. It runs the
 //! same middleware machinery — the Fig. 7 wire formats, the Fig. 6
-//! buffer-block state machines, the proactive credit granter, and the
-//! out-of-order reassembly buffer — as a native multi-threaded pipeline.
+//! buffer-block state machines, the proactive credit granter, and (at
+//! the source's dispatcher) the reassembly buffer — as a native
+//! multi-threaded pipeline.
 //!
 //! There is **one** pipeline ([`split`]): a source half (loaders, an
 //! in-order dispatcher, a retransmit watchdog, a control thread) and a
 //! sink half (per-channel receivers, a control pump, and the
-//! `SinkHandler` that grants, reorders, verifies and frees), joined only
-//! by a [`transport`] carrying encoded Fig. 7(a) control frames both ways
-//! and data frames source → sink. What varies is the transport:
+//! `SinkHandler` that grants, and verifies and frees each block the
+//! moment it lands — both live consumers are offset-addressed, so no
+//! slot waits on sequence order), joined only by a [`transport`]
+//! carrying encoded Fig. 7(a) control frames both ways and data frames
+//! source → sink. What varies is the transport:
 //!
 //! * **in-process channels** ([`channel_transport`]) — both halves in one
 //!   address space; a data frame names the source's pinned block and the
@@ -60,7 +63,7 @@ pub use shm::{
     ShmSessionStreams,
 };
 pub use split::{run_split_pair, run_split_pair_wan, run_split_sink, run_split_source};
-pub use store::{FileSink, FileSource, RatePacer, SlotBuf, STORE_ALIGN};
+pub use store::{BlockPool, FileSink, FileSource, RatePacer, SlotBuf, STORE_ALIGN};
 pub use transport::{channel_transport, SinkTransport, SourceTransport, UringStats};
 pub use uring::{
     accept_source_uring, connect_source_uring, run_uring_sink, uring_multishot, uring_supported,

@@ -423,7 +423,8 @@ impl CreditSlots {
 /// discarded instead of overwriting a slot the sink has since freed and
 /// re-granted. One bit per block of the whole transfer (the table this
 /// replaced spent a mutex per block — 1 byte + state and a pointer-chase
-/// per check).
+/// per check). The sink handler keeps a second one for the sequences it
+/// has retired.
 pub(crate) struct AtomicBitmap {
     words: Vec<AtomicU64>,
 }
@@ -439,6 +440,10 @@ impl AtomicBitmap {
     pub(crate) fn claim(&self, i: u64) -> bool {
         let mask = 1u64 << (i % 64);
         self.words[(i / 64) as usize].fetch_or(mask, Ordering::AcqRel) & mask == 0
+    }
+
+    pub(crate) fn is_set(&self, i: u64) -> bool {
+        self.words[(i / 64) as usize].load(Ordering::Acquire) >> (i % 64) & 1 == 1
     }
 }
 /// Run one transfer in this process; blocks until completion and returns

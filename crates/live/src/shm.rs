@@ -84,7 +84,7 @@ mod imp {
         HELLO_TIMEOUT, KIND_CTRL, KIND_DATA, STALE_SESSION_TIMEOUT,
     };
     use crate::split::run_sink_session;
-    use crate::store::{SlotBuf, STORE_ALIGN};
+    use crate::store::{Mapping, SlotBuf, STORE_ALIGN};
     use crate::transport::{CtrlRx, CtrlTx, DataRx, DataTx, SinkTransport, SourceTransport};
     use crate::{LiveConfig, LiveReport};
     use parking_lot::Mutex;
@@ -112,9 +112,6 @@ mod imp {
     const SYS_MEMFD_CREATE: i64 = 279;
 
     const MFD_CLOEXEC: u32 = 1;
-    const PROT_READ: i32 = 1;
-    const PROT_WRITE: i32 = 2;
-    const MAP_SHARED: i32 = 1;
     const MSG_NOSIGNAL: i32 = 0x4000;
     const MSG_CMSG_CLOEXEC: i32 = 0x4000_0000;
     const SOL_SOCKET: i32 = 1;
@@ -148,15 +145,6 @@ mod imp {
 
     extern "C" {
         fn syscall(num: i64, ...) -> i64;
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
         fn ftruncate(fd: i32, len: i64) -> i32;
         fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
         fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
@@ -180,80 +168,37 @@ mod imp {
         Ok(fd)
     }
 
-    /// A `MAP_SHARED` mapping of the window fd. Unmapped on drop; the
-    /// raw pointer is shared across threads (`Send + Sync`) because
-    /// every access goes through the per-slot atomic publication
-    /// protocol in the module docs.
-    pub(crate) struct Mapping {
-        base: *mut u8,
-        len: usize,
-    }
-
-    unsafe impl Send for Mapping {}
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        /// Map `len` bytes of `fd` shared read+write. A failed map is a
-        /// typed error, never a raw `MAP_FAILED` pointer escaping — this
-        /// is the guard that turns "sink died, fd truncated" into a
-        /// session abort instead of a later SIGBUS at a wild address.
-        pub(crate) fn map_shared(fd: RawFd, len: usize) -> io::Result<Mapping> {
-            if len == 0 {
-                return Err(proto_err("shm window has zero length"));
-            }
-            // mmap happily maps beyond a short file and delivers the
-            // SIGBUS at first touch instead — the one failure mode a
-            // one-sided writer cannot recover from. Check the fd really
-            // backs the claimed length (a sink that died mid-setup, or
-            // a hostile descriptor, leaves it short) and fail typed. An
-            // fd whose size cannot even be read (a pipe, a socket) is
-            // refused outright — mapping it blind would forfeit exactly
-            // the guard this check exists for.
-            let size = unsafe { lseek(fd, 0, SEEK_END) };
-            if size < 0 {
-                return Err(proto_err(format!(
-                    "shm window fd size unreadable ({}) — refusing to map an \
-                     unverifiable length",
-                    io::Error::last_os_error()
-                )));
-            }
-            if (size as u64) < len as u64 {
-                return Err(proto_err(format!(
-                    "shm window fd holds {size} bytes but the descriptor claims {len} — \
-                     refusing a mapping that would fault on first write"
-                )));
-            }
-            let p = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ | PROT_WRITE,
-                    MAP_SHARED,
-                    fd,
-                    0,
-                )
-            };
-            if p as isize == -1 || p.is_null() {
-                return Err(io::Error::other(format!(
-                    "mmap of shm window failed: {}",
-                    io::Error::last_os_error()
-                )));
-            }
-            Ok(Mapping {
-                base: p as *mut u8,
-                len,
-            })
+    /// Map `len` bytes of the window `fd`, shared. A short or unsized fd
+    /// is a typed error here — this is the guard that turns "sink died,
+    /// fd truncated" into a session abort instead of a later SIGBUS at a
+    /// wild address.
+    pub(crate) fn map_window(fd: RawFd, len: usize) -> io::Result<Mapping> {
+        if len == 0 {
+            return Err(proto_err("shm window has zero length"));
         }
-
-        pub(crate) fn base(&self) -> *mut u8 {
-            self.base
+        // mmap happily maps beyond a short file and delivers the
+        // SIGBUS at first touch instead — the one failure mode a
+        // one-sided writer cannot recover from. Check the fd really
+        // backs the claimed length (a sink that died mid-setup, or
+        // a hostile descriptor, leaves it short) and fail typed. An
+        // fd whose size cannot even be read (a pipe, a socket) is
+        // refused outright — mapping it blind would forfeit exactly
+        // the guard this check exists for.
+        let size = unsafe { lseek(fd, 0, SEEK_END) };
+        if size < 0 {
+            return Err(proto_err(format!(
+                "shm window fd size unreadable ({}) — refusing to map an \
+                 unverifiable length",
+                io::Error::last_os_error()
+            )));
         }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            unsafe { munmap(self.base as *mut core::ffi::c_void, self.len) };
+        if (size as u64) < len as u64 {
+            return Err(proto_err(format!(
+                "shm window fd holds {size} bytes but the descriptor claims {len} — \
+                 refusing a mapping that would fault on first write"
+            )));
         }
+        Mapping::map(len, Some(fd))
     }
 
     // -----------------------------------------------------------------
@@ -771,7 +716,7 @@ mod imp {
             let fd = fd.ok_or_else(|| {
                 proto_err("shm descriptor arrived without an SCM_RIGHTS window fd")
             })?;
-            let map = Mapping::map_shared(fd.as_raw_fd(), desc.window_len as usize)?;
+            let map = map_window(fd.as_raw_fd(), desc.window_len as usize)?;
             let _ = self.shared.window.set(SrcWindow::new(map, &desc));
             self.desc_done = true;
             Ok(())
@@ -1316,7 +1261,7 @@ mod imp {
                 .checked_mul(slots)
                 .ok_or_else(|| proto_err("shm window size overflow"))?;
             let fd = memfd_create(window_len)?;
-            let map = Mapping::map_shared(fd.as_raw_fd(), window_len)?;
+            let map = map_window(fd.as_raw_fd(), window_len)?;
             let desc = WindowDesc {
                 stride: stride as u64,
                 window_len: window_len as u64,
@@ -1383,7 +1328,7 @@ mod imp {
     pub fn shm_supported() -> bool {
         fn run() -> io::Result<bool> {
             let fd = memfd_create(STORE_ALIGN)?;
-            let m1 = Mapping::map_shared(fd.as_raw_fd(), STORE_ALIGN)?;
+            let m1 = map_window(fd.as_raw_fd(), STORE_ALIGN)?;
             unsafe { m1.base().write(0xA5) };
             let (a, b) = UnixStream::pair()?;
             send_with_fd(&a, &[0x51], fd.as_raw_fd())?;
@@ -1394,7 +1339,7 @@ mod imp {
                 Some(f) => f,
                 None => return Ok(false),
             };
-            let m2 = Mapping::map_shared(passed.as_raw_fd(), STORE_ALIGN)?;
+            let m2 = map_window(passed.as_raw_fd(), STORE_ALIGN)?;
             unsafe {
                 if m2.base().read() != 0xA5 {
                     return Ok(false);
@@ -1472,7 +1417,7 @@ mod imp {
         #[test]
         fn unseekable_window_fd_is_a_typed_error() {
             let (a, _b) = UnixStream::pair().unwrap();
-            let err = match Mapping::map_shared(a.as_raw_fd(), 4096) {
+            let err = match map_window(a.as_raw_fd(), 4096) {
                 Ok(_) => panic!("mapping an unseekable fd must fail"),
                 Err(e) => e,
             };
@@ -1489,14 +1434,14 @@ mod imp {
             let stride = SlotBuf::stride(block);
             let len = stride * 2;
             let fd = memfd_create(len).unwrap();
-            let map = Mapping::map_shared(fd.as_raw_fd(), len).unwrap();
+            let map = map_window(fd.as_raw_fd(), len).unwrap();
             let desc = WindowDesc {
                 stride: stride as u64,
                 window_len: len as u64,
                 block_cap: block as u32,
                 offsets: vec![0, stride as u64],
             };
-            let snk_map = Mapping::map_shared(fd.as_raw_fd(), len).unwrap();
+            let snk_map = map_window(fd.as_raw_fd(), len).unwrap();
             let snk = SnkWindow::owned(snk_map, fd, desc.offsets.clone(), block as u32);
             let src = SrcWindow::new(map, &desc);
 

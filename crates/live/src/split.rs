@@ -25,13 +25,25 @@
 //!   transport hands over the header first, then fills the credited
 //!   buffer, so there is no intermediate copy on either side of the wire.
 //!
-//! In-order dispatch is load-bearing: loaders finish out of order, and
-//! if later sequences could consume credits while an earlier one waits,
-//! the sink's bounded pool could fill with blocks its in-order consumer
-//! cannot accept — a head-of-line deadlock (see DESIGN.md). The
-//! dispatcher's reorder buffer keeps the invariant that the oldest
-//! outstanding sequence always owns a credit; for the same reason a
-//! loader takes a block *before* it claims a sequence number.
+//! * **Slots retire on arrival.** Both consumers a live sink has are
+//!   offset-addressed — pattern verification is a function of the
+//!   block's own sequence, a file sink `pwrite`s at `seq × block_size`
+//!   at placement — so the handler verifies and frees a slot the moment
+//!   its block lands, in whatever order that is. A lost frame holds one
+//!   slot until its re-send arrives, not the pool behind it; exactly-once
+//!   is the receivers' claim-before-copy bitmap plus the handler's
+//!   retired-sequence bitmap. (The simulated sink, which feeds a
+//!   *stream* consumer, still reassembles in order — §IV.C.)
+//!
+//! The source still dispatches in sequence order (loaders finish out of
+//! order; the dispatcher's reorder buffer puts them back). Against a sink
+//! that freed in order this was load-bearing — later sequences taking
+//! the last credits while an earlier one lagged filled the pool with
+//! blocks the sink could not free, a head-of-line deadlock (DESIGN.md).
+//! This sink cannot be wedged that way; ordered dispatch stays because
+//! it keeps the unplaced sequences one contiguous window, at most a pool
+//! wide. For the same reason a loader takes a block *before* it claims a
+//! sequence number.
 
 use crate::coalesce::{channel_events, drain_coalesced, CoalescedSink, DrainEnd};
 use crate::hist::{NsHist, StageTails};
@@ -39,7 +51,7 @@ use crate::pipeline::{
     backoff, drop_roll, pattern_seed, AtomicBitmap, CreditSlots, InFlightInfo, LiveConfig,
     LiveReport, SnkBackend, SrcBackend, StageBreakdown, SESSION, SINK_RKEY,
 };
-use crate::store::{RatePacer, SlotBuf};
+use crate::store::{BlockPool, RatePacer, SlotBuf};
 use crate::transport::{channel_transport, CtrlTx, SinkTransport, SourceTransport};
 use crossbeam::channel::{bounded, TryRecvError};
 use parking_lot::Mutex;
@@ -311,7 +323,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     let src_pool = AtomicSourcePool::new(geo);
     // Arc'd so a completion-based transport can hold the pool across its
     // in-flight sends (the registered-buffer lifetime).
-    let src_bufs = Arc::new(alloc_pool(cfg));
+    let src_bufs = Arc::new(BlockPool::new(cfg.pool_blocks, cfg.block_size));
     let stock = CreditSlots::new(REMOTE_SLOT_RING);
     let inflight: Vec<Mutex<Option<InFlightInfo>>> =
         (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect();
@@ -461,9 +473,8 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                 let mut ctrl_sent = 0u64;
                 let mut credit_requests = 0u64;
                 let mut dropped = 0u64;
-                // Dispatch must stay in sequence order (the head-of-line
-                // invariant in the module doc); loaders finish out of
-                // order.
+                // Dispatch stays in sequence order (see the module doc);
+                // loaders finish out of order.
                 let mut dispatch_order = ReorderBuffer::<u32>::new();
                 let mut ready: std::collections::VecDeque<u32> = Default::default();
                 let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
@@ -575,7 +586,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                 slot,
                                 len: info.len,
                             };
-                            if let Err(e) = data[ch].send_block(hdr, src_bufs.as_slice(), block) {
+                            if let Err(e) = data[ch].send_block(hdr, src_bufs, block) {
                                 fail.set(e);
                                 return (
                                     dispatch_ns,
@@ -705,7 +716,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             // Queue + kick immediately: retransmits are
                             // rare and latency-bound, not batched.
                             if let Err(e) = data[ch]
-                                .send_block(hdr, src_bufs.as_slice(), block)
+                                .send_block(hdr, src_bufs, block)
                                 .and_then(|()| data[ch].kick())
                             {
                                 fail.set(e);
@@ -948,8 +959,8 @@ pub(crate) enum SinkEvt {
 /// Standalone sinks run without one (no clamp).
 pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 
-/// The sink's protocol brain: negotiation, credit grants, in-order
-/// verify-and-free, and the coalesced sink→source control traffic
+/// The sink's protocol brain: negotiation, credit grants,
+/// verify-and-free on arrival, and the coalesced sink→source control traffic
 /// (`AckBatch` for placements, `CreditBatch` for grants, one flush
 /// window for both). Shared by the thread-per-channel sink below and the
 /// io_uring sink driver ([`crate::uring`]).
@@ -978,8 +989,13 @@ pub(crate) struct SinkHandler<'a> {
     deferred: u32,
     verify_payload: bool,
     total_blocks: u64,
-    pub(crate) reorder: ReorderBuffer<(u32, u32)>,
-    expected_seq: u32,
+    /// One bit per sequence this session has verified and freed: the
+    /// online exactly-once check.
+    retired: AtomicBitmap,
+    /// Lowest sequence not yet retired — every one below it is.
+    low_water: u64,
+    /// Arrivals ahead of `low_water` when they landed.
+    pub(crate) ooo_blocks: u64,
     dc_seen: bool,
     eof_data: usize,
     pending_acks: Vec<BlockAck>,
@@ -1013,8 +1029,9 @@ impl<'a> SinkHandler<'a> {
             deferred: 0,
             verify_payload: cfg.dst_file.is_none(),
             total_blocks: cfg.total_blocks(),
-            reorder: ReorderBuffer::new(),
-            expected_seq: 0,
+            retired: AtomicBitmap::new(cfg.total_blocks()),
+            low_water: 0,
+            ooo_blocks: 0,
             dc_seen: false,
             eof_data: 0,
             pending_acks: Vec::with_capacity(cfg.ack_batch()),
@@ -1042,9 +1059,9 @@ impl SinkHandler<'_> {
     fn accumulate(&mut self, want: u32) {
         let want = match self.ctl.and_then(Controller::depth) {
             Some(depth) => {
-                // Everything not free is on loan to the source (granted,
-                // in flight, or awaiting in-order delivery) — including
-                // the slots already batched in `pending_credits`.
+                // Everything not free is on loan to the source (granted
+                // or in flight) — including the slots already batched in
+                // `pending_credits`.
                 let outstanding =
                     (self.cfg.pool_blocks as usize - self.snk_pool.free_count()) as u32;
                 let allowed = want.min(depth.saturating_sub(outstanding));
@@ -1117,9 +1134,28 @@ impl SinkHandler<'_> {
         self.ctrl_tx.send(&msg)
     }
 
-    /// Verify and free one in-order delivery.
-    fn deliver(&mut self, seq: u32, slot: u32, len: u32) -> io::Result<()> {
-        assert_eq!(seq, self.expected_seq, "out-of-order delivery");
+    /// Verify and free one placed block, whatever its place in the
+    /// sequence: neither consumer needs the order (module doc), so the
+    /// slot goes `DataReady → Free` with no hold in between. Retiring a
+    /// sequence twice is a protocol error — the receivers' claim bitmap
+    /// admits each sequence once, so a second retirement means a
+    /// transport handed over a frame it should have discarded.
+    fn retire(&mut self, seq: u32, slot: u32, len: u32) -> io::Result<()> {
+        if seq as u64 >= self.total_blocks {
+            return Err(perr(format!(
+                "arrival for sequence {seq} of a {}-block transfer",
+                self.total_blocks
+            )));
+        }
+        if !self.retired.claim(seq as u64) {
+            return Err(perr(format!("sequence {seq} retired twice")));
+        }
+        if seq as u64 > self.low_water {
+            self.ooo_blocks += 1;
+        }
+        while self.low_water < self.total_blocks && self.retired.is_set(self.low_water) {
+            self.low_water += 1;
+        }
         if self.delivered == 0 {
             if let Some(c) = self.ctl {
                 // First-block latency: the credit-ramp figure. Proactive
@@ -1127,7 +1163,6 @@ impl SinkHandler<'_> {
                 c.mark_first_block();
             }
         }
-        self.expected_seq += 1;
         let t0 = Instant::now();
         {
             let buf = self.snk_bufs[slot as usize].lock();
@@ -1165,12 +1200,6 @@ impl SinkHandler<'_> {
             self.accumulate(retry);
         }
         self.delivered += 1;
-        // A filled hole delivers a pool's worth of blocks in one burst;
-        // the credits they free must leave as they fill a frame, not
-        // after the last block of the burst has been verified.
-        if self.pending_credits.len() >= self.cfg.credit_batch() {
-            self.flush_credits()?;
-        }
         Ok(())
     }
 }
@@ -1213,9 +1242,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
                 self.snk_pool
                     .ready(slot)
                     .map_err(|e| perr(format!("arrival in non-granted slot {slot}: {e:?}")))?;
-                for (s2, (slot2, len2)) in self.reorder.push(seq, (slot, len)) {
-                    self.deliver(s2, slot2, len2)?;
-                }
+                self.retire(seq, slot, len)?;
                 let want = self.granter.lock().on_completion();
                 self.accumulate(want);
                 self.pending_acks.push(BlockAck { seq, slot, len });
@@ -1304,8 +1331,9 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 
 /// Run the sink half of a transfer over `t`: grant credits, place
 /// arriving frames into their credited slots (directly from the link —
-/// the transport read *is* the placement), verify and free in order, ack
-/// placed blocks back to the source, and finish on `DatasetComplete`.
+/// the transport read *is* the placement), verify and free each as it
+/// lands, ack placed blocks back to the source, and finish on
+/// `DatasetComplete`.
 ///
 /// `cfg` must agree with the source on `block_size`, `channels`, and
 /// `total_bytes` (the handler checks the `SessionRequest` against it);
@@ -1322,16 +1350,9 @@ pub fn run_split_sink(
     t: SinkTransport,
     first_ctrl: Option<CtrlMsg>,
 ) -> io::Result<LiveReport> {
-    let snk_bufs = alloc_pool(cfg);
+    let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     run_sink_session(cfg, t, first_ctrl, &view, None)
-}
-
-/// One endpoint's block pool: `pool_blocks` zeroed, aligned slots.
-fn alloc_pool(cfg: &LiveConfig) -> Vec<Mutex<SlotBuf>> {
-    (0..cfg.pool_blocks)
-        .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
-        .collect()
 }
 
 /// The reusable per-session sink runner the daemon schedules: exactly
@@ -1562,7 +1583,7 @@ pub(crate) fn run_sink_session(
         elapsed,
         gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
         checksum_failures: h.checksum_failures,
-        ooo_blocks: h.reorder.ooo_arrivals,
+        ooo_blocks: h.ooo_blocks,
         ctrl_msgs: h.ctrl_msgs,
         ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
         credit_requests: 0,
@@ -1620,7 +1641,7 @@ pub fn run_split_pair_wan(
     // milliseconds at megabyte blocks; a source that started its clock
     // while the sink was still allocating would report that wait as
     // transfer time.
-    let snk_bufs = alloc_pool(&snk_cfg);
+    let snk_bufs = BlockPool::new(snk_cfg.pool_blocks, snk_cfg.block_size);
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     std::thread::scope(|s| {
         let sink = s.spawn(|| run_sink_session(&snk_cfg, kt, None, &view, None));
@@ -1785,6 +1806,146 @@ mod tests {
             src.fast_retransmits > 0,
             "mid-transfer drops must be recovered from the acks"
         );
+    }
+
+    /// A control link that keeps what the handler sends.
+    #[derive(Default)]
+    struct Sent(Mutex<Vec<CtrlMsg>>);
+
+    impl CtrlTx for Sent {
+        fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
+            self.0.lock().push(msg.clone());
+            Ok(())
+        }
+    }
+
+    impl Sent {
+        /// Slots granted since the last call, in grant order.
+        fn take_granted(&self) -> Vec<u32> {
+            self.0
+                .lock()
+                .drain(..)
+                .filter_map(|m| match m {
+                    CtrlMsg::CreditBatch { slots, .. } => Some(slots),
+                    _ => None,
+                })
+                .flatten()
+                .collect()
+        }
+    }
+
+    /// Put sequence `seq` of a pattern transfer into `slot`, as a
+    /// receiver would have, and announce it.
+    fn arrive(h: &mut SinkHandler, bufs: &BlockPool, seq: u32, slot: u32) -> io::Result<()> {
+        let len = h.cfg.block_size as u32;
+        {
+            let mut buf = bufs[slot as usize].lock();
+            PayloadHeader {
+                session: SESSION,
+                seq,
+                offset: seq as u64 * len as u64,
+                len,
+            }
+            .encode(&mut buf[..PAYLOAD_HEADER_LEN]);
+            fill_pattern(
+                &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
+                pattern_seed(seq),
+            );
+        }
+        h.handle(SinkEvt::Arrival { seq, slot, len })
+    }
+
+    /// A four-block transfer into a four-slot pool with sequence 0
+    /// missing: the three blocks behind the hole must hand their slots
+    /// back as they land (a sink that frees in order parks all three and
+    /// answers the credit request with nothing), and the transfer still
+    /// completes exactly when the hole fills.
+    #[test]
+    fn slots_behind_a_hole_retire_and_are_granted_again() {
+        let mut cfg = LiveConfig::new(4096, 1, 4 * 4096);
+        cfg.pool_blocks = 4;
+        cfg.initial_credits = 4;
+        cfg.grant_per_completion = 0; // grants only on request: the free list is observable
+        let geo = PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks);
+        let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let (snk_pool, sent) = (AtomicSinkPool::new(geo), Sent::default());
+        let granter = Mutex::new(Granter::new(rftp_core::CreditMode::Proactive, 4, 0, 4));
+        let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
+        let mut h = SinkHandler::new(&cfg, &sent, &snk_pool, &granter, &view, None, None);
+
+        h.handle(SinkEvt::Ctrl(CtrlMsg::SessionRequest {
+            session: SESSION,
+            block_size: 4096,
+            channels: 1,
+            total_bytes: cfg.total_bytes,
+            notify_imm: true,
+        }))
+        .unwrap();
+        let granted = sent.take_granted();
+        assert_eq!(granted.len(), 4);
+        assert_eq!(snk_pool.free_count(), 0);
+
+        // Sequence 0 rode granted[0] and was lost; 1, 2, 3 land.
+        for seq in 1..4 {
+            arrive(&mut h, &bufs, seq, granted[seq as usize]).unwrap();
+        }
+        assert_eq!(snk_pool.free_count(), 3, "the hole holds one slot");
+        assert_eq!((h.delivered, h.ooo_blocks, h.checksum_failures), (3, 3, 0));
+        h.handle(SinkEvt::Ctrl(CtrlMsg::MrRequest { session: SESSION }))
+            .unwrap();
+        let mut regranted = sent.take_granted();
+        regranted.sort_unstable();
+        let mut freed = granted[1..].to_vec();
+        freed.sort_unstable();
+        assert_eq!(regranted, freed, "freed slots go straight back out");
+
+        h.handle(SinkEvt::Ctrl(CtrlMsg::DatasetComplete {
+            session: SESSION,
+            total_blocks: 4,
+        }))
+        .unwrap();
+        assert!(!h.done(), "sequence 0 is still missing");
+        arrive(&mut h, &bufs, 0, granted[0]).unwrap();
+        assert!(h.done());
+        assert_eq!((h.delivered, h.ooo_blocks, h.checksum_failures), (4, 3, 0));
+
+        // Exactly-once, online: the same sequence in a freshly granted
+        // slot is refused, not counted.
+        let err = arrive(&mut h, &bufs, 2, regranted[0]).expect_err("second retirement");
+        assert!(err.to_string().contains("retired twice"), "{err}");
+        assert_eq!(h.delivered, 4);
+    }
+
+    /// Retire-on-arrival under everything a WAN does to order — loss,
+    /// re-sends and deliberate reordering on a 20 ms path — with the file
+    /// sink as consumer: blocks are freed in whatever order they land and
+    /// the destination must still equal the source byte for byte.
+    #[test]
+    fn lossy_reordering_wan_with_a_file_sink_is_byte_exact() {
+        let dir = std::env::temp_dir();
+        let src = dir.join(format!("rftp_split_{}_wan_src", std::process::id()));
+        let dst = dir.join(format!("rftp_split_{}_wan_dst", std::process::id()));
+        let total = (4usize << 20) + 1234;
+        let data: Vec<u8> = (0..total)
+            .map(|i| (i as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+            .collect();
+        std::fs::write(&src, &data).expect("write source");
+
+        let wan = rftp_faults::WanProfile::parse("rtt=20ms,drop=0.02,reorder=0.2,seed=9").unwrap();
+        let mut cfg = LiveConfig::new(16 * 1024, 2, total as u64);
+        cfg.pool_blocks = 32;
+        cfg.src_file = Some(src.clone());
+        cfg.dst_file = Some(dst.clone());
+        cfg.apply_wan(&wan);
+        let out = run_split_pair_wan(&cfg, &wan);
+        let copied = std::fs::read(&dst);
+        std::fs::remove_file(&src).ok();
+        std::fs::remove_file(&dst).ok();
+        let (src_r, snk_r) = out.expect("wan transfer");
+        assert_eq!(snk_r.checksum_failures, 0, "header validation failed");
+        assert!(src_r.retransmits > 0, "2% of 257 frames dropped nothing");
+        assert!(snk_r.ooo_blocks > 0, "nothing arrived out of order");
+        assert!(copied.expect("read back") == data, "destination differs");
     }
 
     #[test]

@@ -17,12 +17,14 @@
 //! pipeline's own block read-ahead rather than against it.
 //!
 //! `O_DIRECT` demands 4 KiB-aligned buffers, offsets, and lengths, so
-//! block buffers come from [`SlotBuf`]: one aligned allocation per slot,
-//! laid out so the *payload* (not the wire header) sits on the alignment
+//! block buffers are [`SlotBuf`]s: one aligned region per slot, laid out
+//! so the *payload* (not the wire header) sits on the alignment
 //! boundary. The wire view — header immediately followed by payload —
 //! is unchanged; the header simply ends where the aligned payload
-//! begins.
+//! begins. An endpoint's slots come from one [`BlockPool`]: a single
+//! demand-paged mapping, so building a pool touches no payload page.
 
+use parking_lot::Mutex;
 use rftp_core::wire::PAYLOAD_HEADER_LEN;
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -209,6 +211,147 @@ impl std::ops::DerefMut for SlotBuf {
 impl std::fmt::Debug for SlotBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SlotBuf({} bytes aligned {})", self.len, STORE_ALIGN)
+    }
+}
+
+/// The crate's one `mmap` site: a read+write mapping, unmapped on drop.
+/// Anonymous and private for a [`BlockPool`], shared over a memfd for an
+/// shm session window ([`crate::shm`]). The raw pointer is shared across
+/// threads (`Send + Sync`): the pool hands each slot to one owner at a
+/// time behind its mutex, the shm window publishes through per-slot
+/// atomics.
+#[cfg(target_os = "linux")]
+pub(crate) struct Mapping {
+    base: *mut u8,
+    len: usize,
+}
+
+#[cfg(target_os = "linux")]
+pub(crate) mod sys {
+    use core::ffi::c_void;
+    extern "C" {
+        pub(crate) fn mmap(
+            addr: *mut c_void,
+            len: usize,
+            prot: i32,
+            flags: i32,
+            fd: i32,
+            offset: i64,
+        ) -> *mut c_void;
+        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
+    }
+}
+
+// SAFETY: `base`/`len` never change after construction and name memory
+// this value alone unmaps; what is stored *in* the mapping is
+// synchronised by its users (see the type's doc).
+#[cfg(target_os = "linux")]
+unsafe impl Send for Mapping {}
+#[cfg(target_os = "linux")]
+unsafe impl Sync for Mapping {}
+
+#[cfg(target_os = "linux")]
+impl Mapping {
+    /// Map `len` bytes read+write: of `fd` from offset 0, shared, or —
+    /// with no fd — fresh anonymous private memory, which the kernel
+    /// zero-fills a page at a time on first touch. A failed map is a
+    /// typed error, never a raw `MAP_FAILED` pointer escaping.
+    pub(crate) fn map(len: usize, fd: Option<std::os::fd::RawFd>) -> io::Result<Mapping> {
+        const PROT_READ_WRITE: i32 = 1 | 2;
+        const MAP_SHARED: i32 = 0x01;
+        const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
+        let (flags, fd) = match fd {
+            Some(fd) => (MAP_SHARED, fd),
+            None => (MAP_PRIVATE_ANONYMOUS, -1),
+        };
+        // SAFETY: a null hint lets the kernel choose the address, so no
+        // existing mapping is replaced; the result is checked below.
+        let p = unsafe { sys::mmap(std::ptr::null_mut(), len, PROT_READ_WRITE, flags, fd, 0) };
+        if p as isize == -1 || p.is_null() {
+            return Err(io::Error::other(format!(
+                "mmap of {len} bytes failed: {}",
+                io::Error::last_os_error()
+            )));
+        }
+        Ok(Mapping {
+            base: p as *mut u8,
+            len,
+        })
+    }
+
+    pub(crate) fn base(&self) -> *mut u8 {
+        self.base
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Drop for Mapping {
+    fn drop(&mut self) {
+        // SAFETY: `base..base+len` is exactly what `map` mapped, and no
+        // view of it outlives `self` (a `BlockPool` drops its slots
+        // first; the shm windows keep their mapping beside their views).
+        unsafe { sys::munmap(self.base as *mut core::ffi::c_void, self.len) };
+    }
+}
+
+/// One endpoint's block pool — the source's pinned blocks, a sink's
+/// credited slots, the daemon's arena: `slots` buffers, each a
+/// [`SlotBuf`] for `block_size` payload bytes, indexable as a slice.
+///
+/// On Linux the pool is one anonymous private mapping of
+/// `slots × SlotBuf::stride(block_size)` bytes and the slots are views
+/// into it. `alloc_zeroed` at [`STORE_ALIGN`] alignment is served as
+/// `posix_memalign` plus an explicit `memset`, which writes every page
+/// of a BDP-sized pool before the session handshake can finish; a fresh
+/// mapping reads as zeros just the same, but the kernel supplies each
+/// page on first touch — when a loader fills it or a socket copy lands
+/// in it. A mapping is page-aligned and the stride a page multiple, so
+/// every payload stays `O_DIRECT`- and fixed-buffer-legal; dropping the
+/// pool is one `munmap`. Elsewhere each slot owns a [`SlotBuf::new`].
+pub struct BlockPool {
+    slots: Vec<Mutex<SlotBuf>>,
+    // Declared after the views into it: fields drop in order.
+    #[cfg(target_os = "linux")]
+    _map: Mapping,
+}
+
+impl BlockPool {
+    #[cfg(target_os = "linux")]
+    pub fn new(slots: u32, block_size: usize) -> BlockPool {
+        assert!(slots > 0);
+        let slots = slots as usize;
+        let stride = SlotBuf::stride(block_size);
+        let len = stride.checked_mul(slots).expect("pool size overflows");
+        // Like a failed allocation, a refused mapping is not a condition
+        // a transfer can run through.
+        let map = Mapping::map(len, None).unwrap_or_else(|e| panic!("block pool: {e}"));
+        let slots = (0..slots)
+            .map(|i| {
+                // SAFETY: slot `i` is bytes `i·stride .. (i+1)·stride` of
+                // a mapping `len` long — in bounds, disjoint from every
+                // other slot, page-aligned because the base and the
+                // stride are, and unmapped only after `slots` drops.
+                Mutex::new(unsafe { SlotBuf::external(map.base().add(i * stride), block_size) })
+            })
+            .collect();
+        BlockPool { slots, _map: map }
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub fn new(slots: u32, block_size: usize) -> BlockPool {
+        assert!(slots > 0);
+        BlockPool {
+            slots: (0..slots)
+                .map(|_| Mutex::new(SlotBuf::new(block_size)))
+                .collect(),
+        }
+    }
+}
+
+impl std::ops::Deref for BlockPool {
+    type Target = [Mutex<SlotBuf>];
+    fn deref(&self) -> &[Mutex<SlotBuf>] {
+        &self.slots
     }
 }
 
@@ -416,6 +559,76 @@ mod tests {
         let last = buf.len() - 1;
         buf[last] = 0xEF;
         assert_eq!((buf[0], buf[HDR], buf[last]), (0xAB, 0xCD, 0xEF));
+    }
+
+    /// Bytes of `map` the kernel currently backs with a page.
+    #[cfg(target_os = "linux")]
+    fn resident_bytes(map: &Mapping) -> usize {
+        extern "C" {
+            fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+        }
+        let mut pages = vec![0u8; map.len.div_ceil(STORE_ALIGN)];
+        let rc = unsafe { mincore(map.base as *mut _, map.len, pages.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore: {}", io::Error::last_os_error());
+        pages.iter().filter(|&&p| p & 1 == 1).count() * STORE_ALIGN
+    }
+
+    /// A 256 MiB pool costs address space, not memory, until blocks
+    /// land in it — and then only the slots that were written.
+    /// (Counted on the pool's own pages: `VmRSS` would also see what the
+    /// tests running beside this one allocate.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn block_pool_is_paged_in_by_use_not_by_construction() {
+        let (slots, bs) = (1024usize, 256 * 1024);
+        let pool = BlockPool::new(slots as u32, bs);
+        assert_eq!(pool.len(), slots);
+        assert_eq!(
+            resident_bytes(&pool._map),
+            0,
+            "construction touched the pool"
+        );
+
+        // Reading a never-written slot sees zeros.
+        assert!(pool[slots - 1].lock().iter().all(|&b| b == 0));
+        for i in [0, 7, 500] {
+            pool[i].lock()[HDR..HDR + bs].fill(0xA5);
+        }
+        let resident = resident_bytes(&pool._map);
+        // Well under the pool even where transparent huge pages round
+        // each touch up to 2 MiB.
+        assert!(
+            resident >= 3 * bs && resident < slots * bs / 8,
+            "three written slots and one read one left {resident} bytes resident"
+        );
+        assert!(pool[7].lock()[HDR..HDR + bs].iter().all(|&b| b == 0xA5));
+        assert!(
+            pool[8].lock().iter().all(|&b| b == 0),
+            "neighbour untouched"
+        );
+    }
+
+    /// Every slot is a view into the one mapping — aligned payload,
+    /// registration span inside the mapping and clear of its neighbours,
+    /// nothing for a slot to free on its own — so the pool's drop is the
+    /// mapping's single `munmap`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn block_pool_slots_tile_one_mapping() {
+        for bs in [512usize, 4096, 65536 + 1000] {
+            let pool = BlockPool::new(5, bs);
+            let stride = SlotBuf::stride(bs);
+            assert_eq!(pool._map.len, 5 * stride);
+            for (i, slot) in pool.iter().enumerate() {
+                let slot = slot.lock();
+                assert!(!slot.owned, "slot {i} would free mapped memory");
+                assert_eq!(slot.len(), HDR + bs.next_multiple_of(STORE_ALIGN));
+                assert_eq!(slot[HDR..].as_ptr() as usize % STORE_ALIGN, 0);
+                let (base, len) = slot.registration_parts();
+                assert_eq!(base, unsafe { pool._map.base.add(i * stride) });
+                assert_eq!(len, stride);
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! threads share the control link. Receive sides are `&mut self` —
 //! exactly one thread drains each link.
 
-use crate::store::SlotBuf;
+use crate::store::{BlockPool, SlotBuf};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder};
@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 
 /// The pinned block pool as a transport sees it: slot index → locked
 /// slot buffer, shared between the pipeline and any in-flight sends.
-pub type BufPool = Arc<Vec<Mutex<SlotBuf>>>;
+pub type BufPool = Arc<BlockPool>;
 
 /// The pool-registration hook of a [`SourceTransport`].
 pub type RegisterFn = Box<dyn Fn(&BufPool) -> io::Result<()> + Send>;
@@ -464,7 +464,7 @@ mod tests {
     #[test]
     fn registered_send_block_copies_once_and_discard_never_reads_the_block() {
         let (src, mut snk) = channel_transport(1, 4);
-        let pool: BufPool = Arc::new((0..2).map(|_| Mutex::new(SlotBuf::new(64))).collect());
+        let pool: BufPool = Arc::new(BlockPool::new(2, 64));
         (src.register)(&pool).unwrap();
         assert!((src.register)(&pool).is_err(), "one pool per transport");
 

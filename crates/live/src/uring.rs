@@ -76,7 +76,7 @@ mod linux {
         AtomicBitmap, LiveConfig, LiveReport, SnkBackend, StageBreakdown, SESSION,
     };
     use crate::split::{perr, Controller, Fail, FairShare, SinkEvt, SinkHandler};
-    use crate::store::SlotBuf;
+    use crate::store::{BlockPool, SlotBuf};
     use crate::transport::{BufPool, DataTx, SourceTransport, UringStats};
     use parking_lot::Mutex;
     use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN, PAYLOAD_HEADER_LEN};
@@ -254,18 +254,10 @@ mod linux {
     }
 
     mod sys {
-        use core::ffi::{c_long, c_void};
+        pub(crate) use crate::store::sys::{mmap, munmap};
+        use core::ffi::c_long;
         extern "C" {
             pub fn syscall(num: c_long, ...) -> c_long;
-            pub fn mmap(
-                addr: *mut c_void,
-                len: usize,
-                prot: i32,
-                flags: i32,
-                fd: i32,
-                off: i64,
-            ) -> *mut c_void;
-            pub fn munmap(addr: *mut c_void, len: usize) -> i32;
         }
     }
 
@@ -2743,9 +2735,7 @@ mod linux {
         session: UringSinkSession,
         first_ctrl: Option<CtrlMsg>,
     ) -> io::Result<LiveReport> {
-        let snk_bufs: Vec<Mutex<SlotBuf>> = (0..cfg.pool_blocks)
-            .map(|_| Mutex::new(SlotBuf::new(cfg.block_size)))
-            .collect();
+        let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
         let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
         run_uring_session(cfg, session, first_ctrl, &view, None)
     }
@@ -2913,7 +2903,7 @@ mod linux {
             elapsed,
             gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
             checksum_failures: h.checksum_failures,
-            ooo_blocks: h.reorder.ooo_arrivals,
+            ooo_blocks: h.ooo_blocks,
             ctrl_msgs: h.ctrl_msgs,
             ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
             credit_requests: 0,
@@ -3344,7 +3334,7 @@ mod linux {
             elapsed,
             gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
             checksum_failures: h.checksum_failures,
-            ooo_blocks: h.reorder.ooo_arrivals,
+            ooo_blocks: h.ooo_blocks,
             ctrl_msgs: h.ctrl_msgs,
             ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
             credit_requests: 0,

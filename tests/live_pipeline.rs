@@ -52,8 +52,23 @@ fn seeded_drops_recover_through_the_one_watchdog() {
 /// none of their re-sends, so nothing is left for the timer.
 #[test]
 fn seeded_drops_recover_from_acks_alone() {
+    acks_alone_recover_every_drop(64);
+}
+
+/// The same run through a four-slot pool. A sink that frees in sequence
+/// order parks the three arrivals behind a hole and has nothing left to
+/// grant, so fewer than three later sends ever reach the hole's channel
+/// and every drop waits out the 10 s timer. Retiring slots as they land
+/// costs a hole one slot: the other three keep cycling, and the acks
+/// name the loss.
+#[test]
+fn seeded_drops_recover_from_acks_alone_with_a_four_slot_pool() {
+    acks_alone_recover_every_drop(4);
+}
+
+fn acks_alone_recover_every_drop(pool_blocks: u32) {
     let mut cfg = LiveConfig::new(8 << 10, 2, 4 << 20);
-    cfg.pool_blocks = 64;
+    cfg.pool_blocks = pool_blocks;
     cfg.fault_drop_p = 0.05;
     cfg.fault_seed = 32;
     cfg.retx_timeout = Duration::from_secs(10);
