@@ -39,10 +39,7 @@ use crate::shm::{sink_transport_for_window, SessionWindow, ShmAssembler};
 use crate::split::run_sink_session;
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
-use crate::uring::{
-    run_shared_uring_session, run_uring_session, spawn_shared_uring_driver, UringHub,
-    UringSinkSession,
-};
+use crate::uring::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, reject_reason, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use rftp_core::{CtrlMsg, SlotArena, WeightedFair};
@@ -169,20 +166,13 @@ pub struct DaemonReport {
     /// violation, peer died during negotiation).
     pub dropped_preadmission: u64,
     /// Shared uring driver counters, when the daemon ran one (uring
-    /// transport, shared mode): every admitted session's data path went
-    /// through this one ring.
+    /// transport): every admitted session's data path went through this
+    /// one ring.
     pub uring: Option<UringStats>,
     /// Admitted sessions that ran the shared-memory transport (subset
     /// of `served`; only possible with [`DaemonConfig::shm_path`] set).
     pub shm_sessions: u64,
     pub sessions: Vec<SessionSummary>,
-}
-
-/// Shared-ring mode is the uring daemon's default; `RFTP_URING_SHARED=0`
-/// forces the ring-per-session baseline (the benchmark's head-to-head
-/// shape).
-fn shared_uring_enabled() -> bool {
-    std::env::var_os("RFTP_URING_SHARED").is_none_or(|v| v != "0")
 }
 
 /// Cloneable remote control for a running daemon: tests and signal
@@ -409,7 +399,9 @@ impl Daemon {
 
     /// Serve until [`DaemonHandle::shutdown`] (or hooked SIGTERM), then
     /// drain and report. Asserts the arena's slot accounting on the way
-    /// out: a clean drain leaks nothing.
+    /// out: a clean drain leaks nothing. A uring daemon whose shared
+    /// driver cannot start (`Unsupported` kernel, or the arena cannot be
+    /// pinned) fails here, before it admits anyone.
     pub fn run(mut self) -> io::Result<DaemonReport> {
         #[cfg(target_os = "linux")]
         let shm = self.shm.take();
@@ -432,13 +424,12 @@ impl Daemon {
             // One shared ring for every uring session: the whole arena
             // is registered as fixed buffers exactly once, here, before
             // any admission — admission only hands out leases into the
-            // already-registered table. On kernels that can't run the
-            // ring at all the spawn fails and sessions fall back to the
-            // ring-per-session path (which fails the same way, typed).
-            let shared = if d.cfg.transport == DaemonTransport::Uring && shared_uring_enabled() {
-                spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap).ok()
-            } else {
-                None
+            // already-registered table.
+            let shared = match d.cfg.transport {
+                DaemonTransport::Uring => {
+                    Some(spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap)?)
+                }
+                DaemonTransport::Tcp => None,
             };
             let hub = shared.as_ref().map(|(h, _)| Arc::clone(h));
             while !d.stop.load(Ordering::Acquire) {
@@ -576,7 +567,8 @@ fn reply_and_close(mut streams: SessionStreams, msg: &CtrlMsg) {
 }
 
 /// Admission + service for one assembled connection set. Runs on its
-/// own thread; everything it leases it returns before exiting.
+/// own thread; everything it leases it returns before exiting. `hub` is
+/// the shared driver of a uring daemon (`None`: a tcp daemon).
 fn serve_session(d: &DaemonState, mut streams: SessionStreams, hub: Option<&UringHub>) {
     // --- Negotiation: read the opening SessionRequest, bounded. ---
     let first = (|| -> io::Result<CtrlMsg> {
@@ -737,8 +729,8 @@ fn run_admitted(
     // are `slot_cap`-sized; a session's blocks live in the prefix.
     let view: Vec<&Mutex<SlotBuf>> = lease.iter().map(|&g| &d.slots[g as usize]).collect();
     let fair = Some((&d.fair, token));
-    match d.cfg.transport {
-        DaemonTransport::Tcp => {
+    match hub {
+        None => {
             let t = sink_transport_from_streams(streams)?;
             let t = match &d.cfg.wan {
                 Some(wan) => crate::netem::wrap_sink(t, wan),
@@ -746,21 +738,10 @@ fn run_admitted(
             };
             run_sink_session(&cfg, t, Some(first), &view, fair)
         }
-        // Shared mode: the session joins the daemon's one driver ring —
-        // admission touches no buffer registration (the arena was
-        // registered once at startup; see the regression test below).
-        // Without a hub (old kernel, or `RFTP_URING_SHARED=0`), each
-        // session spins up its own ring and registers its leased view:
-        // the ring-per-session baseline.
-        DaemonTransport::Uring => match hub {
-            Some(hub) => {
-                run_shared_uring_session(&cfg, streams, Some(first), &view, lease, hub, fair)
-            }
-            None => {
-                let session = UringSinkSession::from_streams(streams)?;
-                run_uring_session(&cfg, session, Some(first), &view, fair)
-            }
-        },
+        // The session joins the daemon's one driver ring — admission
+        // touches no buffer registration (the arena was registered once
+        // at startup; see the regression test below).
+        Some(hub) => run_shared_uring_session(&cfg, streams, Some(first), &view, lease, hub, fair),
     }
 }
 
@@ -1176,10 +1157,6 @@ mod tests {
             eprintln!("skipping: io_uring not supported by this kernel");
             return;
         }
-        if !shared_uring_enabled() {
-            eprintln!("skipping: RFTP_URING_SHARED=0 pins the baseline");
-            return;
-        }
         let cfg = DaemonConfig {
             transport: DaemonTransport::Uring,
             slot_cap: 64 * 1024,
@@ -1220,6 +1197,28 @@ mod tests {
             stats.registrations, 1,
             "admission must never re-register buffers: {stats:?}"
         );
+    }
+
+    /// A uring daemon whose shared driver cannot start must refuse to
+    /// run — not start and fail every session one by one: `Unsupported`
+    /// where the kernel lacks the ring, and where it has one, an arena
+    /// past the fixed-buffer table's 1024 entries fails registration with
+    /// the driver's own error and what to turn.
+    #[test]
+    fn uring_daemon_whose_driver_cannot_start_fails_at_start() {
+        let supported = crate::uring::uring_supported();
+        let cfg = DaemonConfig {
+            transport: DaemonTransport::Uring,
+            slot_cap: 4096,
+            arena_slots: if supported { 1025 } else { 64 },
+            ..DaemonConfig::default()
+        };
+        let err = Daemon::bind("127.0.0.1:0", cfg).unwrap().run().unwrap_err();
+        if supported {
+            assert!(err.to_string().contains("shrink --slots"), "{err}");
+        } else {
+            assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
+        }
     }
 
     /// One daemon, two transports, one arena: an shm session (its own

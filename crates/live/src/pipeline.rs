@@ -93,11 +93,6 @@ pub struct LiveConfig {
     /// whole pool. Pacing keys off the source pool's free-depth
     /// watermark, so it costs nothing when the pool itself is the bound.
     pub readahead: u32,
-    /// io_uring sink only: provided-buffer-ring depth for multishot
-    /// receive. `0` (default) sizes it automatically (or from
-    /// `RFTP_URING_PBUF_COUNT`); tests pin it low to force buffer
-    /// exhaustion. Ignored by stream backends.
-    pub uring_pbuf: u32,
     /// Run the adaptive controller: estimate RTT/loss from the live ack
     /// stream (RFC 6298) and derive the coalescing dwell window, the
     /// retransmit deadline, and — with [`LiveConfig::wan_rate_bps`] — a
@@ -140,7 +135,6 @@ impl LiveConfig {
             direct_io: false,
             src_rate: None,
             readahead: u32::MAX,
-            uring_pbuf: 0,
             adaptive: false,
             wan_rate_bps: None,
         }

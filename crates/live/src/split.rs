@@ -52,7 +52,7 @@ use crate::pipeline::{
     LiveReport, SnkBackend, SrcBackend, StageBreakdown, SESSION, SINK_RKEY,
 };
 use crate::store::{BlockPool, RatePacer, SlotBuf};
-use crate::transport::{channel_transport, CtrlTx, SinkTransport, SourceTransport};
+use crate::transport::{channel_transport, CtrlTx, SinkTransport, SourceTransport, UringStats};
 use crossbeam::channel::{bounded, TryRecvError};
 use parking_lot::Mutex;
 use rftp_core::engine::expected_checksum;
@@ -563,6 +563,15 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                         let t0 = Instant::now();
                         let ch = rr % data.len();
                         rr += 1;
+                        // The FSM moves before the block's slot is
+                        // published: from that store on the watchdog may
+                        // re-send the block and its ack may complete it,
+                        // even ahead of the send below — a dispatcher
+                        // descheduled here for one retransmit deadline
+                        // must leave the block in a state `complete`
+                        // accepts.
+                        src_pool.start_sending(block).expect("FSM: start_sending");
+                        src_pool.posted(block).expect("FSM: posted");
                         let info = {
                             let mut inf = inflight[block as usize].lock();
                             let i = inf.as_mut().expect("loaded block untracked");
@@ -573,8 +582,6 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             i.ordinal = detector.on_send(ch);
                             *i
                         };
-                        src_pool.start_sending(block).expect("FSM: start_sending");
-                        src_pool.posted(block).expect("FSM: posted");
                         if cfg.fault_drop_p > 0.0 && drop_roll(&mut fault_rng) < cfg.fault_drop_p {
                             // The wire ate it — ordinal and all, as a real
                             // loss would; the watchdog re-sends.
@@ -959,6 +966,219 @@ pub(crate) enum SinkEvt {
 /// Standalone sinks run without one (no clamp).
 pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 
+/// What a session's receivers — per-channel threads, or a ring driver on
+/// its behalf — clocked and counted while placing blocks.
+#[derive(Default)]
+pub(crate) struct PlaceTally {
+    pub(crate) place_ns: u64,
+    pub(crate) flush_ns: u64,
+    pub(crate) duplicates: u64,
+    pub(crate) place_hist: NsHist,
+}
+
+impl PlaceTally {
+    pub(crate) fn merge(&mut self, other: &PlaceTally) {
+        self.place_ns += other.place_ns;
+        self.flush_ns += other.flush_ns;
+        self.duplicates += other.duplicates;
+        self.place_hist.merge(&other.place_hist);
+    }
+}
+
+/// The placement front: what every receiver of a session — the TCP/shm
+/// reader threads, the uring driver's multishot parser and its
+/// header-first fallback — decides about a data frame, in one place. A
+/// frame is *admitted* (valid for this session's geometry, and the first
+/// arrival of its sequence) before any payload byte is read, and
+/// *landed* once its wire image sits in the credited slot.
+pub(crate) struct SinkFront {
+    block_size: usize,
+    pool_blocks: u32,
+    total_blocks: u64,
+    /// Claim-before-copy: one bit per sequence, set by whichever frame
+    /// arrives first.
+    placed: AtomicBitmap,
+    backend: SnkBackend,
+}
+
+impl SinkFront {
+    pub(crate) fn open(cfg: &LiveConfig) -> io::Result<SinkFront> {
+        Ok(SinkFront {
+            block_size: cfg.block_size,
+            pool_blocks: cfg.pool_blocks,
+            total_blocks: cfg.total_blocks(),
+            placed: AtomicBitmap::new(cfg.total_blocks()),
+            backend: SnkBackend::open(cfg)?,
+        })
+    }
+
+    /// Route on the header alone. `Err` is a frame outside the session's
+    /// geometry (the peer is broken or hostile — the session dies);
+    /// `Ok(false)` is a duplicate — a retransmit raced a slow ack, its
+    /// slot may have been re-granted, so the caller discards the wire
+    /// image unread and nothing is placed twice; `Ok(true)` means read
+    /// it into slot `hdr.slot`.
+    pub(crate) fn admit(&self, hdr: &DataFrameHeader, tally: &mut PlaceTally) -> io::Result<bool> {
+        if hdr.session != SESSION
+            || hdr.slot >= self.pool_blocks
+            || hdr.len as usize > self.block_size
+            || hdr.seq as u64 >= self.total_blocks
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad data frame {hdr:?}"),
+            ));
+        }
+        let first = self.placed.claim(hdr.seq as u64);
+        if !first {
+            tally.duplicates += 1;
+        }
+        Ok(first)
+    }
+
+    /// The frame's wire image is in `slot`: stop the place clock started
+    /// at `t0`, write the payload behind to a file sink at its final
+    /// offset (sparse placement *is* the reassembly), and name the
+    /// arrival for the handler.
+    pub(crate) fn landed(
+        &self,
+        hdr: &DataFrameHeader,
+        slot: &[u8],
+        t0: Instant,
+        tally: &mut PlaceTally,
+    ) -> io::Result<SinkEvt> {
+        let ns = t0.elapsed().as_nanos() as u64;
+        tally.place_ns += ns;
+        tally.place_hist.record(ns);
+        if let SnkBackend::File(sink) = &self.backend {
+            let t1 = Instant::now();
+            sink.write_block(
+                &slot[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + hdr.len as usize],
+                hdr.seq as u64 * self.block_size as u64,
+            )?;
+            tally.flush_ns += t1.elapsed().as_nanos() as u64;
+        }
+        Ok(SinkEvt::Arrival {
+            seq: hdr.seq,
+            slot: hdr.slot,
+            len: hdr.len,
+        })
+    }
+}
+
+/// One sink session's shared state, whatever carries its bytes: the
+/// placement front, the Fig. 6 slot FSM, the granter, the grant-loop
+/// controller and the session clock. The three runners
+/// ([`run_sink_session`] and the two in [`crate::uring`]) differ only in
+/// who feeds [`SinkHandler::run`] its events.
+pub(crate) struct SinkSession<'a> {
+    cfg: &'a LiveConfig,
+    /// `Arc` because the daemon's shared uring driver places on another
+    /// thread that this session does not scope.
+    pub(crate) front: Arc<SinkFront>,
+    snk_pool: AtomicSinkPool,
+    granter: Mutex<Granter>,
+    ctl: Option<Controller>,
+    start: Instant,
+}
+
+impl<'a> SinkSession<'a> {
+    /// Open the session over `slots` borrowed slot buffers; the clock
+    /// starts here.
+    pub(crate) fn open(cfg: &'a LiveConfig, slots: usize) -> io::Result<SinkSession<'a>> {
+        assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
+        assert_eq!(slots, cfg.pool_blocks as usize, "one buffer per pool block");
+        Ok(SinkSession {
+            cfg,
+            front: Arc::new(SinkFront::open(cfg)?),
+            snk_pool: AtomicSinkPool::new(PoolGeometry::new(
+                cfg.block_size as u64,
+                cfg.pool_blocks,
+            )),
+            granter: Mutex::new(Granter::new(
+                rftp_core::CreditMode::Proactive,
+                cfg.initial_credits,
+                cfg.grant_per_completion,
+                4,
+            )),
+            ctl: cfg.adaptive.then(|| Controller::new(cfg)),
+            start: Instant::now(),
+        })
+    }
+
+    pub(crate) fn handler(
+        &'a self,
+        ctrl_tx: &'a dyn CtrlTx,
+        snk_bufs: &'a [&'a Mutex<SlotBuf>],
+        fair: FairShare<'a>,
+    ) -> SinkHandler<'a> {
+        SinkHandler::new(
+            self.cfg,
+            ctrl_tx,
+            &self.snk_pool,
+            &self.granter,
+            snk_bufs,
+            fair,
+            self.ctl.as_ref(),
+        )
+    }
+
+    /// Close a session whose handler ran to `Done`: dataset-completion
+    /// durability inside the timing window, the exactly-once and FSM
+    /// invariants, and the sink half's report.
+    pub(crate) fn finish(
+        &self,
+        h: SinkHandler<'_>,
+        tally: PlaceTally,
+        transport_threads: usize,
+        uring: Option<UringStats>,
+    ) -> io::Result<LiveReport> {
+        let cfg = self.cfg;
+        let total_blocks = cfg.total_blocks();
+        let mut sync_ns = 0u64;
+        if let SnkBackend::File(sink) = &self.front.backend {
+            let t0 = Instant::now();
+            sink.sync()?;
+            sync_ns = t0.elapsed().as_nanos() as u64;
+        }
+        let elapsed = self.start.elapsed();
+        assert_eq!(h.delivered, total_blocks, "blocks lost in the pipeline");
+        self.snk_pool.check_invariants();
+        let per_block = |ns: u64| ns as f64 / total_blocks as f64;
+        Ok(LiveReport {
+            bytes: cfg.total_bytes,
+            blocks: total_blocks,
+            elapsed,
+            gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
+            checksum_failures: h.checksum_failures,
+            ooo_blocks: h.ooo_blocks,
+            ctrl_msgs: h.ctrl_msgs,
+            ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
+            credit_requests: 0,
+            dropped_payloads: 0,
+            retransmits: 0,
+            fast_retransmits: 0,
+            duplicate_payloads: tally.duplicates,
+            stages: StageBreakdown {
+                place_ns: per_block(tally.place_ns),
+                verify_ns: per_block(h.verify_ns),
+                flush_ns: per_block(tally.flush_ns),
+                sync_ns: per_block(sync_ns),
+                ..Default::default()
+            },
+            tails: StageTails {
+                place: tally.place_hist,
+                verify: h.verify_hist,
+                ..Default::default()
+            },
+            transport_threads,
+            direct_io_active: self.front.backend.direct_active(),
+            uring,
+            adapt: self.ctl.as_ref().map(Controller::snapshot),
+        })
+    }
+}
+
 /// The sink's protocol brain: negotiation, credit grants,
 /// verify-and-free on arrival, and the coalesced sink→source control traffic
 /// (`AckBatch` for placements, `CreditBatch` for grants, one flush
@@ -1046,6 +1266,24 @@ impl<'a> SinkHandler<'a> {
 }
 
 impl SinkHandler<'_> {
+    /// Drive the session to completion: replay `first_ctrl` (a frame the
+    /// listener already read to size the session), then coalesce over
+    /// whatever `recv` delivers — a channel the receivers fill, or the
+    /// ring driver's pump — until `DatasetComplete` and the last block.
+    pub(crate) fn run(
+        &mut self,
+        first_ctrl: Option<CtrlMsg>,
+        recv: &mut dyn FnMut(Option<std::time::Duration>, &mut Vec<SinkEvt>) -> bool,
+    ) -> io::Result<()> {
+        if let Some(msg) = first_ctrl {
+            self.handle(SinkEvt::Ctrl(msg))?;
+        }
+        match drain_coalesced(self, recv)? {
+            DrainEnd::Done => Ok(()),
+            DrainEnd::Closed => Err(perr("event pipeline stopped before transfer completed")),
+        }
+    }
+
     fn idle(&self) -> bool {
         self.pending_acks.is_empty() && self.pending_credits.is_empty()
     }
@@ -1369,26 +1607,7 @@ pub(crate) fn run_sink_session(
     snk_bufs: &[&Mutex<SlotBuf>],
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
-    assert_eq!(
-        snk_bufs.len(),
-        cfg.pool_blocks as usize,
-        "one buffer per pool block"
-    );
-    let total_blocks = cfg.total_blocks();
-    let geo = PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks);
-    let snk_backend = SnkBackend::open(cfg)?;
-    let direct_io_active = snk_backend.direct_active();
-
-    let snk_pool = AtomicSinkPool::new(geo);
-    let granter = Mutex::new(Granter::new(
-        rftp_core::CreditMode::Proactive,
-        cfg.initial_credits,
-        cfg.grant_per_completion,
-        4,
-    ));
-    let placed = AtomicBitmap::new(total_blocks);
-
+    let sess = SinkSession::open(cfg, snk_bufs.len())?;
     let SinkTransport {
         ctrl_tx,
         mut ctrl_rx,
@@ -1398,12 +1617,7 @@ pub(crate) fn run_sink_session(
     assert_eq!(data.len(), cfg.channels, "one data link per channel");
     let fail = Fail::new(abort);
     let (evt_tx, evt_rx) = bounded::<SinkEvt>(1024);
-    // The grant-loop estimator: credit sent → data arrived, per slot.
-    let ctl = cfg.adaptive.then(|| Controller::new(cfg));
-
-    let start = Instant::now();
-    let mut tally = (0u64, 0u64, 0u64); // place_ns, flush_ns, duplicates
-    let mut place_tails = NsHist::new();
+    let mut tally = PlaceTally::default();
     let mut handler_out: Option<SinkHandler> = None;
 
     std::thread::scope(|s| {
@@ -1434,115 +1648,49 @@ pub(crate) fn run_sink_session(
             })
         };
 
-        // Per-channel receivers: the "NIC". Each frame's wire image is
-        // read straight into the slot its header names — the credited,
-        // pre-registered buffer — or discarded unread if the sequence
-        // was already placed (a retransmit raced a slow ack; its slot
-        // may have been re-granted, so placing it would corrupt a newer
-        // block).
+        // Per-channel receivers: the "NIC". Each admitted frame's wire
+        // image is read straight into the slot its header names — the
+        // credited, pre-registered buffer — and a duplicate is discarded
+        // unread.
         let receiver_handles: Vec<_> = data
             .into_iter()
             .map(|mut rx| {
                 let evt_tx = evt_tx.clone();
-                let (snk_bufs, placed, snk_backend) = (&snk_bufs, &placed, &snk_backend);
-                let (fail, cfg) = (&fail, &cfg);
+                let (front, fail) = (&*sess.front, &fail);
                 s.spawn(move || {
-                    let mut place_ns = 0u64;
-                    let mut flush_ns = 0u64;
-                    let mut duplicates = 0u64;
-                    let mut place_hist = NsHist::new();
-                    loop {
-                        let hdr = match rx.recv_header() {
-                            Ok(Some(hdr)) => hdr,
-                            Ok(None) => {
-                                let _ = evt_tx.send(SinkEvt::DataEof);
-                                return (place_ns, flush_ns, duplicates, place_hist);
+                    let mut tally = PlaceTally::default();
+                    let mut receive = || -> io::Result<()> {
+                        while let Some(hdr) = rx.recv_header()? {
+                            if !front.admit(&hdr, &mut tally)? {
+                                rx.discard_wire(hdr.wire_len())?;
+                                continue;
                             }
-                            Err(e) => {
-                                if !fail.is_set() {
-                                    fail.set(e);
-                                }
-                                return (place_ns, flush_ns, duplicates, place_hist);
-                            }
-                        };
-                        if hdr.session != SESSION
-                            || hdr.slot >= cfg.pool_blocks
-                            || hdr.len as usize > cfg.block_size
-                            || hdr.seq as u64 >= total_blocks
-                        {
-                            fail.set(perr(format!("bad data frame {hdr:?}")));
-                            return (place_ns, flush_ns, duplicates, place_hist);
-                        }
-                        if !placed.claim(hdr.seq as u64) {
-                            duplicates += 1;
-                            if let Err(e) = rx.discard_wire(hdr.wire_len()) {
-                                fail.set(e);
-                                return (place_ns, flush_ns, duplicates, place_hist);
-                            }
-                            continue;
-                        }
-                        let t0 = Instant::now();
-                        {
+                            let t0 = Instant::now();
                             let mut dst = snk_bufs[hdr.slot as usize].lock();
-                            if let Err(e) = rx.recv_wire(&mut dst[..hdr.wire_len()]) {
-                                fail.set(e);
-                                return (place_ns, flush_ns, duplicates, place_hist);
-                            }
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            place_ns += ns;
-                            place_hist.record(ns);
-                            if let SnkBackend::File(sink) = snk_backend {
-                                // Write-behind: the block lands at its
-                                // final offset the moment it is placed;
-                                // sparse placement is the reassembly.
-                                let t1 = Instant::now();
-                                if let Err(e) = sink.write_block(
-                                    &dst[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + hdr.len as usize],
-                                    hdr.seq as u64 * cfg.block_size as u64,
-                                ) {
-                                    fail.set(e);
-                                    return (place_ns, flush_ns, duplicates, place_hist);
-                                }
-                                flush_ns += t1.elapsed().as_nanos() as u64;
+                            rx.recv_wire(&mut dst[..hdr.wire_len()])?;
+                            let ev = front.landed(&hdr, &dst, t0, &mut tally)?;
+                            drop(dst);
+                            if evt_tx.send(ev).is_err() {
+                                return Ok(()); // handler bailed; fail is set
                             }
                         }
-                        if evt_tx
-                            .send(SinkEvt::Arrival {
-                                seq: hdr.seq,
-                                slot: hdr.slot,
-                                len: hdr.len,
-                            })
-                            .is_err()
-                        {
-                            return (place_ns, flush_ns, duplicates, place_hist);
-                            // handler bailed
+                        let _ = evt_tx.send(SinkEvt::DataEof);
+                        Ok(())
+                    };
+                    if let Err(e) = receive() {
+                        if !fail.is_set() {
+                            fail.set(e);
                         }
                     }
+                    tally
                 })
             })
             .collect();
         drop(evt_tx);
 
         // The handler runs on the scope's own thread.
-        let mut h = SinkHandler::new(
-            cfg,
-            ctrl_tx.as_ref(),
-            &snk_pool,
-            &granter,
-            snk_bufs,
-            fair,
-            ctl.as_ref(),
-        );
-        let run = (|| -> io::Result<()> {
-            if let Some(msg) = first_ctrl {
-                h.handle(SinkEvt::Ctrl(msg))?;
-            }
-            match drain_coalesced(&mut h, &mut channel_events(&evt_rx, 64))? {
-                DrainEnd::Done => Ok(()),
-                DrainEnd::Closed => Err(perr("event pipeline stopped before transfer completed")),
-            }
-        })();
-        if let Err(e) = run {
+        let mut h = sess.handler(ctrl_tx.as_ref(), snk_bufs, fair);
+        if let Err(e) = h.run(first_ctrl, &mut channel_events(&evt_rx, 64)) {
             if !fail.is_set() {
                 fail.set(e);
             }
@@ -1551,12 +1699,7 @@ pub(crate) fn run_sink_session(
         drop(evt_rx);
         handler_out = Some(h);
         for rh in receiver_handles {
-            let (place_ns, flush_ns, duplicates, place_hist) =
-                rh.join().expect("receiver panicked");
-            tally.0 += place_ns;
-            tally.1 += flush_ns;
-            tally.2 += duplicates;
-            place_tails.merge(&place_hist);
+            tally.merge(&rh.join().expect("receiver panicked"));
         }
         pump.join().expect("ctrl pump panicked");
     });
@@ -1564,52 +1707,14 @@ pub(crate) fn run_sink_session(
     if fail.is_set() {
         return Err(fail.into_err());
     }
-    let h = handler_out.expect("handler state");
-
-    // Dataset-completion durability, inside the timing window.
-    let mut sync_ns = 0u64;
-    if let SnkBackend::File(sink) = &snk_backend {
-        let t0 = Instant::now();
-        sink.sync()?;
-        sync_ns = t0.elapsed().as_nanos() as u64;
-    }
-    let elapsed = start.elapsed();
-    assert_eq!(h.delivered, total_blocks, "blocks lost in the pipeline");
-    snk_pool.check_invariants();
-    let per_block = |ns: u64| ns as f64 / total_blocks as f64;
-    Ok(LiveReport {
-        bytes: cfg.total_bytes,
-        blocks: total_blocks,
-        elapsed,
-        gbytes_per_sec: cfg.total_bytes as f64 / 1e9 / elapsed.as_secs_f64().max(1e-9),
-        checksum_failures: h.checksum_failures,
-        ooo_blocks: h.ooo_blocks,
-        ctrl_msgs: h.ctrl_msgs,
-        ctrl_msgs_per_block: h.ctrl_msgs as f64 / total_blocks as f64,
-        credit_requests: 0,
-        dropped_payloads: 0,
-        retransmits: 0,
-        fast_retransmits: 0,
-        duplicate_payloads: tally.2,
-        stages: StageBreakdown {
-            place_ns: per_block(tally.0),
-            verify_ns: per_block(h.verify_ns),
-            flush_ns: per_block(tally.1),
-            sync_ns: per_block(sync_ns),
-            ..Default::default()
-        },
-        tails: StageTails {
-            place: place_tails,
-            verify: h.verify_hist,
-            ..Default::default()
-        },
-        // Per-channel receivers plus the control pump — the O(channels)
-        // thread zoo the ring backend collapses.
-        transport_threads: cfg.channels + 1,
-        direct_io_active,
-        uring: None,
-        adapt: ctl.as_ref().map(Controller::snapshot),
-    })
+    // Per-channel receivers plus the control pump — the O(channels)
+    // thread zoo the ring backend collapses.
+    sess.finish(
+        handler_out.expect("handler state"),
+        tally,
+        cfg.channels + 1,
+        None,
+    )
 }
 
 /// Run both halves in this process over the in-proc channel transport —
@@ -1667,6 +1772,39 @@ mod tests {
     use super::*;
 
     const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };
+
+    /// The one admission check every receiver shares: a frame outside
+    /// the session's geometry is `InvalidData` and claims nothing; a
+    /// sequence is admitted once and counted as a duplicate after.
+    #[test]
+    fn admit_bounds_each_header_field_and_claims_once() {
+        let mut cfg = LiveConfig::new(4096, 1, 8 * 4096);
+        cfg.pool_blocks = 4;
+        let front = SinkFront::open(&cfg).unwrap();
+        let mut tally = PlaceTally::default();
+        let good = DataFrameHeader {
+            session: SESSION,
+            seq: 7,
+            slot: 3,
+            len: 4096,
+        };
+        let bad = [
+            DataFrameHeader {
+                session: SESSION + 1,
+                ..good
+            },
+            DataFrameHeader { slot: 4, ..good },
+            DataFrameHeader { len: 4097, ..good },
+            DataFrameHeader { seq: 8, ..good },
+        ];
+        for hdr in bad {
+            let err = front.admit(&hdr, &mut tally).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{hdr:?}: {err}");
+        }
+        assert!(front.admit(&good, &mut tally).unwrap(), "first arrival");
+        assert!(!front.admit(&good, &mut tally).unwrap(), "second arrival");
+        assert_eq!(tally.duplicates, 1);
+    }
 
     #[test]
     fn split_pair_moves_pattern_data_exactly() {
