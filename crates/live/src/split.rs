@@ -582,6 +582,16 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             i.ordinal = detector.on_send(ch);
                             *i
                         };
+                        // Test hook: the descheduling described above,
+                        // on demand and for two deadlines per block. (Not
+                        // the last block: its ack lets the sink hang up,
+                        // and the late first send fails on a closed link.)
+                        #[cfg(test)]
+                        if cfg.fault_seed == tests::STALLED_DISPATCH_SEED
+                            && (info.seq as u64) + 1 < total_blocks
+                        {
+                            std::thread::sleep(2 * cfg.retx_timeout);
+                        }
                         if cfg.fault_drop_p > 0.0 && drop_roll(&mut fault_rng) < cfg.fault_drop_p {
                             // The wire ate it — ordinal and all, as a real
                             // loss would; the watchdog re-sends.
@@ -1873,6 +1883,36 @@ mod tests {
             "every drop needs at least one re-send: {} drops, {} retransmits",
             src.dropped_payloads,
             src.retransmits
+        );
+    }
+
+    /// The `fault_seed` under which the source dispatcher sleeps two
+    /// retransmit deadlines between publishing a block's slot and
+    /// sending the block, for every block but the last.
+    pub(super) const STALLED_DISPATCH_SEED: u64 = 0x57A11ED;
+
+    /// The watchdog overtakes a stalled dispatcher: a block is re-sent,
+    /// placed and acked before its first send leaves, so its ack
+    /// reaches `complete` while the dispatcher still sleeps. The
+    /// FSM must already have moved when the slot became visible — when
+    /// it moved after, that ack found the block `Loaded`, the control
+    /// thread panicked and the transfer hung.
+    #[test]
+    fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
+        let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
+        cfg.fault_drop_p = f64::MIN_POSITIVE; // arms the watchdog, drops nothing
+        cfg.fault_seed = STALLED_DISPATCH_SEED;
+        cfg.retx_timeout = std::time::Duration::from_millis(4);
+        let (src, snk) = run_split_pair(&cfg).expect("split transfer");
+        assert_eq!((snk.blocks, snk.checksum_failures), (8, 0));
+        assert_eq!(src.dropped_payloads, 0);
+        assert!(
+            src.retransmits >= 7,
+            "the watchdog sent each stalled block first"
+        );
+        assert!(
+            snk.duplicate_payloads > 0,
+            "the late first sends are discarded"
         );
     }
 
