@@ -15,9 +15,9 @@
 //! * **tcp**: an absolute floor well under a healthy run but far above a
 //!   regression that re-introduces a copy or a per-block control
 //!   round-trip, and ≤ 1 control frame per block;
-//! * **uring** (when the kernel supports it): at least 0.65 of the TCP
-//!   gate run beside it (a same-run ratio: on loopback the ring buys
-//!   threads and kernel crossings, not GB/s — DESIGN.md §12), ≤ 1 control
+//! * **uring** (when the kernel supports it): at least 0.75 of the
+//!   median TCP gate run beside it (a same-run ratio: on loopback the ring
+//!   buys threads and kernel crossings, not GB/s — DESIGN.md §12), ≤ 1 control
 //!   frame per block, ≤ 1.1 CQEs per block under multishot, a lower mean
 //!   place-stage latency than the TCP run, and a data path of O(1)
 //!   threads per side where TCP spends O(channels).
@@ -75,16 +75,17 @@ use std::time::{Duration, Instant};
 /// lands well below the floor.
 const GATE_FLOOR_GBPS: f64 = 1.0;
 
-/// io_uring gate bound at the same point: a share of the TCP gate run
-/// measured beside it, so the host's speed cancels. On loopback the
-/// ring backend saves syscalls and the per-channel receiver threads,
-/// not bytes per second (multishot pays a pbuf → slot copy); what the
-/// bound catches is a ring path that lost a third of its throughput,
-/// not one that trails TCP by the 10–30 % it does on a 2-vCPU host —
-/// sixteen gate-only runs there read 0.71–1.19 (median 0.88), the
-/// threaded TCP path being bimodal (2.3 or 3.0 GB/s best of 3, by where
-/// its nine receivers land) where the one-thread ring is not.
-const URING_OVER_TCP: f64 = 0.65;
+/// io_uring gate bound at the same point: the ring's best of three as a
+/// share of the *median* of the three TCP gate runs beside it, so the
+/// host's speed cancels. On loopback the ring backend saves syscalls
+/// and the per-channel receiver threads, not bytes per second
+/// (multishot pays a pbuf → slot copy), and trails TCP by 10–20 % on a
+/// 2-vCPU host. The reference is TCP's median because threaded TCP is
+/// bimodal there (2.3 or 3.0 GB/s, by where its nine receivers land)
+/// and best-of-3 reports the lucky mode: against TCP's best, twelve
+/// gate-only runs read 0.75–0.97 and sixteen earlier ones 0.71–1.19;
+/// against its median the twelve read 0.81–1.21.
+const URING_OVER_TCP: f64 = 0.75;
 
 /// The shm gate's place-latency bound: placement on the zero-copy shm
 /// path is a publication-word check, not a copy, so its mean place
@@ -170,9 +171,26 @@ fn run_net(
     }
 }
 
-/// Best wall-clock run of `n`, after one untimed warmup transfer at the
+/// `n` runs, slowest first, after one untimed warmup transfer at the
 /// same geometry (reports are from the sink — the receive side clocks
 /// the bytes as placed and verified).
+fn runs_of(
+    n: usize,
+    backend: Backend,
+    block: u64,
+    channels: usize,
+    total: u64,
+    sockbuf: usize,
+) -> Vec<LiveReport> {
+    let _warmup = run_net(backend, block, channels, total.min(32 * MB), sockbuf);
+    let mut runs: Vec<LiveReport> = (0..n)
+        .map(|_| run_net(backend, block, channels, total, sockbuf).1)
+        .collect();
+    runs.sort_by(|a, b| a.gbytes_per_sec.total_cmp(&b.gbytes_per_sec));
+    runs
+}
+
+/// Best wall-clock run of [`runs_of`].
 fn best_of(
     n: usize,
     backend: Backend,
@@ -181,10 +199,8 @@ fn best_of(
     total: u64,
     sockbuf: usize,
 ) -> LiveReport {
-    let _warmup = run_net(backend, block, channels, total.min(32 * MB), sockbuf);
-    (0..n)
-        .map(|_| run_net(backend, block, channels, total, sockbuf).1)
-        .max_by(|a, b| a.gbytes_per_sec.total_cmp(&b.gbytes_per_sec))
+    runs_of(n, backend, block, channels, total, sockbuf)
+        .pop()
         .expect("n >= 1")
 }
 
@@ -1209,9 +1225,12 @@ fn main() {
     // The gates: best of 3 at 8 × 256 KB with tuned buffers, tcp first,
     // then uring head to head against it.
     let mut gate_ok = true;
+    let mut tcp_median = 0.0;
     if !quick {
         let sockbuf = default_sockbuf(gate_block as usize, depth);
-        let tcp_best = best_of(3, Backend::Tcp, gate_block, 8, total, sockbuf);
+        let mut tcp_runs = runs_of(3, Backend::Tcp, gate_block, 8, total, sockbuf);
+        tcp_median = tcp_runs[1].gbytes_per_sec;
+        let tcp_best = tcp_runs.pop().expect("three runs");
         assert_eq!(tcp_best.checksum_failures, 0);
         let tcp_pass =
             tcp_best.gbytes_per_sec >= GATE_FLOOR_GBPS && tcp_best.ctrl_msgs_per_block <= 1.0;
@@ -1241,14 +1260,14 @@ fn main() {
                 .map(|s| s.cqes as f64 / ur_best.blocks.max(1) as f64)
                 .unwrap_or(f64::MAX);
             let cqe_ok = !stats.is_some_and(|s| s.multishot) || cqes_per_block <= 1.1;
-            let over_tcp = ur_best.gbytes_per_sec / tcp_best.gbytes_per_sec;
+            let over_tcp = ur_best.gbytes_per_sec / tcp_median;
             let ur_pass = over_tcp >= URING_OVER_TCP
                 && ur_best.ctrl_msgs_per_block <= 1.0
                 && faster_place
                 && cqe_ok;
             println!(
-                "  gate {:>5} x8 uring (best of 3): {:.3} GB/s = {over_tcp:.2} x tcp \
-                 (bound {URING_OVER_TCP}), {:.2} ctrl/blk, \
+                "  gate {:>5} x8 uring (best of 3): {:.3} GB/s = {over_tcp:.2} x tcp's median \
+                 {tcp_median:.3} (bound {URING_OVER_TCP}), {:.2} ctrl/blk, \
                  {:.3} CQEs/blk (multishot: {}, bound 1.1), \
                  place {:.0} vs tcp {:.0} ns/blk, {} vs {} data-path threads  [{}]",
                 bs_label(gate_block),
@@ -1345,7 +1364,8 @@ fn main() {
          \"shm_supported\": {},\n  \
          \"total_bytes_per_run\": {},\n  \
          \"pool_blocks\": 32,\n  \"loaders\": 4,\n  \"gate_floor_gbps\": {},\n  \
-         \"uring_over_tcp_bound\": {},\n  \"shm_place_ratio_bound\": {},\n  \
+         \"uring_over_tcp_bound\": {},\n  \"tcp_gate_median_gbps\": {:.4},\n  \
+         \"shm_place_ratio_bound\": {},\n  \
          \"sockbuf_effective\": {},\n  \
          \"results\": [\n{}\n  ]\n}}\n",
         quick,
@@ -1354,6 +1374,7 @@ fn main() {
         total,
         GATE_FLOOR_GBPS,
         URING_OVER_TCP,
+        tcp_median,
         SHM_PLACE_RATIO,
         sockbuf_json,
         body.join(",\n")

@@ -41,7 +41,9 @@ const PLACE_CAP: u32 = 1;
 ///   CQE/syscall batching multishot buys is the trade.
 #[derive(Clone, Copy)]
 enum RxState {
-    FxHeader {
+    /// Both modes: `got` bytes of the next frame header are in the
+    /// link's `hdr_buf`.
+    Header {
         got: usize,
     },
     FxPlace {
@@ -52,9 +54,6 @@ enum RxState {
     },
     FxDiscard {
         wire_len: usize,
-        got: usize,
-    },
-    MsHeader {
         got: usize,
     },
     MsBody {
@@ -155,27 +154,19 @@ pub(super) struct Sess {
 }
 
 impl Sess {
-    /// Build a session entry over driver-owned socket clones. `ms`
-    /// is the driver's receive mode — it picks the links' opening
-    /// state.
+    /// Build a session entry over driver-owned socket clones.
     pub(super) fn new(
-        ms: bool,
         front: Arc<SinkFront>,
         lease: Vec<u32>,
         ctrl: TcpStream,
         data: Vec<TcpStream>,
         mailbox: Option<Mailbox>,
     ) -> Sess {
-        let init = if ms {
-            RxState::MsHeader { got: 0 }
-        } else {
-            RxState::FxHeader { got: 0 }
-        };
         let links = data
             .iter()
             .map(|s| Link {
                 fd: s.as_raw_fd(),
-                state: init,
+                state: RxState::Header { got: 0 },
                 hdr_buf: Box::new([0u8; DATA_FRAME_HEADER_LEN]),
                 scratch: Vec::new(),
                 parked: false,
@@ -239,13 +230,13 @@ fn ms_feed(
 ) -> io::Result<()> {
     while !bytes.is_empty() {
         match sess.links[i].state {
-            RxState::MsHeader { got } => {
+            RxState::Header { got } => {
                 let take = (DATA_FRAME_HEADER_LEN - got).min(bytes.len());
                 sess.links[i].hdr_buf[got..got + take].copy_from_slice(&bytes[..take]);
                 bytes = &bytes[take..];
                 let got = got + take;
                 if got < DATA_FRAME_HEADER_LEN {
-                    sess.links[i].state = RxState::MsHeader { got };
+                    sess.links[i].state = RxState::Header { got };
                     continue;
                 }
                 let hdr = decode_header(&sess.links[i].hdr_buf)?;
@@ -277,14 +268,14 @@ fn ms_feed(
                     .front
                     .landed(&hdr, &dst, t0.max(floor), &mut sess.tally)?;
                 sess.emit.push(ev);
-                sess.links[i].state = RxState::MsHeader { got: 0 };
+                sess.links[i].state = RxState::Header { got: 0 };
             }
             RxState::MsDiscard { remaining } => {
                 let take = remaining.min(bytes.len());
                 bytes = &bytes[take..];
                 let remaining = remaining - take;
                 sess.links[i].state = if remaining == 0 {
-                    RxState::MsHeader { got: 0 }
+                    RxState::Header { got: 0 }
                 } else {
                     RxState::MsDiscard { remaining }
                 };
@@ -438,7 +429,15 @@ impl<'a> MultiDriver<'a> {
         let user_data = ud(sid, i as u32);
         let sqe = match sess.links[i].state {
             RxState::Eof => return Ok(()),
-            RxState::MsHeader { .. } | RxState::MsBody { .. } | RxState::MsDiscard { .. } => {
+            RxState::Header { got } if !self.ms => Sqe {
+                opcode: IORING_OP_READ,
+                fd,
+                addr: sess.links[i].hdr_buf.as_ptr() as u64 + got as u64,
+                len: (DATA_FRAME_HEADER_LEN - got) as u32,
+                user_data,
+                ..Default::default()
+            },
+            RxState::Header { .. } | RxState::MsBody { .. } | RxState::MsDiscard { .. } => {
                 sess.links[i].parked = false;
                 Sqe {
                     opcode: IORING_OP_RECV,
@@ -450,14 +449,6 @@ impl<'a> MultiDriver<'a> {
                     ..Default::default()
                 }
             }
-            RxState::FxHeader { got } => Sqe {
-                opcode: IORING_OP_READ,
-                fd,
-                addr: sess.links[i].hdr_buf.as_ptr() as u64 + got as u64,
-                len: (DATA_FRAME_HEADER_LEN - got) as u32,
-                user_data,
-                ..Default::default()
-            },
             RxState::FxPlace { hdr, base, got, .. } => Sqe {
                 opcode: IORING_OP_READ_FIXED,
                 fd,
@@ -688,101 +679,87 @@ impl<'a> MultiDriver<'a> {
             } else {
                 let n = c.res as usize;
                 match st {
-                    RxState::FxHeader { got } => {
-                        if n == 0 {
-                            if got == 0 {
-                                sess.links[i].state = RxState::Eof;
-                                sess.emit.push(SinkEvt::DataEof);
-                            } else {
-                                next = Next::Fail(io::Error::new(
-                                    io::ErrorKind::UnexpectedEof,
-                                    "stream closed mid-frame",
-                                ));
-                            }
+                    RxState::Header { got: 0 } if n == 0 => {
+                        sess.links[i].state = RxState::Eof;
+                        sess.emit.push(SinkEvt::DataEof);
+                    }
+                    RxState::Header { .. }
+                    | RxState::FxPlace { .. }
+                    | RxState::FxDiscard { .. }
+                        if n == 0 =>
+                    {
+                        next = Next::Fail(io::Error::new(
+                            io::ErrorKind::UnexpectedEof,
+                            "stream closed mid-frame",
+                        ));
+                    }
+                    RxState::Header { got } => {
+                        let got = got + n;
+                        if got < DATA_FRAME_HEADER_LEN {
+                            sess.links[i].state = RxState::Header { got };
+                            next = Next::Arm;
                         } else {
-                            let got = got + n;
-                            if got < DATA_FRAME_HEADER_LEN {
-                                sess.links[i].state = RxState::FxHeader { got };
-                                next = Next::Arm;
-                            } else {
-                                let routed =
-                                    decode_header(&sess.links[i].hdr_buf).and_then(|hdr| {
-                                        Ok((hdr, sess.front.admit(&hdr, &mut sess.tally)?))
-                                    });
-                                match routed {
-                                    Err(e) => next = Next::Fail(e),
-                                    Ok((hdr, false)) => {
-                                        sess.links[i].state = RxState::FxDiscard {
-                                            wire_len: hdr.wire_len(),
-                                            got: 0,
-                                        };
-                                        next = Next::Arm;
-                                    }
-                                    Ok((hdr, true)) => {
-                                        // Route on the header, then
-                                        // commit the payload read
-                                        // straight into the credited
-                                        // slot's registered buffer —
-                                        // the CQE is the placement.
-                                        let fixed = sess.lease[hdr.slot as usize] as usize;
-                                        let base = slots[fixed].lock().as_ptr() as u64;
-                                        sess.links[i].state = RxState::FxPlace {
-                                            hdr,
-                                            base,
-                                            got: 0,
-                                            t0: Instant::now(),
-                                        };
-                                        next = Next::ArmPlace;
-                                    }
+                            let routed = decode_header(&sess.links[i].hdr_buf).and_then(|hdr| {
+                                Ok((hdr, sess.front.admit(&hdr, &mut sess.tally)?))
+                            });
+                            match routed {
+                                Err(e) => next = Next::Fail(e),
+                                Ok((hdr, false)) => {
+                                    sess.links[i].state = RxState::FxDiscard {
+                                        wire_len: hdr.wire_len(),
+                                        got: 0,
+                                    };
+                                    next = Next::Arm;
+                                }
+                                Ok((hdr, true)) => {
+                                    // Route on the header, then
+                                    // commit the payload read
+                                    // straight into the credited
+                                    // slot's registered buffer —
+                                    // the CQE is the placement.
+                                    let fixed = sess.lease[hdr.slot as usize] as usize;
+                                    let base = slots[fixed].lock().as_ptr() as u64;
+                                    sess.links[i].state = RxState::FxPlace {
+                                        hdr,
+                                        base,
+                                        got: 0,
+                                        t0: Instant::now(),
+                                    };
+                                    next = Next::ArmPlace;
                                 }
                             }
                         }
                     }
                     RxState::FxPlace { hdr, got, t0, .. } => {
-                        if n == 0 {
-                            next = Next::Fail(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "stream closed mid-frame",
-                            ));
+                        let got = got + n;
+                        if got < hdr.wire_len() {
+                            if let RxState::FxPlace { got: ref mut g, .. } = sess.links[i].state {
+                                *g = got;
+                            }
+                            next = Next::Arm;
                         } else {
-                            let got = got + n;
-                            if got < hdr.wire_len() {
-                                if let RxState::FxPlace { got: ref mut g, .. } = sess.links[i].state
-                                {
-                                    *g = got;
-                                }
-                                next = Next::Arm;
-                            } else {
-                                // Clock from max(armed, floor) — see
-                                // `place_floor`.
-                                let dst = slots[sess.lease[hdr.slot as usize] as usize].lock();
-                                let t0 = t0.max(place_floor);
-                                match sess.front.landed(&hdr, &dst, t0, &mut sess.tally) {
-                                    Err(e) => next = Next::Fail(e),
-                                    Ok(ev) => {
-                                        sess.emit.push(ev);
-                                        sess.links[i].state = RxState::FxHeader { got: 0 };
-                                        next = Next::Placed;
-                                    }
+                            // Clock from max(armed, floor) — see
+                            // `place_floor`.
+                            let dst = slots[sess.lease[hdr.slot as usize] as usize].lock();
+                            let t0 = t0.max(place_floor);
+                            match sess.front.landed(&hdr, &dst, t0, &mut sess.tally) {
+                                Err(e) => next = Next::Fail(e),
+                                Ok(ev) => {
+                                    sess.emit.push(ev);
+                                    sess.links[i].state = RxState::Header { got: 0 };
+                                    next = Next::Placed;
                                 }
                             }
                         }
                     }
                     RxState::FxDiscard { wire_len, got } => {
-                        if n == 0 {
-                            next = Next::Fail(io::Error::new(
-                                io::ErrorKind::UnexpectedEof,
-                                "stream closed mid-frame",
-                            ));
+                        let got = got + n;
+                        if got < wire_len {
+                            sess.links[i].state = RxState::FxDiscard { wire_len, got };
                         } else {
-                            let got = got + n;
-                            if got < wire_len {
-                                sess.links[i].state = RxState::FxDiscard { wire_len, got };
-                            } else {
-                                sess.links[i].state = RxState::FxHeader { got: 0 };
-                            }
-                            next = Next::Arm;
+                            sess.links[i].state = RxState::Header { got: 0 };
                         }
+                        next = Next::Arm;
                     }
                     _ => {}
                 }
@@ -848,7 +825,7 @@ impl<'a> MultiDriver<'a> {
             let sess = self.sessions.get_mut(&sid).unwrap();
             if !(sess.detaching || sess.err.is_some()) {
                 match sess.links[i].state {
-                    RxState::MsHeader { got: 0 } => {
+                    RxState::Header { got: 0 } => {
                         sess.links[i].state = RxState::Eof;
                         sess.emit.push(SinkEvt::DataEof);
                     }

@@ -140,7 +140,6 @@ fn run_uring_sink_with(
     // registered table), no mailbox — `pump` feeds the handler
     // directly on this thread.
     let entry = Sess::new(
-        plan.multishot,
         sess.front.clone(),
         (0..cfg.pool_blocks).collect(),
         ctrl,
@@ -160,13 +159,13 @@ fn run_uring_sink_with(
     drv.begin_detach(0);
     drv.quiesce();
     let ring_stats = drv.stats_snapshot();
-    let tally = drv.sessions.remove(&0).map(|s| s.tally);
+    let tally = drv.sessions.remove(&0).expect("pump session").tally;
     drop(drv);
     drop(ring);
     run?;
     // The whole data path — all N links, placement, control, and
     // the dwell — is this one driver thread.
-    sess.finish(h, tally.unwrap_or_default(), 1, Some(ring_stats))
+    sess.finish(h, tally, 1, Some(ring_stats))
 }
 
 enum HubMsg {
@@ -184,9 +183,6 @@ pub(crate) struct UringHub {
     tx: std::sync::mpsc::Sender<HubMsg>,
     wake: Mutex<UnixStream>,
     next_sid: AtomicU32,
-    /// Whether the shared ring runs multishot receive (vs the
-    /// `READ_FIXED` fallback).
-    ms: bool,
 }
 
 impl UringHub {
@@ -310,7 +306,6 @@ pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
             tx,
             wake: Mutex::new(wake_w),
             next_sid: AtomicU32::new(0),
-            ms: plan.multishot,
         }),
         handle,
     ))
@@ -352,7 +347,6 @@ pub(crate) fn run_shared_uring_session(
     let (evt_tx, evt_rx) = crossbeam::channel::bounded::<SinkEvt>(1024);
     let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel::<SessionStats>(1);
     let entry = Sess::new(
-        hub.ms,
         sess.front.clone(),
         lease.to_vec(),
         ctrl.try_clone()?,
@@ -380,10 +374,7 @@ pub(crate) fn run_shared_uring_session(
     let stats = stats_rx.recv().unwrap_or_else(|_| SessionStats {
         tally: PlaceTally::default(),
         err: Some(perr("uring driver exited before detach")),
-        ring: UringStats {
-            multishot: hub.ms,
-            ..Default::default()
-        },
+        ring: UringStats::default(),
     });
     if let Err(e) = run {
         // The driver-side error is the root cause when both halves
