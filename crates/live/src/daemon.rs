@@ -5,10 +5,13 @@
 //! registered buffer pool, many concurrent sessions, follow-on jobs
 //! reusing the warm listener. This module is that daemon:
 //!
-//! * **One accept loop, N sessions.** A nonblocking accept loop feeds
-//!   every incoming socket to a shared [`StreamAssembler`]; the hello
-//!   token groups each source's control + data connections into a
-//!   session, interleaved arbitrarily with other sources' connections.
+//! * **One accept loop, N sessions, one front door.** A nonblocking
+//!   accept loop feeds every incoming socket — TCP, and with
+//!   [`DaemonConfig::shm_path`] the unix listener's — to a
+//!   [`StreamAssembler`] under one accept policy
+//!   (`net::accept_into`); the hello token groups each
+//!   source's control + data connections into a session, interleaved
+//!   arbitrarily with other sources' connections.
 //! * **Shared pool arena.** All slot buffers are allocated (and, on the
 //!   io_uring backend, registered) once at startup; each admitted
 //!   session gets an all-or-nothing [`SlotArena`] lease and runs the
@@ -18,7 +21,9 @@
 //!   now* gets a typed [`CtrlMsg::SessionBusy`] with a retry hint —
 //!   never a hang; a session it can never serve (block too large for
 //!   the arena's slots, too many channels) gets a typed
-//!   [`CtrlMsg::SessionReject`].
+//!   [`CtrlMsg::SessionReject`]. The ladder (`serve_session`) is one
+//!   generic function for tcp, uring and shm sets; what differs per
+//!   family is only the *runner* it hands the admitted session to.
 //! * **Weighted-fair credits.** Grants across sessions go through one
 //!   [`WeightedFair`] arbiter, so a bulk transfer cannot starve an
 //!   interactive one (small jobs get a higher weight).
@@ -28,14 +33,12 @@
 //!   exit — a drained daemon has every arena slot back.
 
 use crate::net::{
-    read_one_ctrl_frame, shutdown_all, sink_transport_from_streams, SessionStreams,
-    StreamAssembler, HELLO_TIMEOUT,
+    accept_into, read_first_request, shutdown_all, sink_transport_from_streams, SessionSocket,
+    SessionStreams, StreamAssembler,
 };
 use crate::pipeline::{LiveConfig, LiveReport};
 #[cfg(target_os = "linux")]
-use crate::shm::ShmSessionStreams;
-#[cfg(target_os = "linux")]
-use crate::shm::{sink_transport_for_window, SessionWindow, ShmAssembler};
+use crate::shm::ShmListener;
 use crate::split::run_sink_session;
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
@@ -43,10 +46,8 @@ use crate::uring::{run_shared_uring_session, spawn_shared_uring_driver, UringHub
 use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, reject_reason, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use rftp_core::{CtrlMsg, SlotArena, WeightedFair};
-use std::io::{self, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
-#[cfg(target_os = "linux")]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, Write};
+use std::net::{Shutdown, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -232,11 +233,6 @@ pub fn install_sigterm_hook(h: &DaemonHandle) {
     }
 }
 
-/// Read timeout for the opening `SessionRequest` of an assembled
-/// connection set: a source that completes hellos and then goes silent
-/// is dropped, it cannot wedge admission.
-const NEGOTIATE_TIMEOUT: Duration = HELLO_TIMEOUT;
-
 /// Accept-loop poll interval while the listener is idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
@@ -250,28 +246,9 @@ struct Tally {
     sessions: Vec<SessionSummary>,
 }
 
-/// Sockets an in-flight session can be cut loose by when the drain
-/// deadline passes: a TCP session's control + data streams, or an shm
-/// session's control + notify pair.
-enum AbortSet {
-    Tcp(Vec<TcpStream>),
-    #[cfg(target_os = "linux")]
-    Unix(Vec<UnixStream>),
-}
-
-impl AbortSet {
-    fn cut(&self) {
-        match self {
-            AbortSet::Tcp(socks) => shutdown_all(socks, Shutdown::Both),
-            #[cfg(target_os = "linux")]
-            AbortSet::Unix(socks) => {
-                for s in socks {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-            }
-        }
-    }
-}
+/// Cuts an in-flight session loose: shuts down clones of every socket of
+/// its set — whatever the family — so its blocked threads fail out.
+type AbortHook = Box<dyn Fn() + Send>;
 
 /// Shared state of a running daemon, borrowed by every session thread.
 struct DaemonState {
@@ -283,34 +260,20 @@ struct DaemonState {
     stop: Arc<AtomicBool>,
     active: AtomicUsize,
     admitted_seq: AtomicU64,
-    /// Abort hooks for in-flight sessions (token → socket shutdown),
-    /// fired on the stragglers when the drain deadline passes.
-    aborts: Mutex<Vec<(u64, AbortSet)>>,
+    /// Abort hooks for in-flight sessions by token, fired on the
+    /// stragglers when the drain deadline passes.
+    aborts: Mutex<Vec<(u64, AbortHook)>>,
     tally: Mutex<Tally>,
-}
-
-/// The daemon's shm accept socket; the path is unlinked on drop (and
-/// any stale previous path at bind) so a crashed daemon's leftover
-/// socket file does not shadow the next run.
-#[cfg(target_os = "linux")]
-struct ShmEndpoint {
-    listener: UnixListener,
-    path: PathBuf,
-}
-
-#[cfg(target_os = "linux")]
-impl Drop for ShmEndpoint {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
 }
 
 /// A bound, not-yet-running daemon. [`Daemon::run`] consumes it and
 /// blocks until a drain completes.
 pub struct Daemon {
     listener: TcpListener,
+    /// The second way in (owner-only unix socket, unlinked on drop),
+    /// polled non-blocking from the same accept loop.
     #[cfg(target_os = "linux")]
-    shm: Option<ShmEndpoint>,
+    shm: Option<ShmListener>,
     state: DaemonState,
 }
 
@@ -342,19 +305,9 @@ impl Daemon {
         #[cfg(target_os = "linux")]
         let shm = match &cfg.shm_path {
             Some(p) => {
-                if p.exists() {
-                    std::fs::remove_file(p)?;
-                }
-                let ul = UnixListener::bind(p)?;
-                ul.set_nonblocking(true)?;
-                {
-                    use std::os::unix::fs::PermissionsExt;
-                    std::fs::set_permissions(p, std::fs::Permissions::from_mode(0o600))?;
-                }
-                Some(ShmEndpoint {
-                    listener: ul,
-                    path: p.clone(),
-                })
+                let l = ShmListener::bind(p)?;
+                l.set_nonblocking(true)?;
+                Some(l)
             }
             None => None,
         };
@@ -402,22 +355,18 @@ impl Daemon {
     /// out: a clean drain leaks nothing. A uring daemon whose shared
     /// driver cannot start (`Unsupported` kernel, or the arena cannot be
     /// pinned) fails here, before it admits anyone.
-    pub fn run(mut self) -> io::Result<DaemonReport> {
-        #[cfg(target_os = "linux")]
-        let shm = self.shm.take();
+    pub fn run(self) -> io::Result<DaemonReport> {
         let Daemon {
-            listener, state, ..
+            listener,
+            #[cfg(target_os = "linux")]
+            shm,
+            state,
         } = self;
         let d = &state;
         let mut asm = StreamAssembler::new(d.cfg.sockbuf);
         #[cfg(target_os = "linux")]
-        let mut shm_asm = ShmAssembler::new();
+        let mut shm_asm = StreamAssembler::new(0);
         let mut last_sweep = Instant::now();
-
-        // ENFILE/EMFILE have no stable `io::ErrorKind`; match the raw
-        // errno (same values on Linux and the BSDs).
-        const ENFILE: i32 = 23;
-        const EMFILE: i32 = 24;
 
         let mut driver_stats: Option<UringStats> = None;
         std::thread::scope(|scope| -> io::Result<()> {
@@ -433,55 +382,32 @@ impl Daemon {
             };
             let hub = shared.as_ref().map(|(h, _)| Arc::clone(h));
             while !d.stop.load(Ordering::Acquire) {
-                match listener.accept() {
-                    // `offer` hands the hello read to a helper thread and
-                    // returns at once — a silent client cannot stall the
-                    // accept loop (it also pins the socket back to
-                    // blocking mode, which accepted sockets don't inherit
-                    // on every platform).
-                    Ok((s, _)) => asm.offer(s),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    // The peer hung up between SYN and accept — routine
-                    // under load, not a listener failure.
-                    Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
-                    // Out of file descriptors during a burst: shed load
-                    // and retry rather than taking down the daemon (and
-                    // its in-flight sessions).
-                    Err(e) if matches!(e.raw_os_error(), Some(ENFILE) | Some(EMFILE)) => {
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    Err(e) => return Err(e),
+                // One accept policy for both ways in (`accept_into`:
+                // the hello read goes to a helper thread, routine
+                // errors never end the loop). The 2 ms idle poll of the
+                // tcp listener bounds shm accept latency too.
+                if !accept_into(|| listener.accept().map(|(s, _)| s), &mut asm)? {
+                    std::thread::sleep(ACCEPT_POLL);
                 }
                 // The shm endpoint shares the loop: drain its accept
-                // queue (nonblocking), assemble (control, notify) pairs
-                // by hello token, and spawn admitted pairs exactly like
-                // TCP sets. The 2 ms idle poll above bounds shm accept
-                // latency too.
+                // queue, assemble (control, notify) pairs by hello
+                // token, and serve them on the same ladder as TCP sets.
                 #[cfg(target_os = "linux")]
-                if let Some(ep) = &shm {
-                    loop {
-                        match ep.listener.accept() {
-                            Ok((s, _)) => shm_asm.offer(s),
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
-                            Err(e) if matches!(e.raw_os_error(), Some(ENFILE) | Some(EMFILE)) => {
-                                std::thread::sleep(Duration::from_millis(50));
-                                break;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    while let Some(sess) = shm_asm.poll() {
-                        scope.spawn(move || serve_shm_session(d, sess));
+                if let Some(l) = &shm {
+                    while accept_into(|| l.accept(), &mut shm_asm)? {}
+                    while let Some(streams) = shm_asm.poll() {
+                        scope.spawn(move || {
+                            serve_session(d, streams, |cfg, s, first, _| run_shm(d, cfg, s, first))
+                        });
                     }
                 }
                 while let Some(streams) = asm.poll() {
                     let hub = hub.clone();
-                    scope.spawn(move || serve_session(d, streams, hub.as_deref()));
+                    scope.spawn(move || {
+                        serve_session(d, streams, |cfg, s, first, lease| {
+                            run_net(d, hub.as_deref(), cfg, s, first, lease)
+                        })
+                    });
                 }
                 if last_sweep.elapsed() >= Duration::from_secs(1) {
                     asm.sweep_stale(Instant::now());
@@ -499,8 +425,8 @@ impl Daemon {
                 std::thread::sleep(Duration::from_millis(5));
             }
             if d.active.load(Ordering::Acquire) > 0 {
-                for (_, set) in d.aborts.lock().iter() {
-                    set.cut();
+                for (_, cut) in d.aborts.lock().iter() {
+                    cut();
                 }
             }
             // The driver exits once every session has detached (cut
@@ -545,7 +471,7 @@ fn send_raw_ctrl(s: &mut impl Write, msg: &CtrlMsg) -> io::Result<()> {
 /// Send a terminal admission reply and close the set down politely:
 /// shut our write side, then drain until the peer closes (bounded) so
 /// an immediate local close can't RST the reply out from under it.
-fn reply_and_close(mut streams: SessionStreams, msg: &CtrlMsg) {
+fn reply_and_close<S: SessionSocket>(mut streams: SessionStreams<S>, msg: &CtrlMsg) {
     if send_raw_ctrl(&mut streams.ctrl, msg).is_ok() {
         let _ = streams.ctrl.shutdown(Shutdown::Write);
         shutdown_all(&streams.data, Shutdown::Both);
@@ -566,36 +492,31 @@ fn reply_and_close(mut streams: SessionStreams, msg: &CtrlMsg) {
     }
 }
 
-/// Admission + service for one assembled connection set. Runs on its
-/// own thread; everything it leases it returns before exiting. `hub` is
-/// the shared driver of a uring daemon (`None`: a tcp daemon).
-fn serve_session(d: &DaemonState, mut streams: SessionStreams, hub: Option<&UringHub>) {
+/// The admission ladder and the service of one assembled connection
+/// set, whatever socket family it arrived on. Runs on its own thread;
+/// everything it leases it returns before exiting. The only part that
+/// varies by family is `run` — how an admitted session's sockets become
+/// a running sink ([`run_net`], [`run_shm`]); it gets the session's
+/// config as the ladder derived it from the parsed request, the
+/// streams, that request (the sink's `first_ctrl`) and the arena lease.
+fn serve_session<S: SessionSocket>(
+    d: &DaemonState,
+    mut streams: SessionStreams<S>,
+    run: impl FnOnce(LiveConfig, SessionStreams<S>, CtrlMsg, &[u32]) -> io::Result<LiveReport>,
+) {
     // --- Negotiation: read the opening SessionRequest, bounded. ---
-    let first = (|| -> io::Result<CtrlMsg> {
-        streams.ctrl.set_read_timeout(Some(NEGOTIATE_TIMEOUT))?;
-        let first = read_one_ctrl_frame(&mut streams.ctrl)?;
-        streams.ctrl.set_read_timeout(None)?;
-        Ok(first)
-    })();
-    let first = match first {
-        Ok(m) => m,
-        Err(_) => {
-            // Peer died or stalled mid-negotiation: drop the set; the
-            // listener itself never blocked on it.
-            shutdown_all(&streams.data, Shutdown::Both);
-            let _ = streams.ctrl.shutdown(Shutdown::Both);
-            d.tally.lock().dropped_preadmission += 1;
-            return;
-        }
-    };
-    let CtrlMsg::SessionRequest {
-        session,
-        block_size,
-        channels,
-        total_bytes,
-        ..
-    } = first
+    let Ok(
+        first @ CtrlMsg::SessionRequest {
+            session,
+            block_size,
+            channels,
+            total_bytes,
+            ..
+        },
+    ) = read_first_request(&mut streams.ctrl)
     else {
+        // Peer died, stalled or spoke out of turn mid-negotiation: drop
+        // the set; the listener itself never blocked on it.
         shutdown_all(&streams.data, Shutdown::Both);
         let _ = streams.ctrl.shutdown(Shutdown::Both);
         d.tally.lock().dropped_preadmission += 1;
@@ -604,57 +525,61 @@ fn serve_session(d: &DaemonState, mut streams: SessionStreams, hub: Option<&Urin
 
     // --- Admission. Impossible geometry → typed reject; transient
     // saturation → typed busy with a retry hint. Never a hang. ---
-    let reject = |reason: u8| CtrlMsg::SessionReject { session, reason };
-    let busy = CtrlMsg::SessionBusy {
-        session,
-        retry_after_ms: d.cfg.retry_after_ms,
+    let reject = |streams, reason| {
+        reply_and_close(streams, &CtrlMsg::SessionReject { session, reason });
+        d.tally.lock().rejected_geometry += 1;
+    };
+    let busy = |streams| {
+        let retry_after_ms = d.cfg.retry_after_ms;
+        let msg = CtrlMsg::SessionBusy {
+            session,
+            retry_after_ms,
+        };
+        reply_and_close(streams, &msg);
+        d.tally.lock().rejected_busy += 1;
     };
     // A zero block size would divide-by-zero in the slot math below —
     // reject it (typed, like every other impossible geometry) before
     // any arithmetic can panic.
     if block_size == 0 || block_size as usize > d.cfg.slot_cap {
-        reply_and_close(streams, &reject(reject_reason::BLOCK_TOO_LARGE));
-        d.tally.lock().rejected_geometry += 1;
-        return;
+        return reject(streams, reject_reason::BLOCK_TOO_LARGE);
     }
+    // The hello census and the request disagree, the job is empty, or
+    // the channel fan-out exceeds what the daemon will spawn reader
+    // threads for — a protocol violation dressed as geometry, or
+    // geometry it refuses to serve. Typed, either way. The cap matters
+    // most on shm, where a "channel" is only a notify-reader thread
+    // over the one stream: two cheap unix connections could otherwise
+    // announce 65535 channels and make the session spawn that many
+    // threads (thread-spawn failure panics in the session scope and
+    // would take the whole daemon down). TCP at least pays one real
+    // socket per channel.
     if channels == 0
         || channels as usize > d.cfg.max_channels
-        || channels as usize != streams.data.len()
+        || channels as usize != streams.channels
         || total_bytes == 0
     {
-        // The hello census and the request disagree, the job is empty,
-        // or the channel fan-out exceeds what the daemon will spawn
-        // reader threads for — a protocol violation dressed as
-        // geometry, or geometry it refuses to serve. Typed, either way.
-        reply_and_close(streams, &reject(reject_reason::TOO_MANY_CHANNELS));
-        d.tally.lock().rejected_geometry += 1;
-        return;
+        return reject(streams, reject_reason::TOO_MANY_CHANNELS);
     }
     if d.stop.load(Ordering::Acquire) {
         // Draining: admit nothing new, tell the source to come back.
-        reply_and_close(streams, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
+        return busy(streams);
     }
     // Claim a session-table entry before touching the arena so a burst
     // can't both oversubscribe the table and strand a lease.
     if d.active.fetch_add(1, Ordering::AcqRel) >= d.cfg.max_sessions {
         d.active.fetch_sub(1, Ordering::AcqRel);
-        reply_and_close(streams, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
+        return busy(streams);
     }
     let total_blocks = total_bytes.div_ceil(block_size).max(1);
     let want_slots = (d.cfg.session_slots as u64).min(total_blocks).max(1) as usize;
     let Some(lease) = d.arena.lease(want_slots) else {
         d.active.fetch_sub(1, Ordering::AcqRel);
-        reply_and_close(streams, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
+        return busy(streams);
     };
 
     // --- Admitted: register with the arbiter, run the sink session
-    // over the leased view, and undo everything on the way out. ---
+    // over the lease, and undo everything on the way out. ---
     let token = streams.token;
     let index = d.admitted_seq.fetch_add(1, Ordering::AcqRel);
     let weight = if total_bytes <= d.cfg.interactive_cutoff {
@@ -664,7 +589,18 @@ fn serve_session(d: &DaemonState, mut streams: SessionStreams, hub: Option<&Urin
     };
     d.fair.register(token, weight);
 
-    let result = run_admitted(d, streams, &lease, first, index, token, hub);
+    let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
+    cfg.pool_blocks = lease.len() as u32;
+    if let Some(dir) = &d.cfg.dst_dir {
+        cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
+    }
+    // Keep socket clones around so the drain deadline can cut a
+    // straggler loose (its blocked threads fail out with EOF/EPIPE).
+    let result = streams.handles().and_then(|socks| {
+        let cut = Box::new(move || shutdown_all(&socks, Shutdown::Both));
+        d.aborts.lock().push((token, cut));
+        run(cfg, streams, first, &lease)
+    });
 
     d.aborts.lock().retain(|(t, _)| *t != token);
     d.fair.deregister(token);
@@ -683,59 +619,33 @@ fn serve_session(d: &DaemonState, mut streams: SessionStreams, hub: Option<&Urin
     });
 }
 
-/// The admitted path, separated so `serve_session` can unwind the lease
-/// and registration on *any* exit, success or error.
-fn run_admitted(
+/// The tcp and uring runner: both take the same TCP connection set and
+/// the leased view of the arena — wire slot `i` is arena slot
+/// `lease[i]`; slots are `slot_cap`-sized and a session's blocks live
+/// in the prefix. `hub` is the shared driver of a uring daemon (`None`:
+/// a tcp daemon).
+fn run_net(
     d: &DaemonState,
-    streams: SessionStreams,
-    lease: &[u32],
-    first: CtrlMsg,
-    index: u64,
-    token: u64,
     hub: Option<&UringHub>,
+    mut cfg: LiveConfig,
+    streams: SessionStreams,
+    first: CtrlMsg,
+    lease: &[u32],
 ) -> io::Result<LiveReport> {
-    let CtrlMsg::SessionRequest {
-        block_size,
-        channels,
-        total_bytes,
-        ..
-    } = first
-    else {
-        unreachable!("admission checked the request shape");
-    };
-
-    let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
-    cfg.pool_blocks = lease.len() as u32;
-    if let Some(dir) = &d.cfg.dst_dir {
-        cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
-    }
-    if let Some(wan) = &d.cfg.wan {
-        // The pool stays the arena lease (the admission currency can't
-        // grow per-session), but the sink brain adapts its dwell window
-        // and clamps its credit depth to the measured path.
-        cfg.adaptive = true;
-        cfg.wan_rate_bps = wan.rate_bps;
-    }
-
-    // Keep socket clones around so the drain deadline can cut a
-    // straggler loose (its blocked threads fail out with EOF/EPIPE).
-    let mut abort_socks = vec![streams.ctrl.try_clone()?];
-    for s in &streams.data {
-        abort_socks.push(s.try_clone()?);
-    }
-    d.aborts.lock().push((token, AbortSet::Tcp(abort_socks)));
-
-    // The leased view: wire slot `i` is arena slot `lease[i]`. Slots
-    // are `slot_cap`-sized; a session's blocks live in the prefix.
     let view: Vec<&Mutex<SlotBuf>> = lease.iter().map(|&g| &d.slots[g as usize]).collect();
-    let fair = Some((&d.fair, token));
+    let fair = Some((&d.fair, streams.token));
     match hub {
         None => {
-            let t = sink_transport_from_streams(streams)?;
-            let t = match &d.cfg.wan {
-                Some(wan) => crate::netem::wrap_sink(t, wan),
-                None => t,
-            };
+            let mut t = sink_transport_from_streams(streams)?;
+            if let Some(wan) = &d.cfg.wan {
+                // The pool stays the arena lease (the admission currency
+                // can't grow per-session), but the sink brain adapts its
+                // dwell window and clamps its credit depth to the
+                // measured path.
+                cfg.adaptive = true;
+                cfg.wan_rate_bps = wan.rate_bps;
+                t = crate::netem::wrap_sink(t, wan);
+            }
             run_sink_session(&cfg, t, Some(first), &view, fair)
         }
         // The session joins the daemon's one driver ring — admission
@@ -745,186 +655,34 @@ fn run_admitted(
     }
 }
 
-/// Unix-socket twin of [`reply_and_close`] for shm sessions turned
-/// away at admission: send the typed reply, shut our write side, and
-/// drain (bounded in total) so an immediate close can't lose it.
-#[cfg(target_os = "linux")]
-fn reply_and_close_shm(mut sess: ShmSessionStreams, msg: &CtrlMsg) {
-    if send_raw_ctrl(&mut sess.ctrl, msg).is_ok() {
-        let _ = sess.ctrl.shutdown(Shutdown::Write);
-        let _ = sess.notify.shutdown(Shutdown::Both);
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let _ = sess.ctrl.set_read_timeout(Some(Duration::from_millis(100)));
-        let mut sink = [0u8; 256];
-        while Instant::now() < deadline {
-            match sess.ctrl.read(&mut sink) {
-                Ok(n) if n > 0 => {}
-                _ => break, // peer closed, timed out, or errored
-            }
-        }
-    }
-}
-
-/// Admission + service for one assembled shm (control, notify) pair —
-/// the same ladder as [`serve_session`], with one extra geometry check:
-/// the channel count the control hello announced must match the
-/// `SessionRequest`, because the sink fans that many notify readers
-/// over the one stream.
-#[cfg(target_os = "linux")]
-fn serve_shm_session(d: &DaemonState, mut sess: ShmSessionStreams) {
-    let first = (|| -> io::Result<CtrlMsg> {
-        sess.ctrl.set_read_timeout(Some(NEGOTIATE_TIMEOUT))?;
-        let first = read_one_ctrl_frame(&mut sess.ctrl)?;
-        sess.ctrl.set_read_timeout(None)?;
-        Ok(first)
-    })();
-    let drop_preadmission = |sess: ShmSessionStreams| {
-        let _ = sess.ctrl.shutdown(Shutdown::Both);
-        let _ = sess.notify.shutdown(Shutdown::Both);
-        d.tally.lock().dropped_preadmission += 1;
-    };
-    let first = match first {
-        Ok(m) => m,
-        Err(_) => return drop_preadmission(sess),
-    };
-    let CtrlMsg::SessionRequest {
-        session,
-        block_size,
-        channels,
-        total_bytes,
-        ..
-    } = first
-    else {
-        return drop_preadmission(sess);
-    };
-
-    let reject = |reason: u8| CtrlMsg::SessionReject { session, reason };
-    let busy = CtrlMsg::SessionBusy {
-        session,
-        retry_after_ms: d.cfg.retry_after_ms,
-    };
-    if block_size == 0 || block_size as usize > d.cfg.slot_cap {
-        reply_and_close_shm(sess, &reject(reject_reason::BLOCK_TOO_LARGE));
-        d.tally.lock().rejected_geometry += 1;
-        return;
-    }
-    // The channel cap matters most here: an shm "channel" is only a
-    // notify-reader thread over the one stream — two cheap unix
-    // connections could otherwise announce 65535 channels and make the
-    // session spawn that many threads (thread-spawn failure panics in
-    // the session scope and would take the whole daemon down). TCP at
-    // least pays one real socket per channel; both paths enforce the
-    // same cap for symmetry.
-    if channels == 0
-        || channels as usize > d.cfg.max_channels
-        || channels != sess.channels
-        || total_bytes == 0
-    {
-        reply_and_close_shm(sess, &reject(reject_reason::TOO_MANY_CHANNELS));
-        d.tally.lock().rejected_geometry += 1;
-        return;
-    }
-    if d.stop.load(Ordering::Acquire) {
-        reply_and_close_shm(sess, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
-    }
-    if d.active.fetch_add(1, Ordering::AcqRel) >= d.cfg.max_sessions {
-        d.active.fetch_sub(1, Ordering::AcqRel);
-        reply_and_close_shm(sess, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
-    }
-    let total_blocks = total_bytes.div_ceil(block_size).max(1);
-    let want_slots = (d.cfg.session_slots as u64).min(total_blocks).max(1) as usize;
-    let Some(lease) = d.arena.lease(want_slots) else {
-        d.active.fetch_sub(1, Ordering::AcqRel);
-        reply_and_close_shm(sess, &busy);
-        d.tally.lock().rejected_busy += 1;
-        return;
-    };
-
-    let token = sess.token;
-    let index = d.admitted_seq.fetch_add(1, Ordering::AcqRel);
-    let weight = if total_bytes <= d.cfg.interactive_cutoff {
-        d.cfg.interactive_weight
-    } else {
-        1
-    };
-    d.fair.register(token, weight);
-
-    let result = run_admitted_shm(d, sess, &lease, first, index, token);
-
-    d.aborts.lock().retain(|(t, _)| *t != token);
-    d.fair.deregister(token);
-    d.arena.release(&lease);
-    d.active.fetch_sub(1, Ordering::AcqRel);
-
-    let mut t = d.tally.lock();
-    match &result {
-        Ok(_) => t.completed += 1,
-        Err(_) => t.failed += 1,
-    }
-    t.shm_sessions += 1;
-    t.sessions.push(SessionSummary {
-        index,
-        token,
-        result,
-    });
-}
-
-/// The admitted shm path: create a memfd window for **this session
-/// alone**, sized to its lease, ship the descriptor with the window fd
-/// over `SCM_RIGHTS`, and run the ordinary sink session — placement is
-/// the source's own write into the window's slots, verified by the
-/// per-slot publication word. The arena lease is pure accounting here
-/// (it bounds concurrent shm memory to the arena's budget and keeps
+/// The shm runner: a memfd window for **this session alone**, sized to
+/// its lease (`cfg.pool_blocks`), descriptor and fd shipped over
+/// `SCM_RIGHTS`, then the ordinary sink session — placement is the
+/// source's own write into the window's slots, verified by the per-slot
+/// publication word. The arena lease is pure accounting here (it bounds
+/// concurrent shm memory to the arena's budget and keeps
 /// admission/fairness transport-blind); the fd a tenant receives maps
 /// its own window and nothing else, so a hostile or buggy session can
 /// scribble only payloads it could already corrupt on the wire.
 #[cfg(target_os = "linux")]
-fn run_admitted_shm(
+fn run_shm(
     d: &DaemonState,
-    sess: ShmSessionStreams,
-    lease: &[u32],
+    cfg: LiveConfig,
+    streams: SessionStreams<std::os::unix::net::UnixStream>,
     first: CtrlMsg,
-    index: u64,
-    token: u64,
 ) -> io::Result<LiveReport> {
-    let CtrlMsg::SessionRequest {
-        block_size,
-        channels,
-        total_bytes,
-        ..
-    } = first
-    else {
-        unreachable!("admission checked the request shape");
-    };
-
-    let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
-    cfg.pool_blocks = lease.len() as u32;
-    if let Some(dir) = &d.cfg.dst_dir {
-        cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
-    }
-
-    d.aborts.lock().push((
-        token,
-        AbortSet::Unix(vec![sess.ctrl.try_clone()?, sess.notify.try_clone()?]),
-    ));
-
-    let sw = SessionWindow::create(lease.len(), block_size as usize)?;
-    sw.send_descriptor(&sess.ctrl)?;
-    let snk_bufs = sw.slot_bufs();
-    let win = Arc::new(sw.into_sink_window());
-    let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let t = sink_transport_for_window(sess.ctrl, sess.notify, channels as usize, win)?;
-    run_sink_session(&cfg, t, Some(first), &view, Some((&d.fair, token)))
+    d.tally.lock().shm_sessions += 1;
+    let fair = Some((&d.fair, streams.token));
+    crate::shm::run_shm_session(&cfg, streams, Some(first), fair)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::connect_streams;
+    use crate::net::{connect_streams, read_one_ctrl_frame};
+    use std::io::Read;
+    #[cfg(target_os = "linux")]
+    use std::os::unix::net::UnixStream;
 
     fn start(
         cfg: DaemonConfig,
@@ -940,23 +698,41 @@ mod tests {
         (addr, h, jh)
     }
 
-    fn request(streams: &mut SessionStreams, block_size: u64) -> CtrlMsg {
-        send_raw_ctrl(
-            &mut streams.ctrl,
-            &CtrlMsg::SessionRequest {
-                session: 1,
-                block_size,
-                channels: 1,
-                total_bytes: 1 << 20,
-                notify_imm: false,
-            },
-        )
-        .unwrap();
-        streams
-            .ctrl
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        read_one_ctrl_frame(&mut streams.ctrl).unwrap()
+    /// Session 1's opening `SessionRequest`.
+    fn req(block_size: u64, channels: u16, total_bytes: u64) -> CtrlMsg {
+        CtrlMsg::SessionRequest {
+            session: 1,
+            block_size,
+            channels,
+            total_bytes,
+            notify_imm: false,
+        }
+    }
+
+    /// Open an assembled set of either family with `first`, and read the
+    /// daemon's first control frame back.
+    fn ask<S: SessionSocket>(s: &mut SessionStreams<S>, first: &CtrlMsg) -> io::Result<CtrlMsg> {
+        send_raw_ctrl(&mut s.ctrl, first).unwrap();
+        s.ctrl.set_read_timeout(Some(Duration::from_secs(5)))?;
+        read_one_ctrl_frame(&mut s.ctrl)
+    }
+
+    /// The shm counterpart of `connect_streams`: one (control, notify)
+    /// pair on the daemon's unix socket, hellos sent, nothing else.
+    #[cfg(target_os = "linux")]
+    fn shm_streams(sock: &std::path::Path, channels: u16) -> SessionStreams<UnixStream> {
+        use crate::net::{new_session_token, write_hello, KIND_CTRL, KIND_DATA};
+        let token = new_session_token();
+        let mut ctrl = UnixStream::connect(sock).unwrap();
+        write_hello(&mut ctrl, KIND_CTRL, channels, token).unwrap();
+        let mut notify = UnixStream::connect(sock).unwrap();
+        write_hello(&mut notify, KIND_DATA, 0, token).unwrap();
+        SessionStreams {
+            ctrl,
+            data: vec![notify],
+            token,
+            channels: channels as usize,
+        }
     }
 
     /// A `SessionRequest` with `block_size: 0` used to divide-by-zero in
@@ -968,7 +744,7 @@ mod tests {
         let (addr, handle, jh) = start(DaemonConfig::default());
         for _ in 0..2 {
             let mut streams = connect_streams(addr, 1, 0).unwrap();
-            let reply = request(&mut streams, 0);
+            let reply = ask(&mut streams, &req(0, 1, 1 << 20)).unwrap();
             assert!(matches!(reply, CtrlMsg::SessionReject { .. }), "{reply:?}");
         }
         handle.shutdown();
@@ -989,51 +765,12 @@ mod tests {
         };
         let (addr, handle, jh) = start(cfg);
         let mut streams = connect_streams(addr, 3, 0).unwrap();
-        send_raw_ctrl(
-            &mut streams.ctrl,
-            &CtrlMsg::SessionRequest {
-                session: 1,
-                block_size: 64 * 1024,
-                channels: 3,
-                total_bytes: 1 << 20,
-                notify_imm: false,
-            },
-        )
-        .unwrap();
-        streams
-            .ctrl
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
-        let reply = read_one_ctrl_frame(&mut streams.ctrl).unwrap();
+        let reply = ask(&mut streams, &req(64 * 1024, 3, 1 << 20)).unwrap();
         assert!(matches!(reply, CtrlMsg::SessionReject { .. }), "{reply:?}");
         handle.shutdown();
         let report = jh.join().expect("daemon must not panic").unwrap();
         assert_eq!(report.rejected_geometry, 1, "{report:?}");
         assert_eq!(report.served, 0);
-    }
-
-    /// Open one shm (control, notify) pair announcing an absurd channel
-    /// count and read one unix control frame back. Returns the reply.
-    #[cfg(target_os = "linux")]
-    fn shm_request(sock: &std::path::Path, channels: u16, block_size: u64) -> io::Result<CtrlMsg> {
-        use crate::net::{new_session_token, write_hello, KIND_CTRL, KIND_DATA};
-        let token = new_session_token();
-        let mut ctrl = UnixStream::connect(sock)?;
-        write_hello(&mut ctrl, KIND_CTRL, channels, token)?;
-        let mut notify = UnixStream::connect(sock)?;
-        write_hello(&mut notify, KIND_DATA, 0, token)?;
-        send_raw_ctrl(
-            &mut ctrl,
-            &CtrlMsg::SessionRequest {
-                session: 1,
-                block_size,
-                channels,
-                total_bytes: 1 << 20,
-                notify_imm: false,
-            },
-        )?;
-        ctrl.set_read_timeout(Some(Duration::from_secs(5)))?;
-        read_one_ctrl_frame(&mut ctrl)
     }
 
     /// Two cheap unix connections must not be able to make the daemon
@@ -1055,7 +792,8 @@ mod tests {
             ..DaemonConfig::default()
         };
         let (_, handle, jh) = start(cfg);
-        let reply = shm_request(&sock, u16::MAX, 64 * 1024).unwrap();
+        let first = req(64 * 1024, u16::MAX, 1 << 20);
+        let reply = ask(&mut shm_streams(&sock, u16::MAX), &first).unwrap();
         assert!(matches!(reply, CtrlMsg::SessionReject { .. }), "{reply:?}");
 
         // The daemon survived and still admits a well-formed session.
@@ -1087,7 +825,6 @@ mod tests {
             eprintln!("skipping: shm transport not supported on this host");
             return;
         }
-        use crate::net::{new_session_token, write_hello, KIND_CTRL, KIND_DATA};
         let sock = std::env::temp_dir().join(format!("rftpd-leasewin-{}.sock", std::process::id()));
         let cfg = DaemonConfig {
             slot_cap: 256 * 1024,
@@ -1099,22 +836,10 @@ mod tests {
         let (_, handle, jh) = start(cfg);
 
         let block = 64 * 1024u64;
-        let token = new_session_token();
-        let mut ctrl = UnixStream::connect(&sock).unwrap();
-        write_hello(&mut ctrl, KIND_CTRL, 2, token).unwrap();
-        let mut notify = UnixStream::connect(&sock).unwrap();
-        write_hello(&mut notify, KIND_DATA, 0, token).unwrap();
-        send_raw_ctrl(
-            &mut ctrl,
-            &CtrlMsg::SessionRequest {
-                session: 1,
-                block_size: block,
-                channels: 2,
-                total_bytes: 4 << 20, // 64 blocks >> 8 session slots
-                notify_imm: false,
-            },
-        )
-        .unwrap();
+        let mut streams = shm_streams(&sock, 2);
+        // 64 blocks >> 8 session slots
+        send_raw_ctrl(&mut streams.ctrl, &req(block, 2, 4 << 20)).unwrap();
+        let SessionStreams { mut ctrl, data, .. } = streams;
         // Read the raw descriptor head off the control stream (a plain
         // read discards the SCM_RIGHTS fd, which is fine — we only
         // check the claimed geometry here).
@@ -1139,7 +864,7 @@ mod tests {
 
         // Abandon the session (its thread fails out on EOF) and drain.
         drop(ctrl);
-        drop(notify);
+        drop(data);
         handle.shutdown();
         let report = jh.join().expect("daemon must not panic").unwrap();
         assert_eq!(report.served, 1, "{report:?}");
@@ -1273,6 +998,103 @@ mod tests {
         assert!(!sock.exists(), "drained daemon must unlink its shm socket");
     }
 
+    /// The admission ladder is one function, and this is what holds it to
+    /// one behaviour: every rung, asked over tcp and over the shm socket
+    /// of one daemon, answers with the same typed reply — and every set
+    /// that came in is accounted for exactly once in the report.
+    #[test]
+    fn admission_ladder_is_identical_on_every_way_in() {
+        const BLK: u64 = 64 * 1024;
+        let shm = crate::shm::shm_supported();
+        let sock = std::env::temp_dir().join(format!("rftpd-ladder-{}.sock", std::process::id()));
+        let cfg = DaemonConfig {
+            slot_cap: BLK as usize,
+            arena_slots: 9,
+            session_slots: 8,
+            max_sessions: 2,
+            max_channels: 2,
+            retry_after_ms: 77,
+            shm_path: shm.then(|| sock.clone()),
+            ..DaemonConfig::default()
+        };
+        let (addr, handle, jh) = start(cfg);
+        // One set per way in, hellos announcing `hello` channels, opened
+        // with `first`: the daemon's replies.
+        let ask_all = |hello: u16, first: &CtrlMsg| {
+            let mut tcp = connect_streams(addr, hello as usize, 0).unwrap();
+            let tcp = ask(&mut tcp, first);
+            #[cfg(target_os = "linux")]
+            if shm {
+                return vec![tcp, ask(&mut shm_streams(&sock, hello), first)];
+            }
+            vec![tcp]
+        };
+        let ways = 1 + shm as u64;
+
+        // Geometry rungs: a typed reject with the same reason code.
+        use reject_reason::{BLOCK_TOO_LARGE, TOO_MANY_CHANNELS};
+        let geometry = [
+            ("zero block", 1, req(0, 1, BLK), BLOCK_TOO_LARGE),
+            ("block > slot_cap", 1, req(2 * BLK, 1, BLK), BLOCK_TOO_LARGE),
+            ("zero channels", 1, req(BLK, 0, BLK), TOO_MANY_CHANNELS),
+            ("channels > cap", 3, req(BLK, 3, BLK), TOO_MANY_CHANNELS),
+            ("census ≠ request", 2, req(BLK, 1, BLK), TOO_MANY_CHANNELS),
+            ("empty job", 1, req(BLK, 1, 0), TOO_MANY_CHANNELS),
+        ];
+        let reject = |reason| CtrlMsg::SessionReject { session: 1, reason };
+        for (rung, hello, first, reason) in &geometry {
+            for reply in ask_all(*hello, first) {
+                assert_eq!(reply.unwrap(), reject(*reason), "{rung}");
+            }
+        }
+        // A set that opens with anything but a SessionRequest is hung up
+        // on, not answered.
+        for reply in ask_all(1, &CtrlMsg::MrRequest { session: 1 }) {
+            assert!(reply.is_err(), "{reply:?}");
+        }
+
+        // Saturation rungs: a typed busy carrying the retry hint. Session
+        // A holds 8 of the 9 arena slots — the table has room, the arena
+        // does not.
+        let busy = CtrlMsg::SessionBusy {
+            session: 1,
+            retry_after_ms: 77,
+        };
+        let (small, big) = (req(BLK, 1, BLK), req(BLK, 1, 8 * BLK));
+        let admitted = |m: CtrlMsg| matches!(m, CtrlMsg::SessionAccept { .. });
+        let mut a = connect_streams(addr, 1, 0).unwrap();
+        assert!(admitted(ask(&mut a, &big).unwrap()));
+        for reply in ask_all(1, &big) {
+            assert_eq!(reply.unwrap(), busy, "arena exhausted");
+        }
+        // Session B takes the last slot and the last table entry.
+        let mut b = connect_streams(addr, 1, 0).unwrap();
+        assert!(admitted(ask(&mut b, &small).unwrap()));
+        // Sets that will ask only once the daemon is draining. Their
+        // hellos go out here, so the two round trips below put them
+        // through the accept loop before `shutdown` stops it.
+        let mut late_tcp = connect_streams(addr, 1, 0).unwrap();
+        #[cfg(target_os = "linux")]
+        let mut late_shm = shm.then(|| shm_streams(&sock, 1));
+        for reply in ask_all(1, &small) {
+            assert_eq!(reply.unwrap(), busy, "session table full");
+        }
+        handle.shutdown();
+        assert_eq!(ask(&mut late_tcp, &small).unwrap(), busy, "draining");
+        #[cfg(target_os = "linux")]
+        if let Some(s) = &mut late_shm {
+            assert_eq!(ask(s, &small).unwrap(), busy, "draining");
+        }
+
+        // Abandon A and B (their threads fail out on EOF) and drain.
+        drop((a, b));
+        let r = jh.join().expect("daemon must not panic").unwrap();
+        assert_eq!(r.rejected_geometry, ways * geometry.len() as u64);
+        assert_eq!(r.dropped_preadmission, ways, "{r:?}");
+        assert_eq!(r.rejected_busy, ways * 3, "{r:?}");
+        assert_eq!((r.served, r.failed, r.shm_sessions), (2, 2, 0), "{r:?}");
+    }
+
     /// A rejected peer that keeps trickling bytes on its control stream
     /// must not pin the reply thread past the drain's total bound — the
     /// daemon still shuts down promptly.
@@ -1284,7 +1106,7 @@ mod tests {
         };
         let (addr, handle, jh) = start(cfg);
         let mut streams = connect_streams(addr, 1, 0).unwrap();
-        let reply = request(&mut streams, 64 * 1024); // block > slot_cap
+        let reply = ask(&mut streams, &req(64 * 1024, 1, 1 << 20)).unwrap(); // block > slot_cap
         assert!(matches!(reply, CtrlMsg::SessionReject { .. }), "{reply:?}");
 
         let mut wr = streams.ctrl.try_clone().unwrap();

@@ -58,10 +58,7 @@ pub use hist::{NsHist, StageTails};
 pub use net::{connect_source, NetListener};
 pub use netem::{wrap_pair, wrap_sink, wrap_source, wrap_source_datapath, WanProfile};
 pub use pipeline::{run_live, try_run_live, LiveConfig, LiveReport, StageBreakdown};
-pub use shm::{
-    connect_source_shm, connect_source_shm_or_tcp, run_shm_sink, shm_supported, ShmListener,
-    ShmSessionStreams,
-};
+pub use shm::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};
 pub use split::{run_split_pair, run_split_pair_wan, run_split_sink, run_split_source};
 pub use store::{BlockPool, FileSink, FileSource, RatePacer, SlotBuf, STORE_ALIGN};
 pub use transport::{channel_transport, SinkTransport, SourceTransport, UringStats};

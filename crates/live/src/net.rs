@@ -21,6 +21,14 @@
 //! is transport preamble, not protocol — the control and data frames
 //! after it are unchanged.
 //!
+//! This module is also the **session front door of every socket
+//! family**: the assembler, the bounded read of the opening
+//! `SessionRequest` (`read_first_request`) and the accept policy
+//! (`accept_into`) are generic over `SessionSocket`, which
+//! [`crate::shm`] implements for unix sockets — an shm session is the
+//! same hello grouping with one data stream (the notify stream, index
+//! 0) whatever channel count its control hello announces.
+//!
 //! Assembly is *tolerant*: hellos are read on short-lived reader
 //! threads under a deadline — never on the accept thread, so a silent
 //! connection parks one helper, not the listener — a connection that
@@ -68,6 +76,7 @@ use rftp_core::wire::{
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -392,11 +401,52 @@ impl DataRx for NetDataRx {
     }
 }
 
+/// What the session front door needs of a connected stream socket.
+/// Implemented for `TcpStream` here and for `UnixStream` in
+/// [`crate::shm`], so hello assembly, the admission ladder and the
+/// accept policy are written once for every way into a sink.
+pub(crate) trait SessionSocket: Read + Write + Send + Sized + 'static {
+    fn try_clone(&self) -> io::Result<Self>;
+    fn shutdown(&self, how: Shutdown) -> io::Result<()>;
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()>;
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+    /// Tune a stream of hello `kind` as it joins its set.
+    fn tune(&self, kind: u8, sockbuf: usize) -> io::Result<()>;
+    /// How many data streams a control hello announcing `channels`
+    /// opens, at indices `0..n`.
+    fn data_streams(channels: usize) -> usize;
+}
+
+impl SessionSocket for TcpStream {
+    fn try_clone(&self) -> io::Result<Self> {
+        TcpStream::try_clone(self)
+    }
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        TcpStream::shutdown(self, how)
+    }
+    fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+        TcpStream::set_read_timeout(self, dur)
+    }
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
+    }
+    fn tune(&self, kind: u8, sockbuf: usize) -> io::Result<()> {
+        if kind == KIND_CTRL {
+            return self.set_nodelay(true);
+        }
+        set_sockbuf(self, sockbuf);
+        Ok(())
+    }
+    fn data_streams(channels: usize) -> usize {
+        channels
+    }
+}
+
 /// Shutdown hooks over a set of socket handles. `try_clone`d handles
 /// alias the underlying socket, so shutting the clone down shuts the
 /// live stream down — that is exactly what lets these hooks unblock
 /// readers and writers owned by other threads.
-pub(crate) fn shutdown_all(socks: &[TcpStream], how: Shutdown) {
+pub(crate) fn shutdown_all<S: SessionSocket>(socks: &[S], how: Shutdown) {
     for s in socks {
         let _ = s.shutdown(how); // already-gone peers are fine
     }
@@ -407,17 +457,31 @@ pub(crate) fn shutdown_all(socks: &[TcpStream], how: Shutdown) {
 // ---------------------------------------------------------------------------
 
 /// The raw connected socket set for one session, before a backend wraps
-/// it: the control stream plus the per-channel data streams, hellos
-/// already exchanged, `TCP_NODELAY` on control, buffers sized on data.
-/// The TCP backend wraps these in blocking reader/writer threads; the
-/// io_uring backend hands the same sockets to a ring — the wire is
-/// byte-identical either way.
-pub(crate) struct SessionStreams {
-    pub(crate) ctrl: TcpStream,
-    pub(crate) data: Vec<TcpStream>,
+/// it: the control stream plus the data streams its hello opened (one
+/// per channel on TCP, the one notify stream on shm), hellos already
+/// exchanged and each stream tuned for its kind. The TCP backend wraps
+/// these in blocking reader/writer threads; the io_uring backend hands
+/// the same sockets to a ring — the wire is byte-identical either way.
+pub(crate) struct SessionStreams<S = TcpStream> {
+    pub(crate) ctrl: S,
+    pub(crate) data: Vec<S>,
     /// The hello token this connection set announced (the daemon keys
     /// its session table on it; one-shot mode ignores it).
     pub(crate) token: u64,
+    /// The channel count the control hello announced — what admission
+    /// checks the `SessionRequest` against.
+    pub(crate) channels: usize,
+}
+
+impl<S: SessionSocket> SessionStreams<S> {
+    /// One aliasing handle per socket of the set, control first — what
+    /// an abort hook shuts down to unblock the session's threads.
+    pub(crate) fn handles(&self) -> io::Result<Vec<S>> {
+        std::iter::once(&self.ctrl)
+            .chain(&self.data)
+            .map(S::try_clone)
+            .collect()
+    }
 }
 
 /// Dial a sink listening at `addr` and run the hello exchange: control
@@ -442,7 +506,12 @@ pub(crate) fn connect_streams(
         write_hello(&mut s, KIND_DATA, ch as u16, token)?;
         data.push(s);
     }
-    Ok(SessionStreams { ctrl, data, token })
+    Ok(SessionStreams {
+        ctrl,
+        data,
+        token,
+        channels,
+    })
 }
 
 /// Connect the source half to a sink listening at `addr`: control stream
@@ -453,22 +522,17 @@ pub fn connect_source(
     channels: usize,
     sockbuf: usize,
 ) -> io::Result<SourceTransport> {
-    let SessionStreams {
-        ctrl,
-        data: streams,
-        token: _,
-    } = connect_streams(addr, channels, sockbuf)?;
-    let mut data: Vec<Box<dyn DataTx>> = Vec::with_capacity(streams.len());
-    let mut handles = vec![ctrl.try_clone()?];
-    for s in streams {
-        handles.push(s.try_clone()?);
-        data.push(Box::new(NetDataTx(Mutex::new(s))));
-    }
-    let handles = Arc::new(handles);
-    let ctrl_rd = ctrl.try_clone()?;
+    let streams = connect_streams(addr, channels, sockbuf)?;
+    let handles = Arc::new(streams.handles()?);
+    let data: Vec<Box<dyn DataTx>> = streams
+        .data
+        .into_iter()
+        .map(|s| Box::new(NetDataTx(Mutex::new(s))) as Box<dyn DataTx>)
+        .collect();
+    let ctrl_rd = streams.ctrl.try_clone()?;
     let shutdown_handles = handles.clone();
     Ok(SourceTransport {
-        ctrl_tx: Arc::new(NetCtrlTx(Mutex::new(ctrl))),
+        ctrl_tx: Arc::new(NetCtrlTx(Mutex::new(streams.ctrl))),
         ctrl_rx: Box::new(NetCtrlRx::new(ctrl_rd)),
         data: Arc::new(data),
         register: Box::new(|_| Ok(())),
@@ -491,30 +555,10 @@ impl NetListener {
         self.0.local_addr()
     }
 
-    /// Accept one source's full connection set (control + its announced
-    /// channel count of data streams, in any arrival order) as raw
-    /// streams, hellos consumed. Connections that stall or die during
-    /// the hello, and partial sets whose source gave up, are dropped —
-    /// the loop keeps accepting until some source completes a set.
+    /// Accept one source's full connection set as raw streams, hellos
+    /// consumed — see [`accept_set`].
     pub(crate) fn accept_streams(&self, sockbuf: usize) -> io::Result<SessionStreams> {
-        let mut asm = StreamAssembler::new(sockbuf);
-        loop {
-            let (s, _) = self.0.accept()?;
-            asm.offer(s);
-            // Drain the hello reads this connection may have unblocked
-            // before parking in accept again; a set completes here the
-            // moment its last hello lands.
-            loop {
-                if let Some(done) = asm.poll() {
-                    return Ok(done);
-                }
-                if !asm.hellos_pending() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            asm.sweep_stale(Instant::now());
-        }
+        accept_set(|| self.0.accept().map(|(s, _)| s), sockbuf)
     }
 
     /// Accept one source's full connection set, then read the opening
@@ -522,24 +566,16 @@ impl NetListener {
     /// payload is in flight. Returns the connected transport and that
     /// first control frame — pass it to [`crate::run_split_sink`] as
     /// `first_ctrl`.
-    ///
-    /// The request read is bounded: a source that completes its hellos
-    /// and then goes silent produces a timeout error here, it cannot
-    /// park the one-shot sink forever.
     pub fn accept_session(&self, sockbuf: usize) -> io::Result<(SinkTransport, CtrlMsg)> {
         let mut streams = self.accept_streams(sockbuf)?;
-        streams.ctrl.set_read_timeout(Some(HELLO_TIMEOUT))?;
-        let first = read_one_ctrl_frame(&mut streams.ctrl)?;
-        streams.ctrl.set_read_timeout(None)?;
+        let first = read_first_request(&mut streams.ctrl)?;
         Ok((sink_transport_from_streams(streams)?, first))
     }
 }
 
 /// Byte-exact read of one length-prefixed control frame — never reads
 /// past the frame, so whatever takes the stream over next (a
-/// `FrameDecoder`, an io_uring) starts on a frame boundary. The daemon
-/// reads each session's opening `SessionRequest` this way before
-/// deciding admission.
+/// `FrameDecoder`, an io_uring) starts on a frame boundary.
 pub(crate) fn read_one_ctrl_frame(s: &mut impl Read) -> io::Result<CtrlMsg> {
     use rftp_core::wire::{MAX_FRAME_BODY, MIN_FRAME_BODY};
     let mut prefix = [0u8; FRAME_PREFIX_LEN];
@@ -553,23 +589,26 @@ pub(crate) fn read_one_ctrl_frame(s: &mut impl Read) -> io::Result<CtrlMsg> {
     CtrlMsg::decode(&body).map_err(|e| proto_err(format!("bad control frame: {e:?}")))
 }
 
+/// Read an assembled set's opening `SessionRequest` off its control
+/// stream before anything is sized or admitted. Bounded by
+/// [`HELLO_TIMEOUT`]: a source that completes its hellos and then goes
+/// silent is a timeout error here — it can neither park a one-shot sink
+/// nor wedge a daemon's admission.
+pub(crate) fn read_first_request<S: SessionSocket>(ctrl: &mut S) -> io::Result<CtrlMsg> {
+    ctrl.set_read_timeout(Some(HELLO_TIMEOUT))?;
+    let first = read_one_ctrl_frame(ctrl)?;
+    ctrl.set_read_timeout(None)?;
+    Ok(first)
+}
+
 /// Wrap an assembled connection set as a TCP [`SinkTransport`] — the
 /// tail of [`NetListener::accept_session`], callable on its own by the
-/// daemon (which assembles streams and reads the `SessionRequest`
-/// itself during admission).
+/// daemon (whose admission ladder reads the `SessionRequest` itself).
 pub(crate) fn sink_transport_from_streams(streams: SessionStreams) -> io::Result<SinkTransport> {
-    let SessionStreams {
-        ctrl,
-        data: data_streams,
-        token: _,
-    } = streams;
-    let mut handles = vec![ctrl.try_clone()?];
-    for s in &data_streams {
-        handles.push(s.try_clone()?);
-    }
-    let ctrl_wr = ctrl.try_clone()?;
-    let ctrl_rx = NetCtrlRx::new(ctrl);
-    let data: Vec<Box<dyn DataRx>> = data_streams
+    let handles = streams.handles()?;
+    let ctrl_wr = streams.ctrl.try_clone()?;
+    let data: Vec<Box<dyn DataRx>> = streams
+        .data
         .into_iter()
         .map(|stream| {
             Box::new(NetDataRx {
@@ -580,28 +619,23 @@ pub(crate) fn sink_transport_from_streams(streams: SessionStreams) -> io::Result
         .collect();
     Ok(SinkTransport {
         ctrl_tx: Arc::new(NetCtrlTx(Mutex::new(ctrl_wr))),
-        ctrl_rx: Box::new(ctrl_rx),
+        ctrl_rx: Box::new(NetCtrlRx::new(streams.ctrl)),
         data,
         abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),
     })
 }
 
 /// One session's connections collected so far, keyed by hello token.
-struct PendingSet {
-    ctrl: Option<TcpStream>,
+struct PendingSet<S> {
+    ctrl: Option<S>,
     /// Channel count announced by the control hello (0 until it lands).
     channels: usize,
     /// Data streams that arrived before the control hello, by index.
-    early: Vec<(u16, TcpStream)>,
-    data: Vec<Option<TcpStream>>,
+    early: Vec<(u16, S)>,
+    /// One slot per data stream the control hello opened.
+    data: Vec<Option<S>>,
     placed: usize,
     since: Instant,
-}
-
-impl PendingSet {
-    fn complete(&self) -> bool {
-        self.ctrl.is_some() && self.channels > 0 && self.placed == self.channels
-    }
 }
 
 /// Parsed hello fields: (kind, index, token).
@@ -609,11 +643,11 @@ type Hello = (u8, u16, u64);
 
 /// Completed hello exchanges, handed from the reader threads back to
 /// the assembler's accept-loop side.
-struct HelloQueue {
+struct HelloQueue<S> {
     /// Sockets whose hello parsed cleanly, with the parsed fields.
-    ready: Mutex<Vec<(TcpStream, Hello)>>,
+    ready: Mutex<Vec<(S, Hello)>>,
     /// Reader threads still waiting on a hello (or about to push).
-    outstanding: std::sync::atomic::AtomicUsize,
+    outstanding: AtomicUsize,
 }
 
 /// Cap on concurrently pending hello reads: a flood of silent
@@ -631,28 +665,33 @@ const MAX_PENDING_HELLOS: usize = 256;
 /// note in the module docs; a partial set older than
 /// [`STALE_SESSION_TIMEOUT`] is swept.
 ///
+/// The grouping rule is one for every socket family: the control
+/// hello's index is the session's channel count, and it opens
+/// [`SessionSocket::data_streams`] data streams — one per channel on
+/// TCP, the single notify stream (index 0) on shm.
+///
 /// Hello reads happen on short-lived reader threads: [`offer`] returns
 /// immediately and [`poll`] assembles whatever hellos have landed, so
 /// the accept loop that feeds [`offer`] never blocks on a client.
 ///
 /// [`offer`]: StreamAssembler::offer
 /// [`poll`]: StreamAssembler::poll
-pub(crate) struct StreamAssembler {
-    pending: HashMap<u64, PendingSet>,
-    completed: Vec<SessionStreams>,
+pub(crate) struct StreamAssembler<S = TcpStream> {
+    pending: HashMap<u64, PendingSet<S>>,
+    completed: Vec<SessionStreams<S>>,
     sockbuf: usize,
-    hellos: Arc<HelloQueue>,
+    hellos: Arc<HelloQueue<S>>,
 }
 
-impl StreamAssembler {
-    pub(crate) fn new(sockbuf: usize) -> StreamAssembler {
+impl<S: SessionSocket> StreamAssembler<S> {
+    pub(crate) fn new(sockbuf: usize) -> StreamAssembler<S> {
         StreamAssembler {
             pending: HashMap::new(),
             completed: Vec::new(),
             sockbuf,
             hellos: Arc::new(HelloQueue {
                 ready: Mutex::new(Vec::new()),
-                outstanding: std::sync::atomic::AtomicUsize::new(0),
+                outstanding: AtomicUsize::new(0),
             }),
         }
     }
@@ -662,8 +701,7 @@ impl StreamAssembler {
     /// call returns immediately. Collect assembled sets via [`poll`].
     ///
     /// [`poll`]: StreamAssembler::poll
-    pub(crate) fn offer(&mut self, s: TcpStream) {
-        use std::sync::atomic::Ordering;
+    pub(crate) fn offer(&mut self, s: S) {
         // The reader does a blocking read with a timeout; make sure the
         // socket didn't inherit a listener's nonblocking flag.
         if s.set_nonblocking(false).is_err() {
@@ -700,14 +738,13 @@ impl StreamAssembler {
     ///
     /// [`poll`]: StreamAssembler::poll
     pub(crate) fn hellos_pending(&self) -> bool {
-        use std::sync::atomic::Ordering;
         self.hellos.outstanding.load(Ordering::Acquire) > 0 || !self.hellos.ready.lock().is_empty()
     }
 
     /// Assemble every hello that has landed since the last call and pop
     /// one completed session set, if any. Never blocks.
-    pub(crate) fn poll(&mut self) -> Option<SessionStreams> {
-        let batch: Vec<(TcpStream, Hello)> = {
+    pub(crate) fn poll(&mut self) -> Option<SessionStreams<S>> {
+        let batch: Vec<(S, Hello)> = {
             let mut ready = self.hellos.ready.lock();
             ready.drain(..).collect()
         };
@@ -720,7 +757,7 @@ impl StreamAssembler {
     /// Place one hello-bearing connection into its token's pending set.
     /// A violation drops this connection only — the set survives, so a
     /// stranger who learned the token cannot destroy it.
-    fn assemble(&mut self, s: TcpStream, kind: u8, index: u16, token: u64) {
+    fn assemble(&mut self, s: S, kind: u8, index: u16, token: u64) {
         let set = self.pending.entry(token).or_insert_with(|| PendingSet {
             ctrl: None,
             channels: 0,
@@ -729,17 +766,16 @@ impl StreamAssembler {
             placed: 0,
             since: Instant::now(),
         });
+        let sockbuf = self.sockbuf;
         match kind {
             KIND_CTRL => {
-                if set.ctrl.is_some() || index == 0 || s.set_nodelay(true).is_err() {
+                if set.ctrl.is_some() || index == 0 || s.tune(KIND_CTRL, sockbuf).is_err() {
                     return; // duplicate or malformed control: drop it alone
                 }
                 set.channels = index as usize;
-                set.data = (0..set.channels).map(|_| None).collect();
+                set.data = (0..S::data_streams(set.channels)).map(|_| None).collect();
                 set.ctrl = Some(s);
-                let early = std::mem::take(&mut set.early);
-                let sockbuf = self.sockbuf;
-                for (ix, es) in early {
+                for (ix, es) in std::mem::take(&mut set.early) {
                     // A misindexed early stream is dropped alone too.
                     if place_data(&mut set.data, ix, es, sockbuf).is_ok() {
                         set.placed += 1;
@@ -749,12 +785,12 @@ impl StreamAssembler {
             _ => {
                 if set.ctrl.is_none() {
                     set.early.push((index, s));
-                } else if place_data(&mut set.data, index, s, self.sockbuf).is_ok() {
+                } else if place_data(&mut set.data, index, s, sockbuf).is_ok() {
                     set.placed += 1;
                 }
             }
         }
-        if set.complete() {
+        if set.ctrl.is_some() && set.placed == set.data.len() {
             let set = self.pending.remove(&token).unwrap();
             self.completed.push(SessionStreams {
                 ctrl: set.ctrl.expect("complete set has control"),
@@ -764,6 +800,7 @@ impl StreamAssembler {
                     .map(|s| s.expect("complete set has every data stream"))
                     .collect(),
                 token,
+                channels: set.channels,
             });
         }
     }
@@ -776,25 +813,114 @@ impl StreamAssembler {
     }
 }
 
-fn place_data(
-    slots: &mut [Option<TcpStream>],
+fn place_data<S: SessionSocket>(
+    slots: &mut [Option<S>],
     index: u16,
-    s: TcpStream,
+    s: S,
     sockbuf: usize,
 ) -> io::Result<()> {
     let ix = index as usize;
     if ix >= slots.len() {
         return Err(proto_err(format!(
-            "data stream index {ix} out of range for {} channels",
+            "data stream index {ix} out of range for {} data streams",
             slots.len()
         )));
     }
     if slots[ix].is_some() {
         return Err(proto_err(format!("duplicate data stream index {ix}")));
     }
-    set_sockbuf(&s, sockbuf);
+    s.tune(KIND_DATA, sockbuf)?;
     slots[ix] = Some(s);
     Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Accept policy
+// ---------------------------------------------------------------------------
+
+/// What a failed `accept` means for the loop that called it.
+#[derive(Debug, PartialEq, Eq)]
+enum AcceptVerdict {
+    /// Non-blocking listener, empty queue: nothing to take right now.
+    Drained,
+    /// Not the listener's fault — a signal, or a stranger's reset
+    /// between SYN and accept (routine under load): accept again.
+    Retry,
+    /// Out of file descriptors during a burst: shed load and come back
+    /// rather than taking down the sink (and its in-flight sessions).
+    BackOff,
+    /// The listener itself is broken.
+    Fatal,
+}
+
+fn accept_verdict(e: &io::Error) -> AcceptVerdict {
+    // ENFILE/EMFILE have no stable `io::ErrorKind`; match the raw errno
+    // (same values on Linux and the BSDs).
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    match e.kind() {
+        io::ErrorKind::WouldBlock => AcceptVerdict::Drained,
+        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted => AcceptVerdict::Retry,
+        _ if matches!(e.raw_os_error(), Some(ENFILE | EMFILE)) => AcceptVerdict::BackOff,
+        _ => AcceptVerdict::Fatal,
+    }
+}
+
+/// The accept policy of every listener, one-shot or daemon, blocking or
+/// not: take one connection and [`offer`] it to `asm` — which hands the
+/// hello read to a helper thread and returns at once, so a silent
+/// client cannot stall the caller. `Ok(true)`: call again, there may be
+/// more; `Ok(false)`: nothing to take right now (queue drained, or out
+/// of descriptors and backed off 50 ms); `Err`: the listener is broken.
+///
+/// [`offer`]: StreamAssembler::offer
+pub(crate) fn accept_into<S: SessionSocket>(
+    accept: impl FnOnce() -> io::Result<S>,
+    asm: &mut StreamAssembler<S>,
+) -> io::Result<bool> {
+    match accept() {
+        Ok(s) => {
+            asm.offer(s);
+            Ok(true)
+        }
+        Err(e) => match accept_verdict(&e) {
+            AcceptVerdict::Drained => Ok(false),
+            AcceptVerdict::Retry => Ok(true),
+            AcceptVerdict::BackOff => {
+                std::thread::sleep(Duration::from_millis(50));
+                Ok(false)
+            }
+            AcceptVerdict::Fatal => Err(e),
+        },
+    }
+}
+
+/// A one-shot sink's accept loop: one source's full connection set
+/// (control + the data streams its hello opened, in any arrival order),
+/// hellos consumed. Connections that stall or die during the hello, and
+/// partial sets whose source gave up, are dropped — the loop keeps
+/// accepting until some source completes a set.
+pub(crate) fn accept_set<S: SessionSocket>(
+    mut accept: impl FnMut() -> io::Result<S>,
+    sockbuf: usize,
+) -> io::Result<SessionStreams<S>> {
+    let mut asm = StreamAssembler::new(sockbuf);
+    loop {
+        accept_into(&mut accept, &mut asm)?;
+        // Drain the hello reads this connection may have unblocked
+        // before parking in accept again; a set completes here the
+        // moment its last hello lands.
+        loop {
+            if let Some(done) = asm.poll() {
+                return Ok(done);
+            }
+            if !asm.hellos_pending() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        asm.sweep_stale(Instant::now());
+    }
 }
 
 /// The default socket-buffer size for a transfer: each data stream
@@ -837,22 +963,9 @@ mod tests {
         drop(t.join().unwrap());
     }
 
-    /// Poll the assembler until a set completes or `deadline` passes.
-    fn poll_until(asm: &mut StreamAssembler, deadline: Duration) -> Option<SessionStreams> {
-        let t0 = Instant::now();
-        loop {
-            if let Some(s) = asm.poll() {
-                return Some(s);
-            }
-            if t0.elapsed() > deadline {
-                return None;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    /// Assemble until every offered hello has landed and been polled.
-    fn settle(asm: &mut StreamAssembler) -> Option<SessionStreams> {
+    /// Assemble until a set completes, or every offered hello has landed
+    /// and been polled without completing one.
+    fn settle<S: SessionSocket>(asm: &mut StreamAssembler<S>) -> Option<SessionStreams<S>> {
         loop {
             if let Some(s) = asm.poll() {
                 return Some(s);
@@ -864,17 +977,60 @@ mod tests {
         }
     }
 
+    /// A way in, as the assembler tests see it: `accept` takes the next
+    /// queued connection off a listener, `connect` dials it. Both
+    /// kernels complete a connect into the backlog, so the tests dial
+    /// and accept from one thread.
+    struct Door<S> {
+        accept: Box<dyn Fn() -> S>,
+        connect: Box<dyn Fn() -> S>,
+    }
+
+    impl<S: SessionSocket> Door<S> {
+        /// Dial, say `hello`, and offer the accepted end to `asm`.
+        /// Returns the client end — dropping it hangs up.
+        fn dial(&self, asm: &mut StreamAssembler<S>, kind: u8, index: u16, token: u64) -> S {
+            let mut c = (self.connect)();
+            write_hello(&mut c, kind, index, token).unwrap();
+            asm.offer((self.accept)());
+            c
+        }
+    }
+
+    fn tcp_door() -> Door<TcpStream> {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = l.local_addr().unwrap();
+        Door {
+            accept: Box::new(move || l.accept().unwrap().0),
+            connect: Box::new(move || TcpStream::connect(addr).unwrap()),
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    fn unix_door(tag: &str) -> Door<std::os::unix::net::UnixStream> {
+        let name = format!("rftp-door-{tag}-{}.sock", std::process::id());
+        let l = crate::shm::ShmListener::bind(std::env::temp_dir().join(name)).unwrap();
+        let path = l.path().to_path_buf();
+        Door {
+            accept: Box::new(move || l.accept().unwrap()),
+            connect: Box::new(move || std::os::unix::net::UnixStream::connect(&path).unwrap()),
+        }
+    }
+
     /// A connection that never sends its hello must park a helper
     /// thread, not the accept path: `offer` returns immediately and a
     /// real session assembles while the silent one still pends.
     #[test]
     fn silent_connection_does_not_block_assembly() {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap();
-        let mut asm = StreamAssembler::new(0);
+        silent_connection(tcp_door());
+        #[cfg(target_os = "linux")]
+        silent_connection(unix_door("silent"));
+    }
 
-        let _silent = TcpStream::connect(addr).unwrap();
-        let (s, _) = l.accept().unwrap();
+    fn silent_connection<S: SessionSocket>(door: Door<S>) {
+        let mut asm = StreamAssembler::new(0);
+        let _silent = (door.connect)();
+        let s = (door.accept)();
         let t0 = Instant::now();
         asm.offer(s);
         assert!(
@@ -883,26 +1039,16 @@ mod tests {
             t0.elapsed()
         );
 
-        let client = std::thread::spawn(move || {
-            let mut ctrl = TcpStream::connect(addr).unwrap();
-            write_hello(&mut ctrl, KIND_CTRL, 1, 0x1234).unwrap();
-            let mut data = TcpStream::connect(addr).unwrap();
-            write_hello(&mut data, KIND_DATA, 0, 0x1234).unwrap();
-            (ctrl, data)
-        });
-        for _ in 0..2 {
-            let (s, _) = l.accept().unwrap();
-            asm.offer(s);
-        }
-        let set = poll_until(&mut asm, HELLO_TIMEOUT)
-            .expect("session must assemble while the silent connection pends");
+        let _ctrl = door.dial(&mut asm, KIND_CTRL, 1, 0x1234);
+        let _data = door.dial(&mut asm, KIND_DATA, 0, 0x1234);
+        let set =
+            settle(&mut asm).expect("session must assemble while the silent connection pends");
         assert_eq!(set.token, 0x1234);
-        assert_eq!(set.data.len(), 1);
+        assert_eq!((set.channels, set.data.len()), (1, 1));
         assert!(
             t0.elapsed() < HELLO_TIMEOUT,
             "assembly waited out the silent connection's timeout"
         );
-        drop(client.join().unwrap());
     }
 
     /// Tokens are unauthenticated, so a third party that learns one must
@@ -910,48 +1056,87 @@ mod tests {
     /// control hello is dropped alone and the victim still assembles.
     #[test]
     fn duplicate_control_hello_drops_offender_not_the_victim_set() {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap();
+        duplicate_control(tcp_door());
+        #[cfg(target_os = "linux")]
+        duplicate_control(unix_door("dupctrl"));
+    }
+
+    fn duplicate_control<S: SessionSocket>(door: Door<S>) {
         let mut asm = StreamAssembler::new(0);
         const TOKEN: u64 = 0xDEAD_BEEF;
-
-        let victim_ctrl = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_hello(&mut s, KIND_CTRL, 1, TOKEN).unwrap();
-            s
-        });
-        let (s, _) = l.accept().unwrap();
-        asm.offer(s);
+        let _victim_ctrl = door.dial(&mut asm, KIND_CTRL, 1, TOKEN);
         assert!(settle(&mut asm).is_none(), "set is still partial");
 
         // The attacker replays a control hello under the stolen token.
-        let attacker = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_hello(&mut s, KIND_CTRL, 1, TOKEN).unwrap();
-            s
-        });
-        let (s, _) = l.accept().unwrap();
-        asm.offer(s);
+        let _attacker = door.dial(&mut asm, KIND_CTRL, 1, TOKEN);
         assert!(
             settle(&mut asm).is_none(),
             "duplicate control dropped alone"
         );
 
         // The victim's data stream still completes its set.
-        let victim_data = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            write_hello(&mut s, KIND_DATA, 0, TOKEN).unwrap();
-            s
-        });
-        let (s, _) = l.accept().unwrap();
-        asm.offer(s);
-        let set = poll_until(&mut asm, HELLO_TIMEOUT)
-            .expect("victim's set must survive the attacker's duplicate");
+        let _victim_data = door.dial(&mut asm, KIND_DATA, 0, TOKEN);
+        let set = settle(&mut asm).expect("victim's set must survive the attacker's duplicate");
         assert_eq!(set.token, TOKEN);
         assert_eq!(set.data.len(), 1);
-        drop(victim_ctrl.join().unwrap());
-        drop(attacker.join().unwrap());
-        drop(victim_data.join().unwrap());
+    }
+
+    /// Data hellos may land before their control hello: they wait, and
+    /// when the control hello announces two channels each is placed or
+    /// dropped *alone* — TCP places both indices; shm has exactly one
+    /// data stream (the notify stream, index 0), so its index 1 is hung
+    /// up on and the pair still assembles.
+    #[test]
+    fn early_data_stream_waits_for_its_control_hello() {
+        early_data(tcp_door());
+        #[cfg(target_os = "linux")]
+        early_data(unix_door("early"));
+    }
+
+    fn early_data<S: SessionSocket>(door: Door<S>) {
+        let mut asm = StreamAssembler::new(0);
+        const TOKEN: u64 = 0xEA21;
+        let _d0 = door.dial(&mut asm, KIND_DATA, 0, TOKEN);
+        let mut d1 = door.dial(&mut asm, KIND_DATA, 1, TOKEN);
+        assert!(settle(&mut asm).is_none(), "no control hello yet");
+
+        let _ctrl = door.dial(&mut asm, KIND_CTRL, 2, TOKEN);
+        let set = settle(&mut asm).expect("control hello completes the set");
+        assert_eq!(set.channels, 2, "the announced count rides with the set");
+        assert_eq!(set.data.len(), S::data_streams(2));
+        d1.set_read_timeout(Some(Duration::from_millis(100)))
+            .unwrap();
+        let hung_up = matches!(d1.read(&mut [0u8; 1]), Ok(0));
+        assert_eq!(hung_up, S::data_streams(2) < 2, "index 1 placed or dropped");
+    }
+
+    /// The accept policy as a table: which `accept` errors mean "queue
+    /// empty", "try again", "shed load and come back" and "the listener
+    /// is broken", and what `accept_into` does about each — the one-shot
+    /// listeners used to `?` every one of these and die on a stranger's
+    /// reset.
+    #[test]
+    fn accept_policy_classifies_every_error() {
+        use io::ErrorKind::*;
+        let table = [
+            (io::Error::from(WouldBlock), AcceptVerdict::Drained),
+            (io::Error::from(Interrupted), AcceptVerdict::Retry),
+            (io::Error::from(ConnectionAborted), AcceptVerdict::Retry),
+            (io::Error::from_raw_os_error(23), AcceptVerdict::BackOff), // ENFILE
+            (io::Error::from_raw_os_error(24), AcceptVerdict::BackOff), // EMFILE
+            (io::Error::from(PermissionDenied), AcceptVerdict::Fatal),
+            (io::Error::from_raw_os_error(9), AcceptVerdict::Fatal), // EBADF
+        ];
+        let mut asm = StreamAssembler::<TcpStream>::new(0);
+        for (e, want) in table {
+            assert_eq!(accept_verdict(&e), want, "{e}");
+            let again = accept_into(|| Err(e), &mut asm).ok();
+            assert_eq!(
+                again,
+                (want != AcceptVerdict::Fatal).then_some(want == AcceptVerdict::Retry)
+            );
+        }
+        assert!(!asm.hellos_pending(), "an error offers nothing");
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! * **the window** — payload bytes, written exactly once, by the
 //!   source, directly into the slot the credit named.
 //!
+//! Session set-up is not this module's: both sockets open with the
+//! `net.rs` hello and are grouped by the one
+//! `net::StreamAssembler` — this module only implements its
+//! socket trait for `UnixStream` (nothing to tune; a control hello opens
+//! one data stream, the notify stream at index 0) — and under the
+//! daemon the pair climbs the one admission ladder, which hands it back
+//! to `run_shm_session`, the same runner [`run_shm_sink`] calls.
+//!
 //! ## Window descriptor
 //!
 //! Sent by the sink on the control socket before any control frame,
@@ -80,10 +88,10 @@
 #[cfg(target_os = "linux")]
 mod imp {
     use crate::net::{
-        self, proto_err, read_exact_or_eof, read_one_ctrl_frame, retry_interrupted, write_hello,
-        HELLO_TIMEOUT, KIND_CTRL, KIND_DATA, STALE_SESSION_TIMEOUT,
+        self, proto_err, read_exact_or_eof, retry_interrupted, shutdown_all, write_hello,
+        SessionSocket, SessionStreams, KIND_CTRL, KIND_DATA,
     };
-    use crate::split::run_sink_session;
+    use crate::split::{run_sink_session, FairShare};
     use crate::store::{Mapping, SlotBuf, STORE_ALIGN};
     use crate::transport::{CtrlRx, CtrlTx, DataRx, DataTx, SinkTransport, SourceTransport};
     use crate::{LiveConfig, LiveReport};
@@ -91,16 +99,15 @@ mod imp {
     use rftp_core::wire::{
         CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN, PAYLOAD_HEADER_LEN,
     };
-    use std::collections::HashMap;
     use std::io::{self, Read, Write};
     use std::net::Shutdown;
     use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
     use std::os::unix::fs::PermissionsExt;
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, OnceLock};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
     // -----------------------------------------------------------------
     // Raw syscall shims (no libc dep; precedent: net.rs, uring.rs)
@@ -752,9 +759,28 @@ mod imp {
         }
     }
 
-    fn shutdown_all_unix(socks: &[UnixStream], how: Shutdown) {
-        for s in socks {
-            let _ = s.shutdown(how);
+    /// The unix-socket family of the session front door: nothing to
+    /// tune, and an shm session's data plane is the window — whatever
+    /// channel count its control hello announces, the only data stream
+    /// is the notify stream at index 0.
+    impl SessionSocket for UnixStream {
+        fn try_clone(&self) -> io::Result<Self> {
+            UnixStream::try_clone(self)
+        }
+        fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+            UnixStream::shutdown(self, how)
+        }
+        fn set_read_timeout(&self, dur: Option<Duration>) -> io::Result<()> {
+            UnixStream::set_read_timeout(self, dur)
+        }
+        fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            UnixStream::set_nonblocking(self, nonblocking)
+        }
+        fn tune(&self, _kind: u8, _sockbuf: usize) -> io::Result<()> {
+            Ok(())
+        }
+        fn data_streams(_channels: usize) -> usize {
+            1
         }
     }
 
@@ -800,37 +826,9 @@ mod imp {
             data: Arc::new(data),
             register: Box::new(|_| Ok(())),
             transport_threads: 0,
-            shutdown_write: Box::new(move || shutdown_all_unix(&shutdown_handles, Shutdown::Write)),
-            abort: Arc::new(move || shutdown_all_unix(&handles, Shutdown::Both)),
+            shutdown_write: Box::new(move || shutdown_all(&shutdown_handles, Shutdown::Write)),
+            abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),
         })
-    }
-
-    /// [`connect_source_shm`], with a typed fallback: when the shm
-    /// endpoint does not exist or refuses (sink on another host mounts
-    /// no unix socket here; a dead sink leaves a stale path), dial the
-    /// TCP listener instead. Returns which transport connected so the
-    /// caller can report it — the fallback is a visible downgrade, not
-    /// a silent one.
-    pub fn connect_source_shm_or_tcp(
-        shm_path: impl AsRef<Path>,
-        tcp_addr: impl std::net::ToSocketAddrs + Copy,
-        channels: usize,
-        sockbuf: usize,
-    ) -> io::Result<(SourceTransport, bool)> {
-        match connect_source_shm(shm_path, channels) {
-            Ok(t) => Ok((t, true)),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::NotFound
-                        | io::ErrorKind::ConnectionRefused
-                        | io::ErrorKind::PermissionDenied
-                ) =>
-            {
-                Ok((net::connect_source(tcp_addr, channels, sockbuf)?, false))
-            }
-            Err(e) => Err(e),
-        }
     }
 
     // -----------------------------------------------------------------
@@ -1007,14 +1005,17 @@ mod imp {
     /// [`SinkTransport`]: `channels` notify readers over the one
     /// stream, control framing unchanged, credits re-arming the window
     /// on their way out.
-    pub(crate) fn sink_transport_for_window(
-        ctrl: UnixStream,
-        notify: UnixStream,
+    fn sink_transport_for_window(
+        mut streams: SessionStreams<UnixStream>,
         channels: usize,
         win: Arc<SnkWindow>,
     ) -> io::Result<SinkTransport> {
-        let ctrl_wr = ctrl.try_clone()?;
-        let handles = Arc::new(vec![ctrl.try_clone()?, notify.try_clone()?]);
+        let handles = streams.handles()?;
+        let ctrl_wr = streams.ctrl.try_clone()?;
+        let notify = streams
+            .data
+            .pop()
+            .expect("an shm set has its notify stream");
         let notify = Arc::new(Mutex::new(notify));
         let data: Vec<Box<dyn DataRx>> = (0..channels)
             .map(|_| {
@@ -1030,152 +1031,23 @@ mod imp {
                 inner: net::NetCtrlTx(Mutex::new(ctrl_wr)),
                 win,
             }),
-            ctrl_rx: Box::new(net::NetCtrlRx::new(ctrl)),
+            ctrl_rx: Box::new(net::NetCtrlRx::new(streams.ctrl)),
             data,
-            abort: Arc::new(move || shutdown_all_unix(&handles, Shutdown::Both)),
+            abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),
         })
     }
 
-    // -----------------------------------------------------------------
-    // Session assembly (unix-socket mirror of net::StreamAssembler)
-    // -----------------------------------------------------------------
-
     /// One shm session's connection pair, hellos consumed: the control
-    /// stream (which announced the channel count) and the notify stream.
-    pub struct ShmSessionStreams {
-        pub(crate) ctrl: UnixStream,
-        pub(crate) notify: UnixStream,
-        pub(crate) token: u64,
-        pub(crate) channels: u16,
-    }
+    /// stream (whose hello announced the channel count) and the notify
+    /// stream — assembled by the same `net::StreamAssembler` as a TCP
+    /// set, over unix sockets.
+    pub struct ShmSessionStreams(pub(crate) SessionStreams<UnixStream>);
 
-    struct ShmPendingSet {
-        ctrl: Option<(UnixStream, u16)>,
-        notify: Option<UnixStream>,
-        since: Instant,
-    }
-
-    type Hello = (u8, u16, u64);
-
-    struct ShmHelloQueue {
-        ready: Mutex<Vec<(UnixStream, Hello)>>,
-        outstanding: AtomicUsize,
-    }
-
-    const MAX_PENDING_HELLOS: usize = 256;
-
-    /// Groups accepted unix connections into (control, notify) pairs by
-    /// hello token, with the same tolerance rules as the TCP
-    /// [`net::StreamAssembler`]: hellos read on short-lived helper
-    /// threads under [`HELLO_TIMEOUT`], protocol violations drop the
-    /// offending connection alone, partial pairs are swept after
-    /// [`STALE_SESSION_TIMEOUT`].
-    pub(crate) struct ShmAssembler {
-        pending: HashMap<u64, ShmPendingSet>,
-        completed: Vec<ShmSessionStreams>,
-        hellos: Arc<ShmHelloQueue>,
-    }
-
-    impl ShmAssembler {
-        pub(crate) fn new() -> ShmAssembler {
-            ShmAssembler {
-                pending: HashMap::new(),
-                completed: Vec::new(),
-                hellos: Arc::new(ShmHelloQueue {
-                    ready: Mutex::new(Vec::new()),
-                    outstanding: AtomicUsize::new(0),
-                }),
-            }
-        }
-
-        pub(crate) fn offer(&mut self, s: UnixStream) {
-            if s.set_nonblocking(false).is_err() {
-                return;
-            }
-            if self.hellos.outstanding.load(Ordering::Acquire) >= MAX_PENDING_HELLOS {
-                return;
-            }
-            self.hellos.outstanding.fetch_add(1, Ordering::AcqRel);
-            let q = Arc::clone(&self.hellos);
-            let spawned = std::thread::Builder::new()
-                .name("rftp-shm-hello".into())
-                .spawn(move || {
-                    let mut s = s;
-                    let _ = s.set_read_timeout(Some(HELLO_TIMEOUT));
-                    let hello = net::read_hello(&mut s);
-                    let _ = s.set_read_timeout(None);
-                    if let Ok(h) = hello {
-                        q.ready.lock().push((s, h));
-                    }
-                    q.outstanding.fetch_sub(1, Ordering::AcqRel);
-                })
-                .is_ok();
-            if !spawned {
-                self.hellos.outstanding.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-
-        pub(crate) fn hellos_pending(&self) -> bool {
-            self.hellos.outstanding.load(Ordering::Acquire) > 0
-                || !self.hellos.ready.lock().is_empty()
-        }
-
-        pub(crate) fn poll(&mut self) -> Option<ShmSessionStreams> {
-            let batch: Vec<(UnixStream, Hello)> = {
-                let mut ready = self.hellos.ready.lock();
-                ready.drain(..).collect()
-            };
-            for (s, (kind, index, token)) in batch {
-                self.assemble(s, kind, index, token);
-            }
-            self.completed.pop()
-        }
-
-        fn assemble(&mut self, s: UnixStream, kind: u8, index: u16, token: u64) {
-            let set = self.pending.entry(token).or_insert_with(|| ShmPendingSet {
-                ctrl: None,
-                notify: None,
-                since: Instant::now(),
-            });
-            match kind {
-                KIND_CTRL => {
-                    if set.ctrl.is_some() || index == 0 {
-                        return; // duplicate control or zero channels: drop this conn
-                    }
-                    set.ctrl = Some((s, index));
-                }
-                KIND_DATA => {
-                    // The notify stream is data index 0; an shm session
-                    // has exactly one.
-                    if set.notify.is_some() || index != 0 {
-                        return;
-                    }
-                    set.notify = Some(s);
-                }
-                _ => return,
-            }
-            if set.ctrl.is_some() && set.notify.is_some() {
-                let set = self.pending.remove(&token).unwrap();
-                let (ctrl, channels) = set.ctrl.unwrap();
-                self.completed.push(ShmSessionStreams {
-                    ctrl,
-                    notify: set.notify.unwrap(),
-                    token,
-                    channels,
-                });
-            }
-        }
-
-        pub(crate) fn sweep_stale(&mut self, now: Instant) {
-            self.pending
-                .retain(|_, set| now.duration_since(set.since) < STALE_SESSION_TIMEOUT);
-        }
-    }
-
-    /// The standalone shm sink's accept socket: a unix listener at a
-    /// filesystem path. The path is unlinked on drop (and any stale
-    /// previous path is unlinked at bind), so a crashed sink's leftover
-    /// socket file does not shadow the next run.
+    /// The shm accept socket — a one-shot sink's, or the daemon's second
+    /// way in: a unix listener at a filesystem path. The path is
+    /// unlinked on drop (and any stale previous path is unlinked at
+    /// bind), so a crashed sink's leftover socket file does not shadow
+    /// the next run.
     pub struct ShmListener {
         listener: UnixListener,
         path: PathBuf,
@@ -1200,22 +1072,15 @@ mod imp {
             &self.path
         }
 
-        fn accept_streams(&self) -> io::Result<ShmSessionStreams> {
-            let mut asm = ShmAssembler::new();
-            loop {
-                let (s, _) = self.listener.accept()?;
-                asm.offer(s);
-                loop {
-                    if let Some(done) = asm.poll() {
-                        return Ok(done);
-                    }
-                    if !asm.hellos_pending() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                asm.sweep_stale(Instant::now());
-            }
+        /// The daemon polls its shm endpoint from its one accept loop.
+        pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+            self.listener.set_nonblocking(nonblocking)
+        }
+
+        /// One raw connection, hello unread — feed it to an assembler
+        /// through [`net::accept_into`].
+        pub(crate) fn accept(&self) -> io::Result<UnixStream> {
+            self.listener.accept().map(|(s, _)| s)
         }
 
         /// Accept one source's (control, notify) pair and read the
@@ -1223,11 +1088,9 @@ mod imp {
         /// out rather than parking the sink). Pass both to
         /// [`run_shm_sink`].
         pub fn accept_session(&self) -> io::Result<(ShmSessionStreams, CtrlMsg)> {
-            let mut sess = self.accept_streams()?;
-            sess.ctrl.set_read_timeout(Some(HELLO_TIMEOUT))?;
-            let first = read_one_ctrl_frame(&mut sess.ctrl)?;
-            sess.ctrl.set_read_timeout(None)?;
-            Ok((sess, first))
+            let mut streams = net::accept_set(|| self.accept(), 0)?;
+            let first = net::read_first_request(&mut streams.ctrl)?;
+            Ok((ShmSessionStreams(streams), first))
         }
     }
 
@@ -1297,23 +1160,35 @@ mod imp {
         }
     }
 
-    /// Run the sink half of an shm session accepted by [`ShmListener`]:
-    /// create the memfd window sized to this session's pool, ship the
+    /// Run the sink half of an assembled shm session: create the memfd
+    /// window for **this session alone**, sized to its pool
+    /// (`cfg.pool_blocks` — under the daemon, the arena lease), ship the
     /// descriptor + fd, lay external slot buffers over the window, and
     /// run the standard sink pipeline — whose "placement" is now the
     /// publication check alone.
+    pub(crate) fn run_shm_session(
+        cfg: &LiveConfig,
+        streams: SessionStreams<UnixStream>,
+        first_ctrl: Option<CtrlMsg>,
+        fair: FairShare<'_>,
+    ) -> io::Result<LiveReport> {
+        let sw = SessionWindow::create(cfg.pool_blocks as usize, cfg.block_size)?;
+        sw.send_descriptor(&streams.ctrl)?;
+        let snk_bufs = sw.slot_bufs();
+        let win = Arc::new(sw.into_sink_window());
+        let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
+        let t = sink_transport_for_window(streams, cfg.channels, win)?;
+        run_sink_session(cfg, t, first_ctrl, &view, fair)
+    }
+
+    /// Run the sink half of an shm session accepted by [`ShmListener`]
+    /// over a fresh memfd window of `cfg.pool_blocks` slots.
     pub fn run_shm_sink(
         cfg: &LiveConfig,
         sess: ShmSessionStreams,
         first_ctrl: Option<CtrlMsg>,
     ) -> io::Result<LiveReport> {
-        let sw = SessionWindow::create(cfg.pool_blocks as usize, cfg.block_size)?;
-        sw.send_descriptor(&sess.ctrl)?;
-        let snk_bufs = sw.slot_bufs();
-        let win = Arc::new(sw.into_sink_window());
-        let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-        let t = sink_transport_for_window(sess.ctrl, sess.notify, cfg.channels, win)?;
-        run_sink_session(cfg, t, first_ctrl, &view, None)
+        run_shm_session(cfg, sess.0, first_ctrl, None)
     }
 
     // -----------------------------------------------------------------
@@ -1566,7 +1441,7 @@ mod imp {
                 crate::split::run_split_source(&src_cfg, t)
             });
             let (sess, first) = listener.accept_session().unwrap();
-            assert_eq!(sess.channels as usize, cfg.channels);
+            assert_eq!(sess.0.channels, cfg.channels);
             let snk = run_shm_sink(&cfg, sess, Some(first)).unwrap();
             let src = src.join().unwrap().unwrap();
             assert_eq!(snk.blocks, cfg.total_blocks());
@@ -1603,40 +1478,13 @@ mod imp {
             assert_eq!(snk.checksum_failures, 0, "no torn slots");
             assert!(src.retransmits > 0, "fault injector must have fired");
         }
-
-        /// The different-host rung of the failure ladder: no unix socket
-        /// at the path (that is what "other host" looks like locally),
-        /// so the dial falls back to TCP — typed, visible, and the
-        /// transfer still completes.
-        #[test]
-        fn no_shm_endpoint_falls_back_to_tcp() {
-            let cfg = LiveConfig::new(16 * 1024, 2, 1 << 20);
-            let listener = crate::net::NetListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let bogus = temp_sock("absent");
-            let src_cfg = cfg.clone();
-            let src = std::thread::spawn(move || {
-                let (t, used_shm) = connect_source_shm_or_tcp(&bogus, addr, src_cfg.channels, 0)?;
-                assert!(!used_shm, "fallback must report the downgrade");
-                crate::split::run_split_source(&src_cfg, t)
-            });
-            let (t, first) = listener.accept_session(0).unwrap();
-            let snk = crate::split::run_split_sink(&cfg, t, Some(first)).unwrap();
-            let src = src.join().unwrap().unwrap();
-            assert_eq!(snk.blocks, cfg.total_blocks());
-            assert_eq!(snk.checksum_failures, 0);
-            assert_eq!(src.blocks, cfg.total_blocks());
-        }
     }
 }
 
 #[cfg(target_os = "linux")]
-pub use imp::{
-    connect_source_shm, connect_source_shm_or_tcp, run_shm_sink, shm_supported, ShmListener,
-    ShmSessionStreams,
-};
+pub(crate) use imp::run_shm_session;
 #[cfg(target_os = "linux")]
-pub(crate) use imp::{sink_transport_for_window, SessionWindow, ShmAssembler};
+pub use imp::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};
 
 // ---------------------------------------------------------------------------
 // Stubs for unsupported platforms
@@ -1668,19 +1516,6 @@ mod stub {
         Err(unsupported())
     }
 
-    /// Off Linux the ladder has one rung: straight to TCP.
-    pub fn connect_source_shm_or_tcp(
-        _shm_path: impl AsRef<Path>,
-        tcp_addr: impl std::net::ToSocketAddrs + Copy,
-        channels: usize,
-        sockbuf: usize,
-    ) -> io::Result<(SourceTransport, bool)> {
-        Ok((
-            crate::net::connect_source(tcp_addr, channels, sockbuf)?,
-            false,
-        ))
-    }
-
     pub struct ShmSessionStreams;
 
     pub struct ShmListener;
@@ -1705,7 +1540,4 @@ mod stub {
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use stub::{
-    connect_source_shm, connect_source_shm_or_tcp, run_shm_sink, shm_supported, ShmListener,
-    ShmSessionStreams,
-};
+pub use stub::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};

@@ -4,7 +4,7 @@
 use super::driver::{MultiDriver, Sess, SessionStats, WakeLink};
 use super::ring::{probe, transfer_ring, PbufRing, Ring, RING_ENTRIES};
 use crate::coalesce::channel_events;
-use crate::net::{shutdown_all, NetCtrlTx, NetListener, SessionStreams};
+use crate::net::{read_first_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
 use crate::split::{perr, FairShare, PlaceTally, SinkEvt, SinkSession};
 use crate::store::{BlockPool, SlotBuf};
@@ -87,13 +87,7 @@ pub fn accept_source_uring(
 ) -> io::Result<(UringSinkSession, CtrlMsg)> {
     probe()?;
     let mut streams = listener.accept_streams(sockbuf)?;
-    // Bounded like `accept_session`: a silent post-hello peer is a
-    // timeout error, not a parked sink.
-    streams
-        .ctrl
-        .set_read_timeout(Some(crate::net::HELLO_TIMEOUT))?;
-    let first = crate::net::read_one_ctrl_frame(&mut streams.ctrl)?;
-    streams.ctrl.set_read_timeout(None)?;
+    let first = read_first_request(&mut streams.ctrl)?;
     Ok((UringSinkSession { streams }, first))
 }
 
@@ -120,11 +114,7 @@ fn run_uring_sink_with(
 ) -> io::Result<LiveReport> {
     let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let snk_bufs: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let SessionStreams {
-        ctrl,
-        data,
-        token: _,
-    } = session.streams;
+    let SessionStreams { ctrl, data, .. } = session.streams;
     assert_eq!(data.len(), cfg.channels, "one data link per channel");
     assert!(cfg.channels as u32 + 2 <= RING_ENTRIES);
     // Pinning the pool and faulting in the provided buffers is
@@ -329,11 +319,7 @@ pub(crate) fn run_shared_uring_session(
 ) -> io::Result<LiveReport> {
     let sess = SinkSession::open(cfg, snk_bufs.len())?;
     assert_eq!(lease.len(), snk_bufs.len(), "lease covers the pool");
-    let SessionStreams {
-        ctrl,
-        data,
-        token: _,
-    } = streams;
+    let SessionStreams { ctrl, data, .. } = streams;
     assert_eq!(data.len(), cfg.channels, "one data link per channel");
 
     // The driver gets its own socket clones (it cuts them on a

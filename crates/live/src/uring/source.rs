@@ -379,19 +379,12 @@ pub fn connect_source_uring(
     sockbuf: usize,
 ) -> io::Result<SourceTransport> {
     probe()?;
-    let SessionStreams {
-        ctrl,
-        data,
-        token: _,
-    } = connect_streams(addr, channels, sockbuf)?;
+    let streams = connect_streams(addr, channels, sockbuf)?;
+    let handles = Arc::new(streams.handles()?);
+    let SessionStreams { ctrl, data, .. } = streams;
     let ring = transfer_ring(false)?;
     assert!(channels as u32 + 2 <= RING_ENTRIES);
 
-    let mut handles = vec![ctrl.try_clone()?];
-    for s in &data {
-        handles.push(s.try_clone()?);
-    }
-    let handles = Arc::new(handles);
     let chans = data
         .iter()
         .map(|s| Chan {
