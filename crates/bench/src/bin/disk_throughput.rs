@@ -1,13 +1,15 @@
-//! Disk-to-disk fast-path gate: real files through the live pipeline.
+//! Disk-to-disk fast-path gate: real files through the live pipeline
+//! (both halves in this process — the `inproc` rung of
+//! `rftp_bench::live`, which also runs, writes and gates every point).
 //!
 //! Three experiments, one JSON:
 //!
 //! * **tmpfs sweep** (`--dir`, default `/dev/shm`): what does the
 //!   storage plumbing itself cost? File-to-file over loaders × block
-//!   size at 8 channels, against a pattern-mode (memory-to-memory)
-//!   baseline. Gate: file-to-file ≥ 70% of pattern GB/s at 256K/8ch —
-//!   the read + write-behind path may not eat more than 30% of the
-//!   pipeline.
+//!   size at 8 channels, beside a pattern-mode (memory-to-memory)
+//!   reference at 256K/8ch, best of 3 each. Their ratio rides on the
+//!   `file-best` row as `file_over_pattern` and is not gated: on this
+//!   host it is a measurement of the scheduler (DESIGN.md §9).
 //! * **read-ahead contrast** (paced source): does read-ahead actually
 //!   buy overlap? The source is paced to a modeled device rate (the
 //!   same `StoreConfig` rate notion the sim harness uses) chosen near
@@ -20,22 +22,18 @@
 //!   same contrast with `O_DIRECT` against the actual backing device,
 //!   informational.
 //!
-//! Gate points run best-of-3 (first run also warms the files): on a
-//! small shared machine a single run of a many-thread pipeline measures
-//! the scheduler as much as the code.
-//!
 //! `--quick` runs a reduced volume and reports without enforcing (CI
 //! smoke); the committed `BENCH_disk.json` comes from a full run.
 
-use rftp_bench::{bs_label, MB};
-use rftp_live::pipeline::LiveReport;
-use rftp_live::{try_run_live, LiveConfig};
+use rftp_bench::live::{finish, Args, Gates, Json, Op, Series, Transport};
+use rftp_bench::MB;
+use rftp_live::LiveConfig;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 const CHANNELS: usize = 8;
 const GATE_BLOCK: u64 = 256 * 1024;
 const GATE_LOADERS: usize = 2;
-const GATE_FILE_OVER_PATTERN: f64 = 0.70;
 const GATE_READAHEAD_SPEEDUP: f64 = 1.3;
 /// Modeled source-device rate for the read-ahead contrast, bytes/sec.
 /// Near the pipeline's own per-block service rate: a much faster device
@@ -65,296 +63,101 @@ fn write_source(path: &Path, total: u64) {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Point {
-    block: u64,
-    loaders: usize,
-    readahead: u32,
-    direct: bool,
-    src_rate: Option<f64>,
-}
-
-impl Point {
-    fn gate() -> Point {
-        Point {
-            block: GATE_BLOCK,
-            loaders: GATE_LOADERS,
-            readahead: u32::MAX,
-            direct: false,
-            src_rate: None,
-        }
-    }
-}
-
-struct Run {
-    medium: &'static str,
-    label: String,
-    p: Point,
-    runs: u32,
-    r: LiveReport,
-}
-
-fn transfer(src: Option<&Path>, dst: Option<&Path>, p: Point, total: u64) -> LiveReport {
-    let mut cfg = LiveConfig::new(p.block as usize, CHANNELS, total);
+/// Run one point: the gate geometry (256K × 8 channels, 2 loaders,
+/// 32-block pools, whole-pool read-ahead) as `tune` alters it, over
+/// `files` = (source, destination) or pattern data.
+fn point(
+    name: &str,
+    n: usize,
+    (block, total): (u64, u64),
+    files: Option<(&Path, &Path)>,
+    tune: impl FnOnce(&mut LiveConfig),
+) -> Series {
+    let mut cfg = LiveConfig::new(block as usize, CHANNELS, total);
     cfg.pool_blocks = 32;
-    cfg.loaders = p.loaders;
-    cfg.src_file = src.map(Path::to_path_buf);
-    cfg.dst_file = dst.map(Path::to_path_buf);
-    cfg.direct_io = p.direct;
-    cfg.src_rate = p.src_rate;
-    cfg.readahead = p.readahead;
-    let r = try_run_live(&cfg).expect("bench transfer failed");
-    assert_eq!(r.checksum_failures, 0, "header corruption in bench run");
-    r
+    cfg.loaders = GATE_LOADERS;
+    cfg.src_file = files.map(|f| f.0.to_path_buf());
+    cfg.dst_file = files.map(|f| f.1.to_path_buf());
+    tune(&mut cfg);
+    Series::run(name, n, Transport::Inproc, &cfg, None, 0)
 }
 
-/// Best of `n` runs (the first doubles as file/cache warmup).
-fn best_of(n: u32, src: Option<&Path>, dst: Option<&Path>, p: Point, total: u64) -> LiveReport {
-    let mut best: Option<LiveReport> = None;
-    for _ in 0..n {
-        let r = transfer(src, dst, p, total);
-        if best
-            .as_ref()
-            .is_none_or(|b| r.gbytes_per_sec > b.gbytes_per_sec)
-        {
-            best = Some(r);
-        }
-    }
-    best.unwrap()
-}
-
-fn print_run(e: &Run) {
-    println!(
-        "  {:<5} {:>5} x{}ld  {:<14} {:>6.3} GB/s  \
-         load/flush/sync {:.0}/{:.0}/{:.0} ns/blk{}",
-        e.medium,
-        bs_label(e.p.block),
-        e.p.loaders,
-        e.label,
-        e.r.gbytes_per_sec,
-        e.r.stages.load_ns,
-        e.r.stages.flush_ns,
-        e.r.stages.sync_ns,
-        if e.p.direct && e.r.direct_io_active {
-            "  [direct]"
-        } else {
-            ""
-        },
-    );
-}
-
-fn json_entry(e: &Run) -> String {
-    format!(
-        concat!(
-            "    {{\"medium\": \"{}\", \"mode\": \"{}\", \"block_size\": {}, ",
-            "\"channels\": {}, \"loaders\": {}, \"readahead\": {}, ",
-            "\"src_rate_bytes_per_sec\": {}, \"runs\": {}, ",
-            "\"direct_requested\": {}, \"direct_active\": {}, ",
-            "\"gbytes_per_sec\": {:.4}, \"blocks\": {}, ",
-            "\"stage_ns_per_block\": {{\"load\": {:.0}, \"dispatch\": {:.0}, ",
-            "\"place\": {:.0}, \"verify\": {:.0}, \"flush\": {:.0}, \"sync\": {:.0}}}}}"
-        ),
-        e.medium,
-        e.label,
-        e.p.block,
-        CHANNELS,
-        e.p.loaders,
-        if e.p.readahead == u32::MAX {
-            -1i64
-        } else {
-            e.p.readahead as i64
-        },
-        e.p.src_rate
-            .map_or("null".to_string(), |r| format!("{r:.0}")),
-        e.runs,
-        e.p.direct,
-        e.r.direct_io_active,
-        e.r.gbytes_per_sec,
-        e.r.blocks,
-        e.r.stages.load_ns,
-        e.r.stages.dispatch_ns,
-        e.r.stages.place_ns,
-        e.r.stages.verify_ns,
-        e.r.stages.flush_ns,
-        e.r.stages.sync_ns,
-    )
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_disk.json".to_string());
-    let tmpfs_dir = PathBuf::from(flag_value(&args, "--dir").unwrap_or_else(|| {
+fn main() -> ExitCode {
+    let args = Args::parse(&["--quick", "--out", "--dir", "--disk-dir"]);
+    let tmpfs_dir = args.dir.clone().unwrap_or_else(|| {
         if Path::new("/dev/shm").is_dir() {
             "/dev/shm".into()
         } else {
-            std::env::temp_dir().display().to_string()
+            std::env::temp_dir()
         }
-    }));
-    let disk_dir = PathBuf::from(
-        flag_value(&args, "--disk-dir").unwrap_or_else(|| "target/disk_bench".into()),
-    );
-    let total = if quick { 32 * MB } else { 256 * MB };
-    let reps = if quick { 1 } else { 3 };
-
+    });
+    let disk_dir = args.disk_dir.clone();
+    let disk_dir = disk_dir.unwrap_or_else(|| PathBuf::from("target/disk_bench"));
+    let total = if args.quick { 32 * MB } else { 256 * MB };
+    let reps = if args.quick { 1 } else { 3 };
     println!(
         "disk fast-path sweep: {} MB per run{}  (tmpfs: {}, disk: {})\n",
         total / MB,
-        if quick { " (quick)" } else { "" },
+        if args.quick { " (quick)" } else { "" },
         tmpfs_dir.display(),
         disk_dir.display()
     );
-
-    let mut runs: Vec<Run> = Vec::new();
-    let src = tmpfs_dir.join(format!("rftp_bench_src_{}.bin", std::process::id()));
-    let dst = tmpfs_dir.join(format!("rftp_bench_dst_{}.bin", std::process::id()));
-    write_source(&src, total);
+    let bench_files = |dir: &Path| {
+        let file = |end: &str| dir.join(format!("rftp_bench_{end}_{}.bin", std::process::id()));
+        write_source(&file("src"), total);
+        (file("src"), file("dst"))
+    };
+    let mut results = Vec::new();
+    let gate_point = (GATE_BLOCK, total);
+    let (src, dst) = bench_files(&tmpfs_dir);
+    let files = Some((src.as_path(), dst.as_path()));
 
     // ---- tmpfs sweep: plumbing cost across loaders x block size ----
-    for &block in &[64 * 1024u64, 256 * 1024, 1024 * 1024] {
-        for &loaders in &[1usize, 2, 4] {
-            let p = Point {
-                block,
-                loaders,
-                ..Point::gate()
-            };
-            let e = Run {
-                medium: "tmpfs",
-                label: "file".into(),
-                p,
-                runs: 1,
-                r: transfer(Some(&src), Some(&dst), p, total),
-            };
-            print_run(&e);
-            runs.push(e);
+    for block in [64 * 1024u64, 256 * 1024, 1024 * 1024] {
+        for loaders in [1usize, 2, 4] {
+            let with_loaders = |c: &mut LiveConfig| c.loaders = loaders;
+            point("tmpfs-file", 1, (block, total), files, with_loaders).record(&mut results);
         }
     }
 
-    // ---- gate 1: file-to-file vs pattern at the reference point ----
-    let pattern = best_of(reps, None, None, Point::gate(), total);
-    let file = best_of(reps, Some(&src), Some(&dst), Point::gate(), total);
-    let file_over_pattern = file.gbytes_per_sec / pattern.gbytes_per_sec;
-    for (label, r) in [("pattern", pattern), ("file-best", file)] {
-        let e = Run {
-            medium: "tmpfs",
-            label: label.into(),
-            p: Point::gate(),
-            runs: reps,
-            r,
-        };
-        print_run(&e);
-        runs.push(e);
-    }
+    // ---- file-to-file beside pattern at the reference point ----
+    let pattern = point("tmpfs-pattern", reps, gate_point, None, |_| {}).record(&mut results);
+    let mut file = point("tmpfs-file-best", reps, gate_point, files, |_| {});
+    let file_over_pattern = Json::num(file.gbps() / pattern.gbps(), 4);
+    file.labels = file.labels.with("file_over_pattern", file_over_pattern);
+    file.record(&mut results);
 
-    // ---- gate 2: read-ahead contrast against a modeled device ----
-    let mut paced = Vec::new();
-    for (label, readahead) in [("paced-ra-full", u32::MAX), ("paced-ra-0", 0u32)] {
-        let p = Point {
-            readahead,
-            src_rate: Some(PACED_RATE),
-            ..Point::gate()
-        };
-        let e = Run {
-            medium: "paced",
-            label: label.into(),
-            p,
-            runs: reps,
-            r: best_of(reps, Some(&src), Some(&dst), p, total),
-        };
-        print_run(&e);
-        paced.push(e.r.gbytes_per_sec);
-        runs.push(e);
-    }
-    let ra_speedup = paced[0] / paced[1];
+    // ---- the gate: read-ahead contrast against a modeled device ----
+    let [ra_full, ra_zero] = [("paced-ra-full", u32::MAX), ("paced-ra-0", 0)].map(|(name, ra)| {
+        let paced = |c: &mut LiveConfig| (c.readahead, c.src_rate) = (ra, Some(PACED_RATE));
+        point(name, reps, gate_point, files, paced)
+            .record(&mut results)
+            .gbps()
+    });
     std::fs::remove_file(&src).ok();
     std::fs::remove_file(&dst).ok();
 
     // ---- real disk, O_DIRECT: same contrast, informational ----
     std::fs::create_dir_all(&disk_dir).expect("create disk bench dir");
-    let dsrc = disk_dir.join(format!("rftp_bench_src_{}.bin", std::process::id()));
-    let ddst = disk_dir.join(format!("rftp_bench_dst_{}.bin", std::process::id()));
-    write_source(&dsrc, total);
-    for (label, readahead) in [("disk-ra-full", u32::MAX), ("disk-ra-0", 0u32)] {
-        let p = Point {
-            readahead,
-            direct: true,
-            ..Point::gate()
-        };
-        let e = Run {
-            medium: "disk",
-            label: label.into(),
-            p,
-            runs: 1,
-            r: transfer(Some(&dsrc), Some(&ddst), p, total),
-        };
-        print_run(&e);
-        runs.push(e);
+    let (src, dst) = bench_files(&disk_dir);
+    for (name, ra) in [("disk-ra-full", u32::MAX), ("disk-ra-0", 0)] {
+        let direct = |c: &mut LiveConfig| (c.readahead, c.direct_io) = (ra, true);
+        point(name, 1, gate_point, Some((&src, &dst)), direct).record(&mut results);
     }
-    std::fs::remove_file(&dsrc).ok();
-    std::fs::remove_file(&ddst).ok();
+    std::fs::remove_file(&src).ok();
+    std::fs::remove_file(&dst).ok();
 
-    // ---- gates (quick mode reports but does not enforce) ----
-    let g1 = file_over_pattern >= GATE_FILE_OVER_PATTERN;
-    let g2 = ra_speedup >= GATE_READAHEAD_SPEEDUP;
-    let verdict = |ok: bool| {
-        if ok {
-            "ok"
-        } else if quick {
-            "quick"
-        } else {
-            "FAIL"
-        }
-    };
-    println!(
-        "\n  gate tmpfs {}x{}ch: file/pattern = {:.2} (need >= {:.2})  [{}]",
-        bs_label(GATE_BLOCK),
-        CHANNELS,
-        file_over_pattern,
-        GATE_FILE_OVER_PATTERN,
-        verdict(g1)
-    );
-    println!(
-        "  gate read-ahead: full/zero = {:.2}x at {:.1} GB/s modeled (need >= {:.1}x)  [{}]",
-        ra_speedup,
-        PACED_RATE / 1e9,
+    let mut gates = Gates::new(args.quick);
+    println!();
+    gates.check(
+        "readahead_speedup",
+        ra_full / ra_zero,
+        Op::Ge,
         GATE_READAHEAD_SPEEDUP,
-        verdict(g2)
     );
-
-    let body: Vec<String> = runs.iter().map(json_entry).collect();
-    let json = format!(
-        concat!(
-            "{{\n  \"bench\": \"disk_throughput\",\n  \"quick\": {},\n",
-            "  \"total_bytes_per_run\": {},\n  \"pool_blocks\": 32,\n  \"channels\": {},\n",
-            "  \"gates\": {{\n",
-            "    \"tmpfs_file_over_pattern\": {{\"value\": {:.4}, \"floor\": {}, \"pass\": {}}},\n",
-            "    \"readahead_speedup\": {{\"value\": {:.4}, \"floor\": {}, ",
-            "\"modeled_rate_bytes_per_sec\": {:.0}, \"pass\": {}}}\n",
-            "  }},\n  \"results\": [\n{}\n  ]\n}}\n"
-        ),
-        quick,
-        total,
-        CHANNELS,
-        file_over_pattern,
-        GATE_FILE_OVER_PATTERN,
-        g1,
-        ra_speedup,
-        GATE_READAHEAD_SPEEDUP,
-        PACED_RATE,
-        g2,
-        body.join(",\n")
-    );
-    std::fs::write(&out_path, json).expect("write BENCH_disk.json");
-    println!("\nwrote {out_path}");
-    if !(quick || (g1 && g2)) {
-        eprintln!("disk throughput gate FAILED");
-        std::process::exit(1);
-    }
+    let config = Json::obj()
+        .with("paced_rate_bytes_per_sec", Json::num(PACED_RATE, 0))
+        .with("tmpfs_dir", tmpfs_dir.display().to_string())
+        .with("disk_dir", disk_dir.display().to_string());
+    finish(&args, "disk", config, results, gates)
 }

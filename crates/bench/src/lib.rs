@@ -17,6 +17,8 @@
 //! data volumes (hundreds of GB simulated) or `--csv` to also write
 //! `results/<name>.csv`. All runs are deterministic.
 
+pub mod live;
+
 use rftp_baselines::{run_gridftp, GridFtpConfig};
 use rftp_core::{build_experiment, ConsumeMode, SinkConfig, SourceConfig};
 use rftp_netsim::testbed::Testbed;

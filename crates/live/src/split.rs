@@ -116,6 +116,24 @@ impl Fail {
             .into_inner()
             .unwrap_or_else(|| perr("transfer failed"))
     }
+
+    /// Held at the top of every pipeline thread: if the thread unwinds,
+    /// the latch trips, so the transport is torn down and the siblings
+    /// and the peer error out instead of waiting on a thread that is gone.
+    /// (The panic itself still surfaces where the thread is joined.)
+    pub(crate) fn on_panic(&self) -> PanicGuard<'_> {
+        PanicGuard(self)
+    }
+}
+
+pub(crate) struct PanicGuard<'a>(&'a Fail);
+
+impl Drop for PanicGuard<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.set(perr("a pipeline thread panicked"));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -373,6 +391,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                 let (src_bufs, inflight, seq2block) = (&src_bufs, &inflight, &seq2block);
                 let (next_seq, fail, cfg) = (&next_seq, &fail, &cfg);
                 s.spawn(move || {
+                    let _guard = fail.on_panic();
                     let mut load_ns = 0u64;
                     let mut load_hist = NsHist::new();
                     loop {
@@ -466,6 +485,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             let (stock, src_pool, inflight, src_bufs) = (&stock, &src_pool, &inflight, &src_bufs);
             let (fail, cfg, ctl, detector) = (&fail, &cfg, &ctl, &detector);
             s.spawn(move || {
+                let _guard = fail.on_panic();
                 let mut rr = 0usize;
                 let mut fault_rng = cfg.fault_seed;
                 let mut dispatch_ns = 0u64;
@@ -478,6 +498,23 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                 let mut dispatch_order = ReorderBuffer::<u32>::new();
                 let mut ready: std::collections::VecDeque<u32> = Default::default();
                 let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
+                // A send can fail *after* its block completed: the
+                // watchdog's copy of a block this thread stalled on was
+                // placed and acked, the control thread finished the
+                // transfer and closed the link, and only then did the
+                // first send go out. A link error is an error only while
+                // a block it could have carried is still unacked.
+                let unacked = |block: u32, seq: u32| {
+                    (inflight[block as usize].lock().as_ref()).is_some_and(|i| i.seq == seq)
+                };
+                let any_dispatched = || {
+                    let dispatched = |i: &InFlightInfo| i.slot != u32::MAX;
+                    (inflight.iter()).any(|m| m.lock().as_ref().is_some_and(dispatched))
+                };
+                let kick_all = || match data.iter().try_for_each(|d| d.kick()) {
+                    Err(e) if any_dispatched() => Err(e),
+                    _ => Ok(()),
+                };
                 while let Ok(_n) = loaded_rx.recv_batch(&mut drain, cfg.pool_blocks as usize) {
                     for block in drain.drain(..) {
                         let seq = inflight[block as usize]
@@ -514,7 +551,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                 // arrivals.
                                 if !kicked {
                                     kicked = true;
-                                    if let Err(e) = data.iter().try_for_each(|d| d.kick()) {
+                                    if let Err(e) = kick_all() {
                                         fail.set(e);
                                         return (
                                             dispatch_ns,
@@ -583,13 +620,9 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                             *i
                         };
                         // Test hook: the descheduling described above,
-                        // on demand and for two deadlines per block. (Not
-                        // the last block: its ack lets the sink hang up,
-                        // and the late first send fails on a closed link.)
+                        // on demand and for two deadlines per block.
                         #[cfg(test)]
-                        if cfg.fault_seed == tests::STALLED_DISPATCH_SEED
-                            && (info.seq as u64) + 1 < total_blocks
-                        {
+                        if cfg.fault_seed == tests::STALLED_DISPATCH_SEED {
                             std::thread::sleep(2 * cfg.retx_timeout);
                         }
                         if cfg.fault_drop_p > 0.0 && drop_roll(&mut fault_rng) < cfg.fault_drop_p {
@@ -604,14 +637,16 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                                 len: info.len,
                             };
                             if let Err(e) = data[ch].send_block(hdr, src_bufs, block) {
-                                fail.set(e);
-                                return (
-                                    dispatch_ns,
-                                    ctrl_sent,
-                                    credit_requests,
-                                    dropped,
-                                    dispatch_hist,
-                                );
+                                if unacked(block, info.seq) {
+                                    fail.set(e);
+                                    return (
+                                        dispatch_ns,
+                                        ctrl_sent,
+                                        credit_requests,
+                                        dropped,
+                                        dispatch_hist,
+                                    );
+                                }
                             }
                         }
                         let ns = t0.elapsed().as_nanos() as u64;
@@ -622,7 +657,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
                     // queued sends with a single kernel crossing before
                     // blocking for the next load.
                     let t0 = Instant::now();
-                    if let Err(e) = data.iter().try_for_each(|d| d.kick()) {
+                    if let Err(e) = kick_all() {
                         fail.set(e);
                         return (
                             dispatch_ns,
@@ -663,6 +698,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             let (inflight, src_bufs, detector) = (&inflight, &src_bufs, &detector);
             let (fail, cfg, ctl) = (&fail, &cfg, &ctl);
             s.spawn(move || {
+                let _guard = fail.on_panic();
                 let mut rr = 0usize;
                 let mut retransmits = 0u64;
                 let mut fast_retransmits = 0u64;
@@ -763,6 +799,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             let (stock, src_pool, inflight, seq2block) = (&stock, &src_pool, &inflight, &seq2block);
             let (fail, ctl, cfg, detector) = (&fail, &ctl, &cfg, &detector);
             s.spawn(move || {
+                let _guard = fail.on_panic();
                 let mut lost_tx = lost_tx;
                 let watched = lost_tx.is_some();
                 let mut ctrl_count = 0u64;
@@ -1637,22 +1674,25 @@ pub(crate) fn run_sink_session(
         let pump = {
             let evt_tx = evt_tx.clone();
             let fail = &fail;
-            s.spawn(move || loop {
-                match ctrl_rx.recv() {
-                    Ok(Some(msg)) => {
-                        if evt_tx.send(SinkEvt::Ctrl(msg)).is_err() {
-                            return; // handler bailed; fail is set
+            s.spawn(move || {
+                let _guard = fail.on_panic();
+                loop {
+                    match ctrl_rx.recv() {
+                        Ok(Some(msg)) => {
+                            if evt_tx.send(SinkEvt::Ctrl(msg)).is_err() {
+                                return; // handler bailed; fail is set
+                            }
                         }
-                    }
-                    Ok(None) => {
-                        let _ = evt_tx.send(SinkEvt::CtrlEof);
-                        return;
-                    }
-                    Err(e) => {
-                        if !fail.is_set() {
-                            fail.set(e);
+                        Ok(None) => {
+                            let _ = evt_tx.send(SinkEvt::CtrlEof);
+                            return;
                         }
-                        return;
+                        Err(e) => {
+                            if !fail.is_set() {
+                                fail.set(e);
+                            }
+                            return;
+                        }
                     }
                 }
             })
@@ -1668,6 +1708,7 @@ pub(crate) fn run_sink_session(
                 let evt_tx = evt_tx.clone();
                 let (front, fail) = (&*sess.front, &fail);
                 s.spawn(move || {
+                    let _guard = fail.on_panic();
                     let mut tally = PlaceTally::default();
                     let mut receive = || -> io::Result<()> {
                         while let Some(hdr) = rx.recv_header()? {
@@ -1699,6 +1740,7 @@ pub(crate) fn run_sink_session(
         drop(evt_tx);
 
         // The handler runs on the scope's own thread.
+        let _guard = fail.on_panic();
         let mut h = sess.handler(ctrl_tx.as_ref(), snk_bufs, fair);
         if let Err(e) = h.run(first_ctrl, &mut channel_events(&evt_rx, 64)) {
             if !fail.is_set() {
@@ -1888,7 +1930,7 @@ mod tests {
 
     /// The `fault_seed` under which the source dispatcher sleeps two
     /// retransmit deadlines between publishing a block's slot and
-    /// sending the block, for every block but the last.
+    /// sending the block, for every block.
     pub(super) const STALLED_DISPATCH_SEED: u64 = 0x57A11ED;
 
     /// The watchdog overtakes a stalled dispatcher: a block is re-sent,
@@ -1896,7 +1938,9 @@ mod tests {
     /// reaches `complete` while the dispatcher still sleeps. The
     /// FSM must already have moved when the slot became visible — when
     /// it moved after, that ack found the block `Loaded`, the control
-    /// thread panicked and the transfer hung.
+    /// thread panicked and the transfer hung. The last block stalls too:
+    /// its ack ends the transfer and closes the link, so its late first
+    /// send fails — on a block already acked, which is not an error.
     #[test]
     fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
         let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
@@ -1907,13 +1951,42 @@ mod tests {
         assert_eq!((snk.blocks, snk.checksum_failures), (8, 0));
         assert_eq!(src.dropped_payloads, 0);
         assert!(
-            src.retransmits >= 7,
+            src.retransmits >= 8,
             "the watchdog sent each stalled block first"
         );
         assert!(
             snk.duplicate_payloads > 0,
             "the late first sends are discarded"
         );
+    }
+
+    /// A pipeline thread that panics takes the transfer down with it:
+    /// every send is dropped and the deadline is 100 µs, so the watchdog
+    /// reaches its `attempts < 64` assert within a second. Both halves
+    /// must then end — the source by that panic surfacing at the join (or
+    /// an error), the sink with an error — where they used to wait for
+    /// ever on acks and frames that could no longer come.
+    #[test]
+    fn a_panicking_pipeline_thread_fails_both_halves() {
+        let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
+        cfg.fault_drop_p = 1.0;
+        cfg.retx_timeout = std::time::Duration::from_micros(100);
+        let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+        let (src_tx, src_rx) = std::sync::mpsc::channel();
+        let (snk_tx, snk_rx) = std::sync::mpsc::channel();
+        let (src_cfg, snk_cfg) = (cfg.clone(), cfg);
+        std::thread::spawn(move || {
+            let run = std::panic::AssertUnwindSafe(|| run_split_source(&src_cfg, st));
+            let _ = src_tx.send(std::panic::catch_unwind(run));
+        });
+        std::thread::spawn(move || {
+            let _ = snk_tx.send(run_split_sink(&snk_cfg, kt, None));
+        });
+        let deadline = std::time::Duration::from_secs(10);
+        let src = src_rx.recv_timeout(deadline).expect("source half hung");
+        assert!(!matches!(src, Ok(Ok(_))), "nothing was delivered");
+        let snk = snk_rx.recv_timeout(deadline).expect("sink half hung");
+        assert!(snk.is_err(), "the sink must fail, not block");
     }
 
     /// Recovery with the timer out of the picture: one send in twenty
