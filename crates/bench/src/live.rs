@@ -18,10 +18,10 @@ use crate::{bs_label, MB};
 use rftp_live::args::flag_value;
 use rftp_live::net::{connect_source, default_sockbuf, probe_sockbuf, NetListener};
 use rftp_live::{
-    accept_source_uring, connect_source_shm, connect_source_uring, run_shm_sink,
-    run_split_pair_wan, run_split_sink, run_split_source, run_uring_sink, shm_supported,
-    uring_multishot, uring_supported, wrap_sink, wrap_source, LiveConfig, LiveReport, NsHist,
-    ShmListener, SourceTransport, UringStats, WanProfile,
+    accept_source_uring, connect_source_shm, connect_source_uring, run_shm_sink, run_split_pair,
+    run_split_sink, run_split_source, run_uring_sink, shm_supported, uring_multishot,
+    uring_supported, wrap_sink, wrap_source, LiveConfig, LiveReport, NsHist, ShmListener,
+    SourceTransport, UringStats, WanProfile,
 };
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -119,7 +119,7 @@ pub fn run_pair(
     let clean = WanProfile::clean();
     let wan = wan.unwrap_or(&clean);
     if t == Transport::Inproc {
-        return run_split_pair_wan(cfg, wan).expect("in-process pair");
+        return run_split_pair(cfg, wan).expect("in-process pair");
     }
     assert!(
         wan.is_identity() || t == Transport::Tcp,

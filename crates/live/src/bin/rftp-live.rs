@@ -17,9 +17,9 @@
 
 use rftp_core::wire::CtrlMsg;
 use rftp_live::args::{flag_parse, flag_path, flag_size, flag_value};
+use rftp_live::pipeline::MAX_POOL_BLOCKS;
 use rftp_live::{
-    net, run_split_pair_wan, run_split_sink, run_split_source, try_run_live, LiveConfig,
-    LiveReport, WanProfile,
+    net, run_split_pair, run_split_sink, run_split_source, LiveConfig, LiveReport, WanProfile,
 };
 use std::path::PathBuf;
 
@@ -92,7 +92,7 @@ OPTIONS:
   --loaders <N>      source loader threads (default 2)
   --batch <N>        control entries coalesced per frame; 1 = one
                      message per block (default 16)
-  --pool <N>         pool blocks per endpoint (default 32)
+  --pool <N>         pool blocks per endpoint, at most 4096 (default 32)
   --depth <N>        per-channel queue depth (default 8)
   --fault drop=<P>   drop each payload with probability P (exercises
                      the retransmit path)
@@ -285,6 +285,9 @@ fn parse_args() -> Result<Args, String> {
     if a.channels == 0 || a.loaders == 0 || a.batch == 0 || a.pool == 0 || a.depth == 0 {
         return Err("all counts must be >= 1".into());
     }
+    if a.pool > MAX_POOL_BLOCKS {
+        return Err(format!("--pool cannot exceed {MAX_POOL_BLOCKS}"));
+    }
     if (a.no_adapt || a.wan_at_source) && a.wan.is_none() {
         return Err("--no-adapt/--wan-at-source only modify --wan".into());
     }
@@ -388,21 +391,15 @@ fn print_report(a: &Args, r: &LiveReport) {
 
 fn run(a: &Args) -> std::io::Result<LiveReport> {
     match &a.mode {
-        Mode::Local => match &a.wan {
-            None => try_run_live(&build_cfg(a)),
-            Some(wan) => {
-                // The split pair through the in-process shim: the sink
-                // report carries the placement/timing story, the source
-                // report the retransmit counters — merge the two.
-                let mut cfg = build_cfg(a);
-                apply_wan(a, &mut cfg);
-                let (src, mut snk) = run_split_pair_wan(&cfg, wan)?;
-                snk.retransmits = src.retransmits;
-                snk.fast_retransmits = src.fast_retransmits;
-                snk.dropped_payloads = src.dropped_payloads;
-                Ok(snk)
-            }
-        },
+        Mode::Local => {
+            // Both halves over the in-process transport (through the shim
+            // under --wan), their two reports merged.
+            let mut cfg = build_cfg(a);
+            apply_wan(a, &mut cfg);
+            let clean = WanProfile::clean();
+            let (src, snk) = run_split_pair(&cfg, a.wan.as_ref().unwrap_or(&clean))?;
+            Ok(LiveReport::merge(src, snk))
+        }
         Mode::Connect(addr) => {
             let mut cfg = build_cfg(a);
             apply_wan(a, &mut cfg);

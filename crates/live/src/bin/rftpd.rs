@@ -14,6 +14,7 @@
 //! ```
 
 use rftp_live::args::{flag_parse, flag_path, flag_size, flag_value};
+use rftp_live::pipeline::MAX_POOL_BLOCKS;
 use rftp_live::{install_sigterm_hook, Daemon, DaemonConfig, DaemonReport, DaemonTransport};
 use std::time::Duration;
 
@@ -28,7 +29,7 @@ OPTIONS:
                          is this big (default 256K)
   --slots <N>            total slots in the shared arena (default 64)
   --session-slots <N>    pool slots leased per session, clamped down for
-                         small jobs (default 16)
+                         small jobs; at most 4096 (default 16)
   --max-sessions <N>     concurrent sessions before admission replies
                          busy (default 8)
   --max-channels <N>     largest per-session channel count admission
@@ -122,6 +123,9 @@ fn parse_args() -> Result<Args, String> {
     }
     if cfg.session_slots > cfg.arena_slots {
         return Err("--session-slots cannot exceed --slots".into());
+    }
+    if cfg.session_slots > MAX_POOL_BLOCKS {
+        return Err(format!("--session-slots cannot exceed {MAX_POOL_BLOCKS}"));
     }
     // One outstanding credit per arena slot is the natural budget: the
     // arbiter then partitions exactly the memory the arena holds.

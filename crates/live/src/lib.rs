@@ -7,14 +7,15 @@
 //! the source's dispatcher) the reassembly buffer — as a native
 //! multi-threaded pipeline.
 //!
-//! There is **one** pipeline ([`split`]): a source half (loaders, an
-//! in-order dispatcher, a retransmit watchdog, a control thread) and a
-//! sink half (per-channel receivers, a control pump, and the
-//! `SinkHandler` that grants, and verifies and frees each block the
-//! moment it lands — both live consumers are offset-addressed, so no
-//! slot waits on sequence order), joined only by a [`transport`]
-//! carrying encoded Fig. 7(a) control frames both ways and data frames
-//! source → sink. What varies is the transport:
+//! There is **one** pipeline ([`split`]), and each half is a chain of
+//! named stages started by one spawner: a source half (loaders, an
+//! in-order dispatcher, a control stage, a retransmit watchdog) and a
+//! sink half (per-channel receivers, a control pump, and the handler that
+//! grants, and verifies and frees each block the moment it lands — both
+//! live consumers are offset-addressed, so no slot waits on sequence
+//! order), joined only by a [`transport`] carrying encoded Fig. 7(a)
+//! control frames both ways and data frames source → sink. What varies
+//! is the transport:
 //!
 //! * **in-process channels** ([`channel_transport`]) — both halves in one
 //!   address space; a data frame names the source's pinned block and the
@@ -59,7 +60,7 @@ pub use net::{connect_source, NetListener};
 pub use netem::{wrap_pair, wrap_sink, wrap_source, wrap_source_datapath, WanProfile};
 pub use pipeline::{run_live, try_run_live, LiveConfig, LiveReport, StageBreakdown};
 pub use shm::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};
-pub use split::{run_split_pair, run_split_pair_wan, run_split_sink, run_split_source};
+pub use split::{run_split_pair, run_split_sink, run_split_source};
 pub use store::{BlockPool, FileSink, FileSource, RatePacer, SlotBuf, STORE_ALIGN};
 pub use transport::{channel_transport, SinkTransport, SourceTransport, UringStats};
 pub use uring::{

@@ -930,21 +930,10 @@ mod imp {
 
     impl CtrlTx for ShmCtrlTx {
         fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
-            match msg {
-                CtrlMsg::CreditBatch { slots, .. } => {
-                    for &s in slots {
-                        self.win.grant(s);
-                    }
+            if let CtrlMsg::CreditBatch { slots, .. } = msg {
+                for &s in slots {
+                    self.win.grant(s);
                 }
-                // The sink pipeline only emits CreditBatch, but grant on
-                // the long form too so the invariant is the message
-                // type's, not the caller's.
-                CtrlMsg::Credits { credits, .. } => {
-                    for c in credits {
-                        self.win.grant(c.slot);
-                    }
-                }
-                _ => {}
             }
             self.inner.send(msg)
         }

@@ -6,7 +6,7 @@ use super::ring::{PbufRing, Ring, PBUF_BGID, RING_ENTRIES};
 use super::source::UD_NOP;
 use super::sys::*;
 use crate::net::shutdown_all;
-use crate::split::{perr, PlaceTally, SinkEvt, SinkFront};
+use crate::split::{perr, SinkEvt, SinkFront, Tally};
 use crate::store::SlotBuf;
 use crate::transport::UringStats;
 use parking_lot::Mutex;
@@ -92,7 +92,7 @@ struct CtrlLink {
 /// session's behalf, any driver-side error, and a snapshot of the
 /// shared ring's counters.
 pub(super) struct SessionStats {
-    pub(super) tally: PlaceTally,
+    pub(super) tally: Tally,
     pub(super) err: Option<io::Error>,
     pub(super) ring: UringStats,
 }
@@ -150,7 +150,7 @@ pub(super) struct Sess {
     /// payload as one contiguous write, so the payload is on the
     /// wire (or in the socket buffer) no matter when the read arms.
     place_pending: VecDeque<usize>,
-    pub(super) tally: PlaceTally,
+    pub(super) tally: Tally,
 }
 
 impl Sess {
@@ -196,7 +196,7 @@ impl Sess {
             cut: false,
             place_armed: 0,
             place_pending: VecDeque::new(),
-            tally: PlaceTally::default(),
+            tally: Tally::default(),
         }
     }
 }
@@ -1161,7 +1161,7 @@ impl<'a> MultiDriver<'a> {
         if armed + sess.links.len() + 1 > RING_ENTRIES as usize {
             if let Some(tx) = &sess.stats_tx {
                 let _ = tx.send(SessionStats {
-                    tally: PlaceTally::default(),
+                    tally: Tally::default(),
                     err: Some(perr("shared uring driver is at link capacity")),
                     ring: self.stats_snapshot(),
                 });

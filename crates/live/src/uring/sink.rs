@@ -6,7 +6,7 @@ use super::ring::{probe, transfer_ring, PbufRing, Ring, RING_ENTRIES};
 use crate::coalesce::channel_events;
 use crate::net::{read_first_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
-use crate::split::{perr, FairShare, PlaceTally, SinkEvt, SinkSession};
+use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS, SINK_EVENT_DRAIN};
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use parking_lot::Mutex;
@@ -330,7 +330,7 @@ pub(crate) fn run_shared_uring_session(
         .map(TcpStream::try_clone)
         .collect::<io::Result<Vec<_>>>()?;
     let ctrl_tx = NetCtrlTx(Mutex::new(ctrl.try_clone()?));
-    let (evt_tx, evt_rx) = crossbeam::channel::bounded::<SinkEvt>(1024);
+    let (evt_tx, evt_rx) = crossbeam::channel::bounded::<SinkEvt>(SINK_EVENTS);
     let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel::<SessionStats>(1);
     let entry = Sess::new(
         sess.front.clone(),
@@ -347,7 +347,7 @@ pub(crate) fn run_shared_uring_session(
     // first receive.
     let run = hub
         .send(HubMsg::Register(sid, Box::new(entry)))
-        .and_then(|()| h.run(first_ctrl, &mut channel_events(&evt_rx, 64)));
+        .and_then(|()| h.run(first_ctrl, &mut channel_events(&evt_rx, SINK_EVENT_DRAIN)));
 
     // Detach handshake: cut our socket halves (the final acks are
     // already flushed and ride out ahead of the FIN), then wait for
@@ -358,7 +358,7 @@ pub(crate) fn run_shared_uring_session(
     shutdown_all(&data, Shutdown::Both);
     let _ = hub.send(HubMsg::Detach(sid));
     let stats = stats_rx.recv().unwrap_or_else(|_| SessionStats {
-        tally: PlaceTally::default(),
+        tally: Tally::default(),
         err: Some(perr("uring driver exited before detach")),
         ring: UringStats::default(),
     });

@@ -418,3 +418,27 @@ fn sequential_sessions_reuse_the_arena() {
     assert_eq!(report.served, 3, "{report:?}");
     assert_eq!(report.completed, 3);
 }
+
+/// `rftpd --session-slots` past the source's credit ring is refused at
+/// parse time: a session pool that large would hang its transfer.
+#[test]
+fn session_slots_past_the_credit_ring_are_rejected_at_parse_time() {
+    let mut rftpd = std::process::Command::new(env!("CARGO_BIN_EXE_rftpd"))
+        .args(["--listen", "127.0.0.1:0", "--slots", "5000"])
+        .args(["--session-slots", "4097"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .unwrap();
+    let t0 = Instant::now();
+    let status = loop {
+        match rftpd.try_wait().unwrap() {
+            Some(st) => break Some(st),
+            None if t0.elapsed() > Duration::from_secs(10) => break None,
+            None => std::thread::sleep(Duration::from_millis(25)),
+        }
+    };
+    let _ = rftpd.kill();
+    let _ = rftpd.wait();
+    assert_eq!(status.and_then(|s| s.code()), Some(2), "must exit 2");
+}

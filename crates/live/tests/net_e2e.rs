@@ -736,3 +736,23 @@ fn unknown_flags_are_rejected_with_usage() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// A pool past the source's credit ring would hang the transfer once the
+/// ring fills: refused at parse time, like any bad count.
+#[test]
+fn pool_past_the_credit_ring_is_rejected_at_parse_time() {
+    let mut run = rftp_live_cmd()
+        .args(["--size", "2G", "--block", "16K", "--pool", "4097"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let status = wait_timeout(&mut run, Duration::from_secs(10));
+    let _ = run.kill();
+    let _ = run.wait();
+    assert_eq!(
+        status.and_then(|s| s.code()),
+        Some(2),
+        "--pool 4097 must exit 2"
+    );
+}

@@ -7,7 +7,7 @@
 //! dispatcher, watchdog (both its triggers), receivers, sink handler,
 //! the one-copy channel transport, and the merge itself.
 
-use rftp_live::{run_live, try_run_live, LiveConfig};
+use rftp_live::{run_live, run_split_pair, try_run_live, LiveConfig, LiveReport, WanProfile};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -132,4 +132,25 @@ fn adaptive_run_reports_controller_state_and_tails() {
     ] {
         assert_eq!(h.count(), r.blocks, "{name} histogram");
     }
+}
+
+/// One merge rule for every in-process pair — `try_run_live` and
+/// `rftp-live`'s local `--wan` arm alike: through a WAN profile the merged
+/// report still carries the source's clock, credit requests and load
+/// clock, and the sink's placement, verification and duplicate counts.
+#[test]
+fn merged_wan_pair_keeps_each_halfs_figures() {
+    let wan = WanProfile::parse("roce-lan").unwrap();
+    let mut cfg = LiveConfig::new(64 << 10, 2, 64 * (64 << 10));
+    cfg.pool_blocks = 8;
+    cfg.apply_wan(&wan);
+    let (src, snk) = run_split_pair(&cfg, &wan).expect("wan pair");
+    let r = LiveReport::merge(src.clone(), snk.clone());
+    assert_eq!(r.checksum_failures, 0);
+    assert_eq!(r.elapsed, src.elapsed);
+    assert_eq!(r.credit_requests, src.credit_requests);
+    assert!(r.stages.load_ns > 0.0 && r.stages.load_ns == src.stages.load_ns);
+    assert_eq!(r.stages.place_ns, snk.stages.place_ns);
+    assert_eq!(r.stages.verify_ns, snk.stages.verify_ns);
+    assert_eq!(r.duplicate_payloads, snk.duplicate_payloads);
 }
