@@ -1,7 +1,8 @@
 //! Scheduler-kernel microbenchmarks: the calendar queue that now drives
 //! the simulator versus the reference binary heap it replaced, on the
-//! three workload shapes that dominate real runs, plus the end-to-end
-//! native pipeline's wall-clock throughput.
+//! three workload shapes that dominate real runs, the test-data pattern's
+//! per-byte kernels, plus the end-to-end native pipeline's wall-clock
+//! throughput.
 //!
 //! Each queue iteration drives a steady-state churn: pre-fill a pending
 //! window, then push-one/pop-one through a pre-generated delta tape so
@@ -18,6 +19,7 @@
 //!   later be promoted.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use rftp_core::pattern::{checksum, fill_pattern, pattern_matches};
 use rftp_live::{run_live, LiveConfig};
 use rftp_netsim::kernel::{reference::HeapQueue, CalendarQueue};
 use rftp_netsim::time::SimTime;
@@ -125,6 +127,26 @@ fn bench_scheduler(c: &mut Criterion) {
     }
 }
 
+fn bench_pattern(c: &mut Criterion) {
+    // The two per-byte stages of every pattern-mode transfer — the
+    // loaders' fill and the sink's verify — beside the file-comparison
+    // checksum, at a small and a bulk block size.
+    for (label, len) in [("16K", 16 << 10), ("1M", 1 << 20)] {
+        let mut buf = vec![0u8; len];
+        fill_pattern(&mut buf, 7);
+        let mut g = c.benchmark_group(format!("pattern/{label}"));
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function("fill_pattern", |b| {
+            b.iter(|| fill_pattern(black_box(&mut buf), black_box(7)))
+        });
+        g.bench_function("pattern_matches", |b| {
+            b.iter(|| assert!(pattern_matches(black_box(&buf), black_box(7))))
+        });
+        g.bench_function("checksum", |b| b.iter(|| checksum(black_box(&buf))));
+        g.finish();
+    }
+}
+
 fn bench_live_pipeline(c: &mut Criterion) {
     // The full native pipeline, wall clock: loaders pattern-fill, the
     // dispatcher stages blocks through the recycled wire slab, receivers
@@ -152,5 +174,5 @@ fn bench_live_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_scheduler, bench_live_pipeline);
+criterion_group!(benches, bench_scheduler, bench_pattern, bench_live_pipeline);
 criterion_main!(benches);

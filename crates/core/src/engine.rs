@@ -1703,21 +1703,20 @@ impl SinkEngine {
         self.kick_consumer(api);
     }
 
-    /// Validate the payload header and pattern of a received block
-    /// (real-data mode: end-to-end integrity check).
+    /// Validate the payload header of a received block and compare every
+    /// payload byte against the regenerated pattern (real-data mode:
+    /// end-to-end integrity check).
     fn verify_block(&mut self, api: &mut Api, session: u32, seq: u32, slot: u32, len: u32) {
         let geo = self.pool.as_ref().expect("pool").geometry();
         let base = geo.offset(slot);
         let mr = api.mr(self.pool_mr);
         let hdr = PayloadHeader::decode(mr.bytes(base, PAYLOAD_HEADER_LEN as u64))
             .expect("payload header decode");
-        let mut ok = hdr.session == session && hdr.seq == seq && hdr.len == len;
-        if ok {
-            // Spot-check the pattern via checksum of the payload.
-            let expect = expected_checksum(session, seq, len);
-            let got = mr.checksum(base + PAYLOAD_HEADER_LEN as u64, len as u64);
-            ok = expect == got;
-        }
+        let payload = base + PAYLOAD_HEADER_LEN as u64;
+        let ok = hdr.session == session
+            && hdr.seq == seq
+            && hdr.len == len
+            && mr.matches_pattern(payload, len as u64, pattern_seed(session, seq));
         if !ok {
             self.stats.checksum_failures += 1;
         }
@@ -2018,13 +2017,6 @@ impl Application for SinkEngine {
     }
 }
 
-/// Checksum a generated pattern block without materializing it (what the
-/// sink expects to find after an intact transfer). Folds the pattern's
-/// word stream directly; see [`rftp_fabric::pattern`].
-pub fn expected_checksum(session: u32, seq: u32, len: u32) -> u64 {
-    rftp_fabric::pattern::pattern_checksum(pattern_seed(session, seq), len as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2060,12 +2052,12 @@ mod tests {
     }
 
     #[test]
-    fn expected_checksum_is_stable_and_keyed() {
-        let a = expected_checksum(1, 2, 1024);
-        let b = expected_checksum(1, 2, 1024);
-        assert_eq!(a, b);
-        assert_ne!(a, expected_checksum(1, 3, 1024));
-        assert_ne!(a, expected_checksum(2, 2, 1024));
-        assert_ne!(a, expected_checksum(1, 2, 1023));
+    fn pattern_seed_is_stable_and_keyed() {
+        use rftp_fabric::pattern::{fill_pattern, pattern_matches};
+        let mut block = vec![0u8; 1024];
+        fill_pattern(&mut block, pattern_seed(1, 2));
+        assert!(pattern_matches(&block, pattern_seed(1, 2)));
+        assert!(!pattern_matches(&block, pattern_seed(1, 3)));
+        assert!(!pattern_matches(&block, pattern_seed(2, 2)));
     }
 }

@@ -54,8 +54,9 @@ pub mod reorder;
 pub mod stats;
 pub mod wire;
 
-/// The shared word-at-a-time test-data pattern / checksum (re-exported so
-/// `rftp-live` verifies with the exact definition the simulator uses).
+/// The shared word-at-a-time test-data pattern, its verifier and the
+/// checksum (re-exported so `rftp-live` verifies with the exact
+/// definition the simulator uses).
 pub use rftp_fabric::pattern;
 
 pub use arena::{SlotArena, WeightedFair};

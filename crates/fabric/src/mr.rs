@@ -193,6 +193,13 @@ impl MemoryRegion {
             }
         }
     }
+
+    /// Whether a range holds exactly the [`Self::fill_pattern`] stream
+    /// for `seed` (never, for virtual backing: it holds no bytes to
+    /// compare); see [`crate::pattern::pattern_matches`].
+    pub fn matches_pattern(&self, offset: u64, len: u64, seed: u64) -> bool {
+        self.backing.is_real() && crate::pattern::pattern_matches(self.bytes(offset, len), seed)
+    }
 }
 
 /// Copy `len` bytes from one MR to another. Virtual endpoints make the
@@ -283,7 +290,22 @@ mod tests {
         assert_eq!(v.len(), 1 << 30);
         assert!(v.check_local(0, 1 << 30).is_ok());
         assert_eq!(v.checksum(0, 100), 0);
+        assert!(!v.matches_pattern(0, 100, 7));
         assert!(v.bytes(0, 0).is_empty());
+    }
+
+    #[test]
+    fn matches_pattern_accepts_exactly_the_filled_range() {
+        let mut m = mr(256);
+        m.fill_pattern(40, 100, 9);
+        assert!(m.matches_pattern(40, 100, 9));
+        assert!(!m.matches_pattern(40, 100, 10), "wrong seed");
+        // One byte early or late starts the comparison off the stream.
+        assert!(!m.matches_pattern(39, 100, 9), "one byte early");
+        assert!(!m.matches_pattern(41, 100, 9), "one byte late");
+        // A range one byte longer than the fill takes in a zero byte.
+        assert!(!m.matches_pattern(40, 101, 9), "one byte past the end");
+        assert!(m.matches_pattern(40, 99, 9), "a prefix still matches");
     }
 
     #[test]

@@ -1,79 +1,83 @@
-//! Deterministic test-data pattern and checksum, word-at-a-time.
+//! Deterministic test-data pattern, its verifier, and a checksum,
+//! word-at-a-time.
 //!
 //! One definition shared by every layer that generates or verifies
 //! payload bytes — [`crate::mr::MemoryRegion`] (simulated registered
-//! memory), the `rftp-core` sink's streaming verifier, and the
-//! `rftp-live` native pipeline — so a pattern written anywhere checks out
-//! anywhere else.
+//! memory), the `rftp-core` simulator's real-data sink, and the
+//! `rftp-live` pipeline's loaders and sink — so a pattern written
+//! anywhere checks out anywhere else.
 //!
-//! Both directions operate on `u64` words rather than bytes: the pattern
-//! is a mixed counter stream (one multiply-xor mix per 8 bytes, serialized
-//! little-endian) and the checksum folds the same 8-byte lanes FNV-style,
-//! finalized with the length so prefixes don't collide. Byte `k` of a
-//! pattern depends only on `(seed, k)`, so a receiver can recompute any
-//! range without knowing where in the sender's region the data lived, and
-//! [`pattern_checksum`] can verify a block without ever materializing it.
+//! **The stream.** The pattern for `seed` is the little-endian
+//! serialization of the words `w_j = mix(seed) + j·STEP` (wrapping), cut
+//! to the buffer's length; a ragged tail holds the low bytes of the next
+//! word. Byte `k` depends only on `(seed, k)`, so a receiver can recompute
+//! any range without knowing where in the sender's region the data lived.
+//! `STEP` is odd, so `j ↦ j·STEP` is a bijection on `u64` and the words of
+//! one block are pairwise distinct; `mix` is a bijection too, so two
+//! distinct seeds never start a block with the same word.
 //!
-//! The checksum runs four interleaved fold lanes (words `4i+l` feed lane
-//! `l`), combined and tail-folded at the end. A single FNV fold is a
-//! loop-carried multiply — ~3 cycles per 8 bytes no matter how wide the
-//! machine is — while four independent lanes keep the multiplier busy
-//! every cycle. The live pipeline checksums every payload byte at the
-//! sink, so this fold is on the measured-throughput path, not just in
-//! tests. The lane structure is part of the checksum's definition:
-//! [`checksum`] and [`pattern_checksum`] agree because both implement it.
+//! **One mix per block.** Loaders fill and the sink verifies every payload
+//! byte on the live pipeline's measured path, so the stream is built to be
+//! cheap to make: the multiply-xorshift scramble runs once per block to
+//! pick the starting word, and each further word is one add — an
+//! induction the compiler vectorizes — instead of one multiply per 8
+//! bytes.
+//!
+//! **Exact to check.** [`pattern_matches`] regenerates the stream and
+//! compares every byte against it in one pass; nothing is folded, so a
+//! block passes only if it is byte-identical to what the source wrote.
+//! [`checksum`] (four interleaved FNV-style fold lanes, length-finalized)
+//! is no longer on the live path: it stays for comparing files, simulated
+//! regions and test buffers.
 
 /// FNV-1a 64-bit offset basis (used as the fold's initial state).
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime (used as the fold's multiplier).
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// One multiply-xorshift scramble per word. A single multiply (not
-/// splitmix64's two) because the loaders pattern-fill every payload byte
-/// on the live pipeline's measured path, and the multiply chain is the
-/// fill's critical path; xor-by-odd-constant then multiply diffuses the
-/// counter's low bits across the word, and the final shift folds the
-/// well-mixed high half down. Test data needs to be position- and
-/// seed-unique, not cryptographic.
+/// Distance between consecutive words of one block: the 64-bit golden
+/// ratio (splitmix64's Weyl increment). Odd, so a block's words never
+/// repeat; dense in both halves, so neighbouring words differ in many
+/// bits and low bytes.
+const STEP: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Multiply-xorshift scramble of the seed into a block's first word.
+/// Both steps are bijections on `u64` (an odd multiplier, a right
+/// xorshift), so distinct seeds give distinct first words. Test data
+/// needs to be position- and seed-unique, not cryptographic.
 #[inline]
 fn mix(x: u64) -> u64 {
     let z = (x ^ 0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z ^ (z >> 31)
 }
 
-/// Word `j` of the pattern stream for `seed`.
-#[inline]
-fn word(seed: u64, j: u64) -> u64 {
-    mix(seed ^ j)
+/// Fill `buf` with the deterministic pattern for `seed`.
+pub fn fill_pattern(buf: &mut [u8], seed: u64) {
+    let mut w = mix(seed);
+    let mut words = buf.chunks_exact_mut(8);
+    for c in &mut words {
+        c.copy_from_slice(&w.to_le_bytes());
+        w = w.wrapping_add(STEP);
+    }
+    let rem = words.into_remainder();
+    let n = rem.len();
+    rem.copy_from_slice(&w.to_le_bytes()[..n]);
 }
 
-/// Fill `buf` with the deterministic pattern for `seed`, 8 bytes per mix.
-pub fn fill_pattern(buf: &mut [u8], seed: u64) {
-    // Four words per iteration: each `word` is independent, so the
-    // unrolled body keeps several multiplies in flight instead of
-    // serializing on one store per loop round trip.
-    let mut groups = buf.chunks_exact_mut(32);
-    let mut j = 0u64;
-    for g in &mut groups {
-        let mut out = [0u8; 32];
-        out[..8].copy_from_slice(&word(seed, j).to_le_bytes());
-        out[8..16].copy_from_slice(&word(seed, j + 1).to_le_bytes());
-        out[16..24].copy_from_slice(&word(seed, j + 2).to_le_bytes());
-        out[24..].copy_from_slice(&word(seed, j + 3).to_le_bytes());
-        g.copy_from_slice(&out);
-        j += 4;
+/// Whether `buf` is exactly the [`fill_pattern`] stream for `seed`:
+/// every byte, ragged tail included, compared in one pass. The words'
+/// differences are or-ed together rather than tested one by one, so the
+/// loop has no data-dependent branch and vectorizes like the fill.
+pub fn pattern_matches(buf: &[u8], seed: u64) -> bool {
+    let mut w = mix(seed);
+    let mut diff = 0u64;
+    let mut words = buf.chunks_exact(8);
+    for c in &mut words {
+        diff |= u64::from_le_bytes(c.try_into().expect("8-byte chunk")) ^ w;
+        w = w.wrapping_add(STEP);
     }
-    let mut chunks = groups.into_remainder().chunks_exact_mut(8);
-    for c in &mut chunks {
-        c.copy_from_slice(&word(seed, j).to_le_bytes());
-        j += 1;
-    }
-    let rem = chunks.into_remainder();
-    if !rem.is_empty() {
-        let tail = word(seed, j).to_le_bytes();
-        let n = rem.len();
-        rem.copy_from_slice(&tail[..n]);
-    }
+    let rem = words.remainder();
+    diff == 0 && *rem == w.to_le_bytes()[..rem.len()]
 }
 
 /// Fold one word into the running checksum state.
@@ -82,141 +86,136 @@ fn fold(h: u64, w: u64) -> u64 {
     (h ^ w).wrapping_mul(FNV_PRIME)
 }
 
-/// Combine the four lane states and fold the trailing words / partial
-/// word / length. `tail_words` holds the < 4 full words after the lane
-/// groups; `partial` is the zero-padded last word when `len % 8 != 0`.
-#[inline]
-fn finish(lanes: [u64; 4], tail_words: &[u64], partial: Option<u64>, len: u64) -> u64 {
-    let mut h = lanes[0];
-    h = fold(h, lanes[1]);
-    h = fold(h, lanes[2]);
-    h = fold(h, lanes[3]);
-    for &w in tail_words {
-        h = fold(h, w);
-    }
-    if let Some(w) = partial {
-        h = fold(h, w);
-    }
-    fold(h, len)
-}
-
-/// Checksum of a byte range: four interleaved 8-byte fold lanes,
-/// combined and length-finalized.
+/// Checksum of a byte range: four interleaved 8-byte fold lanes (words
+/// `4i+l` feed lane `l`, so the multiplies are independent), combined,
+/// then the trailing words, the zero-padded partial word and the length
+/// folded in so prefixes don't collide.
 pub fn checksum(buf: &[u8]) -> u64 {
     let mut lanes = [FNV_OFFSET; 4];
     let mut groups = buf.chunks_exact(32);
     for g in &mut groups {
-        lanes[0] = fold(lanes[0], u64::from_le_bytes(g[..8].try_into().unwrap()));
-        lanes[1] = fold(lanes[1], u64::from_le_bytes(g[8..16].try_into().unwrap()));
-        lanes[2] = fold(lanes[2], u64::from_le_bytes(g[16..24].try_into().unwrap()));
-        lanes[3] = fold(lanes[3], u64::from_le_bytes(g[24..].try_into().unwrap()));
+        for (l, w) in lanes.iter_mut().zip(g.chunks_exact(8)) {
+            *l = fold(*l, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
     }
-    let mut tail_words = [0u64; 3];
-    let mut n_tail = 0;
+    let mut h = lanes.into_iter().reduce(fold).expect("four lanes");
     let mut chunks = groups.remainder().chunks_exact(8);
     for c in &mut chunks {
-        tail_words[n_tail] = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        n_tail += 1;
+        h = fold(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
     }
     let rem = chunks.remainder();
-    let partial = (!rem.is_empty()).then(|| {
-        let mut w = 0u64;
-        for (i, &b) in rem.iter().enumerate() {
-            w |= (b as u64) << (8 * i);
-        }
-        w
-    });
-    finish(lanes, &tail_words[..n_tail], partial, buf.len() as u64)
-}
-
-/// [`checksum`] of a `len`-byte [`fill_pattern`] block for `seed`,
-/// computed from the word stream without materializing the bytes.
-pub fn pattern_checksum(seed: u64, len: u64) -> u64 {
-    let words = len / 8;
-    let rem = len % 8;
-    let groups = words / 4;
-    let mut lanes = [FNV_OFFSET; 4];
-    for g in 0..groups {
-        let j = g * 4;
-        lanes[0] = fold(lanes[0], word(seed, j));
-        lanes[1] = fold(lanes[1], word(seed, j + 1));
-        lanes[2] = fold(lanes[2], word(seed, j + 2));
-        lanes[3] = fold(lanes[3], word(seed, j + 3));
+    if !rem.is_empty() {
+        let mut w = [0u8; 8];
+        w[..rem.len()].copy_from_slice(rem);
+        h = fold(h, u64::from_le_bytes(w));
     }
-    let mut tail_words = [0u64; 3];
-    let mut n_tail = 0;
-    for j in groups * 4..words {
-        tail_words[n_tail] = word(seed, j);
-        n_tail += 1;
-    }
-    // The tail bytes are the low `rem` bytes of the next word
-    // (little-endian serialization), exactly as `checksum` refolds them
-    // from a partially filled buffer.
-    let partial = (rem > 0).then(|| word(seed, words) & (u64::MAX >> (64 - 8 * rem)));
-    finish(lanes, &tail_words[..n_tail], partial, len)
+    fold(h, buf.len() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every lane-group / tail-word / partial-byte shape (0..=67) plus
+    /// page-sized and odd large blocks.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0usize..=67).chain([4096, 4097, 100_003])
+    }
+
+    fn filled(len: usize, seed: u64) -> Vec<u8> {
+        let mut buf = vec![0u8; len];
+        fill_pattern(&mut buf, seed);
+        buf
+    }
+
     #[test]
-    fn pattern_checksum_matches_materialized_for_all_tail_lengths() {
-        // Covers every lane-group/tail-word/partial-byte combination:
-        // 0..32 sweeps each words%4 × rem pairing, the larger sizes hit
-        // the unrolled group loops.
-        for len in (0usize..=67).chain([4096, 4097, 100_003]) {
-            let mut buf = vec![0u8; len];
-            fill_pattern(&mut buf, 0xDEAD_BEEF);
-            assert_eq!(
-                checksum(&buf),
-                pattern_checksum(0xDEAD_BEEF, len as u64),
+    fn pattern_matches_its_own_fill_at_every_length() {
+        for len in lengths() {
+            assert!(
+                pattern_matches(&filled(len, 0xDEAD_BEEF), 0xDEAD_BEEF),
                 "len {len}"
             );
         }
     }
 
     #[test]
+    fn any_single_byte_flip_fails_the_match() {
+        for len in lengths() {
+            let mut buf = filled(len, 77);
+            // Every offset, except that the 100 003-byte block (a full
+            // re-scan per flip) takes its head, its tail and a prime
+            // stride, which still lands on every byte lane of a word.
+            let probe =
+                |&k: &usize| len <= 4097 || k < 256 || k + 256 >= len || k.is_multiple_of(61);
+            for k in (0..len).filter(probe) {
+                buf[k] ^= 0x01;
+                assert!(!pattern_matches(&buf, 77), "flip at {k} of {len}");
+                buf[k] ^= 0x81;
+                assert!(!pattern_matches(&buf, 77), "flip at {k} of {len}");
+                buf[k] ^= 0x80;
+            }
+            assert!(pattern_matches(&buf, 77), "len {len} restored");
+        }
+    }
+
+    #[test]
+    fn a_neighbouring_seed_or_a_shifted_block_fails_the_match() {
+        // Seeds as the live pipeline forms them: session in the high
+        // half, sequence in the low half, so `seed ± 1` is the block
+        // before or after. Below one word the test holds for these seeds
+        // (the first words' low bytes differ); from one word up it holds
+        // for any seeds, because `mix` is a bijection.
+        let seed = (1u64 << 32) | 1000;
+        for len in lengths().filter(|&len| len > 0) {
+            let buf = filled(len, seed);
+            assert!(!pattern_matches(&buf, seed + 1), "seq+1 at len {len}");
+            assert!(!pattern_matches(&buf, seed - 1), "seq-1 at len {len}");
+            // One word late: w_{j+1} = w_j + STEP, and STEP's low byte is
+            // non-zero, so even a one-byte block differs.
+            let late = filled(len + 8, seed);
+            assert!(!pattern_matches(&late[8..], seed), "shifted at len {len}");
+        }
+    }
+
+    #[test]
     fn pattern_is_seed_and_position_dependent() {
-        let mut a = [0u8; 64];
-        let mut b = [0u8; 64];
-        fill_pattern(&mut a, 1);
-        fill_pattern(&mut b, 2);
-        assert_ne!(a, b);
-        assert_ne!(&a[..32], &a[32..], "pattern must not repeat positionally");
+        assert_ne!(filled(8, 1), filled(8, 2));
+        let buf = filled(64 << 10, 3);
+        let mut words: Vec<u64> = buf
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        words.sort_unstable();
+        words.dedup();
+        assert_eq!(words.len(), (64 << 10) / 8, "a block's words repeat");
     }
 
     #[test]
     fn fill_is_prefix_stable() {
         // Byte k depends only on (seed, k): a short fill is a prefix of a
-        // longer one regardless of which unroll path produced it.
-        let mut long = [0u8; 96];
-        fill_pattern(&mut long, 42);
+        // longer one.
+        let long = filled(96, 42);
         for len in [1usize, 7, 8, 9, 31, 32, 33, 95] {
-            let mut short = vec![0u8; len];
-            fill_pattern(&mut short, 42);
-            assert_eq!(short[..], long[..len], "len {len}");
+            assert_eq!(filled(len, 42)[..], long[..len], "len {len}");
         }
     }
 
     #[test]
     fn checksum_distinguishes_length_and_content() {
-        let mut buf = [0u8; 16];
-        fill_pattern(&mut buf, 9);
+        let buf = filled(16, 9);
         assert_ne!(checksum(&buf[..15]), checksum(&buf));
         assert_ne!(checksum(&[1, 0]), checksum(&[1]));
-        let mut tweaked = buf;
+        let mut tweaked = buf.clone();
         tweaked[3] ^= 1;
         assert_ne!(checksum(&tweaked), checksum(&buf));
     }
 
     #[test]
     fn checksum_detects_single_bit_flips_across_lanes() {
-        let mut buf = [0u8; 80];
-        fill_pattern(&mut buf, 5);
+        let buf = filled(80, 5);
         let base = checksum(&buf);
         for byte in 0..buf.len() {
-            let mut t = buf;
+            let mut t = buf.clone();
             t[byte] ^= 0x80;
             assert_ne!(checksum(&t), base, "flip at byte {byte} undetected");
         }

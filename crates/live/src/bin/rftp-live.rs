@@ -97,8 +97,9 @@ OPTIONS:
   --fault drop=<P>   drop each payload with probability P (exercises
                      the retransmit path)
   --src-file <PATH>  read payload from this file instead of pattern fill
+                     (a local run needs --dst-file with it)
   --dst-file <PATH>  write-behind placed blocks into this file instead
-                     of checksum-verifying
+                     of verifying them against the pattern
   --direct           open files O_DIRECT where the filesystem allows
                      (falls back to buffered + fadvise elsewhere)
   --readahead <N>    read-ahead depth: source blocks in flight beyond
@@ -268,6 +269,13 @@ fn parse_args() -> Result<Args, String> {
                 return Err(
                     "--transport applies to the two-process mode (--listen/--connect)".into(),
                 );
+            }
+            // Without a file to write, the local sink checks every block
+            // against the test pattern, which a file's bytes never match.
+            if a.src_file.is_some() && a.dst_file.is_none() {
+                return Err("--src-file in a local run needs --dst-file \
+                     (the sink can only verify pattern data)"
+                    .into());
             }
         }
     }

@@ -51,11 +51,11 @@ OPTIONS:
                          created owner-only and every admitted session
                          gets its own memfd window, so tenants cannot
                          map each other's memory — but a session's peer
-                         can always scribble its *own* window; checksums
-                         detect, not prevent, that
+                         can always scribble its *own* window; pattern
+                         verification detects, not prevents, that
   --dst-dir <PATH>       write session n's payload to
                          <PATH>/session-<n>.dat instead of
-                         checksum-verifying
+                         verifying it against the pattern
   --wan <SPEC>           emulate a WAN path on every TCP session's
                          inbound data and adapt each sink's dwell/credit
                          depth to the measured RTT. SPEC as in

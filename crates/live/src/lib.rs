@@ -30,13 +30,13 @@
 //!   multi-session [`daemon`] on top.
 //!
 //! A transfer moves pattern data end to end with header validation and
-//! checksum verification at the sink, and reports real wall-clock
-//! throughput. With a source and/or destination file configured, the same
-//! pipeline runs **disk to disk**: the `store` module supplies an
-//! aligned, `O_DIRECT`-capable block reader and a write-behind sink that
-//! `pwrite`s each block at its final offset the moment it is placed —
-//! loaders become the read-ahead scheduler and sparse placement is the
-//! reassembly.
+//! a byte-for-byte pattern comparison at the sink, and reports real
+//! wall-clock throughput. With a source and/or destination file
+//! configured, the same pipeline runs **disk to disk**: the `store`
+//! module supplies an aligned, `O_DIRECT`-capable block reader and a
+//! write-behind sink that `pwrite`s each block at its final offset the
+//! moment it is placed — loaders become the read-ahead scheduler and
+//! sparse placement is the reassembly.
 
 pub mod args;
 pub(crate) mod coalesce;

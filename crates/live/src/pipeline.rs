@@ -80,7 +80,7 @@ pub struct LiveConfig {
     /// pattern data. The file must hold at least `total_bytes`.
     pub src_file: Option<PathBuf>,
     /// Sink backend: `pwrite` placed blocks into this file (created and
-    /// pre-sized) instead of checksum-verifying pattern data.
+    /// pre-sized) instead of verifying them against the pattern.
     pub dst_file: Option<PathBuf>,
     /// Open storage with `O_DIRECT` where the filesystem allows it
     /// (silently degrades to buffered I/O + `posix_fadvise` elsewhere).
@@ -210,7 +210,7 @@ pub struct StageBreakdown {
     pub dispatch_ns: f64,
     /// Placement memcpy at the receivers.
     pub place_ns: f64,
-    /// Header + checksum verification at the consumer.
+    /// Header check + pattern comparison at the consumer.
     pub verify_ns: f64,
     /// Write-behind `pwrite` to the sink file at the receivers (zero in
     /// pattern mode).
@@ -389,7 +389,7 @@ pub fn try_run_live(cfg: &LiveConfig) -> std::io::Result<LiveReport> {
 mod tests {
     use super::*;
 
-    /// Debug builds run the pattern/checksum word loops and copies far
+    /// Debug builds run the pattern word loops and copies far
     /// slower than release; scale test volumes so `cargo test` stays
     /// snappy while `cargo test --release` exercises the full sizes.
     const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn throughput_is_real_and_every_stage_clock_survives_the_merge() {
         // The full pipeline: loaders pattern-fill, one placement copy per
-        // block, checksum verification. Release builds should beat
+        // block, pattern verification. Release builds should beat
         // 0.2 GB/s on any machine; debug builds run a reduced volume with
         // a token floor (the word loops are unoptimized there).
         let mut cfg = LiveConfig::new(1 << 20, 4, (256 << 20) / SCALE);

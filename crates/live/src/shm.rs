@@ -79,10 +79,10 @@
 //! Same-host, same trust domain as the hello token (net.rs): the peer
 //! holds a writable mapping of **its own session's window** — one memfd
 //! created for that session alone ([`SessionWindow`]), so under the
-//! daemon a tenant can scribble its own in-flight payloads (per-block
-//! checksums detect that, as with an RDMA rkey holder writing your
-//! pinned memory) but can never see or corrupt another session's. The
-//! unix sockets are created owner-only (0600): admission itself is
+//! daemon a tenant can scribble its own in-flight payloads (the sink's
+//! pattern comparison detects that, as with an RDMA rkey holder writing
+//! your pinned memory) but can never see or corrupt another session's.
+//! The unix sockets are created owner-only (0600): admission itself is
 //! limited to the daemon's uid.
 
 #[cfg(target_os = "linux")]

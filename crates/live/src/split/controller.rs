@@ -80,7 +80,7 @@ impl Controller {
         }
         // The BDP depth target only means something on a propagation-
         // dominated path: below ~1 ms the measured floor is mostly
-        // per-block service time (placement, checksum, scheduling), and
+        // per-block service time (placement, verify, scheduling), and
         // a clamp computed from it starves the thread pipeline that the
         // pool was sized for. LAN-class paths keep the full pool.
         if let (Some(rate), Some(min_rtt)) = (self.rate_bps, est.min_rtt()) {

@@ -5,13 +5,12 @@
 
 use super::{perr, run_stage, stage, Controller, Fail, Tally};
 use crate::coalesce::{channel_events, drain_coalesced, CoalescedSink, DrainEnd};
-use crate::pipeline::{LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION, SINK_RKEY};
+use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION, SINK_RKEY};
 use crate::store::{BlockPool, FileSink, SlotBuf};
 use crate::transport::{CtrlRx, CtrlTx, DataRx, SinkTransport, UringStats};
 use crossbeam::channel::{bounded, Sender};
 use parking_lot::Mutex;
-use rftp_core::engine::expected_checksum;
-use rftp_core::pattern::checksum;
+use rftp_core::pattern::pattern_matches;
 use rftp_core::wire::{BlockAck, CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use rftp_core::{AtomicSinkPool, Granter, PoolGeometry, WeightedFair};
 use std::collections::HashMap;
@@ -417,8 +416,10 @@ impl SinkHandler<'_> {
                 && hdr.seq == seq
                 && hdr.len == len
                 && (!self.verify_payload
-                    || checksum(&buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize])
-                        == expected_checksum(SESSION, seq, len));
+                    || pattern_matches(
+                        &buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
+                        pattern_seed(seq),
+                    ));
             if !ok {
                 self.tally.checksum_failures += 1;
             }
@@ -587,7 +588,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 /// session setup (the TCP listener consumes the `SessionRequest` to
 /// build `cfg`), replayed to the handler before live traffic.
 ///
-/// Without a `dst_file` the sink checksum-verifies against the pattern
+/// Without a `dst_file` the sink compares every block with the pattern
 /// generator — pair a file *source* with a file *sink*, or every block
 /// counts as a checksum failure.
 pub fn run_split_sink(

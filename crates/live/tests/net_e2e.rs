@@ -105,6 +105,31 @@ fn tcp_file_to_file_is_byte_identical() {
     let _ = std::fs::remove_file(&dst_path);
 }
 
+/// The tcp sink compares every payload byte with the pattern: a source
+/// file holding each block's pattern but one flipped byte fails exactly
+/// that block, and the transfer still completes.
+#[test]
+fn tcp_sink_fails_the_one_block_with_a_flipped_byte() {
+    let path = tmp_path("one_flip_src");
+    let block = 64 * 1024;
+    let mut data = vec![0u8; 8 * block + 4321];
+    for (seq, chunk) in data.chunks_mut(block).enumerate() {
+        rftp_core::pattern::fill_pattern(chunk, rftp_core::engine::pattern_seed(1, seq as u32));
+    }
+    data[3 * block + 1000] ^= 0x40;
+    std::fs::write(&path, &data).unwrap();
+
+    let mut src_cfg = LiveConfig::new(block, 2, data.len() as u64);
+    src_cfg.src_file = Some(path.clone());
+    let snk_cfg = LiveConfig::new(block, 2, data.len() as u64);
+    let (src, snk) = run_tcp_pair(src_cfg, snk_cfg);
+    let _ = std::fs::remove_file(&path);
+    src.unwrap();
+    let snk = snk.unwrap();
+    assert_eq!(snk.blocks, 9);
+    assert_eq!(snk.checksum_failures, 1);
+}
+
 #[test]
 fn tcp_drop_faults_recover_exactly_once() {
     let mut src_cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
@@ -755,4 +780,18 @@ fn pool_past_the_credit_ring_is_rejected_at_parse_time() {
         Some(2),
         "--pool 4097 must exit 2"
     );
+}
+
+/// A local run from a file has no pattern for the sink to check, so
+/// without a file to write it could only fail verification: refused at
+/// parse time, before the (here absent) file is opened.
+#[test]
+fn local_src_file_without_dst_file_is_rejected_at_parse_time() {
+    let out = rftp_live_cmd()
+        .args(["--src-file", "/nonexistent/rftp-src.bin", "--block", "256K"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--dst-file"), "{err}");
 }

@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Every block carries the Fig. 7(b) payload header (session, sequence,
-//! offset, length); the sink validates headers and payload checksums as
-//! blocks arrive over 8 parallel queue pairs, and delivers an in-order
-//! stream to the consumer regardless of arrival order.
+//! offset, length); the sink validates headers and compares every payload
+//! byte with the pattern as blocks arrive over 8 parallel queue pairs,
+//! and delivers an in-order stream to the consumer regardless of arrival
+//! order.
 
 use rftp::{Client, DataSink, DataSource, Server};
 use rftp_netsim::testbed;

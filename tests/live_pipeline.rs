@@ -7,6 +7,8 @@
 //! dispatcher, watchdog (both its triggers), receivers, sink handler,
 //! the one-copy channel transport, and the merge itself.
 
+use rftp_core::engine::pattern_seed;
+use rftp_core::pattern::fill_pattern;
 use rftp_live::{run_live, run_split_pair, try_run_live, LiveConfig, LiveReport, WanProfile};
 use std::time::{Duration, Instant};
 
@@ -107,6 +109,40 @@ fn file_to_file_is_byte_identical() {
     std::fs::remove_file(&src).ok();
     std::fs::remove_file(&dst).ok();
     assert!(copied == data, "destination differs from source");
+}
+
+/// The sink compares every payload byte with the pattern, so it can fail:
+/// a source file holding each block's pattern but one flipped byte (the
+/// last, in the ragged tail's partial word) fails exactly that block, and
+/// an all-zero file fails every block. Either way the transfer completes
+/// and reports the failures; it does not error out.
+#[test]
+fn the_sink_fails_exactly_the_blocks_that_differ_from_the_pattern() {
+    let block = 64 << 10;
+    let total = 16 * block + 777;
+    let mut data = vec![0u8; total];
+    for (seq, chunk) in data.chunks_mut(block).enumerate() {
+        fill_pattern(chunk, pattern_seed(1, seq as u32));
+    }
+    assert_eq!(failures_sending(&data, block, "intact"), 0);
+    data[total - 1] ^= 0x01;
+    assert_eq!(failures_sending(&data, block, "one_flip"), 1);
+    assert_eq!(failures_sending(&vec![0u8; total], block, "zeros"), 17);
+}
+
+/// Send `data` from a source file into the verifying (no `dst_file`)
+/// sink and return the sink's checksum-failure count.
+fn failures_sending(data: &[u8], block: usize, tag: &str) -> u64 {
+    let src = std::env::temp_dir().join(format!("rftp_tier1_{}_{tag}", std::process::id()));
+    std::fs::write(&src, data).expect("write source");
+    let mut cfg = LiveConfig::new(block, 2, data.len() as u64);
+    cfg.pool_blocks = 8;
+    cfg.src_file = Some(src.clone());
+    let r = try_run_live(&cfg);
+    std::fs::remove_file(&src).ok();
+    let r = r.expect("a failed verification is counted, not an error");
+    assert_eq!(r.blocks, data.len().div_ceil(block) as u64);
+    r.checksum_failures
 }
 
 /// The two things the single-process entry point could never report
