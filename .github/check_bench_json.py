@@ -7,7 +7,7 @@ import json
 import sys
 
 ENVELOPE = ["bench", "mode", "quick", "host", "config", "results", "gates"]
-HOST = ["uring", "multishot", "shm", "sockbuf_effective"]
+HOST = ["uring", "shm", "sockbuf_effective"]
 GATE = ["name", "value", "op", "bound", "pass"]
 
 for path in sys.argv[1:]:

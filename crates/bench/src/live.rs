@@ -19,9 +19,9 @@ use rftp_live::args::flag_value;
 use rftp_live::net::{connect_source, default_sockbuf, probe_sockbuf, NetListener};
 use rftp_live::{
     accept_source_uring, connect_source_shm, connect_source_uring, run_shm_sink, run_split_pair,
-    run_split_sink, run_split_source, run_uring_sink, shm_supported, uring_multishot,
-    uring_supported, wrap_sink, wrap_source, LiveConfig, LiveReport, NsHist, ShmListener,
-    SourceTransport, UringStats, WanProfile,
+    run_split_sink, run_split_source, run_uring_sink, shm_supported, uring_supported, wrap_sink,
+    wrap_source, LiveConfig, LiveReport, NsHist, ShmListener, SourceTransport, UringStats,
+    WanProfile,
 };
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -415,8 +415,7 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Ring counters, with the per-block rates the gates read (CQEs/block is
-/// the kernel-crossing cost multishot receive collapses). `blocks` is
+/// Ring counters, with the per-block kernel-crossing rates. `blocks` is
 /// what the ring carried: one session's, or a daemon's total.
 pub fn ring_json(s: &UringStats, blocks: u64) -> Json {
     let per_block = |n: u64| Json::num(n as f64 / blocks.max(1) as f64, 4);
@@ -425,9 +424,6 @@ pub fn ring_json(s: &UringStats, blocks: u64) -> Json {
         .with("cqes", s.cqes)
         .with("enters_per_block", per_block(s.enters))
         .with("cqes_per_block", per_block(s.cqes))
-        .with("multishot", s.multishot)
-        .with("multishot_rearms", s.multishot_rearms)
-        .with("pbuf_exhausted", s.pbuf_exhausted)
         .with("registrations", s.registrations)
 }
 
@@ -654,7 +650,6 @@ pub fn finish(args: &Args, mode: &str, config: Json, results: Vec<Json>, gates: 
     });
     let host = Json::obj()
         .with("uring", uring_supported())
-        .with("multishot", uring_multishot())
         .with("shm", shm_supported())
         .with("sockbuf_effective", sockbuf);
     let code = gates.exit_code();

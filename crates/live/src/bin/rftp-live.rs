@@ -138,11 +138,9 @@ TWO-PROCESS MODE (the pipeline split over TCP):
                      (and the data-loss leg) into the source's shim,
                      for sinks that cannot host one (uring/shm)
   --probe-uring      report whether this kernel can run the uring
-                     backend — and whether multishot receive is live
-                     or the READ_FIXED fallback would carry — plus
-                     whether the shm transport (memfd + SCM_RIGHTS fd
-                     passing) is available, then exit (0 = uring
-                     supported, 3 = not)
+                     backend (5.11+) and whether the shm transport
+                     (memfd + SCM_RIGHTS fd passing) is available, then
+                     exit (0 = uring supported, 3 = not)
   --help             this text";
 
 fn parse_args() -> Result<Args, String> {
@@ -214,16 +212,7 @@ fn parse_args() -> Result<Args, String> {
             "--probe-uring" => {
                 let uring_ok = rftp_live::uring_supported();
                 if uring_ok {
-                    if rftp_live::uring_multishot() {
-                        println!(
-                            "rftp-live: io_uring transport supported; multishot receive active"
-                        );
-                    } else {
-                        println!(
-                            "rftp-live: io_uring transport supported; multishot receive \
-                             unavailable (header-first READ_FIXED fallback)"
-                        );
-                    }
+                    println!("rftp-live: io_uring transport supported");
                 } else {
                     println!("rftp-live: io_uring transport NOT supported on this kernel");
                 }

@@ -182,14 +182,8 @@ fn print_report(r: &DaemonReport) {
         // Every admitted session's data path ran on the daemon's ONE
         // shared ring; CI greps this line to pin the thread shape.
         println!(
-            "  shared uring driver: 1 thread, {} enters, {} cqes, multishot {}, \
-             {} rearms, {} pbuf exhaustions, {} buffer registration(s)",
-            st.enters,
-            st.cqes,
-            st.multishot,
-            st.multishot_rearms,
-            st.pbuf_exhausted,
-            st.registrations
+            "  shared uring driver: 1 thread, {} enters, {} cqes, {} buffer registration(s)",
+            st.enters, st.cqes, st.registrations
         );
     }
 }

@@ -375,9 +375,7 @@ impl Daemon {
             // any admission — admission only hands out leases into the
             // already-registered table.
             let shared = match d.cfg.transport {
-                DaemonTransport::Uring => {
-                    Some(spawn_shared_uring_driver(scope, &d.slots, d.cfg.slot_cap)?)
-                }
+                DaemonTransport::Uring => Some(spawn_shared_uring_driver(scope, &d.slots)?),
                 DaemonTransport::Tcp => None,
             };
             let hub = shared.as_ref().map(|(h, _)| Arc::clone(h));

@@ -64,6 +64,5 @@ pub use split::{run_split_pair, run_split_sink, run_split_source};
 pub use store::{BlockPool, FileSink, FileSource, RatePacer, SlotBuf, STORE_ALIGN};
 pub use transport::{channel_transport, SinkTransport, SourceTransport, UringStats};
 pub use uring::{
-    accept_source_uring, connect_source_uring, run_uring_sink, uring_multishot, uring_supported,
-    UringSinkSession,
+    accept_source_uring, connect_source_uring, run_uring_sink, uring_supported, UringSinkSession,
 };

@@ -43,8 +43,8 @@ pub(crate) const SINK_EVENTS: usize = 1024;
 pub(crate) const SINK_EVENT_DRAIN: usize = 64;
 
 /// The placement front: what every receiver of a session — the TCP/shm
-/// reader threads, the uring driver's multishot parser and its
-/// header-first fallback — decides about a data frame, in one place. A
+/// reader threads and the uring driver's header-first links — decides
+/// about a data frame, in one place. A
 /// frame is *admitted* (valid for this session's geometry, and the first
 /// arrival of its sequence) before any payload byte is read, and
 /// *landed* once its wire image sits in the credited slot.

@@ -109,17 +109,14 @@ pub trait DataRx: Send {
 pub struct UringStats {
     /// `io_uring_enter` calls on the sink/source ring.
     pub enters: u64,
-    /// CQEs reaped. CQEs-per-block is the per-block kernel cost the
-    /// multishot receive path collapses (~2 → ~1).
+    /// CQEs reaped. The sink spends ≈ 2 per block: a header read and
+    /// a `READ_FIXED` of the wire image into the credited slot.
     pub cqes: u64,
-    /// Whether the multishot + provided-buffer-ring receive path was
-    /// active (false = the header-first `READ_FIXED` fallback ran).
-    pub multishot: bool,
-    /// Times a multishot receive terminated (`IORING_CQE_F_MORE`
-    /// cleared, `ECANCELED`, buffer exhaustion) and was re-armed.
+    /// Always 0 — the sink has no multishot receive. Kept only because
+    /// the repo benchmark reads it.
     pub multishot_rearms: u64,
-    /// `ENOBUFS` completions: the provided-buffer ring ran dry and a
-    /// link parked until a buffer was recycled.
+    /// Always 0 — the sink has no multishot receive. Kept only because
+    /// the repo benchmark reads it.
     pub pbuf_exhausted: u64,
     /// `IORING_REGISTER_BUFFERS` calls on this ring. A daemon's shared
     /// ring registers the whole arena exactly once at startup; this

@@ -19,22 +19,15 @@
 //!   single contiguous SQE) and submits the whole dispatcher drain with
 //!   one `io_uring_enter` — the doorbell ([`crate::transport::DataTx::kick`]); one reaper
 //!   thread retires completions for every channel;
-//! * the sink runs a **single driver thread** for all data links. On
-//!   kernels with `IORING_RECV_MULTISHOT` + provided-buffer rings
-//!   (probed live via a socketpair round-trip, `multishot_probe`)
-//!   each data socket is armed once and the kernel keeps posting CQEs,
-//!   picking buffers from a registered pbuf ring; the driver
-//!   reassembles frames from the byte runs, copies payload to the
-//!   credited slot, recycles buffers by bumping the ring tail, re-arms
-//!   on `!F_MORE`, and parks/recovers links on `ENOBUFS` (un-starving
-//!   runs at every CQE-batch boundary). Kernels where that probe fails
-//!   fall back to header-first re-armed
-//!   reads (16 bytes of `DataFrameHeader`, routed *before* the payload
-//!   read is committed `READ_FIXED` into the credited slot, or into a
-//!   scratch buffer for duplicates). Either way control frames are
-//!   read off the same ring and the ack/credit dwell is
-//!   `IORING_ENTER_EXT_ARG` timed waits feeding the shared
-//!   `drain_coalesced` loop;
+//! * the sink runs a **single driver thread** for all data links, with
+//!   one receive path on every kernel: each link reads the 16-byte
+//!   `DataFrameHeader` first and routes it *before* the payload read is
+//!   committed — `READ_FIXED` straight into the credited slot's
+//!   registered buffer for a first arrival (the CQE is the placement;
+//!   no user-space copy, the one-sided WRITE analogue), a scratch read
+//!   for a duplicate. Control frames are read off the same ring and the
+//!   ack/credit dwell is `IORING_ENTER_EXT_ARG` timed waits feeding the
+//!   shared `drain_coalesced` loop;
 //! * the daemon ([`crate::daemon`]) shares ONE ring and ONE driver
 //!   thread (`MultiDriver`) across every admitted session: the whole
 //!   slot arena is registered once at startup, leases map to
@@ -43,12 +36,13 @@
 //!   carry events to session threads — cross-session completion
 //!   batching means one `GETEVENTS` drains arrivals for all sessions.
 //!
-//! There is nothing to set: the probe (run once per process) picks the
-//! receive path, the caller picks the shape — one session pumps the
-//! driver on its own thread ([`run_uring_sink`]), a daemon runs it as a
-//! shared thread — and what a valid, first-time data frame is and what
-//! happens when it lands is [`crate::split`]'s `SinkFront`, the same
-//! one the TCP receivers call.
+//! There is nothing to set: the probe (run once per process) says
+//! whether the backend runs at all (5.11+), the caller picks the shape
+//! — one session pumps the driver on its own thread
+//! ([`run_uring_sink`]), a daemon runs it as a shared thread — and
+//! what a valid, first-time data frame is and what happens when it
+//! lands is [`crate::split`]'s `SinkFront`, the same one the TCP
+//! receivers call.
 //!
 //! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
 //! 425/426/427 on every Linux architecture) over `extern "C"` shims —
@@ -74,14 +68,13 @@ mod sys;
 pub(crate) use sink::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 #[cfg(not(target_os = "linux"))]
 pub use stub::{
-    accept_source_uring, connect_source_uring, run_uring_sink, uring_multishot, uring_supported,
-    UringSinkSession,
+    accept_source_uring, connect_source_uring, run_uring_sink, uring_supported, UringSinkSession,
 };
 #[cfg(not(target_os = "linux"))]
 pub(crate) use stub::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 #[cfg(target_os = "linux")]
 pub use {
-    ring::{uring_multishot, uring_supported},
+    ring::uring_supported,
     sink::{accept_source_uring, run_uring_sink, UringSinkSession},
     source::connect_source_uring,
 };

@@ -1,8 +1,14 @@
 //! The sink's single data-path driver: per-session link state machines
-//! ([`Sess`]), the multishot parser, the header-first fallback, and
-//! [`MultiDriver`] in its pump and daemon harnesses.
+//! ([`Sess`]) and [`MultiDriver`] in its pump and daemon harnesses.
+//!
+//! There is one receive path. Each data link reads the 16-byte
+//! [`DataFrameHeader`] first and routes it before any payload byte is
+//! read: a first arrival commits one `READ_FIXED` straight into the
+//! credited slot's registered buffer (the CQE is the placement, no
+//! user-space copy), and a duplicate is read into a scratch buffer and
+//! dropped.
 
-use super::ring::{PbufRing, Ring, PBUF_BGID, RING_ENTRIES};
+use super::ring::{Ring, RING_ENTRIES};
 use super::source::UD_NOP;
 use super::sys::*;
 use crate::net::shutdown_all;
@@ -20,49 +26,31 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fallback: cap on a session's concurrently-armed payload reads, so
-/// each socket→slot copy stays cache-adjacent to its verify instead
-/// of a burst of sibling copies evicting the block first.
+/// Cap on a session's concurrently-armed payload reads, so each
+/// socket→slot copy stays cache-adjacent to its verify instead of a
+/// burst of sibling copies evicting the block first.
 const PLACE_CAP: u32 = 1;
 
-/// Where one data link's framing state machine stands. Two modes:
-///
-/// * `Fx*` — the armed-read fallback (kernels where
-///   `multishot_probe` fails): header-first, the 16-byte
-///   [`DataFrameHeader`] is read and routed *before* the payload
-///   read is committed, into either the credited slot's registered
-///   buffer (`READ_FIXED` — the CQE is the placement) or a scratch
-///   buffer (duplicate arrival).
-/// * `Ms*` — multishot receive: one armed `RECV|MULTISHOT` per
-///   socket, the kernel picks a provided buffer per completion, and
-///   the driver parses the wire stream out of the buffers — headers
-///   accumulate in the link's stash, payload bytes are copied into
-///   the credited slot. Copy-routing costs a memcpy per block; the
-///   CQE/syscall batching multishot buys is the trade.
+/// Where one data link's framing state machine stands.
 #[derive(Clone, Copy)]
 enum RxState {
-    /// Both modes: `got` bytes of the next frame header are in the
-    /// link's `hdr_buf`.
+    /// `got` bytes of the next frame header are in the link's
+    /// `hdr_buf`.
     Header {
         got: usize,
     },
-    FxPlace {
+    /// A first arrival: `got` bytes of its wire image are in the
+    /// credited slot, whose registered buffer starts at `base`.
+    Place {
         hdr: DataFrameHeader,
         base: u64,
         got: usize,
         t0: Instant,
     },
-    FxDiscard {
+    /// A duplicate: `got` of its `wire_len` bytes read and dropped.
+    Discard {
         wire_len: usize,
         got: usize,
-    },
-    MsBody {
-        hdr: DataFrameHeader,
-        got: usize,
-        t0: Instant,
-    },
-    MsDiscard {
-        remaining: usize,
     },
     Eof,
 }
@@ -70,14 +58,9 @@ enum RxState {
 struct Link {
     fd: i32,
     state: RxState,
-    /// Boxed so its address is stable while a kernel read targets
-    /// it (fallback header reads; the multishot parser uses it as
-    /// its partial-header stash).
+    /// Boxed so its address is stable while a kernel read targets it.
     hdr_buf: Box<[u8; DATA_FRAME_HEADER_LEN]>,
     scratch: Vec<u8>,
-    /// Multishot only: the receive terminated on `ENOBUFS` and the
-    /// link is parked until a provided buffer is recycled.
-    parked: bool,
 }
 
 struct CtrlLink {
@@ -131,9 +114,7 @@ pub(super) struct Sess {
     /// Daemon mode: where the detach handshake delivers
     /// [`SessionStats`].
     stats_tx: Option<std::sync::mpsc::SyncSender<SessionStats>>,
-    /// Kernel ops currently in flight for this session (an armed
-    /// multishot receive counts once: only its terminal CQE — no
-    /// `F_MORE` — decrements).
+    /// Kernel ops currently in flight for this session.
     inflight: u32,
     err: Option<io::Error>,
     /// Detach requested: stop re-arming, drain to `inflight == 0`,
@@ -141,11 +122,10 @@ pub(super) struct Sess {
     detaching: bool,
     /// Sockets already shut down (error/detach path ran).
     cut: bool,
-    /// Fallback: payload reads armed right now, bounded by
-    /// [`PLACE_CAP`].
+    /// Payload reads armed right now, bounded by [`PLACE_CAP`].
     place_armed: u32,
-    /// Fallback: links routed into `FxPlace` whose read is deferred
-    /// until a slot under the cap frees up. Safe to defer: the
+    /// Links routed into `Place` whose read is deferred until a
+    /// slot under the cap frees up. Safe to defer: the
     /// header is already read, and the source wrote header +
     /// payload as one contiguous write, so the payload is on the
     /// wire (or in the socket buffer) no matter when the read arms.
@@ -169,7 +149,6 @@ impl Sess {
                 state: RxState::Header { got: 0 },
                 hdr_buf: Box::new([0u8; DATA_FRAME_HEADER_LEN]),
                 scratch: Vec::new(),
-                parked: false,
             })
             .collect();
         let ctrl_link = CtrlLink {
@@ -218,75 +197,6 @@ fn decode_header(buf: &[u8; DATA_FRAME_HEADER_LEN]) -> io::Result<DataFrameHeade
     DataFrameHeader::decode(&buf[..]).map_err(|e| perr(format!("bad data frame header: {e:?}")))
 }
 
-/// Feed one multishot completion's worth of wire-stream bytes into
-/// link `i`'s parser. Returns a *session*-level error on a torn or
-/// invalid frame.
-fn ms_feed(
-    sess: &mut Sess,
-    slots: &[&Mutex<SlotBuf>],
-    i: usize,
-    mut bytes: &[u8],
-    floor: Instant,
-) -> io::Result<()> {
-    while !bytes.is_empty() {
-        match sess.links[i].state {
-            RxState::Header { got } => {
-                let take = (DATA_FRAME_HEADER_LEN - got).min(bytes.len());
-                sess.links[i].hdr_buf[got..got + take].copy_from_slice(&bytes[..take]);
-                bytes = &bytes[take..];
-                let got = got + take;
-                if got < DATA_FRAME_HEADER_LEN {
-                    sess.links[i].state = RxState::Header { got };
-                    continue;
-                }
-                let hdr = decode_header(&sess.links[i].hdr_buf)?;
-                sess.links[i].state = if sess.front.admit(&hdr, &mut sess.tally)? {
-                    RxState::MsBody {
-                        hdr,
-                        got: 0,
-                        t0: Instant::now(),
-                    }
-                } else {
-                    RxState::MsDiscard {
-                        remaining: hdr.wire_len(),
-                    }
-                };
-            }
-            RxState::MsBody { hdr, got, t0 } => {
-                let wire_len = hdr.wire_len();
-                let take = (wire_len - got).min(bytes.len());
-                let mut dst = slots[sess.lease[hdr.slot as usize] as usize].lock();
-                dst[got..got + take].copy_from_slice(&bytes[..take]);
-                bytes = &bytes[take..];
-                let got = got + take;
-                if got < wire_len {
-                    sess.links[i].state = RxState::MsBody { hdr, got, t0 };
-                    continue;
-                }
-                // Clock from max(armed, floor) — see `place_floor`.
-                let ev = sess
-                    .front
-                    .landed(&hdr, &dst, t0.max(floor), &mut sess.tally)?;
-                sess.emit.push(ev);
-                sess.links[i].state = RxState::Header { got: 0 };
-            }
-            RxState::MsDiscard { remaining } => {
-                let take = remaining.min(bytes.len());
-                bytes = &bytes[take..];
-                let remaining = remaining - take;
-                sess.links[i].state = if remaining == 0 {
-                    RxState::Header { got: 0 }
-                } else {
-                    RxState::MsDiscard { remaining }
-                };
-            }
-            // EOF (or a stray fallback state): drop trailing bytes.
-            _ => return Ok(()),
-        }
-    }
-    Ok(())
-}
-
 /// The hub-wakeup socket the daemon driver arms a `READ` on, so
 /// registration/detach messages interrupt a blocked `GETEVENTS`.
 pub(super) struct WakeLink {
@@ -300,7 +210,7 @@ enum Next {
     None,
     /// Re-arm link `i`'s current state.
     Arm,
-    /// Arm link `i`'s `FxPlace` read under the cap (or park it).
+    /// Arm link `i`'s `Place` read under the cap (or park it).
     ArmPlace,
     /// A block finished placing on link `i`: free its cap slot, arm
     /// a parked placement if any, then re-arm `i`'s header read.
@@ -325,13 +235,7 @@ pub(super) struct MultiDriver<'a> {
     /// The registered fixed-buffer table; each session's `lease`
     /// maps wire slots into it.
     slots: &'a [&'a Mutex<SlotBuf>],
-    /// Multishot receive active (vs the `Fx*` fallback).
-    ms: bool,
-    pbuf: Option<PbufRing>,
     pub(super) sessions: HashMap<u32, Sess>,
-    /// `(sid, link)` pairs whose multishot receive died on
-    /// `ENOBUFS`, re-armed as buffers recycle.
-    starved: VecDeque<(u32, usize)>,
     queued: u32,
     cqes: Vec<Cqe>,
     /// The place-clock floor: the last instant this thread returned
@@ -341,8 +245,6 @@ pub(super) struct MultiDriver<'a> {
     /// bytes — comparable to the TCP sink's per-thread blocking
     /// reads.
     place_floor: Instant,
-    multishot_rearms: u64,
-    pbuf_exhausted: u64,
     /// Ring-level failure: everything on the ring is dead.
     fatal: Option<io::Error>,
     pub(super) wake: Option<WakeLink>,
@@ -352,24 +254,14 @@ pub(super) struct MultiDriver<'a> {
 }
 
 impl<'a> MultiDriver<'a> {
-    pub(super) fn new(
-        ring: &'a Ring,
-        slots: &'a [&'a Mutex<SlotBuf>],
-        ms: bool,
-        pbuf: Option<PbufRing>,
-    ) -> MultiDriver<'a> {
+    pub(super) fn new(ring: &'a Ring, slots: &'a [&'a Mutex<SlotBuf>]) -> MultiDriver<'a> {
         MultiDriver {
             ring,
             slots,
-            ms,
-            pbuf,
             sessions: HashMap::new(),
-            starved: VecDeque::new(),
             queued: 0,
             cqes: Vec::with_capacity(64),
             place_floor: Instant::now(),
-            multishot_rearms: 0,
-            pbuf_exhausted: 0,
             fatal: None,
             wake: None,
             wake_armed: false,
@@ -381,10 +273,8 @@ impl<'a> MultiDriver<'a> {
         UringStats {
             enters: self.ring.enters.load(Ordering::Relaxed),
             cqes: self.ring.reaped.load(Ordering::Relaxed),
-            multishot: self.ms,
-            multishot_rearms: self.multishot_rearms,
-            pbuf_exhausted: self.pbuf_exhausted,
             registrations: self.ring.registers.load(Ordering::Relaxed),
+            ..UringStats::default()
         }
     }
 
@@ -429,7 +319,7 @@ impl<'a> MultiDriver<'a> {
         let user_data = ud(sid, i as u32);
         let sqe = match sess.links[i].state {
             RxState::Eof => return Ok(()),
-            RxState::Header { got } if !self.ms => Sqe {
+            RxState::Header { got } => Sqe {
                 opcode: IORING_OP_READ,
                 fd,
                 addr: sess.links[i].hdr_buf.as_ptr() as u64 + got as u64,
@@ -437,19 +327,7 @@ impl<'a> MultiDriver<'a> {
                 user_data,
                 ..Default::default()
             },
-            RxState::Header { .. } | RxState::MsBody { .. } | RxState::MsDiscard { .. } => {
-                sess.links[i].parked = false;
-                Sqe {
-                    opcode: IORING_OP_RECV,
-                    flags: IOSQE_BUFFER_SELECT,
-                    ioprio: IORING_RECV_MULTISHOT,
-                    fd,
-                    buf_index: PBUF_BGID,
-                    user_data,
-                    ..Default::default()
-                }
-            }
-            RxState::FxPlace { hdr, base, got, .. } => Sqe {
+            RxState::Place { hdr, base, got, .. } => Sqe {
                 opcode: IORING_OP_READ_FIXED,
                 fd,
                 addr: base + got as u64,
@@ -458,7 +336,7 @@ impl<'a> MultiDriver<'a> {
                 user_data,
                 ..Default::default()
             },
-            RxState::FxDiscard { wire_len, got } => {
+            RxState::Discard { wire_len, got } => {
                 let want = (wire_len - got).min(64 * 1024);
                 if sess.links[i].scratch.len() < want {
                     sess.links[i].scratch.resize(want, 0);
@@ -477,15 +355,14 @@ impl<'a> MultiDriver<'a> {
         self.push_sqe(&sqe)
     }
 
-    /// Fallback: arm a `FxPlace` read if the session's cap has
-    /// room, else park the link. Resets the place clock at true arm
-    /// time so a parked link doesn't bill its queue wait as
-    /// placement.
+    /// Arm a `Place` read if the session's cap has room, else park
+    /// the link. Resets the place clock at true arm time so a parked
+    /// link doesn't bill its queue wait as placement.
     fn arm_place(&mut self, sid: u32, i: usize) -> io::Result<()> {
         let sess = self.sessions.get_mut(&sid).unwrap();
         if sess.place_armed < PLACE_CAP {
             sess.place_armed += 1;
-            if let RxState::FxPlace { ref mut t0, .. } = sess.links[i].state {
+            if let RxState::Place { ref mut t0, .. } = sess.links[i].state {
                 *t0 = Instant::now();
             }
             self.arm_link(sid, i)
@@ -654,9 +531,9 @@ impl<'a> MultiDriver<'a> {
         }
     }
 
-    /// Fallback-mode data completion: the ported header-first
-    /// armed-read state machine.
-    fn on_data_cqe_fx(&mut self, sid: u32, i: usize, c: &Cqe) -> io::Result<()> {
+    /// A data-link completion: advance the link's header / place /
+    /// discard state machine.
+    fn on_data_cqe(&mut self, sid: u32, i: usize, c: &Cqe) -> io::Result<()> {
         let place_floor = self.place_floor;
         let mut next = Next::None;
         {
@@ -668,7 +545,7 @@ impl<'a> MultiDriver<'a> {
             let st = sess.links[i].state;
             if c.res == -ECANCELED && !matches!(st, RxState::Eof) {
                 // Dropped without side effects — retry in place (a
-                // `FxPlace` link keeps the cap slot it holds).
+                // `Place` link keeps the cap slot it holds).
                 if !idle {
                     next = Next::Arm;
                 }
@@ -683,9 +560,7 @@ impl<'a> MultiDriver<'a> {
                         sess.links[i].state = RxState::Eof;
                         sess.emit.push(SinkEvt::DataEof);
                     }
-                    RxState::Header { .. }
-                    | RxState::FxPlace { .. }
-                    | RxState::FxDiscard { .. }
+                    RxState::Header { .. } | RxState::Place { .. } | RxState::Discard { .. }
                         if n == 0 =>
                     {
                         next = Next::Fail(io::Error::new(
@@ -705,7 +580,7 @@ impl<'a> MultiDriver<'a> {
                             match routed {
                                 Err(e) => next = Next::Fail(e),
                                 Ok((hdr, false)) => {
-                                    sess.links[i].state = RxState::FxDiscard {
+                                    sess.links[i].state = RxState::Discard {
                                         wire_len: hdr.wire_len(),
                                         got: 0,
                                     };
@@ -719,7 +594,7 @@ impl<'a> MultiDriver<'a> {
                                     // the CQE is the placement.
                                     let fixed = sess.lease[hdr.slot as usize] as usize;
                                     let base = slots[fixed].lock().as_ptr() as u64;
-                                    sess.links[i].state = RxState::FxPlace {
+                                    sess.links[i].state = RxState::Place {
                                         hdr,
                                         base,
                                         got: 0,
@@ -730,10 +605,10 @@ impl<'a> MultiDriver<'a> {
                             }
                         }
                     }
-                    RxState::FxPlace { hdr, got, t0, .. } => {
+                    RxState::Place { hdr, got, t0, .. } => {
                         let got = got + n;
                         if got < hdr.wire_len() {
-                            if let RxState::FxPlace { got: ref mut g, .. } = sess.links[i].state {
+                            if let RxState::Place { got: ref mut g, .. } = sess.links[i].state {
                                 *g = got;
                             }
                             next = Next::Arm;
@@ -752,10 +627,10 @@ impl<'a> MultiDriver<'a> {
                             }
                         }
                     }
-                    RxState::FxDiscard { wire_len, got } => {
+                    RxState::Discard { wire_len, got } => {
                         let got = got + n;
                         if got < wire_len {
-                            sess.links[i].state = RxState::FxDiscard { wire_len, got };
+                            sess.links[i].state = RxState::Discard { wire_len, got };
                         } else {
                             sess.links[i].state = RxState::Header { got: 0 };
                         }
@@ -787,106 +662,6 @@ impl<'a> MultiDriver<'a> {
         }
     }
 
-    /// Multishot-mode data completion: recycle-and-parse. `more` is
-    /// the CQE's `F_MORE` (the receive is still armed).
-    fn on_data_cqe_ms(&mut self, sid: u32, i: usize, c: &Cqe, more: bool) -> io::Result<()> {
-        let place_floor = self.place_floor;
-        if c.res < 0 {
-            let (idle, eof) = {
-                let sess = self.sessions.get_mut(&sid).unwrap();
-                (
-                    sess.detaching || sess.err.is_some(),
-                    matches!(sess.links[i].state, RxState::Eof),
-                )
-            };
-            match -c.res {
-                _ if idle || eof => return Ok(()),
-                ECANCELED => {
-                    self.multishot_rearms += 1;
-                    return self.arm_link(sid, i);
-                }
-                ENOBUFS => {
-                    // Buffer ring dry: park until a recycle.
-                    self.pbuf_exhausted += 1;
-                    self.sessions.get_mut(&sid).unwrap().links[i].parked = true;
-                    self.starved.push_back((sid, i));
-                    return Ok(());
-                }
-                e => {
-                    self.sess_fail(sid, io::Error::from_raw_os_error(e));
-                    return Ok(());
-                }
-            }
-        }
-        let bid = (c.flags & IORING_CQE_F_BUFFER != 0)
-            .then_some((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-        let mut fed = Ok(());
-        if c.res == 0 {
-            let sess = self.sessions.get_mut(&sid).unwrap();
-            if !(sess.detaching || sess.err.is_some()) {
-                match sess.links[i].state {
-                    RxState::Header { got: 0 } => {
-                        sess.links[i].state = RxState::Eof;
-                        sess.emit.push(SinkEvt::DataEof);
-                    }
-                    RxState::Eof => {}
-                    _ => {
-                        fed = Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "stream closed mid-frame",
-                        ))
-                    }
-                }
-            }
-        } else {
-            let n = c.res as usize;
-            let Self {
-                sessions,
-                slots,
-                pbuf,
-                ..
-            } = self;
-            let sess = sessions.get_mut(&sid).unwrap();
-            if sess.detaching || sess.err.is_some() {
-                // Draining a cut session: count the buffer back in,
-                // parse nothing.
-            } else {
-                match bid {
-                    None => {
-                        fed = Err(perr("multishot completion without a buffer"));
-                    }
-                    Some(bid) => {
-                        let bytes = &pbuf.as_ref().expect("ms without pbuf").buf(bid)[..n];
-                        fed = ms_feed(sess, slots, i, bytes, place_floor);
-                    }
-                }
-            }
-        }
-        // Recycle before re-arming: the returned buffer may be the
-        // one that un-starves a parked link.
-        if let Some(bid) = bid {
-            self.pbuf.as_mut().expect("ms without pbuf").recycle(bid);
-            self.drain_starved()?;
-        }
-        if let Err(e) = fed {
-            self.sess_fail(sid, e);
-            return Ok(());
-        }
-        let (rearm, parked) = {
-            let sess = self.sessions.get_mut(&sid).unwrap();
-            let dead =
-                sess.detaching || sess.err.is_some() || matches!(sess.links[i].state, RxState::Eof);
-            (!more && !dead, sess.links[i].parked)
-        };
-        if rearm && !parked {
-            // Terminal CQE (`F_MORE` cleared) on a live link: the
-            // kernel dropped the multishot arm; re-arm it.
-            self.multishot_rearms += 1;
-            return self.arm_link(sid, i);
-        }
-        Ok(())
-    }
-
     /// Route one CQE. `Err` here is ring-fatal (a failed submit);
     /// session-level failures are recorded via `sess_fail`.
     fn on_cqe(&mut self, c: &Cqe) -> io::Result<()> {
@@ -902,54 +677,17 @@ impl<'a> MultiDriver<'a> {
         }
         let sid = (c.user_data >> 32) as u32;
         let link = (c.user_data & u32::MAX as u64) as u32;
-        let more = c.flags & IORING_CQE_F_MORE != 0;
-        {
-            // A CQE for a removed session cannot happen (entries
-            // only drop at `inflight == 0`), but route defensively.
-            let Some(sess) = self.sessions.get_mut(&sid) else {
-                if let Some(p) = &mut self.pbuf {
-                    if c.flags & IORING_CQE_F_BUFFER != 0 {
-                        p.recycle((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-                    }
-                }
-                return Ok(());
-            };
-            if !more {
-                sess.inflight = sess.inflight.saturating_sub(1);
-            }
-        }
+        // A CQE for a removed session cannot happen (entries only
+        // drop at `inflight == 0`), but route defensively.
+        let Some(sess) = self.sessions.get_mut(&sid) else {
+            return Ok(());
+        };
+        sess.inflight = sess.inflight.saturating_sub(1);
         if link == CTRL_LINK {
             self.on_ctrl_cqe(sid, c)
-        } else if self.ms {
-            self.on_data_cqe_ms(sid, link as usize, c, more)
         } else {
-            self.on_data_cqe_fx(sid, link as usize, c)
+            self.on_data_cqe(sid, link as usize, c)
         }
-    }
-
-    /// Re-arm every live parked link. Runs after each recycle AND at
-    /// every CQE-batch boundary: by batch end each buffer the batch
-    /// delivered has been recycled, so the provided-buffer ring is
-    /// as full as it gets. Without the batch-end pass, an `ENOBUFS`
-    /// processed after the batch's last recycle parks its link with
-    /// nothing left to wake it — the only still-armed link may stay
-    /// silent forever while the remaining frames sit in the parked
-    /// links' sockets (observed as a total transfer stall with a
-    /// 1-buffer ring).
-    fn drain_starved(&mut self) -> io::Result<()> {
-        while let Some((s2, l2)) = self.starved.pop_front() {
-            // A parked link has nothing in flight, so its session
-            // may have failed or finalized while it waited — only
-            // re-arm live ones.
-            let live = self.sessions.get(&s2).is_some_and(|s| {
-                !s.detaching && s.err.is_none() && !matches!(s.links[l2].state, RxState::Eof)
-            });
-            if live {
-                self.multishot_rearms += 1;
-                self.arm_link(s2, l2)?;
-            }
-        }
-        Ok(())
     }
 
     /// The recv callback the handler coalesces over in pump mode:
@@ -1029,10 +767,6 @@ impl<'a> MultiDriver<'a> {
                 }
             }
             self.cqes = cqes;
-            if let Err(e) = self.drain_starved() {
-                self.fatal = Some(e);
-                return false;
-            }
             if let Some(sess) = self.sessions.get_mut(&sid) {
                 if sess.err.is_some() {
                     return false;
@@ -1086,7 +820,6 @@ impl<'a> MultiDriver<'a> {
         }
         self.cqes = cqes;
         r?;
-        self.drain_starved()?;
         self.submit_queued()?;
         self.deliver_mailboxes();
         Ok(())
@@ -1103,9 +836,9 @@ impl<'a> MultiDriver<'a> {
         self.fatal = Some(e);
     }
 
-    /// Drain until no kernel op targets the slot buffers, provided
-    /// buffers, or wake buffer — must run (after the sockets are
-    /// shut down) before any of them can be freed.
+    /// Drain until no kernel op targets the slot buffers or the wake
+    /// buffer — must run (after the sockets are shut down) before
+    /// any of them can be freed.
     pub(super) fn quiesce(&mut self) {
         self.stopping = true;
         if let Some(w) = &self.wake {
@@ -1130,9 +863,6 @@ impl<'a> MultiDriver<'a> {
                 }
                 if c.user_data == UD_NOP {
                     continue;
-                }
-                if c.flags & IORING_CQE_F_MORE != 0 {
-                    continue; // non-terminal: the op is still armed
                 }
                 let sid = (c.user_data >> 32) as u32;
                 if let Some(sess) = self.sessions.get_mut(&sid) {

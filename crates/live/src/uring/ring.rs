@@ -1,6 +1,5 @@
 //! One ring: [`Ring`] (setup, submit, wait, reap, fixed-buffer
-//! registration), the provided-buffer ring behind multishot receive, and
-//! the once-per-process capability probe.
+//! registration) and the once-per-process capability probe.
 
 use super::source::OWNED_BUF;
 use super::sys::{self, *};
@@ -8,9 +7,8 @@ use crate::split::perr;
 use crate::store::SlotBuf;
 use parking_lot::Mutex;
 use std::io;
-use std::net::Shutdown;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -307,8 +305,9 @@ impl Ring {
         Ok(())
     }
 
-    /// Which opcodes the kernel supports (`IORING_REGISTER_PROBE`).
-    fn probe_op_supported(&self, ops: &[u8]) -> io::Result<Vec<bool>> {
+    /// Whether the kernel supports every opcode in `ops`
+    /// (`IORING_REGISTER_PROBE`).
+    fn ops_supported(&self, ops: &[u8]) -> io::Result<bool> {
         const NOPS: usize = 64;
         // struct io_uring_probe: 16-byte header + 8 bytes per op.
         let mut raw = [0u8; 16 + NOPS * 8];
@@ -318,120 +317,11 @@ impl Ring {
             NOPS as u32,
         )?;
         let last_op = raw[0] as usize;
-        Ok(ops
-            .iter()
-            .map(|&op| {
-                let op = op as usize;
-                const IO_URING_OP_SUPPORTED: u8 = 1;
-                op <= last_op && op < NOPS && raw[16 + op * 8 + 2] & IO_URING_OP_SUPPORTED != 0
-            })
-            .collect())
-    }
-}
-
-/// The one buffer group every data link shares. Demultiplexing is by
-/// `user_data` (session/link), not by group — the group only says
-/// where the bytes landed.
-pub(super) const PBUF_BGID: u16 = 0;
-/// Byte offset of the kernel-read tail inside the pbuf ring: it
-/// overlays `resv` of entry 0 (the uapi union of `io_uring_buf` and
-/// `io_uring_buf_ring`).
-const PBUF_TAIL_OFF: usize = 14;
-
-/// A provided-buffer ring plus the buffers behind it: the kernel
-/// picks one per multishot-receive completion and reports its id in
-/// the CQE; the driver parses the bytes out and recycles the id.
-///
-/// The descriptor ring is written only at the local tail (each
-/// buffer is in the ring at most once, so the kernel can never own
-/// the entry being overwritten), and only `addr`/`len`/`bid` are
-/// touched — entry 0's `resv` bytes *are* the shared tail word, so a
-/// full-entry write there would clobber it.
-///
-/// Teardown: the owner must quiesce the ring (no in-flight receives)
-/// before dropping this, exactly like the slot buffers — the
-/// backing memory is plain userspace allocations.
-pub(super) struct PbufRing {
-    ring: *mut u8,
-    layout: std::alloc::Layout,
-    mask: u32,
-    tail: u16,
-    bufs: Vec<Box<[u8]>>,
-}
-
-// SAFETY: single-owner (the sink driver thread); the raw pointer is
-// an owned allocation, shared with the kernel only via io_uring.
-unsafe impl Send for PbufRing {}
-
-impl PbufRing {
-    /// Allocate `count` buffers of `buf_len` bytes, register the
-    /// descriptor ring with `ring`, and hand every buffer to the
-    /// kernel. Fails on pre-5.19 kernels (`EINVAL`), which is how
-    /// the multishot probe detects them.
-    pub(super) fn new(ring: &Ring, count: u32, buf_len: usize) -> io::Result<PbufRing> {
-        let entries = count.max(1).next_power_of_two();
-        let layout = std::alloc::Layout::from_size_align(
-            entries as usize * std::mem::size_of::<PbufEntry>(),
-            4096,
-        )
-        .map_err(|_| perr("pbuf ring layout overflow"))?;
-        let mem = unsafe { std::alloc::alloc_zeroed(layout) };
-        if mem.is_null() {
-            return Err(io::Error::new(
-                io::ErrorKind::OutOfMemory,
-                "pbuf ring allocation failed",
-            ));
-        }
-        let reg = PbufReg {
-            ring_addr: mem as u64,
-            ring_entries: entries,
-            bgid: PBUF_BGID,
-            ..Default::default()
-        };
-        if let Err(e) = ring.register(
-            IORING_REGISTER_PBUF_RING,
-            &reg as *const PbufReg as *const core::ffi::c_void,
-            1,
-        ) {
-            unsafe { std::alloc::dealloc(mem, layout) };
-            return Err(e);
-        }
-        let mut p = PbufRing {
-            ring: mem,
-            layout,
-            mask: entries - 1,
-            tail: 0,
-            bufs: Vec::with_capacity(count as usize),
-        };
-        for bid in 0..count {
-            p.bufs.push(vec![0u8; buf_len].into_boxed_slice());
-            p.recycle(bid as u16);
-        }
-        Ok(p)
-    }
-
-    /// Hand buffer `bid` (back) to the kernel.
-    pub(super) fn recycle(&mut self, bid: u16) {
-        let idx = (self.tail as u32 & self.mask) as usize;
-        unsafe {
-            let e = (self.ring as *mut PbufEntry).add(idx);
-            std::ptr::addr_of_mut!((*e).addr).write(self.bufs[bid as usize].as_ptr() as u64);
-            std::ptr::addr_of_mut!((*e).len).write(self.bufs[bid as usize].len() as u32);
-            std::ptr::addr_of_mut!((*e).bid).write(bid);
-            self.tail = self.tail.wrapping_add(1);
-            (*(self.ring.add(PBUF_TAIL_OFF) as *const AtomicU16))
-                .store(self.tail, Ordering::Release);
-        }
-    }
-
-    pub(super) fn buf(&self, bid: u16) -> &[u8] {
-        &self.bufs[bid as usize]
-    }
-}
-
-impl Drop for PbufRing {
-    fn drop(&mut self) {
-        unsafe { std::alloc::dealloc(self.ring, self.layout) };
+        Ok(ops.iter().all(|&op| {
+            let op = op as usize;
+            const IO_URING_OP_SUPPORTED: u8 = 1;
+            op <= last_op && op < NOPS && raw[16 + op * 8 + 2] & IO_URING_OP_SUPPORTED != 0
+        }))
     }
 }
 
@@ -440,14 +330,11 @@ impl Drop for PbufRing {
 /// link at the sink), so the only submit path is the batched kick.
 pub(super) const RING_ENTRIES: u32 = 256;
 
-/// The capability probe itself: `Ok(multishot)` when ring setup,
-/// `EXT_ARG` timed waits, the fixed-buffer opcodes and fixed-buffer
-/// registration all work — `multishot` saying whether multishot
-/// receive over a provided-buffer ring does too (functionally
-/// probed: pbuf rings are 5.19+, multishot recv 6.0+) — or why the
-/// backend cannot run. Builds throw-away rings and runs a socketpair
-/// round trip, so callers go through [`probe`], which runs it once.
-fn ring_caps() -> io::Result<bool> {
+/// The capability probe itself: `Ok` when ring setup, `EXT_ARG` timed
+/// waits, the fixed-buffer opcodes and fixed-buffer registration all
+/// work (5.11+), or why the backend cannot run. Builds a throw-away
+/// ring, so callers go through [`probe`], which runs it once.
+fn ring_caps() -> io::Result<()> {
     let ring = Ring::new(8, 0)?; // ENOSYS / EPERM land here
     if ring.features & IORING_FEAT_EXT_ARG == 0 {
         return Err(io::Error::new(
@@ -462,7 +349,7 @@ fn ring_caps() -> io::Result<bool> {
         IORING_OP_READ,
         IORING_OP_WRITE,
     ];
-    if ring.probe_op_supported(&need)?.iter().any(|ok| !ok) {
+    if !ring.ops_supported(&need)? {
         return Err(io::Error::new(
             io::ErrorKind::Unsupported,
             "kernel io_uring lacks fixed-buffer read/write opcodes",
@@ -471,85 +358,19 @@ fn ring_caps() -> io::Result<bool> {
     // Fixed-buffer registration must actually work (memlock limits
     // can forbid it even when the opcodes exist).
     let probe_buf = Mutex::new(SlotBuf::new(4096));
-    ring.register_pool(&[&probe_buf])?;
-    Ok(multishot_probe())
+    ring.register_pool(&[&probe_buf])
 }
 
 /// [`ring_caps`], computed once per process: the kernel does not
 /// change under a running program, and a source connect or a daemon
 /// admission has no business building probe rings. (`io::Error` is
 /// not `Clone`; its kind and text are.)
-pub(super) fn probe() -> io::Result<bool> {
-    static PROBE: OnceLock<Result<bool, (io::ErrorKind, String)>> = OnceLock::new();
+pub(super) fn probe() -> io::Result<()> {
+    static PROBE: OnceLock<Result<(), (io::ErrorKind, String)>> = OnceLock::new();
     PROBE
         .get_or_init(|| ring_caps().map_err(|e| (e.kind(), e.to_string())))
         .clone()
         .map_err(|(kind, msg)| io::Error::new(kind, msg))
-}
-
-/// Functional probe for multishot receive over a provided-buffer
-/// ring: registering a pbuf ring and arming `RECV|MULTISHOT` can
-/// each *appear* to work on kernels that reject the combination at
-/// completion time, so real bytes go through a socketpair and the
-/// CQE must come back buffer-tagged. Any failure is just `false` —
-/// the fallback ladder (header-first `READ_FIXED`) takes over.
-fn multishot_probe() -> bool {
-    fn run() -> io::Result<bool> {
-        let ring = Ring::new(8, 0)?;
-        if !ring.probe_op_supported(&[IORING_OP_RECV])?[0] {
-            return Ok(false);
-        }
-        let mut pbuf = PbufRing::new(&ring, 2, 4096)?;
-        let (a, b) = std::os::unix::net::UnixStream::pair()?;
-        let sqe = Sqe {
-            opcode: IORING_OP_RECV,
-            flags: IOSQE_BUFFER_SELECT,
-            ioprio: IORING_RECV_MULTISHOT,
-            fd: a.as_raw_fd(),
-            buf_index: PBUF_BGID,
-            user_data: 1,
-            ..Default::default()
-        };
-        if !ring.sq_push(&sqe) {
-            return Ok(false);
-        }
-        ring.submit(1)?;
-        use std::io::Write;
-        (&b).write_all(b"ping")?;
-        let mut ok = false;
-        let mut shut = false;
-        let mut cqes = Vec::new();
-        // Wait for the data CQE *first* — cutting the pair before the
-        // armed receive fires discards the queued ping on AF_UNIX and
-        // fails the probe on kernels that support multishot fine.
-        // Only then shut the pair down and drain to the terminal CQE
-        // so no op outlives the ring mappings.
-        for _ in 0..16 {
-            let fired = ring.wait(Some(Duration::from_millis(250)))?;
-            cqes.clear();
-            ring.reap(&mut cqes);
-            let mut terminal = false;
-            for c in &cqes {
-                if c.res == 4 && c.flags & IORING_CQE_F_BUFFER != 0 {
-                    ok = true;
-                    pbuf.recycle((c.flags >> IORING_CQE_BUFFER_SHIFT) as u16);
-                }
-                if c.flags & IORING_CQE_F_MORE == 0 {
-                    terminal = true;
-                }
-            }
-            if terminal {
-                break;
-            }
-            if (ok || !fired) && !shut {
-                shut = true;
-                let _ = a.shutdown(Shutdown::Both);
-                let _ = b.shutdown(Shutdown::Both);
-            }
-        }
-        Ok(ok)
-    }
-    run().unwrap_or(false)
 }
 
 /// Whether this kernel can run the io_uring backend: ring setup,
@@ -557,13 +378,6 @@ fn multishot_probe() -> bool {
 /// fixed-buffer read/write opcodes all probe healthy.
 pub fn uring_supported() -> bool {
     probe().is_ok()
-}
-
-/// Whether the sink runs the multishot-receive + provided-buffer-ring
-/// path on this kernel. `false` while [`uring_supported`] is `true`
-/// means the header-first `READ_FIXED` fallback carries transfers.
-pub fn uring_multishot() -> bool {
-    probe().unwrap_or(false)
 }
 
 /// Build a transfer ring.

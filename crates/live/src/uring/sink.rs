@@ -2,7 +2,7 @@
 //! driver thread and its hub, and a daemon session's handler half.
 
 use super::driver::{MultiDriver, Sess, SessionStats, WakeLink};
-use super::ring::{probe, transfer_ring, PbufRing, Ring, RING_ENTRIES};
+use super::ring::{probe, transfer_ring, Ring, RING_ENTRIES};
 use crate::coalesce::channel_events;
 use crate::net::{read_first_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
@@ -10,64 +10,20 @@ use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS, SI
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use parking_lot::Mutex;
-use rftp_core::wire::{CtrlMsg, DATA_FRAME_HEADER_LEN, PAYLOAD_HEADER_LEN};
+use rftp_core::wire::CtrlMsg;
 use std::io;
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-/// Smallest 4K-aligned provided-buffer length that holds one whole
-/// wire frame (frame header + payload header + block), so a
-/// saturated link's multishot completion covers a full block and
-/// CQEs/block stays ~1.
-fn pbuf_len(block_size: usize) -> usize {
-    (DATA_FRAME_HEADER_LEN + PAYLOAD_HEADER_LEN + block_size + 4095) & !4095
-}
-
-/// Provided buffers a sink ring posts. A worst-case burst (every
-/// buffer completing at once, plus re-arms) stays well inside the CQ
-/// (2×[`RING_ENTRIES`]).
-const PBUF_COUNT: u32 = 32;
-
-/// How a sink ring receives. The kernel probe decides; nothing the
-/// user sets does. Tests build their own to reach the header-first
-/// fallback and a starved buffer ring on a kernel that has multishot.
-#[derive(Clone, Copy)]
-struct RecvPlan {
-    /// Multishot receive into provided buffers (vs header-first
-    /// `READ_FIXED`).
-    multishot: bool,
-    pbufs: u32,
-}
-
-impl RecvPlan {
-    /// `Unsupported` when the kernel cannot run the backend at all.
-    fn probed() -> io::Result<RecvPlan> {
-        Ok(RecvPlan {
-            multishot: probe()?,
-            pbufs: PBUF_COUNT,
-        })
-    }
-}
-
 /// A sink's ring: created *on the calling thread* (`SINGLE_ISSUER`
-/// pins submission to the creator), `bufs` registered as its
-/// fixed-buffer table once, and — under a multishot plan — the
-/// provided-buffer ring posted, each buffer holding one
-/// `block_size` frame.
-fn sink_ring(
-    plan: RecvPlan,
-    bufs: &[&Mutex<SlotBuf>],
-    block_size: usize,
-) -> io::Result<(Ring, Option<PbufRing>)> {
+/// pins submission to the creator), with `bufs` registered as its
+/// fixed-buffer table once — the buffers every placement reads into.
+fn sink_ring(bufs: &[&Mutex<SlotBuf>]) -> io::Result<Ring> {
     let ring = transfer_ring(true)?;
     ring.register_pool(bufs)?;
-    let pbuf = plan
-        .multishot
-        .then(|| PbufRing::new(&ring, plan.pbufs, pbuf_len(block_size)))
-        .transpose()?;
-    Ok((ring, pbuf))
+    Ok(ring)
 }
 
 /// One accepted source connection set, ready for [`run_uring_sink`]
@@ -95,37 +51,27 @@ pub fn accept_source_uring(
 /// same `SinkSession` and handler as the TCP sink,
 /// but placement, control reads, and the ack/credit dwell all ride
 /// the ring on **one** thread — no per-channel receivers, no
-/// control pump.
+/// control pump. A one-session [`MultiDriver`] in pump mode over the
+/// sink's own pool; a [`UringSinkSession`] exists only where the
+/// kernel probe passed.
 pub fn run_uring_sink(
     cfg: &LiveConfig,
     session: UringSinkSession,
     first_ctrl: Option<CtrlMsg>,
-) -> io::Result<LiveReport> {
-    run_uring_sink_with(cfg, session, first_ctrl, RecvPlan::probed()?)
-}
-
-/// [`run_uring_sink`] under an explicit [`RecvPlan`]: a one-session
-/// [`MultiDriver`] in pump mode over the sink's own pool.
-fn run_uring_sink_with(
-    cfg: &LiveConfig,
-    session: UringSinkSession,
-    first_ctrl: Option<CtrlMsg>,
-    plan: RecvPlan,
 ) -> io::Result<LiveReport> {
     let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let snk_bufs: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     let SessionStreams { ctrl, data, .. } = session.streams;
     assert_eq!(data.len(), cfg.channels, "one data link per channel");
     assert!(cfg.channels as u32 + 2 <= RING_ENTRIES);
-    // Pinning the pool and faulting in the provided buffers is
-    // set-up, like allocating the pool: it happens before the
-    // session's clock starts.
-    let (ring, pbuf) = sink_ring(plan, &snk_bufs, cfg.block_size)?;
+    // Pinning the pool is set-up, like allocating it: it happens
+    // before the session's clock starts.
+    let ring = sink_ring(&snk_bufs)?;
     let ctrl_tx = NetCtrlTx(Mutex::new(ctrl.try_clone()?));
 
     let sess = SinkSession::open(cfg, snk_bufs.len())?;
     let mut h = sess.handler(&ctrl_tx, &snk_bufs, None);
-    let mut drv = MultiDriver::new(&ring, &snk_bufs, plan.multishot, pbuf);
+    let mut drv = MultiDriver::new(&ring, &snk_bufs);
     // Pump mode: one session, identity lease (the pool *is* the
     // registered table), no mailbox — `pump` feeds the handler
     // directly on this thread.
@@ -141,11 +87,10 @@ fn run_uring_sink_with(
         .and_then(|()| h.run(first_ctrl, &mut |w, out| drv.pump(0, w, out)));
     // A closed pump is the echo; the driver knows the cause.
     let run = run.map_err(|e| drv.take_err(0).unwrap_or(e));
-    // Quiesce before the slot buffers, provided buffers, or ring
-    // can be freed: shut every link (the transfer is over either
-    // way — the final acks are already flushed and ride out ahead
-    // of the FIN), then drain the in-flight reads the shutdown
-    // completes.
+    // Quiesce before the slot buffers or the ring can be freed: shut
+    // every link (the transfer is over either way — the final acks
+    // are already flushed and ride out ahead of the FIN), then drain
+    // the in-flight reads the shutdown completes.
     drv.begin_detach(0);
     drv.quiesce();
     let ring_stats = drv.stats_snapshot();
@@ -199,15 +144,13 @@ impl UringHub {
 /// adopting/detaching sessions and retiring completions until told
 /// to stop.
 fn driver_main(
-    plan: RecvPlan,
     slots: &[Mutex<SlotBuf>],
-    slot_cap: usize,
     rx: std::sync::mpsc::Receiver<HubMsg>,
     wake_r: UnixStream,
     init_tx: std::sync::mpsc::SyncSender<io::Result<()>>,
 ) -> UringStats {
     let view: Vec<&Mutex<SlotBuf>> = slots.iter().collect();
-    let (ring, pbuf) = match sink_ring(plan, &view, slot_cap) {
+    let ring = match sink_ring(&view) {
         Ok(v) => {
             let _ = init_tx.send(Ok(()));
             v
@@ -217,7 +160,7 @@ fn driver_main(
             return UringStats::default();
         }
     };
-    let mut drv = MultiDriver::new(&ring, &view, plan.multishot, pbuf);
+    let mut drv = MultiDriver::new(&ring, &view);
     drv.wake = Some(WakeLink {
         stream: wake_r,
         buf: Box::new([0u8; 64]),
@@ -249,8 +192,8 @@ fn driver_main(
     if let Err(e) = run {
         drv.fail_all(e);
     }
-    // Drain every kernel op targeting the arena, the provided
-    // buffers, or the wake buffer before any can be freed, then
+    // Drain every kernel op targeting the arena or the wake buffer
+    // before either can be freed, then
     // complete outstanding detach handshakes.
     drv.quiesce();
     drv.finalize_sessions();
@@ -258,23 +201,21 @@ fn driver_main(
 }
 
 /// Spawn the daemon's shared uring driver over the whole arena
-/// (`slots`, every buffer sized `slot_cap`). Fails with
-/// `Unsupported` when the kernel cannot run the ring backend, and
-/// with the driver's own error when ring setup / registration /
-/// pbuf posting fails — nothing is leaked either way.
+/// (`slots`). Fails with `Unsupported` when the kernel cannot run the
+/// ring backend, and with the driver's own error when ring setup or
+/// registration fails — nothing is leaked either way.
 pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     slots: &'env [Mutex<SlotBuf>],
-    slot_cap: usize,
 ) -> io::Result<(
     Arc<UringHub>,
     std::thread::ScopedJoinHandle<'scope, UringStats>,
 )> {
-    let plan = RecvPlan::probed()?;
+    probe()?;
     let (tx, rx) = std::sync::mpsc::channel::<HubMsg>();
     let (wake_w, wake_r) = UnixStream::pair()?;
     let (init_tx, init_rx) = std::sync::mpsc::sync_channel::<io::Result<()>>(1);
-    let handle = scope.spawn(move || driver_main(plan, slots, slot_cap, rx, wake_r, init_tx));
+    let handle = scope.spawn(move || driver_main(slots, rx, wake_r, init_tx));
     let init = init_rx
         .recv()
         .unwrap_or_else(|_| Err(perr("uring driver thread died during init")));
@@ -385,22 +326,12 @@ mod tests {
         let _ = uring_supported();
     }
 
-    /// One uring↔uring loopback transfer under `plan` (`None`: what
-    /// the probe picks); `src_cfg` is the source's copy of the
-    /// geometry, where a test sets its faults and its source file.
-    /// `None` when the kernel cannot run the backend — or the plan.
-    fn loopback(
-        cfg: &LiveConfig,
-        src_cfg: LiveConfig,
-        plan: Option<RecvPlan>,
-    ) -> Option<(LiveReport, LiveReport)> {
-        let Ok(probed) = RecvPlan::probed() else {
+    /// One uring↔uring loopback transfer; `src_cfg` is the source's
+    /// copy of the geometry, where a test sets its faults and its
+    /// source file. `None` when the kernel cannot run the backend.
+    fn loopback(cfg: &LiveConfig, src_cfg: LiveConfig) -> Option<(LiveReport, LiveReport)> {
+        if !uring_supported() {
             eprintln!("skipping: io_uring not supported by this kernel");
-            return None;
-        };
-        let plan = plan.unwrap_or(probed);
-        if plan.multishot && !probed.multishot {
-            eprintln!("skipping: multishot receive unavailable");
             return None;
         }
         let listener = NetListener::bind("127.0.0.1:0").unwrap();
@@ -411,7 +342,7 @@ mod tests {
             crate::split::run_split_source(&src_cfg, t)
         });
         let (sess, first) = accept_source_uring(&listener, sockbuf).unwrap();
-        let snk = run_uring_sink_with(cfg, sess, Some(first), plan).unwrap();
+        let snk = run_uring_sink(cfg, sess, Some(first)).unwrap();
         let src = src.join().unwrap().unwrap();
         assert_eq!(snk.blocks, cfg.total_blocks());
         assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
@@ -423,19 +354,12 @@ mod tests {
         Some((src, snk))
     }
 
-    /// The header-first fallback, forced on a kernel that *has*
-    /// multishot: pre-6.0 kernels run nothing else.
-    const HEADER_FIRST: RecvPlan = RecvPlan {
-        multishot: false,
-        pbufs: 0,
-    };
-
     /// Full uring↔uring loopback transfer: pattern data, checksum
     /// verified at the sink, one driver thread per side.
     #[test]
     fn uring_pattern_transfer_loopback() {
         let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
-        let Some((_, snk)) = loopback(&cfg, cfg.clone(), None) else {
+        let Some((_, snk)) = loopback(&cfg, cfg.clone()) else {
             return;
         };
         assert!(
@@ -445,47 +369,15 @@ mod tests {
         );
     }
 
-    /// Provided-buffer-ring exhaustion: with a single provided
-    /// buffer over four concurrent links, multishot receives must
-    /// park on `ENOBUFS` and recover on recycle — no lost and no
-    /// double-placed block, byte-identical output — even while the
-    /// fault injector forces drops and retransmits.
-    #[test]
-    fn pbuf_exhaustion_parks_and_recovers() {
-        let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
-        let mut src_cfg = cfg.clone();
-        src_cfg.fault_drop_p = 0.2;
-        let starved = RecvPlan {
-            multishot: true,
-            pbufs: 1,
-        };
-        let Some((src, snk)) = loopback(&cfg, src_cfg, Some(starved)) else {
-            return;
-        };
-        assert!(src.retransmits > 0, "fault injector must have fired");
-        let stats = snk.uring.expect("uring report carries ring stats");
-        assert!(stats.multishot);
-        assert!(
-            stats.pbuf_exhausted > 0,
-            "a 1-buffer ring over 4 links must run dry: {stats:?}"
-        );
-        assert!(
-            stats.multishot_rearms >= stats.pbuf_exhausted,
-            "every parked link re-arms: {stats:?}"
-        );
-    }
-
     /// Header-first pattern transfer: a header read and a payload
-    /// read per block, so ≈ 2 CQEs where multishot spends ≈ 1.
+    /// read per block, so ≈ 2 CQEs.
     #[test]
     fn header_first_pattern_transfer() {
         let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
-        let Some((_, snk)) = loopback(&cfg, cfg.clone(), Some(HEADER_FIRST)) else {
+        let Some((_, snk)) = loopback(&cfg, cfg.clone()) else {
             return;
         };
         let stats = snk.uring.expect("uring report carries ring stats");
-        assert!(!stats.multishot, "{stats:?}");
-        assert_eq!((stats.multishot_rearms, stats.pbuf_exhausted), (0, 0));
         let per_block = stats.cqes as f64 / snk.blocks as f64;
         assert!(
             (2.0..3.0).contains(&per_block),
@@ -509,29 +401,29 @@ mod tests {
         let mut src_cfg = cfg.clone();
         src_cfg.src_file = Some(src_path.clone());
         cfg.dst_file = Some(dst_path.clone());
-        let ran = loopback(&cfg, src_cfg, Some(HEADER_FIRST));
+        let ran = loopback(&cfg, src_cfg);
         let landed = std::fs::read(&dst_path);
         let _ = std::fs::remove_file(&src_path);
         let _ = std::fs::remove_file(&dst_path);
-        let Some((_, snk)) = ran else { return };
-        assert!(!snk.uring.expect("ring stats").multishot);
+        if ran.is_none() {
+            return;
+        }
         assert!(landed.unwrap() == bytes, "destination differs from source");
     }
 
     /// Header-first under loss, with a deadline far inside the ack
     /// dwell so healthy blocks are re-sent too: every re-send of a
     /// block already placed must be read off the socket and dropped
-    /// (the `FxDiscard` arm), never placed twice.
+    /// (the `Discard` arm), never placed twice.
     #[test]
     fn header_first_drops_recover_exactly_once() {
         let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
         let mut src_cfg = cfg.clone();
         src_cfg.fault_drop_p = 0.2;
         src_cfg.retx_timeout = Duration::from_micros(100);
-        let Some((src, snk)) = loopback(&cfg, src_cfg, Some(HEADER_FIRST)) else {
+        let Some((src, snk)) = loopback(&cfg, src_cfg) else {
             return;
         };
-        assert!(!snk.uring.expect("ring stats").multishot);
         assert!(src.dropped_payloads > 0, "fault injector must have fired");
         assert!(snk.duplicate_payloads > 0, "no re-send raced its ack");
         // (Not equality: a re-send still queued when the last ack

@@ -15,10 +15,6 @@ pub fn uring_supported() -> bool {
     false
 }
 
-pub fn uring_multishot() -> bool {
-    false
-}
-
 fn unsupported<T>() -> io::Result<T> {
     Err(io::Error::new(
         io::ErrorKind::Unsupported,
@@ -59,7 +55,6 @@ impl UringHub {
 pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
     _scope: &'scope std::thread::Scope<'scope, 'env>,
     _slots: &'env [parking_lot::Mutex<crate::store::SlotBuf>],
-    _slot_cap: usize,
 ) -> io::Result<(
     std::sync::Arc<UringHub>,
     std::thread::ScopedJoinHandle<'scope, crate::transport::UringStats>,

@@ -30,34 +30,14 @@ pub(super) const IORING_FEAT_EXT_ARG: u32 = 1 << 8;
 
 pub(super) const IORING_REGISTER_BUFFERS: u32 = 0;
 pub(super) const IORING_REGISTER_PROBE: u32 = 8;
-/// Register a provided-buffer ring for a buffer group (5.19+).
-pub(super) const IORING_REGISTER_PBUF_RING: u32 = 22;
-
-/// The armed op stays armed (multishot) / a sibling CQE is owed.
-pub(super) const IORING_CQE_F_MORE: u32 = 1 << 1;
-/// The CQE consumed a provided buffer; its id is in the high bits
-/// of `Cqe::flags`.
-pub(super) const IORING_CQE_F_BUFFER: u32 = 1 << 0;
-pub(super) const IORING_CQE_BUFFER_SHIFT: u32 = 16;
 
 pub(super) const IORING_OP_NOP: u8 = 0;
 pub(super) const IORING_OP_READ_FIXED: u8 = 4;
 pub(super) const IORING_OP_WRITE_FIXED: u8 = 5;
 pub(super) const IORING_OP_READ: u8 = 22;
 pub(super) const IORING_OP_WRITE: u8 = 23;
-pub(super) const IORING_OP_RECV: u8 = 27;
-
-/// `RECV` flag in `Sqe::ioprio`: keep the receive armed across
-/// completions — one SQE, many CQEs (6.0+).
-pub(super) const IORING_RECV_MULTISHOT: u16 = 1 << 1;
-/// `Sqe::flags`: the kernel picks the receive buffer from the
-/// provided-buffer group named by `Sqe::buf_index`.
-pub(super) const IOSQE_BUFFER_SELECT: u8 = 1 << 5;
 
 pub(super) const ETIME: i32 = 62;
-/// The provided-buffer group ran dry: the multishot receive
-/// terminates and must be re-armed once buffers are recycled.
-pub(super) const ENOBUFS: i32 = 105;
 /// The kernel can drop a poll-armed socket op with `-ECANCELED`
 /// without transferring any bytes (poll races on busy streams).
 /// Such ops are resubmitted verbatim, not treated as link failure.
@@ -156,27 +136,6 @@ pub(super) struct Timespec {
     pub(super) tv_nsec: i64,
 }
 
-/// One entry of a provided-buffer ring (`struct io_uring_buf`).
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-pub(super) struct PbufEntry {
-    pub(super) addr: u64,
-    pub(super) len: u32,
-    pub(super) bid: u16,
-    pub(super) resv: u16,
-}
-
-/// `IORING_REGISTER_PBUF_RING` argument (`struct io_uring_buf_reg`).
-#[repr(C)]
-#[derive(Clone, Copy, Default)]
-pub(super) struct PbufReg {
-    pub(super) ring_addr: u64,
-    pub(super) ring_entries: u32,
-    pub(super) bgid: u16,
-    pub(super) flags: u16,
-    pub(super) resv: [u64; 3],
-}
-
 extern "C" {
     pub(super) fn syscall(num: c_long, ...) -> c_long;
 }
@@ -239,8 +198,5 @@ mod tests {
         assert_eq!(std::mem::size_of::<Cqe>(), 16);
         assert_eq!(std::mem::size_of::<SqringOffsets>(), 40);
         assert_eq!(std::mem::size_of::<CqringOffsets>(), 40);
-        // struct io_uring_buf / io_uring_buf_reg
-        assert_eq!(std::mem::size_of::<PbufEntry>(), 16);
-        assert_eq!(std::mem::size_of::<PbufReg>(), 40);
     }
 }

@@ -170,6 +170,57 @@ fn uring_daemon_serves_mixed_backend_sessions_byte_identical() {
     concurrent_sessions_byte_identical(DaemonTransport::Uring, true, "conc_uring");
 }
 
+/// Loss on the shared uring driver: two concurrent sessions whose sources
+/// drop a fifth of their frames and re-send after 100 µs, far inside the
+/// ack dwell, so healthy blocks are re-sent too. Every re-send of a block
+/// already placed must be read off its link and dropped (the driver's
+/// `Discard` arm), never placed twice, while the other session shares the
+/// ring; the drain then finds the arena whole.
+#[test]
+fn uring_daemon_sessions_recover_drops_exactly_once() {
+    if !rftp_live::uring_supported() {
+        eprintln!("skipping: io_uring transport unsupported on this kernel");
+        return;
+    }
+    let mut cfg = base_daemon_cfg();
+    cfg.transport = DaemonTransport::Uring;
+    let (addr, handle, jh) = start_daemon(cfg);
+    let mut c = LiveConfig::new(64 * 1024, 2, 8 << 20);
+    c.fault_drop_p = 0.2;
+    c.retx_timeout = Duration::from_micros(100);
+    let clients: Vec<_> = (0..2)
+        .map(|i| {
+            let c = c.clone();
+            std::thread::spawn(move || run_client(addr, &c, i == 0))
+        })
+        .collect();
+    let sources: Vec<_> = clients
+        .into_iter()
+        .map(|jh| jh.join().unwrap().unwrap())
+        .collect();
+
+    let report = drain(&handle, jh);
+    assert_eq!(report.completed, 2, "{report:?}");
+    assert_eq!(report.failed, 0, "{report:?}");
+    assert!(
+        sources.iter().all(|s| s.dropped_payloads > 0),
+        "fault injector must have fired on both sessions"
+    );
+    let sinks: Vec<_> = report
+        .sessions
+        .iter()
+        .map(|s| s.result.as_ref().unwrap())
+        .collect();
+    for snk in &sinks {
+        assert_eq!(snk.bytes, c.total_bytes);
+        assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
+    }
+    assert!(
+        sinks.iter().any(|s| s.duplicate_payloads > 0),
+        "no re-send raced its ack"
+    );
+}
+
 /// A full session table turns the next source away with a typed
 /// `SessionBusy` — promptly, never a hang.
 #[test]
