@@ -1,7 +1,7 @@
 //! The control-plane coalescing loop, extracted once.
 //!
 //! Every control handler in the suite — the thread-per-channel sink's
-//! protocol brain and the io_uring sink drivers — runs the same drain
+//! protocol brain and the io_uring sink session — runs the same drain
 //! shape: block for a batch of events, process it, then *dwell* up to
 //! the flush window for more events while a partial ack/credit batch is
 //! pending, and flush before the next unbounded wait so coalescing never
@@ -10,6 +10,7 @@
 //! [`CoalescedSink`] and differ only in what an event is and what a
 //! flush sends.
 
+use crossbeam::channel::Receiver;
 use std::time::Duration;
 
 /// Why [`drain_coalesced`] returned.
@@ -17,8 +18,8 @@ use std::time::Duration;
 pub(crate) enum DrainEnd {
     /// The sink reported itself done after processing an event.
     Done,
-    /// The event source closed (the recv callback returned `false` on an
-    /// unbounded wait). Pending output was flushed first.
+    /// The event channel closed (every sender gone, queue drained).
+    /// Pending output was flushed first.
     Closed,
 }
 
@@ -45,25 +46,23 @@ pub(crate) trait CoalescedSink<T> {
     fn flush(&mut self) -> Result<(), Self::Err>;
 }
 
-/// Drive `sink` from an event source until it is [`CoalescedSink::done`]
-/// or the source closes.
+/// Drive `sink` from an event channel until it is
+/// [`CoalescedSink::done`] or the channel closes, taking at most `cap`
+/// events per drain.
 ///
-/// `recv(None, buf)` must block for at least one event; `recv(Some(w),
-/// buf)` waits at most `w`. Both return `false` when the source is
-/// closed (unbounded) or the wait timed out / closed (bounded) — a
-/// bounded `false` just ends the dwell and flushes. The channel backends
-/// adapt `recv_batch`/`recv_batch_timeout`; the io_uring sink adapts a
-/// CQE drain with a timeout SQE.
+/// Every sink feeds its handler this way — TCP/shm receiver threads and
+/// the uring driver alike fill one channel per session.
 pub(crate) fn drain_coalesced<T, S: CoalescedSink<T>>(
     sink: &mut S,
-    recv: &mut dyn FnMut(Option<Duration>, &mut Vec<T>) -> bool,
+    events: &Receiver<T>,
+    cap: usize,
 ) -> Result<DrainEnd, S::Err> {
-    let mut events: Vec<T> = Vec::with_capacity(64);
+    let mut batch: Vec<T> = Vec::with_capacity(cap);
     loop {
         if sink.done() {
             return Ok(DrainEnd::Done);
         }
-        if !recv(None, &mut events) {
+        if events.recv_batch(&mut batch, cap).is_err() {
             sink.flush()?;
             return Ok(DrainEnd::Closed);
         }
@@ -71,37 +70,22 @@ pub(crate) fn drain_coalesced<T, S: CoalescedSink<T>>(
         // leaves before the next unbounded wait, so coalescing costs no
         // latency. Each wait gets the full window, so the dwell extends
         // while events keep arriving (adaptive batching under load) and
-        // ends after one quiet window. The dwell-floor contract is on
-        // `recv`: a bounded call returns `false` only once its window
-        // has genuinely elapsed — a ring completion that yields no
-        // handler event must keep waiting out the remainder, not cut
-        // the dwell short (see the spurious-wakeup test). `true` with
-        // no events re-enters the dwell without flushing.
+        // ends after one quiet window.
         loop {
-            for ev in events.drain(..) {
+            for ev in batch.drain(..) {
                 sink.handle(ev)?;
             }
             if sink.done() || !sink.dwell() {
                 break;
             }
-            if !recv(Some(sink.window()), &mut events) {
+            if events
+                .recv_batch_timeout(&mut batch, cap, sink.window())
+                .is_err()
+            {
                 break;
             }
         }
         sink.flush()?;
-    }
-}
-
-/// Adapt a crossbeam receiver to [`drain_coalesced`]'s recv callback:
-/// unbounded waits are `recv_batch`, dwell waits are
-/// `recv_batch_timeout`, and `cap` bounds each drain.
-pub(crate) fn channel_events<'a, T>(
-    rx: &'a crossbeam::channel::Receiver<T>,
-    cap: usize,
-) -> impl FnMut(Option<Duration>, &mut Vec<T>) -> bool + 'a {
-    move |window, buf| match window {
-        None => rx.recv_batch(buf, cap).is_ok(),
-        Some(w) => rx.recv_batch_timeout(buf, cap, w).is_ok(),
     }
 }
 
@@ -161,45 +145,33 @@ mod tests {
             batch: 4,
             window: Duration::from_micros(100),
         };
-        let end = drain_coalesced(&mut s, &mut channel_events(&rx, 64)).unwrap();
+        let end = drain_coalesced(&mut s, &rx, 64).unwrap();
         assert_eq!(end, DrainEnd::Done);
         assert_eq!(s.flushed.iter().sum::<u64>(), 45);
         assert!(s.pending.is_empty(), "partial batch must flush");
     }
 
-    /// The dwell floor: a ring-style event source can wake with
-    /// completions that yield no handler events (partial reads, control
-    /// re-arms). Such spurious wakeups — `recv` returning `true` with
-    /// an empty batch — must re-enter the dwell, not end it and flush a
-    /// partial ack batch before the window has elapsed.
+    /// The dwell: a partial batch waits out the flush window for more
+    /// events, so one that lands inside the window joins the same flush
+    /// instead of costing a control frame of its own.
     #[test]
-    fn spurious_wakeups_do_not_cut_the_dwell_short() {
-        let mut calls = 0;
-        let mut recv = |_w: Option<Duration>, buf: &mut Vec<u64>| -> bool {
-            let n = calls;
-            calls += 1;
-            match n {
-                0 => {
-                    buf.push(1); // unbounded wait: first event
-                    true
-                }
-                1..=3 => true, // dwell: spurious wakes, no events
-                4 => {
-                    buf.push(2); // dwell: second event joins the batch
-                    true
-                }
-                _ => false, // source closes
-            }
-        };
+    fn events_inside_the_dwell_window_share_one_flush() {
+        let (tx, rx) = bounded::<u64>(8);
+        tx.send(1).unwrap();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(2));
+            tx.send(2).unwrap(); // then the channel closes
+        });
         let mut s = Summer {
             pending: Vec::new(),
             flushed: Vec::new(),
             seen: 0,
             target: 100,
             batch: 64,
-            window: Duration::from_millis(5),
+            window: Duration::from_millis(500),
         };
-        let end = drain_coalesced(&mut s, &mut recv).unwrap();
+        let end = drain_coalesced(&mut s, &rx, 64).unwrap();
+        late.join().unwrap();
         assert_eq!(end, DrainEnd::Closed);
         assert_eq!(s.flushed, vec![3], "both events coalesce into one flush");
     }
@@ -217,7 +189,7 @@ mod tests {
             batch: 4,
             window: Duration::from_micros(100),
         };
-        let end = drain_coalesced(&mut s, &mut channel_events(&rx, 8)).unwrap();
+        let end = drain_coalesced(&mut s, &rx, 8).unwrap();
         assert_eq!(end, DrainEnd::Closed);
         assert_eq!(s.flushed, vec![7]);
     }

@@ -62,9 +62,7 @@ mod source;
 
 pub(crate) use controller::Controller;
 pub use sink::run_split_sink;
-pub(crate) use sink::{
-    run_sink_session, FairShare, SinkEvt, SinkFront, SinkSession, SINK_EVENTS, SINK_EVENT_DRAIN,
-};
+pub(crate) use sink::{run_sink_session, FairShare, SinkEvt, SinkFront, SinkSession, SINK_EVENTS};
 pub use source::run_split_source;
 
 use crate::hist::StageTails;

@@ -4,11 +4,11 @@
 //! carries the bytes.
 
 use super::{perr, run_stage, stage, Controller, Fail, Tally};
-use crate::coalesce::{channel_events, drain_coalesced, CoalescedSink, DrainEnd};
+use crate::coalesce::{drain_coalesced, CoalescedSink, DrainEnd};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION, SINK_RKEY};
 use crate::store::{BlockPool, FileSink, SlotBuf};
 use crate::transport::{CtrlRx, CtrlTx, DataRx, SinkTransport, UringStats};
-use crossbeam::channel::{bounded, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rftp_core::pattern::pattern_matches;
 use rftp_core::wire::{BlockAck, CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
@@ -40,7 +40,7 @@ pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 /// Depth of a session's event queue (receivers, control pump or ring
 /// driver → handler), and how many events one handler drain takes.
 pub(crate) const SINK_EVENTS: usize = 1024;
-pub(crate) const SINK_EVENT_DRAIN: usize = 64;
+const SINK_EVENT_DRAIN: usize = 64;
 
 /// The placement front: what every receiver of a session — the TCP/shm
 /// reader threads and the uring driver's header-first links — decides
@@ -125,13 +125,13 @@ impl SinkFront {
 
 /// One sink session's shared state, whatever carries its bytes: the
 /// placement front, the Fig. 6 slot FSM, the granter, the grant-loop
-/// controller and the session clock. The three runners
-/// ([`run_sink_session`] and the two in [`crate::uring`]) differ only in
-/// who feeds [`SinkHandler::run`] its events.
+/// controller and the session clock. The two runners
+/// ([`run_sink_session`] and the uring session in [`crate::uring`])
+/// differ only in who feeds [`SinkHandler::run`] its events.
 pub(crate) struct SinkSession<'a> {
     cfg: &'a LiveConfig,
-    /// `Arc` because the daemon's shared uring driver places on another
-    /// thread that this session does not scope.
+    /// `Arc` because the shared uring driver places on another thread
+    /// that this session does not scope.
     pub(crate) front: Arc<SinkFront>,
     pub(super) snk_pool: AtomicSinkPool,
     granter: Mutex<Granter>,
@@ -280,17 +280,17 @@ pub(crate) struct SinkHandler<'a> {
 impl SinkHandler<'_> {
     /// Drive the session to completion: replay `first_ctrl` (a frame the
     /// listener already read to size the session), then coalesce over
-    /// whatever `recv` delivers — a channel the receivers fill, or the
-    /// ring driver's pump — until `DatasetComplete` and the last block.
+    /// the events the receivers or the ring driver send, until
+    /// `DatasetComplete` and the last block.
     pub(crate) fn run(
         &mut self,
         first_ctrl: Option<CtrlMsg>,
-        recv: &mut dyn FnMut(Option<std::time::Duration>, &mut Vec<SinkEvt>) -> bool,
+        events: &Receiver<SinkEvt>,
     ) -> io::Result<()> {
         if let Some(msg) = first_ctrl {
             self.handle(SinkEvt::Ctrl(msg))?;
         }
-        match drain_coalesced(self, recv)? {
+        match drain_coalesced(self, events, SINK_EVENT_DRAIN)? {
             DrainEnd::Done => Ok(()),
             DrainEnd::Closed => Err(perr("event pipeline stopped before transfer completed")),
         }
@@ -644,12 +644,7 @@ pub(crate) fn run_sink_session(
             .collect();
         drop(evt_tx);
         // The handler runs on the scope's own thread.
-        run_stage(fail, |_| {
-            h.run(
-                first_ctrl.take(),
-                &mut channel_events(&evt_rx, SINK_EVENT_DRAIN),
-            )
-        });
+        run_stage(fail, |_| h.run(first_ctrl.take(), &evt_rx));
         // Release any receiver blocked handing over an event, then join.
         drop(evt_rx);
         let mut tally = Tally::default();

@@ -25,24 +25,24 @@
 //!   committed — `READ_FIXED` straight into the credited slot's
 //!   registered buffer for a first arrival (the CQE is the placement;
 //!   no user-space copy, the one-sided WRITE analogue), a scratch read
-//!   for a duplicate. Control frames are read off the same ring and the
-//!   ack/credit dwell is `IORING_ENTER_EXT_ARG` timed waits feeding the
-//!   shared `drain_coalesced` loop;
+//!   for a duplicate. Control frames are read off the same ring, and
+//!   each session's events go through its mailbox to the session's own
+//!   thread, which runs the same handler and coalesced ack/credit dwell
+//!   (`drain_coalesced`) as the TCP sink;
 //! * the daemon ([`crate::daemon`]) shares ONE ring and ONE driver
 //!   thread (`MultiDriver`) across every admitted session: the whole
 //!   slot arena is registered once at startup, leases map to
-//!   fixed-buffer indices (admission never re-registers), CQEs demux
-//!   by `user_data = sid << 32 | link`, and per-session mailboxes
-//!   carry events to session threads — cross-session completion
+//!   fixed-buffer indices (admission never re-registers), and CQEs
+//!   demux by `user_data = sid << 32 | link` — cross-session completion
 //!   batching means one `GETEVENTS` drains arrivals for all sessions.
 //!
 //! There is nothing to set: the probe (run once per process) says
-//! whether the backend runs at all (5.11+), the caller picks the shape
-//! — one session pumps the driver on its own thread
-//! ([`run_uring_sink`]), a daemon runs it as a shared thread — and
-//! what a valid, first-time data frame is and what happens when it
-//! lands is [`crate::split`]'s `SinkFront`, the same one the TCP
-//! receivers call.
+//! whether the backend runs at all (5.11+), and there is one sink
+//! harness — a standalone sink ([`run_uring_sink`]) is that shared
+//! driver with one session over its own pool. What a valid,
+//! first-time data frame is and what happens when it lands is
+//! [`crate::split`]'s `SinkFront`, the same one the TCP receivers
+//! call.
 //!
 //! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
 //! 425/426/427 on every Linux architecture) over `extern "C"` shims —

@@ -1,5 +1,8 @@
 //! The sink's single data-path driver: per-session link state machines
-//! ([`Sess`]) and [`MultiDriver`] in its pump and daemon harnesses.
+//! ([`Sess`]) and [`MultiDriver`], the one loop that retires every
+//! session's completions and forwards its events to the session's
+//! handler thread — one session for a standalone sink, every admitted
+//! session under the daemon.
 //!
 //! There is one receive path. Each data link reads the 16-byte
 //! [`DataFrameHeader`] first and routes it before any payload byte is
@@ -24,11 +27,12 @@ use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Cap on a session's concurrently-armed payload reads, so each
-/// socket→slot copy stays cache-adjacent to its verify instead of a
-/// burst of sibling copies evicting the block first.
+/// Cap on a session's concurrently-armed payload reads: a session's
+/// blocks land one at a time, in the order their headers routed them,
+/// so its handler verifies a steady stream instead of a burst of
+/// sibling copies that evicts each block before its turn.
 const PLACE_CAP: u32 = 1;
 
 /// Where one data link's framing state machine stands.
@@ -80,9 +84,9 @@ pub(super) struct SessionStats {
     pub(super) ring: UringStats,
 }
 
-/// A daemon session's way home from the shared driver: the mailbox
-/// its events are forwarded through, and where the detach handshake
-/// delivers [`SessionStats`].
+/// A session's way home from the driver: the mailbox its events are
+/// forwarded through, and where the detach handshake delivers
+/// [`SessionStats`].
 type Mailbox = (
     crossbeam::channel::Sender<SinkEvt>,
     std::sync::mpsc::SyncSender<SessionStats>,
@@ -94,7 +98,7 @@ type Mailbox = (
 pub(super) struct Sess {
     front: Arc<SinkFront>,
     /// Wire slot index → fixed-buffer index in the driver's
-    /// registered table. Identity for a standalone sink (the pool
+    /// registered table. Identity for a standalone sink (its pool
     /// *is* the table); an arena lease for daemon sessions — the
     /// stable global slot indices are what let one
     /// `register_buffers` call at daemon startup cover every future
@@ -107,13 +111,11 @@ pub(super) struct Sess {
     socks: Vec<TcpStream>,
     /// Events parsed this loop, not yet handed to the handler.
     emit: Vec<SinkEvt>,
-    /// Daemon mode: the session thread's mailbox. `None` in pump
-    /// mode (the session thread *is* the driver thread) — and after
-    /// a failure, which is how the handler learns the source died.
+    /// The session thread's mailbox; `None` after a failure or a
+    /// detach, which is how the handler learns the source is gone.
     mailbox: Option<crossbeam::channel::Sender<SinkEvt>>,
-    /// Daemon mode: where the detach handshake delivers
-    /// [`SessionStats`].
-    stats_tx: Option<std::sync::mpsc::SyncSender<SessionStats>>,
+    /// Where the detach handshake delivers [`SessionStats`].
+    stats_tx: std::sync::mpsc::SyncSender<SessionStats>,
     /// Kernel ops currently in flight for this session.
     inflight: u32,
     err: Option<io::Error>,
@@ -140,7 +142,7 @@ impl Sess {
         lease: Vec<u32>,
         ctrl: TcpStream,
         data: Vec<TcpStream>,
-        mailbox: Option<Mailbox>,
+        (mailbox, stats_tx): Mailbox,
     ) -> Sess {
         let links = data
             .iter()
@@ -159,7 +161,6 @@ impl Sess {
         };
         let mut socks = vec![ctrl];
         socks.extend(data);
-        let (mailbox, stats_tx) = mailbox.unzip();
         Sess {
             front,
             lease,
@@ -167,7 +168,7 @@ impl Sess {
             ctrl: ctrl_link,
             socks,
             emit: Vec::new(),
-            mailbox,
+            mailbox: Some(mailbox),
             stats_tx,
             inflight: 0,
             err: None,
@@ -182,7 +183,7 @@ impl Sess {
 
 /// `user_data` link field naming a session's control socket.
 const CTRL_LINK: u32 = u32::MAX;
-/// `user_data` of the daemon driver's hub-wakeup read. (`UD_NOP` is
+/// `user_data` of the driver's hub-wakeup read. (`UD_NOP` is
 /// `u64::MAX`; session ids never reach `u32::MAX`, so neither
 /// sentinel collides with `ud()`.)
 const UD_WAKE: u64 = u64::MAX - 1;
@@ -197,7 +198,7 @@ fn decode_header(buf: &[u8; DATA_FRAME_HEADER_LEN]) -> io::Result<DataFrameHeade
     DataFrameHeader::decode(&buf[..]).map_err(|e| perr(format!("bad data frame header: {e:?}")))
 }
 
-/// The hub-wakeup socket the daemon driver arms a `READ` on, so
+/// The hub-wakeup socket the driver arms a `READ` on, so
 /// registration/detach messages interrupt a blocked `GETEVENTS`.
 pub(super) struct WakeLink {
     pub(super) stream: UnixStream,
@@ -220,16 +221,12 @@ enum Next {
 }
 
 /// The sink's single data-path driver: one ring, one thread, every
-/// admitted session's links. Two harnesses share it:
-///
-/// * **pump mode** (the standalone sink): one session, and
-///   [`MultiDriver::pump`] is the event source its handler
-///   ([`crate::split::SinkSession::handler`]) coalesces over — CQE batches in, a
-///   batch of [`SinkEvt`]s out, dwell waits as `EXT_ARG` ring
-///   timeouts;
-/// * **daemon mode**: the driver loop forwards each session's
-///   events through its mailbox to the session thread, which runs
-///   the same handler + drain over [`crate::coalesce::channel_events`].
+/// admitted session's links. Each [`MultiDriver::tick`] retires a
+/// batch of completions and forwards each session's events through
+/// its mailbox to the session thread, which runs the handler
+/// ([`crate::split::SinkSession::handler`]) over
+/// [`crate::coalesce::channel_events`] — the same drain as every
+/// other sink.
 pub(super) struct MultiDriver<'a> {
     ring: &'a Ring,
     /// The registered fixed-buffer table; each session's `lease`
@@ -245,16 +242,18 @@ pub(super) struct MultiDriver<'a> {
     /// bytes — comparable to the TCP sink's per-thread blocking
     /// reads.
     place_floor: Instant,
-    /// Ring-level failure: everything on the ring is dead.
-    fatal: Option<io::Error>,
-    pub(super) wake: Option<WakeLink>,
+    wake: WakeLink,
     wake_armed: bool,
     /// Teardown: stop re-arming the wake read.
     stopping: bool,
 }
 
 impl<'a> MultiDriver<'a> {
-    pub(super) fn new(ring: &'a Ring, slots: &'a [&'a Mutex<SlotBuf>]) -> MultiDriver<'a> {
+    pub(super) fn new(
+        ring: &'a Ring,
+        slots: &'a [&'a Mutex<SlotBuf>],
+        wake: WakeLink,
+    ) -> MultiDriver<'a> {
         MultiDriver {
             ring,
             slots,
@@ -262,8 +261,7 @@ impl<'a> MultiDriver<'a> {
             queued: 0,
             cqes: Vec::with_capacity(64),
             place_floor: Instant::now(),
-            fatal: None,
-            wake: None,
+            wake,
             wake_armed: false,
             stopping: false,
         }
@@ -296,14 +294,13 @@ impl<'a> MultiDriver<'a> {
         Ok(())
     }
 
-    /// Arm the hub-wakeup read (daemon mode).
+    /// Arm the hub-wakeup read.
     pub(super) fn arm_wake(&mut self) -> io::Result<()> {
-        let Some(w) = &self.wake else { return Ok(()) };
         let sqe = Sqe {
             opcode: IORING_OP_READ,
-            fd: w.stream.as_raw_fd(),
-            addr: w.buf.as_ptr() as u64,
-            len: w.buf.len() as u32,
+            fd: self.wake.stream.as_raw_fd(),
+            addr: self.wake.buf.as_ptr() as u64,
+            len: self.wake.buf.len() as u32,
             user_data: UD_WAKE,
             ..Default::default()
         };
@@ -386,9 +383,28 @@ impl<'a> MultiDriver<'a> {
         self.push_sqe(&sqe)
     }
 
-    /// Insert a session and arm every opening read. The caller
-    /// submits (pump's first loop / the daemon tick).
+    /// Adopt a registered session: reject (via its stats channel)
+    /// if its links cannot fit the ring alongside the sessions
+    /// already armed, else insert it and arm every opening read (the
+    /// next [`MultiDriver::tick`] submits them).
     pub(super) fn add_session(&mut self, sid: u32, sess: Sess) -> io::Result<()> {
+        // Worst-case concurrently-armed ops: every session's links
+        // + control, the newcomer's, and the wake read. The CQ is
+        // 2x the SQ, so fitting the SQ bounds completions too.
+        let armed: usize = self
+            .sessions
+            .values()
+            .map(|s| s.links.len() + 1)
+            .sum::<usize>()
+            + 1;
+        if armed + sess.links.len() + 1 > RING_ENTRIES as usize {
+            let _ = sess.stats_tx.send(SessionStats {
+                tally: Tally::default(),
+                err: Some(perr("shared uring driver is at link capacity")),
+                ring: self.stats_snapshot(),
+            });
+            return Ok(());
+        }
         let links = sess.links.len();
         self.sessions.insert(sid, sess);
         for i in 0..links {
@@ -415,7 +431,7 @@ impl<'a> MultiDriver<'a> {
         sess.mailbox = None;
     }
 
-    /// Daemon detach: stop re-arming, cut the sockets so armed ops
+    /// Detach: stop re-arming, cut the sockets so armed ops
     /// drain, and let `finalize_sessions` complete the handshake at
     /// `inflight == 0`.
     pub(super) fn begin_detach(&mut self, sid: u32) {
@@ -445,17 +461,15 @@ impl<'a> MultiDriver<'a> {
         for sid in done {
             let ring = self.stats_snapshot();
             let sess = self.sessions.remove(&sid).unwrap();
-            if let Some(tx) = sess.stats_tx {
-                let _ = tx.send(SessionStats {
-                    tally: sess.tally,
-                    err: sess.err,
-                    ring,
-                });
-            }
+            let _ = sess.stats_tx.send(SessionStats {
+                tally: sess.tally,
+                err: sess.err,
+                ring,
+            });
         }
     }
 
-    /// Forward freshly-parsed events to each daemon session's
+    /// Forward freshly-parsed events to each session's
     /// mailbox (batched per driver loop, so a CQE burst arrives at
     /// the handler as one `recv_batch`).
     fn deliver_mailboxes(&mut self) {
@@ -690,116 +704,10 @@ impl<'a> MultiDriver<'a> {
         }
     }
 
-    /// The recv callback the handler coalesces over in pump mode:
-    /// deliver at least one [`SinkEvt`] for session `sid`
-    /// (`window: None` blocks; `Some(w)` is a dwell wait bounded by
-    /// a *cumulative* deadline across its internal waits), or
-    /// `false` when the wait timed out, every link is done, or the
-    /// driver failed.
-    pub(super) fn pump(
-        &mut self,
-        sid: u32,
-        window: Option<Duration>,
-        out: &mut Vec<SinkEvt>,
-    ) -> bool {
-        if self.fatal.is_some() || self.sessions.get(&sid).is_none_or(|s| s.err.is_some()) {
-            return false;
-        }
-        self.place_floor = Instant::now();
-        let deadline = window.map(|w| Instant::now() + w);
-        loop {
-            self.cqes.clear();
-            self.ring.reap(&mut self.cqes);
-            if self.cqes.is_empty() {
-                if self.sessions.get(&sid).map_or(0, |s| s.inflight) == 0 {
-                    return false; // every link EOF — nothing can arrive
-                }
-                let waited = match deadline {
-                    // Hot path: hand re-armed reads to the kernel
-                    // and wait for the next completion in ONE
-                    // syscall.
-                    None => {
-                        let queued = std::mem::take(&mut self.queued);
-                        self.ring.submit_and_wait(queued).map(|()| true)
-                    }
-                    // Dwell wait: flush first, then the timed wait
-                    // (`-ETIME` and a fused submit don't mix). Each
-                    // retry gets the *remaining* window, so partial
-                    // reads can't stretch the dwell past the
-                    // handler's flush deadline.
-                    Some(d) => {
-                        let now = Instant::now();
-                        if d <= now {
-                            return false; // dwell window exhausted
-                        }
-                        self.submit_queued()
-                            .and_then(|()| self.ring.wait(Some(d - now)))
-                    }
-                };
-                match waited {
-                    Ok(true) => {
-                        self.place_floor = Instant::now();
-                        continue;
-                    }
-                    Ok(false) => {
-                        // -ETIME: drain completions that raced the
-                        // timeout into this dwell's batch rather
-                        // than leaving them for the next pump.
-                        if self.ring.cq_ready() > 0 {
-                            continue;
-                        }
-                        return false;
-                    }
-                    Err(e) => {
-                        self.fatal = Some(e);
-                        return false;
-                    }
-                }
-            }
-            let cqes = std::mem::take(&mut self.cqes);
-            for c in &cqes {
-                let r = self.on_cqe(c);
-                self.place_floor = Instant::now();
-                if let Err(e) = r {
-                    self.fatal = Some(e);
-                    self.cqes = cqes;
-                    return false;
-                }
-            }
-            self.cqes = cqes;
-            if let Some(sess) = self.sessions.get_mut(&sid) {
-                if sess.err.is_some() {
-                    return false;
-                }
-                out.append(&mut sess.emit);
-            }
-            if !out.is_empty() {
-                // Flush the re-arms before handing the events over,
-                // so the kernel fills slots while the handler
-                // verifies and acks.
-                if let Err(e) = self.submit_queued() {
-                    self.fatal = Some(e);
-                    return false;
-                }
-                return true;
-            }
-            // Partial reads advanced without yielding an event;
-            // keep draining (the empty-reap path flushes `queued`).
-        }
-    }
-
-    /// The error to surface for session `sid` after a `Closed`
-    /// drain (ring-fatal first — it explains every session).
-    pub(super) fn take_err(&mut self, sid: u32) -> Option<io::Error> {
-        self.fatal
-            .take()
-            .or_else(|| self.sessions.get_mut(&sid).and_then(|s| s.err.take()))
-    }
-
-    /// One daemon-driver iteration: submit + block for completions
-    /// (the armed wake read turns hub messages into CQEs), retire a
-    /// batch, forward events. `Err` is ring-fatal.
-    pub(super) fn daemon_tick(&mut self) -> io::Result<()> {
+    /// One driver iteration: submit + block for completions (the
+    /// armed wake read turns hub messages into CQEs), retire a batch,
+    /// forward events. `Err` is ring-fatal.
+    pub(super) fn tick(&mut self) -> io::Result<()> {
         self.place_floor = Instant::now();
         self.cqes.clear();
         self.ring.reap(&mut self.cqes);
@@ -825,15 +733,13 @@ impl<'a> MultiDriver<'a> {
         Ok(())
     }
 
-    /// Ring-fatal failure in daemon mode: every session dies with
-    /// it.
+    /// Ring-fatal failure: every session dies with it.
     pub(super) fn fail_all(&mut self, e: io::Error) {
         let sids: Vec<u32> = self.sessions.keys().copied().collect();
         for sid in sids {
             self.sess_fail(sid, perr(format!("shared uring driver failed: {e}")));
             self.begin_detach(sid);
         }
-        self.fatal = Some(e);
     }
 
     /// Drain until no kernel op targets the slot buffers or the wake
@@ -841,9 +747,7 @@ impl<'a> MultiDriver<'a> {
     /// any of them can be freed.
     pub(super) fn quiesce(&mut self) {
         self.stopping = true;
-        if let Some(w) = &self.wake {
-            let _ = w.stream.shutdown(Shutdown::Both);
-        }
+        let _ = self.wake.stream.shutdown(Shutdown::Both);
         let _ = self.submit_queued();
         loop {
             let inflight: u32 = self.sessions.values().map(|s| s.inflight).sum();
@@ -871,33 +775,5 @@ impl<'a> MultiDriver<'a> {
             }
             self.cqes = cqes;
         }
-    }
-}
-
-impl<'a> MultiDriver<'a> {
-    /// Adopt a registered session: reject (via its stats channel)
-    /// if its links cannot fit the ring alongside the sessions
-    /// already armed, else insert and arm.
-    pub(super) fn add_daemon_session(&mut self, sid: u32, sess: Sess) -> io::Result<()> {
-        // Worst-case concurrently-armed ops: every session's links
-        // + control, the newcomer's, and the wake read. The CQ is
-        // 2x the SQ, so fitting the SQ bounds completions too.
-        let armed: usize = self
-            .sessions
-            .values()
-            .map(|s| s.links.len() + 1)
-            .sum::<usize>()
-            + 1;
-        if armed + sess.links.len() + 1 > RING_ENTRIES as usize {
-            if let Some(tx) = &sess.stats_tx {
-                let _ = tx.send(SessionStats {
-                    tally: Tally::default(),
-                    err: Some(perr("shared uring driver is at link capacity")),
-                    ring: self.stats_snapshot(),
-                });
-            }
-            return Ok(());
-        }
-        self.add_session(sid, sess)
     }
 }

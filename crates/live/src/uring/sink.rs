@@ -1,12 +1,13 @@
-//! Sink runners: the standalone one-session pump, the daemon's shared
-//! driver thread and its hub, and a daemon session's handler half.
+//! Sink runners: the one shared driver thread and its hub, and a
+//! session's handler half against it. A standalone sink is a
+//! one-session driver over its own pool; a daemon runs one driver over
+//! its whole arena for every session it admits.
 
 use super::driver::{MultiDriver, Sess, SessionStats, WakeLink};
-use super::ring::{probe, transfer_ring, Ring, RING_ENTRIES};
-use crate::coalesce::channel_events;
+use super::ring::{probe, transfer_ring};
 use crate::net::{read_first_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
-use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS, SINK_EVENT_DRAIN};
+use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS};
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use parking_lot::Mutex;
@@ -16,15 +17,6 @@ use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-
-/// A sink's ring: created *on the calling thread* (`SINGLE_ISSUER`
-/// pins submission to the creator), with `bufs` registered as its
-/// fixed-buffer table once — the buffers every placement reads into.
-fn sink_ring(bufs: &[&Mutex<SlotBuf>]) -> io::Result<Ring> {
-    let ring = transfer_ring(true)?;
-    ring.register_pool(bufs)?;
-    Ok(ring)
-}
 
 /// One accepted source connection set, ready for [`run_uring_sink`]
 /// — the uring counterpart of [`NetListener::accept_session`].
@@ -48,59 +40,31 @@ pub fn accept_source_uring(
 }
 
 /// Run the sink half over one io_uring: the protocol brain is the
-/// same `SinkSession` and handler as the TCP sink,
-/// but placement, control reads, and the ack/credit dwell all ride
-/// the ring on **one** thread — no per-channel receivers, no
-/// control pump. A one-session [`MultiDriver`] in pump mode over the
-/// sink's own pool; a [`UringSinkSession`] exists only where the
-/// kernel probe passed.
+/// same `SinkSession` and handler as the TCP sink, but placement and
+/// control reads ride the ring on **one** driver thread — no
+/// per-channel receivers, no control pump. It is the daemon's shared
+/// driver with one session: the sink's own pool is the registered
+/// table (identity lease), and this thread runs the handler half.
 pub fn run_uring_sink(
     cfg: &LiveConfig,
     session: UringSinkSession,
     first_ctrl: Option<CtrlMsg>,
 ) -> io::Result<LiveReport> {
-    let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
-    let snk_bufs: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let SessionStreams { ctrl, data, .. } = session.streams;
-    assert_eq!(data.len(), cfg.channels, "one data link per channel");
-    assert!(cfg.channels as u32 + 2 <= RING_ENTRIES);
-    // Pinning the pool is set-up, like allocating it: it happens
-    // before the session's clock starts.
-    let ring = sink_ring(&snk_bufs)?;
-    let ctrl_tx = NetCtrlTx(Mutex::new(ctrl.try_clone()?));
-
-    let sess = SinkSession::open(cfg, snk_bufs.len())?;
-    let mut h = sess.handler(&ctrl_tx, &snk_bufs, None);
-    let mut drv = MultiDriver::new(&ring, &snk_bufs);
-    // Pump mode: one session, identity lease (the pool *is* the
-    // registered table), no mailbox — `pump` feeds the handler
-    // directly on this thread.
-    let entry = Sess::new(
-        sess.front.clone(),
-        (0..cfg.pool_blocks).collect(),
-        ctrl,
-        data,
-        None,
-    );
-    let run = drv
-        .add_session(0, entry)
-        .and_then(|()| h.run(first_ctrl, &mut |w, out| drv.pump(0, w, out)));
-    // A closed pump is the echo; the driver knows the cause.
-    let run = run.map_err(|e| drv.take_err(0).unwrap_or(e));
-    // Quiesce before the slot buffers or the ring can be freed: shut
-    // every link (the transfer is over either way — the final acks
-    // are already flushed and ride out ahead of the FIN), then drain
-    // the in-flight reads the shutdown completes.
-    drv.begin_detach(0);
-    drv.quiesce();
-    let ring_stats = drv.stats_snapshot();
-    let tally = drv.sessions.remove(&0).expect("pump session").tally;
-    drop(drv);
-    drop(ring);
-    run?;
-    // The whole data path — all N links, placement, control, and
-    // the dwell — is this one driver thread.
-    sess.finish(h, tally, 1, Some(ring_stats))
+    let pool = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+    let view: Vec<&Mutex<SlotBuf>> = pool.iter().collect();
+    let lease: Vec<u32> = (0..cfg.pool_blocks).collect();
+    std::thread::scope(|scope| {
+        // Pinning the pool is set-up, like allocating it: the driver
+        // registers it before the session's clock starts.
+        let (hub, driver) = spawn_shared_uring_driver(scope, &pool)?;
+        let run =
+            run_shared_uring_session(cfg, session.streams, first_ctrl, &view, &lease, &hub, None);
+        hub.stop();
+        let joined = driver.join();
+        let report = run?;
+        joined.map_err(|_| perr("shared uring driver panicked"))?;
+        Ok(report)
+    })
 }
 
 enum HubMsg {
@@ -110,8 +74,7 @@ enum HubMsg {
     Stop,
 }
 
-/// Session threads' handle to the daemon's one shared driver
-/// thread. Every message is paired with a byte on the wake socket,
+/// Session threads' handle to the one shared driver thread. Every message is paired with a byte on the wake socket,
 /// whose armed `READ` turns it into a CQE — so a driver blocked in
 /// `GETEVENTS` notices registrations and detaches immediately.
 pub(crate) struct UringHub {
@@ -139,10 +102,26 @@ impl UringHub {
     }
 }
 
-/// The daemon's one data-path thread: owns the shared ring over the
-/// whole arena (registered as fixed buffers **once**), then loops
-/// adopting/detaching sessions and retiring completions until told
-/// to stop.
+/// A session's place on the driver. Dropping it sends the detach — on
+/// the normal way out, and while a panic unwinds the handler — so the
+/// driver never keeps a session that no thread will collect (and a
+/// sink waiting for its driver to stop never hangs on one).
+struct Registered<'h> {
+    hub: &'h UringHub,
+    sid: u32,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        let _ = self.hub.send(HubMsg::Detach(self.sid));
+    }
+}
+
+/// The sink's one data-path thread: owns the ring over every slot a
+/// session can lease (registered as fixed buffers **once**), then
+/// loops adopting/detaching sessions and retiring completions until
+/// told to stop. The ring is created here, on the thread that submits
+/// (`SINGLE_ISSUER` pins submission to its creator).
 fn driver_main(
     slots: &[Mutex<SlotBuf>],
     rx: std::sync::mpsc::Receiver<HubMsg>,
@@ -150,7 +129,7 @@ fn driver_main(
     init_tx: std::sync::mpsc::SyncSender<io::Result<()>>,
 ) -> UringStats {
     let view: Vec<&Mutex<SlotBuf>> = slots.iter().collect();
-    let ring = match sink_ring(&view) {
+    let ring = match transfer_ring(true).and_then(|r| r.register_pool(&view).map(|()| r)) {
         Ok(v) => {
             let _ = init_tx.send(Ok(()));
             v
@@ -160,11 +139,11 @@ fn driver_main(
             return UringStats::default();
         }
     };
-    let mut drv = MultiDriver::new(&ring, &view);
-    drv.wake = Some(WakeLink {
+    let wake = WakeLink {
         stream: wake_r,
         buf: Box::new([0u8; 64]),
-    });
+    };
+    let mut drv = MultiDriver::new(&ring, &view, wake);
     let run = (|| -> io::Result<()> {
         drv.arm_wake()?;
         drv.submit_queued()?;
@@ -172,7 +151,7 @@ fn driver_main(
         loop {
             loop {
                 match rx.try_recv() {
-                    Ok(HubMsg::Register(sid, sess)) => drv.add_daemon_session(sid, *sess)?,
+                    Ok(HubMsg::Register(sid, sess)) => drv.add_session(sid, *sess)?,
                     Ok(HubMsg::Detach(sid)) => drv.begin_detach(sid),
                     Ok(HubMsg::Stop) => stop = true,
                     Err(std::sync::mpsc::TryRecvError::Empty) => break,
@@ -186,7 +165,7 @@ fn driver_main(
             if stop && drv.sessions.is_empty() {
                 return Ok(());
             }
-            drv.daemon_tick()?;
+            drv.tick()?;
         }
     })();
     if let Err(e) = run {
@@ -200,10 +179,11 @@ fn driver_main(
     drv.stats_snapshot()
 }
 
-/// Spawn the daemon's shared uring driver over the whole arena
-/// (`slots`). Fails with `Unsupported` when the kernel cannot run the
-/// ring backend, and with the driver's own error when ring setup or
-/// registration fails — nothing is leaked either way.
+/// Spawn a shared uring driver over `slots` (a daemon's whole arena,
+/// or a standalone sink's pool). Fails with `Unsupported` when the
+/// kernel cannot run the ring backend, and with the driver's own error
+/// when ring setup or registration fails — nothing is leaked either
+/// way.
 pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
     scope: &'scope std::thread::Scope<'scope, 'env>,
     slots: &'env [Mutex<SlotBuf>],
@@ -221,13 +201,13 @@ pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
         .unwrap_or_else(|_| Err(perr("uring driver thread died during init")));
     if let Err(e) = init {
         let _ = handle.join();
-        // Pinning the arena is what fails in practice (ENOMEM under
+        // Pinning the slots is what fails in practice (ENOMEM under
         // a small RLIMIT_MEMLOCK), so say what to turn.
         return Err(io::Error::new(
             e.kind(),
             format!(
                 "shared uring driver start-up over {} slots: {e} \
-                 (shrink --slots or raise RLIMIT_MEMLOCK)",
+                 (shrink --slots / --pool or raise RLIMIT_MEMLOCK)",
                 slots.len()
             ),
         ));
@@ -242,13 +222,13 @@ pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
     ))
 }
 
-/// Run one admitted daemon session's *handler half* against the
-/// shared driver: register the session's sockets with the hub, then
-/// drive the same [`SinkSession`] and handler as every other sink
-/// over a mailbox the driver fills. Admission does
-/// **not** touch buffer registration — the arena was registered
-/// once at daemon startup, and the lease maps this session's wire
-/// slots onto those stable fixed-buffer indices.
+/// Run one session's *handler half* against a shared driver: register
+/// the session's sockets with the hub, then drive the same
+/// [`SinkSession`] and handler as every other sink over a mailbox the
+/// driver fills. Admission does **not** touch buffer registration —
+/// the driver registered its slots once at start-up, and the lease
+/// maps this session's wire slots onto those stable fixed-buffer
+/// indices.
 pub(crate) fn run_shared_uring_session(
     cfg: &LiveConfig,
     streams: SessionStreams,
@@ -278,7 +258,7 @@ pub(crate) fn run_shared_uring_session(
         lease.to_vec(),
         ctrl.try_clone()?,
         drv_data,
-        Some((evt_tx, stats_tx)),
+        (evt_tx, stats_tx),
     );
     let sid = hub.next_sid.fetch_add(1, Ordering::Relaxed);
 
@@ -286,9 +266,10 @@ pub(crate) fn run_shared_uring_session(
     // Register before answering the hello: the opening grants go
     // out only after the driver can be armed, so no data races the
     // first receive.
+    let registered = Registered { hub, sid };
     let run = hub
         .send(HubMsg::Register(sid, Box::new(entry)))
-        .and_then(|()| h.run(first_ctrl, &mut channel_events(&evt_rx, SINK_EVENT_DRAIN)));
+        .and_then(|()| h.run(first_ctrl, &evt_rx));
 
     // Detach handshake: cut our socket halves (the final acks are
     // already flushed and ride out ahead of the FIN), then wait for
@@ -297,7 +278,7 @@ pub(crate) fn run_shared_uring_session(
     // arena lease — no kernel op can target the leased slots.
     let _ = ctrl.shutdown(Shutdown::Both);
     shutdown_all(&data, Shutdown::Both);
-    let _ = hub.send(HubMsg::Detach(sid));
+    drop(registered);
     let stats = stats_rx.recv().unwrap_or_else(|_| SessionStats {
         tally: Tally::default(),
         err: Some(perr("uring driver exited before detach")),
@@ -309,8 +290,8 @@ pub(crate) fn run_shared_uring_session(
         // stopped").
         return Err(stats.err.unwrap_or(e));
     }
-    // The data path lives on the daemon's ONE shared driver thread;
-    // this session thread only runs the protocol brain.
+    // The data path lives on the ONE shared driver thread; this
+    // session thread only runs the protocol brain.
     sess.finish(h, stats.tally, 1, Some(stats.ring))
 }
 
@@ -351,7 +332,89 @@ mod tests {
             "sink data path must be one thread"
         );
         assert_eq!(src.transport_threads, 1, "source adds one reaper thread");
+        let ring = snk.uring.expect("uring report carries ring stats");
+        assert_eq!(
+            ring.registrations, 1,
+            "the one-session driver registers the sink's pool once: {ring:?}"
+        );
         Some((src, snk))
+    }
+
+    /// A session whose handler panics still leaves the driver: its
+    /// `Registered` guard sends the detach while the panic unwinds, so
+    /// a stopped driver exits instead of holding a session that no
+    /// thread will collect.
+    #[test]
+    fn a_panicking_session_still_detaches() {
+        if !uring_supported() {
+            eprintln!("skipping: io_uring not supported by this kernel");
+            return;
+        }
+        let mut cfg = LiveConfig::new(4096, 1, 8192);
+        cfg.pool_blocks = 2;
+        let pool = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut peer = Vec::new();
+        let mut socks = Vec::new();
+        for _ in 0..2 {
+            peer.push(TcpStream::connect(addr).unwrap());
+            socks.push(listener.accept().unwrap().0);
+        }
+        let data = socks.split_off(1);
+        let ctrl = socks.pop().unwrap();
+        let (evt_tx, _evt_rx) = crossbeam::channel::bounded(SINK_EVENTS);
+        let (stats_tx, _stats_rx) = std::sync::mpsc::sync_channel(1);
+        let front = Arc::new(crate::split::SinkFront::open(&cfg).unwrap());
+        let entry = Sess::new(front, vec![0, 1], ctrl, data, (evt_tx, stats_tx));
+        std::thread::scope(|scope| {
+            let (hub, driver) = spawn_shared_uring_driver(scope, &pool).unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _registered = Registered { hub: &hub, sid: 0 };
+                hub.send(HubMsg::Register(0, Box::new(entry))).unwrap();
+                panic!("a handler bug");
+            }));
+            assert!(unwound.is_err());
+            hub.stop();
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while !driver.is_finished() && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let exited = driver.is_finished();
+            if !exited {
+                // Let the scope join instead of hanging the suite.
+                let _ = hub.send(HubMsg::Detach(0));
+            }
+            assert!(exited, "the driver kept a session whose handler panicked");
+            driver.join().unwrap();
+        });
+    }
+
+    /// A standalone sink whose driver cannot start — a pool past the
+    /// 1024-entry fixed-buffer table — fails with the driver's own
+    /// error and what to turn, and its source fails rather than hangs.
+    #[test]
+    fn sink_whose_driver_cannot_start_fails_both_halves() {
+        if !uring_supported() {
+            eprintln!("skipping: io_uring not supported by this kernel");
+            return;
+        }
+        let mut cfg = LiveConfig::new(4096, 1, 1 << 20);
+        cfg.pool_blocks = 1025;
+        let listener = NetListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let src_cfg = LiveConfig::new(4096, 1, 1 << 20);
+        let src = std::thread::spawn(move || {
+            let t = connect_source_uring(addr, src_cfg.channels, 0)?;
+            crate::split::run_split_source(&src_cfg, t)
+        });
+        let (sess, first) = accept_source_uring(&listener, 0).unwrap();
+        let err = run_uring_sink(&cfg, sess, Some(first)).unwrap_err();
+        assert!(err.to_string().contains("--pool"), "{err}");
+        assert!(
+            src.join().unwrap().is_err(),
+            "the source must see the sink go"
+        );
     }
 
     /// Full uring↔uring loopback transfer: pattern data, checksum
