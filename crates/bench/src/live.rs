@@ -19,9 +19,8 @@ use rftp_live::args::flag_value;
 use rftp_live::net::{connect_source, default_sockbuf, probe_sockbuf, NetListener};
 use rftp_live::{
     accept_source_uring, connect_source_shm, connect_source_uring, run_shm_sink, run_split_pair,
-    run_split_sink, run_split_source, run_uring_sink, shm_supported, uring_supported, wrap_sink,
-    wrap_source, LiveConfig, LiveReport, NsHist, ShmListener, SourceTransport, UringStats,
-    WanProfile,
+    run_split_sink, run_split_source, run_uring_sink, shm_supported, uring_supported, wrap_source,
+    LiveConfig, LiveReport, NsHist, ShmListener, SourceTransport, UringStats, WanProfile,
 };
 use std::fmt::Write as _;
 use std::net::SocketAddr;
@@ -105,11 +104,10 @@ pub fn connect(t: Transport, at: &Endpoint, channels: usize, sockbuf: usize) -> 
 }
 
 /// One transfer: the source half on a helper thread, the sink half here;
-/// returns `(source, sink)` reports. With a `wan` profile both endpoints
-/// sit behind the impairment shim — the sink impairs inbound data, the
-/// source inbound control, splitting the emulated RTT exactly like a
-/// two-process run. `sockbuf = 0` leaves the OS socket-buffer defaults
-/// (and means nothing to `Inproc` and `Shm`).
+/// returns `(source, sink)` reports. With a `wan` profile the source sits
+/// behind the impairment shim, which carries the whole emulated path
+/// whatever engine the sink receives with. `sockbuf = 0` leaves the OS
+/// socket-buffer defaults (and means nothing to `Inproc` and `Shm`).
 pub fn run_pair(
     t: Transport,
     cfg: &LiveConfig,
@@ -121,10 +119,6 @@ pub fn run_pair(
     if t == Transport::Inproc {
         return run_split_pair(cfg, wan).expect("in-process pair");
     }
-    assert!(
-        wan.is_identity() || t == Transport::Tcp,
-        "the WAN shim wraps stream links only"
-    );
     let source = |at: Endpoint| {
         let (cfg, wan) = (cfg.clone(), wan.clone());
         std::thread::spawn(move || {
@@ -146,7 +140,7 @@ pub fn run_pair(
             run_uring_sink(cfg, sess, Some(first))
         } else {
             let (link, first) = listener.accept_session(sockbuf).expect("accept");
-            run_split_sink(cfg, wrap_sink(link, wan), Some(first))
+            run_split_sink(cfg, link, Some(first))
         };
         (src, snk)
     };
@@ -745,5 +739,26 @@ mod tests {
         let (src, snk) = run_pair(Transport::Tcp, &small(false), Some(&wan), 0);
         assert_eq!((snk.blocks, snk.checksum_failures), (16, 0));
         assert!(src.elapsed >= wan.rtt(), "took {:?}", src.elapsed);
+    }
+
+    /// The source's shim carries the whole path, so the ring and shm
+    /// sinks run behind the same lossy WAN as tcp: each transfer lands
+    /// byte-exact and recovers what the path dropped.
+    #[test]
+    fn ring_and_shm_sinks_run_behind_a_lossy_wan() {
+        let wan = WanProfile::parse("ani-wan,drop=0.01,rate=500e6").expect("spec");
+        let mut cfg = LiveConfig::new(64 * 1024, 4, 32 * MB + 4097);
+        cfg.apply_wan(&wan);
+        for t in [Transport::Uring, Transport::Shm] {
+            if !t.supported() {
+                eprintln!("skipping {t:?}: unsupported on this host");
+                continue;
+            }
+            let (src, snk) = run_pair(t, &cfg, Some(&wan), tuned_sockbuf(&cfg));
+            let got = (snk.bytes, snk.blocks, snk.checksum_failures);
+            let blocks = cfg.total_bytes.div_ceil(cfg.block_size as u64);
+            assert_eq!(got, (cfg.total_bytes, blocks, 0), "{t:?}");
+            assert!(src.retransmits >= 1, "{t:?}: 1% loss dropped nothing");
+        }
     }
 }

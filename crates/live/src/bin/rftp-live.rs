@@ -70,14 +70,9 @@ struct Args {
     /// Socket buffer bytes per data stream; `None` = size from
     /// block × depth, `Some(0)` = leave the OS defaults.
     sockbuf: Option<u64>,
-    /// WAN impairment applied to this endpoint's inbound traffic.
+    /// The emulated WAN path: the source's shim carries it, and either
+    /// end sizes and adapts its half to it.
     wan: Option<WanProfile>,
-    /// Run the impairment shim without the adaptive controller (static
-    /// arms of a WAN comparison).
-    no_adapt: bool,
-    /// Carry the whole impairment (full RTT + data loss) on the source
-    /// side, for peers whose receive path cannot host the shim.
-    wan_at_source: bool,
 }
 
 const HELP: &str = "rftp-live: the RFTP pipeline on real OS threads
@@ -126,17 +121,13 @@ TWO-PROCESS MODE (the pipeline split over TCP):
                      credit/depth controller. SPEC is a preset
                      (roce-lan, ib-lan, ani-wan) or preset,key=value
                      overrides (rtt=49ms, drop=0.01, rate=10e9,
-                     jitter=1ms, seed=N). Each endpoint impairs its own
-                     inbound traffic, so run the same --wan on both
-                     ends of a two-process pair; in local mode the shim
-                     wraps the in-process transport. Sink-side --wan
-                     needs --transport tcp (uring/shm receive paths
-                     bypass the shim)
-  --no-adapt         with --wan: keep the impairment but pin the static
-                     flag-tuned dwell/depth/timeout (baseline arms)
-  --wan-at-source    with --connect --wan: fold the whole round trip
-                     (and the data-loss leg) into the source's shim,
-                     for sinks that cannot host one (uring/shm)
+                     jitter=1ms, seed=N). The source's shim carries the
+                     whole path (data loss, reorder, rate cap and the
+                     full round trip); a sink's --wan only sizes its
+                     pool and runs its adaptive controller, on every
+                     --transport. Run the same --wan on both ends of a
+                     two-process pair; in local mode the shim wraps the
+                     in-process transport
   --probe-uring      report whether this kernel can run the uring
                      backend (5.11+) and whether the shm transport
                      (memfd + SCM_RIGHTS fd passing) is available, then
@@ -161,8 +152,6 @@ fn parse_args() -> Result<Args, String> {
         readahead: u32::MAX,
         sockbuf: None,
         wan: None,
-        no_adapt: false,
-        wan_at_source: false,
     };
     let mut geometry_flag_seen = false;
     let it = &mut std::env::args().skip(1);
@@ -199,8 +188,6 @@ fn parse_args() -> Result<Args, String> {
                 let spec = flag_value(it, "--wan")?;
                 a.wan = Some(WanProfile::parse(&spec).map_err(|e| format!("--wan: {e}"))?);
             }
-            "--no-adapt" => a.no_adapt = true,
-            "--wan-at-source" => a.wan_at_source = true,
             "--transport" => {
                 a.transport = match flag_value(it, "--transport")?.as_str() {
                     "tcp" => Transport::Tcp,
@@ -242,11 +229,6 @@ fn parse_args() -> Result<Args, String> {
             if a.src_file.is_some() || a.fault_drop_p > 0.0 {
                 return Err("--src-file and --fault belong to the source (--connect) side".into());
             }
-            if a.wan.is_some() && a.transport != Transport::Tcp {
-                return Err("--wan on the sink side requires --transport tcp \
-                     (the uring/shm receive paths bypass the impairment shim)"
-                    .into());
-            }
         }
         Mode::Connect(_) => {
             if a.dst_file.is_some() {
@@ -285,17 +267,13 @@ fn parse_args() -> Result<Args, String> {
     if a.pool > MAX_POOL_BLOCKS {
         return Err(format!("--pool cannot exceed {MAX_POOL_BLOCKS}"));
     }
-    if (a.no_adapt || a.wan_at_source) && a.wan.is_none() {
-        return Err("--no-adapt/--wan-at-source only modify --wan".into());
-    }
-    if a.wan_at_source && !matches!(a.mode, Mode::Connect(_)) {
-        return Err("--wan-at-source belongs to the source (--connect) side".into());
-    }
     Ok(a)
 }
 
-fn build_cfg(a: &Args) -> LiveConfig {
-    let mut cfg = LiveConfig::new(a.block as usize, a.channels, a.size);
+/// The flags over a final transfer geometry, then `--wan`: its pool and
+/// depth targets derive from that geometry's block size.
+fn build_cfg(a: &Args, block: usize, channels: usize, size: u64) -> LiveConfig {
+    let mut cfg = LiveConfig::new(block, channels, size);
     cfg.loaders = a.loaders;
     cfg.ctrl_batch = a.batch;
     cfg.pool_blocks = a.pool;
@@ -305,22 +283,10 @@ fn build_cfg(a: &Args) -> LiveConfig {
     cfg.dst_file = a.dst_file.clone();
     cfg.direct_io = a.direct;
     cfg.readahead = a.readahead;
-    cfg
-}
-
-/// Fold `--wan` into a config whose transfer geometry is final. With
-/// `--no-adapt` the shim still impairs the path but the static
-/// flag-tuned dwell/depth/pool stay pinned (baseline arms of a WAN
-/// comparison) — except the retransmit deadline, which must at least
-/// clear the emulated RTT or the watchdog melts down before the first
-/// ack can possibly arrive.
-fn apply_wan(a: &Args, cfg: &mut LiveConfig) {
-    let Some(wan) = &a.wan else { return };
-    if a.no_adapt {
-        cfg.retx_timeout = cfg.retx_timeout.max(4 * wan.rtt());
-    } else {
+    if let Some(wan) = &a.wan {
         cfg.apply_wan(wan);
     }
+    cfg
 }
 
 fn sockbuf_bytes(a: &Args, block: usize) -> usize {
@@ -391,15 +357,13 @@ fn run(a: &Args) -> std::io::Result<LiveReport> {
         Mode::Local => {
             // Both halves over the in-process transport (through the shim
             // under --wan), their two reports merged.
-            let mut cfg = build_cfg(a);
-            apply_wan(a, &mut cfg);
+            let cfg = build_cfg(a, a.block as usize, a.channels, a.size);
             let clean = WanProfile::clean();
             let (src, snk) = run_split_pair(&cfg, a.wan.as_ref().unwrap_or(&clean))?;
             Ok(LiveReport::merge(src, snk))
         }
         Mode::Connect(addr) => {
-            let mut cfg = build_cfg(a);
-            apply_wan(a, &mut cfg);
+            let cfg = build_cfg(a, a.block as usize, a.channels, a.size);
             println!(
                 "rftp-live: source -> {addr}: {} MB in {} KB blocks, {} channels, {} loaders{}",
                 a.size >> 20,
@@ -417,14 +381,9 @@ fn run(a: &Args) -> std::io::Result<LiveReport> {
                 }
                 Transport::Shm => rftp_live::connect_source_shm(addr.as_str(), a.channels)?,
             };
+            // The source's shim carries every leg of the emulated path,
+            // so the sink's engine does not matter to it.
             let t = match &a.wan {
-                // The source's inbound traffic is the ack/credit stream;
-                // delaying it half the RTT gives the pair the full round
-                // trip when the sink delays data the other half. With
-                // --wan-at-source the sink cannot host its half (uring/
-                // shm receive paths), so the source carries the whole
-                // impairment: full RTT on control, loss on data out.
-                Some(wan) if a.wan_at_source => rftp_live::wrap_source_datapath(t, wan),
                 Some(wan) => rftp_live::wrap_source(t, wan),
                 None => t,
             };
@@ -450,10 +409,6 @@ fn run(a: &Args) -> std::io::Result<LiveReport> {
                 Transport::Tcp => {
                     let (t, first) = listener.accept_session(sockbuf)?;
                     let a2 = sink_cfg(a, &first)?;
-                    let t = match &a.wan {
-                        Some(wan) => rftp_live::wrap_sink(t, wan),
-                        None => t,
-                    };
                     run_split_sink(&a2, t, Some(first))
                 }
                 Transport::Uring => {
@@ -506,13 +461,7 @@ fn sink_cfg(a: &Args, first: &CtrlMsg) -> std::io::Result<LiveConfig> {
             format!("peer opened with {first:?}, not a SessionRequest"),
         ));
     };
-    let mut a2 = build_cfg(a);
-    a2.block_size = block_size as usize;
-    a2.channels = channels as usize;
-    a2.total_bytes = total_bytes;
-    // WAN sizing waits until here: the pool/depth targets derive from
-    // the *negotiated* block size, not the local default.
-    apply_wan(a, &mut a2);
+    let a2 = build_cfg(a, block_size as usize, channels as usize, total_bytes);
     println!(
         "rftp-live: sink: {} MB in {} KB blocks, {} channels{}",
         total_bytes >> 20,

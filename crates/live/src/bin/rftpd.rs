@@ -56,12 +56,11 @@ OPTIONS:
   --dst-dir <PATH>       write session n's payload to
                          <PATH>/session-<n>.dat instead of
                          verifying it against the pattern
-  --wan <SPEC>           emulate a WAN path on every TCP session's
-                         inbound data and adapt each sink's dwell/credit
-                         depth to the measured RTT. SPEC as in
-                         rftp-live --wan (preset or preset,key=value).
-                         Requires --transport tcp; shm sessions have no
-                         socket to impair and run unshimmed
+  --wan <SPEC>           the WAN path the sources emulate (their
+                         rftp-live --wan shim carries the whole path):
+                         adapt each session's dwell/credit depth to the
+                         measured RTT, on every transport. SPEC as in
+                         rftp-live --wan (preset or preset,key=value)
   --help                 this text
 
 Transfer geometry (size, block, channels) is each source's to set;
@@ -136,11 +135,6 @@ fn parse_args() -> Result<Args, String> {
     let listen = listen.ok_or("missing --listen <ADDR>")?;
     if cfg.transport == DaemonTransport::Uring && !rftp_live::uring_supported() {
         return Err("--transport uring: io_uring not supported on this kernel".into());
-    }
-    if cfg.wan.is_some() && cfg.transport == DaemonTransport::Uring {
-        return Err("--wan requires --transport tcp \
-             (the uring receive path bypasses the impairment shim)"
-            .into());
     }
     if cfg.shm_path.is_some() && !rftp_live::shm_supported() {
         return Err("--shm: shm transport not supported on this host".into());

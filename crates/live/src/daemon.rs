@@ -33,8 +33,8 @@
 //!   exit — a drained daemon has every arena slot back.
 
 use crate::net::{
-    accept_into, read_first_request, shutdown_all, sink_transport_from_streams, SessionSocket,
-    SessionStreams, StreamAssembler,
+    accept_into, geometry_reject, read_first_request, reply_and_close, shutdown_all,
+    sink_transport_from_streams, SessionSocket, SessionStreams, StreamAssembler,
 };
 use crate::pipeline::{LiveConfig, LiveReport};
 #[cfg(target_os = "linux")]
@@ -44,9 +44,8 @@ use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use crate::uring::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 use parking_lot::Mutex;
-use rftp_core::wire::{encode_stream_frame, reject_reason, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use rftp_core::{CtrlMsg, SlotArena, WeightedFair};
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -107,11 +106,11 @@ pub struct DaemonConfig {
     /// and uring sessions contend for the one arena exactly as before,
     /// while no tenant ever maps another tenant's memory.
     pub shm_path: Option<PathBuf>,
-    /// WAN impairment shim + adaptive controller for TCP sessions: each
-    /// admitted session's inbound (data) direction runs through the
-    /// emulated path and its sink brain adapts dwell/depth to the
-    /// measured RTT. Uring sessions reject the flag (their receive path
-    /// bypasses the shim); shm sessions ignore it (no socket to impair).
+    /// The WAN path the sources emulate (their shim carries every leg of
+    /// it, [`crate::wrap_source`]): each admitted session's sink brain
+    /// runs adaptively — dwell and credit depth from the measured RTT,
+    /// the profile's rate as the depth target's rate term — on every
+    /// engine, tcp, uring and shm alike.
     pub wan: Option<rftp_faults::WanProfile>,
 }
 
@@ -290,13 +289,6 @@ impl Daemon {
                 "shm endpoint requires Linux (memfd + SCM_RIGHTS)",
             ));
         }
-        if cfg.wan.is_some() && matches!(cfg.transport, DaemonTransport::Uring) {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "WAN emulation requires the tcp transport (the uring receive path \
-                 bypasses the impairment shim)",
-            ));
-        }
         // The shm endpoint is just another way in: each admitted shm
         // session gets its own memfd window at admission time, so the
         // arena slots here stay ordinary process-private buffers for
@@ -458,38 +450,6 @@ impl Daemon {
     }
 }
 
-/// Write one control frame straight to a raw stream (pre-transport:
-/// admission replies go out before any backend wraps the session).
-fn send_raw_ctrl(s: &mut impl Write, msg: &CtrlMsg) -> io::Result<()> {
-    let mut buf = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
-    let n = encode_stream_frame(msg, &mut buf);
-    s.write_all(&buf[..n])
-}
-
-/// Send a terminal admission reply and close the set down politely:
-/// shut our write side, then drain until the peer closes (bounded) so
-/// an immediate local close can't RST the reply out from under it.
-fn reply_and_close<S: SessionSocket>(mut streams: SessionStreams<S>, msg: &CtrlMsg) {
-    if send_raw_ctrl(&mut streams.ctrl, msg).is_ok() {
-        let _ = streams.ctrl.shutdown(Shutdown::Write);
-        shutdown_all(&streams.data, Shutdown::Both);
-        // The drain is bounded in *total*, not just per read — a peer
-        // trickling bytes cannot pin this thread (rejected sets are not
-        // in the abort list, so nothing else would cut them loose).
-        let deadline = Instant::now() + Duration::from_millis(500);
-        let _ = streams
-            .ctrl
-            .set_read_timeout(Some(Duration::from_millis(100)));
-        let mut sink = [0u8; 256];
-        while Instant::now() < deadline {
-            match streams.ctrl.read(&mut sink) {
-                Ok(n) if n > 0 => {}
-                _ => break, // peer closed, timed out, or errored
-            }
-        }
-    }
-}
-
 /// The admission ladder and the service of one assembled connection
 /// set, whatever socket family it arrived on. Runs on its own thread;
 /// everything it leases it returns before exiting. The only part that
@@ -523,10 +483,6 @@ fn serve_session<S: SessionSocket>(
 
     // --- Admission. Impossible geometry → typed reject; transient
     // saturation → typed busy with a retry hint. Never a hang. ---
-    let reject = |streams, reason| {
-        reply_and_close(streams, &CtrlMsg::SessionReject { session, reason });
-        d.tally.lock().rejected_geometry += 1;
-    };
     let busy = |streams| {
         let retry_after_ms = d.cfg.retry_after_ms;
         let msg = CtrlMsg::SessionBusy {
@@ -536,28 +492,17 @@ fn serve_session<S: SessionSocket>(
         reply_and_close(streams, &msg);
         d.tally.lock().rejected_busy += 1;
     };
-    // A zero block size would divide-by-zero in the slot math below —
-    // reject it (typed, like every other impossible geometry) before
-    // any arithmetic can panic.
-    if block_size == 0 || block_size as usize > d.cfg.slot_cap {
-        return reject(streams, reject_reason::BLOCK_TOO_LARGE);
-    }
-    // The hello census and the request disagree, the job is empty, or
-    // the channel fan-out exceeds what the daemon will spawn reader
-    // threads for — a protocol violation dressed as geometry, or
-    // geometry it refuses to serve. Typed, either way. The cap matters
-    // most on shm, where a "channel" is only a notify-reader thread
-    // over the one stream: two cheap unix connections could otherwise
-    // announce 65535 channels and make the session spawn that many
-    // threads (thread-spawn failure panics in the session scope and
-    // would take the whole daemon down). TCP at least pays one real
-    // socket per channel.
-    if channels == 0
-        || channels as usize > d.cfg.max_channels
-        || channels as usize != streams.channels
-        || total_bytes == 0
-    {
-        return reject(streams, reject_reason::TOO_MANY_CHANNELS);
+    // The channel cap matters most on shm, where a "channel" is only a
+    // notify-reader thread over the one stream: two cheap unix
+    // connections could otherwise announce 65535 channels and make the
+    // session spawn that many threads (thread-spawn failure panics in
+    // the session scope and would take the whole daemon down). TCP at
+    // least pays one real socket per channel.
+    let (slot_cap, max_channels) = (d.cfg.slot_cap, d.cfg.max_channels);
+    if let Some(reject) = geometry_reject(&first, streams.channels, slot_cap, max_channels) {
+        reply_and_close(streams, &reject);
+        d.tally.lock().rejected_geometry += 1;
+        return;
     }
     if d.stop.load(Ordering::Acquire) {
         // Draining: admit nothing new, tell the source to come back.
@@ -589,6 +534,13 @@ fn serve_session<S: SessionSocket>(
 
     let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
     cfg.pool_blocks = lease.len() as u32;
+    if let Some(wan) = &d.cfg.wan {
+        // The pool stays the arena lease (the admission currency can't
+        // grow per session), but the sink brain adapts its dwell window
+        // and clamps its credit depth to the measured path.
+        cfg.adaptive = true;
+        cfg.wan_rate_bps = wan.rate_bps;
+    }
     if let Some(dir) = &d.cfg.dst_dir {
         cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
     }
@@ -625,7 +577,7 @@ fn serve_session<S: SessionSocket>(
 fn run_net(
     d: &DaemonState,
     hub: Option<&UringHub>,
-    mut cfg: LiveConfig,
+    cfg: LiveConfig,
     streams: SessionStreams,
     first: CtrlMsg,
     lease: &[u32],
@@ -634,16 +586,7 @@ fn run_net(
     let fair = Some((&d.fair, streams.token));
     match hub {
         None => {
-            let mut t = sink_transport_from_streams(streams)?;
-            if let Some(wan) = &d.cfg.wan {
-                // The pool stays the arena lease (the admission currency
-                // can't grow per-session), but the sink brain adapts its
-                // dwell window and clamps its credit depth to the
-                // measured path.
-                cfg.adaptive = true;
-                cfg.wan_rate_bps = wan.rate_bps;
-                t = crate::netem::wrap_sink(t, wan);
-            }
+            let t = sink_transport_from_streams(streams)?;
             run_sink_session(&cfg, t, Some(first), &view, fair)
         }
         // The session joins the daemon's one driver ring — admission
@@ -677,8 +620,9 @@ fn run_shm(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{connect_streams, read_one_ctrl_frame};
-    use std::io::Read;
+    use crate::net::{connect_streams, read_one_ctrl_frame, send_raw_ctrl};
+    use rftp_core::wire::reject_reason;
+    use std::io::{Read, Write};
     #[cfg(target_os = "linux")]
     use std::os::unix::net::UnixStream;
 

@@ -70,7 +70,7 @@
 use crate::transport::{CtrlRx, CtrlTx, DataRx, DataTx, SinkTransport, SourceTransport};
 use parking_lot::Mutex;
 use rftp_core::wire::{
-    encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder, CTRL_SLOT_LEN,
+    encode_stream_frame, reject_reason, CtrlMsg, DataFrameHeader, FrameDecoder, CTRL_SLOT_LEN,
     DATA_FRAME_HEADER_LEN, FRAME_PREFIX_LEN,
 };
 use std::collections::HashMap;
@@ -562,15 +562,94 @@ impl NetListener {
     }
 
     /// Accept one source's full connection set, then read the opening
-    /// `SessionRequest` so the caller can size its half before any
-    /// payload is in flight. Returns the connected transport and that
-    /// first control frame — pass it to [`crate::run_split_sink`] as
-    /// `first_ctrl`.
+    /// `SessionRequest` ([`read_admissible_request`]) so the caller can
+    /// size its half before any payload is in flight. Returns the
+    /// connected transport and that first control frame — pass it to
+    /// [`crate::run_split_sink`] as `first_ctrl`.
     pub fn accept_session(&self, sockbuf: usize) -> io::Result<(SinkTransport, CtrlMsg)> {
-        let mut streams = self.accept_streams(sockbuf)?;
-        let first = read_first_request(&mut streams.ctrl)?;
+        let (streams, first) = read_admissible_request(self.accept_streams(sockbuf)?)?;
         Ok((sink_transport_from_streams(streams)?, first))
     }
+}
+
+/// Write one control frame straight to a raw stream (pre-transport:
+/// admission replies go out before any backend wraps the session).
+pub(crate) fn send_raw_ctrl(s: &mut impl Write, msg: &CtrlMsg) -> io::Result<()> {
+    let mut buf = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
+    let n = encode_stream_frame(msg, &mut buf);
+    s.write_all(&buf[..n])
+}
+
+/// Send a terminal admission reply and close the set down politely:
+/// shut our write side, then drain until the peer closes (bounded) so
+/// an immediate local close can't RST the reply out from under it.
+pub(crate) fn reply_and_close<S: SessionSocket>(mut streams: SessionStreams<S>, msg: &CtrlMsg) {
+    if send_raw_ctrl(&mut streams.ctrl, msg).is_ok() {
+        let _ = streams.ctrl.shutdown(Shutdown::Write);
+        shutdown_all(&streams.data, Shutdown::Both);
+        // The drain is bounded in *total*, not just per read — a peer
+        // trickling bytes cannot pin this thread (rejected sets are not
+        // in the abort list, so nothing else would cut them loose).
+        let deadline = Instant::now() + Duration::from_millis(500);
+        let _ = streams
+            .ctrl
+            .set_read_timeout(Some(Duration::from_millis(100)));
+        let mut sink = [0u8; 256];
+        while Instant::now() < deadline {
+            match streams.ctrl.read(&mut sink) {
+                Ok(n) if n > 0 => {}
+                _ => break, // peer closed, timed out, or errored
+            }
+        }
+    }
+}
+
+/// The admission ladder's geometry rungs, for every sink: a zero block
+/// (before slot math divides by it) or one past `slot_cap`, zero
+/// channels, more than `max_channels` or other than the hello `census`,
+/// or an empty job. The `SessionReject` such a request earns; `None`
+/// when it passes or is no `SessionRequest` (the caller decides that).
+pub(crate) fn geometry_reject(
+    first: &CtrlMsg,
+    census: usize,
+    slot_cap: usize,
+    max_channels: usize,
+) -> Option<CtrlMsg> {
+    let &CtrlMsg::SessionRequest {
+        session,
+        block_size,
+        channels,
+        total_bytes,
+        ..
+    } = first
+    else {
+        return None;
+    };
+    let channels = channels as usize;
+    let reason = if block_size == 0 || block_size > slot_cap as u64 {
+        reject_reason::BLOCK_TOO_LARGE
+    } else if channels == 0 || channels > max_channels || channels != census || total_bytes == 0 {
+        reject_reason::TOO_MANY_CHANNELS
+    } else {
+        return None;
+    };
+    Some(CtrlMsg::SessionReject { session, reason })
+}
+
+/// A one-shot sink's opening request ([`read_first_request`]), held to
+/// the [`geometry_reject`] rungs that need no daemon: the sink sizes its
+/// whole config from this frame, so one it cannot serve gets the typed
+/// reject, and the caller `InvalidInput` instead of a config that panics.
+pub(crate) fn read_admissible_request<S: SessionSocket>(
+    mut streams: SessionStreams<S>,
+) -> io::Result<(SessionStreams<S>, CtrlMsg)> {
+    let first = read_first_request(&mut streams.ctrl)?;
+    let Some(reply) = geometry_reject(&first, streams.channels, usize::MAX, usize::MAX) else {
+        return Ok((streams, first));
+    };
+    reply_and_close(streams, &reply);
+    let msg = format!("{first:?} over the hello census: {reply:?}");
+    Err(io::Error::new(io::ErrorKind::InvalidInput, msg))
 }
 
 /// Byte-exact read of one length-prefixed control frame — never reads

@@ -1,46 +1,35 @@
 //! Deterministic WAN impairment over any live transport.
 //!
-//! The live pipeline's transports all terminate in the same four traits
-//! ([`CtrlTx`]/[`CtrlRx`]/[`DataTx`]/[`DataRx`]), so a path's wide-area
-//! character — propagation delay, jitter, a rate cap, loss, reorder —
-//! can be injected *between* the pipeline and any backend (in-process
-//! channels, TCP, the daemon's per-session streams) by wrapping those
-//! endpoints. The wrapper is driven by a seeded
+//! A path's wide-area character — propagation delay, jitter, a rate
+//! cap, loss, reorder — is injected between the pipeline and any
+//! backend by wrapping the source's transport endpoints
+//! ([`wrap_source`]), driven by a seeded
 //! [`WanProfile`](rftp_faults::WanProfile): the same profile + seed
-//! replays the identical impairment sequence, and an identity profile
-//! returns the transport untouched.
+//! replays the identical impairment, and an identity profile returns
+//! the transport untouched. Each leg is delayed where it starts: data
+//! frames (per-channel loss, adjacent reorder, serialization against
+//! one shared rate clock, one-way delay and jitter) on a per-channel
+//! delay line in front of the source's [`DataTx`], source→sink control
+//! on a line in front of its [`CtrlTx`], acks and credits as they reach
+//! its [`CtrlRx`]. The sink is never wrapped, so every sink engine sits
+//! behind the same path.
 //!
-//! Placement follows the real path's asymmetry: **each endpoint impairs
-//! its own inbound direction.** The sink's shim owns the data path
-//! (loss, reorder, serialization against the rate cap, propagation
-//! delay) plus the inbound control frames; the source's shim delays the
-//! returning ack/credit stream. Wrapping both halves of a connection
-//! therefore yields the full round trip — `one_way` outbound on data,
-//! `one_way` back on control — which is exactly what the protocol's
-//! credit loop experiences on a real WAN.
-//!
-//! Mechanically each wrapped receive endpoint is a *feeder thread* that
-//! drains the inner endpoint eagerly, stamps every frame with a
-//! deliver-at instant (arrival + serialization + propagation + jitter),
-//! and queues it; the pipeline-facing endpoint pops and sleeps until
-//! the stamp. Draining eagerly matters: the in-flight bandwidth-delay
-//! product (61 MB on the ANI WAN) lives in this queue rather than in
-//! kernel socket buffers, so `rmem_max` clamps cannot silently throttle
-//! the emulated pipe. The queue is naturally bounded by the source's
-//! pool — only credited blocks are ever in flight.
-//!
-//! Control frames are delayed but never dropped or reordered: the
-//! protocol runs its control channel over a reliable transport (the
-//! paper's SEND/RECV channel), and only data frames have a recovery
+//! A send stamps its frame with a deliver-at instant and returns, so
+//! back-to-back frames pipeline instead of serializing one delay each,
+//! and the in-flight bandwidth-delay product lives in the lines, not in
+//! socket buffers that `wmem_max` clamps. Control frames are delayed
+//! but never dropped or reordered: only data frames have a recovery
 //! path (the retransmit watchdog + claim-bitmap dedup).
 
-use crate::transport::{CtrlRx, DataRx, DataTx, SinkTransport, SourceTransport};
-use crossbeam::channel::{bounded, Receiver};
+use crate::store::SlotBuf;
+use crate::transport::{BufPool, CtrlRx, CtrlTx, DataTx, SinkTransport, SourceTransport};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader};
 pub use rftp_faults::{WanDice, WanProfile};
 use std::io;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Sleep with sub-scheduler-quantum precision: coarse-sleep to within
@@ -62,59 +51,142 @@ pub(crate) fn sleep_until(deadline: Instant) {
     }
 }
 
-/// Feeder→endpoint queue depth. In-flight frames are bounded by the
-/// source's credited pool, so this only needs to exceed the largest
-/// pool the adaptive controller will size (BDP-scale, ~2000 blocks on
-/// the ANI WAN at 64 KiB blocks) — a full queue would back the BDP into
-/// kernel socket buffers and re-introduce the `rmem_max` throttle.
-const FEEDER_QUEUE: usize = 8192;
+/// Delay-line queue depth. In-flight frames are bounded by the source's
+/// credited pool, so this only needs to exceed the largest pool the
+/// adaptive controller will size (BDP-scale, ~2000 blocks on the ANI WAN
+/// at 64 KiB blocks).
+const LINE_DEPTH: usize = 8192;
 
-/// The shared-link scheduling state one profile instantiates: all data
-/// channels serialize against one rate cap, like frames on one wire.
-#[derive(Clone)]
+/// The path one profile instantiates: all data channels serialize
+/// against one rate cap, like frames on one wire.
 struct Path {
-    one_way: Duration,
-    jitter: Duration,
-    loss_p: f64,
-    reorder_p: f64,
-    rate_bps: Option<f64>,
-    link_free: Arc<Mutex<Instant>>,
+    wan: WanProfile,
+    link_free: Mutex<Instant>,
 }
 
 impl Path {
-    fn new(p: &WanProfile) -> Path {
-        Path {
-            one_way: p.one_way,
-            jitter: p.jitter,
-            loss_p: p.loss_p,
-            reorder_p: p.reorder_p,
-            rate_bps: p.rate_bps,
-            link_free: Arc::new(Mutex::new(Instant::now())),
-        }
-    }
-
-    /// Deliver-at instant for a frame of `wire_len` bytes arriving now:
-    /// queue behind whatever the link is already carrying, pay the
-    /// serialization time, then propagate.
+    /// Deliver-at instant of a frame sent now: queue behind whatever the
+    /// link is already carrying for `wire_len` bytes of serialization
+    /// (none for control frames), then propagate.
     fn schedule(&self, wire_len: usize, dice: &mut WanDice) -> Instant {
-        let arrival = Instant::now();
-        let txed = match self.rate_bps {
-            Some(r) => {
-                let ser = Duration::from_secs_f64(wire_len as f64 * 8.0 / r);
-                let mut free = self.link_free.lock();
-                let done = (*free).max(arrival) + ser;
-                *free = done;
-                done
-            }
-            None => arrival,
-        };
-        txed + self.one_way + dice.jitter(self.jitter)
+        let mut at = Instant::now();
+        if let (Some(r), 1..) = (self.wan.rate_bps, wire_len) {
+            let mut free = self.link_free.lock();
+            *free = (*free).max(at) + Duration::from_secs_f64(wire_len as f64 * 8.0 / r);
+            at = *free;
+        }
+        at + self.wan.one_way + dice.jitter(self.wan.jitter)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Control link: delay only
+// Delay lines
 // ---------------------------------------------------------------------------
+
+/// One outbound leg: items go in with the instant they are due at the
+/// peer, and one thread at the far end hands them, in queue order, to
+/// the inner link once that instant has passed.
+struct Line<T> {
+    tx: Mutex<Option<Sender<(T, Instant)>>>,
+    far: Mutex<Option<JoinHandle<()>>>,
+}
+
+impl<T: Send + 'static> Line<T> {
+    /// Start the far end: `deliver` sends one item on the inner link,
+    /// `idle` is the inner link's doorbell, rung whenever nothing queued
+    /// is due yet (a completion-based backend submits its batch there).
+    /// The far end stops at the first inner error; sends fail from then.
+    fn spawn(
+        name: &str,
+        mut deliver: impl FnMut(T) -> io::Result<()> + Send + 'static,
+        mut idle: impl FnMut() -> io::Result<()> + Send + 'static,
+    ) -> Line<T> {
+        let (tx, rx) = bounded(LINE_DEPTH);
+        let far = std::thread::Builder::new()
+            .name(name.into())
+            .spawn(move || drop(drain_line(&rx, &mut deliver, &mut idle)))
+            .expect("spawn netem delay line");
+        Line {
+            tx: Mutex::new(Some(tx)),
+            far: Mutex::new(Some(far)),
+        }
+    }
+
+    fn push(&self, item: T, at: Instant) -> io::Result<()> {
+        match self.tx.lock().as_ref().map(|tx| tx.send((item, at))) {
+            Some(Ok(())) => Ok(()),
+            _ => Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "emulated link closed",
+            )),
+        }
+    }
+}
+
+impl<T> Line<T> {
+    /// Close the line and wait until everything on it was delivered (or
+    /// the far end stopped at an inner error). `Err` is its panic.
+    fn flush(&self) -> std::thread::Result<()> {
+        self.tx.lock().take();
+        self.far.lock().take().map_or(Ok(()), JoinHandle::join)
+    }
+}
+
+impl<T> Drop for Line<T> {
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
+}
+
+/// The far end of a [`Line`]: until every sender is gone, sleep to each
+/// item's instant and deliver it, ringing `idle` before any wait.
+fn drain_line<T>(
+    rx: &Receiver<(T, Instant)>,
+    deliver: &mut impl FnMut(T) -> io::Result<()>,
+    idle: &mut impl FnMut() -> io::Result<()>,
+) -> io::Result<()> {
+    let mut unrung = false;
+    loop {
+        let (item, at) = match rx.try_recv() {
+            Ok(next) => next,
+            Err(_) => {
+                if std::mem::take(&mut unrung) {
+                    idle()?;
+                }
+                match rx.recv() {
+                    Ok(next) => next,
+                    Err(_) => return Ok(()),
+                }
+            }
+        };
+        if unrung && at > Instant::now() {
+            idle()?;
+        }
+        sleep_until(at);
+        deliver(item)?;
+        unrung = true;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Control legs: delay only
+// ---------------------------------------------------------------------------
+
+/// The source→sink control leg.
+struct NetemCtrlTx {
+    line: Line<CtrlMsg>,
+    path: Arc<Path>,
+    dice: Mutex<WanDice>,
+}
+
+impl CtrlTx for NetemCtrlTx {
+    fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
+        // The draw and the push under one lock: queue order is draw order.
+        let mut dice = self.dice.lock();
+        let at = self.path.schedule(0, &mut dice);
+        self.line.push(msg.clone(), at)
+    }
+}
 
 enum CtrlEvt {
     Msg(CtrlMsg, Instant),
@@ -138,32 +210,26 @@ impl CtrlRx for NetemCtrlRx {
     }
 }
 
-/// Feeder-thread delay for a control receive endpoint. Reading eagerly
-/// and stamping arrival + delay keeps messages *pipelined*: back-to-back
-/// frames each shift by one latency, they do not serialize one delay
-/// per frame.
+/// The sink→source control leg: a feeder thread reads the inner
+/// endpoint eagerly and stamps each frame with arrival + delay, so the
+/// returning stream is pipelined like the outbound legs.
 fn delay_ctrl_rx(
     mut inner: Box<dyn CtrlRx>,
-    one_way: Duration,
-    jitter: Duration,
+    path: Arc<Path>,
     mut dice: WanDice,
 ) -> Box<dyn CtrlRx> {
-    let (tx, rx) = bounded(FEEDER_QUEUE);
+    let (tx, rx) = bounded(LINE_DEPTH);
     std::thread::Builder::new()
         .name("netem-ctrl".into())
         .spawn(move || loop {
-            match inner.recv() {
-                Ok(Some(msg)) => {
-                    let at = Instant::now() + one_way + dice.jitter(jitter);
-                    if tx.send(CtrlEvt::Msg(msg, at)).is_err() {
-                        break;
-                    }
-                }
+            let evt = match inner.recv() {
+                Ok(Some(msg)) => CtrlEvt::Msg(msg, path.schedule(0, &mut dice)),
                 Ok(None) => break,
-                Err(e) => {
-                    let _ = tx.send(CtrlEvt::Fail(e));
-                    break;
-                }
+                Err(e) => CtrlEvt::Fail(e),
+            };
+            let failed = matches!(evt, CtrlEvt::Fail(_));
+            if tx.send(evt).is_err() || failed {
+                break;
             }
         })
         .expect("spawn netem control feeder");
@@ -171,225 +237,176 @@ fn delay_ctrl_rx(
 }
 
 // ---------------------------------------------------------------------------
-// Data links: delay + jitter + rate + loss + reorder
+// Data legs: delay + jitter + rate + loss + reorder
 // ---------------------------------------------------------------------------
 
-struct Frame {
-    hdr: DataFrameHeader,
-    wire: Box<[u8]>,
-    at: Instant,
+/// What a data line carries: a block of the registered pool, copied out
+/// as the frame leaves the line, or a wire image its sender handed over.
+enum Wire {
+    Block(u32),
+    Bytes(Box<[u8]>),
 }
 
-enum DataEvt {
-    Frame(Frame),
-    Fail(io::Error),
+type Frame = (DataFrameHeader, Wire);
+
+/// One data channel's leg, shared by its [`DataTx`] and the transport's
+/// write shutdown (which flushes it).
+struct DataLeg {
+    line: Line<Frame>,
+    path: Arc<Path>,
+    /// The channel's draws, in the order every frame makes them: loss,
+    /// the jitter inside [`Path::schedule`], reorder; and at most one
+    /// frame held back for reordering — it swaps with its successor,
+    /// the minimal adjacent transposition real multi-path reorder
+    /// produces at the receiver.
+    shaper: Mutex<(WanDice, Option<(Frame, Instant)>)>,
 }
 
-struct NetemDataRx {
-    rx: Receiver<DataEvt>,
-    pending: Option<Box<[u8]>>,
-}
+impl DataLeg {
+    /// Release a frame held for reordering — at write shutdown it was
+    /// merely delayed, not lost — then flush the line.
+    fn flush(&self) -> std::thread::Result<()> {
+        if let Some((frame, at)) = self.shaper.lock().1.take() {
+            let _ = self.line.push(frame, at);
+        }
+        self.line.flush()
+    }
 
-impl DataRx for NetemDataRx {
-    fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
-        debug_assert!(self.pending.is_none(), "previous frame not consumed");
-        match self.rx.recv() {
-            Err(_) => Ok(None),
-            Ok(DataEvt::Fail(e)) => Err(e),
-            Ok(DataEvt::Frame(f)) => {
-                sleep_until(f.at);
-                self.pending = Some(f.wire);
-                Ok(Some(f.hdr))
-            }
+    /// Loss, serialization, delay and reorder for one frame, then onto
+    /// the line.
+    fn shape(&self, hdr: DataFrameHeader, wire: Wire) -> io::Result<()> {
+        let mut guard = self.shaper.lock();
+        let (dice, stash) = &mut *guard;
+        if dice.roll(self.path.wan.loss_p) {
+            return Ok(()); // lost on the wire; the source's watchdog recovers it
+        }
+        let at = self.path.schedule(hdr.wire_len(), dice);
+        if stash.is_none() && dice.roll(self.path.wan.reorder_p) {
+            *stash = Some(((hdr, wire), at));
+            return Ok(());
+        }
+        self.line.push((hdr, wire), at)?;
+        match stash.take() {
+            Some((late, at)) => self.line.push(late, at),
+            None => Ok(()),
         }
     }
-
-    fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let wire = self.pending.take().expect("recv_wire without a header");
-        buf[..wire.len()].copy_from_slice(&wire);
-        Ok(())
-    }
-
-    fn discard_wire(&mut self, _wire_len: usize) -> io::Result<()> {
-        self.pending.take().expect("discard_wire without a header");
-        Ok(())
-    }
 }
 
-fn impair_data_rx(mut inner: Box<dyn DataRx>, path: Path, mut dice: WanDice) -> Box<dyn DataRx> {
-    let (tx, rx) = bounded(FEEDER_QUEUE);
-    std::thread::Builder::new()
-        .name("netem-data".into())
-        .spawn(move || {
-            // At most one frame stashed for reordering: a stashed frame
-            // swaps with its successor, the minimal adjacent transposition
-            // real multi-path reorder produces at the receiver.
-            let mut stash: Option<Frame> = None;
-            loop {
-                let hdr = match inner.recv_header() {
-                    Ok(Some(hdr)) => hdr,
-                    Ok(None) => break,
-                    Err(e) => {
-                        let _ = tx.send(DataEvt::Fail(e));
-                        return;
-                    }
-                };
-                let wire_len = hdr.wire_len();
-                if dice.roll(path.loss_p) {
-                    // Lost on the wire: consume without placing. The
-                    // source's watchdog owns recovery.
-                    if let Err(e) = inner.discard_wire(wire_len) {
-                        let _ = tx.send(DataEvt::Fail(e));
-                        return;
-                    }
-                    continue;
-                }
-                let mut wire = vec![0u8; wire_len].into_boxed_slice();
-                if let Err(e) = inner.recv_wire(&mut wire) {
-                    let _ = tx.send(DataEvt::Fail(e));
-                    return;
-                }
-                let at = path.schedule(wire_len, &mut dice);
-                let frame = Frame { hdr, wire, at };
-                if stash.is_none() && dice.roll(path.reorder_p) {
-                    stash = Some(frame);
-                    continue;
-                }
-                if tx.send(DataEvt::Frame(frame)).is_err() {
-                    return;
-                }
-                if let Some(late) = stash.take() {
-                    if tx.send(DataEvt::Frame(late)).is_err() {
-                        return;
-                    }
-                }
-            }
-            // Clean end-of-stream: a frame still stashed for reorder was
-            // merely delayed, not lost — flush it before hanging up.
-            if let Some(late) = stash.take() {
-                let _ = tx.send(DataEvt::Frame(late));
-            }
-        })
-        .expect("spawn netem data feeder");
-    Box::new(NetemDataRx { rx, pending: None })
-}
+struct NetemDataTx(Arc<DataLeg>);
 
-// ---------------------------------------------------------------------------
-// Source-side data impairment (for sinks that cannot host the shim)
-// ---------------------------------------------------------------------------
-
-struct LossyDataTx {
-    inner: Box<dyn DataTx>,
-    loss_p: f64,
-    dice: Mutex<WanDice>,
-}
-
-impl DataTx for LossyDataTx {
+impl DataTx for NetemDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
-        if self.dice.lock().roll(self.loss_p) {
-            return Ok(());
-        }
-        self.inner.send(hdr, wire)
+        self.0.shape(hdr, Wire::Bytes(wire.into()))
     }
 
-    fn send_block(
-        &self,
-        hdr: DataFrameHeader,
-        bufs: &[Mutex<crate::store::SlotBuf>],
-        block: u32,
-    ) -> io::Result<()> {
-        if self.dice.lock().roll(self.loss_p) {
-            return Ok(());
-        }
-        self.inner.send_block(hdr, bufs, block)
+    /// A block of the registered pool (`bufs`, by the trait's contract)
+    /// rides the line by index: it stays pinned until an ack retires
+    /// it, and no ack can come before one of its frames left the line.
+    fn send_block(&self, hdr: DataFrameHeader, _: &[Mutex<SlotBuf>], block: u32) -> io::Result<()> {
+        self.0.shape(hdr, Wire::Block(block))
     }
+}
 
-    fn kick(&self) -> io::Result<()> {
-        self.inner.kick()
-    }
+/// Hand a frame leaving a data line to the inner link. A block is copied
+/// out of the pool here — the one copy the emulated wire makes. A
+/// retransmit still on the line after its block was retired and reused
+/// carries the new bytes under its old header: a duplicate, which the
+/// sink discards (shm refuses it as stale before writing).
+fn deliver(inner: &dyn DataTx, pool: &OnceLock<BufPool>, (hdr, wire): Frame) -> io::Result<()> {
+    let wire = match wire {
+        Wire::Bytes(bytes) => bytes,
+        Wire::Block(block) => {
+            let pool = pool.get().expect("a block frame implies a registered pool");
+            pool[block as usize].lock()[..hdr.wire_len()].into()
+        }
+    };
+    inner.send_owned(hdr, wire)
 }
 
 // ---------------------------------------------------------------------------
 // Public wrappers
 // ---------------------------------------------------------------------------
 
-/// Wrap the sink half: inbound data frames pick up loss, reorder,
-/// serialization against the rate cap, propagation delay and jitter;
-/// inbound control frames pick up propagation delay and jitter.
-/// An identity profile returns the transport untouched.
-pub fn wrap_sink(t: SinkTransport, p: &WanProfile) -> SinkTransport {
-    if p.is_identity() {
-        return t;
-    }
-    let path = Path::new(p);
-    let data = t
-        .data
-        .into_iter()
-        .enumerate()
-        .map(|(i, rx)| impair_data_rx(rx, path.clone(), p.dice(1 + i as u64)))
-        .collect();
-    SinkTransport {
-        ctrl_tx: t.ctrl_tx,
-        ctrl_rx: delay_ctrl_rx(t.ctrl_rx, p.one_way, p.jitter, p.dice(0)),
-        data,
-        abort: t.abort,
-    }
-}
-
-/// Wrap the source half: the returning ack/credit stream picks up the
-/// sink→source propagation delay. Data impairment stays with the sink's
-/// shim (see [`wrap_source_datapath`] when the sink cannot host one).
+/// Put the whole emulated path in front of the source half: its data
+/// frames pick up loss, reorder, serialization against the rate cap,
+/// propagation delay and jitter on their way out; its control frames
+/// pick up propagation delay and jitter on the way out and on the way
+/// back. `shutdown_write` flushes both outbound legs before it
+/// half-closes. An identity profile returns the transport untouched.
 pub fn wrap_source(t: SourceTransport, p: &WanProfile) -> SourceTransport {
     if p.is_identity() {
         return t;
     }
-    SourceTransport {
-        ctrl_rx: delay_ctrl_rx(t.ctrl_rx, p.one_way, p.jitter, p.dice(0x51)),
-        ..t
-    }
-}
-
-/// Wrap the source half for a sink that cannot host the shim (the
-/// io_uring sink's data path never passes through [`DataRx`]): the full
-/// round trip folds into the inbound control delay, and data loss is
-/// applied at send. Propagation on the data direction is approximated —
-/// the control loop still sees the true RTT, which is what the credit
-/// ramp, the watchdog, and the adaptive controller key on.
-pub fn wrap_source_datapath(t: SourceTransport, p: &WanProfile) -> SourceTransport {
-    if p.is_identity() {
-        return t;
-    }
-    let data: Vec<Box<dyn DataTx>> = Arc::try_unwrap(t.data)
-        .unwrap_or_else(|_| panic!("source data links already shared"))
-        .into_iter()
-        .enumerate()
-        .map(|(i, tx)| {
-            Box::new(LossyDataTx {
-                inner: tx,
-                loss_p: p.loss_p,
-                dice: Mutex::new(p.dice(0x7E + i as u64)),
-            }) as Box<dyn DataTx>
+    let path = Arc::new(Path {
+        wan: p.clone(),
+        link_free: Mutex::new(Instant::now()),
+    });
+    let pool = Arc::new(OnceLock::<BufPool>::new());
+    let legs: Vec<Arc<DataLeg>> = (0..t.data.len())
+        .map(|ch| {
+            let (inner, doorbell) = (Arc::clone(&t.data), Arc::clone(&t.data));
+            let from = Arc::clone(&pool);
+            Arc::new(DataLeg {
+                line: Line::spawn(
+                    "netem-data",
+                    move |frame| deliver(&*inner[ch], &from, frame),
+                    move || doorbell[ch].kick(),
+                ),
+                path: Arc::clone(&path),
+                shaper: Mutex::new((p.dice(1 + ch as u64), None)),
+            })
         })
         .collect();
+    let inner_register = t.register;
+    let register = move |bufs: &BufPool| {
+        let _ = pool.set(Arc::clone(bufs));
+        inner_register(bufs)
+    };
+    let inner_ctrl = t.ctrl_tx;
+    let ctrl = Arc::new(NetemCtrlTx {
+        line: Line::spawn(
+            "netem-ctrl",
+            move |m: CtrlMsg| inner_ctrl.send(&m),
+            || Ok(()),
+        ),
+        path: Arc::clone(&path),
+        dice: Mutex::new(p.dice(0)),
+    });
+    let shutdown_write = {
+        let (legs, ctrl, inner) = (legs.clone(), Arc::clone(&ctrl), t.shutdown_write);
+        move || {
+            for leg in &legs {
+                leg.flush().expect("a netem data line panicked");
+            }
+            ctrl.line.flush().expect("the netem control line panicked");
+            inner()
+        }
+    };
+    let data = legs
+        .into_iter()
+        .map(|leg| Box::new(NetemDataTx(leg)) as Box<dyn DataTx>);
     SourceTransport {
-        ctrl_rx: delay_ctrl_rx(t.ctrl_rx, p.rtt(), p.jitter, p.dice(0x51)),
-        data: Arc::new(data),
+        ctrl_tx: ctrl,
+        ctrl_rx: delay_ctrl_rx(t.ctrl_rx, path, p.dice(0x51)),
+        data: Arc::new(data.collect()),
+        register: Box::new(register),
+        shutdown_write: Box::new(shutdown_write),
         ..t
     }
 }
 
-/// Wrap both halves of an in-process pair — the full emulated path.
-pub fn wrap_pair(
-    pair: (SourceTransport, SinkTransport),
-    p: &WanProfile,
-) -> (SourceTransport, SinkTransport) {
-    (wrap_source(pair.0, p), wrap_sink(pair.1, p))
+/// The sink half needs no shim — [`wrap_source`] carries every leg of
+/// the path — so this returns its argument. Kept because the benchmark
+/// package calls it.
+pub fn wrap_sink(t: SinkTransport, _p: &WanProfile) -> SinkTransport {
+    t
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::channel_transport;
+    use crate::transport::{channel_transport, DataRx};
 
     fn hdr(seq: u32) -> DataFrameHeader {
         DataFrameHeader {
@@ -400,10 +417,14 @@ mod tests {
         }
     }
 
-    fn send_frame(t: &SourceTransport, ch: usize, seq: u32) {
+    fn try_send_frame(t: &SourceTransport, ch: usize, seq: u32) -> io::Result<()> {
         let h = hdr(seq);
         let wire: Vec<u8> = (0..h.wire_len()).map(|i| (i as u8) ^ seq as u8).collect();
-        t.data[ch].send(h, &wire).unwrap();
+        t.data[ch].send(h, &wire)
+    }
+
+    fn send_frame(t: &SourceTransport, ch: usize, seq: u32) {
+        try_send_frame(t, ch, seq).unwrap();
     }
 
     fn drain_seqs(rx: &mut dyn DataRx) -> Vec<u32> {
@@ -415,10 +436,15 @@ mod tests {
         seqs
     }
 
+    /// The source half behind `spec`, and the sink half as it is.
+    fn shimmed(spec: &str, channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
+        let (src, snk) = channel_transport(channels, depth);
+        (wrap_source(src, &WanProfile::parse(spec).unwrap()), snk)
+    }
+
     #[test]
     fn identity_profile_is_a_passthrough() {
-        let p = WanProfile::clean();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 8), &p);
+        let (src, mut snk) = shimmed("rate=none", 1, 8);
         send_frame(&src, 0, 0);
         let t0 = Instant::now();
         let got = snk.data[0].recv_header().unwrap().unwrap();
@@ -429,8 +455,7 @@ mod tests {
 
     #[test]
     fn data_and_ctrl_pick_up_one_way_delay() {
-        let p = WanProfile::parse("rtt=20ms").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 8), &p);
+        let (mut src, mut snk) = shimmed("rtt=20ms", 1, 8);
 
         let t0 = Instant::now();
         send_frame(&src, 0, 7);
@@ -443,25 +468,31 @@ mod tests {
         assert_eq!(buf[1], 1 ^ 7);
 
         let t1 = Instant::now();
-        snk.ctrl_tx
+        src.ctrl_tx
             .send(&CtrlMsg::MrRequest { session: 1 })
             .unwrap();
-        let mut src = src;
-        let msg = src.ctrl_rx.recv().unwrap();
+        let msg = snk.ctrl_rx.recv().unwrap();
         assert_eq!(msg, Some(CtrlMsg::MrRequest { session: 1 }));
         assert!(t1.elapsed() >= Duration::from_millis(10));
+
+        let t2 = Instant::now();
+        snk.ctrl_tx
+            .send(&CtrlMsg::MrRequest { session: 2 })
+            .unwrap();
+        let msg = src.ctrl_rx.recv().unwrap();
+        assert_eq!(msg, Some(CtrlMsg::MrRequest { session: 2 }));
+        assert!(t2.elapsed() >= Duration::from_millis(10));
     }
 
     #[test]
     fn back_to_back_ctrl_frames_pipeline_instead_of_serializing() {
-        let p = WanProfile::parse("rtt=40ms").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 8), &p);
+        let (src, mut snk) = shimmed("rtt=40ms", 1, 8);
+        let t0 = Instant::now();
         for s in 0..10 {
             src.ctrl_tx
                 .send(&CtrlMsg::MrRequest { session: s })
                 .unwrap();
         }
-        let t0 = Instant::now();
         for s in 0..10 {
             assert_eq!(
                 snk.ctrl_rx.recv().unwrap(),
@@ -479,8 +510,7 @@ mod tests {
 
     #[test]
     fn certain_loss_drops_every_data_frame_but_no_ctrl() {
-        let p = WanProfile::parse("drop=1.0").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 8), &p);
+        let (src, mut snk) = shimmed("drop=1.0", 1, 8);
         for s in 0..4 {
             send_frame(&src, 0, s);
         }
@@ -498,8 +528,7 @@ mod tests {
 
     #[test]
     fn certain_reorder_swaps_adjacent_frames() {
-        let p = WanProfile::parse("reorder=1.0").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 16), &p);
+        let (src, mut snk) = shimmed("reorder=1.0", 1, 16);
         for s in 0..4 {
             send_frame(&src, 0, s);
         }
@@ -510,8 +539,7 @@ mod tests {
 
     #[test]
     fn trailing_reorder_stash_is_flushed_at_eof() {
-        let p = WanProfile::parse("reorder=1.0").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 16), &p);
+        let (src, mut snk) = shimmed("reorder=1.0", 1, 16);
         for s in 0..3 {
             send_frame(&src, 0, s);
         }
@@ -520,12 +548,31 @@ mod tests {
         assert_eq!(drain_seqs(snk.data[0].as_mut()), vec![1, 0, 2]);
     }
 
+    /// The write shutdown drains both outbound legs before it
+    /// half-closes: a frame and a control message still on their lines
+    /// arrive ahead of end-of-stream instead of being cut off by it.
+    #[test]
+    fn write_shutdown_delivers_what_is_still_on_the_lines() {
+        let (src, mut snk) = shimmed("rtt=40ms", 1, 8);
+        send_frame(&src, 0, 5);
+        src.ctrl_tx
+            .send(&CtrlMsg::MrRequest { session: 3 })
+            .unwrap();
+        (src.shutdown_write)();
+        assert_eq!(drain_seqs(snk.data[0].as_mut()), vec![5]);
+        assert_eq!(
+            snk.ctrl_rx.recv().unwrap(),
+            Some(CtrlMsg::MrRequest { session: 3 })
+        );
+        assert_eq!(snk.ctrl_rx.recv().unwrap(), None);
+        assert!(try_send_frame(&src, 0, 6).is_err(), "the line is closed");
+    }
+
     #[test]
     fn rate_cap_spaces_deliveries_by_serialization_time() {
         // 1 Mbit/s over ~88-byte frames: ~0.7 ms each; 8 frames ≥ 4.9 ms
         // of serialization even though the sends are instantaneous.
-        let p = WanProfile::parse("rate=1M").unwrap();
-        let (src, mut snk) = wrap_pair(channel_transport(1, 16), &p);
+        let (src, mut snk) = shimmed("rate=1M", 1, 16);
         let t0 = Instant::now();
         for s in 0..8 {
             send_frame(&src, 0, s);
@@ -540,8 +587,7 @@ mod tests {
     #[test]
     fn same_seed_replays_the_same_survivors() {
         let survivors = |seed: u64| -> Vec<u32> {
-            let p = WanProfile::parse(&format!("drop=0.5,seed={seed}")).unwrap();
-            let (src, mut snk) = wrap_pair(channel_transport(1, 64), &p);
+            let (src, mut snk) = shimmed(&format!("drop=0.5,seed={seed}"), 1, 64);
             for s in 0..32 {
                 send_frame(&src, 0, s);
             }
@@ -554,29 +600,49 @@ mod tests {
         assert!(!a.is_empty() && a.len() < 32, "p=0.5 drops some, not all");
     }
 
+    /// Moving the data leg from the sink's inbound side to the source's
+    /// outbound side did not change the loss and reorder process: per
+    /// channel, the same dice lane makes the same draws in the same
+    /// order. The lists are what the sink-side shim delivered for this
+    /// profile and these sends.
     #[test]
-    fn source_datapath_wrap_applies_loss_at_send() {
-        let p = WanProfile::parse("drop=1.0").unwrap();
-        let (src, snk) = channel_transport(1, 8);
-        let src = wrap_source_datapath(src, &p);
-        let mut snk = snk;
-        send_frame(&src, 0, 0);
+    fn seeded_survivors_match_the_sink_side_shim() {
+        let (src, mut snk) = shimmed("drop=0.25,reorder=0.25,seed=7", 2, 64);
+        for s in 0..24 {
+            send_frame(&src, 0, s);
+            send_frame(&src, 1, 100 + s);
+        }
         (src.shutdown_write)();
-        assert_eq!(drain_seqs(snk.data[0].as_mut()), Vec::<u32>::new());
+        let got = [
+            drain_seqs(snk.data[0].as_mut()),
+            drain_seqs(snk.data[1].as_mut()),
+        ];
+        assert_eq!(got, SINK_SIDE_SURVIVORS.map(<[u32]>::to_vec));
     }
 
+    const SINK_SIDE_SURVIVORS: [&[u32]; 2] = [
+        &[
+            0, 3, 1, 4, 5, 7, 6, 8, 10, 9, 11, 12, 13, 15, 16, 17, 18, 19, 21, 22,
+        ],
+        &[
+            102, 100, 104, 105, 106, 107, 108, 111, 112, 114, 117, 118, 120, 122, 123,
+        ],
+    ];
+
+    /// Tearing the inner links down must not leave the shim hanging or
+    /// swallowing sends: the inbound control feeder surfaces
+    /// end-of-stream (a channel abort reads as EOF), and once the data
+    /// line's inner send fails, sends error instead of vanishing.
     #[test]
     fn feeder_propagates_inner_errors() {
-        let p = WanProfile::parse("rtt=1ms").unwrap();
-        let (src, snk) = channel_transport(1, 8);
-        let mut snk = wrap_sink(snk, &p);
-        send_frame(&src, 0, 3);
-        let got = snk.data[0].recv_header().unwrap().unwrap();
-        snk.data[0].discard_wire(got.wire_len()).unwrap();
-        // Aborting tears the inner links down; the wrapped endpoints must
-        // surface end-of-stream (channel abort reads as EOF), not hang.
+        let (mut src, snk) = shimmed("rtt=1ms", 1, 8);
+        (snk.abort)();
+        assert!(src.ctrl_rx.recv().unwrap().is_none());
         (src.abort)();
-        assert!(snk.data[0].recv_header().unwrap().is_none());
-        assert!(snk.ctrl_rx.recv().unwrap().is_none());
+        let t0 = Instant::now();
+        while try_send_frame(&src, 0, 0).is_ok() {
+            assert!(t0.elapsed() < Duration::from_secs(5), "line never failed");
+            std::thread::sleep(Duration::from_millis(2));
+        }
     }
 }

@@ -1074,11 +1074,11 @@ mod imp {
 
         /// Accept one source's (control, notify) pair and read the
         /// opening `SessionRequest` (bounded — a silent source times
-        /// out rather than parking the sink). Pass both to
-        /// [`run_shm_sink`].
+        /// out rather than parking the sink; one no sink can serve is
+        /// refused). Pass both to [`run_shm_sink`].
         pub fn accept_session(&self) -> io::Result<(ShmSessionStreams, CtrlMsg)> {
-            let mut streams = net::accept_set(|| self.accept(), 0)?;
-            let first = net::read_first_request(&mut streams.ctrl)?;
+            let streams = net::accept_set(|| self.accept(), 0)?;
+            let (streams, first) = net::read_admissible_request(streams)?;
             Ok((ShmSessionStreams(streams), first))
         }
     }

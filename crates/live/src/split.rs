@@ -194,14 +194,14 @@ pub(crate) fn stage<'s>(
 }
 
 /// Run both halves in this process over the in-proc channel transport —
-/// the split pipeline's loopback — with `wan` impairing both directions,
-/// so control and data feel the profile's full RTT, loss, and rate cap
+/// the split pipeline's loopback — with the source behind `wan`, so
+/// control and data feel the profile's full RTT, loss, and rate cap
 /// (the in-process form of a two-process `--wan` run; a clean profile
 /// wraps nothing). Source takes the `src_file`/fault side of `cfg`, sink
 /// the `dst_file` side. Returns `(source, sink)` reports.
 pub fn run_split_pair(cfg: &LiveConfig, wan: &WanProfile) -> io::Result<(LiveReport, LiveReport)> {
-    let pair = channel_transport(cfg.channels, cfg.channel_depth);
-    let (st, kt) = crate::netem::wrap_pair(pair, wan);
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let st = crate::netem::wrap_source(st, wan);
     let mut src_cfg = cfg.clone();
     src_cfg.dst_file = None;
     let mut snk_cfg = cfg.clone();
@@ -542,7 +542,7 @@ mod tests {
         let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
         let sent = Sent::default();
         let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
-        let sess = SinkSession::open(&cfg, view.len()).unwrap();
+        let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
         let (snk_pool, mut h) = (&sess.snk_pool, sess.handler(&sent, &view, None));
 
         h.handle(SinkEvt::Ctrl(CtrlMsg::SessionRequest {
@@ -774,7 +774,7 @@ mod tests {
             cfg.pool_blocks = slots;
             cfg.apply_wan(&ani);
             assert_eq!(cfg.pool_blocks, slots, "apply_wan never shrinks a pool");
-            let err = SinkSession::open(&cfg, slots as usize).err();
+            let err = SinkSession::open(&cfg, slots as usize, 2).err();
             assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
         }
         // A pool the WAN widens stops at the ring (2×BDP is ~30 000
@@ -782,7 +782,9 @@ mod tests {
         let mut cfg = LiveConfig::new(4096, 2, 1 << 20);
         cfg.apply_wan(&ani);
         assert_eq!(cfg.pool_blocks, MAX_POOL_BLOCKS);
-        assert!(SinkSession::open(&cfg, MAX_POOL_BLOCKS as usize).is_ok());
+        assert!(SinkSession::open(&cfg, MAX_POOL_BLOCKS as usize, 2).is_ok());
+        let err = SinkSession::open(&cfg, MAX_POOL_BLOCKS as usize, 3).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
     }
 
     /// A peer that is not a sink from this tree may grant a slot past the

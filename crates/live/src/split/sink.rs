@@ -140,16 +140,19 @@ pub(crate) struct SinkSession<'a> {
 }
 
 impl<'a> SinkSession<'a> {
-    /// Open the session over `slots` borrowed slot buffers; the clock
-    /// starts here. A pool past [`MAX_POOL_BLOCKS`] is refused: it could
-    /// grant more credits than the source's ring holds.
-    pub(crate) fn open(cfg: &'a LiveConfig, slots: usize) -> io::Result<SinkSession<'a>> {
+    /// Open the session over `slots` borrowed slot buffers and `links`
+    /// data links; the clock starts here. A pool past [`MAX_POOL_BLOCKS`]
+    /// is refused: it could grant more credits than the source's ring
+    /// holds. So is a link count other than one per channel — a peer
+    /// whose hello census disagrees with its request.
+    pub(crate) fn open(cfg: &'a LiveConfig, slots: usize, links: usize) -> io::Result<Self> {
         assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
         assert_eq!(slots, cfg.pool_blocks as usize, "one buffer per pool block");
-        if cfg.pool_blocks > MAX_POOL_BLOCKS {
+        if cfg.pool_blocks > MAX_POOL_BLOCKS || links != cfg.channels {
+            let ch = cfg.channels;
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("a {slots}-slot sink pool is over the {MAX_POOL_BLOCKS}-slot maximum"),
+                format!("{slots} slots (max {MAX_POOL_BLOCKS}), {links} links for {ch} channels"),
             ));
         }
         Ok(SinkSession {
@@ -615,14 +618,13 @@ pub(crate) fn run_sink_session(
     snk_bufs: &[&Mutex<SlotBuf>],
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    let sess = SinkSession::open(cfg, snk_bufs.len())?;
+    let sess = SinkSession::open(cfg, snk_bufs.len(), t.data.len())?;
     let SinkTransport {
         ctrl_tx,
         mut ctrl_rx,
         data,
         abort,
     } = t;
-    assert_eq!(data.len(), cfg.channels, "one data link per channel");
     let fail = Fail::new(abort);
     let (evt_tx, evt_rx) = bounded::<SinkEvt>(SINK_EVENTS);
     let mut h = sess.handler(ctrl_tx.as_ref(), snk_bufs, fair);

@@ -74,6 +74,12 @@ pub trait DataTx: Send + Sync {
         self.send(hdr, &buf[..hdr.wire_len()])
     }
 
+    /// [`DataTx::send`] of a copy the caller hands over (a WAN delay
+    /// line's); a backend that would copy a borrowed image keeps it.
+    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
+        self.send(hdr, &wire)
+    }
+
     /// Submit everything [`DataTx::send_block`] queued since the last
     /// kick — called once per dispatcher drain, so a completion-based
     /// backend pays one kernel crossing per *batch* of blocks (the
@@ -263,6 +269,10 @@ impl DataTx for ChanDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         debug_assert_eq!(wire.len(), hdr.wire_len());
         self.link.send((hdr, ChanWire::Bytes(wire.into())))
+    }
+
+    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
+        self.link.send((hdr, ChanWire::Bytes(wire)))
     }
 
     /// The WRITE analogue: with the pool registered, only the block

@@ -5,7 +5,7 @@
 
 use super::driver::{MultiDriver, Sess, SessionStats, WakeLink};
 use super::ring::{probe, transfer_ring};
-use crate::net::{read_first_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
+use crate::net::{read_admissible_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
 use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS};
 use crate::store::{BlockPool, SlotBuf};
@@ -26,16 +26,15 @@ pub struct UringSinkSession {
 
 /// Accept one source's connection set for the io_uring sink and
 /// read the opening `SessionRequest` so the caller can size its
-/// half, mirroring [`NetListener::accept_session`]. Fails with
-/// `Unsupported` before accepting anything if the kernel cannot run
-/// the backend.
+/// half, mirroring [`NetListener::accept_session`] (a request no sink
+/// can serve is refused the same way). Fails with `Unsupported` before
+/// accepting anything if the kernel cannot run the backend.
 pub fn accept_source_uring(
     listener: &NetListener,
     sockbuf: usize,
 ) -> io::Result<(UringSinkSession, CtrlMsg)> {
     probe()?;
-    let mut streams = listener.accept_streams(sockbuf)?;
-    let first = read_first_request(&mut streams.ctrl)?;
+    let (streams, first) = read_admissible_request(listener.accept_streams(sockbuf)?)?;
     Ok((UringSinkSession { streams }, first))
 }
 
@@ -238,10 +237,9 @@ pub(crate) fn run_shared_uring_session(
     hub: &UringHub,
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    let sess = SinkSession::open(cfg, snk_bufs.len())?;
+    let sess = SinkSession::open(cfg, snk_bufs.len(), streams.data.len())?;
     assert_eq!(lease.len(), snk_bufs.len(), "lease covers the pool");
     let SessionStreams { ctrl, data, .. } = streams;
-    assert_eq!(data.len(), cfg.channels, "one data link per channel");
 
     // The driver gets its own socket clones (it cuts them on a
     // driver-side failure); this thread keeps the originals for the

@@ -221,6 +221,38 @@ fn uring_daemon_sessions_recover_drops_exactly_once() {
     );
 }
 
+/// A uring daemon with a WAN configured: the source's shim carries the
+/// lossy path, and the ring session behind it lands every block exactly
+/// once with its controller running.
+#[test]
+fn uring_daemon_serves_a_lossy_wan_source_exactly_once() {
+    if !rftp_live::uring_supported() {
+        eprintln!("skipping: io_uring transport unsupported on this kernel");
+        return;
+    }
+    let wan = rftp_live::WanProfile::parse("rtt=10ms,drop=0.05,seed=3").unwrap();
+    let mut cfg = base_daemon_cfg();
+    cfg.transport = DaemonTransport::Uring;
+    cfg.wan = Some(wan.clone());
+    let (addr, handle, jh) = start_daemon(cfg);
+    let mut c = LiveConfig::new(64 * 1024, 2, (8 << 20) + 4097);
+    c.apply_wan(&wan);
+    let sockbuf = rftp_live::net::default_sockbuf(c.block_size, c.channel_depth);
+    let t = rftp_live::wrap_source(connect_source(addr, c.channels, sockbuf).unwrap(), &wan);
+    let src = run_split_source(&c, t).unwrap();
+
+    let report = drain(&handle, jh);
+    assert_eq!((report.completed, report.failed), (1, 0), "{report:?}");
+    assert!(src.retransmits > 0, "5% loss dropped nothing");
+    let snk = report.sessions[0].result.as_ref().unwrap();
+    assert_eq!(
+        (snk.bytes, snk.blocks, snk.checksum_failures),
+        (c.total_bytes, c.total_bytes.div_ceil(64 * 1024), 0)
+    );
+    assert!(snk.adapt.is_some(), "the WAN session runs its controller");
+    assert!(snk.uring.is_some(), "the session ran on the ring");
+}
+
 /// A full session table turns the next source away with a typed
 /// `SessionBusy` — promptly, never a hang.
 #[test]

@@ -387,9 +387,9 @@ fn two_processes_move_a_file_byte_identically() {
 }
 
 /// The ANI WAN with residual loss turned up to 1%, rate-scaled so the
-/// BDP-sized pools stay test-friendly. Both processes run the shim;
-/// each impairs its own inbound direction, so the pair sees the full
-/// 49 ms RTT and the sink's inbound data loses frames.
+/// BDP-sized pools stay test-friendly. Both processes take the spec:
+/// the source's shim carries the whole path (the full 49 ms RTT, the
+/// lost data frames), and the sink sizes its pool to it.
 const WAN_SPEC: &str = "ani-wan,drop=0.01,rate=500e6";
 
 /// Read a counter off a process's report line, e.g.
@@ -457,11 +457,9 @@ fn two_processes_exactly_once_through_lossy_wan_tcp() {
     let _ = std::fs::remove_file(&dst_path);
 }
 
-/// The same lossy-WAN exactly-once contract over the io_uring backend.
-/// The uring sink's receive path cannot host the shim, so the source
-/// carries the whole impairment (`--wan-at-source`: full RTT on its
-/// control inbound, loss on its data outbound) — the wire sees the same
-/// path either way.
+/// The same lossy-WAN exactly-once contract with the io_uring sink: the
+/// path is the source's shim, so the ring sink runs behind it exactly
+/// as the threaded one does.
 #[test]
 fn two_processes_exactly_once_through_lossy_wan_uring() {
     if !uring_or_skip() {
@@ -476,15 +474,17 @@ fn two_processes_exactly_once_through_lossy_wan_uring() {
         "uring",
         "--dst-file",
         dst_path.to_str().unwrap(),
+        "--wan",
+        WAN_SPEC,
     ]);
     let mut source = rftp_live_cmd()
         .args(["--connect", &addr, "--channels", "4", "--block", "64K"])
-        .args(["--wan", WAN_SPEC, "--wan-at-source"])
+        .args(["--wan", WAN_SPEC])
         .args(["--src-file", src_path.to_str().unwrap()])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("spawn rftp-live --connect --wan --wan-at-source");
+        .expect("spawn rftp-live --connect --wan");
 
     let src_status =
         wait_timeout(&mut source, Duration::from_secs(180)).expect("source process hung");
@@ -741,6 +741,62 @@ fn silent_post_hello_client_times_out_the_one_shot_accept() {
         ),
         "unexpected error: {err}"
     );
+}
+
+/// A one-shot sink sizes its whole config from the peer's opening
+/// request, so a request it cannot serve — a hello census of two
+/// streams under `channels: 3`, or `block_size: 0` — must get the typed
+/// `SessionReject` and a clean exit 1, not abort the process.
+#[test]
+fn one_shot_sink_rejects_an_unservable_request() {
+    use rftp_core::wire::{encode_stream_frame, CtrlMsg, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
+    use std::net::TcpStream;
+
+    let hello = |s: &mut TcpStream, kind: u8, index: u16| {
+        let mut h = [0u8; 16];
+        h[..4].copy_from_slice(&0x5246_5450u32.to_be_bytes()); // "RFTP"
+        h[4] = kind;
+        h[6..8].copy_from_slice(&index.to_be_bytes());
+        h[8..].copy_from_slice(&0x7E57_0001u64.to_be_bytes());
+        s.write_all(&h).unwrap();
+    };
+    for (census, block_size, channels) in [(2u16, 64 * 1024, 3u16), (1, 0, 1)] {
+        let (mut sink, addr) = spawn_sink(&[]);
+        let mut ctrl = TcpStream::connect(&addr).unwrap();
+        hello(&mut ctrl, 0, census);
+        let data: Vec<TcpStream> = (0..census)
+            .map(|ch| {
+                let mut s = TcpStream::connect(&addr).unwrap();
+                hello(&mut s, 1, ch);
+                s
+            })
+            .collect();
+        let request = CtrlMsg::SessionRequest {
+            session: 1,
+            block_size,
+            channels,
+            total_bytes: 1 << 20,
+            notify_imm: true,
+        };
+        let mut frame = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
+        let n = encode_stream_frame(&request, &mut frame);
+        ctrl.write_all(&frame[..n]).unwrap();
+
+        ctrl.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut prefix = [0u8; FRAME_PREFIX_LEN];
+        ctrl.read_exact(&mut prefix).unwrap();
+        let mut body = vec![0u8; u16::from_be_bytes(prefix) as usize];
+        ctrl.read_exact(&mut body).unwrap();
+        let reply = CtrlMsg::decode(&body).unwrap();
+        assert!(
+            matches!(reply, CtrlMsg::SessionReject { session: 1, .. }),
+            "census {census}, {request:?}: {reply:?}"
+        );
+        drop((ctrl, data));
+        let status = wait_timeout(&mut sink, Duration::from_secs(10)).expect("sink hung");
+        assert_eq!(status.code(), Some(1), "census {census}, {request:?}");
+    }
 }
 
 #[test]
