@@ -5,14 +5,14 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rftp_core::wire::{Credit, CtrlMsg, PayloadHeader, CTRL_SLOT_LEN};
-use rftp_core::{CreditStock, PoolGeometry, ReorderBuffer, SinkPool, SourcePool};
+use rftp_core::{AtomicSinkPool, AtomicSourcePool, CreditStock, PoolGeometry, ReorderBuffer};
 use rftp_netsim::time::SimDur;
 use rftp_netsim::LatencyHistogram;
 
 fn bench_pools(c: &mut Criterion) {
     let mut g = c.benchmark_group("pools");
     g.bench_function("source_block_cycle", |b| {
-        let mut pool = SourcePool::new(PoolGeometry::new(1 << 20, 64));
+        let pool = AtomicSourcePool::new(PoolGeometry::new(1 << 20, 64));
         b.iter(|| {
             let blk = pool.get_free().unwrap();
             pool.loaded(blk).unwrap();
@@ -23,7 +23,7 @@ fn bench_pools(c: &mut Criterion) {
         });
     });
     g.bench_function("sink_block_cycle", |b| {
-        let mut pool = SinkPool::new(PoolGeometry::new(1 << 20, 64));
+        let pool = AtomicSinkPool::new(PoolGeometry::new(1 << 20, 64));
         b.iter(|| {
             let blk = pool.grant().unwrap();
             pool.ready(blk).unwrap();

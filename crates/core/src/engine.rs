@@ -21,7 +21,7 @@
 
 use crate::config::{ConsumeMode, NotifyMode, SinkConfig, SourceConfig};
 use crate::credit::{CreditStock, Granter};
-use crate::pool::{BlockIdx, PoolGeometry, SinkPool, SourcePool};
+use crate::pool::{AtomicSinkPool, AtomicSourcePool, BlockIdx, PoolGeometry};
 use crate::reorder::ReorderBuffer;
 use crate::stats::{SinkStats, SourceStats};
 use crate::wire::{
@@ -251,7 +251,7 @@ pub struct SourceEngine {
     data_cqs: Vec<CqId>,
 
     pool_mr: MrId,
-    pool: SourcePool,
+    pool: AtomicSourcePool,
     ctrl_tx: Option<CtrlRing>,
     ctrl_rx: Option<RecvRing>,
     data_qps: Vec<QpId>,
@@ -336,7 +336,7 @@ impl SourceEngine {
         assert!(!cfg.jobs.is_empty(), "no jobs configured");
         assert!(!loader_threads.is_empty() && !data_threads.is_empty());
         let geo = PoolGeometry::new(cfg.block_size, cfg.pool_blocks);
-        let pool = SourcePool::new(geo);
+        let pool = AtomicSourcePool::new(geo);
         let inflight = vec![None; cfg.pool_blocks as usize];
         let job0 = cfg.jobs[0];
         let job_blocks = cfg.blocks_for(job0);
@@ -806,7 +806,7 @@ impl SourceEngine {
             // loader threads complete into a stale epoch and are ignored.
             self.load_epoch = self.load_epoch.wrapping_add(1);
             self.loads_in_flight = 0;
-            self.pool = SourcePool::new(self.pool.geometry());
+            self.pool = AtomicSourcePool::new(self.pool.geometry());
             self.loaded_q.clear();
             for f in &mut self.inflight {
                 *f = None;
@@ -1301,7 +1301,7 @@ pub struct SinkEngine {
     data_cqs: Vec<CqId>,
 
     pool_mr: MrId,
-    pool: Option<SinkPool>,
+    pool: Option<AtomicSinkPool>,
     granter: Granter,
     ctrl_tx: Option<CtrlRing>,
     ctrl_rx: Option<RecvRing>,
@@ -1577,7 +1577,7 @@ impl SinkEngine {
                 Backing::Virtual(geo.total_bytes())
             };
             self.pool_mr = api.register_mr(backing);
-            self.pool = Some(SinkPool::new(geo));
+            self.pool = Some(AtomicSinkPool::new(geo));
         }
         // Provision data channels (first session; later sessions reuse).
         // In write-with-immediate mode every channel draws its receives

@@ -69,9 +69,7 @@ pub use estimator::{AdaptSnapshot, RttEstimator};
 pub use harness::{build_experiment, run_transfer, Experiment, TransferReport};
 pub use loss::{LossDetector, REORDER_THRESHOLD};
 pub use multi::{Endpoint, MultiEngine};
-pub use pool::{
-    AtomicSinkPool, AtomicSourcePool, BlockIdx, IndexQueue, PoolGeometry, SinkPool, SourcePool,
-};
+pub use pool::{AtomicSinkPool, AtomicSourcePool, BlockIdx, IndexQueue, PoolGeometry};
 pub use reorder::ReorderBuffer;
 pub use stats::{SinkStats, SourceStats};
 pub use wire::{

@@ -6,14 +6,23 @@
 //! and sessions — the "reuse of memory regions" optimization §III.A calls
 //! out (and the `ablation_mr` bench quantifies).
 //!
-//! `SourcePool` and `SinkPool` wrap the block FSMs of [`crate::block`]
-//! with free-list bookkeeping. Both are plain data structures — they know
-//! nothing about the fabric — which keeps them trivially testable and
-//! shareable with the real-thread stress tests.
+//! [`AtomicSourcePool`] and [`AtomicSinkPool`] wrap the block FSMs of
+//! [`crate::block`] with free-list bookkeeping. They know nothing about
+//! the fabric or the sockets, so the simulated engines and the live
+//! pipeline run on the same two pools:
+//!
+//! * block handout and return go through a multi-producer multi-consumer
+//!   queue of *indices* — a bounded Vyukov ring ([`IndexQueue`]), one CAS
+//!   per operation, no lock and no condvar. It is FIFO and starts out
+//!   holding `0..n`, so a single-threaded caller (the simulator) sees the
+//!   same block order a plain `VecDeque` free list would give;
+//! * per-block FSM transitions are a compare-exchange on that block's own
+//!   `AtomicU8` — threads working different blocks never touch the same
+//!   cache line of state, and an illegal transition fails loudly with an
+//!   [`FsmError`].
 
 use crate::block::{FsmError, SnkState, SrcState};
 use crate::wire::PAYLOAD_HEADER_LEN;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 /// Index of a block within a pool.
@@ -50,186 +59,6 @@ impl PoolGeometry {
         i as u64 * self.slot_bytes()
     }
 }
-
-/// Source-side pool: blocks move Free → Loading → Loaded →
-/// StartSending → Waiting → Free.
-///
-/// ```
-/// use rftp_core::{PoolGeometry, SourcePool};
-/// let mut p = SourcePool::new(PoolGeometry::new(1 << 20, 4));
-/// let b = p.get_free().unwrap();     // get_free_blk
-/// p.loaded(b).unwrap();
-/// p.start_sending(b).unwrap();
-/// p.posted(b).unwrap();
-/// p.complete(b).unwrap();            // back on the free list
-/// assert_eq!(p.free_count(), 4);
-/// ```
-#[derive(Debug)]
-pub struct SourcePool {
-    geo: PoolGeometry,
-    states: Vec<SrcState>,
-    free: VecDeque<BlockIdx>,
-}
-
-impl SourcePool {
-    pub fn new(geo: PoolGeometry) -> SourcePool {
-        SourcePool {
-            geo,
-            states: vec![SrcState::Free; geo.blocks as usize],
-            free: (0..geo.blocks).collect(),
-        }
-    }
-
-    pub fn geometry(&self) -> PoolGeometry {
-        self.geo
-    }
-
-    pub fn state(&self, i: BlockIdx) -> SrcState {
-        self.states[i as usize]
-    }
-
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// `get_free_blk`: reserve a block for loading.
-    pub fn get_free(&mut self) -> Option<BlockIdx> {
-        let i = self.free.pop_front()?;
-        self.states[i as usize] = self.states[i as usize]
-            .reserve()
-            .expect("free list held a non-free block");
-        Some(i)
-    }
-
-    fn transition(
-        &mut self,
-        i: BlockIdx,
-        f: impl FnOnce(SrcState) -> Result<SrcState, FsmError>,
-    ) -> Result<(), FsmError> {
-        let s = f(self.states[i as usize])?;
-        self.states[i as usize] = s;
-        Ok(())
-    }
-
-    pub fn loaded(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.transition(i, SrcState::loaded)
-    }
-
-    pub fn start_sending(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.transition(i, SrcState::start_sending)
-    }
-
-    pub fn posted(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.transition(i, SrcState::posted)
-    }
-
-    /// Completion success: block returns to the free list.
-    pub fn complete(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.transition(i, SrcState::complete)?;
-        self.free.push_back(i);
-        Ok(())
-    }
-
-    /// Completion failure: block goes back to Loaded for re-send.
-    pub fn send_failed(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.transition(i, SrcState::send_failed)
-    }
-
-    /// Invariant check: free list and states agree (used by tests and
-    /// debug assertions).
-    pub fn check_invariants(&self) {
-        let free_states = self.states.iter().filter(|s| **s == SrcState::Free).count();
-        assert_eq!(free_states, self.free.len(), "free list out of sync");
-        let mut seen = vec![false; self.states.len()];
-        for &i in &self.free {
-            assert!(!seen[i as usize], "duplicate block in free list");
-            seen[i as usize] = true;
-            assert_eq!(self.states[i as usize], SrcState::Free);
-        }
-    }
-}
-
-/// Sink-side pool: blocks move Free → Waiting (granted as a credit) →
-/// DataReady → Free.
-#[derive(Debug)]
-pub struct SinkPool {
-    geo: PoolGeometry,
-    states: Vec<SnkState>,
-    free: VecDeque<BlockIdx>,
-}
-
-impl SinkPool {
-    pub fn new(geo: PoolGeometry) -> SinkPool {
-        SinkPool {
-            geo,
-            states: vec![SnkState::Free; geo.blocks as usize],
-            free: (0..geo.blocks).collect(),
-        }
-    }
-
-    pub fn geometry(&self) -> PoolGeometry {
-        self.geo
-    }
-
-    pub fn state(&self, i: BlockIdx) -> SnkState {
-        self.states[i as usize]
-    }
-
-    pub fn free_count(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Advertise a free block as a credit. Returns the granted block.
-    pub fn grant(&mut self) -> Option<BlockIdx> {
-        let i = self.free.pop_front()?;
-        self.states[i as usize] = self.states[i as usize]
-            .grant()
-            .expect("free list held a non-free block");
-        Some(i)
-    }
-
-    /// A finish notification arrived for block `i`.
-    pub fn ready(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.states[i as usize] = self.states[i as usize].ready()?;
-        Ok(())
-    }
-
-    /// `put_free_blk`: application consumed the payload.
-    pub fn put_free(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.states[i as usize] = self.states[i as usize].put_free()?;
-        self.free.push_back(i);
-        Ok(())
-    }
-
-    /// Reclaim a granted-but-unused block at session teardown.
-    pub fn revoke(&mut self, i: BlockIdx) -> Result<(), FsmError> {
-        self.states[i as usize] = self.states[i as usize].revoke()?;
-        self.free.push_back(i);
-        Ok(())
-    }
-
-    pub fn check_invariants(&self) {
-        let free_states = self.states.iter().filter(|s| **s == SnkState::Free).count();
-        assert_eq!(free_states, self.free.len(), "free list out of sync");
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free pools for the native-thread pipeline.
-//
-// The single-threaded `SourcePool`/`SinkPool` above are what the simulated
-// engines use; wrapping them in a `Mutex` + `Condvar` made every block of
-// the live pipeline serialize on one lock (and one wakeup) per state
-// transition. The shared-pool fast path needs two properties instead:
-//
-// * block handout/return is a multi-producer multi-consumer queue of
-//   *indices* — a bounded Vyukov ring ([`IndexQueue`]), one CAS per
-//   operation, no lock and no condvar;
-// * per-block FSM transitions are a compare-exchange on that block's own
-//   `AtomicU8` — threads working different blocks never touch the same
-//   cache line of state, and an illegal transition still fails loudly
-//   with the same [`FsmError`] the sequential pools report.
-// ---------------------------------------------------------------------------
 
 /// A bounded MPMC queue of block indices (Dmitry Vyukov's array queue).
 /// Push and pop are lock-free: one fetch-add claim plus one store each,
@@ -409,11 +238,21 @@ fn snk_state(code: u8) -> SnkState {
     }
 }
 
-/// The contention-free counterpart of [`SourcePool`]: same geometry, same
-/// Fig. 6a state machine, same `FsmError`s — but shareable across threads
-/// with no lock. `&self` everywhere; handout and return go through the
-/// [`IndexQueue`] free list and each transition is a CAS on the block's
-/// own state byte.
+/// Source-side pool: blocks move Free → Loading → Loaded →
+/// StartSending → Waiting → Free (the Fig. 6a state machine). `&self`
+/// everywhere; handout and return go through the [`IndexQueue`] free list
+/// and each transition is a CAS on the block's own state byte.
+///
+/// ```
+/// use rftp_core::{AtomicSourcePool, PoolGeometry};
+/// let p = AtomicSourcePool::new(PoolGeometry::new(1 << 20, 4));
+/// let b = p.get_free().unwrap();     // get_free_blk
+/// p.loaded(b).unwrap();
+/// p.start_sending(b).unwrap();
+/// p.posted(b).unwrap();
+/// p.complete(b).unwrap();            // back on the free list
+/// assert_eq!(p.free_count(), 4);
+/// ```
 #[derive(Debug)]
 pub struct AtomicSourcePool {
     geo: PoolGeometry,
@@ -535,7 +374,8 @@ impl AtomicSourcePool {
     }
 }
 
-/// The contention-free counterpart of [`SinkPool`] (Fig. 6b states).
+/// Sink-side pool: blocks move Free → Waiting (granted as a credit) →
+/// DataReady → Free (the Fig. 6b state machine).
 #[derive(Debug)]
 pub struct AtomicSinkPool {
     geo: PoolGeometry,
@@ -647,7 +487,7 @@ mod tests {
 
     #[test]
     fn source_pool_cycle() {
-        let mut p = SourcePool::new(geo());
+        let p = AtomicSourcePool::new(geo());
         assert_eq!(p.free_count(), 8);
         let b = p.get_free().unwrap();
         assert_eq!(p.state(b), SrcState::Loading);
@@ -662,7 +502,7 @@ mod tests {
 
     #[test]
     fn source_pool_exhaustion() {
-        let mut p = SourcePool::new(PoolGeometry::new(1024, 2));
+        let p = AtomicSourcePool::new(PoolGeometry::new(1024, 2));
         assert!(p.get_free().is_some());
         assert!(p.get_free().is_some());
         assert!(p.get_free().is_none());
@@ -670,7 +510,7 @@ mod tests {
 
     #[test]
     fn source_pool_resend() {
-        let mut p = SourcePool::new(geo());
+        let p = AtomicSourcePool::new(geo());
         let b = p.get_free().unwrap();
         p.loaded(b).unwrap();
         p.start_sending(b).unwrap();
@@ -684,7 +524,7 @@ mod tests {
 
     #[test]
     fn source_pool_rejects_illegal() {
-        let mut p = SourcePool::new(geo());
+        let p = AtomicSourcePool::new(geo());
         let b = p.get_free().unwrap();
         assert!(p.complete(b).is_err()); // Loading -> complete is illegal
         p.check_invariants();
@@ -692,7 +532,7 @@ mod tests {
 
     #[test]
     fn sink_pool_cycle() {
-        let mut p = SinkPool::new(geo());
+        let p = AtomicSinkPool::new(geo());
         let b = p.grant().unwrap();
         assert_eq!(p.state(b), SnkState::Waiting);
         assert_eq!(p.free_count(), 7);
@@ -704,7 +544,7 @@ mod tests {
 
     #[test]
     fn sink_pool_grant_order_is_fifo() {
-        let mut p = SinkPool::new(geo());
+        let p = AtomicSinkPool::new(geo());
         let a = p.grant().unwrap();
         let b = p.grant().unwrap();
         assert_ne!(a, b);
@@ -737,7 +577,7 @@ mod tests {
 
     #[test]
     fn sink_pool_rejects_double_ready() {
-        let mut p = SinkPool::new(geo());
+        let p = AtomicSinkPool::new(geo());
         let b = p.grant().unwrap();
         p.ready(b).unwrap();
         assert!(p.ready(b).is_err());

@@ -12,8 +12,8 @@
 //!   never silently applied.
 //!
 //! The stress tests run the real multi-threaded interleavings (seeded
-//! workloads, oversubscribed on purpose); the proptest runs randomized
-//! operation sequences against the sequential pools as a model.
+//! workloads, oversubscribed on purpose); the proptests run randomized
+//! operation sequences against an inline Fig. 6 state model.
 
 use proptest::prelude::*;
 use rftp_core::{AtomicSinkPool, AtomicSourcePool, IndexQueue, PoolGeometry};

@@ -1,48 +1,37 @@
 //! Real-thread stress tests for the middleware's shared data structures.
 //!
 //! The simulation models the middleware's thread pool in virtual time,
-//! but the pool / reorder / credit structures are plain `Send` data that
-//! a native multi-threaded runtime would share behind locks. These tests
-//! hammer them from real OS threads (parking_lot mutexes, crossbeam
-//! channels) and check the same conservation invariants the property
-//! tests check sequentially.
+//! but the pool / reorder / credit structures are the ones a native
+//! multi-threaded runtime shares: the block pools lock-free, the reorder
+//! buffer and credit stock behind locks. These tests hammer them from
+//! real OS threads (parking_lot mutexes, crossbeam channels) and check
+//! the same conservation invariants the property tests check
+//! sequentially.
 
 use parking_lot::Mutex;
 use rftp_core::wire::Credit;
-use rftp_core::{CreditStock, PoolGeometry, ReorderBuffer, SinkPool, SourcePool};
+use rftp_core::{AtomicSinkPool, AtomicSourcePool, CreditStock, PoolGeometry, ReorderBuffer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 #[test]
 fn source_pool_under_contention() {
     // 8 workers race through the full block lifecycle 2000 times each.
-    let pool = Arc::new(Mutex::new(SourcePool::new(PoolGeometry::new(4096, 16))));
-    let cycles = Arc::new(AtomicU64::new(0));
+    let pool = AtomicSourcePool::new(PoolGeometry::new(4096, 16));
+    let cycles = AtomicU64::new(0);
     std::thread::scope(|s| {
         for _ in 0..8 {
-            let pool = Arc::clone(&pool);
-            let cycles = Arc::clone(&cycles);
-            s.spawn(move || {
+            s.spawn(|| {
                 let mut done = 0;
                 while done < 2000 {
-                    let block = {
-                        let mut p = pool.lock();
-                        p.get_free()
-                    };
-                    let Some(b) = block else {
+                    let Some(b) = pool.get_free() else {
                         std::thread::yield_now();
                         continue;
                     };
-                    {
-                        let mut p = pool.lock();
-                        p.loaded(b).unwrap();
-                        p.start_sending(b).unwrap();
-                        p.posted(b).unwrap();
-                    }
-                    {
-                        let mut p = pool.lock();
-                        p.complete(b).unwrap();
-                    }
+                    pool.loaded(b).unwrap();
+                    pool.start_sending(b).unwrap();
+                    pool.posted(b).unwrap();
+                    pool.complete(b).unwrap();
                     cycles.fetch_add(1, Ordering::Relaxed);
                     done += 1;
                 }
@@ -50,53 +39,41 @@ fn source_pool_under_contention() {
         }
     });
     assert_eq!(cycles.load(Ordering::Relaxed), 16_000);
-    let p = pool.lock();
-    p.check_invariants();
-    assert_eq!(p.free_count(), 16, "all blocks must return to the pool");
+    pool.check_invariants();
+    assert_eq!(pool.free_count(), 16, "all blocks must return to the pool");
 }
 
 #[test]
 fn sink_pool_grant_consume_pipeline() {
     // Granter thread advertises blocks; consumer threads mark them ready
     // and free them, via a crossbeam channel — the sink's actual shape.
-    let pool = Arc::new(Mutex::new(SinkPool::new(PoolGeometry::new(4096, 32))));
+    let pool = AtomicSinkPool::new(PoolGeometry::new(4096, 32));
     let (tx, rx) = crossbeam::channel::bounded::<u32>(64);
-    let granted = Arc::new(AtomicU64::new(0));
-    let consumed = Arc::new(AtomicU64::new(0));
+    let granted = AtomicU64::new(0);
+    let consumed = AtomicU64::new(0);
     const TOTAL: u64 = 20_000;
 
     std::thread::scope(|s| {
-        {
-            let pool = Arc::clone(&pool);
-            let granted = Arc::clone(&granted);
-            s.spawn(move || {
-                let mut n = 0u64;
-                while n < TOTAL {
-                    let slot = {
-                        let mut p = pool.lock();
-                        p.grant()
-                    };
-                    match slot {
-                        Some(b) => {
-                            granted.fetch_add(1, Ordering::Relaxed);
-                            tx.send(b).unwrap();
-                            n += 1;
-                        }
-                        None => std::thread::yield_now(),
+        s.spawn(|| {
+            let mut n = 0u64;
+            while n < TOTAL {
+                match pool.grant() {
+                    Some(b) => {
+                        granted.fetch_add(1, Ordering::Relaxed);
+                        tx.send(b).unwrap();
+                        n += 1;
                     }
+                    None => std::thread::yield_now(),
                 }
-                drop(tx);
-            });
-        }
+            }
+            drop(tx);
+        });
         for _ in 0..4 {
-            let pool = Arc::clone(&pool);
-            let rx = rx.clone();
-            let consumed = Arc::clone(&consumed);
+            let (rx, pool, consumed) = (rx.clone(), &pool, &consumed);
             s.spawn(move || {
                 for b in rx.iter() {
-                    let mut p = pool.lock();
-                    p.ready(b).unwrap();
-                    p.put_free(b).unwrap();
+                    pool.ready(b).unwrap();
+                    pool.put_free(b).unwrap();
                     consumed.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -104,9 +81,8 @@ fn sink_pool_grant_consume_pipeline() {
     });
     assert_eq!(granted.load(Ordering::Relaxed), TOTAL);
     assert_eq!(consumed.load(Ordering::Relaxed), TOTAL);
-    let p = pool.lock();
-    p.check_invariants();
-    assert_eq!(p.free_count(), 32);
+    pool.check_invariants();
+    assert_eq!(pool.free_count(), 32);
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rftp_core::wire::{Credit, CtrlMsg, PayloadHeader, CTRL_SLOT_LEN, MAX_CREDITS_PER_MSG};
-use rftp_core::{CreditStock, PoolGeometry, ReorderBuffer, SinkPool, SourcePool};
+use rftp_core::{AtomicSinkPool, AtomicSourcePool, CreditStock, PoolGeometry, ReorderBuffer};
 use rftp_netsim::link::{Dir, Link};
 use rftp_netsim::tcp::{CcAlgo, TcpConfig, TcpFlow};
 use rftp_netsim::time::{Bandwidth, SimDur, SimTime};
@@ -128,7 +128,7 @@ proptest! {
     /// every block is in exactly one state and the free list matches.
     #[test]
     fn source_pool_conserves_blocks(ops in prop::collection::vec(0u8..5, 0..200)) {
-        let mut pool = SourcePool::new(PoolGeometry::new(4096, 8));
+        let pool = AtomicSourcePool::new(PoolGeometry::new(4096, 8));
         let mut loading = Vec::new();
         let mut loaded = Vec::new();
         let mut waiting = Vec::new();
@@ -173,7 +173,7 @@ proptest! {
     /// Sink pool: grant/ready/consume/revoke sequences conserve blocks.
     #[test]
     fn sink_pool_conserves_blocks(ops in prop::collection::vec(0u8..4, 0..200)) {
-        let mut pool = SinkPool::new(PoolGeometry::new(4096, 8));
+        let pool = AtomicSinkPool::new(PoolGeometry::new(4096, 8));
         let mut waiting = Vec::new();
         let mut ready = Vec::new();
         for op in ops {
