@@ -47,7 +47,7 @@ pub const CTRL_RING_SLOTS: u32 = 64;
 
 /// Wakeup-token layout: kind in the top byte, an engine *tag* in the
 /// next byte (so several engines can share one host application — see
-/// [`crate::multi`] and [`crate::duplex`]), payload below.
+/// [`crate::multi`]), payload below.
 const TOK_LOAD: u64 = 1 << 56;
 const TOK_CONSUME: u64 = 2 << 56;
 /// Source retransmit-watchdog tick (pure timer, armed while recovery is
@@ -398,8 +398,8 @@ impl SourceEngine {
     }
 
     /// Does this engine own `qp` (its control QP or one of its data
-    /// channels)? Used by [`crate::duplex::DuplexEngine`] to route
-    /// completions when a host runs a source and a sink side by side.
+    /// channels)? Used by [`crate::multi::MultiEngine`] to route
+    /// completions when a host runs several engines side by side.
     pub fn owns_qp(&self, qp: QpId) -> bool {
         qp == self.ctrl_qp || self.data_qps.contains(&qp)
     }

@@ -10,8 +10,11 @@
 
 use crate::config::{SinkConfig, SourceConfig};
 use crate::engine::{SinkEngine, SourceEngine};
+use crate::multi::{Endpoint, MultiEngine};
 use crate::stats::{SinkStats, SourceStats};
-use rftp_fabric::{build_sim, two_host_fabric_with_frag, FabricWorld, HostId, QpOptions};
+use rftp_fabric::{
+    build_sim, two_host_fabric_with_frag, Application, FabricCore, FabricWorld, HostId, QpOptions,
+};
 use rftp_netsim::kernel::Sim;
 use rftp_netsim::testbed::Testbed;
 use rftp_netsim::time::{SimDur, SimTime};
@@ -41,6 +44,56 @@ pub struct TransferReport {
     pub dst_threads: Vec<(&'static str, f64)>,
 }
 
+/// Spawn one source→sink pair's middleware threads and pre-wire its
+/// control QP pair: the source runs on host `src`, the sink on host
+/// `dst`. The control channel is `rdma_cm`'s job, so it is connected
+/// here; everything else — negotiation, data channels, credits,
+/// teardown — the engines do in-protocol.
+fn wire_pair(
+    core: &mut FabricCore,
+    src: HostId,
+    src_cfg: SourceConfig,
+    dst: HostId,
+    snk_cfg: SinkConfig,
+) -> (SourceEngine, SinkEngine) {
+    // Source threads: control poller, loaders, data-CQ pollers (Fig. 2).
+    let src_cpu = &mut core.hosts[src.index()].cpu;
+    let src_ctrl = src_cpu.spawn("ctrl");
+    let loaders: Vec<_> = (0..src_cfg.loader_threads)
+        .map(|_| src_cpu.spawn("loader"))
+        .collect();
+    let src_data: Vec<_> = (0..src_cfg.data_cq_threads)
+        .map(|_| src_cpu.spawn("data"))
+        .collect();
+
+    // Sink threads: control poller, data-CQ pollers, consumer.
+    let dst_cpu = &mut core.hosts[dst.index()].cpu;
+    let dst_ctrl = dst_cpu.spawn("ctrl");
+    let dst_data: Vec<_> = (0..snk_cfg.data_cq_threads)
+        .map(|_| dst_cpu.spawn("data"))
+        .collect();
+    let consumer = dst_cpu.spawn("consumer");
+
+    // Queue depths must cover the control rings: every ring slot can be
+    // outstanding at once on a long-RTT path.
+    let ring = src_cfg.ctrl_ring_slots.max(snk_cfg.ctrl_ring_slots);
+    let ctrl_opts = QpOptions {
+        sq_depth: ring + 8,
+        rq_depth: ring + 8,
+        ..QpOptions::default()
+    };
+    let src_cq = core.hosts[src.index()].create_cq(src_ctrl);
+    let dst_cq = core.hosts[dst.index()].create_cq(dst_ctrl);
+    let src_qp = core.create_qp(src, ctrl_opts, src_cq, src_cq);
+    let dst_qp = core.create_qp(dst, ctrl_opts, dst_cq, dst_cq);
+    core.connect(src_qp, dst_qp).expect("control connect");
+
+    (
+        SourceEngine::new(src_cfg, src_qp, loaders, src_data),
+        SinkEngine::new(snk_cfg, dst_qp, dst_data, consumer),
+    )
+}
+
 /// Build an experiment on `tb` with the given endpoint configurations.
 pub fn build_experiment(tb: &Testbed, src_cfg: SourceConfig, snk_cfg: SinkConfig) -> Experiment {
     build_experiment_with_frag(tb, src_cfg, snk_cfg, rftp_fabric::DEFAULT_FRAG_SIZE)
@@ -55,40 +108,7 @@ pub fn build_experiment_with_frag(
     frag_size: u64,
 ) -> Experiment {
     let (mut core, src, dst) = two_host_fabric_with_frag(tb, frag_size);
-
-    // Source threads: control poller, loaders, data-CQ pollers (Fig. 2).
-    let src_ctrl = core.hosts[src.index()].cpu.spawn("ctrl");
-    let loaders: Vec<_> = (0..src_cfg.loader_threads)
-        .map(|_| core.hosts[src.index()].cpu.spawn("loader"))
-        .collect();
-    let src_data: Vec<_> = (0..src_cfg.data_cq_threads)
-        .map(|_| core.hosts[src.index()].cpu.spawn("data"))
-        .collect();
-
-    // Sink threads: control poller, data-CQ pollers, consumer.
-    let dst_ctrl = core.hosts[dst.index()].cpu.spawn("ctrl");
-    let dst_data: Vec<_> = (0..snk_cfg.data_cq_threads)
-        .map(|_| core.hosts[dst.index()].cpu.spawn("data"))
-        .collect();
-    let consumer = core.hosts[dst.index()].cpu.spawn("consumer");
-
-    // Control channel, pre-wired (rdma_cm's job). Queue depths must
-    // cover the control rings: every ring slot can be outstanding at
-    // once on a long-RTT path.
-    let ring = src_cfg.ctrl_ring_slots.max(snk_cfg.ctrl_ring_slots);
-    let ctrl_opts = QpOptions {
-        sq_depth: ring + 8,
-        rq_depth: ring + 8,
-        ..QpOptions::default()
-    };
-    let src_ctrl_cq = core.hosts[src.index()].create_cq(src_ctrl);
-    let dst_ctrl_cq = core.hosts[dst.index()].create_cq(dst_ctrl);
-    let ctrl_a = core.create_qp(src, ctrl_opts, src_ctrl_cq, src_ctrl_cq);
-    let ctrl_b = core.create_qp(dst, ctrl_opts, dst_ctrl_cq, dst_ctrl_cq);
-    core.connect(ctrl_a, ctrl_b).expect("control connect");
-
-    let source = SourceEngine::new(src_cfg, ctrl_a, loaders, src_data);
-    let sink = SinkEngine::new(snk_cfg, ctrl_b, dst_data, consumer);
+    let (source, sink) = wire_pair(&mut core, src, src_cfg, dst, snk_cfg);
     let sim = build_sim(core, vec![Some(Box::new(source)), Some(Box::new(sink))]);
     Experiment { sim, src, dst }
 }
@@ -96,7 +116,12 @@ pub fn build_experiment_with_frag(
 impl Experiment {
     /// Run until the transfer completes (or `horizon`). Panics on
     /// protocol failure; returns the report.
-    pub fn run(mut self, horizon: SimDur) -> TransferReport {
+    pub fn run(self, horizon: SimDur) -> TransferReport {
+        self.run_keep_world(horizon).0
+    }
+
+    /// Run and also return the world for deeper inspection.
+    pub fn run_keep_world(mut self, horizon: SimDur) -> (TransferReport, Sim<FabricWorld>) {
         let src = self.src;
         let dst = self.dst;
         let outcome = self.sim.run_until(SimTime::ZERO + horizon, |w| {
@@ -123,7 +148,7 @@ impl Experiment {
         );
         let end = source.stats.finished_at;
         let elapsed = end.since(source.stats.started_at);
-        TransferReport {
+        let report = TransferReport {
             goodput_gbps: rftp_netsim::gbps(source.stats.bytes_sent, elapsed),
             elapsed,
             source: source.stats.clone(),
@@ -132,35 +157,6 @@ impl Experiment {
             dst_cpu_pct: w.core.hosts[dst.index()].cpu.utilization_pct(end),
             src_threads: w.core.hosts[src.index()].cpu.per_thread_pct(end),
             dst_threads: w.core.hosts[dst.index()].cpu.per_thread_pct(end),
-        }
-    }
-
-    /// Run and also return the world for deeper inspection.
-    pub fn run_keep_world(mut self, horizon: SimDur) -> (TransferReport, Sim<FabricWorld>) {
-        let src = self.src;
-        let dst = self.dst;
-        self.sim.run_until(SimTime::ZERO + horizon, |w| {
-            let s: &SourceEngine = w.app(src);
-            let k: &SinkEngine = w.app(dst);
-            s.failure.is_some() || k.failure.is_some() || (s.done && k.all_sessions_complete())
-        });
-        let report = {
-            let w = self.sim.world();
-            let source: &SourceEngine = w.app(src);
-            let sink: &SinkEngine = w.app(dst);
-            assert!(source.failure.is_none() && sink.failure.is_none() && source.done);
-            let end = source.stats.finished_at;
-            let elapsed = end.since(source.stats.started_at);
-            TransferReport {
-                goodput_gbps: rftp_netsim::gbps(source.stats.bytes_sent, elapsed),
-                elapsed,
-                source: source.stats.clone(),
-                sink: sink.stats.clone(),
-                src_cpu_pct: w.core.hosts[src.index()].cpu.utilization_pct(end),
-                dst_cpu_pct: w.core.hosts[dst.index()].cpu.utilization_pct(end),
-                src_threads: w.core.hosts[src.index()].cpu.per_thread_pct(end),
-                dst_threads: w.core.hosts[dst.index()].cpu.per_thread_pct(end),
-            }
         };
         (report, self.sim)
     }
@@ -172,6 +168,24 @@ pub fn run_transfer(tb: &Testbed, src_cfg: SourceConfig) -> TransferReport {
     build_experiment(tb, src_cfg, SinkConfig::default()).run(SimDur::from_secs(3600))
 }
 
+/// Run one [`MultiEngine`] per host (in host order) until every engine
+/// has finished. Panics if any engine fails or the run stalls.
+fn run_multi(core: FabricCore, apps: [MultiEngine; 2]) -> Sim<FabricWorld> {
+    let hosts = [HostId(0), HostId(1)];
+    let apps = apps.map(|m| Some(Box::new(m) as Box<dyn Application>));
+    let mut sim = build_sim(core, apps.into());
+    let outcome = sim.run_until(SimTime::ZERO + SimDur::from_secs(36_000), |w| {
+        let all = hosts.map(|h| w.app::<MultiEngine>(h));
+        all.iter().all(|m| m.is_finished()) || all.iter().any(|m| m.failure().is_some())
+    });
+    for h in hosts {
+        let m: &MultiEngine = sim.world().app(h);
+        assert!(m.failure().is_none(), "host {h:?} failed: {:?}", m.failure());
+        assert!(m.is_finished(), "host {h:?} incomplete ({outcome:?})");
+    }
+    sim
+}
+
 /// Run N independent jobs concurrently over one link: job `i` gets its
 /// own source engine on host A and sink engine on host B (distinct
 /// control QPs, pools, sessions, token tags), all sharing the wire.
@@ -180,63 +194,20 @@ pub fn run_parallel_jobs(
     tb: &Testbed,
     jobs: Vec<(SourceConfig, SinkConfig)>,
 ) -> (Vec<SourceStats>, SimDur) {
-    use crate::multi::{Endpoint, MultiEngine};
     assert!(!jobs.is_empty() && jobs.len() <= 200);
     let (mut core, a, b) = rftp_fabric::two_host_fabric(tb);
     let mut a_parts = Vec::new();
     let mut b_parts = Vec::new();
-    for (i, (src_cfg, snk_cfg)) in jobs.into_iter().enumerate() {
+    for (i, (mut src_cfg, snk_cfg)) in jobs.into_iter().enumerate() {
         let tag = (i + 1) as u8;
-        let ring = src_cfg.ctrl_ring_slots.max(snk_cfg.ctrl_ring_slots);
-        let ctrl_opts = QpOptions {
-            sq_depth: ring + 8,
-            rq_depth: ring + 8,
-            ..QpOptions::default()
-        };
-        let src_ctrl = core.hosts[a.index()].cpu.spawn("ctrl");
-        let loaders: Vec<_> = (0..src_cfg.loader_threads)
-            .map(|_| core.hosts[a.index()].cpu.spawn("loader"))
-            .collect();
-        let src_data: Vec<_> = (0..src_cfg.data_cq_threads)
-            .map(|_| core.hosts[a.index()].cpu.spawn("data"))
-            .collect();
-        let dst_ctrl = core.hosts[b.index()].cpu.spawn("ctrl");
-        let dst_data: Vec<_> = (0..snk_cfg.data_cq_threads)
-            .map(|_| core.hosts[b.index()].cpu.spawn("data"))
-            .collect();
-        let consumer = core.hosts[b.index()].cpu.spawn("consumer");
-        let a_cq = core.hosts[a.index()].create_cq(src_ctrl);
-        let b_cq = core.hosts[b.index()].create_cq(dst_ctrl);
-        let qa = core.create_qp(a, ctrl_opts, a_cq, a_cq);
-        let qb = core.create_qp(b, ctrl_opts, b_cq, b_cq);
-        core.connect(qa, qb).expect("ctrl connect");
         // Distinct session-id ranges per job keep wire traces readable.
-        let mut src_cfg = src_cfg;
         src_cfg.first_session = (i as u32 + 1) * 1000;
-        a_parts.push(Endpoint::Source(
-            SourceEngine::new(src_cfg, qa, loaders, src_data).with_token_tag(tag),
-        ));
-        b_parts.push(Endpoint::Sink(
-            SinkEngine::new(snk_cfg, qb, dst_data, consumer).with_token_tag(tag),
-        ));
+        let (source, sink) = wire_pair(&mut core, a, src_cfg, b, snk_cfg);
+        a_parts.push(Endpoint::Source(source.with_token_tag(tag)));
+        b_parts.push(Endpoint::Sink(sink.with_token_tag(tag)));
     }
-    let app_a = MultiEngine::new(a_parts);
-    let app_b = MultiEngine::new(b_parts);
-    let mut sim = rftp_fabric::build_sim(core, vec![Some(Box::new(app_a)), Some(Box::new(app_b))]);
-    sim.run_until(SimTime::ZERO + SimDur::from_secs(36_000), |w| {
-        let ma: &MultiEngine = w.app(a);
-        let mb: &MultiEngine = w.app(b);
-        (ma.is_finished() && mb.is_finished()) || ma.failure().is_some() || mb.failure().is_some()
-    });
-    let w = sim.world();
-    let ma: &MultiEngine = w.app(a);
-    let mb: &MultiEngine = w.app(b);
-    assert!(ma.failure().is_none(), "source side: {:?}", ma.failure());
-    assert!(mb.failure().is_none(), "sink side: {:?}", mb.failure());
-    assert!(
-        ma.is_finished() && mb.is_finished(),
-        "parallel jobs incomplete"
-    );
+    let sim = run_multi(core, [MultiEngine::new(a_parts), MultiEngine::new(b_parts)]);
+    let ma: &MultiEngine = sim.world().app(a);
     let stats: Vec<SourceStats> = ma
         .endpoints
         .iter()
@@ -264,10 +235,10 @@ pub struct DuplexReport {
 }
 
 /// Run two simultaneous transfers in opposite directions over one link:
-/// host A uploads `a_cfg` to B while B uploads `b_cfg` to A. Each host
-/// runs a [`crate::DuplexEngine`] (source + sink behind one
-/// application); full-duplex links carry both payload streams at line
-/// rate concurrently.
+/// host A uploads `a_cfg` to B while B uploads `b_cfg` to A (`a_snk` is
+/// the sink on host A, `b_snk` the one on B). Each host runs its source
+/// and its sink behind one [`MultiEngine`]; full-duplex links carry both
+/// payload streams at line rate concurrently.
 pub fn run_duplex(
     tb: &Testbed,
     a_cfg: SourceConfig,
@@ -275,94 +246,27 @@ pub fn run_duplex(
     b_cfg: SourceConfig,
     b_snk: SinkConfig,
 ) -> DuplexReport {
-    use crate::DuplexEngine;
-    let ring = a_cfg
-        .ctrl_ring_slots
-        .max(b_cfg.ctrl_ring_slots)
-        .max(a_snk.ctrl_ring_slots)
-        .max(b_snk.ctrl_ring_slots);
     let (mut core, a, b) = rftp_fabric::two_host_fabric(tb);
-
-    // Thread pools per host, one set per role.
-    let mut mk_threads = |h: rftp_fabric::HostId, src: &SourceConfig, snk: &SinkConfig| {
-        let ctrl_src = core.hosts[h.index()].cpu.spawn("ctrl-src");
-        let loaders: Vec<_> = (0..src.loader_threads)
-            .map(|_| core.hosts[h.index()].cpu.spawn("loader"))
-            .collect();
-        let src_data: Vec<_> = (0..src.data_cq_threads)
-            .map(|_| core.hosts[h.index()].cpu.spawn("data-src"))
-            .collect();
-        let ctrl_snk = core.hosts[h.index()].cpu.spawn("ctrl-snk");
-        let snk_data: Vec<_> = (0..snk.data_cq_threads)
-            .map(|_| core.hosts[h.index()].cpu.spawn("data-snk"))
-            .collect();
-        let consumer = core.hosts[h.index()].cpu.spawn("consumer");
-        (ctrl_src, loaders, src_data, ctrl_snk, snk_data, consumer)
-    };
-    let (a_ctrl_src, a_loaders, a_src_data, a_ctrl_snk, a_snk_data, a_consumer) =
-        mk_threads(a, &a_cfg, &a_snk);
-    let (b_ctrl_src, b_loaders, b_src_data, b_ctrl_snk, b_snk_data, b_consumer) =
-        mk_threads(b, &b_cfg, &b_snk);
-
-    let ctrl_opts = QpOptions {
-        sq_depth: ring + 8,
-        rq_depth: ring + 8,
-        ..QpOptions::default()
-    };
-    // Control pair for A→B (A's source talks to B's sink)...
-    let a_src_cq = core.hosts[a.index()].create_cq(a_ctrl_src);
-    let b_snk_cq = core.hosts[b.index()].create_cq(b_ctrl_snk);
-    let qp_a_src = core.create_qp(a, ctrl_opts, a_src_cq, a_src_cq);
-    let qp_b_snk = core.create_qp(b, ctrl_opts, b_snk_cq, b_snk_cq);
-    core.connect(qp_a_src, qp_b_snk).expect("ctrl A->B");
-    // ...and for B→A.
-    let b_src_cq = core.hosts[b.index()].create_cq(b_ctrl_src);
-    let a_snk_cq = core.hosts[a.index()].create_cq(a_ctrl_snk);
-    let qp_b_src = core.create_qp(b, ctrl_opts, b_src_cq, b_src_cq);
-    let qp_a_snk = core.create_qp(a, ctrl_opts, a_snk_cq, a_snk_cq);
-    core.connect(qp_b_src, qp_a_snk).expect("ctrl B->A");
-
-    let app_a = DuplexEngine::new(
-        SourceEngine::new(a_cfg, qp_a_src, a_loaders, a_src_data),
-        SinkEngine::new(a_snk, qp_a_snk, a_snk_data, a_consumer),
+    let (a_source, b_sink) = wire_pair(&mut core, a, a_cfg, b, b_snk);
+    let (b_source, a_sink) = wire_pair(&mut core, b, b_cfg, a, a_snk);
+    let sim = run_multi(
+        core,
+        [
+            MultiEngine::new(vec![Endpoint::Source(a_source), Endpoint::Sink(a_sink)]),
+            MultiEngine::new(vec![Endpoint::Source(b_source), Endpoint::Sink(b_sink)]),
+        ],
     );
-    let app_b = DuplexEngine::new(
-        SourceEngine::new(b_cfg, qp_b_src, b_loaders, b_src_data),
-        SinkEngine::new(b_snk, qp_b_snk, b_snk_data, b_consumer),
-    );
-    let mut sim = rftp_fabric::build_sim(core, vec![Some(Box::new(app_a)), Some(Box::new(app_b))]);
-    let outcome = sim.run_until(SimTime::ZERO + SimDur::from_secs(36_000), |w| {
-        let da: &DuplexEngine = w.app(a);
-        let db: &DuplexEngine = w.app(b);
-        (da.is_finished() && db.is_finished())
-            || da.source.failure.is_some()
-            || db.source.failure.is_some()
-            || da.sink.failure.is_some()
-            || db.sink.failure.is_some()
-    });
     let w = sim.world();
-    let da: &DuplexEngine = w.app(a);
-    let db: &DuplexEngine = w.app(b);
-    for (label, f) in [
-        ("A source", &da.source.failure),
-        ("B source", &db.source.failure),
-        ("A sink", &da.sink.failure),
-        ("B sink", &db.sink.failure),
-    ] {
-        assert!(f.is_none(), "{label} failed: {f:?}");
-    }
-    assert!(
-        da.is_finished() && db.is_finished(),
-        "duplex run incomplete ({outcome:?})"
-    );
-    let end_a = da.source.stats.finished_at;
-    let end_b = db.source.stats.finished_at;
-    let end = end_a.max(end_b);
+    let ma: &MultiEngine = w.app(a);
+    let mb: &MultiEngine = w.app(b);
+    let forward = &ma.endpoints[0].as_source().expect("A's source").stats;
+    let reverse = &mb.endpoints[0].as_source().expect("B's source").stats;
+    let end = forward.finished_at.max(reverse.finished_at);
     DuplexReport {
-        forward_gbps: da.source.stats.goodput_gbps(),
-        reverse_gbps: db.source.stats.goodput_gbps(),
-        forward: da.source.stats.clone(),
-        reverse: db.source.stats.clone(),
+        forward_gbps: forward.goodput_gbps(),
+        reverse_gbps: reverse.goodput_gbps(),
+        forward: forward.clone(),
+        reverse: reverse.clone(),
         a_cpu_pct: w.core.hosts[a.index()].cpu.utilization_pct(end),
         b_cpu_pct: w.core.hosts[b.index()].cpu.utilization_pct(end),
     }

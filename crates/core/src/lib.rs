@@ -43,7 +43,6 @@ pub mod arena;
 pub mod block;
 pub mod config;
 pub mod credit;
-pub mod duplex;
 pub mod engine;
 pub mod estimator;
 pub mod harness;
@@ -63,7 +62,6 @@ pub use arena::{SlotArena, WeightedFair};
 pub use block::{FsmError, SnkState, SrcState};
 pub use config::{ConsumeMode, NotifyMode, RecoveryConfig, SinkConfig, SourceConfig, StoreConfig};
 pub use credit::{CreditMode, CreditStock, Granter};
-pub use duplex::DuplexEngine;
 pub use engine::{SinkEngine, SourceEngine, CTRL_RING_SLOTS};
 pub use estimator::{AdaptSnapshot, RttEstimator};
 pub use harness::{build_experiment, run_transfer, Experiment, TransferReport};

@@ -6,8 +6,8 @@
 //! identifier." Concurrent tasks need concurrent protocol endpoints;
 //! this module routes a host's completions and wakeups to whichever
 //! engine owns the queue pair / token namespace, letting one host run N
-//! parallel sources, N parallel sinks, or any mix (the
-//! [`crate::duplex::DuplexEngine`] is the two-engine special case).
+//! parallel sources, N parallel sinks, or any mix (a full-duplex host,
+//! [`crate::harness::run_duplex`], is one source plus one sink).
 
 use crate::engine::{SinkEngine, SourceEngine};
 use rftp_fabric::{Api, Application, Cqe, QpId};
@@ -52,8 +52,9 @@ impl Endpoint {
     }
 }
 
-/// N engines on one host. Every composed engine must carry a distinct
-/// token tag (`with_token_tag`) so wakeups route unambiguously.
+/// N engines on one host. Engines of the same role must carry distinct
+/// token tags (`with_token_tag`) so wakeups route unambiguously; a source
+/// and a sink may share a tag, since their wakeup kinds are disjoint.
 pub struct MultiEngine {
     pub endpoints: Vec<Endpoint>,
     /// QP → endpoint index, learned lazily as queue pairs appear (data

@@ -1,6 +1,6 @@
 //! Bidirectional synchronization: two sites exchange datasets
 //! simultaneously over one wide-area link. Each host runs a source and a
-//! sink behind a single application (`DuplexEngine`); the full-duplex
+//! sink behind a single application (a `MultiEngine`); the full-duplex
 //! link carries both payload streams at line rate concurrently.
 //!
 //! ```text
