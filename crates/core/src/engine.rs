@@ -1114,26 +1114,6 @@ impl SourceEngine {
                 self.credits.deposit(credits);
                 self.try_dispatch(api);
             }
-            CtrlMsg::CreditBatch {
-                session,
-                rkey,
-                slot_len,
-                slots,
-            } => {
-                // Compact batch form: same staleness rules as Credits,
-                // each slot expanding to a full pool credit.
-                if session != self.session
-                    || !matches!(self.phase, SrcPhase::Transfer | SrcPhase::Draining)
-                {
-                    return;
-                }
-                self.credits.deposit(
-                    slots
-                        .into_iter()
-                        .map(|s| crate::wire::Credit::from_batch(rkey, slot_len, s)),
-                );
-                self.try_dispatch(api);
-            }
             CtrlMsg::ResumeAccept {
                 session,
                 resume_from,
@@ -1872,15 +1852,6 @@ impl SinkEngine {
                 slot,
                 len,
             } => self.on_block_arrival(api, session, seq, slot, len),
-            CtrlMsg::AckBatch { session, acks } => {
-                // Coalesced completions: each entry is processed exactly
-                // as a standalone BlockComplete would be — including its
-                // per-completion credit grants, so the proactive ramp is
-                // unchanged; only the message count shrinks.
-                for a in acks {
-                    self.on_block_arrival(api, session, a.seq, a.slot, a.len);
-                }
-            }
             CtrlMsg::MrRequest { session } => {
                 let free = self.pool.as_ref().map(|p| p.free_count()).unwrap_or(0);
                 let n = self.granter.on_request(free);

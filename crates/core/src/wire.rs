@@ -66,21 +66,6 @@ pub const MAX_ACKS_PER_BATCH: usize = 16;
 /// Maximum slot indices per `CreditBatch` (8 + 8 + 4 + 2 + 32 × 4 = 150).
 pub const MAX_SLOTS_PER_CREDIT_BATCH: usize = 32;
 
-impl Credit {
-    /// Expand one [`CtrlMsg::CreditBatch`] entry back into a full credit.
-    /// The batch form exploits that every block in a registered pool has
-    /// the same rkey and capacity and sits at `slot * slot_len` — so the
-    /// wire carries 4 bytes per credit instead of 24.
-    pub fn from_batch(rkey: u64, slot_len: u32, slot: u32) -> Credit {
-        Credit {
-            slot,
-            rkey,
-            offset: slot as u64 * slot_len as u64,
-            len: slot_len,
-        }
-    }
-}
-
 /// Control message body (Fig. 7a "Type" + "Type Associated Data").
 ///
 /// ```
@@ -165,9 +150,9 @@ pub enum CtrlMsg {
     AckBatch { session: u32, acks: Vec<BlockAck> },
     /// Phase 2, coalesced: up to [`MAX_SLOTS_PER_CREDIT_BATCH`] credits
     /// in one message, in the compact pool form — one shared (rkey,
-    /// slot_len) and a list of slot indices, each expanding to a full
-    /// [`Credit`] via [`Credit::from_batch`]. 4 wire bytes per credit
-    /// instead of 24, and one message where `Credits` needs many.
+    /// slot_len) and a list of slot indices; slot `i` is the block at
+    /// offset `i * slot_len`. 4 wire bytes per credit instead of 24, and
+    /// one message where `Credits` needs many.
     CreditBatch {
         session: u32,
         rkey: u64,
@@ -813,20 +798,6 @@ mod tests {
                 slots: (0..n as u32).rev().collect(),
             });
         }
-    }
-
-    #[test]
-    fn credit_batch_expands_to_pool_credits() {
-        let c = Credit::from_batch(0xAB, 65560, 3);
-        assert_eq!(
-            c,
-            Credit {
-                slot: 3,
-                rkey: 0xAB,
-                offset: 3 * 65560,
-                len: 65560,
-            }
-        );
     }
 
     #[test]
