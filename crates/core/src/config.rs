@@ -89,8 +89,10 @@ impl StoreConfig {
 pub struct RecoveryConfig {
     pub enabled: bool,
     /// A posted block whose completion hasn't arrived after this long is
-    /// retransmitted. Must comfortably exceed the WAN RTT plus the
-    /// fabric's loss-detection timeout (a few RTTs).
+    /// retransmitted — once a later WRITE on its channel has completed,
+    /// or the channel has completed nothing for this long, so a block
+    /// that is only queued is never re-sent. Must comfortably exceed the
+    /// WAN RTT plus the fabric's loss-detection timeout (a few RTTs).
     pub retx_timeout: SimDur,
     /// Watchdog scan period.
     pub retx_check: SimDur,

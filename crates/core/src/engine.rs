@@ -222,6 +222,14 @@ struct InFlight {
     /// The credit consumed at dispatch (`None` while loading). Kept so
     /// the retransmit watchdog can re-WRITE to the same sink slot.
     credit: Option<Credit>,
+    /// Post id of this occupancy's first WRITE (`u64::MAX` until it is
+    /// dispatched). Post ids only grow, so a completion for an earlier
+    /// post belongs to an earlier occupant of the block and is ignored.
+    first_post: u64,
+    /// Post id and data channel of the latest WRITE (first post or
+    /// watchdog re-post).
+    post: u64,
+    chan: usize,
     /// When the WRITE was (last) posted; the watchdog compares this
     /// against the retransmit timeout.
     posted_at: SimTime,
@@ -256,6 +264,14 @@ pub struct SourceEngine {
     ctrl_rx: Option<RecvRing>,
     data_qps: Vec<QpId>,
     rr_qp: usize,
+    /// Id of the next data WRITE; each WRITE's `wr_id` carries its id
+    /// (see [`data_wr_id`]).
+    posts: u64,
+    /// Per data channel: the highest post id completed on it, and when.
+    /// An RC queue pair completes in post order, so a WRITE still
+    /// outstanding behind a completed later one lost its completion,
+    /// while one with no later completion may just be queued.
+    chan_done: Vec<(u64, SimTime)>,
 
     // Current job/session state.
     job_idx: usize,
@@ -335,6 +351,7 @@ impl SourceEngine {
     ) -> SourceEngine {
         assert!(!cfg.jobs.is_empty(), "no jobs configured");
         assert!(!loader_threads.is_empty() && !data_threads.is_empty());
+        assert!(cfg.pool_blocks <= 1 << 24, "a data wr_id holds 24 bits of block index");
         let geo = PoolGeometry::new(cfg.block_size, cfg.pool_blocks);
         let pool = AtomicSourcePool::new(geo);
         let inflight = vec![None; cfg.pool_blocks as usize];
@@ -355,6 +372,8 @@ impl SourceEngine {
             ctrl_rx: None,
             data_qps: Vec::new(),
             rr_qp: 0,
+            posts: 0,
+            chan_done: Vec::new(),
             job_idx: 0,
             phase: SrcPhase::AwaitAccept,
             next_seq: 0,
@@ -508,6 +527,9 @@ impl SourceEngine {
                 offset: self.next_load_off,
                 len,
                 credit: None,
+                first_post: u64::MAX,
+                post: 0,
+                chan: 0,
                 posted_at: SimTime::ZERO,
                 retries: 0,
             });
@@ -590,14 +612,18 @@ impl SourceEngine {
             };
             // Try the data channels round-robin until one has SQ room.
             let nqp = self.data_qps.len();
-            let mut posted = false;
+            let post = self.posts;
+            let mut posted = None;
             for _ in 0..nqp {
-                let qp = self.data_qps[self.rr_qp];
+                let chan = self.rr_qp;
                 self.rr_qp = (self.rr_qp + 1) % nqp;
-                let wr = WorkRequest::signaled(block as u64, WrOp::Write { local, remote, imm });
-                match api.post_send(qp, wr) {
+                let wr = WorkRequest::signaled(
+                    data_wr_id(post, block),
+                    WrOp::Write { local, remote, imm },
+                );
+                match api.post_send(self.data_qps[chan], wr) {
                     Ok(()) => {
-                        posted = true;
+                        posted = Some(chan);
                         break;
                     }
                     Err(PostError::SqFull) => {
@@ -610,15 +636,19 @@ impl SourceEngine {
                     }
                 }
             }
-            if !posted {
+            let Some(chan) = posted else {
                 // All SQs full: put the credit back and retry on the next
                 // completion.
                 self.credits.restore(credit);
                 break 'dispatch;
-            }
+            };
             self.loaded_q.pop_front();
+            self.posts += 1;
             let inf = self.inflight[block as usize].as_mut().expect("just read");
             inf.credit = Some(credit);
+            inf.first_post = post;
+            inf.post = post;
+            inf.chan = chan;
             inf.posted_at = api.now();
             self.pool.start_sending(block).expect("FSM: start_sending");
             self.pool.posted(block).expect("FSM: posted");
@@ -651,12 +681,21 @@ impl SourceEngine {
             self.on_fatal(api, cqe.status, "data write");
             return;
         }
-        let block = cqe.wr_id as BlockIdx;
-        let Some(inf) = self.inflight[block as usize].take() else {
-            // Completion from before a resume; the pool was rebuilt and
-            // this block's data already re-queued.
+        let (post, block) = (cqe.wr_id >> 24, (cqe.wr_id & 0xFF_FFFF) as BlockIdx);
+        if let Some(chan) = self.data_qps.iter().position(|&q| q == cqe.qp) {
+            let done = &mut self.chan_done[chan];
+            *done = (done.0.max(post), api.now());
+        }
+        let slot = &mut self.inflight[block as usize];
+        if !slot.is_some_and(|inf| post >= inf.first_post) {
+            // Not this occupant's WRITE: the other copy of a watchdog
+            // re-post already completed the block (which may since hold
+            // a new sequence), or the completion predates a resume that
+            // rebuilt the pool and re-queued this block's data. Each
+            // occupancy completes exactly once.
             return;
-        };
+        }
+        let inf = slot.take().expect("checked above");
         self.pool.complete(block).expect("FSM: complete");
         self.stats.blocks_sent += 1;
         self.stats.bytes_sent += inf.len as u64;
@@ -948,7 +987,12 @@ impl SourceEngine {
                     .enumerate()
                     .filter_map(|(b, inf)| match inf {
                         Some(i) if i.credit.is_some() && now.since(i.posted_at) >= timeout => {
-                            Some(b as BlockIdx)
+                            // Overdue only with evidence the WRITE is not
+                            // just queued behind the rest of the pool: a
+                            // later WRITE on its channel completed, or the
+                            // channel has completed nothing for a timeout.
+                            let (done, at) = self.chan_done[i.chan];
+                            (done > i.post || now.since(at) >= timeout).then_some(b as BlockIdx)
                         }
                         _ => None,
                     })
@@ -1019,21 +1063,25 @@ impl SourceEngine {
             offset: credit.offset,
         };
         let nqp = self.data_qps.len();
+        let post = self.posts;
         for _ in 0..nqp {
-            let qp = self.data_qps[self.rr_qp];
+            let chan = self.rr_qp;
             self.rr_qp = (self.rr_qp + 1) % nqp;
             let wr = WorkRequest::signaled(
-                block as u64,
+                data_wr_id(post, block),
                 WrOp::Write {
                     local,
                     remote,
                     imm: None,
                 },
             );
-            match api.post_send(qp, wr) {
+            match api.post_send(self.data_qps[chan], wr) {
                 Ok(()) => {
+                    self.posts += 1;
                     let inf = self.inflight[block as usize].as_mut().expect("just read");
                     inf.retries += 1;
+                    inf.post = post;
+                    inf.chan = chan;
                     inf.posted_at = api.now();
                     self.stats.faults.retransmits += 1;
                     return;
@@ -1085,6 +1133,7 @@ impl SourceEngine {
                             return;
                         }
                         self.data_qps.push(qp);
+                        self.chan_done.push((0, api.now()));
                     }
                     self.send_ctrl(
                         api,
@@ -1231,6 +1280,11 @@ impl Application for SourceEngine {
             other => panic!("source: unknown wakeup token kind {other:#x}"),
         }
     }
+}
+
+/// A data WRITE's `wr_id`: its post id above a 24-bit block index.
+fn data_wr_id(post: u64, block: BlockIdx) -> u64 {
+    (post << 24) | block as u64
 }
 
 /// Pack (sink slot, sequence) into a 32-bit immediate for `WriteImm`

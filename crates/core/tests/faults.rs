@@ -293,3 +293,26 @@ fn faulted_runs_are_deterministic() {
     assert_eq!(a.sink.faults, b.sink.faults);
     assert_eq!(a.source.ctrl_msgs_sent, b.source.ctrl_msgs_sent);
 }
+
+/// A retransmit timeout shorter than the 49 ms RTT: the watchdog re-posts
+/// blocks whose first WRITE is still in flight on a silent channel, so
+/// both copies complete. The first completion frees the block, which is
+/// reloaded for a new sequence; the late copy's completion must be
+/// ignored rather than complete the new occupant.
+#[test]
+fn late_completion_of_a_reposted_block_is_ignored() {
+    let (mut cfg, snk) = wan_cfgs(GB, 4 * MB, false);
+    cfg.recovery = RecoveryConfig {
+        retx_timeout: SimDur::from_millis(20),
+        retx_check: SimDur::from_millis(10),
+        ..RecoveryConfig::default()
+    };
+    let r = build_experiment(&testbed::ani_wan(), cfg, snk).run(hour());
+    assert!(
+        r.source.faults.retransmits > 0,
+        "the watchdog must have re-posted in-flight blocks: {:?}",
+        r.source.faults
+    );
+    assert_eq!(r.source.blocks_sent, GB / (4 * MB), "each block completes once");
+    assert_eq!(r.source.bytes_sent, GB);
+}

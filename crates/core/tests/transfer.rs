@@ -506,6 +506,35 @@ fn four_concurrent_jobs_on_the_wan() {
 }
 
 #[test]
+fn eight_wan_jobs_queue_past_the_retransmit_timeout_and_complete_exactly_once() {
+    // The concurrent_jobs harness's heaviest WAN row: 8 jobs × 58 blocks
+    // × 4 MB take ≈ 1.6 s to drain through the 10 Gb/s wire, longer than
+    // the 1 s retransmit timeout. A block that is only queued must not be
+    // re-posted, and every block completes exactly once.
+    use rftp_core::harness::run_parallel_jobs;
+    let tb = testbed::ani_wan();
+    let pool = ((4 * tb.bdp_bytes()) / (4 * MB)).clamp(16, 1024) as u32;
+    assert_eq!(pool, 58);
+    let job = || {
+        let cfg = SourceConfig::new(4 * MB, 2, GB).with_pool(pool);
+        let snk = SinkConfig {
+            pool_blocks: pool,
+            ctrl_ring_slots: cfg.ctrl_ring_slots,
+            ..SinkConfig::default()
+        };
+        (cfg, snk)
+    };
+    let queued = rftp_netsim::gbps(8 * pool as u64 * 4 * MB, SimDur::from_secs(1));
+    assert!(queued > tb.bare_metal.as_gbps(), "the queue outlasts the timeout");
+    let (stats, _) = run_parallel_jobs(&tb, (0..8).map(|_| job()).collect());
+    for s in &stats {
+        assert_eq!(s.bytes_sent, GB);
+        assert_eq!(s.blocks_sent, 256, "every block completes exactly once");
+        assert_eq!(s.faults.retransmits, 0, "queued blocks are not lost");
+    }
+}
+
+#[test]
 fn protocol_trace_shows_the_three_phases() {
     let tb = testbed::roce_lan();
     let mut cfg = SourceConfig::new(MB, 2, 8 * MB).with_pool(8);
