@@ -71,10 +71,10 @@ pub struct LiveConfig {
     /// Seed for the drop RNG — same seed, same drop pattern.
     pub fault_seed: u64,
     /// A dispatched block still unacked after this long is retransmitted
-    /// by the watchdog's timer (the watchdog runs when `fault_drop_p > 0`
-    /// or `adaptive`; a loss the ack stream reveals is re-sent without
-    /// waiting for it). Must comfortably exceed the pipeline's ack
-    /// latency or healthy blocks are re-sent.
+    /// by the watchdog's timer (the watchdog runs on every transfer; a
+    /// loss the ack stream reveals is re-sent without waiting for it).
+    /// Must comfortably exceed the pipeline's ack latency or healthy
+    /// blocks are re-sent.
     pub retx_timeout: std::time::Duration,
     /// Source backend: read blocks from this file instead of filling
     /// pattern data. The file must hold at least `total_bytes`.

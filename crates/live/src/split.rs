@@ -481,6 +481,27 @@ mod tests {
         );
     }
 
+    /// A static configuration behind a lossy shim: no drop injector and
+    /// no controller, so nothing in the config expects loss, and every
+    /// frame the shim eats must still be re-sent — recovery is armed on
+    /// every transfer.
+    #[test]
+    fn static_config_behind_a_lossy_shim_recovers() {
+        let wan = WanProfile::parse("drop=0.05,seed=3").unwrap();
+        let cfg = LiveConfig::new(64 << 10, 2, 8 << 20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run_cfg = cfg.clone();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_split_pair(&run_cfg, &wan));
+        });
+        let out = rx.recv_timeout(std::time::Duration::from_secs(60));
+        let (src, snk) = out.expect("transfer hung").expect("lossy transfer");
+        assert_eq!(snk.checksum_failures, 0);
+        assert_eq!((snk.bytes, snk.blocks), (cfg.total_bytes, 128));
+        assert_eq!(src.dropped_payloads, 0, "the injector is off");
+        assert!(src.retransmits >= 1, "5% of 128 frames dropped nothing");
+    }
+
     /// A control link that keeps what the handler sends.
     #[derive(Default)]
     struct Sent(Mutex<Vec<CtrlMsg>>);

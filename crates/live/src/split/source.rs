@@ -127,10 +127,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     // stage hands it blocks the ack stream proves lost (see
     // [`rftp_core::LossDetector`]), and a timer scan catches what acks
     // cannot — the tail of a transfer, a re-send with too few sends
-    // behind it. A clean static run starts neither.
-    let (mut lost_tx, lost_rx) = (cfg.fault_drop_p > 0.0 || cfg.adaptive)
-        .then(|| block_queue(cfg))
-        .unzip();
+    // behind it. It runs on every transfer: any path can lose a frame,
+    // whether or not the config expects it to.
+    let (lost_tx, lost_rx) = block_queue(cfg);
+    let mut lost_tx = Some(lost_tx);
 
     let mut tally = Tally {
         ctrl: 1, // the SessionRequest
@@ -146,11 +146,11 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             .collect();
         drop(loaded_tx);
         let dispatcher = stage(s, fail, move |t| dispatch(src, &loaded_rx, t));
-        let watchdog = lost_rx.map(|rx| stage(s, fail, move |t| watchdog(src, &rx, t)));
+        let watchdog = stage(s, fail, move |t| watchdog(src, &lost_rx, t));
         let control = stage(s, fail, move |t| {
             control(src, &mut *ctrl_rx, &mut lost_tx, &*shutdown_write, t)
         });
-        let stages = loaders.into_iter().chain([dispatcher]).chain(watchdog);
+        let stages = loaders.into_iter().chain([dispatcher, watchdog]);
         for h in stages.chain([control]) {
             tally.merge(&h.join().expect("source stage panicked"));
         }
@@ -495,10 +495,9 @@ fn control(
     shutdown_write: &dyn Fn(),
     t: &mut Tally,
 ) -> io::Result<()> {
-    let watched = lost_tx.is_some();
     let mut completed = 0u64;
-    // Retire one acked sequence; true when recovery is running and the ack
-    // moved its channel's high-water mark.
+    // Retire one acked sequence; true when the ack moved its channel's
+    // high-water mark.
     let retire = |seq: u32| -> io::Result<bool> {
         let block = src
             .seq2block
@@ -519,7 +518,7 @@ fn control(
             }
         }
         src.pool.complete(block).expect("FSM: complete");
-        Ok(watched && src.detector.on_ack(info.ch, info.ordinal, first_attempt))
+        Ok(src.detector.on_ack(info.ch, info.ordinal, first_attempt))
     };
     while completed < src.total_blocks {
         let msg =
