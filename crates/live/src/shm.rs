@@ -939,12 +939,14 @@ mod imp {
         }
     }
 
-    /// One sink data channel: a reader of the shared notify stream.
-    /// `recv_wire` never reads a socket — the payload is already in the
-    /// slot the caller's buffer aliases; all that remains is the
-    /// publication check. This is the zero-copy place stage.
+    /// One sink data channel. The first reads the notify stream; the
+    /// rest hold no stream and end at once (see
+    /// [`sink_transport_for_window`]). `recv_wire` never reads a socket
+    /// — the payload is already in the slot the caller's buffer aliases;
+    /// all that remains is the publication check. This is the zero-copy
+    /// place stage.
     struct ShmDataRx {
-        notify: Arc<Mutex<UnixStream>>,
+        notify: Option<UnixStream>,
         win: Arc<SnkWindow>,
         pending: Option<DataFrameHeader>,
     }
@@ -952,12 +954,11 @@ mod imp {
     impl DataRx for ShmDataRx {
         fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
             debug_assert!(self.pending.is_none(), "previous frame not consumed");
-            let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
-            let got = {
-                let mut s = self.notify.lock();
-                read_exact_or_eof(&mut *s, &mut rec)?
+            let Some(notify) = &mut self.notify else {
+                return Ok(None);
             };
-            if !got {
+            let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
+            if !read_exact_or_eof(notify, &mut rec)? {
                 return Ok(None);
             }
             let hdr = DataFrameHeader::decode(&rec)
@@ -991,9 +992,17 @@ mod imp {
     }
 
     /// Wrap one assembled shm connection pair plus a window into a
-    /// [`SinkTransport`]: `channels` notify readers over the one
-    /// stream, control framing unchanged, credits re-arming the window
-    /// on their way out.
+    /// [`SinkTransport`]: one notify reader plus `channels - 1` links
+    /// that end at once (the sink's census wants a link per channel),
+    /// control framing unchanged, credits re-arming the window on their
+    /// way out.
+    ///
+    /// One reader, because arrivals — and so acks — must leave in the
+    /// order the source stored them: the source infers a loss from
+    /// three later acks on the same channel ([`rftp_core::LossDetector`]),
+    /// and readers racing on one stream hand records to the handler out
+    /// of that order whenever one of them is descheduled, which reads as
+    /// a loss and re-sends a block that arrived.
     fn sink_transport_for_window(
         mut streams: SessionStreams<UnixStream>,
         channels: usize,
@@ -1005,11 +1014,11 @@ mod imp {
             .data
             .pop()
             .expect("an shm set has its notify stream");
-        let notify = Arc::new(Mutex::new(notify));
+        let mut notify = Some(notify);
         let data: Vec<Box<dyn DataRx>> = (0..channels)
             .map(|_| {
                 Box::new(ShmDataRx {
-                    notify: Arc::clone(&notify),
+                    notify: notify.take(),
                     win: Arc::clone(&win),
                     pending: None,
                 }) as Box<dyn DataRx>
@@ -1436,6 +1445,11 @@ mod imp {
             assert_eq!(snk.blocks, cfg.total_blocks());
             assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
             assert_eq!(src.transport_threads, 0, "source sends are stores");
+            // One notify reader: arrivals, and so acks, keep the order the
+            // source stored them in, so the ack stream never reads as a
+            // loss.
+            assert_eq!(snk.ooo_blocks, 0, "arrivals out of store order");
+            assert_eq!(src.fast_retransmits, 0, "a clean run read as lossy");
             assert!(
                 snk.stages.place_ns < 2_000.0,
                 "zero-copy place should be fence-cheap, got {} ns/blk",
