@@ -351,7 +351,10 @@ impl SourceEngine {
     ) -> SourceEngine {
         assert!(!cfg.jobs.is_empty(), "no jobs configured");
         assert!(!loader_threads.is_empty() && !data_threads.is_empty());
-        assert!(cfg.pool_blocks <= 1 << 24, "a data wr_id holds 24 bits of block index");
+        assert!(
+            cfg.pool_blocks <= 1 << 24,
+            "a data wr_id holds 24 bits of block index"
+        );
         let geo = PoolGeometry::new(cfg.block_size, cfg.pool_blocks);
         let pool = AtomicSourcePool::new(geo);
         let inflight = vec![None; cfg.pool_blocks as usize];

@@ -180,7 +180,11 @@ fn run_multi(core: FabricCore, apps: [MultiEngine; 2]) -> Sim<FabricWorld> {
     });
     for h in hosts {
         let m: &MultiEngine = sim.world().app(h);
-        assert!(m.failure().is_none(), "host {h:?} failed: {:?}", m.failure());
+        assert!(
+            m.failure().is_none(),
+            "host {h:?} failed: {:?}",
+            m.failure()
+        );
         assert!(m.is_finished(), "host {h:?} incomplete ({outcome:?})");
     }
     sim

@@ -313,6 +313,10 @@ fn late_completion_of_a_reposted_block_is_ignored() {
         "the watchdog must have re-posted in-flight blocks: {:?}",
         r.source.faults
     );
-    assert_eq!(r.source.blocks_sent, GB / (4 * MB), "each block completes once");
+    assert_eq!(
+        r.source.blocks_sent,
+        GB / (4 * MB),
+        "each block completes once"
+    );
     assert_eq!(r.source.bytes_sent, GB);
 }

@@ -525,7 +525,10 @@ fn eight_wan_jobs_queue_past_the_retransmit_timeout_and_complete_exactly_once() 
         (cfg, snk)
     };
     let queued = rftp_netsim::gbps(8 * pool as u64 * 4 * MB, SimDur::from_secs(1));
-    assert!(queued > tb.bare_metal.as_gbps(), "the queue outlasts the timeout");
+    assert!(
+        queued > tb.bare_metal.as_gbps(),
+        "the queue outlasts the timeout"
+    );
     let (stats, _) = run_parallel_jobs(&tb, (0..8).map(|_| job()).collect());
     for s in &stats {
         assert_eq!(s.bytes_sent, GB);
