@@ -88,16 +88,12 @@ impl StoreConfig {
 #[derive(Debug, Clone)]
 pub struct RecoveryConfig {
     pub enabled: bool,
-    /// A posted block whose completion hasn't arrived after this long is
-    /// retransmitted — once a later WRITE on its channel has completed,
-    /// or the channel has completed nothing for this long, so a block
-    /// that is only queued is never re-sent. Must comfortably exceed the
-    /// WAN RTT plus the fabric's loss-detection timeout (a few RTTs).
+    /// Initial RTO: the retransmit timeout until the first WRITE
+    /// completion has been timed, after which the watchdog runs on
+    /// [`crate::RttEstimator::rto`] and [`crate::LossDetector::verdict`]
+    /// (scanning every quarter RTO). Must comfortably exceed the WAN RTT
+    /// plus the fabric's loss-detection timeout (a few RTTs).
     pub retx_timeout: SimDur,
-    /// Watchdog scan period.
-    pub retx_check: SimDur,
-    /// Give up (engine fails) after this many retransmits of one block.
-    pub max_retx_per_block: u32,
     /// First back-off before a session resume attempt; doubles per
     /// consecutive failure up to `resume_backoff_max`.
     pub resume_backoff: SimDur,
@@ -112,8 +108,6 @@ impl Default for RecoveryConfig {
         RecoveryConfig {
             enabled: true,
             retx_timeout: SimDur::from_secs(1),
-            retx_check: SimDur::from_millis(250),
-            max_retx_per_block: 16,
             resume_backoff: SimDur::from_millis(10),
             resume_backoff_max: SimDur::from_millis(640),
             max_resume_attempts: 64,

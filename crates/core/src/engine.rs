@@ -21,6 +21,8 @@
 
 use crate::config::{ConsumeMode, NotifyMode, SinkConfig, SourceConfig};
 use crate::credit::{CreditStock, Granter};
+use crate::estimator::RttEstimator;
+use crate::loss::{Attempt, LossDetector, Verdict};
 use crate::pool::{AtomicSinkPool, AtomicSourcePool, BlockIdx, PoolGeometry};
 use crate::reorder::ReorderBuffer;
 use crate::stats::{SinkStats, SourceStats};
@@ -36,6 +38,7 @@ use rftp_netsim::cpu::per_byte_cost;
 use rftp_netsim::time::{SimDur, SimTime};
 use rftp_netsim::ThreadId;
 use std::collections::{HashMap, VecDeque};
+use std::time::Duration;
 
 /// Default slots in each control send/recv ring. On long-fat paths the
 /// ring must be deeper: a send slot is only reusable after the RC ack
@@ -226,15 +229,10 @@ struct InFlight {
     /// dispatched). Post ids only grow, so a completion for an earlier
     /// post belongs to an earlier occupant of the block and is ignored.
     first_post: u64,
-    /// Post id and data channel of the latest WRITE (first post or
-    /// watchdog re-post).
-    post: u64,
-    chan: usize,
-    /// When the WRITE was (last) posted; the watchdog compares this
-    /// against the retransmit timeout.
-    posted_at: SimTime,
-    /// Watchdog retransmissions of this block so far.
-    retries: u32,
+    /// The latest WRITE (first post or watchdog re-post), as the
+    /// watchdog's [`LossDetector::verdict`] judges it. A resume re-send
+    /// starts at one attempt, so Karn's rule treats it as a retransmit.
+    at: Attempt,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -267,11 +265,11 @@ pub struct SourceEngine {
     /// Id of the next data WRITE; each WRITE's `wr_id` carries its id
     /// (see [`data_wr_id`]).
     posts: u64,
-    /// Per data channel: the highest post id completed on it, and when.
-    /// An RC queue pair completes in post order, so a WRITE still
-    /// outstanding behind a completed later one lost its completion,
-    /// while one with no later completion may just be queued.
-    chan_done: Vec<(u64, SimTime)>,
+    /// Send ordinals and WRITE completions per data channel (an RC queue
+    /// pair completes in post order), and the RTO over first-attempt
+    /// post → completion times: the watchdog's evidence.
+    detector: LossDetector,
+    rtt: RttEstimator,
 
     // Current job/session state.
     job_idx: usize,
@@ -376,7 +374,8 @@ impl SourceEngine {
             data_qps: Vec::new(),
             rr_qp: 0,
             posts: 0,
-            chan_done: Vec::new(),
+            detector: LossDetector::new(0),
+            rtt: RttEstimator::new(),
             job_idx: 0,
             phase: SrcPhase::AwaitAccept,
             next_seq: 0,
@@ -518,23 +517,21 @@ impl SourceEngine {
             let len = (self.job_bytes() - self.next_load_off).min(self.cfg.block_size) as u32;
             let seq = self.next_seq;
             self.next_seq += 1;
-            if seq < self.max_seq_started {
-                // Re-assigning a sequence that was dispatched in a failed
-                // incarnation of this session: a resume retransmission.
-                self.stats.faults.retransmits += 1;
-            } else {
-                self.max_seq_started = seq + 1;
-            }
+            // Re-assigning a sequence that was dispatched in a failed
+            // incarnation of this session: a resume retransmission.
+            let resend = seq < self.max_seq_started;
+            self.stats.faults.retransmits += resend as u64;
+            self.max_seq_started = self.max_seq_started.max(seq + 1);
             self.inflight[block as usize] = Some(InFlight {
                 seq,
                 offset: self.next_load_off,
                 len,
                 credit: None,
                 first_post: u64::MAX,
-                post: 0,
-                chan: 0,
-                posted_at: SimTime::ZERO,
-                retries: 0,
+                at: Attempt {
+                    attempts: resend as u32,
+                    ..Attempt::default()
+                },
             });
             self.next_load_off += len as u64;
             let thread = self.loader_threads[self.next_loader];
@@ -592,7 +589,7 @@ impl SourceEngine {
         if self.phase != SrcPhase::Transfer {
             return;
         }
-        'dispatch: while !self.loaded_q.is_empty() {
+        while !self.loaded_q.is_empty() {
             let Some(credit) = self.credits.take() else {
                 break;
             };
@@ -603,56 +600,27 @@ impl SourceEngine {
                 self.fail(format!("credit too small: {} < {}", credit.len, wire_len));
                 return;
             }
-            let geo = self.pool.geometry();
-            let local = MrSlice::new(self.pool_mr, geo.offset(block), wire_len);
-            let remote = RemoteSlice {
-                rkey: Rkey::from_raw(credit.rkey),
-                offset: credit.offset,
-            };
             let imm = match self.cfg.notify {
                 NotifyMode::CtrlMsg => None,
                 NotifyMode::WriteImm => Some(pack_imm(credit.slot, inf.seq)),
             };
-            // Try the data channels round-robin until one has SQ room.
-            let nqp = self.data_qps.len();
-            let post = self.posts;
-            let mut posted = None;
-            for _ in 0..nqp {
-                let chan = self.rr_qp;
-                self.rr_qp = (self.rr_qp + 1) % nqp;
-                let wr = WorkRequest::signaled(
-                    data_wr_id(post, block),
-                    WrOp::Write { local, remote, imm },
-                );
-                match api.post_send(self.data_qps[chan], wr) {
-                    Ok(()) => {
-                        posted = Some(chan);
-                        break;
-                    }
-                    Err(PostError::SqFull) => {
-                        self.stats.sq_full_retries += 1;
-                        continue;
-                    }
-                    Err(e) => {
-                        self.on_post_error(api, e, "data post");
-                        return;
-                    }
-                }
-            }
-            let Some(chan) = posted else {
+            let post = match self.post_write(api, block, credit, imm) {
+                Ok(Some(post)) => post,
                 // All SQs full: put the credit back and retry on the next
                 // completion.
-                self.credits.restore(credit);
-                break 'dispatch;
+                Ok(None) => {
+                    self.credits.restore(credit);
+                    break;
+                }
+                Err(e) => {
+                    self.on_post_error(api, e, "data post");
+                    return;
+                }
             };
             self.loaded_q.pop_front();
-            self.posts += 1;
             let inf = self.inflight[block as usize].as_mut().expect("just read");
             inf.credit = Some(credit);
             inf.first_post = post;
-            inf.post = post;
-            inf.chan = chan;
-            inf.posted_at = api.now();
             self.pool.start_sending(block).expect("FSM: start_sending");
             self.pool.posted(block).expect("FSM: posted");
         }
@@ -663,20 +631,21 @@ impl SourceEngine {
             if self.starved_since.is_none() {
                 self.starved_since = Some(now);
             }
-            if self.credits.should_request() {
-                self.stats.credit_requests += 1;
-                self.request_sent_at = now;
-                self.send_ctrl(
-                    api,
-                    CtrlMsg::MrRequest {
-                        session: self.session,
-                    },
-                );
-            }
+            self.request_credits(api);
         } else if let Some(since) = self.starved_since.take() {
             self.stats.credit_starved += now.since(since);
         }
         self.stats.max_credit_stock = self.stats.max_credit_stock.max(self.credits.max_stock);
+    }
+
+    /// Ask the sink for credits, unless a request is already out.
+    fn request_credits(&mut self, api: &mut Api) {
+        if self.credits.should_request() {
+            self.stats.credit_requests += 1;
+            self.request_sent_at = api.now();
+            let session = self.session;
+            self.send_ctrl(api, CtrlMsg::MrRequest { session });
+        }
     }
 
     fn on_data_write_done(&mut self, api: &mut Api, cqe: &Cqe) {
@@ -685,20 +654,28 @@ impl SourceEngine {
             return;
         }
         let (post, block) = (cqe.wr_id >> 24, (cqe.wr_id & 0xFF_FFFF) as BlockIdx);
-        if let Some(chan) = self.data_qps.iter().position(|&q| q == cqe.qp) {
-            let done = &mut self.chan_done[chan];
-            *done = (done.0.max(post), api.now());
-        }
+        let chan = (self.data_qps.iter().position(|&q| q == cqe.qp)).expect("foreign data QP");
+        let now = api.now().nanos();
         let slot = &mut self.inflight[block as usize];
         if !slot.is_some_and(|inf| post >= inf.first_post) {
             // Not this occupant's WRITE: the other copy of a watchdog
             // re-post already completed the block (which may since hold
             // a new sequence), or the completion predates a resume that
             // rebuilt the pool and re-queued this block's data. Each
-            // occupancy completes exactly once.
+            // occupancy completes exactly once; the channel is alive.
+            self.detector.on_ack(chan, 0, false, now);
             return;
         }
         let inf = slot.take().expect("checked above");
+        // Karn's rule: only a block's one and only WRITE is a sample, or
+        // evidence for the loss mark.
+        let first_attempt = inf.at.attempts == 1;
+        if first_attempt {
+            self.rtt
+                .on_sample(Duration::from_nanos(now - inf.at.sent_ns));
+        }
+        self.detector
+            .on_ack(chan, inf.at.ordinal, first_attempt, now);
         self.pool.complete(block).expect("FSM: complete");
         self.stats.blocks_sent += 1;
         self.stats.bytes_sent += inf.len as u64;
@@ -769,10 +746,20 @@ impl SourceEngine {
         self.negotiated = false;
         self.await_since = api.now();
         self.phase = SrcPhase::AwaitAccept;
+        self.request_session(api);
+    }
+
+    /// Ask for the current job's session (again). Once the data channels
+    /// exist, `channels: 0` reuses them.
+    fn request_session(&mut self, api: &mut Api) {
         let msg = CtrlMsg::SessionRequest {
             session: self.session,
             block_size: self.cfg.block_size,
-            channels: 0,
+            channels: if self.data_qps.is_empty() {
+                self.cfg.channels
+            } else {
+                0
+            },
             total_bytes: self.job_bytes(),
             notify_imm: self.cfg.notify == NotifyMode::WriteImm,
         };
@@ -891,20 +878,7 @@ impl SourceEngine {
             self.await_since = api.now();
             self.rewind_to(0);
             self.max_seq_started = 0;
-            self.send_ctrl(
-                api,
-                CtrlMsg::SessionRequest {
-                    session: self.session,
-                    block_size: self.cfg.block_size,
-                    channels: if self.data_qps.is_empty() {
-                        self.cfg.channels
-                    } else {
-                        0
-                    },
-                    total_bytes: self.job_bytes(),
-                    notify_imm: self.cfg.notify == NotifyMode::WriteImm,
-                },
-            );
+            self.request_session(api);
         }
     }
 
@@ -948,67 +922,56 @@ impl SourceEngine {
         }
     }
 
-    /// Periodic watchdog: re-post blocks whose completion never arrived
-    /// (a swallowed CQE), re-ask for credits lost in flight, and re-send
-    /// a session request nobody answered. A no-op scan on a healthy
-    /// transfer — the timer is pure, so arming it costs nothing.
+    /// The current retransmit timeout: the estimator's, or the configured
+    /// initial one before the first sample.
+    fn rto(&self) -> SimDur {
+        (self.rtt.rto()).map_or(self.cfg.recovery.retx_timeout, |d| {
+            SimDur::from_nanos(d.as_nanos() as u64)
+        })
+    }
+
+    /// Arm the next watchdog scan, a quarter RTO out.
+    fn arm_retx(&mut self, api: &mut Api) {
+        let tok = tok_with_tag(TOK_RETX, self.token_tag, 0);
+        api.set_timer(self.timer_thread, SimDur(self.rto().0 / 4), tok);
+    }
+
+    /// Periodic watchdog: re-post blocks the shared loss verdict calls
+    /// lost (a swallowed CQE), re-ask for credits lost in flight, and
+    /// re-send a session request nobody answered — each after the
+    /// current RTO. A no-op scan on a healthy transfer — the timer is
+    /// pure, so arming it costs nothing.
     fn on_retx_tick(&mut self, api: &mut Api) {
         if self.is_finished() {
             return; // let the timer lapse
         }
-        api.set_timer(
-            self.timer_thread,
-            self.cfg.recovery.retx_check,
-            tok_with_tag(TOK_RETX, self.token_tag, 0),
-        );
+        self.arm_retx(api);
         let now = api.now();
-        let timeout = self.cfg.recovery.retx_timeout;
+        let timeout = self.rto();
         match self.phase {
             // A lost request or accept leaves no error completion on
             // our side; re-ask after a quiet timeout.
             SrcPhase::AwaitAccept if now.since(self.await_since) >= timeout => {
                 self.await_since = now;
-                self.send_ctrl(
-                    api,
-                    CtrlMsg::SessionRequest {
-                        session: self.session,
-                        block_size: self.cfg.block_size,
-                        channels: if self.data_qps.is_empty() {
-                            self.cfg.channels
-                        } else {
-                            0
-                        },
-                        total_bytes: self.job_bytes(),
-                        notify_imm: self.cfg.notify == NotifyMode::WriteImm,
-                    },
-                );
+                self.request_session(api);
             }
             SrcPhase::Transfer => {
-                let stale: Vec<BlockIdx> = self
-                    .inflight
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(b, inf)| match inf {
-                        Some(i) if i.credit.is_some() && now.since(i.posted_at) >= timeout => {
-                            // Overdue only with evidence the WRITE is not
-                            // just queued behind the rest of the pool: a
-                            // later WRITE on its channel completed, or the
-                            // channel has completed nothing for a timeout.
-                            let (done, at) = self.chan_done[i.chan];
-                            (done > i.post || now.since(at) >= timeout).then_some(b as BlockIdx)
-                        }
-                        _ => None,
+                let due: Vec<(BlockIdx, Verdict)> = (self.inflight.iter().enumerate())
+                    .filter_map(|(b, inf)| {
+                        let i = inf.as_ref().filter(|i| i.credit.is_some())?;
+                        let v = self.detector.verdict(&i.at, timeout.0, now.nanos());
+                        (v != Verdict::Wait).then_some((b as BlockIdx, v))
                     })
                     .collect();
-                if !stale.is_empty() && self.cfg.notify == NotifyMode::WriteImm {
+                if !due.is_empty() && self.cfg.notify == NotifyMode::WriteImm {
                     // A re-WRITE with immediate would consume a second
                     // receive and could chase a slot the sink already
                     // recycled; rewind the whole session instead.
                     self.enter_recovery(api);
                     return;
                 }
-                for block in stale {
-                    self.retransmit(api, block);
+                for (block, verdict) in due {
+                    self.retransmit(api, block, verdict);
                     if self.phase != SrcPhase::Transfer {
                         return;
                     }
@@ -1024,17 +987,8 @@ impl SourceEngine {
                     && self.credits.is_empty()
                     && now.since(self.request_sent_at) >= timeout
                 {
-                    self.request_sent_at = now;
                     self.credits.request_outstanding = false;
-                    if self.credits.should_request() {
-                        self.stats.credit_requests += 1;
-                        self.send_ctrl(
-                            api,
-                            CtrlMsg::MrRequest {
-                                session: self.session,
-                            },
-                        );
-                    }
+                    self.request_credits(api);
                 }
             }
             _ => {}
@@ -1044,62 +998,69 @@ impl SourceEngine {
     /// Re-post one block whose WRITE completion never arrived. The
     /// original credit is reused — the slot is still reserved at the sink
     /// — and if both copies land, the sink frees the duplicate.
-    fn retransmit(&mut self, api: &mut Api, block: BlockIdx) {
+    fn retransmit(&mut self, api: &mut Api, block: BlockIdx, verdict: Verdict) {
         let Some(inf) = self.inflight[block as usize] else {
             return;
         };
         let Some(credit) = inf.credit else {
             return;
         };
-        if inf.retries >= self.cfg.recovery.max_retx_per_block {
+        if verdict == Verdict::GiveUp {
             self.fail(format!(
                 "block seq {} exhausted its retransmit budget",
                 inf.seq
             ));
             return;
         }
-        let wire_len = inf.len as u64 + PAYLOAD_HEADER_LEN as u64;
-        let geo = self.pool.geometry();
-        let local = MrSlice::new(self.pool_mr, geo.offset(block), wire_len);
+        match self.post_write(api, block, credit, None) {
+            Ok(Some(_)) => {
+                self.stats.faults.retransmits += 1;
+                self.stats.faults.fast_retransmits += (verdict == Verdict::Fast) as u64;
+            }
+            // Every SQ full: the block stays due; the next scan retries.
+            Ok(None) => {}
+            Err(e) => self.on_post_error(api, e, "retransmit post"),
+        }
+    }
+
+    /// WRITE `block`'s payload into `credit`'s sink slot on the next data
+    /// channel with SQ room, round-robin, and stamp it as the block's
+    /// next attempt. Returns the post id, or `None` when every SQ is full.
+    fn post_write(
+        &mut self,
+        api: &mut Api,
+        block: BlockIdx,
+        credit: Credit,
+        imm: Option<u32>,
+    ) -> Result<Option<u64>, PostError> {
+        let len = self.inflight[block as usize].expect("untracked block").len;
+        let wire_len = len as u64 + PAYLOAD_HEADER_LEN as u64;
+        let local = MrSlice::new(self.pool_mr, self.pool.geometry().offset(block), wire_len);
         let remote = RemoteSlice {
             rkey: Rkey::from_raw(credit.rkey),
             offset: credit.offset,
         };
         let nqp = self.data_qps.len();
-        let post = self.posts;
         for _ in 0..nqp {
             let chan = self.rr_qp;
             self.rr_qp = (self.rr_qp + 1) % nqp;
-            let wr = WorkRequest::signaled(
-                data_wr_id(post, block),
-                WrOp::Write {
-                    local,
-                    remote,
-                    imm: None,
-                },
-            );
-            match api.post_send(self.data_qps[chan], wr) {
+            let post = self.posts;
+            let op = WrOp::Write { local, remote, imm };
+            match api.post_send(
+                self.data_qps[chan],
+                WorkRequest::signaled(data_wr_id(post, block), op),
+            ) {
                 Ok(()) => {
                     self.posts += 1;
                     let inf = self.inflight[block as usize].as_mut().expect("just read");
-                    inf.retries += 1;
-                    inf.post = post;
-                    inf.chan = chan;
-                    inf.posted_at = api.now();
-                    self.stats.faults.retransmits += 1;
-                    return;
+                    inf.at = self.detector.next_attempt(&inf.at, chan, api.now().nanos());
+                    return Ok(Some(post));
                 }
-                Err(PostError::SqFull) => {
-                    self.stats.sq_full_retries += 1;
-                    continue;
-                }
-                Err(e) => {
-                    self.on_post_error(api, e, "retransmit post");
-                    return;
-                }
+                Err(PostError::SqFull) => self.stats.sq_full_retries += 1,
+                Err(e) => return Err(e),
             }
         }
-        // Every SQ full: the block stays timed out; the next scan retries.
+        Ok(None)
     }
 
     fn on_ctrl_msg(&mut self, api: &mut Api, msg: CtrlMsg) {
@@ -1136,8 +1097,8 @@ impl SourceEngine {
                             return;
                         }
                         self.data_qps.push(qp);
-                        self.chan_done.push((0, api.now()));
                     }
+                    self.detector = LossDetector::new(self.data_qps.len());
                     self.send_ctrl(
                         api,
                         CtrlMsg::ChannelsReady {
@@ -1205,20 +1166,9 @@ impl Application for SourceEngine {
         self.timer_thread = api.thread();
         self.await_since = api.now();
         if self.cfg.recovery.enabled {
-            api.set_timer(
-                self.timer_thread,
-                self.cfg.recovery.retx_check,
-                tok_with_tag(TOK_RETX, self.token_tag, 0),
-            );
+            self.arm_retx(api);
         }
-        let msg = CtrlMsg::SessionRequest {
-            session: self.session,
-            block_size: self.cfg.block_size,
-            channels: self.cfg.channels,
-            total_bytes: self.job_bytes(),
-            notify_imm: self.cfg.notify == NotifyMode::WriteImm,
-        };
-        self.send_ctrl(api, msg);
+        self.request_session(api);
         // Loading can start before the accept arrives.
         self.kick_loaders(api);
     }

@@ -1,22 +1,23 @@
-//! RTT / loss estimation for the adaptive transfer controller.
+//! RTT / loss estimation: the retransmit timeout of both engines, and
+//! the live adaptive controller.
 //!
-//! The live pipeline measures the control-loop round trip from its own
-//! ack stream (block sent → `BlockComplete`/`AckBatch` retired) and
+//! A source measures the round trip from its own ack stream (live: block
+//! sent → `AckBatch` retired; simulated: WRITE posted → completed) and
 //! smooths it exactly the way TCP does (RFC 6298):
 //!
 //! ```text
 //! first sample:  srtt = s            rttvar = s / 2
 //! afterwards:    rttvar = 3/4 rttvar + 1/4 |srtt - s|
 //!                srtt   = 7/8 srtt   + 1/8 s
-//! rto = srtt + 4 rttvar
+//! rto = max(srtt + max(4 rttvar, srtt/4), 4 min_rtt, 10 ms)
 //! ```
 //!
 //! Karn's rule applies: blocks that were retransmitted never contribute
 //! samples (their ack cannot be attributed to a specific attempt).
 //!
-//! From `srtt` the controller derives everything the static flags used
-//! to pin: the coalescing dwell window (~srtt/8), the retransmit
-//! deadline (`rto()`), and — together with an offered-rate figure — a
+//! Both engines' retransmit watchdogs run on [`RttEstimator::rto`]. From
+//! `srtt` the live controller also derives the coalescing dwell window
+//! (~srtt/8) and — together with an offered-rate figure — a
 //! bandwidth-delay-product target for in-flight depth. Loss rate is a
 //! simple decayed fraction of watchdog-expired blocks, good enough to
 //! surface in reports and back off the depth target under sustained
@@ -113,21 +114,21 @@ impl RttEstimator {
         self.loss_events
     }
 
-    /// Retransmit deadline: `srtt + max(4·rttvar, srtt/4)`, floored so a
-    /// jitter-free LAN estimate cannot collapse the deadline into the
-    /// noise of a single scheduler wakeup. The proportional guard band
-    /// matters on a *steady* path: constant samples drive `rttvar` to
-    /// zero, but the sink's coalescing dwell (~srtt/8) still delays
-    /// individual acks deterministically — a pure RFC 6298 deadline
-    /// would then fire on every dwell-flushed ack. Returns `None` before
-    /// the first sample — the caller must hold its conservative initial
-    /// timeout until the path has actually been measured.
+    /// Retransmit deadline: `srtt + max(4·rttvar, srtt/4)`, floored at
+    /// `4·min_rtt` and [`MIN_RTO_NS`]; `None` before the first sample.
+    /// The srtt/4 band matters on a *steady* path: `rttvar` dies, but the
+    /// sink's coalescing dwell (~srtt/8) still delays acks. The min_rtt
+    /// floor covers a ~2×BDP window, where a block lawfully waits
+    /// ~3×min_rtt for its ack while `srtt` lags the queue being built:
+    /// by-design queueing must never read as loss.
     pub fn rto(&self) -> Option<Duration> {
         if self.samples == 0 {
             return None;
         }
         let band = (4 * self.rttvar_ns).max(self.srtt_ns / 4);
-        let ns = (self.srtt_ns + band).max(MIN_RTO_NS);
+        let ns = (self.srtt_ns + band)
+            .max(self.min_rtt_ns.saturating_mul(4))
+            .max(MIN_RTO_NS);
         Some(Duration::from_nanos(ns))
     }
 
@@ -172,7 +173,7 @@ impl RttEstimator {
 
 /// EWMA gain for the loss-rate estimate (per event).
 const LOSS_GAIN: f64 = 1.0 / 16.0;
-/// RTO floor. Must exceed the widest coalescing dwell (`MAX_DWELL_NS`)
+/// Absolute RTO floor. Must exceed the widest coalescing dwell (`MAX_DWELL_NS`)
 /// plus a scheduler quantum: the sink may lawfully sit on an ack for a
 /// full dwell window, and on a short-RTT path the smoothed estimate
 /// converges far below that — a floor at the estimate would turn every
@@ -214,8 +215,8 @@ mod tests {
         e.on_sample(ms(49));
         assert_eq!(e.srtt(), ms(49));
         assert_eq!(e.rttvar(), Duration::from_micros(24_500));
-        // rto = 49 + 4*24.5 = 147 ms
-        assert_eq!(e.rto().unwrap(), ms(147));
+        // srtt + 4·rttvar = 147 ms, under the 4·min_rtt floor of 196 ms.
+        assert_eq!(e.rto().unwrap(), ms(196));
     }
 
     #[test]
@@ -226,9 +227,17 @@ mod tests {
         }
         assert_eq!(e.srtt(), ms(49));
         assert!(e.rttvar() < ms(1), "constant samples drive rttvar to 0");
+        // A steady path sits on the 4·min_rtt floor.
+        assert_eq!(e.rto().unwrap(), ms(196));
+        // Below the floor's reach (one 10 ms sample sets it at 40 ms),
         // rto converges toward srtt + the srtt/4 guard band (variance
         // dies, but the band keeps dwell-delayed acks inside the
         // deadline).
+        let mut e = RttEstimator::new();
+        e.on_sample(ms(10));
+        for _ in 0..200 {
+            e.on_sample(ms(49));
+        }
         let rto = e.rto().unwrap();
         assert!(rto > ms(55) && rto < ms(63), "rto={rto:?}");
     }
@@ -287,6 +296,22 @@ mod tests {
         let mut e = RttEstimator::new();
         e.on_loss();
         assert!(!e.has_sample() && e.rto().is_none());
+    }
+
+    #[test]
+    fn rto_never_falls_below_four_min_rtts_under_queue_inflated_samples() {
+        // A 49 ms path whose window builds a queue: samples climb to
+        // 150 ms while srtt lags them, so srtt + 4·rttvar undershoots
+        // how long a queued block lawfully waits.
+        let mut e = RttEstimator::new();
+        for k in 0..=100 {
+            e.on_sample(ms(49 + k));
+            assert!(e.rto().unwrap() >= ms(196), "sample {k}: {:?}", e.rto());
+        }
+        for _ in 0..200 {
+            e.on_sample(ms(60));
+        }
+        assert_eq!(e.rto().unwrap(), ms(196), "the band is below the floor");
     }
 
     #[test]

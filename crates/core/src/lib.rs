@@ -65,7 +65,7 @@ pub use credit::{CreditMode, CreditStock, Granter};
 pub use engine::{SinkEngine, SourceEngine, CTRL_RING_SLOTS};
 pub use estimator::{AdaptSnapshot, RttEstimator};
 pub use harness::{build_experiment, run_transfer, Experiment, TransferReport};
-pub use loss::{LossDetector, REORDER_THRESHOLD};
+pub use loss::{Attempt, LossDetector, Verdict, MAX_RESENDS, REORDER_THRESHOLD};
 pub use multi::{Endpoint, MultiEngine};
 pub use pool::{AtomicSinkPool, AtomicSourcePool, BlockIdx, IndexQueue, PoolGeometry};
 pub use reorder::ReorderBuffer;

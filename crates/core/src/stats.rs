@@ -21,6 +21,10 @@ pub struct TimelinePoint {
 pub struct FaultStats {
     /// Blocks re-sent by the retransmit watchdog or a session resume.
     pub retransmits: u64,
+    /// Of `retransmits`, the watchdog's re-sends of WRITEs that the
+    /// completion order proved lost (the rest are timer or resume
+    /// re-sends).
+    pub fast_retransmits: u64,
     /// Session resume round-trips completed (source) / honoured (sink).
     pub reconnects: u64,
     /// Credits re-granted after loss detection or resume.

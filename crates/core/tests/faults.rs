@@ -261,6 +261,13 @@ fn swallowed_completions_are_retransmitted() {
         "the watchdog must have re-posted: {:?}",
         r.source.faults
     );
+    // The drop window is mid-stream: later completions on each channel
+    // name the holes before any timer would.
+    assert!(
+        r.source.faults.fast_retransmits > 0,
+        "the completion order must have named the holes: {:?}",
+        r.source.faults
+    );
     // The original WRITEs landed (only their completions were eaten), so
     // the retransmitted copies overwrite identical bytes in place and the
     // sink, which only learns of blocks via BlockComplete, sees each
@@ -270,13 +277,46 @@ fn swallowed_completions_are_retransmitted() {
 }
 
 /// A 300 ms NIC transmit freeze delays traffic without dropping any of
-/// it; the transfer absorbs the stall without tripping recovery.
+/// it; the transfer absorbs the stall without tripping recovery: no QP
+/// error, no resume, no duplicate, and at most one window re-posted.
 #[test]
 fn nic_stall_is_absorbed() {
     let plan = FaultPlan::new().nic_stall(HostId(0), at(1_000), SimDur::from_millis(300));
     let r = run_with_plan(&plan, 2 * GB);
     assert_delivered(&r, 2 * GB);
     assert_eq!(r.sink.checksum_failures, 0);
+    assert_eq!(r.source.faults.qp_errors, 0, "{:?}", r.source.faults);
+    assert_eq!(r.source.faults.reconnects, 0, "{:?}", r.source.faults);
+    assert_eq!(r.sink.faults.duplicate_blocks, 0, "{:?}", r.sink.faults);
+    assert!(r.source.faults.retransmits <= 64, "{:?}", r.source.faults);
+}
+
+/// The estimator takes the retransmit timeout over from the configured
+/// initial one. With a 20 ms `retx_timeout` under the 49 ms RTT, the
+/// first window is re-posted before any completion is timed; after that
+/// the RTO is at least four RTTs, so a 100 ms NIC stall at 1 s — five
+/// initial timeouts of silence on every channel — re-posts nothing more,
+/// and every block still completes once.
+#[test]
+fn the_estimator_takes_over_the_initial_rto() {
+    let (mut cfg, snk) = wan_cfgs(2 * GB, 4 * MB, false);
+    cfg.recovery.retx_timeout = SimDur::from_millis(20);
+    let mut exp = build_experiment(&testbed::ani_wan(), cfg, snk);
+    let plan = FaultPlan::new().nic_stall(HostId(0), at(1_000), SimDur::from_millis(100));
+    plan.apply(&mut exp.sim);
+    let r = exp.run(hour());
+    assert_delivered(&r, 2 * GB);
+    assert!(
+        (1..=64).contains(&r.source.faults.retransmits),
+        "only the first window of the 64-block pool is re-posted: {:?}",
+        r.source.faults
+    );
+    assert_eq!(
+        r.source.blocks_sent,
+        2 * GB / (4 * MB),
+        "each block completes once"
+    );
+    assert_eq!(r.sink.faults.duplicate_blocks, 0);
 }
 
 /// Determinism under faults: the same plan replays the same outage and
@@ -304,7 +344,6 @@ fn late_completion_of_a_reposted_block_is_ignored() {
     let (mut cfg, snk) = wan_cfgs(GB, 4 * MB, false);
     cfg.recovery = RecoveryConfig {
         retx_timeout: SimDur::from_millis(20),
-        retx_check: SimDur::from_millis(10),
         ..RecoveryConfig::default()
     };
     let r = build_experiment(&testbed::ani_wan(), cfg, snk).run(hour());

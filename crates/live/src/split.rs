@@ -383,8 +383,9 @@ mod tests {
     }
 
     /// A pipeline thread that panics takes the transfer down with it:
-    /// every send is dropped and the deadline is 100 µs, so the watchdog
-    /// reaches its `attempts < 64` assert within a second. Both halves
+    /// every send is dropped and the deadline is 100 µs, so a block spends
+    /// its [`rftp_core::MAX_RESENDS`] re-sends and the watchdog panics
+    /// within a second. Both halves
     /// must then end — the source by that panic surfacing at the join (or
     /// an error), the sink with an error — where they used to wait for
     /// ever on acks and frames that could no longer come.

@@ -14,8 +14,9 @@ use std::time::Instant;
 ///
 /// * the **source** samples block-sent → ack-retired (Karn-filtered to
 ///   first-attempt acks) and drives the retransmit deadline from
-///   `srtt + 4·rttvar` instead of the fixed `retx_timeout`, which fires
-///   spuriously the moment the path RTT approaches it;
+///   [`rftp_core::RttEstimator::rto`] instead of the fixed
+///   `retx_timeout`, which fires spuriously the moment the path RTT
+///   approaches it;
 /// * the **sink** samples credit-granted → data-arrived per slot and
 ///   drives the coalescing dwell (~srtt/8 instead of the loopback-tuned
 ///   floor) and — when the offered path rate is known — a 2×BDP bound on
@@ -60,19 +61,7 @@ impl Controller {
         let mut est = self.est.lock();
         est.on_sample(rtt);
         if let Some(rto) = est.rto() {
-            // The controller's own depth target keeps ~2×BDP in flight,
-            // so a block lawfully waits ~3×min_rtt for its ack —
-            // propagation plus a full window draining ahead of it. The
-            // RFC 6298 deadline undershoots that during the ramp (srtt
-            // lags the queue it is busy building), so floor it at
-            // 4×min_rtt: by-design queueing must never read as loss.
-            // LAN paths are unaffected (µs-scale min_rtt, the 10 ms
-            // estimator floor dominates).
-            let floor = est
-                .min_rtt()
-                .map_or(0, |m| 4 * m.as_nanos().min(u64::MAX as u128 / 4) as u64);
-            self.rto_ns
-                .store((rto.as_nanos() as u64).max(floor), Ordering::Relaxed);
+            self.rto_ns.store(rto.as_nanos() as u64, Ordering::Relaxed);
         }
         if let Some(dwell) = est.dwell() {
             self.dwell_ns

@@ -10,7 +10,9 @@ use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rftp_core::pattern::fill_pattern;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
-use rftp_core::{AtomicSourcePool, IndexQueue, LossDetector, PoolGeometry, ReorderBuffer};
+use rftp_core::{
+    AtomicSourcePool, Attempt, IndexQueue, LossDetector, PoolGeometry, ReorderBuffer, Verdict,
+};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,11 +56,20 @@ struct Src<'a> {
     seq2block: Mutex<HashMap<u32, u32>>,
     next_seq: AtomicU64,
     detector: LossDetector,
+    /// What the detector's nanosecond times count from.
+    epoch: Instant,
     /// The ack-loop estimator: block sent → ack retired, Karn-filtered.
     ctl: Option<Controller>,
     ctrl_tx: Arc<dyn CtrlTx>,
     data: Arc<Vec<Box<dyn DataTx>>>,
     fail: Fail,
+}
+
+impl Src<'_> {
+    /// Now, on the detector's clock.
+    fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
 }
 
 /// Run the source half of a transfer over `t`: negotiate, load blocks
@@ -114,6 +125,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         seq2block: Mutex::new(HashMap::new()),
         next_seq: AtomicU64::new(0),
         detector: LossDetector::new(cfg.channels),
+        epoch: Instant::now(),
         ctl,
         ctrl_tx,
         data,
@@ -236,10 +248,7 @@ fn load(src: &Src, loaded: &Sender<u32>, t: &mut Tally) -> io::Result<()> {
             seq: seq as u32,
             slot: u32::MAX,
             len,
-            sent_at: Instant::now(),
-            attempts: 0,
-            ch: 0,
-            ordinal: 0,
+            at: Attempt::default(),
         });
         src.seq2block.lock().insert(seq as u32, block);
         src.pool.loaded(block).expect("FSM: loaded");
@@ -345,10 +354,7 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
                 let mut inf = inflight[block as usize].lock();
                 let i = inf.as_mut().expect("loaded block untracked");
                 i.slot = slot;
-                i.sent_at = Instant::now();
-                i.attempts = 1;
-                i.ch = ch;
-                i.ordinal = src.detector.on_send(ch);
+                i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
                 *i
             };
             // Test hook: the descheduling described above, on demand, held
@@ -397,13 +403,13 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
 }
 
 /// Retransmit watchdog — the live analogue of the simulated engine's
-/// TOK_RETX scan, parked on the control stage's hand-off queue. It wakes
-/// for a block the acks prove lost, or after a quarter deadline to scan
-/// for blocks unacked past it; either way the block is judged again under
-/// its in-flight lock, so one queued twice (or acked meanwhile) is not
-/// sent twice. A re-send can itself be lost and retried. The queue
-/// disconnecting — the control stage finished or failed — ends the stage
-/// at once.
+/// TOK_RETX scan, parked on the control stage's hand-off queue, judging
+/// by the same [`LossDetector::verdict`]. It wakes for a block the acks
+/// prove lost, or after a quarter deadline to scan every block; either
+/// way the block is judged again under its in-flight lock, so one queued
+/// twice (or acked meanwhile) is not sent twice. A re-send can itself be
+/// lost and retried. The queue disconnecting — the control stage
+/// finished or failed — ends the stage at once.
 fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
     let (cfg, data, ctl) = (src.cfg, &src.data, src.ctl.as_ref());
     let mut rr = 0usize;
@@ -418,6 +424,7 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
             return Ok(());
         }
         let deadline = retx_deadline(cfg, ctl);
+        let rto_ns = deadline.as_nanos() as u64;
         if Instant::now() >= next_scan {
             due.clear();
             due.extend(0..cfg.pool_blocks);
@@ -431,33 +438,25 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
             if i.slot == u32::MAX {
                 continue;
             }
-            let by_ack = src.detector.is_lost(i.ch, i.ordinal);
-            // Karn's backoff: every unacked attempt doubles this block's
-            // own deadline. The RTO tracks *network* srtt, but the ack can
-            // also stall on receiver-side work (write-behind flush, CPU
-            // steal); without backoff one such stall expires the whole
-            // window, and the retransmits re-queue behind the stall and
-            // expire again — a storm that feeds the loss EWMA instead of
-            // the pipe.
-            let shift = i.attempts.saturating_sub(1).min(6);
-            if !by_ack && i.sent_at.elapsed() < deadline.saturating_mul(1 << shift) {
-                continue;
+            let verdict = src.detector.verdict(&i.at, rto_ns, src.now_ns());
+            match verdict {
+                Verdict::Wait => continue,
+                Verdict::GiveUp => panic!("block seq {} will not go through", i.seq),
+                Verdict::Fast | Verdict::Timer => {}
             }
-            assert!(i.attempts < 64, "block seq {} will not go through", i.seq);
             let ch = rr % data.len();
             rr += 1;
-            i.sent_at = Instant::now();
-            i.attempts += 1;
             t.retransmits += 1;
-            t.fast_retransmits += by_ack as u64;
+            t.fast_retransmits += (verdict == Verdict::Fast) as u64;
             if let Some(c) = ctl {
                 c.on_loss();
             }
             // The same drop dice as a first send, keyed by (sequence,
             // attempt): which re-sends the wire eats is a property of the
             // seed, not of the order recovery happened to run in.
-            let mut dice =
-                cfg.fault_seed ^ 0x5EED_5EED_5EED_5EED ^ ((i.seq as u64) << 8 | i.attempts as u64);
+            let mut dice = cfg.fault_seed
+                ^ 0x5EED_5EED_5EED_5EED
+                ^ ((i.seq as u64) << 8 | (i.at.attempts + 1) as u64);
             if drop_roll(&mut dice) < cfg.fault_drop_p {
                 t.dropped += 1;
             } else {
@@ -476,10 +475,9 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
             // Stamped once the frame is on the link, not before: the
             // dispatcher shares these channels, and an ordinal drawn ahead
             // of a send it then overtakes would read as a hole three acks
-            // later. Drawn late, the ordinal can only understate how long
-            // the attempt has been out.
-            i.ch = ch;
-            i.ordinal = src.detector.on_send(ch);
+            // later. Stamped late, the attempt can only understate how
+            // long it has been out.
+            i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
         }
     }
 }
@@ -511,14 +509,15 @@ fn control(
         debug_assert_eq!(info.seq, seq);
         // Karn's rule: a retransmitted block's ack cannot be attributed to
         // an attempt, so only first-attempt acks feed the estimator.
-        let first_attempt = info.attempts == 1;
+        let (at, now) = (info.at, src.now_ns());
+        let first_attempt = at.attempts == 1;
         if first_attempt {
             if let Some(c) = &src.ctl {
-                c.on_rtt_sample(info.sent_at.elapsed());
+                c.on_rtt_sample(Duration::from_nanos(now.saturating_sub(at.sent_ns)));
             }
         }
         src.pool.complete(block).expect("FSM: complete");
-        Ok(src.detector.on_ack(info.ch, info.ordinal, first_attempt))
+        Ok(src.detector.on_ack(at.ch, at.ordinal, first_attempt, now))
     };
     while completed < src.total_blocks {
         let msg =
@@ -570,7 +569,9 @@ fn control(
                 let lost = src.inflight[block as usize]
                     .lock()
                     .as_ref()
-                    .is_some_and(|i| i.slot != u32::MAX && src.detector.is_lost(i.ch, i.ordinal));
+                    .is_some_and(|i| {
+                        i.slot != u32::MAX && src.detector.is_lost(i.at.ch, i.at.ordinal)
+                    });
                 if lost {
                     // A dead watchdog has set `fail`.
                     let _ = tx.send(block);
@@ -636,17 +637,9 @@ pub(crate) struct InFlightInfo {
     pub(crate) seq: u32,
     pub(crate) slot: u32,
     pub(crate) len: u32,
-    /// When the block last went onto the wire (dispatch or retransmit);
-    /// the watchdog's timer re-sends once the deadline passes without an
-    /// ack.
-    pub(crate) sent_at: Instant,
-    /// Wire attempts so far — a runaway count means the recovery loop is
-    /// broken, not that the fabric is unlucky.
-    pub(crate) attempts: u32,
-    /// Data channel the latest attempt went out on, and its send ordinal
-    /// there — what [`rftp_core::LossDetector`] judges the attempt by.
-    pub(crate) ch: usize,
-    pub(crate) ordinal: u64,
+    /// The latest wire attempt (none yet while loading) — what the
+    /// watchdog's [`LossDetector::verdict`] judges.
+    pub(crate) at: Attempt,
 }
 
 /// splitmix64 — the drop RNG. Self-contained so the fault injector adds
