@@ -73,6 +73,7 @@ use parking_lot::Mutex;
 use rftp_faults::WanProfile;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::{Scope, ScopedJoinHandle};
 
@@ -86,6 +87,8 @@ pub(crate) fn perr(msg: impl Into<String>) -> io::Error {
 /// error out instead of hanging; lock-free waits poll [`Fail::is_set`].
 pub(crate) struct Fail {
     err: OnceLock<io::Error>,
+    /// The half finished and tore its links down itself ([`Fail::close`]).
+    closed: AtomicBool,
     abort: Arc<dyn Fn() + Send + Sync>,
 }
 
@@ -93,12 +96,23 @@ impl Fail {
     pub(crate) fn new(abort: Arc<dyn Fn() + Send + Sync>) -> Fail {
         Fail {
             err: OnceLock::new(),
+            closed: AtomicBool::new(false),
             abort,
         }
     }
 
     pub(crate) fn set(&self, e: io::Error) {
-        let _ = self.err.set(e);
+        if !self.closed.load(Ordering::Acquire) {
+            let _ = self.err.set(e);
+        }
+        (self.abort)();
+    }
+
+    /// Tear the transport down on success: the half's work is done, so
+    /// a link error from here on is this teardown's echo in a stage
+    /// still reading, and is not recorded.
+    pub(crate) fn close(&self) {
+        self.closed.store(true, Ordering::Release);
         (self.abort)();
     }
 
@@ -361,8 +375,9 @@ mod tests {
     /// FSM must already have moved when the slot became visible — when
     /// it moved after, that ack found the block `Loaded`, the control
     /// thread panicked and the transfer hung. The last block stalls too:
-    /// its ack ends the transfer and closes the link, so its late first
-    /// send fails — on a block already acked, which is not an error.
+    /// every block is acked before its first send, but `DatasetComplete`
+    /// leaves only behind that send, so the sink is still up to discard
+    /// it as a duplicate.
     #[test]
     fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
         let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
@@ -529,25 +544,95 @@ mod tests {
         }
     }
 
-    /// Put sequence `seq` of a pattern transfer into `slot`, as a
-    /// receiver would have, and announce it.
-    fn arrive(h: &mut SinkHandler, bufs: &BlockPool, seq: u32, slot: u32) -> io::Result<()> {
-        let len = h.cfg.block_size as u32;
-        {
-            let mut buf = bufs[slot as usize].lock();
-            PayloadHeader {
-                session: SESSION,
-                seq,
-                offset: seq as u64 * len as u64,
-                len,
-            }
-            .encode(&mut buf[..PAYLOAD_HEADER_LEN]);
-            fill_pattern(
-                &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
-                pattern_seed(seq),
-            );
+    /// Put sequence `seq` of a pattern transfer of `len`-byte blocks
+    /// into `slot`, as a receiver would have; the arrival to announce.
+    fn land(bufs: &BlockPool, len: u32, seq: u32, slot: u32) -> SinkEvt {
+        let mut buf = bufs[slot as usize].lock();
+        PayloadHeader {
+            session: SESSION,
+            seq,
+            offset: seq as u64 * len as u64,
+            len,
         }
-        h.handle(SinkEvt::Arrival { seq, slot, len })
+        .encode(&mut buf[..PAYLOAD_HEADER_LEN]);
+        fill_pattern(
+            &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
+            pattern_seed(seq),
+        );
+        SinkEvt::Arrival { seq, slot, len }
+    }
+
+    /// [`land`] and announce.
+    fn arrive(h: &mut SinkHandler, bufs: &BlockPool, seq: u32, slot: u32) -> io::Result<()> {
+        h.handle(land(bufs, h.cfg.block_size as u32, seq, slot))
+    }
+
+    /// The opening request of a one-channel transfer of `cfg`.
+    fn request(cfg: &LiveConfig) -> SinkEvt {
+        SinkEvt::Ctrl(CtrlMsg::SessionRequest {
+            session: SESSION,
+            block_size: cfg.block_size as u64,
+            channels: 1,
+            total_bytes: cfg.total_bytes,
+            notify_imm: true,
+        })
+    }
+
+    /// `DatasetComplete` ahead of the last arrival, as the source sends
+    /// it: the arrival that completes the set ends the handler in the
+    /// drain it lands in, its ack flushed at once — no dwell on the
+    /// partial batch, however long the window — and it joins the acks
+    /// of the blocks before it in one `AckBatch`.
+    #[test]
+    fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
+        let mut cfg = LiveConfig::new(4096, 1, 4 * 4096);
+        cfg.pool_blocks = 4;
+        cfg.initial_credits = 4;
+        cfg.flush_window = std::time::Duration::from_secs(2);
+        let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let sent = Sent::default();
+        let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
+        let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
+        let mut h = sess.handler(&sent, &view, None);
+        h.handle(request(&cfg)).unwrap();
+        let granted = sent.take_granted();
+        let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                let ran = h.run(None, &rx);
+                let _ = done_tx.send((ran.map(|()| h.delivered), Instant::now()));
+            });
+            let send = |ev| assert!(tx.send(ev).is_ok(), "the handler stopped early");
+            for seq in 0..3 {
+                send(land(&bufs, 4096, seq, granted[seq as usize]));
+            }
+            send(SinkEvt::Ctrl(CtrlMsg::DatasetComplete {
+                session: SESSION,
+                total_blocks: 4,
+            }));
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            let last = Instant::now();
+            send(land(&bufs, 4096, 3, granted[3]));
+            // The queue stays open: a handler that dwelt would wait out
+            // the window, and one that missed the end would never return.
+            let out = done_rx.recv_timeout(std::time::Duration::from_secs(5));
+            drop(tx);
+            let (delivered, ended) = out.expect("the handler did not end on its last arrival");
+            assert_eq!(delivered.unwrap(), 4);
+            let after = ended - last;
+            assert!(
+                after < std::time::Duration::from_millis(200),
+                "ended {after:?} after the last arrival"
+            );
+        });
+        let acks: Vec<Vec<u32>> = (sent.0.lock().iter())
+            .filter_map(|m| match m {
+                CtrlMsg::AckBatch { acks, .. } => Some(acks.iter().map(|a| a.seq).collect()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(acks, [vec![0, 1, 2, 3]], "one AckBatch, the last ack in it");
     }
 
     /// A four-block transfer into a four-slot pool with sequence 0
@@ -567,14 +652,7 @@ mod tests {
         let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
         let (snk_pool, mut h) = (&sess.snk_pool, sess.handler(&sent, &view, None));
 
-        h.handle(SinkEvt::Ctrl(CtrlMsg::SessionRequest {
-            session: SESSION,
-            block_size: 4096,
-            channels: 1,
-            total_bytes: cfg.total_bytes,
-            notify_imm: true,
-        }))
-        .unwrap();
+        h.handle(request(&cfg)).unwrap();
         let granted = sent.take_granted();
         assert_eq!(granted.len(), 4);
         assert_eq!(snk_pool.free_count(), 0);

@@ -203,8 +203,20 @@ impl<'a> SinkSession<'a> {
         }
     }
 
-    /// Close a session whose handler ran to `Done`: dataset-completion
-    /// durability inside the timing window, the exactly-once and FSM
+    /// Make a file sink's data durable — called once the handler is
+    /// done and before the links go down, so the source's end-of-stream
+    /// means the dataset is on disk.
+    pub(crate) fn sync(&self, t: &mut Tally) -> io::Result<()> {
+        if let SnkBackend::File(sink) = &self.front.backend {
+            let t0 = Instant::now();
+            sink.sync()?;
+            t.sync_ns = t0.elapsed().as_nanos() as u64;
+        }
+        Ok(())
+    }
+
+    /// Close a session whose handler ran to `Done` and whose data is
+    /// durable ([`SinkSession::sync`]): the exactly-once and FSM
     /// invariants, and the sink half's report — the handler's tally
     /// merged into the receivers' `tally`.
     pub(crate) fn finish(
@@ -215,11 +227,6 @@ impl<'a> SinkSession<'a> {
         uring: Option<UringStats>,
     ) -> io::Result<LiveReport> {
         tally.merge(&h.tally);
-        if let SnkBackend::File(sink) = &self.front.backend {
-            let t0 = Instant::now();
-            sink.sync()?;
-            tally.sync_ns = t0.elapsed().as_nanos() as u64;
-        }
         let elapsed = self.start.elapsed();
         assert_eq!(h.delivered, h.total_blocks, "blocks lost in the pipeline");
         self.snk_pool.check_invariants();
@@ -581,8 +588,9 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 /// Run the sink half of a transfer over `t`: grant credits, place
 /// arriving frames into their credited slots (directly from the link —
 /// the transport read *is* the placement), verify and free each as it
-/// lands, ack placed blocks back to the source, and finish on
-/// `DatasetComplete`.
+/// lands, ack placed blocks back to the source, and finish once
+/// `DatasetComplete` has come and the last block has landed — the last
+/// ack leaves at once, then the half closes its links itself.
 ///
 /// `cfg` must agree with the source on `block_size`, `channels`, and
 /// `total_bytes` (the handler checks the `SessionRequest` against it);
@@ -647,9 +655,21 @@ pub(crate) fn run_sink_session(
         drop(evt_tx);
         // The handler runs on the scope's own thread.
         run_stage(fail, |_| h.run(first_ctrl.take(), &evt_rx));
+        // Done, the last acks written: the data goes durable, then the
+        // links go down. The control stream's FIN rides behind the last
+        // ack, and the receivers and the pump read end-of-stream now
+        // rather than when the source hangs up. A late duplicate still
+        // on a link is not read; the source expects that once it has
+        // sent `DatasetComplete`.
+        let mut tally = Tally::default();
+        if !fail.is_set() {
+            tally = run_stage(fail, |t| sess.sync(t));
+            if !fail.is_set() {
+                fail.close();
+            }
+        }
         // Release any receiver blocked handing over an event, then join.
         drop(evt_rx);
-        let mut tally = Tally::default();
         for r in receivers.into_iter().chain([ctrl]) {
             tally.merge(&r.join().expect("sink stage panicked"));
         }
@@ -665,8 +685,8 @@ pub(crate) fn run_sink_session(
 }
 
 /// Control pump: frames off the control link into the event queue, until
-/// end-of-stream (normal once `DatasetComplete` has passed) or a link
-/// error.
+/// end-of-stream (normal once `DatasetComplete` has passed, or once the
+/// half has closed its links) or a link error.
 fn pump(ctrl_rx: &mut dyn CtrlRx, events: &Sender<SinkEvt>) -> io::Result<()> {
     while let Some(msg) = ctrl_rx.recv()? {
         if events.send(SinkEvt::Ctrl(msg)).is_err() {

@@ -15,7 +15,7 @@ use rftp_core::{
 };
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -55,6 +55,15 @@ struct Src<'a> {
     /// sequence, and over a real wire the sink cannot name our block.
     seq2block: Mutex<HashMap<u32, u32>>,
     next_seq: AtomicU64,
+    /// Dispatched blocks not yet acked: each earns a grant as it lands,
+    /// so the dispatcher asks for credits only when this is zero.
+    unacked: AtomicU32,
+    /// Set just before `DatasetComplete` leaves: from then on the sink
+    /// may end, and close its links, the moment the last block lands.
+    dc_sent: AtomicBool,
+    /// The first data-link error after `DatasetComplete`, held for the
+    /// control stage to judge (see [`Src::link_err`]).
+    late_err: Mutex<Option<io::Error>>,
     detector: LossDetector,
     /// What the detector's nanosecond times count from.
     epoch: Instant,
@@ -70,12 +79,26 @@ impl Src<'_> {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
+
+    /// A data link failed. Before `DatasetComplete` the sink cannot have
+    /// ended, so that is the half's error. After it the sink ends on its
+    /// last arrival and closes its links, so a re-send still on its way
+    /// may find one gone; the control link decides: every ack before
+    /// its end-of-stream is success, anything less fails with this error.
+    fn link_err(&self, e: io::Error) -> io::Result<()> {
+        if !self.dc_sent.load(Ordering::Acquire) {
+            return Err(e);
+        }
+        self.late_err.lock().get_or_insert(e);
+        Ok(())
+    }
 }
 
 /// Run the source half of a transfer over `t`: negotiate, load blocks
 /// (pattern or `src_file`), dispatch them in sequence order as data
-/// frames, retire them on the sink's acks, send `DatasetComplete`, and
-/// half-close. Returns this half's view of the transfer.
+/// frames, send `DatasetComplete` behind the last of them, retire them
+/// on the sink's acks, and hang up once the sink has closed its side.
+/// Returns this half's view of the transfer.
 pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<LiveReport> {
     assert!(cfg.channels >= 1 && cfg.loaders >= 1 && cfg.total_bytes > 0);
     let backend = SrcBackend::open(cfg)?;
@@ -124,6 +147,9 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         inflight: (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect(),
         seq2block: Mutex::new(HashMap::new()),
         next_seq: AtomicU64::new(0),
+        unacked: AtomicU32::new(0),
+        dc_sent: AtomicBool::new(false),
+        late_err: Mutex::new(None),
         detector: LossDetector::new(cfg.channels),
         epoch: Instant::now(),
         ctl,
@@ -259,32 +285,20 @@ fn load(src: &Src, loaded: &Sender<u32>, t: &mut Tally) -> io::Result<()> {
 }
 
 /// Dispatcher: in-order, credit-paired, one vectored send per block
-/// straight from the pinned block buffer.
+/// straight from the pinned block buffer, then `DatasetComplete` as soon
+/// as every sequence has gone out once — the sink knows the block count
+/// from the request, so it needs no ack round trip to learn the end.
 fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
     let (cfg, data, inflight) = (src.cfg, &src.data, &src.inflight);
     let mut rr = 0usize;
     let mut fault_rng = cfg.fault_seed;
+    let mut sent = 0u64;
     // Dispatch stays in sequence order (see the module doc); loaders
     // finish out of order.
     let mut dispatch_order = ReorderBuffer::<u32>::new();
     let mut ready: VecDeque<u32> = Default::default();
     let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
-    // A send can fail *after* its block completed: the watchdog's copy of
-    // a block this thread stalled on was placed and acked, the control
-    // stage finished the transfer and closed the link, and only then did
-    // the first send go out. A link error is an error only while a block
-    // it could have carried is still unacked.
-    let unacked = |block: u32, seq: u32| {
-        (inflight[block as usize].lock().as_ref()).is_some_and(|i| i.seq == seq)
-    };
-    let any_dispatched = || {
-        let dispatched = |i: &InFlightInfo| i.slot != u32::MAX;
-        (inflight.iter()).any(|m| m.lock().as_ref().is_some_and(dispatched))
-    };
-    let kick_all = || match data.iter().try_for_each(|d| d.kick()) {
-        Err(e) if any_dispatched() => Err(e),
-        _ => Ok(()),
-    };
+    let kick_all = || data.iter().try_for_each(|d| d.kick());
     while let Ok(_n) = loaded.recv_batch(&mut drain, cfg.pool_blocks as usize) {
         for block in drain.drain(..) {
             let seq = inflight[block as usize]
@@ -316,7 +330,11 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
                         kicked = true;
                         kick_all()?;
                     }
-                    if !src.stock.request_outstanding.swap(true, Ordering::AcqRel) {
+                    // Every dispatched block still unacked earns a grant
+                    // as it lands: ask only when none is.
+                    if src.unacked.load(Ordering::Acquire) == 0
+                        && !src.stock.request_outstanding.swap(true, Ordering::AcqRel)
+                    {
                         t.credit_requests += 1;
                         t.ctrl += 1;
                         src.ctrl_tx.send(&CtrlMsg::MrRequest { session: SESSION })?;
@@ -348,6 +366,7 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
             // may complete it, even ahead of the send below — a dispatcher
             // descheduled here for one retransmit deadline must leave the
             // block in a state `complete` accepts.
+            src.unacked.fetch_add(1, Ordering::AcqRel);
             src.pool.start_sending(block).expect("FSM: start_sending");
             src.pool.posted(block).expect("FSM: posted");
             let info = {
@@ -364,7 +383,9 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
             #[cfg(test)]
             if cfg.fault_seed == super::tests::STALLED_DISPATCH_SEED {
                 let t0 = Instant::now();
-                while unacked(block, info.seq) && t0.elapsed() < 100 * cfg.retx_timeout {
+                let unacked =
+                    || (inflight[block as usize].lock()).is_some_and(|i| i.seq == info.seq);
+                while unacked() && t0.elapsed() < 100 * cfg.retx_timeout {
                     std::thread::sleep(cfg.retx_timeout / 4);
                 }
             }
@@ -379,12 +400,9 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
                     slot,
                     len: info.len,
                 };
-                if let Err(e) = data[ch].send_block(hdr, &src.bufs, block) {
-                    if unacked(block, info.seq) {
-                        return Err(e);
-                    }
-                }
+                data[ch].send_block(hdr, &src.bufs, block)?;
             }
+            sent += 1;
             let ns = t0.elapsed().as_nanos() as u64;
             t.dispatch_ns += ns;
             t.tails.dispatch.record(ns);
@@ -399,6 +417,14 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
         src.fail.is_set() || dispatch_order.is_drained(),
         "loads ended with a sequence gap"
     );
+    if sent == src.total_blocks {
+        src.dc_sent.store(true, Ordering::Release);
+        t.ctrl += 1;
+        src.ctrl_tx.send(&CtrlMsg::DatasetComplete {
+            session: SESSION,
+            total_blocks: src.total_blocks as u32,
+        })?;
+    }
     Ok(())
 }
 
@@ -468,9 +494,11 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
                 };
                 // Queue + kick immediately: retransmits are rare and
                 // latency-bound, not batched.
-                data[ch]
-                    .send_block(hdr, &src.bufs, block)
-                    .and_then(|()| data[ch].kick())?;
+                let sent =
+                    (data[ch].send_block(hdr, &src.bufs, block)).and_then(|()| data[ch].kick());
+                if let Err(e) = sent {
+                    src.link_err(e)?;
+                }
             }
             // Stamped once the frame is on the link, not before: the
             // dispatcher shares these channels, and an ordinal drawn ahead
@@ -483,9 +511,9 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
 }
 
 /// Control: deposits credits, retires blocks on the sink's acks, and runs
-/// the teardown — `DatasetComplete`, write shutdown, then a drain to
-/// end-of-stream so the link closes only after the sink has read
-/// everything.
+/// the teardown — once every block is acked, a drain to the sink's
+/// end-of-stream (it closes its side behind its last ack), then write
+/// shutdown.
 fn control(
     src: &Src,
     ctrl_rx: &mut dyn CtrlRx,
@@ -517,11 +545,25 @@ fn control(
             }
         }
         src.pool.complete(block).expect("FSM: complete");
+        src.unacked.fetch_sub(1, Ordering::AcqRel);
+        if src.dc_sent.load(Ordering::Acquire) {
+            // Every load is done: the block is never filled again, so
+            // its pages go back while the last acks are still in flight.
+            src.bufs.release(block as usize);
+        }
         Ok(src.detector.on_ack(at.ch, at.ordinal, first_attempt, now))
     };
     while completed < src.total_blocks {
-        let msg =
-            (ctrl_rx.recv()?).ok_or_else(|| perr("peer closed the control stream mid-transfer"))?;
+        let msg = match ctrl_rx.recv() {
+            Ok(Some(msg)) => msg,
+            // The sink went before acking everything: a data link that
+            // failed after `DatasetComplete` saw it first.
+            end => {
+                let e = (end.err())
+                    .unwrap_or_else(|| perr("peer closed the control stream mid-transfer"));
+                return Err(src.late_err.lock().take().unwrap_or(e));
+            }
+        };
         t.ctrl += 1;
         let mut advanced = false;
         match msg {
@@ -579,19 +621,14 @@ fn control(
             }
         }
     }
-    // Every block is acked: wake the watchdog to exit now.
+    // Every block is acked: wake the watchdog to exit now. Drain
+    // trailing frames (credits granted after our last block freed) up to
+    // the sink's end-of-stream, which follows its last ack; then let go.
     lost_tx.take();
-    src.ctrl_tx.send(&CtrlMsg::DatasetComplete {
-        session: SESSION,
-        total_blocks: src.total_blocks as u32,
-    })?;
-    t.ctrl += 1;
-    shutdown_write();
-    // Drain trailing frames (credits granted after our last block freed)
-    // until the sink closes its side.
     while let Ok(Some(_)) = ctrl_rx.recv() {
         t.ctrl += 1;
     }
+    shutdown_write();
     Ok(())
 }
 

@@ -239,6 +239,7 @@ pub(crate) mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
+        pub(crate) fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
     }
 }
 
@@ -346,6 +347,27 @@ impl BlockPool {
                 .collect(),
         }
     }
+
+    /// Hand slot `i`'s pages back to the kernel once nothing will write
+    /// the slot again — a source's block acked after its last load — so
+    /// they are freed while a transfer's last acks are still on their
+    /// way instead of when the pool drops. The slot stays mapped: a late
+    /// read (a re-send queued behind its block's ack) sees zeros, and
+    /// the sink discards that frame unread as a duplicate.
+    #[cfg(target_os = "linux")]
+    pub(crate) fn release(&self, i: usize) {
+        const MADV_DONTNEED: i32 = 4;
+        let slot = self.slots[i].lock();
+        let (base, len) = slot.registration_parts();
+        // SAFETY: the slot's span is a page-aligned stride inside the
+        // pool's private anonymous mapping (see `new`). `MADV_DONTNEED`
+        // swaps its pages for zero-fill-on-demand ones and unmaps
+        // nothing, so every view into the slot stays valid.
+        unsafe { sys::madvise(base.cast(), len, MADV_DONTNEED) };
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    pub(crate) fn release(&self, _i: usize) {}
 }
 
 impl std::ops::Deref for BlockPool {
@@ -606,6 +628,17 @@ mod tests {
             pool[8].lock().iter().all(|&b| b == 0),
             "neighbour untouched"
         );
+
+        // A released slot gives its pages back and reads as zeros again;
+        // its neighbours keep theirs.
+        let resident = resident_bytes(&pool._map);
+        pool.release(7);
+        assert!(
+            resident_bytes(&pool._map) <= resident - bs,
+            "slot 7 still resident"
+        );
+        assert!(pool[7].lock().iter().all(|&b| b == 0));
+        assert!(pool[500].lock()[HDR..HDR + bs].iter().all(|&b| b == 0xA5));
     }
 
     /// Every slot is a view into the one mapping — aligned payload,

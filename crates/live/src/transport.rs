@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use rftp_core::wire::{encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder};
 use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use std::io;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// The pinned block pool as a transport sees it: slot index → locked
 /// slot buffer, shared between the pipeline and any in-flight sends.
@@ -151,9 +151,8 @@ pub struct SourceTransport {
     /// checkable from a bench run.
     pub transport_threads: usize,
     /// Half-close the source→sink direction of every link (control and
-    /// data): the sink's readers see clean end-of-stream, while the
-    /// sink→source direction stays open for trailing credits. Called
-    /// once, after `DatasetComplete` is sent.
+    /// data). Called once, after the sink's end-of-stream: the sink has
+    /// closed its side by then, so this only lets go of the links.
     pub shutdown_write: Box<dyn Fn() + Send>,
     /// Tear every link down (error paths only): any peer or local thread
     /// blocked on a link errors out instead of hanging. Shared so the
@@ -166,9 +165,11 @@ pub struct SinkTransport {
     pub ctrl_tx: Arc<dyn CtrlTx>,
     pub ctrl_rx: Box<dyn CtrlRx>,
     pub data: Vec<Box<dyn DataRx>>,
-    /// Tear every link down (error paths only — the normal teardown is
-    /// the source's write shutdown reaching end-of-stream). Shared so
-    /// any failing sink thread can release the blocked readers.
+    /// Tear every link down, releasing the blocked readers: on an
+    /// error, and on success once the handler is done — the last ack is
+    /// already written and leaves ahead of the control stream's
+    /// end-of-stream, so the sink never waits for the source to hang up.
+    /// Shared so any failing sink thread can pull it.
     pub abort: Arc<dyn Fn() + Send + Sync>,
 }
 
@@ -387,6 +388,8 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
             }
         }
     };
+    let s2k_ctrl = Arc::downgrade(&ctrl_closer);
+    let s2k_data: Vec<_> = data_closers.iter().map(Arc::downgrade).collect();
     let source = SourceTransport {
         ctrl_tx: Arc::new(ChanCtrlTx(ctrl_tx)),
         ctrl_rx: Box::new(ChanCtrlRx {
@@ -409,11 +412,19 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
             dec: FrameDecoder::new(),
         }),
         data: data_rx,
-        // Dropping the sink→source control sender is all a channel sink
-        // can abort: the source's control reader sees end-of-stream and
-        // fails the rest of the source half from there.
+        // Close both directions: the sink's readers see end-of-stream
+        // once the frames already queued are drained, and the source's
+        // control reader once it has read every frame the sink sent.
+        // The source→sink senders are held weakly, so a source that
+        // drops its transport still hangs those links up by itself.
         abort: Arc::new(move || {
             k2s_closer.lock().take();
+            if let Some(c) = s2k_ctrl.upgrade() {
+                c.lock().take();
+            }
+            for c in s2k_data.iter().filter_map(Weak::upgrade) {
+                c.lock().take();
+            }
         }),
     };
     (source, sink)

@@ -268,7 +268,12 @@ pub(crate) fn run_shared_uring_session(
     let run = hub
         .send(HubMsg::Register(sid, Box::new(entry)))
         .and_then(|()| h.run(first_ctrl, &evt_rx));
-
+    let mut synced = Tally::default();
+    let durable = run.as_ref().map_or(Ok(()), |()| sess.sync(&mut synced));
+    // The handler is done, so the sockets go down now rather than when
+    // the source hangs up; a late duplicate still on a data link is not
+    // read.
+    //
     // Detach handshake: cut our socket halves (the final acks are
     // already flushed and ride out ahead of the FIN), then wait for
     // the driver to drain its in-flight ops and hand back the
@@ -288,9 +293,12 @@ pub(crate) fn run_shared_uring_session(
         // stopped").
         return Err(stats.err.unwrap_or(e));
     }
+    durable?;
+    let mut tally = stats.tally;
+    tally.merge(&synced);
     // The data path lives on the ONE shared driver thread; this
     // session thread only runs the protocol brain.
-    sess.finish(h, stats.tally, 1, Some(stats.ring))
+    sess.finish(h, tally, 1, Some(stats.ring))
 }
 
 #[cfg(test)]

@@ -217,8 +217,8 @@ impl SrcRing {
     /// ring. The write-side shutdown must run behind this: unlike
     /// the TCP backend's synchronous sends, a queued frame (e.g. a
     /// spurious retransmit whose original was acked in the
-    /// meantime) can still be in flight when `DatasetComplete` goes
-    /// out, and `SHUT_WR` would truncate it mid-frame — the sink
+    /// meantime) can still be in flight at the write shutdown, and
+    /// `SHUT_WR` would truncate it mid-frame — a sink still reading
     /// sees a torn stream instead of a clean end-of-stream. Timed
     /// waits, because the reaper may consume the very CQE being
     /// waited on.
