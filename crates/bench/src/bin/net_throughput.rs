@@ -219,14 +219,14 @@ const WAN_LOSS_PAIR: [&str; 2] = ["ani-wan,drop=0", "ani-wan,drop=0.001"];
 /// keeps cycling, so three to seven drops per GiB cost a few per cent
 /// (≈ 0.95); a sink that frees in sequence order stalls the pipe 25–40 ms
 /// per drop (≈ 0.9), and recovery by timeout (100–200 ms each, the
-/// 2×BDP window drained and refilled) is ≈ 0.6–0.7.
+/// window drained and refilled) is ≈ 0.6–0.7.
 const WAN_LOSSY_OVER_CLEAN: f64 = 0.85;
 
 /// One arm over shimmed loopback TCP, printed and recorded. `depth`
 /// pins a static grid point: every knob fixed, controller off. `None` is
 /// the adaptive arm: default config plus [`LiveConfig::apply_wan`] — the
-/// controller sizes pool and credits from the profile's BDP up front,
-/// then tracks measured RTT at run time. Best of `tries`, so a scheduler
+/// pool and first grant are one credit loop of the profile's path up
+/// front, then the controller tracks measured RTT at run time. Best of `tries`, so a scheduler
 /// hiccup on a fast LAN preset doesn't decide a gate.
 fn wan_arm(
     results: &mut Vec<Json>,

@@ -83,6 +83,9 @@ struct CtrlRing {
     mr: MrId,
     capacity: u32,
     free: VecDeque<u32>,
+    /// Slots on the wire: set as `drain` takes a slot from `free`,
+    /// cleared as its completion (or a `reset`) returns it.
+    posted: Vec<bool>,
     pending: VecDeque<CtrlMsg>,
 }
 
@@ -94,6 +97,7 @@ impl CtrlRing {
             mr,
             capacity: slots,
             free: (0..slots).collect(),
+            posted: vec![false; slots as usize],
             pending: VecDeque::new(),
         }
     }
@@ -126,6 +130,7 @@ impl CtrlRing {
                 Ok(()) => {
                     self.pending.pop_front();
                     self.free.pop_front();
+                    self.posted[slot as usize] = true;
                     sent += 1;
                 }
                 // SQ backpressure: the message stays pending and goes out
@@ -142,7 +147,7 @@ impl CtrlRing {
         // Ignore completions from before a `reset` (their slots were
         // already returned wholesale); double-pushing would make the ring
         // look permanently non-idle.
-        if self.free.len() < self.capacity as usize && !self.free.contains(&slot) {
+        if std::mem::take(&mut self.posted[slot as usize]) {
             self.free.push_back(slot);
         }
         self.drain(api, qp)
@@ -153,6 +158,7 @@ impl CtrlRing {
     /// recovering engine re-drives the conversation from scratch).
     fn reset(&mut self) {
         self.free = (0..self.capacity).collect();
+        self.posted.fill(false);
         self.pending.clear();
     }
 

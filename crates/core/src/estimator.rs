@@ -17,11 +17,12 @@
 //!
 //! Both engines' retransmit watchdogs run on [`RttEstimator::rto`]. From
 //! `srtt` the live controller also derives the coalescing dwell window
-//! (~srtt/8) and — together with an offered-rate figure — a
-//! bandwidth-delay-product target for in-flight depth. Loss rate is a
-//! simple decayed fraction of watchdog-expired blocks, good enough to
-//! surface in reports and back off the depth target under sustained
-//! loss.
+//! (~srtt/8). [`window_blocks`] is the one rule that sizes a live
+//! window from a rate and a round trip — one credit loop, RTT plus the
+//! dwell on it: the WAN pools and first grant from the declared path,
+//! the controller's in-flight depth from the measured `min_rtt`. Loss
+//! rate is a simple decayed fraction of watchdog-expired blocks,
+//! surfaced in reports.
 
 use std::time::Duration;
 
@@ -118,9 +119,10 @@ impl RttEstimator {
     /// `4·min_rtt` and [`MIN_RTO_NS`]; `None` before the first sample.
     /// The srtt/4 band matters on a *steady* path: `rttvar` dies, but the
     /// sink's coalescing dwell (~srtt/8) still delays acks. The min_rtt
-    /// floor covers a ~2×BDP window, where a block lawfully waits
-    /// ~3×min_rtt for its ack while `srtt` lags the queue being built:
-    /// by-design queueing must never read as loss.
+    /// floor covers a block queued behind a full [`window_blocks`]
+    /// window (~1.1×BDP, so its ack lawfully takes ~2.1×min_rtt) while
+    /// `srtt` lags the queue being built: by-design queueing must never
+    /// read as loss. The simulator, whose windows are its own, shares it.
     pub fn rto(&self) -> Option<Duration> {
         if self.samples == 0 {
             return None;
@@ -140,22 +142,7 @@ impl RttEstimator {
         if self.samples == 0 {
             return None;
         }
-        let ns = (self.srtt_ns / 8).clamp(MIN_DWELL_NS, MAX_DWELL_NS);
-        Some(Duration::from_nanos(ns))
-    }
-
-    /// Blocks needed in flight to fill `rate_bps` at the measured RTT
-    /// (2× BDP so the pipe stays full across grant turnaround), bounded
-    /// below so short pipes keep every channel busy. Uses the *minimum*
-    /// RTT, BBR-style: the smoothed RTT inflates with the queueing delay
-    /// the in-flight window itself creates, so a depth target fed by
-    /// `srtt` chases its own tail upward and never clamps.
-    pub fn bdp_blocks(&self, rate_bps: f64, block_size: usize) -> Option<u64> {
-        if self.samples == 0 || rate_bps <= 0.0 || block_size == 0 {
-            return None;
-        }
-        let bdp_bytes = rate_bps / 8.0 * (self.min_rtt_ns as f64 / 1e9);
-        Some((2.0 * bdp_bytes / block_size as f64).ceil() as u64)
+        Some(Duration::from_nanos(dwell_ns(self.srtt_ns)))
     }
 
     /// Snapshot for reports and bench JSON.
@@ -169,6 +156,30 @@ impl RttEstimator {
             first_block_us: 0.0,
         }
     }
+}
+
+/// The largest pool a live sink opens: the source keeps granted credits
+/// in a ring of this many slots, so a larger pool could grant past it.
+/// [`window_blocks`] never sizes a window past it.
+pub const MAX_POOL_BLOCKS: u32 = 4096;
+
+/// Blocks in flight that keep `rate_bps` flowing across one credit loop
+/// of a path with round trip `rtt`: a grant's round trip plus the
+/// sink's coalescing dwell on the ack that frees its slot,
+/// ⌈rate/8 × (rtt + dwell(rtt)) / block⌉ — 9/8 of a BDP on a WAN.
+/// Floored at two blocks per channel, so a LAN path whose loop rounds
+/// to nothing still overlaps every channel with it, and capped at
+/// [`MAX_POOL_BLOCKS`].
+pub fn window_blocks(rate_bps: f64, rtt: Duration, block_size: usize, channels: usize) -> u32 {
+    let rtt_ns = rtt.as_nanos().min(u64::MAX as u128) as u64;
+    let loop_s = rtt_ns.saturating_add(dwell_ns(rtt_ns)) as f64 / 1e9;
+    let blocks = (rate_bps.max(0.0) / 8.0 * loop_s / block_size.max(1) as f64).ceil() as u64;
+    blocks.max(2 * channels as u64).min(MAX_POOL_BLOCKS as u64) as u32
+}
+
+/// The coalescing dwell on a loop of `rtt_ns`: ~rtt/8 within the clamp.
+fn dwell_ns(rtt_ns: u64) -> u64 {
+    (rtt_ns / 8).clamp(MIN_DWELL_NS, MAX_DWELL_NS)
 }
 
 /// EWMA gain for the loss-rate estimate (per event).
@@ -261,15 +272,20 @@ mod tests {
     }
 
     #[test]
-    fn bdp_blocks_match_the_wan_math() {
-        let mut e = RttEstimator::new();
-        for _ in 0..50 {
-            e.on_sample(ms(49));
-        }
-        // 10 Gbps * 49 ms = 61.25 MB BDP; 2x over 256 KiB blocks.
-        let blocks = e.bdp_blocks(10e9, 256 * 1024).unwrap();
-        assert_eq!(blocks, (2.0f64 * 61.25e6 / 262_144.0).ceil() as u64);
-        assert!(e.bdp_blocks(0.0, 256 * 1024).is_none());
+    fn window_blocks_match_the_wan_math() {
+        // ANI-WAN: 10 Gbps over 49 ms plus a 6.125 ms dwell is 68.9 MB,
+        // 262.9 blocks of 256 KiB — 9/8 of the 61.25 MB BDP.
+        assert_eq!(window_blocks(10e9, ms(49), 256 * 1024, 2), 263);
+        // The dwell clamps as the estimator's does: 8 ms past 64 ms.
+        assert_eq!(window_blocks(8e9, ms(600), 1 << 20, 1), 580);
+        // Two blocks per channel however short the loop, or unknown rate.
+        assert_eq!(
+            window_blocks(40e9, Duration::from_micros(26), 256 * 1024, 2),
+            4
+        );
+        assert_eq!(window_blocks(0.0, ms(49), 256 * 1024, 3), 6);
+        // Never past the source's credit ring.
+        assert_eq!(window_blocks(10e9, ms(49), 4096, 2), MAX_POOL_BLOCKS);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use block::{FsmError, SnkState, SrcState};
 pub use config::{ConsumeMode, NotifyMode, RecoveryConfig, SinkConfig, SourceConfig, StoreConfig};
 pub use credit::{CreditMode, CreditStock, Granter};
 pub use engine::{SinkEngine, SourceEngine, CTRL_RING_SLOTS};
-pub use estimator::{AdaptSnapshot, RttEstimator};
+pub use estimator::{window_blocks, AdaptSnapshot, RttEstimator, MAX_POOL_BLOCKS};
 pub use harness::{build_experiment, run_transfer, Experiment, TransferReport};
 pub use loss::{Attempt, LossDetector, Verdict, MAX_RESENDS, REORDER_THRESHOLD};
 pub use multi::{Endpoint, MultiEngine};

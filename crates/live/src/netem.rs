@@ -53,8 +53,9 @@ pub(crate) fn sleep_until(deadline: Instant) {
 
 /// Delay-line queue depth. In-flight frames are bounded by the source's
 /// credited pool, so this only needs to exceed the largest pool the
-/// adaptive controller will size (BDP-scale, ~2000 blocks on the ANI WAN
-/// at 64 KiB blocks).
+/// adaptive controller will size (one credit loop, ~1050 blocks on the
+/// ANI WAN at 64 KiB blocks; [`crate::pipeline::MAX_POOL_BLOCKS`] at
+/// most).
 const LINE_DEPTH: usize = 8192;
 
 /// The path one profile instantiates: all data channels serialize

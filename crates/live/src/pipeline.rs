@@ -25,11 +25,10 @@ use std::time::Duration;
 
 pub(crate) const SESSION: u32 = 1;
 
-/// The largest pool a sink opens: the source keeps granted credits in a
-/// ring of this many slots, so a larger pool could grant past it.
-/// `rftp-live --pool` and `rftpd --session-slots` reject more at parse
-/// time, and [`LiveConfig::apply_wan`] never sizes a pool past it.
-pub const MAX_POOL_BLOCKS: u32 = 4096;
+/// The largest pool a sink opens (defined beside the window rule that
+/// never sizes past it). `rftp-live --pool` and `rftpd --session-slots`
+/// reject more at parse time.
+pub use rftp_core::MAX_POOL_BLOCKS;
 
 /// The symbolic rkey of the sink pool's region (channels address slots
 /// directly in this model).
@@ -99,13 +98,14 @@ pub struct LiveConfig {
     pub readahead: u32,
     /// Run the adaptive controller: estimate RTT/loss from the live ack
     /// stream (RFC 6298) and derive the coalescing dwell window, the
-    /// retransmit deadline, and — with [`LiveConfig::wan_rate_bps`] — a
-    /// BDP-based in-flight depth target, instead of trusting the static
+    /// retransmit deadline, and — with [`LiveConfig::wan_rate_bps`] — an
+    /// in-flight depth target of one credit loop
+    /// ([`rftp_core::window_blocks`]), instead of trusting the static
     /// `flush_window` / `retx_timeout` / pool-depth defaults that were
     /// tuned for loopback.
     pub adaptive: bool,
-    /// Offered path rate in bits/s for the adaptive controller's BDP
-    /// math (typically the `--wan` profile's rate cap). `None` disables
+    /// Offered path rate in bits/s for the adaptive controller's window
+    /// (typically the `--wan` profile's rate cap). `None` disables
     /// the depth target; dwell and RTO still adapt.
     pub wan_rate_bps: Option<f64>,
 }
@@ -154,25 +154,23 @@ impl LiveConfig {
     }
 
     /// Adopt a WAN profile: turn the adaptive controller on, feed it the
-    /// path's rate cap, and widen the pool / queues / retransmit deadline
-    /// so the BDP target has headroom to converge upward. Static knobs
-    /// the caller pinned tighter are only ever widened, never shrunk, and
-    /// the pool is widened up to [`MAX_POOL_BLOCKS`] at most.
+    /// path's rate cap, and size both pools, the first grant and the
+    /// queues to one credit loop of the declared path
+    /// ([`rftp_core::window_blocks`]), so the sink's opening grant fills
+    /// the pipe in one round trip. Static knobs the caller pinned larger
+    /// are never shrunk; a larger pool keeps its size, and the
+    /// controller's depth clamp holds it to the window once it measures
+    /// the path.
     pub fn apply_wan(&mut self, wan: &rftp_faults::WanProfile) {
         self.adaptive = true;
         self.wan_rate_bps = wan.rate_bps;
-        let bdp = wan.bdp_bytes();
-        if bdp > 0 {
-            // 2× BDP in blocks, so a full window can be in flight while
-            // the previous window's acks are still returning.
-            let want = ((2 * bdp).div_ceil(self.block_size as u64))
-                .min(MAX_POOL_BLOCKS as u64)
-                .max(self.pool_blocks as u64) as u32;
-            self.pool_blocks = want;
-            self.initial_credits = self.initial_credits.max(want / 2);
+        if let Some(rate) = wan.rate_bps.filter(|_| wan.bdp_bytes() > 0) {
+            let window = rftp_core::window_blocks(rate, wan.rtt(), self.block_size, self.channels);
+            self.pool_blocks = self.pool_blocks.max(window);
+            self.initial_credits = self.initial_credits.max(window);
             self.channel_depth = self
                 .channel_depth
-                .max((want as usize).div_ceil(self.channels.max(1)));
+                .max((self.pool_blocks as usize).div_ceil(self.channels.max(1)));
         }
         // A fixed 100 ms deadline fires spuriously past ~25 ms RTT; hold
         // a conservative floor until the estimator takes over.

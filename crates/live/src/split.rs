@@ -694,6 +694,97 @@ mod tests {
         assert_eq!(h.delivered, 4);
     }
 
+    /// `apply_wan` sizes both pools and the first grant by the one
+    /// window rule at the declared path; a LAN preset's window is under
+    /// the default pool, which it keeps.
+    #[test]
+    fn apply_wan_sizes_pools_and_first_grant_by_the_window() {
+        let ani = WanProfile::parse("ani-wan").unwrap();
+        let mut cfg = LiveConfig::new(256 * 1024, 2, 1 << 30);
+        cfg.apply_wan(&ani);
+        let window = rftp_core::window_blocks(10e9, ani.rtt(), 256 * 1024, 2);
+        assert_eq!(window, 263, "9/8 of the ANI-WAN BDP in 256 KiB blocks");
+        assert_eq!((cfg.pool_blocks, cfg.initial_credits), (window, window));
+        assert!(cfg.channel_depth >= 132, "each channel queues its share");
+
+        let mut lan = LiveConfig::new(256 * 1024, 2, 1 << 30);
+        let pool = lan.pool_blocks;
+        lan.apply_wan(&WanProfile::parse("roce-lan").unwrap());
+        assert_eq!(lan.pool_blocks, pool, "a LAN keeps the default pool");
+        assert!(lan.adaptive);
+    }
+
+    /// The grant tally, counted at the handler with no clock in it: the
+    /// opening `CreditBatch`es grant the whole window before anything
+    /// lands, and a pool configured larger than the window never has
+    /// more than the window on loan — not at the opening grant (sized by
+    /// the declared path), nor once the controller has measured it (the
+    /// depth clamp), however the 2-per-completion grants fall.
+    #[test]
+    fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
+        let ani = WanProfile::parse("ani-wan").unwrap();
+        let mut cfg = LiveConfig::new(256 * 1024, 1, 1 << 30);
+        cfg.apply_wan(&ani);
+        let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
+        let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
+        let mut h = sess.handler(&sent, &view, None);
+        h.handle(request(&cfg)).unwrap();
+        let mut opening = sent.take_granted();
+        assert_eq!(
+            opening.len(),
+            263,
+            "the whole window in the opening batches"
+        );
+        opening.sort_unstable();
+        opening.dedup();
+        assert_eq!(opening.len(), 263, "each slot granted once");
+        assert_eq!(sess.snk_pool.free_count(), 0);
+
+        let path = WanProfile::parse("rtt=10ms,rate=80M").unwrap();
+        let total = 256u32;
+        let mut cfg = LiveConfig::new(4096, 1, total as u64 * 4096);
+        cfg.pool_blocks = 64;
+        cfg.apply_wan(&path);
+        let window = rftp_core::window_blocks(80e6, path.rtt(), 4096, 1);
+        assert_eq!((cfg.pool_blocks, window), (64, 28), "the pool is larger");
+        let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
+        let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
+        let mut h = sess.handler(&sent, &view, None);
+        h.handle(request(&cfg)).unwrap();
+        h.handle(SinkEvt::Ctrl(CtrlMsg::DatasetComplete {
+            session: SESSION,
+            total_blocks: total,
+        }))
+        .unwrap();
+        let mut loaned: std::collections::VecDeque<u32> = sent.take_granted().into();
+        assert_eq!(
+            loaned.len(),
+            window as usize,
+            "the opening grant is the window"
+        );
+        // The controller's measured round trip: the declared path. The
+        // handler's own samples (no wire) can only lower the minimum,
+        // and with it the clamp.
+        let ctl = sess.ctl.as_ref().expect("apply_wan runs adaptively");
+        ctl.on_rtt_sample(path.rtt());
+        assert_eq!(ctl.snapshot().effective_depth, window);
+        for seq in 0..total {
+            let slot = loaned.pop_front().expect("the credit loop ran dry");
+            arrive(&mut h, &bufs, seq, slot).unwrap();
+            h.flush().unwrap();
+            loaned.extend(sent.take_granted());
+            assert!(
+                loaned.len() <= window as usize,
+                "{} on loan after {seq}",
+                loaned.len()
+            );
+        }
+        assert!(h.done() && h.delivered == total as u64);
+        assert!(ctl.snapshot().effective_depth <= window);
+    }
+
     /// Retire-on-arrival under everything a WAN does to order — loss,
     /// re-sends and deliberate reordering on a 20 ms path — with the file
     /// sink as consumer: blocks are freed in whatever order they land and
@@ -772,8 +863,9 @@ mod tests {
     }
 
     /// With the path rate known, the controller bounds outstanding
-    /// credits to ~2×BDP instead of flooding the whole pool — and the
-    /// deferred-grant path keeps the credit loop alive under the clamp.
+    /// credits to one credit loop instead of flooding the whole pool —
+    /// and the deferred-grant path keeps the credit loop alive under the
+    /// clamp.
     #[test]
     fn adaptive_depth_clamp_tracks_bdp_and_completes() {
         let wan = rftp_faults::WanProfile::parse("rtt=10ms,rate=80M").unwrap();
@@ -784,7 +876,8 @@ mod tests {
         assert_eq!(snk.checksum_failures, 0);
         assert_eq!(src.retransmits, 0);
         let adapt = snk.adapt.expect("adaptive sink snapshot");
-        // 80 Mbps × 10 ms = 100 KB BDP; 2× over 64 KiB blocks ≈ 4.
+        // 80 Mbps over 10 ms plus its dwell is 112.5 KB, 2 blocks of
+        // 64 KiB; the measured loop adds serialization, a block or so.
         assert!(
             adapt.effective_depth >= 2 && adapt.effective_depth < cfg.pool_blocks,
             "depth target must clamp below the pool: {}",
@@ -877,8 +970,8 @@ mod tests {
             let err = SinkSession::open(&cfg, slots as usize, 2).err();
             assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
         }
-        // A pool the WAN widens stops at the ring (2×BDP is ~30 000
-        // blocks of 4 KiB on the ANI WAN).
+        // A pool the WAN widens stops at the ring (one credit loop is
+        // ~16 800 blocks of 4 KiB on the ANI WAN).
         let mut cfg = LiveConfig::new(4096, 2, 1 << 20);
         cfg.apply_wan(&ani);
         assert_eq!(cfg.pool_blocks, MAX_POOL_BLOCKS);

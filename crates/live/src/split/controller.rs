@@ -19,9 +19,10 @@ use std::time::Instant;
 ///   approaches it;
 /// * the **sink** samples credit-granted → data-arrived per slot and
 ///   drives the coalescing dwell (~srtt/8 instead of the loopback-tuned
-///   floor) and — when the offered path rate is known — a 2×BDP bound on
-///   outstanding credits, so a short pipe is not flooded with the whole
-///   pool and a long one is filled.
+///   floor) and — when the offered path rate is known — a bound of one
+///   credit loop on outstanding credits ([`rftp_core::window_blocks`] at
+///   the measured `min_rtt`), so a pool configured larger than the path
+///   needs is not flooded into it as a standing queue.
 pub(crate) struct Controller {
     est: Mutex<rftp_core::RttEstimator>,
     /// Derived figures, 0 = no estimate yet (fall back to the static knob).
@@ -32,8 +33,8 @@ pub(crate) struct Controller {
     t0: Instant,
     rate_bps: Option<f64>,
     block_size: usize,
+    channels: usize,
     depth_cap: u32,
-    depth_floor: u32,
 }
 
 impl Controller {
@@ -47,11 +48,8 @@ impl Controller {
             t0: Instant::now(),
             rate_bps: cfg.wan_rate_bps,
             block_size: cfg.block_size,
+            channels: cfg.channels,
             depth_cap: cfg.pool_blocks,
-            // Never throttle below two blocks per channel — the BDP of a
-            // LAN path rounds to almost nothing, but every channel still
-            // needs work in flight to overlap with the credit loop.
-            depth_floor: (cfg.channels as u32 * 2).min(cfg.pool_blocks),
         }
     }
 
@@ -67,17 +65,19 @@ impl Controller {
             self.dwell_ns
                 .store(dwell.as_nanos() as u64, Ordering::Relaxed);
         }
-        // The BDP depth target only means something on a propagation-
-        // dominated path: below ~1 ms the measured floor is mostly
-        // per-block service time (placement, verify, scheduling), and
-        // a clamp computed from it starves the thread pipeline that the
-        // pool was sized for. LAN-class paths keep the full pool.
+        // The window only means something on a propagation-dominated
+        // path: below ~1 ms the measured floor is mostly per-block
+        // service time (placement, verify, scheduling), and a clamp
+        // computed from it starves the thread pipeline that the pool was
+        // sized for. LAN-class paths keep the full pool. The minimum RTT,
+        // not `srtt`: the smoothed figure inflates with the queue the
+        // window itself builds, and a clamp fed by it chases its tail.
         if let (Some(rate), Some(min_rtt)) = (self.rate_bps, est.min_rtt()) {
             if min_rtt >= std::time::Duration::from_millis(1) {
-                if let Some(bdp) = est.bdp_blocks(rate, self.block_size) {
-                    let d = (bdp.min(self.depth_cap as u64) as u32).max(self.depth_floor);
-                    self.depth.store(d as u64, Ordering::Relaxed);
-                }
+                let window =
+                    rftp_core::window_blocks(rate, min_rtt, self.block_size, self.channels);
+                self.depth
+                    .store(window.min(self.depth_cap) as u64, Ordering::Relaxed);
             }
         }
     }
@@ -104,7 +104,7 @@ impl Controller {
         }
     }
 
-    /// BDP-derived bound on outstanding credits, once rate and RTT are
+    /// One-loop bound on outstanding credits, once rate and RTT are
     /// both known; `None` = leave the pool-sized default alone.
     pub(crate) fn depth(&self) -> Option<u32> {
         match self.depth.load(Ordering::Relaxed) {

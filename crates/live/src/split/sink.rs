@@ -135,7 +135,7 @@ pub(crate) struct SinkSession<'a> {
     pub(crate) front: Arc<SinkFront>,
     pub(super) snk_pool: AtomicSinkPool,
     granter: Mutex<Granter>,
-    ctl: Option<Controller>,
+    pub(super) ctl: Option<Controller>,
     start: Instant,
 }
 
@@ -261,7 +261,7 @@ pub(crate) struct SinkHandler<'a> {
     fair: FairShare<'a>,
     /// The grant-loop estimator (credit sent → data arrived), when this
     /// session runs adaptively. Drives the dwell window and the
-    /// BDP-derived clamp on outstanding credits.
+    /// one-loop clamp on outstanding credits.
     ctl: Option<&'a Controller>,
     /// When each outstanding slot's grant left, for the grant-loop RTT
     /// sample its arrival closes. Only maintained under `ctl`.
@@ -310,7 +310,7 @@ impl SinkHandler<'_> {
     /// a daemon the arbiter clamps `want` to this session's fair share
     /// first; slots the pool could not actually supply are returned to
     /// the shared budget immediately. An adaptive session additionally
-    /// clamps to the controller's BDP depth target — withheld grants are
+    /// clamps to the controller's depth target — withheld grants are
     /// deferred, not dropped, and retried as blocks free.
     fn accumulate(&mut self, want: u32) {
         let want = match self.ctl.and_then(Controller::depth) {
