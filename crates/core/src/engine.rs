@@ -439,24 +439,6 @@ impl SourceEngine {
             && tok_tag(token) == self.token_tag
     }
 
-    /// One-line state dump for debugging stalls.
-    pub fn debug_snapshot(&self) -> String {
-        let sq: Vec<u32> = Vec::new();
-        let _ = sq;
-        format!(
-            "src: phase={:?} seq={} loaded_q={} credits={} loads_inflight={} completed={}/{} pool_free={} req_out={}",
-            self.phase,
-            self.next_seq,
-            self.loaded_q.len(),
-            self.credits.available(),
-            self.loads_in_flight,
-            self.blocks_completed,
-            self.job_blocks,
-            self.pool.free_count(),
-            self.credits.request_outstanding,
-        )
-    }
-
     fn job_bytes(&self) -> u64 {
         self.cfg.jobs[self.job_idx]
     }
@@ -1380,29 +1362,6 @@ impl SinkEngine {
     pub fn owns_token(&self, token: u64) -> bool {
         let kind = tok_kind(token);
         (kind == TOK_CONSUME || kind == TOK_REPAIR) && tok_tag(token) == self.token_tag
-    }
-
-    /// One-line state dump for debugging stalls.
-    pub fn debug_snapshot(&self) -> String {
-        use crate::block::SnkState;
-        let (mut free, mut waiting, mut ready) = (0, 0, 0);
-        if let Some(pool) = &self.pool {
-            for i in 0..pool.geometry().blocks {
-                match pool.state(i) {
-                    SnkState::Free => free += 1,
-                    SnkState::Waiting => waiting += 1,
-                    SnkState::DataReady => ready += 1,
-                }
-            }
-        }
-        let held: usize = self.sessions.values().map(|s| s.reorder.held()).sum();
-        format!(
-            "snk: free={free} waiting={waiting} ready={ready} deliver_q={} consuming={} reorder_held={held} granted_total={} pending_req={}",
-            self.deliver_q.len(),
-            self.consuming,
-            self.granter.granted_total,
-            self.granter.pending_request,
-        )
     }
 
     /// All sessions that were opened have fully delivered their datasets.

@@ -54,10 +54,12 @@
 //! stream, or `[DataFrameHeader | wire image]` records (source → sink
 //! only) on a data stream.
 //!
-//! The mapping of "RDMA WRITE from a pinned buffer" onto a socket is one
-//! vectored write: the 16-byte frame header and the block's wire image go
-//! out in a single `writev` straight from the slot buffer — no
-//! staging copy at the sender. The receiver reads the header, then reads
+//! The mapping of "RDMA WRITE from a pinned buffer" onto a socket is a
+//! vectored write straight from the slot buffer — no staging copy at the
+//! sender. The 16-byte frame header goes into the slot's dead space, so
+//! header and wire image are one iovec, and one `writev` per dispatcher
+//! drain carries every frame the drain queued on the stream (the
+//! doorbell, [`DataTx::kick`]). The receiver reads the header, then reads
 //! the wire image directly into the slot the header names — the socket
 //! read *is* the placement.
 //!
@@ -67,7 +69,10 @@
 //! because the default buffer is far below `block_size × depth` for the
 //! block sizes the paper studies.
 
-use crate::transport::{CtrlRx, CtrlTx, DataRx, DataTx, SinkTransport, SourceTransport};
+use crate::store::SlotBuf;
+use crate::transport::{
+    BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport, SourceTransport,
+};
 use parking_lot::Mutex;
 use rftp_core::wire::{
     encode_stream_frame, reject_reason, CtrlMsg, DataFrameHeader, FrameDecoder, CTRL_SLOT_LEN,
@@ -340,30 +345,186 @@ impl<S: Read + Send> CtrlRx for NetCtrlRx<S> {
     }
 }
 
-struct NetDataTx(Mutex<TcpStream>);
+/// The most iovecs one `writev` takes (Linux `IOV_MAX`): a queue that
+/// reaches it is written at once rather than at the next kick.
+const IOV_MAX: usize = 1024;
+
+/// One frame waiting on a data link for the next [`DataTx::kick`].
+enum Queued {
+    /// A block of the registered pool: its frame header is already in
+    /// the slot's dead space, so the frame is the slot's first `len`
+    /// framed bytes — one iovec.
+    Block { block: u32, len: usize },
+    /// A wire image the caller handed over, behind its encoded header —
+    /// two iovecs.
+    Owned {
+        hdr: [u8; DATA_FRAME_HEADER_LEN],
+        wire: Box<[u8]>,
+    },
+}
+
+/// One data stream and the frames queued on it, in send order.
+struct Link {
+    stream: TcpStream,
+    queue: Vec<Queued>,
+    /// Iovecs the queue will take.
+    iovs: usize,
+}
+
+impl Link {
+    /// Queue `frame`, writing the queue at once if it reaches
+    /// [`IOV_MAX`] iovecs.
+    fn push(&mut self, frame: Queued, pool: Option<&BufPool>) -> io::Result<()> {
+        self.iovs += match frame {
+            Queued::Block { .. } => 1,
+            Queued::Owned { .. } => 2,
+        };
+        self.queue.push(frame);
+        if self.iovs >= IOV_MAX {
+            self.flush(pool, &[])?;
+        }
+        Ok(())
+    }
+
+    /// Write every queued frame, then `tail`, in one vectored write
+    /// (more only on a short write). The queued blocks' slots are locked
+    /// for the write in ascending index order — every flush on every
+    /// link takes them in that order, so two never deadlock — and a
+    /// block queued twice is locked once. The queue is empty afterwards,
+    /// written or not: an error leaves the link dead anyway.
+    fn flush(&mut self, pool: Option<&BufPool>, tail: &[IoSlice<'_>]) -> io::Result<()> {
+        let Link {
+            stream,
+            queue,
+            iovs,
+        } = self;
+        let written = {
+            let mut blocks: Vec<u32> = queue
+                .iter()
+                .filter_map(|q| match q {
+                    Queued::Block { block, .. } => Some(*block),
+                    Queued::Owned { .. } => None,
+                })
+                .collect();
+            blocks.sort_unstable();
+            blocks.dedup();
+            let mut guards: Vec<_> = match pool {
+                Some(pool) => blocks.iter().map(|&b| pool[b as usize].lock()).collect(),
+                None => Vec::new(),
+            };
+            let frames: Vec<&[u8]> = guards
+                .iter_mut()
+                .map(|g| &*g.framed_mut(DATA_FRAME_HEADER_LEN))
+                .collect();
+            let mut iov = Vec::with_capacity(*iovs + tail.len());
+            for q in queue.iter() {
+                match q {
+                    Queued::Block { block, len } => {
+                        let at = blocks.binary_search(block).expect("queued block locked");
+                        iov.push(IoSlice::new(&frames[at][..*len]));
+                    }
+                    Queued::Owned { hdr, wire } => {
+                        iov.push(IoSlice::new(hdr));
+                        iov.push(IoSlice::new(wire));
+                    }
+                }
+            }
+            iov.extend_from_slice(tail);
+            write_all_vectored(stream, &mut iov)
+        };
+        queue.clear();
+        *iovs = 0;
+        written
+    }
+}
+
+/// `write_all` over iovecs: `writev` until every byte is out, moving
+/// past whatever a short write took.
+fn write_all_vectored(s: &mut impl Write, mut iov: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !iov.is_empty() {
+        let n = retry_interrupted(|| s.write_vectored(iov))?;
+        if n == 0 {
+            return Err(io::ErrorKind::WriteZero.into());
+        }
+        IoSlice::advance_slices(&mut iov, n);
+    }
+    Ok(())
+}
+
+/// A data stream's send side. With the source pool registered,
+/// [`DataTx::send_block`] and [`DataTx::send_owned`] queue and
+/// [`DataTx::kick`] writes the queue with one `writev` — one syscall per
+/// dispatcher drain, not per block. Unregistered, every call writes.
+struct NetDataTx {
+    link: Mutex<Link>,
+    pool: Registered,
+}
+
+impl NetDataTx {
+    fn new(stream: TcpStream, pool: Registered) -> NetDataTx {
+        let link = Link {
+            stream,
+            queue: Vec::new(),
+            iovs: 0,
+        };
+        NetDataTx {
+            link: Mutex::new(link),
+            pool,
+        }
+    }
+}
 
 impl DataTx for NetDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         debug_assert_eq!(wire.len(), hdr.wire_len());
-        let mut hbuf = [0u8; DATA_FRAME_HEADER_LEN];
-        hdr.encode(&mut hbuf);
-        let mut stream = self.0.lock();
-        // One writev from the slot buffer; loop only for short writes.
-        let (mut h, mut w): (&[u8], &[u8]) = (&hbuf, wire);
-        while !h.is_empty() || !w.is_empty() {
-            let n =
-                retry_interrupted(|| stream.write_vectored(&[IoSlice::new(h), IoSlice::new(w)]))?;
-            if n == 0 {
-                return Err(io::ErrorKind::WriteZero.into());
-            }
-            if n >= h.len() {
-                w = &w[n - h.len()..];
-                h = &[];
-            } else {
-                h = &h[n..];
-            }
+        let mut encoded = [0u8; DATA_FRAME_HEADER_LEN];
+        hdr.encode(&mut encoded);
+        let tail = [IoSlice::new(&encoded), IoSlice::new(wire)];
+        self.link.lock().flush(self.pool.get(), &tail)
+    }
+
+    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
+        let Some(pool) = self.pool.get() else {
+            return self.send(hdr, &wire);
+        };
+        let mut encoded = [0u8; DATA_FRAME_HEADER_LEN];
+        hdr.encode(&mut encoded);
+        let frame = Queued::Owned { hdr: encoded, wire };
+        self.link.lock().push(frame, Some(pool))
+    }
+
+    /// Write the frame header into the slot's dead space, as the
+    /// io_uring source does, and queue the block by index: header and
+    /// wire image are then one contiguous iovec of the pinned slot. The
+    /// link is locked before the slot, as in a flush.
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        let Some(pool) = self.pool.get() else {
+            let buf = bufs[block as usize].lock();
+            return self.send(hdr, &buf[..hdr.wire_len()]);
+        };
+        debug_assert!(
+            std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
+            "send_block from a pool other than the registered one"
+        );
+        let mut link = self.link.lock();
+        let mut slot = bufs[block as usize].lock();
+        hdr.encode(slot.framed_mut(DATA_FRAME_HEADER_LEN));
+        drop(slot); // a flush in the push below locks it again
+        let len = DATA_FRAME_HEADER_LEN + hdr.wire_len();
+        link.push(Queued::Block { block, len }, Some(pool))
+    }
+
+    fn kick(&self) -> io::Result<()> {
+        let mut link = self.link.lock();
+        if link.queue.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        link.flush(self.pool.get(), &[])
     }
 }
 
@@ -524,10 +685,11 @@ pub fn connect_source(
 ) -> io::Result<SourceTransport> {
     let streams = connect_streams(addr, channels, sockbuf)?;
     let handles = Arc::new(streams.handles()?);
+    let pool = Registered::default();
     let data: Vec<Box<dyn DataTx>> = streams
         .data
         .into_iter()
-        .map(|s| Box::new(NetDataTx(Mutex::new(s))) as Box<dyn DataTx>)
+        .map(|s| Box::new(NetDataTx::new(s, pool.clone())) as Box<dyn DataTx>)
         .collect();
     let ctrl_rd = streams.ctrl.try_clone()?;
     let shutdown_handles = handles.clone();
@@ -535,7 +697,10 @@ pub fn connect_source(
         ctrl_tx: Arc::new(NetCtrlTx(Mutex::new(streams.ctrl))),
         ctrl_rx: Box::new(NetCtrlRx::new(ctrl_rd)),
         data: Arc::new(data),
-        register: Box::new(|_| Ok(())),
+        register: Box::new(move |bufs| {
+            pool.set(bufs.clone())
+                .map_err(|_| io::Error::other("a pool is already registered"))
+        }),
         transport_threads: 0,
         shutdown_write: Box::new(move || shutdown_all(&shutdown_handles, Shutdown::Write)),
         abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),
@@ -1216,6 +1381,178 @@ mod tests {
             );
         }
         assert!(!asm.hellos_pending(), "an error offers nothing");
+    }
+
+    /// A data link's send side over a real loopback stream, the peer
+    /// end it writes to, and the pool it sends from: `blocks` slots of
+    /// `block` bytes, each wire image a pattern salted by its index.
+    /// With `registered` the pool is the link's registered one, as the
+    /// `register` hook leaves it.
+    fn doorbell_link(
+        blocks: u32,
+        block: usize,
+        registered: bool,
+    ) -> (NetDataTx, TcpStream, BufPool) {
+        let l = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(l.local_addr().unwrap()).unwrap();
+        let (peer, _) = l.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let pool: BufPool = Arc::new(crate::store::BlockPool::new(blocks, block));
+        for (i, slot) in pool.iter().enumerate() {
+            for (j, b) in slot.lock().iter_mut().enumerate() {
+                *b = (j as u8) ^ (i as u8).wrapping_mul(37);
+            }
+        }
+        let reg = Registered::default();
+        if registered {
+            assert!(reg.set(pool.clone()).is_ok());
+        }
+        (NetDataTx::new(tx, reg), peer, pool)
+    }
+
+    /// The header a block is sent under in these tests: its own index as
+    /// sequence and slot, the whole block as payload.
+    fn block_hdr(block: u32, len: usize) -> DataFrameHeader {
+        DataFrameHeader {
+            session: 1,
+            seq: block,
+            slot: block,
+            len: len as u32,
+        }
+    }
+
+    /// The bytes one frame puts on the wire: header, then wire image.
+    fn frame_bytes(hdr: DataFrameHeader, wire: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; DATA_FRAME_HEADER_LEN];
+        hdr.encode(&mut out);
+        out.extend_from_slice(&wire[..hdr.wire_len()]);
+        out
+    }
+
+    fn block_frame(pool: &BufPool, block: u32, len: usize) -> Vec<u8> {
+        frame_bytes(block_hdr(block, len), &pool[block as usize].lock())
+    }
+
+    fn read_n(peer: &mut TcpStream, n: usize) -> Vec<u8> {
+        let mut got = vec![0u8; n];
+        peer.read_exact(&mut got).unwrap();
+        got
+    }
+
+    /// The doorbell contract on TCP: queued blocks and owned images put
+    /// nothing on the wire, and one kick delivers every one of them
+    /// byte-exact and in queue order — which is not the block order the
+    /// flush locks the slots in.
+    #[test]
+    fn queued_frames_leave_on_the_kick_in_queue_order() {
+        const LEN: usize = 4096;
+        let (tx, mut peer, pool) = doorbell_link(8, LEN, true);
+        let order = [5u32, 2, 7, 0, 3];
+        let mut want = Vec::new();
+        for &b in &order {
+            tx.send_block(block_hdr(b, LEN), &pool, b).unwrap();
+            want.extend(block_frame(&pool, b, LEN));
+        }
+        let owned_hdr = block_hdr(99, 100);
+        let owned: Vec<u8> = (0..owned_hdr.wire_len()).map(|i| i as u8 ^ 0xC3).collect();
+        tx.send_owned(owned_hdr, owned.clone().into()).unwrap();
+        want.extend(frame_bytes(owned_hdr, &owned));
+        // The same block again, as a retransmit queued behind its first
+        // send: locked once, sent twice.
+        tx.send_block(block_hdr(2, LEN), &pool, 2).unwrap();
+        want.extend(block_frame(&pool, 2, LEN));
+
+        peer.set_nonblocking(true).unwrap();
+        let early = peer.read(&mut [0u8; 1]);
+        assert!(
+            matches!(&early, Err(e) if e.kind() == io::ErrorKind::WouldBlock),
+            "bytes on the wire before the kick: {early:?}"
+        );
+        peer.set_nonblocking(false).unwrap();
+
+        tx.kick().unwrap();
+        assert_eq!(read_n(&mut peer, want.len()), want);
+        tx.kick().unwrap(); // an empty queue writes nothing
+        peer.set_nonblocking(true).unwrap();
+        assert!(peer.read(&mut [0u8; 1]).is_err(), "nothing after the batch");
+    }
+
+    /// A 1 MiB batch against small socket buffers, drained by a reader
+    /// that takes at least 512 ms over it. A blocking `writev` returns
+    /// short only when its write timeout expires after some progress,
+    /// so the 200 ms timeout makes the kernel cut the batch at least
+    /// twice, and the flush must resume each time exactly where it
+    /// stopped.
+    #[test]
+    fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
+        const LEN: usize = 16 << 10;
+        const BLOCKS: u32 = 64;
+        let (tx, mut peer, pool) = doorbell_link(BLOCKS, LEN, true);
+        {
+            let link = tx.link.lock();
+            set_sockbuf(&link.stream, 8 << 10);
+            set_sockbuf(&peer, 64 << 10);
+            let timeout = Some(Duration::from_millis(200));
+            link.stream.set_write_timeout(timeout).unwrap();
+        }
+        let mut want = Vec::new();
+        for b in (0..BLOCKS).rev() {
+            tx.send_block(block_hdr(b, LEN), &pool, b).unwrap();
+            want.extend(block_frame(&pool, b, LEN));
+        }
+        let total = want.len();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::with_capacity(total);
+            let mut chunk = [0u8; 4096];
+            while got.len() < total {
+                match peer.read(&mut chunk).unwrap() {
+                    0 => break,
+                    n => got.extend_from_slice(&chunk[..n]),
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            got
+        });
+        tx.kick().unwrap();
+        tx.link.lock().stream.shutdown(Shutdown::Write).unwrap();
+        let got = reader.join().unwrap();
+        assert_eq!(got.len(), total, "bytes lost or duplicated in the flush");
+        assert!(got == want, "the batch arrived out of order or torn");
+    }
+
+    /// `send` of a borrowed image writes at once, behind everything
+    /// already queued on its link — channel order holds without a kick.
+    #[test]
+    fn send_after_queued_blocks_keeps_channel_order() {
+        const LEN: usize = 1024;
+        let (tx, mut peer, pool) = doorbell_link(4, LEN, true);
+        let mut want = Vec::new();
+        for b in [3u32, 1, 2] {
+            tx.send_block(block_hdr(b, LEN), &pool, b).unwrap();
+            want.extend(block_frame(&pool, b, LEN));
+        }
+        let hdr = block_hdr(77, 300);
+        let wire: Vec<u8> = (0..hdr.wire_len()).map(|i| (i * 7) as u8).collect();
+        tx.send(hdr, &wire).unwrap();
+        want.extend(frame_bytes(hdr, &wire));
+        assert_eq!(read_n(&mut peer, want.len()), want);
+    }
+
+    /// With no pool registered there is nothing to queue by index: every
+    /// call writes through, as the channel backend's does.
+    #[test]
+    fn an_unregistered_link_writes_through() {
+        const LEN: usize = 2048;
+        let (tx, mut peer, pool) = doorbell_link(2, LEN, false);
+        tx.send_block(block_hdr(1, LEN), &pool, 1).unwrap();
+        let want = block_frame(&pool, 1, LEN);
+        assert_eq!(read_n(&mut peer, want.len()), want);
+        let hdr = block_hdr(9, 64);
+        let wire: Vec<u8> = (0..hdr.wire_len()).map(|i| i as u8).collect();
+        tx.send_owned(hdr, wire.clone().into()).unwrap();
+        let want = frame_bytes(hdr, &wire);
+        assert_eq!(read_n(&mut peer, want.len()), want);
     }
 
     #[test]

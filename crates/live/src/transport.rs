@@ -50,19 +50,21 @@ pub trait CtrlRx: Send {
 }
 
 /// Sending side of one data link: ships one block as a frame header plus
-/// the block's wire image (payload header + payload), taken directly
-/// from the pinned source block — implementations must not buffer the
-/// payload beyond the call (vectored write, or a copy that completes
-/// before returning), because the block is reused once its ack retires it.
+/// the block's wire image (payload header + payload). Frames leave a
+/// link in the order they were handed to it, whichever of the calls
+/// below handed them over.
 pub trait DataTx: Send + Sync {
+    /// Ship a borrowed wire image. The bytes are not referenced after
+    /// the call returns (written, or copied), so anything queued on the
+    /// link goes out first.
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()>;
 
     /// Ship one block straight from its pinned pool slot. The default
-    /// locks the slot and sends its wire image synchronously; a
-    /// completion-based backend (io_uring) overrides this to *queue* a
-    /// zero-copy send referencing the registered buffer instead — legal
-    /// because the block stays pinned until its ack retires it, so the
-    /// kernel always reads stable memory, and a retransmit rewrites
+    /// locks the slot and sends its wire image synchronously. A backend
+    /// that holds the registered pool overrides this to *queue* the
+    /// block by reference until [`DataTx::kick`] — legal because the
+    /// block stays pinned until its ack retires it, no ack can come
+    /// before the frame is written, and a retransmit rewrites
     /// byte-identical contents.
     fn send_block(
         &self,
@@ -75,16 +77,18 @@ pub trait DataTx: Send + Sync {
     }
 
     /// [`DataTx::send`] of a copy the caller hands over (a WAN delay
-    /// line's); a backend that would copy a borrowed image keeps it.
+    /// line's, which rings [`DataTx::kick`] before it waits); a backend
+    /// that would copy a borrowed image keeps it, and may queue it.
     fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
         self.send(hdr, &wire)
     }
 
-    /// Submit everything [`DataTx::send_block`] queued since the last
-    /// kick — called once per dispatcher drain, so a completion-based
-    /// backend pays one kernel crossing per *batch* of blocks (the
-    /// doorbell). Synchronous backends already sent; for them this is a
-    /// no-op.
+    /// Write everything [`DataTx::send_block`] or [`DataTx::send_owned`]
+    /// queued since the last kick — called once per dispatcher drain, so
+    /// a queueing backend pays one kernel crossing per *batch* of blocks
+    /// (the doorbell): one `io_uring_enter` on the ring, one `writev`
+    /// per link on TCP. A backend that writes in every call has nothing
+    /// queued; for it this is a no-op.
     fn kick(&self) -> io::Result<()> {
         Ok(())
     }
@@ -141,12 +145,12 @@ pub struct SourceTransport {
     /// transfer starts. A completion-based backend registers the slots
     /// as fixed buffers (the MR-registration analogue — the kernel pins
     /// and maps them once instead of per operation) so
-    /// [`DataTx::send_block`] can reference them by index; stream
-    /// backends ignore it.
+    /// [`DataTx::send_block`] can reference them by index; the channel
+    /// and TCP backends keep it to queue blocks by index the same way.
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
-    /// pipeline's own (0 for synchronous backends — the dispatcher's
-    /// send *is* the wire write; 1 for a completion-based backend's
+    /// pipeline's own (0 for the channel and TCP backends — the
+    /// dispatcher's send or kick *is* the wire write; 1 for a completion-based backend's
     /// ring reaper). Reported so the O(channels) → O(1) claim is
     /// checkable from a bench run.
     pub transport_threads: usize,
@@ -257,9 +261,9 @@ enum ChanWire {
     Block(u32),
 }
 
-/// The source pool the `register` hook pinned, shared by both ends of
-/// every data link of one transport pair.
-type Registered = Arc<OnceLock<BufPool>>;
+/// The source pool the `register` hook pinned, shared by every data
+/// link of one transport (and, in process, by both ends of each link).
+pub(crate) type Registered = Arc<OnceLock<BufPool>>;
 
 struct ChanDataTx {
     link: Closable<(DataFrameHeader, ChanWire)>,
