@@ -349,43 +349,17 @@ impl<S: Read + Send> CtrlRx for NetCtrlRx<S> {
 /// reaches it is written at once rather than at the next kick.
 const IOV_MAX: usize = 1024;
 
-/// One frame waiting on a data link for the next [`DataTx::kick`].
-enum Queued {
-    /// A block of the registered pool: its frame header is already in
-    /// the slot's dead space, so the frame is the slot's first `len`
-    /// framed bytes — one iovec.
-    Block { block: u32, len: usize },
-    /// A wire image the caller handed over, behind its encoded header —
-    /// two iovecs.
-    Owned {
-        hdr: [u8; DATA_FRAME_HEADER_LEN],
-        wire: Box<[u8]>,
-    },
-}
-
-/// One data stream and the frames queued on it, in send order.
+/// One data stream and the blocks queued on it for the next
+/// [`DataTx::kick`], in send order.
 struct Link {
     stream: TcpStream,
-    queue: Vec<Queued>,
-    /// Iovecs the queue will take.
-    iovs: usize,
+    /// `(block, frame length)`: the frame header is already in the
+    /// slot's dead space, so each frame is the slot's first `len`
+    /// framed bytes — one iovec.
+    queue: Vec<(u32, usize)>,
 }
 
 impl Link {
-    /// Queue `frame`, writing the queue at once if it reaches
-    /// [`IOV_MAX`] iovecs.
-    fn push(&mut self, frame: Queued, pool: Option<&BufPool>) -> io::Result<()> {
-        self.iovs += match frame {
-            Queued::Block { .. } => 1,
-            Queued::Owned { .. } => 2,
-        };
-        self.queue.push(frame);
-        if self.iovs >= IOV_MAX {
-            self.flush(pool, &[])?;
-        }
-        Ok(())
-    }
-
     /// Write every queued frame, then `tail`, in one vectored write
     /// (more only on a short write). The queued blocks' slots are locked
     /// for the write in ascending index order — every flush on every
@@ -393,19 +367,9 @@ impl Link {
     /// block queued twice is locked once. The queue is empty afterwards,
     /// written or not: an error leaves the link dead anyway.
     fn flush(&mut self, pool: Option<&BufPool>, tail: &[IoSlice<'_>]) -> io::Result<()> {
-        let Link {
-            stream,
-            queue,
-            iovs,
-        } = self;
+        let Link { stream, queue } = self;
         let written = {
-            let mut blocks: Vec<u32> = queue
-                .iter()
-                .filter_map(|q| match q {
-                    Queued::Block { block, .. } => Some(*block),
-                    Queued::Owned { .. } => None,
-                })
-                .collect();
+            let mut blocks: Vec<u32> = queue.iter().map(|&(block, _)| block).collect();
             blocks.sort_unstable();
             blocks.dedup();
             let mut guards: Vec<_> = match pool {
@@ -416,24 +380,15 @@ impl Link {
                 .iter_mut()
                 .map(|g| &*g.framed_mut(DATA_FRAME_HEADER_LEN))
                 .collect();
-            let mut iov = Vec::with_capacity(*iovs + tail.len());
-            for q in queue.iter() {
-                match q {
-                    Queued::Block { block, len } => {
-                        let at = blocks.binary_search(block).expect("queued block locked");
-                        iov.push(IoSlice::new(&frames[at][..*len]));
-                    }
-                    Queued::Owned { hdr, wire } => {
-                        iov.push(IoSlice::new(hdr));
-                        iov.push(IoSlice::new(wire));
-                    }
-                }
+            let mut iov = Vec::with_capacity(queue.len() + tail.len());
+            for (block, len) in queue.iter() {
+                let at = blocks.binary_search(block).expect("queued block locked");
+                iov.push(IoSlice::new(&frames[at][..*len]));
             }
             iov.extend_from_slice(tail);
             write_all_vectored(stream, &mut iov)
         };
         queue.clear();
-        *iovs = 0;
         written
     }
 }
@@ -452,9 +407,13 @@ fn write_all_vectored(s: &mut impl Write, mut iov: &mut [IoSlice<'_>]) -> io::Re
 }
 
 /// A data stream's send side. With the source pool registered,
-/// [`DataTx::send_block`] and [`DataTx::send_owned`] queue and
-/// [`DataTx::kick`] writes the queue with one `writev` — one syscall per
-/// dispatcher drain, not per block. Unregistered, every call writes.
+/// [`DataTx::send_block`] queues and [`DataTx::kick`] writes the queue
+/// with one `writev` — one syscall per dispatcher drain, not per block.
+/// A borrowed or owned image ([`DataTx::send`], and through it
+/// [`DataTx::send_owned`]) is written at once, behind the queue: a WAN
+/// delay line hands each frame over at the instant it is due, and
+/// holding it for a kick would move it off that instant. Unregistered,
+/// every call writes.
 struct NetDataTx {
     link: Mutex<Link>,
     pool: Registered,
@@ -465,7 +424,6 @@ impl NetDataTx {
         let link = Link {
             stream,
             queue: Vec::new(),
-            iovs: 0,
         };
         NetDataTx {
             link: Mutex::new(link),
@@ -481,16 +439,6 @@ impl DataTx for NetDataTx {
         hdr.encode(&mut encoded);
         let tail = [IoSlice::new(&encoded), IoSlice::new(wire)];
         self.link.lock().flush(self.pool.get(), &tail)
-    }
-
-    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
-        let Some(pool) = self.pool.get() else {
-            return self.send(hdr, &wire);
-        };
-        let mut encoded = [0u8; DATA_FRAME_HEADER_LEN];
-        hdr.encode(&mut encoded);
-        let frame = Queued::Owned { hdr: encoded, wire };
-        self.link.lock().push(frame, Some(pool))
     }
 
     /// Write the frame header into the slot's dead space, as the
@@ -514,9 +462,13 @@ impl DataTx for NetDataTx {
         let mut link = self.link.lock();
         let mut slot = bufs[block as usize].lock();
         hdr.encode(slot.framed_mut(DATA_FRAME_HEADER_LEN));
-        drop(slot); // a flush in the push below locks it again
+        drop(slot); // a full queue's flush below locks it again
         let len = DATA_FRAME_HEADER_LEN + hdr.wire_len();
-        link.push(Queued::Block { block, len }, Some(pool))
+        link.queue.push((block, len));
+        if link.queue.len() < IOV_MAX {
+            return Ok(());
+        }
+        link.flush(Some(pool), &[])
     }
 
     fn kick(&self) -> io::Result<()> {
@@ -1440,28 +1392,21 @@ mod tests {
         got
     }
 
-    /// The doorbell contract on TCP: queued blocks and owned images put
-    /// nothing on the wire, and one kick delivers every one of them
-    /// byte-exact and in queue order — which is not the block order the
-    /// flush locks the slots in.
+    /// The doorbell contract on TCP: queued blocks put nothing on the
+    /// wire, and one kick delivers every one of them byte-exact and in
+    /// queue order — which is not the block order the flush locks the
+    /// slots in.
     #[test]
-    fn queued_frames_leave_on_the_kick_in_queue_order() {
+    fn queued_blocks_leave_on_the_kick_in_queue_order() {
         const LEN: usize = 4096;
         let (tx, mut peer, pool) = doorbell_link(8, LEN, true);
-        let order = [5u32, 2, 7, 0, 3];
         let mut want = Vec::new();
-        for &b in &order {
+        // Block 2 twice, as a retransmit queued behind its first send:
+        // locked once, sent twice.
+        for b in [5u32, 2, 7, 0, 3, 2] {
             tx.send_block(block_hdr(b, LEN), &pool, b).unwrap();
             want.extend(block_frame(&pool, b, LEN));
         }
-        let owned_hdr = block_hdr(99, 100);
-        let owned: Vec<u8> = (0..owned_hdr.wire_len()).map(|i| i as u8 ^ 0xC3).collect();
-        tx.send_owned(owned_hdr, owned.clone().into()).unwrap();
-        want.extend(frame_bytes(owned_hdr, &owned));
-        // The same block again, as a retransmit queued behind its first
-        // send: locked once, sent twice.
-        tx.send_block(block_hdr(2, LEN), &pool, 2).unwrap();
-        want.extend(block_frame(&pool, 2, LEN));
 
         peer.set_nonblocking(true).unwrap();
         let early = peer.read(&mut [0u8; 1]);
@@ -1521,8 +1466,9 @@ mod tests {
         assert!(got == want, "the batch arrived out of order or torn");
     }
 
-    /// `send` of a borrowed image writes at once, behind everything
-    /// already queued on its link — channel order holds without a kick.
+    /// `send` of a borrowed image and `send_owned` of a handed-over one
+    /// write at once, behind everything already queued on their link —
+    /// channel order holds without a kick.
     #[test]
     fn send_after_queued_blocks_keeps_channel_order() {
         const LEN: usize = 1024;
@@ -1535,6 +1481,13 @@ mod tests {
         let hdr = block_hdr(77, 300);
         let wire: Vec<u8> = (0..hdr.wire_len()).map(|i| (i * 7) as u8).collect();
         tx.send(hdr, &wire).unwrap();
+        want.extend(frame_bytes(hdr, &wire));
+        assert_eq!(read_n(&mut peer, want.len()), want);
+
+        want.clear();
+        tx.send_block(block_hdr(0, LEN), &pool, 0).unwrap();
+        want.extend(block_frame(&pool, 0, LEN));
+        tx.send_owned(hdr, wire.clone().into()).unwrap();
         want.extend(frame_bytes(hdr, &wire));
         assert_eq!(read_n(&mut peer, want.len()), want);
     }

@@ -77,18 +77,17 @@ pub trait DataTx: Send + Sync {
     }
 
     /// [`DataTx::send`] of a copy the caller hands over (a WAN delay
-    /// line's, which rings [`DataTx::kick`] before it waits); a backend
-    /// that would copy a borrowed image keeps it, and may queue it.
+    /// line's); a backend that would copy a borrowed image keeps it.
     fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
         self.send(hdr, &wire)
     }
 
-    /// Write everything [`DataTx::send_block`] or [`DataTx::send_owned`]
-    /// queued since the last kick — called once per dispatcher drain, so
-    /// a queueing backend pays one kernel crossing per *batch* of blocks
-    /// (the doorbell): one `io_uring_enter` on the ring, one `writev`
-    /// per link on TCP. A backend that writes in every call has nothing
-    /// queued; for it this is a no-op.
+    /// Write everything [`DataTx::send_block`] queued since the last
+    /// kick — called once per dispatcher drain, so a queueing backend
+    /// pays one kernel crossing per *batch* of blocks (the doorbell):
+    /// one `io_uring_enter` on the ring, one `writev` per link on TCP.
+    /// A backend that writes in every call has nothing queued; for it
+    /// this is a no-op.
     fn kick(&self) -> io::Result<()> {
         Ok(())
     }
@@ -150,8 +149,8 @@ pub struct SourceTransport {
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for the channel and TCP backends — the
-    /// dispatcher's send or kick *is* the wire write; 1 for a completion-based backend's
-    /// ring reaper). Reported so the O(channels) → O(1) claim is
+    /// dispatcher's send or kick *is* the wire write; 1 for a
+    /// completion-based backend's ring reaper). Reported so the O(channels) → O(1) claim is
     /// checkable from a bench run.
     pub transport_threads: usize,
     /// Half-close the source→sink direction of every link (control and
