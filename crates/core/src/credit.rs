@@ -132,7 +132,6 @@ pub struct Granter {
     pub per_request: u32,
     /// A request arrived while nothing was free; answer on next free.
     pub pending_request: bool,
-    pub granted_total: u64,
 }
 
 impl Granter {
@@ -144,7 +143,6 @@ impl Granter {
             per_completion,
             per_request,
             pending_request: false,
-            granted_total: 0,
         }
     }
 
@@ -191,10 +189,6 @@ impl Granter {
         } else {
             0
         }
-    }
-
-    pub fn note_granted(&mut self, n: u32) {
-        self.granted_total += n as u64;
     }
 }
 

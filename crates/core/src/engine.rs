@@ -1454,7 +1454,6 @@ impl SinkEngine {
             sess.granted_outstanding
                 .extend(batch.iter().map(|c| c.slot));
         }
-        self.granter.note_granted(batch.len() as u32);
         self.stats.credits_granted += batch.len() as u64;
         for chunk in batch.chunks(MAX_CREDITS_PER_MSG) {
             self.send_ctrl(

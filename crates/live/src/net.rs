@@ -472,11 +472,7 @@ impl DataTx for NetDataTx {
     }
 
     fn kick(&self) -> io::Result<()> {
-        let mut link = self.link.lock();
-        if link.queue.is_empty() {
-            return Ok(());
-        }
-        link.flush(self.pool.get(), &[])
+        self.link.lock().flush(self.pool.get(), &[])
     }
 }
 

@@ -334,9 +334,6 @@ impl SinkHandler<'_> {
         self.pending_credits
             .extend((0..want).map_while(|_| self.snk_pool.grant()));
         let got = (self.pending_credits.len() - before) as u32;
-        if got > 0 {
-            self.granter.lock().note_granted(got);
-        }
         if let Some((fair, id)) = self.fair {
             if got < want {
                 fair.release(id, want - got);
