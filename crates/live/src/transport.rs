@@ -54,9 +54,9 @@ pub trait CtrlRx: Send {
 /// link in the order they were handed to it, whichever of the calls
 /// below handed them over.
 pub trait DataTx: Send + Sync {
-    /// Ship a borrowed wire image. The bytes are not referenced after
-    /// the call returns (written, or copied), so anything queued on the
-    /// link goes out first.
+    /// Ship a borrowed wire image, behind anything already queued on
+    /// the link. The bytes are not referenced after the call returns
+    /// (written, or copied).
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()>;
 
     /// Ship one block straight from its pinned pool slot. The default
@@ -145,13 +145,14 @@ pub struct SourceTransport {
     /// as fixed buffers (the MR-registration analogue — the kernel pins
     /// and maps them once instead of per operation) so
     /// [`DataTx::send_block`] can reference them by index; the channel
-    /// and TCP backends keep it to queue blocks by index the same way.
+    /// backend keeps it to carry block indices, the TCP backend to queue
+    /// blocks by index until the kick.
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for the channel and TCP backends — the
     /// dispatcher's send or kick *is* the wire write; 1 for a
-    /// completion-based backend's ring reaper). Reported so the O(channels) → O(1) claim is
-    /// checkable from a bench run.
+    /// completion-based backend's ring reaper). Reported so the
+    /// O(channels) → O(1) claim is checkable from a bench run.
     pub transport_threads: usize,
     /// Half-close the source→sink direction of every link (control and
     /// data). Called once, after the sink's end-of-stream: the sink has
