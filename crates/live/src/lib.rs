@@ -10,7 +10,7 @@
 //! There is **one** pipeline ([`split`]), and each half is a chain of
 //! named stages started by one spawner: a source half (loaders, an
 //! in-order dispatcher, a control stage, a retransmit watchdog) and a
-//! sink half (per-channel receivers, a control pump, and the handler that
+//! sink half (per-link receivers, a control pump, and the handler that
 //! grants, and verifies and frees each block the moment it lands — both
 //! live consumers are offset-addressed, so no slot waits on sequence
 //! order), joined only by a [`transport`] carrying encoded Fig. 7(a)

@@ -2,17 +2,14 @@
 //! links, the source's queued `writev` sender and the sink's
 //! header-first reader.
 
-use super::door::{connect_streams, shutdown_all, SessionStreams};
+use super::door::{connect_streams, send_raw_ctrl, shutdown_all, SessionStreams};
 use super::{proto_err, read_exact_or_eof, retry_interrupted};
 use crate::store::SlotBuf;
 use crate::transport::{
     BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport, SourceTransport,
 };
 use parking_lot::Mutex;
-use rftp_core::wire::{
-    encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder, CTRL_SLOT_LEN,
-    DATA_FRAME_HEADER_LEN, FRAME_PREFIX_LEN,
-};
+use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -25,11 +22,9 @@ pub(crate) struct NetCtrlTx<S = TcpStream>(pub(crate) Mutex<S>);
 
 impl<S: Write + Send> CtrlTx for NetCtrlTx<S> {
     fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
-        let mut buf = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
-        let n = encode_stream_frame(msg, &mut buf);
         // The lock scopes the whole frame: concurrent senders (dispatcher
         // MrRequests vs the control thread) never interleave bytes.
-        retry_interrupted(|| self.0.lock().write_all(&buf[..n]))
+        send_raw_ctrl(&mut *self.0.lock(), msg)
     }
 }
 
@@ -46,6 +41,18 @@ impl<S: Read + Send> NetCtrlRx<S> {
             dec: FrameDecoder::new(),
             buf: vec![0u8; 4096],
         }
+    }
+
+    /// The stream, for a reader that takes a preamble off its front
+    /// before the first frame (the shm window descriptor).
+    pub(crate) fn get_ref(&self) -> &S {
+        &self.stream
+    }
+
+    /// Bytes of the first frame that such a preamble reader already took
+    /// off the stream.
+    pub(crate) fn feed(&mut self, head: &[u8]) {
+        self.dec.push(head);
     }
 }
 

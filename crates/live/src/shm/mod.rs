@@ -16,7 +16,7 @@
 //!   source, directly into the slot the credit named.
 //!
 //! Session set-up is not this module's: both sockets open with the
-//! `net.rs` hello and are grouped by the one
+//! `net` hello and are grouped by the one
 //! `net::StreamAssembler` — this module only implements its
 //! socket trait for `UnixStream` (nothing to tune; a control hello opens
 //! one data stream, the notify stream at index 0) — and under the
@@ -76,7 +76,7 @@
 //!
 //! ## Trust model
 //!
-//! Same-host, same trust domain as the hello token (net.rs): the peer
+//! Same-host, same trust domain as the hello token (`net`): the peer
 //! holds a writable mapping of **its own session's window** — one memfd
 //! created for that session alone ([`SessionWindow`]), so under the
 //! daemon a tenant can scribble its own in-flight payloads (the sink's

@@ -63,14 +63,12 @@ impl CtrlTx for ShmCtrlTx {
     }
 }
 
-/// One sink data channel. The first reads the notify stream; the
-/// rest hold no stream and end at once (see
-/// [`sink_transport_for_window`]). `recv_wire` never reads a socket
-/// — the payload is already in the slot the caller's buffer aliases;
-/// all that remains is the publication check. This is the zero-copy
-/// place stage.
+/// The session's one data link: it reads the notify stream.
+/// `recv_wire` never reads a socket — the payload is already in the
+/// slot the caller's buffer aliases; all that remains is the
+/// publication check. This is the zero-copy place stage.
 struct ShmDataRx {
-    notify: Option<UnixStream>,
+    notify: UnixStream,
     win: Arc<SnkWindow>,
     pending: Option<DataFrameHeader>,
 }
@@ -78,11 +76,8 @@ struct ShmDataRx {
 impl DataRx for ShmDataRx {
     fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
         debug_assert!(self.pending.is_none(), "previous frame not consumed");
-        let Some(notify) = &mut self.notify else {
-            return Ok(None);
-        };
         let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
-        if !read_exact_or_eof(notify, &mut rec)? {
+        if !read_exact_or_eof(&mut self.notify, &mut rec)? {
             return Ok(None);
         }
         let hdr = DataFrameHeader::decode(&rec)
@@ -116,10 +111,9 @@ impl DataRx for ShmDataRx {
 }
 
 /// Wrap one assembled shm connection pair plus a window into a
-/// [`SinkTransport`]: one notify reader plus `channels - 1` links
-/// that end at once (the sink's census wants a link per channel),
-/// control framing unchanged, credits re-arming the window on their
-/// way out.
+/// [`SinkTransport`]: one data link, the notify reader, whatever channel
+/// count the control hello announced; control framing unchanged,
+/// credits re-arming the window on their way out.
 ///
 /// One reader, because arrivals — and so acks — must leave in the
 /// order the source stored them: the source infers a loss from
@@ -129,7 +123,6 @@ impl DataRx for ShmDataRx {
 /// a loss and re-sends a block that arrived.
 fn sink_transport_for_window(
     mut streams: SessionStreams<UnixStream>,
-    channels: usize,
     win: Arc<SnkWindow>,
 ) -> io::Result<SinkTransport> {
     let handles = streams.handles()?;
@@ -138,16 +131,11 @@ fn sink_transport_for_window(
         .data
         .pop()
         .expect("an shm set has its notify stream");
-    let mut notify = Some(notify);
-    let data: Vec<Box<dyn DataRx>> = (0..channels)
-        .map(|_| {
-            Box::new(ShmDataRx {
-                notify: notify.take(),
-                win: Arc::clone(&win),
-                pending: None,
-            }) as Box<dyn DataRx>
-        })
-        .collect();
+    let data: Vec<Box<dyn DataRx>> = vec![Box::new(ShmDataRx {
+        notify,
+        win: Arc::clone(&win),
+        pending: None,
+    })];
     Ok(SinkTransport {
         ctrl_tx: Arc::new(ShmCtrlTx {
             inner: net::NetCtrlTx(Mutex::new(ctrl_wr)),
@@ -239,7 +227,7 @@ pub(crate) fn run_shm_session(
     let snk_bufs = sw.slot_bufs();
     let win = Arc::new(sw.into_sink_window());
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let t = sink_transport_for_window(streams, cfg.channels, win)?;
+    let t = sink_transport_for_window(streams, win)?;
     run_sink_session(cfg, t, first_ctrl, &view, fair)
 }
 

@@ -3,42 +3,35 @@
 //! the control stream.
 
 use super::fence::{PlaceOutcome, SrcWindow};
-use super::window::{
-    decode_desc_head, map_window, read_exact_with_fd, WindowDesc, DESC_HEAD_LEN, DESC_MAGIC,
-};
+use super::window::{read_preamble, Preamble};
 use crate::net::{
-    self, proto_err, retry_interrupted, shutdown_all, write_hello, KIND_CTRL, KIND_DATA,
+    self, proto_err, retry_interrupted, shutdown_all, write_hello, NetCtrlRx, KIND_CTRL, KIND_DATA,
 };
 use crate::transport::{CtrlRx, DataTx, SourceTransport};
 use parking_lot::Mutex;
-use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};
-use std::io::{self, Read, Write};
+use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN};
+use std::io::{self, Write};
 use std::net::Shutdown;
-use std::os::fd::{AsRawFd, OwnedFd};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
-/// State shared by every source-side endpoint of one shm session:
-/// the notify stream all channels write their doorbell records to,
-/// and the window, installed by the control reader when the
-/// descriptor lands (always before any credit can arrive — the
-/// descriptor precedes every control frame on the same stream).
-pub(crate) struct ShmSourceState {
-    pub(super) notify: Mutex<UnixStream>,
-    pub(super) window: OnceLock<SrcWindow>,
-}
+/// The window as the source sees it, installed by the control reader
+/// when the descriptor lands — always before any credit can arrive, as
+/// the descriptor precedes every control frame on the same stream.
+type Window = Arc<OnceLock<SrcWindow>>;
 
-/// One data channel's send endpoint. All channels share the session
-/// state: the window is one, the notify stream is one — a "channel"
-/// on this transport is purely a pipeline-concurrency construct.
+/// The session's one data link: the window is one and the notify stream
+/// is one, so every channel's blocks leave through this link and their
+/// records reach the sink in the order they were stored.
 struct ShmDataTx {
-    shared: Arc<ShmSourceState>,
+    notify: Mutex<UnixStream>,
+    window: Window,
 }
 
 impl DataTx for ShmDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
-        let win = self.shared.window.get().ok_or_else(|| {
+        let win = self.window.get().ok_or_else(|| {
             proto_err("shm window not established (no descriptor before first credit)")
         })?;
         match win.place(&hdr, wire)? {
@@ -46,98 +39,49 @@ impl DataTx for ShmDataTx {
             PlaceOutcome::Placed | PlaceOutcome::Renotify => {
                 let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
                 hdr.encode(&mut rec);
-                retry_interrupted(|| self.shared.notify.lock().write_all(&rec))
+                retry_interrupted(|| self.notify.lock().write_all(&rec))
             }
         }
     }
 }
 
-/// Source control reader: consumes the one-shot window descriptor
-/// (with its `SCM_RIGHTS` fd) off the front of the control stream,
-/// then decodes ordinary frames exactly like the TCP reader.
+/// Source control reader: the one-shot window descriptor (with its
+/// `SCM_RIGHTS` fd) off the front of the control stream, then the TCP
+/// backend's frame reader over the same stream.
 pub(super) struct ShmCtrlRx {
-    pub(super) stream: UnixStream,
-    pub(super) dec: FrameDecoder,
-    pub(super) buf: Vec<u8>,
-    pub(super) shared: Arc<ShmSourceState>,
-    pub(super) desc_done: bool,
+    frames: NetCtrlRx<UnixStream>,
+    /// Where the descriptor's window goes, until the preamble is read.
+    window: Option<Window>,
 }
 
 impl ShmCtrlRx {
-    /// Read the descriptor preamble. If the first two bytes are a
-    /// legal frame prefix instead of the descriptor magic, the sink
-    /// rejected the session before mapping anything (daemon busy /
-    /// geometry) — feed the bytes to the frame decoder and carry on;
-    /// the pipeline will surface the rejection through its normal
-    /// control path.
-    fn consume_descriptor(&mut self) -> io::Result<()> {
-        let mut fd: Option<OwnedFd> = None;
-        let mut magic = [0u8; 2];
-        read_exact_with_fd(&self.stream, &mut magic, &mut fd)?;
-        if u16::from_be_bytes(magic) != DESC_MAGIC {
-            self.dec.push(&magic);
-            self.desc_done = true;
-            return Ok(());
+    pub(super) fn new(stream: UnixStream, window: Window) -> ShmCtrlRx {
+        ShmCtrlRx {
+            frames: NetCtrlRx::new(stream),
+            window: Some(window),
         }
-        let mut head = [0u8; DESC_HEAD_LEN - 2];
-        read_exact_with_fd(&self.stream, &mut head, &mut fd)?;
-        let (slots, stride, window_len, block_cap) = decode_desc_head(&head)?;
-        let mut table = vec![0u8; slots * 8];
-        read_exact_with_fd(&self.stream, &mut table, &mut fd)?;
-        let offsets = table
-            .chunks_exact(8)
-            .map(|c| u64::from_be_bytes(c.try_into().unwrap()))
-            .collect();
-        let desc = WindowDesc {
-            stride,
-            window_len,
-            block_cap,
-            offsets,
-        };
-        desc.validate()?;
-        let fd =
-            fd.ok_or_else(|| proto_err("shm descriptor arrived without an SCM_RIGHTS window fd"))?;
-        let map = map_window(fd.as_raw_fd(), desc.window_len as usize)?;
-        let _ = self.shared.window.set(SrcWindow::new(map, &desc));
-        self.desc_done = true;
-        Ok(())
     }
 }
 
 impl CtrlRx for ShmCtrlRx {
     fn recv(&mut self) -> io::Result<Option<CtrlMsg>> {
-        if !self.desc_done {
-            self.consume_descriptor()?;
-        }
-        loop {
-            if let Some(msg) = self
-                .dec
-                .next_frame()
-                .map_err(|e| proto_err(format!("bad control frame: {e:?}")))?
-            {
-                return Ok(Some(msg));
+        if let Some(window) = self.window.take() {
+            match read_preamble(self.frames.get_ref())? {
+                Preamble::Window(desc, map) => {
+                    let _ = window.set(SrcWindow::new(map, &desc));
+                }
+                Preamble::Frame(head) => self.frames.feed(&head),
             }
-            let n = retry_interrupted(|| self.stream.read(&mut self.buf))?;
-            if n == 0 {
-                return if self.dec.pending_bytes() == 0 {
-                    Ok(None)
-                } else {
-                    Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "control stream closed mid-frame",
-                    ))
-                };
-            }
-            self.dec.push(&self.buf[..n]);
         }
+        self.frames.recv()
     }
 }
 
 /// Connect the source half of an shm session to a sink listening on
 /// the unix socket at `path`. Two connections — control and notify —
-/// carry hellos in the net.rs format (the notify stream plays the
-/// data-stream role with index 0); the window arrives back over
-/// control as the descriptor preamble.
+/// carry hellos in the `net` format (the control hello announces
+/// `channels`, the notify stream plays the data-stream role with index
+/// 0); the window arrives back over control as the descriptor preamble.
 pub fn connect_source_shm(path: impl AsRef<Path>, channels: usize) -> io::Result<SourceTransport> {
     assert!(channels >= 1 && channels <= u16::MAX as usize);
     let path = path.as_ref();
@@ -146,29 +90,17 @@ pub fn connect_source_shm(path: impl AsRef<Path>, channels: usize) -> io::Result
     write_hello(&mut ctrl, KIND_CTRL, channels as u16, token)?;
     let mut notify = UnixStream::connect(path)?;
     write_hello(&mut notify, KIND_DATA, 0, token)?;
-    let shared = Arc::new(ShmSourceState {
+    let window = Window::default();
+    let data: Vec<Box<dyn DataTx>> = vec![Box::new(ShmDataTx {
         notify: Mutex::new(notify.try_clone()?),
-        window: OnceLock::new(),
-    });
-    let ctrl_rd = ctrl.try_clone()?;
-    let data: Vec<Box<dyn DataTx>> = (0..channels)
-        .map(|_| {
-            Box::new(ShmDataTx {
-                shared: Arc::clone(&shared),
-            }) as Box<dyn DataTx>
-        })
-        .collect();
+        window: Arc::clone(&window),
+    })];
+    let ctrl_rx = ShmCtrlRx::new(ctrl.try_clone()?, window);
     let handles = Arc::new(vec![ctrl.try_clone()?, notify]);
     let shutdown_handles = Arc::clone(&handles);
     Ok(SourceTransport {
         ctrl_tx: Arc::new(net::NetCtrlTx(Mutex::new(ctrl))),
-        ctrl_rx: Box::new(ShmCtrlRx {
-            stream: ctrl_rd,
-            dec: FrameDecoder::new(),
-            buf: vec![0u8; 4096],
-            shared,
-            desc_done: false,
-        }),
+        ctrl_rx: Box::new(ctrl_rx),
         data: Arc::new(data),
         register: Box::new(|_| Ok(())),
         transport_threads: 0,

@@ -10,7 +10,7 @@ use crate::store::{SlotBuf, STORE_ALIGN};
 use crate::transport::{CtrlRx, CtrlTx};
 use crate::LiveConfig;
 use parking_lot::Mutex;
-use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder};
+use rftp_core::wire::{CtrlMsg, DataFrameHeader};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -167,23 +167,14 @@ fn short_window_fd_is_a_typed_error_not_a_sigbus() {
     // The fd backs one page, not the claimed 16 strides.
     let short_fd = memfd_create(4096).unwrap();
     send_with_fd(&a, &desc.encode(), short_fd.as_raw_fd()).unwrap();
-    let shared = Arc::new(ShmSourceState {
-        notify: Mutex::new(a.try_clone().unwrap()),
-        window: OnceLock::new(),
-    });
-    let mut rx = ShmCtrlRx {
-        stream: b,
-        dec: FrameDecoder::new(),
-        buf: vec![0u8; 4096],
-        shared: Arc::clone(&shared),
-        desc_done: false,
-    };
+    let window = Arc::new(OnceLock::new());
+    let mut rx = ShmCtrlRx::new(b, Arc::clone(&window));
     let err = rx.recv().unwrap_err();
     assert!(
         err.to_string().contains("refusing a mapping"),
         "want the typed map guard, got: {err}"
     );
-    assert!(shared.window.get().is_none());
+    assert!(window.get().is_none());
 }
 
 /// A control stream that opens with an ordinary frame instead of
@@ -192,17 +183,7 @@ fn short_window_fd_is_a_typed_error_not_a_sigbus() {
 #[test]
 fn rejection_frame_instead_of_descriptor_decodes_normally() {
     let (a, b) = UnixStream::pair().unwrap();
-    let shared = Arc::new(ShmSourceState {
-        notify: Mutex::new(a.try_clone().unwrap()),
-        window: OnceLock::new(),
-    });
-    let mut rx = ShmCtrlRx {
-        stream: b,
-        dec: FrameDecoder::new(),
-        buf: vec![0u8; 4096],
-        shared,
-        desc_done: false,
-    };
+    let mut rx = ShmCtrlRx::new(b, Arc::default());
     let tx = net::NetCtrlTx(Mutex::new(a));
     let busy = CtrlMsg::SessionBusy {
         session: 1,
@@ -269,4 +250,60 @@ fn fault_injected_retransmits_never_tear_slots() {
     assert_eq!(snk.blocks, cfg.total_blocks());
     assert_eq!(snk.checksum_failures, 0, "no torn slots");
     assert!(src.retransmits > 0, "fault injector must have fired");
+}
+
+/// An shm session is one data link whatever its hello announces: eight
+/// channels land byte-exact through one notify reader, and the sink
+/// runs that reader plus its control pump — two transport threads, not
+/// one per channel. Held under the one-shot sink and under the daemon's
+/// shm way in.
+#[test]
+fn an_eight_channel_session_runs_one_receiver() {
+    use crate::daemon::{Daemon, DaemonConfig};
+    let cfg = LiveConfig::new(64 * 1024, 8, 4 << 20);
+    let source = |path: PathBuf, cfg: LiveConfig| {
+        std::thread::spawn(move || {
+            let t = connect_source_shm(&path, cfg.channels)?;
+            crate::split::run_split_source(&cfg, t)
+        })
+    };
+
+    let path = temp_sock("eight");
+    let listener = ShmListener::bind(&path).unwrap();
+    let src = source(path, cfg.clone());
+    let (sess, first) = listener.accept_session().unwrap();
+    assert_eq!(
+        sess.0.channels, 8,
+        "the hello still announces every channel"
+    );
+    let one_shot = run_shm_sink(&cfg, sess, Some(first)).unwrap();
+    src.join().unwrap().unwrap();
+
+    let path = temp_sock("eight-daemon");
+    let daemon_cfg = DaemonConfig {
+        slot_cap: cfg.block_size,
+        shm_path: Some(path.clone()),
+        ..DaemonConfig::default()
+    };
+    let d = Daemon::bind("127.0.0.1:0", daemon_cfg).unwrap();
+    let handle = d.handle();
+    let daemon = std::thread::spawn(move || d.run());
+    source(path, cfg.clone()).join().unwrap().unwrap();
+    handle.shutdown();
+    let report = daemon.join().unwrap().unwrap();
+    assert_eq!(
+        (report.completed, report.shm_sessions),
+        (1, 1),
+        "{report:?}"
+    );
+    let served = report.sessions[0].result.as_ref().unwrap();
+
+    for snk in [&one_shot, served] {
+        assert_eq!(snk.blocks, cfg.total_blocks());
+        assert_eq!(snk.checksum_failures, 0, "output must be byte-identical");
+        assert_eq!(
+            snk.transport_threads, 2,
+            "one notify reader + the control pump"
+        );
+    }
 }

@@ -10,7 +10,7 @@ use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
 
 // -----------------------------------------------------------------
-// Raw syscall shims (no libc dep; precedent: net.rs, uring.rs)
+// Raw syscall shims (no libc dep; precedent: `net`, `uring`)
 // -----------------------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
@@ -112,11 +112,10 @@ pub(crate) fn map_window(fd: RawFd, len: usize) -> io::Result<Mapping> {
 // SCM_RIGHTS fd passing
 // -----------------------------------------------------------------
 
-/// One `sendmsg` carrying `bytes` (or as much as the kernel takes)
-/// with `fd` attached as an `SCM_RIGHTS` control message. Returns
-/// the byte count sent; the fd rides with the *first* byte, so a
-/// short send continues with plain writes.
-fn sendmsg_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Result<usize> {
+/// Send `bytes` on `sock` with `fd` attached as an `SCM_RIGHTS`
+/// control message. The fd rides with the *first* byte, so whatever a
+/// short `sendmsg` leaves goes after it as plain bytes.
+pub(crate) fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Result<()> {
     let mut cmsg = [0u8; CMSG_SPACE_ONE_FD];
     cmsg[..8].copy_from_slice(&(CMSG_LEN_ONE_FD as u64).to_ne_bytes());
     cmsg[8..12].copy_from_slice(&SOL_SOCKET.to_ne_bytes());
@@ -143,21 +142,10 @@ fn sendmsg_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Result<usi
             Ok(n as usize)
         }
     })?;
-    Ok(n)
-}
-
-/// Send `bytes` on `sock` with `fd` attached to the leading
-/// `sendmsg`; any remainder after a short send goes as plain bytes.
-pub(crate) fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Result<()> {
-    let n = sendmsg_with_fd(sock, bytes, fd)?;
     if n == 0 {
         return Err(io::ErrorKind::WriteZero.into());
     }
-    if n < bytes.len() {
-        let mut s = sock;
-        s.write_all(&bytes[n..])?;
-    }
-    Ok(())
+    (&mut &*sock).write_all(&bytes[n..])
 }
 
 /// One `recvmsg` into `buf`, capturing the first `SCM_RIGHTS` fd
@@ -225,7 +213,7 @@ fn recvmsg_with_fd(
 /// `read_exact` over `recvmsg`, capturing any `SCM_RIGHTS` fd that
 /// arrives with the bytes — descriptor reads can fragment, and the
 /// fd lands with whichever segment the kernel delivered first.
-pub(super) fn read_exact_with_fd(
+fn read_exact_with_fd(
     sock: &UnixStream,
     buf: &mut [u8],
     out: &mut Option<OwnedFd>,
@@ -372,6 +360,49 @@ pub(super) fn decode_desc_head(
     let window_len = u64::from_be_bytes(head[14..22].try_into().unwrap());
     let block_cap = u32::from_be_bytes(head[22..26].try_into().unwrap());
     Ok((slots, stride, window_len, block_cap))
+}
+
+/// What opens a source's control stream.
+pub(super) enum Preamble {
+    /// The sink's window, its descriptor validated and mapped.
+    Window(WindowDesc, Mapping),
+    /// The first two bytes of an ordinary frame: the sink rejected the
+    /// session (daemon busy / geometry) before mapping anything, and the
+    /// rejection reaches the pipeline through its normal control path.
+    Frame([u8; 2]),
+}
+
+/// Read the preamble off the front of a source's control stream: the
+/// window descriptor with the memfd its `SCM_RIGHTS` carries, or, if the
+/// first two bytes are a legal frame prefix rather than the magic, those
+/// two bytes.
+pub(super) fn read_preamble(ctrl: &UnixStream) -> io::Result<Preamble> {
+    let mut fd: Option<OwnedFd> = None;
+    let mut magic = [0u8; 2];
+    read_exact_with_fd(ctrl, &mut magic, &mut fd)?;
+    if u16::from_be_bytes(magic) != DESC_MAGIC {
+        return Ok(Preamble::Frame(magic));
+    }
+    let mut head = [0u8; DESC_HEAD_LEN - 2];
+    read_exact_with_fd(ctrl, &mut head, &mut fd)?;
+    let (slots, stride, window_len, block_cap) = decode_desc_head(&head)?;
+    let mut table = vec![0u8; slots * 8];
+    read_exact_with_fd(ctrl, &mut table, &mut fd)?;
+    let offsets = table
+        .chunks_exact(8)
+        .map(|c| u64::from_be_bytes(c.try_into().unwrap()))
+        .collect();
+    let desc = WindowDesc {
+        stride,
+        window_len,
+        block_cap,
+        offsets,
+    };
+    desc.validate()?;
+    let fd =
+        fd.ok_or_else(|| proto_err("shm descriptor arrived without an SCM_RIGHTS window fd"))?;
+    let map = map_window(fd.as_raw_fd(), desc.window_len as usize)?;
+    Ok(Preamble::Window(desc, map))
 }
 
 // -----------------------------------------------------------------

@@ -4,7 +4,7 @@
 //! [`run_split_source`] (`source.rs`) runs loaders → dispatcher, a
 //! control stage and the retransmit watchdog against a
 //! [`SourceTransport`](crate::transport::SourceTransport);
-//! [`run_split_sink`] (`sink.rs`) runs per-channel receivers and a
+//! [`run_split_sink`] (`sink.rs`) runs per-link receivers and a
 //! control pump → handler against a
 //! [`SinkTransport`](crate::transport::SinkTransport); each half may run
 //! the adaptive `Controller` (`controller.rs`). Nothing crosses except

@@ -1,4 +1,4 @@
-//! The sink half: per-channel receivers and a control pump feeding one
+//! The sink half: per-link receivers and a control pump feeding one
 //! handler that grants, verifies and frees on arrival, and acks. Each
 //! stage is a function; [`SinkSession`] is the state they share, whatever
 //! carries the bytes.
@@ -136,6 +136,9 @@ pub(crate) struct SinkSession<'a> {
     pub(super) snk_pool: AtomicSinkPool,
     granter: Mutex<Granter>,
     pub(super) ctl: Option<Controller>,
+    /// Data links the session reads: one per channel on TCP and in
+    /// process, the one notify stream on shm.
+    links: usize,
     start: Instant,
 }
 
@@ -143,16 +146,15 @@ impl<'a> SinkSession<'a> {
     /// Open the session over `slots` borrowed slot buffers and `links`
     /// data links; the clock starts here. A pool past [`MAX_POOL_BLOCKS`]
     /// is refused: it could grant more credits than the source's ring
-    /// holds. So is a link count other than one per channel — a peer
-    /// whose hello census disagrees with its request.
+    /// holds. (A hello census that disagrees with the request never gets
+    /// here: `net::geometry_reject` refuses it at admission.)
     pub(crate) fn open(cfg: &'a LiveConfig, slots: usize, links: usize) -> io::Result<Self> {
-        assert!(cfg.channels >= 1 && cfg.total_bytes > 0);
+        assert!(cfg.channels >= 1 && cfg.total_bytes > 0 && links >= 1);
         assert_eq!(slots, cfg.pool_blocks as usize, "one buffer per pool block");
-        if cfg.pool_blocks > MAX_POOL_BLOCKS || links != cfg.channels {
-            let ch = cfg.channels;
+        if cfg.pool_blocks > MAX_POOL_BLOCKS {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("{slots} slots (max {MAX_POOL_BLOCKS}), {links} links for {ch} channels"),
+                format!("{slots} slots (max {MAX_POOL_BLOCKS})"),
             ));
         }
         Ok(SinkSession {
@@ -169,6 +171,7 @@ impl<'a> SinkSession<'a> {
                 4,
             )),
             ctl: cfg.adaptive.then(|| Controller::new(cfg)),
+            links,
             start: Instant::now(),
         })
     }
@@ -195,6 +198,7 @@ impl<'a> SinkSession<'a> {
             retired: AtomicBitmap::new(cfg.total_blocks()),
             low_water: 0,
             dc_seen: false,
+            links: self.links,
             eof_data: 0,
             pending_acks: Vec::with_capacity(cfg.ack_batch()),
             pending_credits: Vec::with_capacity(cfg.pool_blocks as usize),
@@ -245,7 +249,7 @@ impl<'a> SinkSession<'a> {
 /// The sink's protocol brain: negotiation, credit grants,
 /// verify-and-free on arrival, and the coalesced sink→source control traffic
 /// (`AckBatch` for placements, `CreditBatch` for grants, one flush
-/// window for both). Shared by the thread-per-channel sink below and the
+/// window for both). Shared by the thread-per-link sink below and the
 /// io_uring sink driver ([`crate::uring`]).
 ///
 /// Buffers arrive as a borrowed *view* (`&[&Mutex<SlotBuf>]`): a
@@ -278,6 +282,8 @@ pub(crate) struct SinkHandler<'a> {
     /// Lowest sequence not yet retired — every one below it is.
     low_water: u64,
     dc_seen: bool,
+    /// The session's data links, and how many have reached end-of-stream.
+    links: usize,
     eof_data: usize,
     pending_acks: Vec<BlockAck>,
     pending_credits: Vec<u32>,
@@ -563,7 +569,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
             }
             SinkEvt::DataEof => {
                 self.eof_data += 1;
-                if self.eof_data == self.cfg.channels && self.delivered < self.total_blocks {
+                if self.eof_data == self.links && self.delivered < self.total_blocks {
                     return Err(perr(format!(
                         "peer closed the data streams after {} of {} blocks",
                         self.delivered, self.total_blocks
@@ -676,9 +682,9 @@ pub(crate) fn run_sink_session(
     if let Some(e) = fail.into_err() {
         return Err(e);
     }
-    // Per-channel receivers plus the control pump — the O(channels)
-    // thread zoo the ring backend collapses.
-    sess.finish(h, tally, cfg.channels + 1, None)
+    // One receiver per data link plus the control pump — on TCP the
+    // O(channels) thread zoo the ring backend collapses.
+    sess.finish(h, tally, sess.links + 1, None)
 }
 
 /// Control pump: frames off the control link into the event queue, until
