@@ -152,9 +152,7 @@ impl WanProfile {
     /// A fresh seeded dice stream for one shim instance. `lane`
     /// decorrelates the per-channel streams of a single profile.
     pub fn dice(&self, lane: u64) -> WanDice {
-        WanDice {
-            state: self.seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        }
+        WanDice::from_state(self.seed ^ lane.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 }
 
@@ -234,15 +232,20 @@ fn parse_prob(v: &str) -> Result<f64, String> {
     Ok(x)
 }
 
-/// Seeded splitmix64 stream for the shim's probabilistic draws — the
-/// same generator the live fault injector uses, so a profile's seed
-/// replays the identical impairment sequence run after run.
+/// Seeded splitmix64 stream for the shim's probabilistic draws and the
+/// live fault injector's drops, so a seed replays the identical
+/// impairment sequence run after run.
 #[derive(Debug, Clone)]
 pub struct WanDice {
     state: u64,
 }
 
 impl WanDice {
+    /// A stream that starts from the raw generator state `state`.
+    pub fn from_state(state: u64) -> WanDice {
+        WanDice { state }
+    }
+
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;

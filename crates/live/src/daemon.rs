@@ -220,7 +220,7 @@ pub fn install_sigterm_hook(h: &DaemonHandle) {
     #[cfg(unix)]
     {
         // `signal(2)` from the platform libc (std links it already;
-        // same precedent as the raw `setsockopt` in `net.rs`). glibc's
+        // same precedent as the raw `setsockopt` in `net/mod.rs`). glibc's
         // signal() installs BSD semantics: SA_RESTART, handler stays.
         extern "C" {
             fn signal(signum: i32, handler: usize) -> usize;
@@ -492,12 +492,12 @@ fn serve_session<S: SessionSocket>(
         reply_and_close(streams, &msg);
         d.tally.lock().rejected_busy += 1;
     };
-    // The channel cap matters most on shm, where a "channel" is only a
-    // notify-reader thread over the one stream: two cheap unix
-    // connections could otherwise announce 65535 channels and make the
-    // session spawn that many threads (thread-spawn failure panics in
-    // the session scope and would take the whole daemon down). TCP at
-    // least pays one real socket per channel.
+    // The channel cap bounds what one hello can cost the daemon: a
+    // threaded TCP session runs a reader thread per channel (thread-spawn
+    // failure panics in the session scope and would take the whole
+    // daemon down), a uring session arms a link per channel. An shm
+    // session reads its one notify stream on one thread whatever it
+    // announces; the cap holds it to the same rung.
     let (slot_cap, max_channels) = (d.cfg.slot_cap, d.cfg.max_channels);
     if let Some(reject) = geometry_reject(&first, streams.channels, slot_cap, max_channels) {
         reply_and_close(streams, &reject);

@@ -47,8 +47,9 @@ pub struct LiveConfig {
     pub loaders: usize,
     /// Total payload bytes to move.
     pub total_bytes: u64,
-    /// Per-channel queue depth (the "send queue"); also the receivers'
-    /// batch-drain limit.
+    /// Per-channel queue depth (the "send queue"): each link's queue in
+    /// the in-process channel transport, and the depth the default
+    /// socket buffers are sized for ([`crate::net::default_sockbuf`]).
     pub channel_depth: usize,
     /// Credits granted per completion notification (paper: 2).
     pub grant_per_completion: u32,

@@ -13,6 +13,7 @@ use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LE
 use rftp_core::{
     AtomicSourcePool, Attempt, IndexQueue, LossDetector, PoolGeometry, ReorderBuffer, Verdict,
 };
+use rftp_faults::WanDice;
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -291,7 +292,7 @@ fn load(src: &Src, loaded: &Sender<u32>, t: &mut Tally) -> io::Result<()> {
 fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
     let (cfg, data, inflight) = (src.cfg, &src.data, &src.inflight);
     let mut rr = 0usize;
-    let mut fault_rng = cfg.fault_seed;
+    let mut fault_dice = WanDice::from_state(cfg.fault_seed);
     let mut sent = 0u64;
     // Dispatch stays in sequence order (see the module doc); loaders
     // finish out of order.
@@ -389,7 +390,7 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
                     std::thread::sleep(cfg.retx_timeout / 4);
                 }
             }
-            if cfg.fault_drop_p > 0.0 && drop_roll(&mut fault_rng) < cfg.fault_drop_p {
+            if fault_dice.roll(cfg.fault_drop_p) {
                 // The wire ate it — ordinal and all, as a real loss
                 // would; the watchdog re-sends.
                 t.dropped += 1;
@@ -480,10 +481,12 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
             // The same drop dice as a first send, keyed by (sequence,
             // attempt): which re-sends the wire eats is a property of the
             // seed, not of the order recovery happened to run in.
-            let mut dice = cfg.fault_seed
-                ^ 0x5EED_5EED_5EED_5EED
-                ^ ((i.seq as u64) << 8 | (i.at.attempts + 1) as u64);
-            if drop_roll(&mut dice) < cfg.fault_drop_p {
+            let mut dice = WanDice::from_state(
+                cfg.fault_seed
+                    ^ 0x5EED_5EED_5EED_5EED
+                    ^ ((i.seq as u64) << 8 | (i.at.attempts + 1) as u64),
+            );
+            if dice.roll(cfg.fault_drop_p) {
                 t.dropped += 1;
             } else {
                 let hdr = DataFrameHeader {
@@ -677,21 +680,6 @@ pub(crate) struct InFlightInfo {
     /// The latest wire attempt (none yet while loading) — what the
     /// watchdog's [`LossDetector::verdict`] judges.
     pub(crate) at: Attempt,
-}
-
-/// splitmix64 — the drop RNG. Self-contained so the fault injector adds
-/// no dependency to the crate; determinism per seed is all it needs.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// One uniform draw in [0, 1); drops fire when it lands below `p`.
-pub(crate) fn drop_roll(state: &mut u64) -> f64 {
-    (splitmix64(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// Backoff for lock-free waits. Escalates fast to `yield_now`: on a

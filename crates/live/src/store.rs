@@ -214,9 +214,10 @@ impl std::fmt::Debug for SlotBuf {
     }
 }
 
-/// The crate's one `mmap` site: a read+write mapping, unmapped on drop.
-/// Anonymous and private for a [`BlockPool`], shared over a memfd for an
-/// shm session window ([`crate::shm`]). The raw pointer is shared across
+/// A read+write mapping of slot memory, unmapped on drop: anonymous and
+/// private for a [`BlockPool`], shared over a memfd for an shm session
+/// window ([`crate::shm`]). (The io_uring rings are mapped apart, by
+/// `uring::sys::MmapRegion`.) The raw pointer is shared across
 /// threads (`Send + Sync`): the pool hands each slot to one owner at a
 /// time behind its mutex, the shm window publishes through per-slot
 /// atomics.

@@ -12,7 +12,6 @@
 //! dropped.
 
 use super::ring::{Ring, RING_ENTRIES};
-use super::source::UD_NOP;
 use super::sys::*;
 use crate::net::shutdown_all;
 use crate::split::{perr, SinkEvt, SinkFront, Tally};
@@ -183,9 +182,8 @@ impl Sess {
 
 /// `user_data` link field naming a session's control socket.
 const CTRL_LINK: u32 = u32::MAX;
-/// `user_data` of the driver's hub-wakeup read. (`UD_NOP` is
-/// `u64::MAX`; session ids never reach `u32::MAX`, so neither
-/// sentinel collides with `ud()`.)
+/// `user_data` of the driver's hub-wakeup read. Session ids never
+/// reach `u32::MAX`, so it never collides with `ud()`.
 const UD_WAKE: u64 = u64::MAX - 1;
 
 /// Completion demultiplexing key: session id in the high word, link
@@ -679,9 +677,6 @@ impl<'a> MultiDriver<'a> {
     /// Route one CQE. `Err` here is ring-fatal (a failed submit);
     /// session-level failures are recorded via `sess_fail`.
     fn on_cqe(&mut self, c: &Cqe) -> io::Result<()> {
-        if c.user_data == UD_NOP {
-            return Ok(());
-        }
         if c.user_data == UD_WAKE {
             self.wake_armed = false;
             if !self.stopping {
@@ -763,9 +758,6 @@ impl<'a> MultiDriver<'a> {
             for c in &cqes {
                 if c.user_data == UD_WAKE {
                     self.wake_armed = false;
-                    continue;
-                }
-                if c.user_data == UD_NOP {
                     continue;
                 }
                 let sid = (c.user_data >> 32) as u32;

@@ -20,7 +20,7 @@ use std::time::Duration;
 /// (the plain [`DataTx::send`] path) instead of a registered slot.
 pub(super) const OWNED_BUF: u16 = u16::MAX;
 /// `user_data` of the wakeup NOP the teardown path submits.
-pub(super) const UD_NOP: u64 = u64::MAX;
+const UD_NOP: u64 = u64::MAX;
 
 /// One queued data-frame write: current wire position plus what is
 /// left, so short-write continuations just advance and resubmit.
