@@ -33,7 +33,12 @@ unsafe fn slot_word<'a>(base: *mut u8, off: u64) -> &'a AtomicU64 {
 
 /// Where a slot's wire image (payload header + payload) begins,
 /// matching [`SlotBuf::external`]'s deref region.
-pub(super) unsafe fn wire_ptr(base: *mut u8, off: u64) -> *mut u8 {
+///
+/// # Safety
+///
+/// `off` must be an entry of the offset table of the window mapped at
+/// `base`, which lies whole inside that mapping.
+unsafe fn wire_ptr(base: *mut u8, off: u64) -> *mut u8 {
     base.add(off as usize + STORE_ALIGN - PAYLOAD_HEADER_LEN)
 }
 
@@ -184,15 +189,20 @@ impl SrcWindow {
 /// trusted. Owns the mapping and memfd: every window is created for
 /// exactly one session and dies with it.
 pub(crate) struct SnkWindow {
-    pub(super) base: *mut u8,
+    base: *mut u8,
     block_cap: u32,
-    pub(super) offsets: Vec<u64>,
+    offsets: Vec<u64>,
     /// Epoch granted per wire slot; a notify is only honoured when
     /// the slot word reads exactly `(expected, PUBLISHED)`.
     expected: Vec<AtomicU64>,
     _own: (Mapping, OwnedFd),
 }
 
+// SAFETY: `base` points into the mapping `_own` keeps alive for the
+// window's whole life, and nothing is written through it without
+// synchronisation: the generation words are atomics, and slot bytes are
+// read under the sink's slot mutexes. `offsets` and `expected` are
+// plain owned data and atomics.
 unsafe impl Send for SnkWindow {}
 unsafe impl Sync for SnkWindow {}
 
@@ -206,6 +216,13 @@ impl SnkWindow {
             expected,
             _own: (map, fd),
         }
+    }
+
+    /// Where wire slot `slot`'s image begins in this window.
+    pub(super) fn wire_at(&self, slot: u32) -> *const u8 {
+        // SAFETY: the offsets are the table this window was created
+        // with, every slot whole inside the mapping.
+        unsafe { wire_ptr(self.base, self.offsets[slot as usize]) }
     }
 
     /// Hand slot ownership to the source: bump the epoch past

@@ -1,7 +1,7 @@
 //! The sink half: the control sender that grants the window, the notify
 //! reader, the unix-socket way in and the session runner.
 
-use super::fence::{wire_ptr, SnkWindow};
+use super::fence::SnkWindow;
 use super::window::SessionWindow;
 use crate::net::{self, proto_err, read_exact_or_eof, shutdown_all, SessionSocket, SessionStreams};
 use crate::split::{run_sink_session, FairShare};
@@ -94,7 +94,7 @@ impl DataRx for ShmDataRx {
         // move; the check above was the whole place stage.
         debug_assert_eq!(
             buf.as_ptr() as usize,
-            unsafe { wire_ptr(self.win.base, self.win.offsets[hdr.slot as usize]) } as usize,
+            self.win.wire_at(hdr.slot) as usize,
             "shm sink buffer must alias the shared slot"
         );
         debug_assert_eq!(buf.len(), hdr.wire_len());

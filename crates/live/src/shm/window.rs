@@ -135,6 +135,8 @@ pub(crate) fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Re
         flags: 0,
     };
     let n = retry_interrupted(|| {
+        // SAFETY: `msg` points at `iov`, `bytes` and `cmsg`, all alive
+        // for the call, and the kernel only reads them.
         let n = unsafe { sendmsg(sock.as_raw_fd(), &msg, MSG_NOSIGNAL) };
         if n < 0 {
             Err(io::Error::last_os_error())
