@@ -97,22 +97,19 @@
 #[path = "."]
 mod imp {
     mod fence;
-    mod sink;
-    mod source;
+    pub(super) mod sink;
+    pub(super) mod source;
     #[cfg(test)]
     mod tests;
-    mod window;
-
-    pub(crate) use sink::run_shm_session;
-    pub use sink::{run_shm_sink, ShmListener, ShmSessionStreams};
-    pub use source::connect_source_shm;
-    pub use window::shm_supported;
+    pub(super) mod window;
 }
 
 #[cfg(target_os = "linux")]
-pub(crate) use imp::run_shm_session;
+pub(crate) use imp::sink::run_shm_session;
 #[cfg(target_os = "linux")]
-pub use imp::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};
+pub use imp::sink::{run_shm_sink, ShmListener, ShmSessionStreams};
+#[cfg(target_os = "linux")]
+pub use imp::{source::connect_source_shm, window::shm_supported};
 
 #[cfg(not(target_os = "linux"))]
 mod stub;

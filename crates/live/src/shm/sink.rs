@@ -224,10 +224,9 @@ pub(crate) fn run_shm_session(
 ) -> io::Result<LiveReport> {
     let sw = SessionWindow::create(cfg.pool_blocks as usize, cfg.block_size)?;
     sw.send_descriptor(&streams.ctrl)?;
-    let snk_bufs = sw.slot_bufs();
-    let win = Arc::new(sw.into_sink_window());
+    let (snk_bufs, win) = sw.into_sink();
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let t = sink_transport_for_window(streams, win)?;
+    let t = sink_transport_for_window(streams, Arc::new(win))?;
     run_sink_session(cfg, t, first_ctrl, &view, fair)
 }
 

@@ -446,22 +446,21 @@ impl SessionWindow {
         send_with_fd(ctrl, &self.desc.encode(), self.fd.as_raw_fd())
     }
 
-    /// External slot views over the window — the sink pipeline's
-    /// buffers alias the very bytes the source stores.
-    pub(crate) fn slot_bufs(&self) -> Vec<Mutex<SlotBuf>> {
+    /// The sink's side of the window: external slot views over it — the
+    /// sink pipeline's buffers alias the very bytes the source stores —
+    /// and the sink window, which keeps the fd and mapping alive for the
+    /// session.
+    pub(crate) fn into_sink(self) -> (Vec<Mutex<SlotBuf>>, SnkWindow) {
         let stride = self.desc.stride as usize;
         let cap = self.desc.block_cap as usize;
-        (0..self.desc.offsets.len())
+        // SAFETY: slot `i` lies whole inside the mapping, which `create`
+        // sized to `slots × stride`, and the window returned beside the
+        // views keeps the mapping alive while the session uses them.
+        let bufs = (0..self.desc.offsets.len())
             .map(|i| Mutex::new(unsafe { SlotBuf::external(self.map.base().add(i * stride), cap) }))
-            .collect()
-    }
-
-    /// Consume into the sink window (keeps fd + mapping alive for
-    /// the session; call after [`SessionWindow::slot_bufs`] — the
-    /// mapping's base address does not move).
-    pub(crate) fn into_sink_window(self) -> SnkWindow {
-        let block_cap = self.desc.block_cap;
-        SnkWindow::owned(self.map, self.fd, self.desc.offsets, block_cap)
+            .collect();
+        let win = SnkWindow::owned(self.map, self.fd, self.desc.offsets, cap as u32);
+        (bufs, win)
     }
 }
 

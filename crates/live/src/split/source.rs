@@ -481,12 +481,9 @@ fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
             // The same drop dice as a first send, keyed by (sequence,
             // attempt): which re-sends the wire eats is a property of the
             // seed, not of the order recovery happened to run in.
-            let mut dice = WanDice::from_state(
-                cfg.fault_seed
-                    ^ 0x5EED_5EED_5EED_5EED
-                    ^ ((i.seq as u64) << 8 | (i.at.attempts + 1) as u64),
-            );
-            if dice.roll(cfg.fault_drop_p) {
+            let key = (i.seq as u64) << 8 | (i.at.attempts + 1) as u64;
+            let state = cfg.fault_seed ^ 0x5EED_5EED_5EED_5EED ^ key;
+            if WanDice::from_state(state).roll(cfg.fault_drop_p) {
                 t.dropped += 1;
             } else {
                 let hdr = DataFrameHeader {
