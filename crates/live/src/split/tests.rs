@@ -578,7 +578,7 @@ fn split_pair_repeated_runs_are_clean() {
     }
 }
 
-/// The watchdog regression ISSUE 10 names: at 49 ms RTT a clean
+/// A watchdog regression once seen: at 49 ms RTT a clean
 /// transfer must finish with **zero** retransmits. A fixed 100 ms
 /// deadline survives this; the adaptive deadline must too, even
 /// after `rttvar` has decayed and the RTO has tightened onto `srtt`.
