@@ -22,8 +22,7 @@ use std::sync::{Arc, OnceLock};
 type Window = Arc<OnceLock<SrcWindow>>;
 
 /// The session's one data link: the window is one and the notify stream
-/// is one, so every channel's blocks leave through this link and their
-/// records reach the sink in the order they were stored.
+/// is one, so every channel's blocks leave through this link.
 struct ShmDataTx {
     notify: Mutex<UnixStream>,
     window: Window,
