@@ -782,25 +782,23 @@ mod tests {
         // 64 blocks >> 8 session slots
         send_raw_ctrl(&mut streams.ctrl, &req(block, 2, 4 << 20)).unwrap();
         let SessionStreams { mut ctrl, data, .. } = streams;
-        // Read the raw descriptor head off the control stream (a plain
-        // read discards the SCM_RIGHTS fd, which is fine — we only
-        // check the claimed geometry here).
+        // Read the descriptor head off the control stream (a plain read
+        // discards the SCM_RIGHTS fd, which is fine — we only check the
+        // claimed geometry here).
         ctrl.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut head = [0u8; 28];
+        let mut head = [0u8; crate::shm::DESC_HEAD_LEN];
         ctrl.read_exact(&mut head).unwrap();
         assert_eq!(
             u16::from_be_bytes([head[0], head[1]]),
-            0xFFFF,
+            crate::shm::DESC_MAGIC,
             "not a descriptor"
         );
-        let slots = u32::from_be_bytes(head[4..8].try_into().unwrap());
-        let stride = u64::from_be_bytes(head[8..16].try_into().unwrap());
-        let window_len = u64::from_be_bytes(head[16..24].try_into().unwrap());
-        assert_eq!(slots, 8, "window must span exactly the lease");
-        assert_eq!(stride, SlotBuf::stride(block as usize) as u64);
+        let desc = crate::shm::decode_desc_head(head[2..].try_into().unwrap()).unwrap();
+        assert_eq!(desc.slot_count, 8, "window must span exactly the lease");
+        assert_eq!(desc.stride, SlotBuf::stride(block as usize) as u64);
         assert_eq!(
-            window_len,
-            8 * stride,
+            desc.window_len() as u64,
+            8 * desc.stride,
             "window must be the lease's 8 slots, not the 64-slot arena"
         );
 

@@ -6,7 +6,8 @@ use super::door::{connect_streams, send_raw_ctrl, shutdown_all, SessionStreams};
 use super::{proto_err, read_exact_or_eof, retry_interrupted};
 use crate::store::SlotBuf;
 use crate::transport::{
-    BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport, SourceTransport,
+    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport,
+    SourceTransport,
 };
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};
@@ -149,8 +150,7 @@ fn write_all_vectored(s: &mut impl Write, mut iov: &mut [IoSlice<'_>]) -> io::Re
 /// A borrowed or owned image ([`DataTx::send`], and through it
 /// [`DataTx::send_owned`]) is written at once, behind the queue: a WAN
 /// delay line hands each frame over at the instant it is due, and
-/// holding it for a kick would move it off that instant. Unregistered,
-/// every call writes.
+/// holding it for a kick would move it off that instant.
 pub(super) struct NetDataTx {
     pub(super) link: Mutex<Link>,
     pool: Registered,
@@ -188,10 +188,7 @@ impl DataTx for NetDataTx {
         bufs: &[Mutex<SlotBuf>],
         block: u32,
     ) -> io::Result<()> {
-        let Some(pool) = self.pool.get() else {
-            let buf = bufs[block as usize].lock();
-            return self.send(hdr, &buf[..hdr.wire_len()]);
-        };
+        let pool = registered(&self.pool)?;
         debug_assert!(
             std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
             "send_block from a pool other than the registered one"

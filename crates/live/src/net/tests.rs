@@ -215,10 +215,9 @@ fn accept_policy_classifies_every_error() {
 
 /// A data link's send side over a real loopback stream, the peer
 /// end it writes to, and the pool it sends from: `blocks` slots of
-/// `block` bytes, each wire image a pattern salted by its index.
-/// With `registered` the pool is the link's registered one, as the
-/// `register` hook leaves it.
-fn doorbell_link(blocks: u32, block: usize, registered: bool) -> (NetDataTx, TcpStream, BufPool) {
+/// `block` bytes, each wire image a pattern salted by its index,
+/// registered with the link as the `register` hook leaves it.
+fn doorbell_link(blocks: u32, block: usize) -> (NetDataTx, TcpStream, BufPool) {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
     let tx = TcpStream::connect(l.local_addr().unwrap()).unwrap();
     let (peer, _) = l.accept().unwrap();
@@ -231,9 +230,7 @@ fn doorbell_link(blocks: u32, block: usize, registered: bool) -> (NetDataTx, Tcp
         }
     }
     let reg = Registered::default();
-    if registered {
-        assert!(reg.set(pool.clone()).is_ok());
-    }
+    assert!(reg.set(pool.clone()).is_ok());
     (NetDataTx::new(tx, reg), peer, pool)
 }
 
@@ -273,7 +270,7 @@ fn read_n(peer: &mut TcpStream, n: usize) -> Vec<u8> {
 #[test]
 fn queued_blocks_leave_on_the_kick_in_queue_order() {
     const LEN: usize = 4096;
-    let (tx, mut peer, pool) = doorbell_link(8, LEN, true);
+    let (tx, mut peer, pool) = doorbell_link(8, LEN);
     let mut want = Vec::new();
     // Block 2 twice, as a retransmit queued behind its first send:
     // locked once, sent twice.
@@ -307,7 +304,7 @@ fn queued_blocks_leave_on_the_kick_in_queue_order() {
 fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
     const LEN: usize = 16 << 10;
     const BLOCKS: u32 = 64;
-    let (tx, mut peer, pool) = doorbell_link(BLOCKS, LEN, true);
+    let (tx, mut peer, pool) = doorbell_link(BLOCKS, LEN);
     {
         let link = tx.link.lock();
         set_sockbuf(&link.stream, 8 << 10);
@@ -346,7 +343,7 @@ fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
 #[test]
 fn send_after_queued_blocks_keeps_channel_order() {
     const LEN: usize = 1024;
-    let (tx, mut peer, pool) = doorbell_link(4, LEN, true);
+    let (tx, mut peer, pool) = doorbell_link(4, LEN);
     let mut want = Vec::new();
     for b in [3u32, 1, 2] {
         tx.send_block(block_hdr(b, LEN), &pool, b).unwrap();
@@ -363,22 +360,6 @@ fn send_after_queued_blocks_keeps_channel_order() {
     want.extend(block_frame(&pool, 0, LEN));
     tx.send_owned(hdr, wire.clone().into()).unwrap();
     want.extend(frame_bytes(hdr, &wire));
-    assert_eq!(read_n(&mut peer, want.len()), want);
-}
-
-/// With no pool registered there is nothing to queue by index: every
-/// call writes through, as the channel backend's does.
-#[test]
-fn an_unregistered_link_writes_through() {
-    const LEN: usize = 2048;
-    let (tx, mut peer, pool) = doorbell_link(2, LEN, false);
-    tx.send_block(block_hdr(1, LEN), &pool, 1).unwrap();
-    let want = block_frame(&pool, 1, LEN);
-    assert_eq!(read_n(&mut peer, want.len()), want);
-    let hdr = block_hdr(9, 64);
-    let wire: Vec<u8> = (0..hdr.wire_len()).map(|i| i as u8).collect();
-    tx.send_owned(hdr, wire.clone().into()).unwrap();
-    let want = frame_bytes(hdr, &wire);
     assert_eq!(read_n(&mut peer, want.len()), want);
 }
 

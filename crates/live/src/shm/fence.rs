@@ -24,22 +24,61 @@ fn word_of(epoch: u64, state: u64) -> u64 {
     (epoch << 2) | state
 }
 
-/// The generation word lives in the first 8 bytes of the slot's
-/// stride — dead space the wire image never touches (the image
-/// starts at `STORE_ALIGN - PAYLOAD_HEADER_LEN`).
-unsafe fn slot_word<'a>(base: *mut u8, off: u64) -> &'a AtomicU64 {
-    &*(base.add(off as usize) as *const AtomicU64)
+/// A mapped window's slots: slot `i` at `base + i × stride`, each
+/// holding at most `block_cap` payload bytes.
+struct Slots {
+    map: Mapping,
+    stride: usize,
+    count: usize,
+    block_cap: u32,
 }
 
-/// Where a slot's wire image (payload header + payload) begins,
-/// matching [`SlotBuf::external`]'s deref region.
-///
-/// # Safety
-///
-/// `off` must be an entry of the offset table of the window mapped at
-/// `base`, which lies whole inside that mapping.
-unsafe fn wire_ptr(base: *mut u8, off: u64) -> *mut u8 {
-    base.add(off as usize + STORE_ALIGN - PAYLOAD_HEADER_LEN)
+impl Slots {
+    fn new(map: Mapping, desc: &WindowDesc) -> Slots {
+        Slots {
+            map,
+            stride: desc.stride as usize,
+            count: desc.slot_count as usize,
+            block_cap: desc.block_cap,
+        }
+    }
+
+    /// The slot `hdr` names, once it is known to lie in the window and
+    /// to hold the payload `hdr` claims; `what` names the caller in the
+    /// error.
+    fn check(&self, hdr: &DataFrameHeader, what: &str) -> io::Result<usize> {
+        let s = hdr.slot as usize;
+        if s >= self.count {
+            return Err(proto_err(format!(
+                "shm {what}: slot {s} outside the {}-slot window",
+                self.count
+            )));
+        }
+        if hdr.len > self.block_cap {
+            return Err(proto_err(format!(
+                "shm {what}: payload {} exceeds window block cap {}",
+                hdr.len, self.block_cap
+            )));
+        }
+        Ok(s)
+    }
+
+    /// Slot `s`'s generation word: the first 8 bytes of its stride —
+    /// dead space the wire image never touches (the image starts at
+    /// `STORE_ALIGN - PAYLOAD_HEADER_LEN`).
+    fn word(&self, s: usize) -> &AtomicU64 {
+        let p = self.map.at(s * self.stride);
+        // SAFETY: `p` is a slot base inside the mapping `self` owns, so
+        // valid while `&self` is, and page-aligned; both processes touch
+        // the word only through atomics.
+        unsafe { AtomicU64::from_ptr(p.cast()) }
+    }
+
+    /// Where slot `s`'s wire image (payload header + payload) begins,
+    /// matching [`crate::store::SlotBuf`]'s deref region.
+    fn wire(&self, s: usize) -> *mut u8 {
+        self.map.at(s * self.stride + STORE_ALIGN - PAYLOAD_HEADER_LEN)
+    }
 }
 
 /// What the source last placed into one sink slot: the block seq and
@@ -66,8 +105,7 @@ pub(crate) enum PlaceOutcome {
     Stale,
 }
 
-/// The source's view of the sink's window: the mapping, the rkey
-/// table, and the per-slot send history that makes retransmits
+/// The source's view of the sink's window: its slots and the per-slot send history that makes retransmits
 /// tear-proof.
 ///
 /// **Why the seq rule exists.** Credits can overtake acks: the sink
@@ -86,21 +124,17 @@ pub(crate) enum PlaceOutcome {
 ///   re-notify if the slot still holds it published, else stale;
 /// * `hdr.seq < last`: stale resend for a slot that moved on — drop.
 pub(crate) struct SrcWindow {
-    map: Mapping,
-    block_cap: u32,
-    offsets: Vec<u64>,
+    slots: Slots,
     sent: Vec<Mutex<SentEntry>>,
 }
 
 impl SrcWindow {
     pub(super) fn new(map: Mapping, desc: &WindowDesc) -> SrcWindow {
-        let sent = (0..desc.offsets.len())
+        let sent = (0..desc.slot_count)
             .map(|_| Mutex::new(SentEntry { seq: -1, epoch: 0 }))
             .collect();
         SrcWindow {
-            map,
-            block_cap: desc.block_cap,
-            offsets: desc.offsets.clone(),
+            slots: Slots::new(map, desc),
             sent,
         }
     }
@@ -110,22 +144,9 @@ impl SrcWindow {
     /// generation-word handshake, one `memcpy` into shared memory,
     /// one release fence. No socket, no receiver copy.
     pub(crate) fn place(&self, hdr: &DataFrameHeader, wire: &[u8]) -> io::Result<PlaceOutcome> {
-        let slot = hdr.slot as usize;
-        if slot >= self.offsets.len() {
-            return Err(proto_err(format!(
-                "shm place: slot {slot} outside the {}-slot window",
-                self.offsets.len()
-            )));
-        }
-        if hdr.len > self.block_cap {
-            return Err(proto_err(format!(
-                "shm place: payload {} exceeds window block cap {}",
-                hdr.len, self.block_cap
-            )));
-        }
-        debug_assert_eq!(wire.len(), hdr.wire_len());
-        let off = self.offsets[slot];
-        let word = unsafe { slot_word(self.map.base(), off) };
+        let slot = self.slots.check(hdr, "place")?;
+        assert_eq!(wire.len(), hdr.wire_len());
+        let word = self.slots.word(slot);
         let mut entry = self.sent[slot].lock();
         let seq = hdr.seq as i64;
         if seq < entry.seq {
@@ -166,12 +187,11 @@ impl SrcWindow {
                 "shm place: slot {slot} changed hands mid-claim — window desynchronized"
             )));
         }
+        // SAFETY: the slot lies whole in the mapping and `wire`, as long
+        // as `hdr` says, fits its payload room (`check`); the CAS above made this call its one
+        // writer, and a shared mapping never aliases `wire`.
         unsafe {
-            std::ptr::copy_nonoverlapping(
-                wire.as_ptr(),
-                wire_ptr(self.map.base(), off),
-                wire.len(),
-            );
+            std::ptr::copy_nonoverlapping(wire.as_ptr(), self.slots.wire(slot), wire.len());
         }
         // The fence that replaces the receiver copy: everything
         // stored above happens-before any sink thread that
@@ -183,46 +203,30 @@ impl SrcWindow {
     }
 }
 
-/// The sink's view of its own window: the slot base, the offset
-/// table it described to the peer, and the epoch it granted each
-/// slot at — what a published word must match before the payload is
-/// trusted. Owns the mapping and memfd: every window is created for
-/// exactly one session and dies with it.
+/// The sink's view of its own window: its slots and the epoch it
+/// granted each slot at — what a published word must match before the
+/// payload is trusted. Owns the mapping and memfd: every window is
+/// created for exactly one session and dies with it.
 pub(crate) struct SnkWindow {
-    base: *mut u8,
-    block_cap: u32,
-    offsets: Vec<u64>,
+    slots: Slots,
     /// Epoch granted per wire slot; a notify is only honoured when
     /// the slot word reads exactly `(expected, PUBLISHED)`.
     expected: Vec<AtomicU64>,
-    _own: (Mapping, OwnedFd),
+    _fd: OwnedFd,
 }
 
-// SAFETY: `base` points into the mapping `_own` keeps alive for the
-// window's whole life, and nothing is written through it without
-// synchronisation: the generation words are atomics, and slot bytes are
-// read under the sink's slot mutexes. `offsets` and `expected` are
-// plain owned data and atomics.
-unsafe impl Send for SnkWindow {}
-unsafe impl Sync for SnkWindow {}
-
 impl SnkWindow {
-    pub(crate) fn owned(map: Mapping, fd: OwnedFd, offsets: Vec<u64>, block_cap: u32) -> SnkWindow {
-        let expected = (0..offsets.len()).map(|_| AtomicU64::new(0)).collect();
+    pub(crate) fn owned(map: Mapping, fd: OwnedFd, desc: &WindowDesc) -> SnkWindow {
         SnkWindow {
-            base: map.base(),
-            block_cap,
-            offsets,
-            expected,
-            _own: (map, fd),
+            slots: Slots::new(map, desc),
+            expected: (0..desc.slot_count).map(|_| AtomicU64::new(0)).collect(),
+            _fd: fd,
         }
     }
 
     /// Where wire slot `slot`'s image begins in this window.
     pub(super) fn wire_at(&self, slot: u32) -> *const u8 {
-        // SAFETY: the offsets are the table this window was created
-        // with, every slot whole inside the mapping.
-        unsafe { wire_ptr(self.base, self.offsets[slot as usize]) }
+        self.slots.wire(slot as usize)
     }
 
     /// Hand slot ownership to the source: bump the epoch past
@@ -233,10 +237,10 @@ impl SnkWindow {
     /// is visible strictly before the credit that announces it.
     pub(super) fn grant(&self, slot: u32) {
         let s = slot as usize;
-        if s >= self.offsets.len() {
+        if s >= self.slots.count {
             return; // granter never emits out-of-pool slots; defensive
         }
-        let word = unsafe { slot_word(self.base, self.offsets[s]) };
+        let word = self.slots.word(s);
         let epoch = (word.load(Ordering::Acquire) >> 2).wrapping_add(1);
         self.expected[s].store(epoch, Ordering::Release);
         word.store(word_of(epoch, SLOT_GRANTED), Ordering::Release);
@@ -248,22 +252,9 @@ impl SnkWindow {
     /// stale or torn one-sided write and fails the session rather
     /// than letting verification read bytes still in flight.
     pub(super) fn check_published(&self, hdr: &DataFrameHeader) -> io::Result<()> {
-        let s = hdr.slot as usize;
-        if s >= self.offsets.len() {
-            return Err(proto_err(format!(
-                "shm notify names slot {s} outside the {}-slot window",
-                self.offsets.len()
-            )));
-        }
-        if hdr.len > self.block_cap {
-            return Err(proto_err(format!(
-                "shm notify claims {} payload bytes, window block cap is {}",
-                hdr.len, self.block_cap
-            )));
-        }
+        let s = self.slots.check(hdr, "notify")?;
         let expected = self.expected[s].load(Ordering::Acquire);
-        let word = unsafe { slot_word(self.base, self.offsets[s]) };
-        let w = word.load(Ordering::Acquire);
+        let w = self.slots.word(s).load(Ordering::Acquire);
         if w != word_of(expected, SLOT_PUBLISHED) {
             return Err(proto_err(format!(
                 "shm slot {s} not cleanly published (word {w:#x}, granted epoch \

@@ -36,41 +36,73 @@ fn probe_reports_shm_support() {
 fn descriptor_roundtrips_and_validates() {
     let stride = SlotBuf::stride(64 * 1024) as u64;
     let desc = WindowDesc {
+        slot_count: 4,
         stride,
-        window_len: stride * 4,
         block_cap: 64 * 1024,
-        offsets: (0..4).map(|i| i * stride).collect(),
     };
     desc.validate().unwrap();
     let bytes = desc.encode();
+    assert_eq!(bytes.len(), DESC_HEAD_LEN);
     assert_eq!(&bytes[..2], &DESC_MAGIC.to_be_bytes());
-    let head: [u8; DESC_HEAD_LEN - 2] = bytes[2..DESC_HEAD_LEN].try_into().unwrap();
-    let (slots, s, wl, cap) = decode_desc_head(&head).unwrap();
-    assert_eq!((slots, s, wl, cap), (4, stride, stride * 4, 64 * 1024));
+    let head: [u8; DESC_HEAD_LEN - 2] = bytes[2..].try_into().unwrap();
+    assert_eq!(decode_desc_head(&head).unwrap(), desc);
+    assert_eq!(desc.window_len() as u64, 4 * stride);
 
-    // Misaligned stride, slot past the window end, cap beyond
-    // the slot's payload room: each refused before any mapping.
+    // Misaligned stride, cap beyond the slot's payload room, no slots:
+    // each refused before any mapping.
     let mut bad = desc.clone();
     bad.stride += 1;
     assert!(bad.validate().is_err());
     let mut bad = desc.clone();
-    bad.offsets[3] = bad.window_len;
-    assert!(bad.validate().is_err());
-    let mut bad = desc.clone();
     bad.block_cap = (bad.stride - STORE_ALIGN as u64 + 1) as u32;
     assert!(bad.validate().is_err());
-
-    // Aliased offsets: two credited slots sharing memory would
-    // let concurrent places tear each other — refused as a
-    // typed descriptor error, both exact duplicates and partial
-    // (sub-stride) overlaps.
     let mut bad = desc.clone();
-    bad.offsets[2] = bad.offsets[1];
-    let err = bad.validate().unwrap_err();
-    assert!(err.to_string().contains("overlap"), "{err}");
-    let mut bad = desc.clone();
-    bad.offsets[2] = bad.offsets[1] + STORE_ALIGN as u64;
+    bad.slot_count = 0;
     assert!(bad.validate().is_err());
+
+    // `slot_count × stride` past the 1 TiB window cap, and past u64:
+    // refused, not wrapped into a small window.
+    let mut bad = desc.clone();
+    bad.slot_count = 1 << 20;
+    bad.stride = 2 << 20;
+    let err = bad.validate().unwrap_err();
+    assert!(err.to_string().contains("window cap"), "{err}");
+    bad.stride = u64::MAX - (STORE_ALIGN as u64 - 1);
+    assert!(bad.validate().is_err());
+
+    // A version-1 head (it carried a window length and an offset
+    // table) is refused by its version field.
+    let mut v1 = head;
+    v1[..2].copy_from_slice(&1u16.to_be_bytes());
+    let err = decode_desc_head(&v1).unwrap_err();
+    assert!(err.to_string().contains("version 1 unsupported"), "{err}");
+}
+
+/// A whole version-1 descriptor — magic, version 1, slot count,
+/// stride, window length, block cap, then the per-slot offset table —
+/// sent with its fd is a typed version error at the source, and no
+/// window is mapped.
+#[test]
+fn a_version_1_descriptor_is_refused() {
+    let (a, b) = UnixStream::pair().unwrap();
+    let stride = SlotBuf::stride(4096) as u64;
+    let mut v1 = Vec::new();
+    v1.extend_from_slice(&DESC_MAGIC.to_be_bytes());
+    v1.extend_from_slice(&1u16.to_be_bytes());
+    v1.extend_from_slice(&2u32.to_be_bytes());
+    v1.extend_from_slice(&stride.to_be_bytes());
+    v1.extend_from_slice(&(2 * stride).to_be_bytes());
+    v1.extend_from_slice(&4096u32.to_be_bytes());
+    for i in 0..2 {
+        v1.extend_from_slice(&(i * stride).to_be_bytes());
+    }
+    let fd = memfd_create(2 * stride as usize).unwrap();
+    send_with_fd(&a, &v1, fd.as_raw_fd()).unwrap();
+    let window = Arc::new(OnceLock::new());
+    let mut rx = ShmCtrlRx::new(b, Arc::clone(&window));
+    let err = rx.recv().unwrap_err();
+    assert!(err.to_string().contains("version 1 unsupported"), "{err}");
+    assert!(window.get().is_none());
 }
 
 /// An fd whose size cannot be read (here: a socket) must be a
@@ -98,13 +130,12 @@ fn place_follows_grant_epochs() {
     let fd = memfd_create(len).unwrap();
     let map = map_window(fd.as_raw_fd(), len).unwrap();
     let desc = WindowDesc {
+        slot_count: 2,
         stride: stride as u64,
-        window_len: len as u64,
         block_cap: block as u32,
-        offsets: vec![0, stride as u64],
     };
     let snk_map = map_window(fd.as_raw_fd(), len).unwrap();
-    let snk = SnkWindow::owned(snk_map, fd, desc.offsets.clone(), block as u32);
+    let snk = SnkWindow::owned(snk_map, fd, &desc);
     let src = SrcWindow::new(map, &desc);
 
     let hdr = |seq: u32, slot: u32, len: u32| DataFrameHeader {
@@ -115,7 +146,7 @@ fn place_follows_grant_epochs() {
     };
     let wire = |h: &DataFrameHeader| vec![0xC3u8; h.wire_len()];
 
-    // Slot outside the table: typed error, not a wild write.
+    // Slot outside the window: typed error, not a wild write.
     let bad = hdr(0, 7, 16);
     assert!(src.place(&bad, &wire(&bad)).is_err());
 
@@ -159,10 +190,9 @@ fn short_window_fd_is_a_typed_error_not_a_sigbus() {
     let (a, b) = UnixStream::pair().unwrap();
     let stride = SlotBuf::stride(64 * 1024) as u64;
     let desc = WindowDesc {
+        slot_count: 16,
         stride,
-        window_len: stride * 16,
         block_cap: 64 * 1024,
-        offsets: (0..16).map(|i| i * stride).collect(),
     };
     // The fd backs one page, not the claimed 16 strides.
     let short_fd = memfd_create(4096).unwrap();

@@ -3,7 +3,7 @@
 
 use super::fence::SnkWindow;
 use crate::net::{proto_err, retry_interrupted};
-use crate::store::{Mapping, SlotBuf, STORE_ALIGN};
+use crate::store::{slot_views, Mapping, SlotBuf, STORE_ALIGN};
 use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
@@ -242,70 +242,61 @@ fn read_exact_with_fd(
 /// prefix (frame bodies are capped far below 0xFFFF), so the source
 /// control reader can distinguish "window descriptor" from "ordinary
 /// frame" (daemon busy/reject) on the first two bytes.
-pub(super) const DESC_MAGIC: u16 = 0xFFFF;
-const DESC_VERSION: u16 = 1;
-pub(super) const DESC_HEAD_LEN: usize = 28;
-/// Ceiling on a descriptor's slot count — a corrupt or hostile
-/// descriptor cannot make the source allocate without bound.
-const MAX_DESC_SLOTS: usize = 1 << 20;
+pub(crate) const DESC_MAGIC: u16 = 0xFFFF;
+const DESC_VERSION: u16 = 2;
+pub(crate) const DESC_HEAD_LEN: usize = 20;
+/// Ceiling on a descriptor's slot count.
+const MAX_DESC_SLOTS: u32 = 1 << 20;
 /// Ceiling on a descriptor's window length (1 TiB).
 const MAX_WINDOW_LEN: u64 = 1 << 40;
 
-/// The sink's window geometry as shipped to the source: the rkey
-/// table of this transport.
+/// The sink's window geometry as shipped to the source: slot `i` sits at
+/// window byte `i × stride`, so the geometry is the whole rkey table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WindowDesc {
+    /// Credited slots in the window.
+    pub(crate) slot_count: u32,
     /// Bytes per slot in the window (header dead space + padded
     /// payload, see [`SlotBuf::stride`]).
     pub(crate) stride: u64,
-    /// Total mapped window bytes.
-    pub(crate) window_len: u64,
     /// Max payload bytes per block this window's slots can hold.
     pub(crate) block_cap: u32,
-    /// Window byte offset of each wire slot index.
-    pub(crate) offsets: Vec<u64>,
 }
 
 impl WindowDesc {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(DESC_HEAD_LEN + self.offsets.len() * 8);
+        let mut b = Vec::with_capacity(DESC_HEAD_LEN);
         b.extend_from_slice(&DESC_MAGIC.to_be_bytes());
         b.extend_from_slice(&DESC_VERSION.to_be_bytes());
-        b.extend_from_slice(&(self.offsets.len() as u32).to_be_bytes());
+        b.extend_from_slice(&self.slot_count.to_be_bytes());
         b.extend_from_slice(&self.stride.to_be_bytes());
-        b.extend_from_slice(&self.window_len.to_be_bytes());
         b.extend_from_slice(&self.block_cap.to_be_bytes());
-        for off in &self.offsets {
-            b.extend_from_slice(&off.to_be_bytes());
-        }
         b
     }
 
-    /// Validate a received descriptor before trusting any offset:
-    /// every slot must lie whole and aligned inside the claimed
-    /// window, or the source refuses the session — this is the
-    /// bounds check that makes a later "write to unmapped slot"
-    /// structurally impossible instead of a SIGBUS.
+    /// Bytes the window spans, `slot_count × stride` (checked by
+    /// [`WindowDesc::validate`]).
+    pub(crate) fn window_len(&self) -> usize {
+        (self.slot_count as u64 * self.stride) as usize
+    }
+
+    /// Validate a received descriptor before mapping anything: a
+    /// page-multiple stride with room for the block cap, a bounded slot
+    /// count and a bounded window. Slots at `i × stride` cannot overlap
+    /// or straddle each other, so this is the whole bounds check that
+    /// makes a later "write to unmapped slot" impossible instead of a
+    /// SIGBUS.
     pub(crate) fn validate(&self) -> io::Result<()> {
-        if self.stride == 0
-            || !self.stride.is_multiple_of(STORE_ALIGN as u64)
-            || self.stride < 2 * STORE_ALIGN as u64
-        {
+        if !self.stride.is_multiple_of(STORE_ALIGN as u64) || self.stride < 2 * STORE_ALIGN as u64 {
             return Err(proto_err(format!(
                 "shm descriptor: bad stride {}",
                 self.stride
             )));
         }
-        if self.window_len == 0 || self.window_len > MAX_WINDOW_LEN {
-            return Err(proto_err(format!(
-                "shm descriptor: bad window length {}",
-                self.window_len
-            )));
-        }
-        if self.offsets.is_empty() || self.offsets.len() > MAX_DESC_SLOTS {
+        if self.slot_count == 0 || self.slot_count > MAX_DESC_SLOTS {
             return Err(proto_err(format!(
                 "shm descriptor: bad slot count {}",
-                self.offsets.len()
+                self.slot_count
             )));
         }
         let payload_room = self.stride - STORE_ALIGN as u64;
@@ -315,53 +306,35 @@ impl WindowDesc {
                 self.block_cap
             )));
         }
-        for &off in &self.offsets {
-            if !off.is_multiple_of(STORE_ALIGN as u64)
-                || off
-                    .checked_add(self.stride)
-                    .is_none_or(|end| end > self.window_len)
-            {
-                return Err(proto_err(format!(
-                    "shm descriptor: slot offset {off} out of window"
-                )));
-            }
-        }
-        // No two slots may alias: overlapping offsets would let one
-        // credited write tear another, and the desync would surface
-        // later as a confusing publication failure instead of a
-        // typed descriptor error here.
-        let mut sorted = self.offsets.clone();
-        sorted.sort_unstable();
-        for pair in sorted.windows(2) {
-            if pair[1] - pair[0] < self.stride {
-                return Err(proto_err(format!(
-                    "shm descriptor: slot offsets {} and {} overlap (stride {})",
-                    pair[0], pair[1], self.stride
-                )));
-            }
+        if (self.slot_count as u64)
+            .checked_mul(self.stride)
+            .is_none_or(|len| len > MAX_WINDOW_LEN)
+        {
+            return Err(proto_err(format!(
+                "shm descriptor: {} slots of {} bytes exceed the {MAX_WINDOW_LEN}-byte window cap",
+                self.slot_count, self.stride
+            )));
         }
         Ok(())
     }
 }
 
-/// Parse the fixed head (after the 2 magic bytes already consumed).
-pub(super) fn decode_desc_head(
-    head: &[u8; DESC_HEAD_LEN - 2],
-) -> io::Result<(usize, u64, u64, u32)> {
+/// Parse and validate the fixed head (after the 2 magic bytes already
+/// consumed).
+pub(crate) fn decode_desc_head(head: &[u8; DESC_HEAD_LEN - 2]) -> io::Result<WindowDesc> {
     let version = u16::from_be_bytes([head[0], head[1]]);
     if version != DESC_VERSION {
         return Err(proto_err(format!(
             "shm descriptor version {version} unsupported"
         )));
     }
-    let slots = u32::from_be_bytes(head[2..6].try_into().unwrap()) as usize;
-    if slots == 0 || slots > MAX_DESC_SLOTS {
-        return Err(proto_err(format!("shm descriptor: bad slot count {slots}")));
-    }
-    let stride = u64::from_be_bytes(head[6..14].try_into().unwrap());
-    let window_len = u64::from_be_bytes(head[14..22].try_into().unwrap());
-    let block_cap = u32::from_be_bytes(head[22..26].try_into().unwrap());
-    Ok((slots, stride, window_len, block_cap))
+    let desc = WindowDesc {
+        slot_count: u32::from_be_bytes(head[2..6].try_into().unwrap()),
+        stride: u64::from_be_bytes(head[6..14].try_into().unwrap()),
+        block_cap: u32::from_be_bytes(head[14..18].try_into().unwrap()),
+    };
+    desc.validate()?;
+    Ok(desc)
 }
 
 /// What opens a source's control stream.
@@ -387,23 +360,10 @@ pub(super) fn read_preamble(ctrl: &UnixStream) -> io::Result<Preamble> {
     }
     let mut head = [0u8; DESC_HEAD_LEN - 2];
     read_exact_with_fd(ctrl, &mut head, &mut fd)?;
-    let (slots, stride, window_len, block_cap) = decode_desc_head(&head)?;
-    let mut table = vec![0u8; slots * 8];
-    read_exact_with_fd(ctrl, &mut table, &mut fd)?;
-    let offsets = table
-        .chunks_exact(8)
-        .map(|c| u64::from_be_bytes(c.try_into().unwrap()))
-        .collect();
-    let desc = WindowDesc {
-        stride,
-        window_len,
-        block_cap,
-        offsets,
-    };
-    desc.validate()?;
+    let desc = decode_desc_head(&head)?;
     let fd =
         fd.ok_or_else(|| proto_err("shm descriptor arrived without an SCM_RIGHTS window fd"))?;
-    let map = map_window(fd.as_raw_fd(), desc.window_len as usize)?;
+    let map = map_window(fd.as_raw_fd(), desc.window_len())?;
     Ok(Preamble::Window(desc, map))
 }
 
@@ -412,12 +372,12 @@ pub(super) fn read_preamble(ctrl: &UnixStream) -> io::Result<Preamble> {
 // -----------------------------------------------------------------
 
 /// A freshly-created memfd window for exactly one session: its own
-/// fd, its own mapping, offsets `0, stride, 2·stride, …`. This is
-/// the isolation boundary of the transport — a session's peer maps
-/// *this* window and nothing else, so one tenant can never read or
-/// scribble another tenant's in-flight payloads (the daemon hands
-/// each admitted shm session one of these; the lease it holds in
-/// the shared arena is accounting, not memory).
+/// fd, its own mapping, slot `i` at `i × stride`. This is the isolation
+/// boundary of the transport — a session's peer maps *this* window and
+/// nothing else, so one tenant can never read or scribble another
+/// tenant's in-flight payloads (the daemon hands each admitted shm
+/// session one of these; the lease it holds in the shared arena is
+/// accounting, not memory).
 pub(crate) struct SessionWindow {
     fd: OwnedFd,
     map: Mapping,
@@ -426,18 +386,14 @@ pub(crate) struct SessionWindow {
 
 impl SessionWindow {
     pub(crate) fn create(slots: usize, block_cap: usize) -> io::Result<SessionWindow> {
-        let stride = SlotBuf::stride(block_cap);
-        let window_len = stride
-            .checked_mul(slots)
-            .ok_or_else(|| proto_err("shm window size overflow"))?;
-        let fd = memfd_create(window_len)?;
-        let map = map_window(fd.as_raw_fd(), window_len)?;
         let desc = WindowDesc {
-            stride: stride as u64,
-            window_len: window_len as u64,
+            slot_count: slots as u32,
+            stride: SlotBuf::stride(block_cap) as u64,
             block_cap: block_cap as u32,
-            offsets: (0..slots).map(|i| (i * stride) as u64).collect(),
         };
+        desc.validate()?;
+        let fd = memfd_create(desc.window_len())?;
+        let map = map_window(fd.as_raw_fd(), desc.window_len())?;
         Ok(SessionWindow { fd, map, desc })
     }
 
@@ -446,21 +402,16 @@ impl SessionWindow {
         send_with_fd(ctrl, &self.desc.encode(), self.fd.as_raw_fd())
     }
 
-    /// The sink's side of the window: external slot views over it — the
-    /// sink pipeline's buffers alias the very bytes the source stores —
-    /// and the sink window, which keeps the fd and mapping alive for the
+    /// The sink's side of the window: slot views over it — the sink
+    /// pipeline's buffers alias the very bytes the source stores — and
+    /// the sink window, which keeps the fd and mapping alive for the
     /// session.
     pub(crate) fn into_sink(self) -> (Vec<Mutex<SlotBuf>>, SnkWindow) {
-        let stride = self.desc.stride as usize;
-        let cap = self.desc.block_cap as usize;
-        // SAFETY: slot `i` lies whole inside the mapping, which `create`
-        // sized to `slots × stride`, and the window returned beside the
-        // views keeps the mapping alive while the session uses them.
-        let bufs = (0..self.desc.offsets.len())
-            .map(|i| Mutex::new(unsafe { SlotBuf::external(self.map.base().add(i * stride), cap) }))
-            .collect();
-        let win = SnkWindow::owned(self.map, self.fd, self.desc.offsets, cap as u32);
-        (bufs, win)
+        let n = self.desc.slot_count as usize;
+        // SAFETY: the window returned beside the views owns the mapping
+        // and keeps it mapped while the session uses them.
+        let bufs = unsafe { slot_views(&self.map, n, self.desc.block_cap as usize) };
+        (bufs, SnkWindow::owned(self.map, self.fd, &self.desc))
     }
 }
 

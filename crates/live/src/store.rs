@@ -126,16 +126,15 @@ impl SlotBuf {
         STORE_ALIGN + block_size.next_multiple_of(STORE_ALIGN)
     }
 
-    /// Wrap an externally owned allocation (a slot inside a mapped
-    /// shared-memory window) in the `SlotBuf` interface. `base` must
-    /// point at `stride(block_size)` bytes, [`STORE_ALIGN`]-aligned,
-    /// valid for the life of the returned value; the caller keeps
-    /// ownership (Drop does not free).
+    /// View `stride(block_size)` bytes of mapped memory at `base` as a
+    /// slot; Drop leaves the memory to its mapping. [`slot_views`] is
+    /// the one caller.
     ///
     /// # Safety
-    /// The caller guarantees `base` is valid, aligned, exclusive to
-    /// this `SlotBuf` for writes, and outlives it.
-    pub unsafe fn external(base: *mut u8, block_size: usize) -> SlotBuf {
+    /// `base` is [`STORE_ALIGN`]-aligned, valid for `stride(block_size)`
+    /// bytes while the view is used, and shared with no other view.
+    #[cfg(target_os = "linux")]
+    unsafe fn external(base: *mut u8, block_size: usize) -> SlotBuf {
         assert!(block_size > 0);
         assert!((base as usize).is_multiple_of(STORE_ALIGN));
         let padded = block_size.next_multiple_of(STORE_ALIGN);
@@ -214,13 +213,14 @@ impl std::fmt::Debug for SlotBuf {
     }
 }
 
-/// A read+write mapping of slot memory, unmapped on drop: anonymous and
-/// private for a [`BlockPool`], shared over a memfd for an shm session
-/// window ([`crate::shm`]). (The io_uring rings are mapped apart, by
-/// `uring::sys::MmapRegion`.) The raw pointer is shared across
-/// threads (`Send + Sync`): the pool hands each slot to one owner at a
-/// time behind its mutex, the shm window publishes through per-slot
-/// atomics.
+/// A read+write mapping, unmapped on drop — the one owner of mapped
+/// memory in this crate: anonymous and private for a [`BlockPool`],
+/// shared over a memfd for an shm session window ([`crate::shm`]),
+/// shared and populated over an io_uring fd for a ring's queues. The
+/// raw pointer is shared across threads (`Send + Sync`): the pool hands
+/// each slot to one owner at a time behind its mutex, the shm window
+/// publishes through per-slot atomics, the ring through the kernel's
+/// head and tail words.
 #[cfg(target_os = "linux")]
 pub(crate) struct Mapping {
     base: *mut u8,
@@ -254,26 +254,36 @@ unsafe impl Sync for Mapping {}
 
 #[cfg(target_os = "linux")]
 impl Mapping {
+    const MAP_SHARED: i32 = 0x01;
+
     /// Map `len` bytes read+write: of `fd` from offset 0, shared, or —
     /// with no fd — fresh anonymous private memory, which the kernel
-    /// zero-fills a page at a time on first touch. A failed map is a
-    /// typed error, never a raw `MAP_FAILED` pointer escaping.
+    /// zero-fills a page at a time on first touch.
     pub(crate) fn map(len: usize, fd: Option<std::os::fd::RawFd>) -> io::Result<Mapping> {
-        const PROT_READ_WRITE: i32 = 1 | 2;
-        const MAP_SHARED: i32 = 0x01;
         const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
-        let (flags, fd) = match fd {
-            Some(fd) => (MAP_SHARED, fd),
-            None => (MAP_PRIVATE_ANONYMOUS, -1),
-        };
+        match fd {
+            Some(fd) => Mapping::mmap(len, Self::MAP_SHARED, fd, 0),
+            None => Mapping::mmap(len, MAP_PRIVATE_ANONYMOUS, -1, 0),
+        }
+    }
+
+    /// Map `len` bytes of a kernel object's `fd` (an io_uring's queues)
+    /// at `offset`, shared, every page populated up front.
+    pub(crate) fn map_kernel(fd: std::os::fd::RawFd, len: usize, offset: i64) -> io::Result<Mapping> {
+        const MAP_POPULATE: i32 = 0x8000;
+        Mapping::mmap(len, Self::MAP_SHARED | MAP_POPULATE, fd, offset)
+    }
+
+    /// A failed map is a typed error, never a raw `MAP_FAILED` pointer
+    /// escaping.
+    fn mmap(len: usize, flags: i32, fd: i32, offset: i64) -> io::Result<Mapping> {
+        const PROT_READ_WRITE: i32 = 1 | 2;
         // SAFETY: a null hint lets the kernel choose the address, so no
         // existing mapping is replaced; the result is checked below.
-        let p = unsafe { sys::mmap(std::ptr::null_mut(), len, PROT_READ_WRITE, flags, fd, 0) };
+        let p = unsafe { sys::mmap(std::ptr::null_mut(), len, PROT_READ_WRITE, flags, fd, offset) };
         if p as isize == -1 || p.is_null() {
-            return Err(io::Error::other(format!(
-                "mmap of {len} bytes failed: {}",
-                io::Error::last_os_error()
-            )));
+            let e = io::Error::last_os_error();
+            return Err(io::Error::new(e.kind(), format!("mmap of {len} bytes failed: {e}")));
         }
         Ok(Mapping {
             base: p as *mut u8,
@@ -284,6 +294,33 @@ impl Mapping {
     pub(crate) fn base(&self) -> *mut u8 {
         self.base
     }
+
+    /// The address `off` bytes into the mapping, which must lie inside
+    /// it.
+    pub(crate) fn at(&self, off: usize) -> *mut u8 {
+        assert!(off < self.len, "offset {off} outside a {}-byte mapping", self.len);
+        self.base.wrapping_add(off)
+    }
+}
+
+/// The `Mutex<SlotBuf>` views of the first `n` slots for `block_size`
+/// payload bytes laid over `map`, slot `i` at `i × SlotBuf::stride`:
+/// page-aligned, disjoint, and backed by `map` alone.
+///
+/// # Safety
+///
+/// `map` must stay mapped while any returned view is used.
+#[cfg(target_os = "linux")]
+pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> Vec<Mutex<SlotBuf>> {
+    let stride = SlotBuf::stride(block_size);
+    assert!(n.checked_mul(stride).is_some_and(|len| len <= map.len));
+    (0..n)
+        // SAFETY: slot `i` is bytes `i·stride .. (i+1)·stride` of `map`
+        // (asserted above) — disjoint from every other view, page-aligned
+        // because the base and the stride are — and the caller keeps
+        // `map` mapped while the views are used.
+        .map(|i| Mutex::new(unsafe { SlotBuf::external(map.at(i * stride), block_size) }))
+        .collect()
 }
 
 #[cfg(target_os = "linux")]
@@ -327,15 +364,9 @@ impl BlockPool {
         // Like a failed allocation, a refused mapping is not a condition
         // a transfer can run through.
         let map = Mapping::map(len, None).unwrap_or_else(|e| panic!("block pool: {e}"));
-        let slots = (0..slots)
-            .map(|i| {
-                // SAFETY: slot `i` is bytes `i·stride .. (i+1)·stride` of
-                // a mapping `len` long — in bounds, disjoint from every
-                // other slot, page-aligned because the base and the
-                // stride are, and unmapped only after `slots` drops.
-                Mutex::new(unsafe { SlotBuf::external(map.base().add(i * stride), block_size) })
-            })
-            .collect();
+        // SAFETY: `_map` is declared after `slots`, so it is unmapped
+        // only after every view has dropped.
+        let slots = unsafe { slot_views(&map, slots, block_size) };
         BlockPool { slots, _map: map }
     }
 

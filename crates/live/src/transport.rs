@@ -265,6 +265,18 @@ enum ChanWire {
 /// link of one transport (and, in process, by both ends of each link).
 pub(crate) type Registered = Arc<OnceLock<BufPool>>;
 
+/// The pool a `send_block` sends from: the registered one. A block can
+/// only be sent by reference once the `register` hook has pinned its
+/// pool.
+pub(crate) fn registered(pool: &Registered) -> io::Result<&BufPool> {
+    pool.get().ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "send_block on a link with no registered pool",
+        )
+    })
+}
+
 struct ChanDataTx {
     link: Closable<(DataFrameHeader, ChanWire)>,
     pool: Registered,
@@ -280,8 +292,8 @@ impl DataTx for ChanDataTx {
         self.link.send((hdr, ChanWire::Bytes(wire)))
     }
 
-    /// The WRITE analogue: with the pool registered, only the block
-    /// index crosses the link and the receiver does the single copy,
+    /// The WRITE analogue: only the index of a registered block crosses
+    /// the link, and the receiver does the single copy,
     /// source block → credited slot. Sound for the reason the io_uring
     /// `send_block` is: the block stays pinned until its ack retires it,
     /// and an ack is only ever sent after the copy. A frame that is
@@ -294,19 +306,12 @@ impl DataTx for ChanDataTx {
         bufs: &[Mutex<SlotBuf>],
         block: u32,
     ) -> io::Result<()> {
-        match self.pool.get() {
-            Some(pool) => {
-                debug_assert!(
-                    std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
-                    "send_block from a pool other than the registered one"
-                );
-                self.link.send((hdr, ChanWire::Block(block)))
-            }
-            None => {
-                let buf = bufs[block as usize].lock();
-                self.send(hdr, &buf[..hdr.wire_len()])
-            }
-        }
+        let pool = registered(&self.pool)?;
+        debug_assert!(
+            std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
+            "send_block from a pool other than the registered one"
+        );
+        self.link.send((hdr, ChanWire::Block(block)))
     }
 }
 
@@ -478,6 +483,26 @@ mod tests {
         (src.shutdown_write)();
         assert!(snk.data[0].recv_header().unwrap().is_none());
         assert!(snk.data[1].recv_header().unwrap().is_none());
+    }
+
+    /// A block is sent by reference only out of the registered pool: with
+    /// none registered, `send_block` is refused and nothing reaches the
+    /// link.
+    #[test]
+    fn send_block_without_a_registered_pool_is_refused() {
+        let (src, snk) = channel_transport(1, 4);
+        let pool: BufPool = Arc::new(BlockPool::new(1, 64));
+        let hdr = DataFrameHeader {
+            session: 1,
+            seq: 0,
+            slot: 0,
+            len: 64,
+        };
+        let err = src.data[0].send_block(hdr, &pool, 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        (src.shutdown_write)();
+        let SinkTransport { mut data, .. } = snk;
+        assert!(data[0].recv_header().unwrap().is_none(), "a frame went out");
     }
 
     /// The pinned path's invariant: a first arrival copies byte-exactly

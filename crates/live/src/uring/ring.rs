@@ -4,7 +4,7 @@
 use super::source::OWNED_BUF;
 use super::sys::{self, *};
 use crate::split::perr;
-use crate::store::SlotBuf;
+use crate::store::{Mapping, SlotBuf};
 use parking_lot::Mutex;
 use std::io;
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
@@ -41,9 +41,9 @@ pub(super) struct Ring {
     /// CQEs reaped ([`crate::UringStats::cqes`]).
     pub(super) reaped: AtomicU64,
     // Held for Drop; the raw pointers above point into these.
-    _sq_map: MmapRegion,
-    _cq_map: Option<MmapRegion>,
-    _sqes_map: MmapRegion,
+    _sq_map: Mapping,
+    _cq_map: Option<Mapping>,
+    _sqes_map: Mapping,
 }
 
 // SAFETY: see the struct docs — SQ writes are serialized by the
@@ -74,45 +74,47 @@ impl Ring {
         let sq_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
         let cq_len = p.cq_off.cqes as usize + p.cq_entries as usize * std::mem::size_of::<Cqe>();
         let single = p.features & IORING_FEAT_SINGLE_MMAP != 0;
-        let sq_map = MmapRegion::map(
-            raw,
-            if single { sq_len.max(cq_len) } else { sq_len },
-            IORING_OFF_SQ_RING,
-        )?;
+        let sq_len = if single { sq_len.max(cq_len) } else { sq_len };
+        let sq_map = Mapping::map_kernel(raw, sq_len, IORING_OFF_SQ_RING)?;
         let cq_map = if single {
             None
         } else {
-            Some(MmapRegion::map(raw, cq_len, IORING_OFF_CQ_RING)?)
+            Some(Mapping::map_kernel(raw, cq_len, IORING_OFF_CQ_RING)?)
         };
-        let sqes_map = MmapRegion::map(
-            raw,
-            p.sq_entries as usize * std::mem::size_of::<Sqe>(),
-            IORING_OFF_SQES,
-        )?;
+        let sqes_len = p.sq_entries as usize * std::mem::size_of::<Sqe>();
+        let sqes_map = Mapping::map_kernel(raw, sqes_len, IORING_OFF_SQES)?;
 
         let cq_base = cq_map.as_ref().unwrap_or(&sq_map);
-        unsafe {
-            Ok(Ring {
-                features: p.features,
-                sq_entries: p.sq_entries,
-                sq_mask: *(sq_map.at(p.sq_off.ring_mask) as *const u32),
-                cq_mask: *(cq_base.at(p.cq_off.ring_mask) as *const u32),
-                sq_khead: sq_map.at(p.sq_off.head) as *const AtomicU32,
-                sq_ktail: sq_map.at(p.sq_off.tail) as *const AtomicU32,
-                sq_array: sq_map.at(p.sq_off.array) as *mut u32,
-                cq_khead: cq_base.at(p.cq_off.head) as *const AtomicU32,
-                cq_ktail: cq_base.at(p.cq_off.tail) as *const AtomicU32,
-                cq_cqes: cq_base.at(p.cq_off.cqes) as *const Cqe,
-                sqes: sqes_map.ptr as *mut Sqe,
-                fd,
-                enters: AtomicU64::new(0),
-                registers: AtomicU64::new(0),
-                reaped: AtomicU64::new(0),
-                _sq_map: sq_map,
-                _cq_map: cq_map,
-                _sqes_map: sqes_map,
-            })
-        }
+        let (sq_at, cq_at) = (|off: u32| sq_map.at(off as usize), |off: u32| cq_base.at(off as usize));
+        // SAFETY: the kernel sized each mapping to hold the fields it
+        // placed at these offsets, and a ring mask is written once at
+        // setup and never again.
+        let (sq_mask, cq_mask) = unsafe {
+            (
+                *(sq_at(p.sq_off.ring_mask) as *const u32),
+                *(cq_at(p.cq_off.ring_mask) as *const u32),
+            )
+        };
+        Ok(Ring {
+            features: p.features,
+            sq_entries: p.sq_entries,
+            sq_mask,
+            cq_mask,
+            sq_khead: sq_at(p.sq_off.head) as *const AtomicU32,
+            sq_ktail: sq_at(p.sq_off.tail) as *const AtomicU32,
+            sq_array: sq_at(p.sq_off.array) as *mut u32,
+            cq_khead: cq_at(p.cq_off.head) as *const AtomicU32,
+            cq_ktail: cq_at(p.cq_off.tail) as *const AtomicU32,
+            cq_cqes: cq_at(p.cq_off.cqes) as *const Cqe,
+            sqes: sqes_map.base() as *mut Sqe,
+            fd,
+            enters: AtomicU64::new(0),
+            registers: AtomicU64::new(0),
+            reaped: AtomicU64::new(0),
+            _sq_map: sq_map,
+            _cq_map: cq_map,
+            _sqes_map: sqes_map,
+        })
     }
 
     fn enter(

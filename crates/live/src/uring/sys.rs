@@ -1,10 +1,8 @@
 //! The raw io_uring ABI (uapi/linux/io_uring.h): syscall numbers,
 //! flag and opcode constants, the `repr(C)` structs the kernel shares,
-//! the `syscall` shim, and the ring mappings.
+//! and the `syscall` shim.
 
-use crate::store::sys::{mmap, munmap};
 use core::ffi::c_long;
-use std::io;
 
 pub(super) const SYS_IO_URING_SETUP: i64 = 425;
 pub(super) const SYS_IO_URING_ENTER: i64 = 426;
@@ -138,51 +136,6 @@ pub(super) struct Timespec {
 
 extern "C" {
     pub(super) fn syscall(num: c_long, ...) -> c_long;
-}
-
-pub(super) struct MmapRegion {
-    pub(super) ptr: *mut u8,
-    pub(super) len: usize,
-}
-
-impl MmapRegion {
-    pub(super) fn map(fd: i32, len: usize, off: i64) -> io::Result<MmapRegion> {
-        const PROT_RW: i32 = 0x3;
-        const MAP_SHARED_POPULATE: i32 = 0x1 | 0x8000;
-        let ptr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_RW,
-                MAP_SHARED_POPULATE,
-                fd,
-                off,
-            )
-        };
-        if ptr as i64 == -1 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(MmapRegion {
-            ptr: ptr as *mut u8,
-            len,
-        })
-    }
-
-    /// # Safety
-    /// `off` must lie inside the mapping (callers use kernel-supplied
-    /// ring offsets, which do).
-    pub(super) unsafe fn at(&self, off: u32) -> *mut u8 {
-        debug_assert!((off as usize) < self.len);
-        self.ptr.add(off as usize)
-    }
-}
-
-impl Drop for MmapRegion {
-    fn drop(&mut self) {
-        unsafe {
-            munmap(self.ptr as *mut core::ffi::c_void, self.len);
-        }
-    }
 }
 
 #[cfg(test)]
