@@ -226,6 +226,9 @@ pub fn install_sigterm_hook(h: &DaemonHandle) {
             fn signal(signum: i32, handler: usize) -> usize;
         }
         const SIGTERM: i32 = 15;
+        // SAFETY: `on_sigterm` has the C handler signature and touches
+        // only a lock it never blocks on and an atomic; the target it
+        // reads was initialised above, before the handler can run.
         unsafe {
             signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
         }

@@ -38,6 +38,8 @@
 //! moment it is placed — loaders become the read-ahead scheduler and
 //! sparse placement is the reassembly.
 
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod args;
 pub(crate) mod coalesce;
 pub mod daemon;

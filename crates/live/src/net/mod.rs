@@ -201,6 +201,8 @@ fn set_sockbuf(s: &impl std::os::fd::AsRawFd, bytes: usize) -> Option<SockbufEff
     fn read_back(fd: i32, optname: i32) -> usize {
         let mut val: i32 = 0;
         let mut len = std::mem::size_of::<i32>() as u32;
+        // SAFETY: `val` and `len` are live locals, and `len` tells the
+        // kernel `val`'s size.
         let rc = unsafe {
             getsockopt(
                 fd,
@@ -223,6 +225,8 @@ fn set_sockbuf(s: &impl std::os::fd::AsRawFd, bytes: usize) -> Option<SockbufEff
     let p = &val as *const i32 as *const core::ffi::c_void;
     let n = std::mem::size_of::<i32>() as u32;
     let fd = s.as_raw_fd();
+    // SAFETY: `p` points at the live local `val`, `n` bytes long, which
+    // the kernel only reads.
     unsafe {
         setsockopt(fd, SOL_SOCKET, SO_SNDBUF, p, n);
         setsockopt(fd, SOL_SOCKET, SO_RCVBUF, p, n);

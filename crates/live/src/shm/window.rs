@@ -52,10 +52,8 @@ const CMSG_SPACE_ONE_FD: usize = 24;
 
 extern "C" {
     fn syscall(num: i64, ...) -> i64;
-    fn ftruncate(fd: i32, len: i64) -> i32;
     fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
     fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
-    fn close(fd: i32) -> i32;
     fn lseek(fd: i32, offset: i64, whence: i32) -> i64;
 }
 
@@ -63,16 +61,15 @@ const SEEK_END: i32 = 2;
 
 pub(super) fn memfd_create(len: usize) -> io::Result<OwnedFd> {
     let name = b"rftp-shm-window\0";
+    // SAFETY: `name` is NUL-terminated and outlives the call.
     let fd = unsafe { syscall(SYS_MEMFD_CREATE, name.as_ptr(), MFD_CLOEXEC) };
     if fd < 0 {
         return Err(io::Error::last_os_error());
     }
-    let fd = unsafe { OwnedFd::from_raw_fd(fd as RawFd) };
-    let rc = unsafe { ftruncate(fd.as_raw_fd(), len as i64) };
-    if rc != 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(fd)
+    // SAFETY: the kernel just returned this fd, and nothing else owns it.
+    let file = std::fs::File::from(unsafe { OwnedFd::from_raw_fd(fd as RawFd) });
+    file.set_len(len as u64)?;
+    Ok(file.into())
 }
 
 /// Map `len` bytes of the window `fd`, shared. A short or unsized fd
@@ -91,6 +88,8 @@ pub(crate) fn map_window(fd: RawFd, len: usize) -> io::Result<Mapping> {
     // fd whose size cannot even be read (a pipe, a socket) is
     // refused outright — mapping it blind would forfeit exactly
     // the guard this check exists for.
+    // SAFETY: `lseek` reads no memory; on an fd that is not open it
+    // fails with `EBADF`, refused below.
     let size = unsafe { lseek(fd, 0, SEEK_END) };
     if size < 0 {
         return Err(proto_err(format!(
@@ -176,6 +175,9 @@ fn recvmsg_with_fd(
         flags: 0,
     };
     let n = retry_interrupted(|| {
+        // SAFETY: `msg` points at `iov`, `buf` and `cmsg`, all alive for
+        // the call, and the kernel writes no more than the lengths it
+        // is given.
         let n = unsafe { recvmsg(sock.as_raw_fd(), &mut msg, MSG_CMSG_CLOEXEC) };
         if n < 0 {
             Err(io::Error::last_os_error())
@@ -197,11 +199,10 @@ fn recvmsg_with_fd(
             while doff + 4 <= off + clen {
                 let fd = i32::from_ne_bytes(cmsg[doff..doff + 4].try_into().unwrap());
                 if fd >= 0 {
-                    if out.is_none() {
-                        *out = Some(unsafe { OwnedFd::from_raw_fd(fd) });
-                    } else {
-                        unsafe { close(fd) };
-                    }
+                    // SAFETY: `recvmsg` just installed this fd for us, and
+                    // nothing else owns it; an extra one closes on drop.
+                    let fd = unsafe { OwnedFd::from_raw_fd(fd) };
+                    out.get_or_insert(fd);
                 }
                 doff += 4;
             }
@@ -428,6 +429,7 @@ pub fn shm_supported() -> bool {
     fn run() -> io::Result<bool> {
         let fd = memfd_create(STORE_ALIGN)?;
         let m1 = map_window(fd.as_raw_fd(), STORE_ALIGN)?;
+        // SAFETY: byte 0 lies inside the live one-page mapping `m1`.
         unsafe { m1.base().write(0xA5) };
         let (a, b) = UnixStream::pair()?;
         send_with_fd(&a, &[0x51], fd.as_raw_fd())?;
@@ -439,6 +441,8 @@ pub fn shm_supported() -> bool {
             None => return Ok(false),
         };
         let m2 = map_window(passed.as_raw_fd(), STORE_ALIGN)?;
+        // SAFETY: bytes 0 and 1 lie inside the live one-page mappings
+        // `m1` and `m2`, and this thread is their only user.
         unsafe {
             if m2.base().read() != 0xA5 {
                 return Ok(false);

@@ -52,6 +52,8 @@ fn fadvise_sequential(file: &File) {
         }
         const POSIX_FADV_SEQUENTIAL: i32 = 2;
         // Failure is advisory too.
+        // SAFETY: `posix_fadvise` reads no memory, and `file` keeps its
+        // fd open for the call.
         unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_SEQUENTIAL) };
     }
     #[cfg(not(target_os = "linux"))]
@@ -92,9 +94,11 @@ pub struct SlotBuf {
     owned: bool,
 }
 
-// One owner at a time (the pipeline wraps each SlotBuf in a Mutex); the
-// raw pointer is only a consequence of manual aligned allocation.
+// SAFETY: a slot's memory is reached only through the slot, so moving
+// the slot moves all access to it; the raw pointer is only a consequence
+// of manual aligned allocation.
 unsafe impl Send for SlotBuf {}
+// SAFETY: `&SlotBuf` reads the memory and writes nothing.
 unsafe impl Sync for SlotBuf {}
 
 impl SlotBuf {
@@ -106,6 +110,7 @@ impl SlotBuf {
         let padded = block_size.next_multiple_of(STORE_ALIGN);
         let layout = std::alloc::Layout::from_size_align(STORE_ALIGN + padded, STORE_ALIGN)
             .expect("slot layout");
+        // SAFETY: `layout` is non-zero in size.
         let raw = unsafe { std::alloc::alloc_zeroed(layout) };
         let ptr = std::ptr::NonNull::new(raw).unwrap_or_else(|| {
             std::alloc::handle_alloc_error(layout);
@@ -163,6 +168,10 @@ impl SlotBuf {
     /// from the registered buffer.
     pub(crate) fn framed_mut(&mut self, frame_len: usize) -> &mut [u8] {
         assert!(frame_len <= STORE_ALIGN - PAYLOAD_HEADER_LEN);
+        // SAFETY: the span starts inside the slot's leading STORE_ALIGN
+        // bytes (asserted) and ends where the wire image does, inside the
+        // `layout`-sized memory `ptr` names; `&mut self` makes it the one
+        // view for its life.
         unsafe {
             std::slice::from_raw_parts_mut(
                 self.ptr
@@ -177,6 +186,8 @@ impl SlotBuf {
 impl Drop for SlotBuf {
     fn drop(&mut self) {
         if self.owned {
+            // SAFETY: `new` allocated `ptr` with `layout`, and nothing
+            // else frees it.
             unsafe { std::alloc::dealloc(self.ptr.as_ptr(), self.layout) };
         }
     }
@@ -185,8 +196,9 @@ impl Drop for SlotBuf {
 impl std::ops::Deref for SlotBuf {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        // The wire image starts PAYLOAD_HEADER_LEN bytes before the
-        // aligned payload boundary at STORE_ALIGN.
+        // SAFETY: the wire image starts PAYLOAD_HEADER_LEN bytes before
+        // the aligned payload boundary at STORE_ALIGN and is `len` bytes
+        // long, inside the slot's memory, borrowed for `&self`.
         unsafe {
             std::slice::from_raw_parts(
                 self.ptr.as_ptr().add(STORE_ALIGN - PAYLOAD_HEADER_LEN),
@@ -198,12 +210,7 @@ impl std::ops::Deref for SlotBuf {
 
 impl std::ops::DerefMut for SlotBuf {
     fn deref_mut(&mut self) -> &mut [u8] {
-        unsafe {
-            std::slice::from_raw_parts_mut(
-                self.ptr.as_ptr().add(STORE_ALIGN - PAYLOAD_HEADER_LEN),
-                self.len,
-            )
-        }
+        self.framed_mut(0)
     }
 }
 
@@ -249,6 +256,7 @@ pub(crate) mod sys {
 // synchronised by its users (see the type's doc).
 #[cfg(target_os = "linux")]
 unsafe impl Send for Mapping {}
+// SAFETY: as for `Send`; `&Mapping` hands out addresses, never access.
 #[cfg(target_os = "linux")]
 unsafe impl Sync for Mapping {}
 
@@ -622,6 +630,7 @@ mod tests {
             fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
         }
         let mut pages = vec![0u8; map.len.div_ceil(STORE_ALIGN)];
+        // SAFETY: `pages` holds one byte per page of the live mapping.
         let rc = unsafe { mincore(map.base as *mut _, map.len, pages.as_mut_ptr()) };
         assert_eq!(rc, 0, "mincore: {}", io::Error::last_os_error());
         pages.iter().filter(|&&p| p & 1 == 1).count() * STORE_ALIGN
@@ -690,7 +699,7 @@ mod tests {
                 assert_eq!(slot.len(), HDR + bs.next_multiple_of(STORE_ALIGN));
                 assert_eq!(slot[HDR..].as_ptr() as usize % STORE_ALIGN, 0);
                 let (base, len) = slot.registration_parts();
-                assert_eq!(base, unsafe { pool._map.base.add(i * stride) });
+                assert_eq!(base, pool._map.at(i * stride));
                 assert_eq!(len, stride);
             }
         }

@@ -46,10 +46,12 @@ pub(super) struct Ring {
     _sqes_map: Mapping,
 }
 
+// SAFETY: the raw pointers name the mappings the ring owns, so they
+// move with it.
+unsafe impl Send for Ring {}
 // SAFETY: see the struct docs — SQ writes are serialized by the
 // owners, CQ reads are single-consumer, and the shared head/tail
 // words are only touched through atomics.
-unsafe impl Send for Ring {}
 unsafe impl Sync for Ring {}
 
 impl Ring {
@@ -58,6 +60,7 @@ impl Ring {
             flags: setup_flags,
             ..Default::default()
         };
+        // SAFETY: `p` is a live `io_uring_params`, which the kernel fills.
         let r = unsafe {
             sys::syscall(
                 SYS_IO_URING_SETUP as core::ffi::c_long,
@@ -68,6 +71,7 @@ impl Ring {
         if r < 0 {
             return Err(io::Error::last_os_error());
         }
+        // SAFETY: the kernel just returned this fd, and nothing else owns it.
         let fd = unsafe { OwnedFd::from_raw_fd(r as i32) };
         let raw = fd.as_raw_fd();
 
@@ -127,6 +131,9 @@ impl Ring {
     ) -> io::Result<u32> {
         self.enters.fetch_add(1, Ordering::Relaxed);
         loop {
+            // SAFETY: the ring's SQEs point only at memory their owners
+            // keep alive until completion, and `arg`, when set, at a live
+            // `argsz`-byte wait argument.
             let r = unsafe {
                 sys::syscall(
                     SYS_IO_URING_ENTER as core::ffi::c_long,
@@ -149,6 +156,8 @@ impl Ring {
     }
 
     fn register(&self, opcode: u32, arg: *const core::ffi::c_void, nr: u32) -> io::Result<()> {
+        // SAFETY: callers pass `arg` pointing at `nr` live entries of the
+        // type `opcode` takes.
         let r = unsafe {
             sys::syscall(
                 SYS_IO_URING_REGISTER as core::ffi::c_long,
@@ -168,6 +177,10 @@ impl Ring {
     /// [`Ring::submit`] per drain — the doorbell). Returns `false`
     /// when the SQ is full: submit, then retry.
     pub(super) fn sq_push(&self, sqe: &Sqe) -> bool {
+        // SAFETY: the head, tail and array pointers and the SQE table lie
+        // in the ring's mappings, `idx` is masked into the table, and the
+        // owners serialize SQ production, so the entry at `tail` is ours
+        // until the release store publishes it.
         unsafe {
             let head = (*self.sq_khead).load(Ordering::Acquire);
             let tail = (*self.sq_ktail).load(Ordering::Relaxed);
@@ -192,6 +205,8 @@ impl Ring {
     }
 
     pub(super) fn cq_ready(&self) -> u32 {
+        // SAFETY: both words lie in the ring's CQ mapping, and are read
+        // atomically.
         unsafe {
             (*self.cq_ktail)
                 .load(Ordering::Acquire)
@@ -262,6 +277,10 @@ impl Ring {
 
     /// Drain every available CQE into `out`; returns how many.
     pub(super) fn reap(&self, out: &mut Vec<Cqe>) -> usize {
+        // SAFETY: the words and the CQE array lie in the ring's CQ
+        // mapping, each index is masked into the array, and the single
+        // consumer reads the CQEs the acquire load of the tail made
+        // visible before it releases them with the head store.
         unsafe {
             let tail = (*self.cq_ktail).load(Ordering::Acquire);
             let mut head = (*self.cq_khead).load(Ordering::Relaxed);
