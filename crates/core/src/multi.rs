@@ -43,13 +43,6 @@ impl Endpoint {
             Endpoint::Sink(_) => None,
         }
     }
-
-    pub fn as_sink(&self) -> Option<&SinkEngine> {
-        match self {
-            Endpoint::Sink(e) => Some(e),
-            Endpoint::Source(_) => None,
-        }
-    }
 }
 
 /// N engines on one host. Engines of the same role must carry distinct

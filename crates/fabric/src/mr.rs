@@ -116,10 +116,6 @@ impl MemoryRegion {
         self.backing.is_empty()
     }
 
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
     pub(crate) fn invalidate(&mut self) {
         self.valid = false;
     }

@@ -166,11 +166,6 @@ impl FabricCore {
         }
     }
 
-    /// Reseed the jitter RNG (runs remain deterministic per seed).
-    pub fn reseed(&mut self, seed: u64) {
-        self.rng = StdRng::seed_from_u64(seed);
-    }
-
     /// Reseed the fault RNG (drop windows draw from this stream only).
     pub fn reseed_faults(&mut self, seed: u64) {
         self.fault_rng = StdRng::seed_from_u64(seed);
@@ -1405,11 +1400,6 @@ impl<'a> Api<'a> {
     /// The simulated thread this callback is running on.
     pub fn thread(&self) -> ThreadId {
         self.thread
-    }
-
-    /// Spawn a new simulated thread on this host.
-    pub fn spawn_thread(&mut self, label: &'static str) -> ThreadId {
-        self.core.hosts[self.host.index()].cpu.spawn(label)
     }
 
     /// Create a completion queue polled by `thread`.

@@ -188,10 +188,6 @@ impl DaemonHandle {
     pub fn shutdown(&self) {
         self.stop.store(true, Ordering::Release);
     }
-
-    pub fn is_shutdown(&self) -> bool {
-        self.stop.load(Ordering::Acquire)
-    }
 }
 
 /// The SIGTERM hook targets whichever handle was installed last; the

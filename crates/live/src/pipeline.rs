@@ -145,15 +145,6 @@ impl LiveConfig {
         }
     }
 
-    /// Adopt a storage profile (the same [`rftp_core::StoreConfig`]s the
-    /// simulated disk harness consumes): I/O mode, modeled device rate,
-    /// and read-ahead depth.
-    pub fn apply_store(&mut self, store: &rftp_core::StoreConfig) {
-        self.direct_io = store.direct_io;
-        self.src_rate = Some(store.rate.bits_per_sec() as f64 / 8.0);
-        self.readahead = store.readahead;
-    }
-
     /// Adopt a WAN profile: turn the adaptive controller on, feed it the
     /// path's rate cap, and size both pools, the first grant and the
     /// queues to one credit loop of the declared path

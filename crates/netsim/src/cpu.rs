@@ -62,10 +62,6 @@ impl HostCpu {
         self.cores
     }
 
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Create a new thread; the label shows up in per-thread reports.
     pub fn spawn(&mut self, label: &'static str) -> ThreadId {
         self.threads.push(Thread {
@@ -105,13 +101,6 @@ impl HostCpu {
         for (base, t) in self.window_base.iter_mut().zip(&self.threads) {
             *base = t.busy;
         }
-    }
-
-    /// Busy time of one thread inside the current window.
-    pub fn thread_busy_in_window(&self, tid: ThreadId) -> SimDur {
-        self.threads[tid.0]
-            .busy
-            .saturating_sub(self.window_base[tid.0])
     }
 
     /// Total busy time across all threads inside the current window.

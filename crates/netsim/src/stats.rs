@@ -39,11 +39,6 @@ impl ThroughputMeter {
         self.messages
     }
 
-    /// Time of the last recorded completion.
-    pub fn last_at(&self) -> SimTime {
-        self.last
-    }
-
     /// Goodput in Gbps over `[start, now]`.
     pub fn gbps_at(&self, now: SimTime) -> f64 {
         gbps(self.bytes, now.since(self.start))

@@ -158,11 +158,6 @@ impl Bandwidth {
         Bandwidth(g * 1_000_000_000)
     }
 
-    #[inline]
-    pub fn from_mbps(m: u64) -> Bandwidth {
-        Bandwidth(m * 1_000_000)
-    }
-
     /// Construct from fractional Gbps (e.g. the 25.6 Gbps PCIe 2.0 x8 ceiling).
     #[inline]
     pub fn from_gbps_f64(g: f64) -> Bandwidth {
