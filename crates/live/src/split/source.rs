@@ -377,19 +377,6 @@ fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> 
                 i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
                 *i
             };
-            // Test hook: the descheduling described above, on demand, held
-            // until the watchdog's copy of the block has been acked (or a
-            // hundred deadlines pass), so the overtaking is certain rather
-            // than a race against the scheduler.
-            #[cfg(test)]
-            if cfg.fault_seed == super::tests::STALLED_DISPATCH_SEED {
-                let t0 = Instant::now();
-                let unacked =
-                    || (inflight[block as usize].lock()).is_some_and(|i| i.seq == info.seq);
-                while unacked() && t0.elapsed() < 100 * cfg.retx_timeout {
-                    std::thread::sleep(cfg.retx_timeout / 4);
-                }
-            }
             if fault_dice.roll(cfg.fault_drop_p) {
                 // The wire ate it — ordinal and all, as a real loss
                 // would; the watchdog re-sends.

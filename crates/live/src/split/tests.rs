@@ -4,7 +4,8 @@ use super::sink::SinkHandler;
 use super::*;
 use crate::coalesce::CoalescedSink;
 use crate::pipeline::{pattern_seed, MAX_POOL_BLOCKS, SESSION};
-use crate::transport::CtrlTx;
+use crate::transport::{CtrlRx, CtrlTx, DataTx, SourceTransport};
+use std::collections::HashSet;
 use rftp_core::pattern::fill_pattern;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use std::time::Instant;
@@ -114,14 +115,78 @@ fn split_pair_recovers_dropped_payloads() {
     );
 }
 
-/// The `fault_seed` under which the source dispatcher, for every
-/// block, waits between publishing the block's slot and sending the
-/// block until the watchdog's copy of it has been acked.
-pub(super) const STALLED_DISPATCH_SEED: u64 = 0x57A11ED;
+/// Sequences sent at least once, and those whose ack the source's
+/// control stage has handled; shared by one [`StallFirstSends`]
+/// transport's links.
+#[derive(Default)]
+struct Acked {
+    state: Mutex<(HashSet<u32>, HashSet<u32>)>,
+    handled: parking_lot::Condvar,
+}
+
+/// A source data link that holds each sequence's first `send_block`
+/// until a second send of it has passed and been acked, and the control
+/// stage has handled that ack (or `bound` goes by): the dispatcher
+/// descheduled between publishing a block and sending it, on demand,
+/// so the watchdog's re-send overtakes it.
+struct StallFirstSends {
+    links: Arc<Vec<Box<dyn DataTx>>>,
+    ch: usize,
+    acked: Arc<Acked>,
+    bound: std::time::Duration,
+}
+
+impl DataTx for StallFirstSends {
+    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
+        self.links[self.ch].send(hdr, wire)
+    }
+
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        let mut state = self.acked.state.lock();
+        if state.0.insert(hdr.seq) {
+            let t0 = Instant::now();
+            while !state.1.contains(&hdr.seq) && t0.elapsed() < self.bound {
+                (self.acked.handled).wait_for(&mut state, std::time::Duration::from_millis(1));
+            }
+        }
+        drop(state);
+        self.links[self.ch].send_block(hdr, bufs, block)
+    }
+
+    fn kick(&self) -> io::Result<()> {
+        self.links[self.ch].kick()
+    }
+}
+
+/// The source's control receiver of a [`StallFirstSends`] transport: the
+/// acks of one message count as handled once the control stage comes
+/// back for the next.
+struct NoteHandledAcks {
+    inner: Box<dyn CtrlRx>,
+    acked: Arc<Acked>,
+    pending: Vec<u32>,
+}
+
+impl CtrlRx for NoteHandledAcks {
+    fn recv(&mut self) -> io::Result<Option<CtrlMsg>> {
+        self.acked.state.lock().1.extend(self.pending.drain(..));
+        self.acked.handled.notify_all();
+        let msg = self.inner.recv()?;
+        if let Some(CtrlMsg::AckBatch { acks, .. }) = &msg {
+            self.pending.extend(acks.iter().map(|a| a.seq));
+        }
+        Ok(msg)
+    }
+}
 
 /// The watchdog overtakes a stalled dispatcher: a block is re-sent,
 /// placed and acked before its first send leaves, so its ack
-/// reaches `complete` while the dispatcher still sleeps. The
+/// reaches `complete` while the dispatcher still waits. The
 /// FSM must already have moved when the slot became visible — when
 /// it moved after, that ack found the block `Loaded`, the control
 /// thread panicked and the transfer hung. The last block stalls too:
@@ -131,10 +196,31 @@ pub(super) const STALLED_DISPATCH_SEED: u64 = 0x57A11ED;
 #[test]
 fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
     let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
-    cfg.fault_drop_p = f64::MIN_POSITIVE; // arms the watchdog, drops nothing
-    cfg.fault_seed = STALLED_DISPATCH_SEED;
     cfg.retx_timeout = std::time::Duration::from_millis(4);
-    let (src, snk) = run_split_pair(&cfg, &WanProfile::clean()).expect("split transfer");
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let acked = Arc::new(Acked::default());
+    let data = (0..cfg.channels).map(|ch| {
+        Box::new(StallFirstSends {
+            links: Arc::clone(&st.data),
+            ch,
+            acked: Arc::clone(&acked),
+            bound: 100 * cfg.retx_timeout,
+        }) as Box<dyn DataTx>
+    });
+    let st = SourceTransport {
+        data: Arc::new(data.collect()),
+        ctrl_rx: Box::new(NoteHandledAcks {
+            inner: st.ctrl_rx,
+            acked,
+            pending: Vec::new(),
+        }),
+        ..st
+    };
+    let (src, snk) = std::thread::scope(|s| {
+        let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
+        let src = run_split_source(&cfg, st).expect("source half");
+        (src, sink.join().unwrap().expect("sink half"))
+    });
     assert_eq!((snk.blocks, snk.checksum_failures), (8, 0));
     assert_eq!(src.dropped_payloads, 0);
     assert!(
