@@ -1,14 +1,12 @@
 //! The control-plane coalescing loop, extracted once.
 //!
-//! Every control handler in the suite — the thread-per-channel sink's
-//! protocol brain and the io_uring sink session — runs the same drain
-//! shape: block for a batch of events, process it, then *dwell* up to
-//! the flush window for more events while a partial ack/credit batch is
+//! The sink's control handler runs this drain shape on every transport:
+//! block for a batch of events, process it, then *dwell* up to the
+//! flush window for more events while a partial ack/credit batch is
 //! pending, and flush before the next unbounded wait so coalescing never
-//! costs latency.
-//! This module is that shape, written once; the handlers implement
-//! [`CoalescedSink`] and differ only in what an event is and what a
-//! flush sends.
+//! costs latency. This module is that shape, written once against
+//! [`CoalescedSink`]; the one implementation is the sink's `SinkHandler`
+//! (plus a fake in this module's tests).
 
 use crossbeam::channel::Receiver;
 use std::time::Duration;

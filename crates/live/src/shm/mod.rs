@@ -33,16 +33,14 @@
 //!                          frame bodies are capped at MAX_FRAME_BODY,
 //!                          so a source reading the control stream can
 //!                          always tell descriptor from frame)
-//!         2..4    version  1
+//!         2..4    version  2
 //!         4..8    slots    credited slot count (BE)
 //!         8..16   stride   bytes per slot in the window (BE)
-//!         16..24  len      total window length in bytes (BE)
-//!         24..28  cap      max payload bytes per block (BE)
-//!         28..    offsets  slots × u64 BE — window byte offset of each
-//!                          wire slot index (the "rkey table"; every
-//!                          sink here emits 0,stride,2·stride…, but any
-//!                          non-overlapping in-window table is legal)
+//!         16..20  cap      max payload bytes per block (BE)
 //! ```
+//!
+//! Slot `i` sits at window byte `i × stride`, and the window is
+//! `slots × stride` bytes: the geometry is the whole rkey table.
 //!
 //! A daemon that *rejects* a session (busy/geometry) replies with an
 //! ordinary control frame and no descriptor — the source's control
@@ -53,7 +51,7 @@
 //!
 //! The first 8 bytes of each slot's stride are dead space on the wire
 //! (the wire image starts at `STORE_ALIGN - PAYLOAD_HEADER_LEN`; see
-//! [`SlotBuf::external`]) and hold one `AtomicU64` generation word:
+//! `SlotBuf`) and hold one `AtomicU64` generation word:
 //! `(epoch << 2) | state`, state ∈ {GRANTED=0, WRITING=1,
 //! PUBLISHED=2}. Ownership alternates one-sidedly:
 //!

@@ -223,7 +223,7 @@ enum Next {
 /// batch of completions and forwards each session's events through
 /// its mailbox to the session thread, which runs the handler
 /// ([`crate::split::SinkSession::handler`]) over
-/// [`crate::coalesce::channel_events`] — the same drain as every
+/// [`crate::coalesce::drain_coalesced`] — the same drain as every
 /// other sink.
 pub(super) struct MultiDriver<'a> {
     ring: &'a Ring,
