@@ -6,8 +6,7 @@ use super::door::{connect_streams, send_raw_ctrl, shutdown_all, SessionStreams};
 use super::{proto_err, read_exact_or_eof, retry_interrupted};
 use crate::store::SlotBuf;
 use crate::transport::{
-    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport,
-    SourceTransport,
+    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport, SourceTransport,
 };
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};

@@ -77,7 +77,8 @@ impl Slots {
     /// Where slot `s`'s wire image (payload header + payload) begins,
     /// matching [`crate::store::SlotBuf`]'s deref region.
     fn wire(&self, s: usize) -> *mut u8 {
-        self.map.at(s * self.stride + STORE_ALIGN - PAYLOAD_HEADER_LEN)
+        self.map
+            .at(s * self.stride + STORE_ALIGN - PAYLOAD_HEADER_LEN)
     }
 }
 

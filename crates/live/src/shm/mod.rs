@@ -104,10 +104,10 @@ mod imp {
 
 #[cfg(target_os = "linux")]
 pub(crate) use imp::sink::run_shm_session;
-#[cfg(all(target_os = "linux", test))]
-pub(crate) use imp::window::{decode_desc_head, DESC_HEAD_LEN, DESC_MAGIC};
 #[cfg(target_os = "linux")]
 pub use imp::sink::{run_shm_sink, ShmListener, ShmSessionStreams};
+#[cfg(all(target_os = "linux", test))]
+pub(crate) use imp::window::{decode_desc_head, DESC_HEAD_LEN, DESC_MAGIC};
 #[cfg(target_os = "linux")]
 pub use imp::{source::connect_source_shm, window::shm_supported};
 

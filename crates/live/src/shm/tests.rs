@@ -78,33 +78,6 @@ fn descriptor_roundtrips_and_validates() {
     assert!(err.to_string().contains("version 1 unsupported"), "{err}");
 }
 
-/// A whole version-1 descriptor — magic, version 1, slot count,
-/// stride, window length, block cap, then the per-slot offset table —
-/// sent with its fd is a typed version error at the source, and no
-/// window is mapped.
-#[test]
-fn a_version_1_descriptor_is_refused() {
-    let (a, b) = UnixStream::pair().unwrap();
-    let stride = SlotBuf::stride(4096) as u64;
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(&DESC_MAGIC.to_be_bytes());
-    v1.extend_from_slice(&1u16.to_be_bytes());
-    v1.extend_from_slice(&2u32.to_be_bytes());
-    v1.extend_from_slice(&stride.to_be_bytes());
-    v1.extend_from_slice(&(2 * stride).to_be_bytes());
-    v1.extend_from_slice(&4096u32.to_be_bytes());
-    for i in 0..2 {
-        v1.extend_from_slice(&(i * stride).to_be_bytes());
-    }
-    let fd = memfd_create(2 * stride as usize).unwrap();
-    send_with_fd(&a, &v1, fd.as_raw_fd()).unwrap();
-    let window = Arc::new(OnceLock::new());
-    let mut rx = ShmCtrlRx::new(b, Arc::clone(&window));
-    let err = rx.recv().unwrap_err();
-    assert!(err.to_string().contains("version 1 unsupported"), "{err}");
-    assert!(window.get().is_none());
-}
-
 /// An fd whose size cannot be read (here: a socket) must be a
 /// typed error — falling through to mmap would silently lose
 /// the short-fd SIGBUS guard.

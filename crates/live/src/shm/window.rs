@@ -246,7 +246,8 @@ fn read_exact_with_fd(
 pub(crate) const DESC_MAGIC: u16 = 0xFFFF;
 const DESC_VERSION: u16 = 2;
 pub(crate) const DESC_HEAD_LEN: usize = 20;
-/// Ceiling on a descriptor's slot count.
+/// Ceiling on a descriptor's slot count — a corrupt or hostile
+/// descriptor cannot make the source allocate without bound.
 const MAX_DESC_SLOTS: u32 = 1 << 20;
 /// Ceiling on a descriptor's window length (1 TiB).
 const MAX_WINDOW_LEN: u64 = 1 << 40;

@@ -5,9 +5,9 @@ use super::*;
 use crate::coalesce::CoalescedSink;
 use crate::pipeline::{pattern_seed, MAX_POOL_BLOCKS, SESSION};
 use crate::transport::{CtrlRx, CtrlTx, DataTx, SourceTransport};
-use std::collections::HashSet;
 use rftp_core::pattern::fill_pattern;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
+use std::collections::HashSet;
 use std::time::Instant;
 
 const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };

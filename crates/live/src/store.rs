@@ -277,7 +277,11 @@ impl Mapping {
 
     /// Map `len` bytes of a kernel object's `fd` (an io_uring's queues)
     /// at `offset`, shared, every page populated up front.
-    pub(crate) fn map_kernel(fd: std::os::fd::RawFd, len: usize, offset: i64) -> io::Result<Mapping> {
+    pub(crate) fn map_kernel(
+        fd: std::os::fd::RawFd,
+        len: usize,
+        offset: i64,
+    ) -> io::Result<Mapping> {
         const MAP_POPULATE: i32 = 0x8000;
         Mapping::mmap(len, Self::MAP_SHARED | MAP_POPULATE, fd, offset)
     }
@@ -288,10 +292,22 @@ impl Mapping {
         const PROT_READ_WRITE: i32 = 1 | 2;
         // SAFETY: a null hint lets the kernel choose the address, so no
         // existing mapping is replaced; the result is checked below.
-        let p = unsafe { sys::mmap(std::ptr::null_mut(), len, PROT_READ_WRITE, flags, fd, offset) };
+        let p = unsafe {
+            sys::mmap(
+                std::ptr::null_mut(),
+                len,
+                PROT_READ_WRITE,
+                flags,
+                fd,
+                offset,
+            )
+        };
         if p as isize == -1 || p.is_null() {
             let e = io::Error::last_os_error();
-            return Err(io::Error::new(e.kind(), format!("mmap of {len} bytes failed: {e}")));
+            return Err(io::Error::new(
+                e.kind(),
+                format!("mmap of {len} bytes failed: {e}"),
+            ));
         }
         Ok(Mapping {
             base: p as *mut u8,
@@ -306,7 +322,11 @@ impl Mapping {
     /// The address `off` bytes into the mapping, which must lie inside
     /// it.
     pub(crate) fn at(&self, off: usize) -> *mut u8 {
-        assert!(off < self.len, "offset {off} outside a {}-byte mapping", self.len);
+        assert!(
+            off < self.len,
+            "offset {off} outside a {}-byte mapping",
+            self.len
+        );
         self.base.wrapping_add(off)
     }
 }

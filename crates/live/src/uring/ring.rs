@@ -89,7 +89,10 @@ impl Ring {
         let sqes_map = Mapping::map_kernel(raw, sqes_len, IORING_OFF_SQES)?;
 
         let cq_base = cq_map.as_ref().unwrap_or(&sq_map);
-        let (sq_at, cq_at) = (|off: u32| sq_map.at(off as usize), |off: u32| cq_base.at(off as usize));
+        let (sq_at, cq_at) = (
+            |off: u32| sq_map.at(off as usize),
+            |off: u32| cq_base.at(off as usize),
+        );
         // SAFETY: the kernel sized each mapping to hold the fields it
         // placed at these offsets, and a ring mask is written once at
         // setup and never again.
