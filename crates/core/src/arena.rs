@@ -101,6 +101,9 @@ impl SlotArena {
 
 struct FairSession {
     weight: u32,
+    /// Slots the session leased: it can never have more credits out,
+    /// so no more of the budget is held for it.
+    lease: u32,
     outstanding: u32,
 }
 
@@ -113,7 +116,8 @@ struct FairInner {
 /// Weighted max-min arbiter for outstanding credits across sessions.
 ///
 /// Every registered session owns a guaranteed share of the global
-/// budget proportional to its weight (always at least 1). [`allow`]
+/// budget proportional to its weight, capped at its lease (always at
+/// least 1). [`allow`]
 /// grants first from the caller's unused guarantee, then from the
 /// surplus the budget holds beyond *everyone's* unused guarantees — so
 /// borrowing is work-conserving but can never consume a quiet session's
@@ -147,18 +151,31 @@ impl WeightedFair {
         self.budget
     }
 
-    /// Add a session with the given weight (> 0). Re-registering an id
-    /// replaces its weight and keeps its outstanding count.
+    /// Add a session with the given weight (> 0) and no lease cap on
+    /// its guarantee: [`WeightedFair::register_leased`] with an
+    /// unbounded lease.
     pub fn register(&self, id: u64, weight: u32) {
+        self.register_leased(id, weight, u32::MAX);
+    }
+
+    /// Add a session with the given weight (> 0) that leased `lease`
+    /// slots. Its guarantee is its weighted share of the budget, but
+    /// never more than `lease`: a session cannot have more credits out
+    /// than it has slots, so holding more of the budget in reserve for
+    /// it would only starve the others. Re-registering an id replaces
+    /// its weight and lease and keeps its outstanding count.
+    pub fn register_leased(&self, id: u64, weight: u32, lease: u32) {
         assert!(weight > 0, "zero weight");
         let mut g = self.inner.lock().unwrap();
         let prior = match g.sessions.entry(id) {
             std::collections::hash_map::Entry::Occupied(mut e) => {
+                e.get_mut().lease = lease;
                 std::mem::replace(&mut e.get_mut().weight, weight)
             }
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(FairSession {
                     weight,
+                    lease,
                     outstanding: 0,
                 });
                 0
@@ -177,8 +194,11 @@ impl WeightedFair {
         }
     }
 
-    fn fair_share(&self, weight: u32, total_weight: u64) -> u32 {
-        ((self.budget as u64 * weight as u64 / total_weight.max(1)) as u32).max(1)
+    /// A session's guarantee: its weighted share of the budget, capped
+    /// at its lease, and at least 1.
+    fn fair_share(&self, s: &FairSession, total_weight: u64) -> u32 {
+        let share = (self.budget as u64 * s.weight as u64 / total_weight.max(1)) as u32;
+        share.min(s.lease).max(1)
     }
 
     /// Clamp a grant of `want` credits for session `id` and record the
@@ -192,22 +212,21 @@ impl WeightedFair {
         let Some(me) = g.sessions.get(&id) else {
             return want;
         };
-        let (my_weight, my_out) = (me.weight, me.outstanding);
         let total_weight = g.total_weight;
+        let (my_fair, my_out) = (self.fair_share(me, total_weight), me.outstanding);
         // Budget held in reserve for guarantees nobody is using yet
         // (including the caller's own).
         let reserved_unused: u64 = g
             .sessions
             .values()
             .map(|s| {
-                self.fair_share(s.weight, total_weight)
+                self.fair_share(s, total_weight)
                     .saturating_sub(s.outstanding) as u64
             })
             .sum();
         let surplus = (self.budget as u64)
             .saturating_sub(g.total_outstanding as u64)
             .saturating_sub(reserved_unused) as u32;
-        let my_fair = self.fair_share(my_weight, total_weight);
         let from_guarantee = my_fair.saturating_sub(my_out).min(want);
         let from_surplus = (want - from_guarantee).min(surplus);
         let mut allowed = from_guarantee + from_surplus;
@@ -388,6 +407,23 @@ mod tests {
         f.release(2, 28);
         f.deregister(2);
         assert_eq!(f.allow(1, 100), 32, "peer gone, budget is bulk's");
+    }
+
+    /// A 256 KiB interactive session leases 4 slots: the budget holds
+    /// those 4 for it, not its weighted 28, so the bulk session beside
+    /// it gets its whole 8-slot lease instead of 4.
+    #[test]
+    fn guarantee_is_capped_at_the_lease() {
+        let f = WeightedFair::new(32);
+        f.register_leased(1, 1, 8); // bulk
+        f.register_leased(2, 8, 4); // interactive
+        assert_eq!(f.allow(1, 8), 8, "bulk gets its whole lease");
+        assert_eq!(f.allow(2, 4), 4, "interactive keeps its guarantee");
+        // The interactive guarantee stays reserved for it: bulk can
+        // borrow what nobody's guarantee holds, never those 4.
+        f.release(2, 4);
+        assert_eq!(f.allow(1, 100), 32 - 8 - 4, "surplus beyond the reserve");
+        assert_eq!(f.allow(2, 4), 4, "the reserve held");
     }
 
     #[test]

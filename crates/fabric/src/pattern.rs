@@ -26,6 +26,9 @@
 //! **Exact to check.** [`pattern_matches`] regenerates the stream and
 //! compares every byte against it in one pass; nothing is folded, so a
 //! block passes only if it is byte-identical to what the source wrote.
+//! [`pattern_matches_at`] checks any range of the stream on its own, so
+//! a receiver checks each piece of a block as it lands, and the pieces'
+//! verdicts together are the block's.
 //! [`checksum`] (four interleaved FNV-style fold lanes, length-finalized)
 //! is no longer on the live path: it stays for comparing files, simulated
 //! regions and test buffers.
@@ -65,11 +68,31 @@ pub fn fill_pattern(buf: &mut [u8], seed: u64) {
 }
 
 /// Whether `buf` is exactly the [`fill_pattern`] stream for `seed`:
-/// every byte, ragged tail included, compared in one pass. The words'
-/// differences are or-ed together rather than tested one by one, so the
-/// loop has no data-dependent branch and vectorizes like the fill.
+/// every byte, ragged tail included, compared in one pass.
 pub fn pattern_matches(buf: &[u8], seed: u64) -> bool {
-    let mut w = mix(seed);
+    pattern_matches_at(buf, seed, 0)
+}
+
+/// Whether `buf` is exactly bytes `offset..offset + buf.len()` of the
+/// [`fill_pattern`] stream for `seed` — the check of one piece of a
+/// block, made as the piece lands. Word `j` of the stream is
+/// `mix(seed) + j·STEP`, so the range's first word costs one multiply.
+/// A leading partial word is compared bytewise; the whole words after it
+/// have their differences or-ed together rather than tested one by one,
+/// so that loop has no data-dependent branch and vectorizes like the
+/// fill; a ragged tail holds the low bytes of the next word.
+pub fn pattern_matches_at(buf: &[u8], seed: u64, offset: usize) -> bool {
+    let lead = offset % 8;
+    let mut w = mix(seed).wrapping_add(((offset / 8) as u64).wrapping_mul(STEP));
+    let mut buf = buf;
+    if lead != 0 {
+        let n = (8 - lead).min(buf.len());
+        if buf[..n] != w.to_le_bytes()[lead..lead + n] {
+            return false;
+        }
+        buf = &buf[n..];
+        w = w.wrapping_add(STEP);
+    }
     let mut diff = 0u64;
     let mut words = buf.chunks_exact(8);
     for c in &mut words {
@@ -197,6 +220,49 @@ mod tests {
         let long = filled(96, 42);
         for len in [1usize, 7, 8, 9, 31, 32, 33, 95] {
             assert_eq!(filled(len, 42)[..], long[..len], "len {len}");
+        }
+    }
+
+    #[test]
+    fn every_range_of_a_block_matches_at_its_offset() {
+        // Every offset inside the first words and every short length:
+        // each lead/tail shape, the empty range and ranges inside one word.
+        let block = filled(200, 21);
+        for off in 0..=40 {
+            for len in 0..=(block.len() - off).min(70) {
+                assert!(
+                    pattern_matches_at(&block[off..off + len], 21, off),
+                    "offset {off} len {len}"
+                );
+            }
+        }
+        assert!(!pattern_matches_at(&block[8..16], 21, 0), "wrong offset");
+        assert!(!pattern_matches_at(&block[3..11], 21, 4), "off by one");
+    }
+
+    proptest::proptest! {
+        /// Any `(offset, len)` slice of a filled block passes at its
+        /// offset, and flipping any one byte of it fails it — offsets
+        /// inside a word and ragged tails included.
+        #[test]
+        fn a_slice_passes_at_its_offset_and_any_flip_fails_it(
+            seed in proptest::prelude::any::<u64>(),
+            off in 0usize..70_000,
+            len in 0usize..5_000,
+            at in proptest::prelude::any::<u64>(),
+            bit in 0u8..8,
+        ) {
+            let block = filled(75_000, seed);
+            let mut piece = block[off..off + len].to_vec();
+            proptest::prop_assert!(pattern_matches_at(&piece, seed, off));
+            if len > 0 {
+                let k = (at % len as u64) as usize;
+                piece[k] ^= 1 << bit;
+                proptest::prop_assert!(
+                    !pattern_matches_at(&piece, seed, off),
+                    "flip at {} of {}..{}", k, off, off + len
+                );
+            }
         }
     }
 

@@ -26,7 +26,9 @@
 //!   family is only the *runner* it hands the admitted session to.
 //! * **Weighted-fair credits.** Grants across sessions go through one
 //!   [`WeightedFair`] arbiter, so a bulk transfer cannot starve an
-//!   interactive one (small jobs get a higher weight).
+//!   interactive one (small jobs get a higher weight). A session's
+//!   guarantee is capped at its lease, so a small job's weight never
+//!   reserves credits it has no slots for.
 //! * **Graceful drain.** SIGTERM (or [`DaemonHandle::shutdown`]) stops
 //!   admissions, lets in-flight sessions finish inside a bounded
 //!   deadline, then aborts stragglers; slot accounting is asserted at
@@ -529,7 +531,9 @@ fn serve_session<S: SessionSocket>(
     } else {
         1
     };
-    d.fair.register(token, weight);
+    // Its guarantee is capped at its lease: it can never have more
+    // credits out than it has slots.
+    d.fair.register_leased(token, weight, lease.len() as u32);
 
     let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
     cfg.pool_blocks = lease.len() as u32;

@@ -10,10 +10,10 @@
 //! There is **one** pipeline ([`split`]), and each half is a chain of
 //! named stages started by one spawner: a source half (loaders, an
 //! in-order dispatcher, a control stage, a retransmit watchdog) and a
-//! sink half (per-link receivers, a control pump, and the handler that
-//! grants, and verifies and frees each block the moment it lands — both
-//! live consumers are offset-addressed, so no slot waits on sequence
-//! order), joined only by a [`transport`] carrying encoded Fig. 7(a)
+//! sink half (per-link receivers that check each block's bytes as they
+//! land, a control pump, and the handler that grants, and frees each
+//! block the moment it lands — both live consumers are offset-addressed,
+//! so no slot waits on sequence order), joined only by a [`transport`] carrying encoded Fig. 7(a)
 //! control frames both ways and data frames source → sink. What varies
 //! is the transport:
 //!

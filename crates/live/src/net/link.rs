@@ -6,7 +6,8 @@ use super::door::{connect_streams, send_raw_ctrl, shutdown_all, SessionStreams};
 use super::{proto_err, read_exact_or_eof, retry_interrupted};
 use crate::store::SlotBuf;
 use crate::transport::{
-    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Registered, SinkTransport, SourceTransport,
+    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Landing, Registered, SinkTransport,
+    SourceTransport,
 };
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};
@@ -227,6 +228,25 @@ impl DataRx for NetDataRx {
 
     fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
         retry_interrupted(|| self.stream.read_exact(buf))
+    }
+
+    /// `read_exact`, with each `read`'s bytes checked the moment it
+    /// returns: the kernel just copied them on this core, so the check
+    /// reads them from cache, and it adds no syscall.
+    fn recv_wire_checked(&mut self, buf: &mut [u8], land: &mut Landing) -> io::Result<()> {
+        let mut got = 0;
+        while got < buf.len() {
+            let n = retry_interrupted(|| self.stream.read(&mut buf[got..]))?;
+            if n == 0 {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream closed mid-frame",
+                ));
+            }
+            got += n;
+            land.advance(buf, got);
+        }
+        Ok(())
     }
 
     fn discard_wire(&mut self, wire_len: usize) -> io::Result<()> {

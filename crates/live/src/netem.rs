@@ -25,7 +25,7 @@ use crate::store::SlotBuf;
 use crate::transport::{BufPool, CtrlRx, CtrlTx, DataTx, SinkTransport, SourceTransport};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rftp_core::wire::{CtrlMsg, DataFrameHeader};
+use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 pub use rftp_faults::{WanDice, WanProfile};
 use std::io;
 use std::sync::{Arc, OnceLock};
@@ -241,8 +241,9 @@ fn delay_ctrl_rx(
 // Data legs: delay + jitter + rate + loss + reorder
 // ---------------------------------------------------------------------------
 
-/// What a data line carries: a block of the registered pool, copied out
-/// as the frame leaves the line, or a wire image its sender handed over.
+/// What a data line carries: the index of a block of the registered
+/// pool, handed to the inner link by reference as the frame leaves the
+/// line, or a wire image its sender handed over.
 enum Wire {
     Block(u32),
     Bytes(Box<[u8]>),
@@ -309,20 +310,35 @@ impl DataTx for NetemDataTx {
     }
 }
 
-/// Hand a frame leaving a data line to the inner link. A block is copied
-/// out of the pool here — the one copy the emulated wire makes. A
-/// retransmit still on the line after its block was retired and reused
-/// carries the new bytes under its old header: a duplicate, which the
-/// sink discards (shm refuses it as stale before writing).
+/// Hand a frame leaving a data line to the inner link. A block still
+/// holding the frame's sequence goes by reference
+/// ([`DataTx::send_block`]), as the source would have sent it with no
+/// path in between: the inner link queues it, and the line's idle
+/// doorbell ([`DataTx::kick`]) puts the queue on the wire, so the line
+/// neither allocates nor copies per frame. A retransmit still on the
+/// line after its block was retired and reused carries the new bytes
+/// under its old header: a duplicate, which the sink discards (shm
+/// refuses it as stale before writing). It goes as a copy of the
+/// block's current bytes, written at once ([`DataTx::send_owned`]),
+/// rather than queued by reference, so a link that frames a queued
+/// block from the block itself never sees the block under two headers.
+/// The block is unlocked before any send: a link's write locks the
+/// blocks it has queued, and this block may be one of them.
 fn deliver(inner: &dyn DataTx, pool: &OnceLock<BufPool>, (hdr, wire): Frame) -> io::Result<()> {
-    let wire = match wire {
-        Wire::Bytes(bytes) => bytes,
-        Wire::Block(block) => {
-            let pool = pool.get().expect("a block frame implies a registered pool");
-            pool[block as usize].lock()[..hdr.wire_len()].into()
-        }
+    let block = match wire {
+        Wire::Bytes(bytes) => return inner.send_owned(hdr, bytes),
+        Wire::Block(block) => block,
     };
-    inner.send_owned(hdr, wire)
+    let pool = pool.get().expect("a block frame implies a registered pool");
+    let stale = {
+        let buf = pool[block as usize].lock();
+        let held = PayloadHeader::decode(&buf[..PAYLOAD_HEADER_LEN]);
+        (!held.is_ok_and(|p| p.seq == hdr.seq)).then(|| buf[..hdr.wire_len()].into())
+    };
+    match stale {
+        None => inner.send_block(hdr, pool, block),
+        Some(copy) => inner.send_owned(hdr, copy),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -629,6 +645,75 @@ mod tests {
             102, 100, 104, 105, 106, 107, 108, 111, 112, 114, 117, 118, 120, 122, 123,
         ],
     ];
+
+    /// An inner data link that notes how each frame reached it, and
+    /// fails if a pool block is locked while it is called.
+    struct Recorder {
+        pool: BufPool,
+        log: Arc<Mutex<Vec<(u32, &'static str)>>>,
+    }
+
+    impl Recorder {
+        fn note(&self, hdr: DataFrameHeader, how: &'static str) -> io::Result<()> {
+            let unlocked = self.pool.iter().all(|b| b.try_lock().is_some());
+            assert!(unlocked, "a block is locked across the send");
+            self.log.lock().push((hdr.seq, how));
+            Ok(())
+        }
+    }
+
+    impl DataTx for Recorder {
+        fn send(&self, hdr: DataFrameHeader, _: &[u8]) -> io::Result<()> {
+            self.note(hdr, "send")
+        }
+        fn send_block(&self, hdr: DataFrameHeader, _: &[Mutex<SlotBuf>], _: u32) -> io::Result<()> {
+            self.note(hdr, "block")
+        }
+        fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
+            assert_eq!(wire.len(), hdr.wire_len());
+            self.note(hdr, "copy")
+        }
+    }
+
+    /// A block that still holds the frame's sequence leaves the line by
+    /// reference; a retransmit whose block was since reused for another
+    /// sequence leaves as a copy, with no block locked while the inner
+    /// link takes it (a TCP link's write locks the blocks it queued).
+    #[test]
+    fn a_block_goes_by_reference_and_a_reused_one_as_an_unlocked_copy() {
+        let pool: BufPool = Arc::new(crate::store::BlockPool::new(1, 64));
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (src, _snk) = channel_transport(1, 8);
+        let rec = Recorder {
+            pool: Arc::clone(&pool),
+            log: Arc::clone(&log),
+        };
+        let src = wrap_source(
+            SourceTransport {
+                data: Arc::new(vec![Box::new(rec) as Box<dyn DataTx>]),
+                ..src
+            },
+            &WanProfile::parse("rtt=2ms").unwrap(),
+        );
+        (src.register)(&pool).unwrap();
+        let frame = |seq| DataFrameHeader {
+            session: 1,
+            seq,
+            slot: 0,
+            len: 40,
+        };
+        PayloadHeader {
+            session: 1,
+            seq: 6,
+            offset: 0,
+            len: 40,
+        }
+        .encode(&mut pool[0].lock()[..PAYLOAD_HEADER_LEN]);
+        src.data[0].send_block(frame(6), &pool, 0).unwrap();
+        src.data[0].send_block(frame(5), &pool, 0).unwrap();
+        (src.shutdown_write)();
+        assert_eq!(*log.lock(), [(6, "block"), (5, "copy")]);
+    }
 
     /// Tearing the inner links down must not leave the shim hanging or
     /// swallowing sends: the inbound control feeder surfaces

@@ -38,9 +38,10 @@
 //!
 //! * **Slots retire on arrival.** Both consumers a live sink has are
 //!   offset-addressed — pattern verification is a function of the
-//!   block's own sequence, a file sink `pwrite`s at `seq × block_size`
-//!   at placement — so the handler verifies and frees a slot the moment
-//!   its block lands, in whatever order that is. A lost frame holds one
+//!   block's own sequence, checked by the receiver as the bytes land, a
+//!   file sink `pwrite`s at `seq × block_size` at placement — so the
+//!   handler frees a slot the moment its block lands, in whatever order
+//!   that is. A lost frame holds one
 //!   slot until its re-send arrives, not the pool behind it; exactly-once
 //!   is the receivers' claim-before-copy bitmap plus the handler's
 //!   retired-sequence bitmap. (The simulated sink, which feeds a

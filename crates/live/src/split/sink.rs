@@ -1,17 +1,18 @@
-//! The sink half: per-link receivers and a control pump feeding one
-//! handler that grants, verifies and frees on arrival, and acks. Each
-//! stage is a function; [`SinkSession`] is the state they share, whatever
-//! carries the bytes.
+//! The sink half: per-link receivers that land and check each block,
+//! and a control pump, feeding one handler that grants, frees on
+//! arrival and acks. A receiver checks the bytes it lands as they land
+//! ([`Landing`]), so the handler never reads a payload byte: it trusts
+//! the verdict each arrival carries. Each stage is a function;
+//! [`SinkSession`] is the state they share, whatever carries the bytes.
 
 use super::{perr, run_stage, stage, Controller, Fail, Tally};
 use crate::coalesce::{drain_coalesced, CoalescedSink, DrainEnd};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION, SINK_RKEY};
 use crate::store::{BlockPool, FileSink, SlotBuf};
-use crate::transport::{CtrlRx, CtrlTx, DataRx, SinkTransport, UringStats};
+use crate::transport::{CtrlRx, CtrlTx, DataRx, Landing, SinkTransport, UringStats};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rftp_core::pattern::pattern_matches;
-use rftp_core::wire::{BlockAck, CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
+use rftp_core::wire::{BlockAck, CtrlMsg, DataFrameHeader, PAYLOAD_HEADER_LEN};
 use rftp_core::{AtomicSinkPool, Granter, PoolGeometry, WeightedFair};
 use std::collections::HashMap;
 use std::io;
@@ -21,8 +22,14 @@ use std::time::Instant;
 
 /// Everything the sink's control handler reacts to, on one channel.
 pub(crate) enum SinkEvt {
-    /// A data frame placed into its credited slot.
-    Arrival { seq: u32, slot: u32, len: u32 },
+    /// A data frame placed into its credited slot; `intact` is the
+    /// receiver's verdict on its bytes ([`Landing::intact`]).
+    Arrival {
+        seq: u32,
+        slot: u32,
+        len: u32,
+        intact: bool,
+    },
     /// A control frame from the peer.
     Ctrl(CtrlMsg),
     /// One data link reached clean end-of-stream.
@@ -46,7 +53,8 @@ const SINK_EVENT_DRAIN: usize = 64;
 /// reader threads and the uring driver's header-first links — decides
 /// about a data frame, in one place. A
 /// frame is *admitted* (valid for this session's geometry, and the first
-/// arrival of its sequence) before any payload byte is read, and
+/// arrival of its sequence) before any payload byte is read, checked
+/// piece by piece as its bytes land ([`SinkFront::landing`]), and
 /// *landed* once its wire image sits in the credited slot.
 pub(crate) struct SinkFront {
     block_size: usize,
@@ -93,20 +101,34 @@ impl SinkFront {
         Ok(first)
     }
 
-    /// The frame's wire image is in `slot`: stop the place clock started
-    /// at `t0`, write the payload behind to a file sink at its final
-    /// offset (sparse placement *is* the reassembly), and name the
-    /// arrival for the handler.
+    /// The check an admitted frame's bytes get as they land: the
+    /// payload header, and against the pattern every payload byte —
+    /// unless the payload goes to a file, which is not pattern data.
+    pub(crate) fn landing(&self, hdr: &DataFrameHeader) -> Landing {
+        let seed = matches!(self.backend, SnkBackend::Verify).then(|| pattern_seed(hdr.seq));
+        Landing::new(hdr, seed)
+    }
+
+    /// The frame's wire image is in `slot`, checked by `land` as it
+    /// landed: stop the place clock started at `t0` — the check's own
+    /// time goes on the verify clock instead, so the two stay apart —
+    /// write the payload behind to a file sink at its final offset
+    /// (sparse placement *is* the reassembly), and name the arrival and
+    /// its verdict for the handler.
     pub(crate) fn landed(
         &self,
         hdr: &DataFrameHeader,
         slot: &[u8],
+        land: &Landing,
         t0: Instant,
         tally: &mut Tally,
     ) -> io::Result<SinkEvt> {
-        let ns = t0.elapsed().as_nanos() as u64;
+        let check = land.check_ns();
+        let ns = (t0.elapsed().as_nanos() as u64).saturating_sub(check);
         tally.place_ns += ns;
         tally.tails.place.record(ns);
+        tally.verify_ns += check;
+        tally.tails.verify.record(check);
         if let SnkBackend::File(sink) = &self.backend {
             let t1 = Instant::now();
             sink.write_block(
@@ -119,6 +141,7 @@ impl SinkFront {
             seq: hdr.seq,
             slot: hdr.slot,
             len: hdr.len,
+            intact: land.intact(),
         })
     }
 }
@@ -179,7 +202,6 @@ impl<'a> SinkSession<'a> {
     pub(crate) fn handler(
         &'a self,
         ctrl_tx: &'a dyn CtrlTx,
-        snk_bufs: &'a [&'a Mutex<SlotBuf>],
         fair: FairShare<'a>,
     ) -> SinkHandler<'a> {
         let cfg = self.cfg;
@@ -188,12 +210,10 @@ impl<'a> SinkSession<'a> {
             ctrl_tx,
             snk_pool: &self.snk_pool,
             granter: &self.granter,
-            snk_bufs,
             fair,
             ctl: self.ctl.as_ref(),
             grant_at: HashMap::new(),
             deferred: 0,
-            verify_payload: cfg.dst_file.is_none(),
             total_blocks: cfg.total_blocks(),
             retired: AtomicBitmap::new(cfg.total_blocks()),
             low_water: 0,
@@ -246,22 +266,22 @@ impl<'a> SinkSession<'a> {
     }
 }
 
-/// The sink's protocol brain: negotiation, credit grants,
-/// verify-and-free on arrival, and the coalesced sink→source control traffic
-/// (`AckBatch` for placements, `CreditBatch` for grants, one flush
-/// window for both). Shared by the thread-per-link sink below and the
-/// io_uring sink driver ([`crate::uring`]).
+/// The sink's protocol brain: negotiation, credit grants, free on
+/// arrival, and the coalesced sink→source control traffic (`AckBatch`
+/// for placements, `CreditBatch` for grants, one flush window for
+/// both). Shared by the thread-per-link sink below and the io_uring
+/// sink driver ([`crate::uring`]).
 ///
-/// Buffers arrive as a borrowed *view* (`&[&Mutex<SlotBuf>]`): a
-/// standalone sink passes refs to its own pool, a daemon session passes
-/// refs to the arena slots it leased — wire slot `i` is `snk_bufs[i]`
-/// either way, so the protocol never sees the difference.
+/// It never touches a slot's bytes: whoever landed a block checked it
+/// ([`SinkFront::landing`]), and the arrival carries the verdict. So
+/// the handler holds no view of the slot buffers — wire slot `i` is
+/// only a number to it, whether a standalone pool or a daemon's arena
+/// lease backs it.
 pub(crate) struct SinkHandler<'a> {
     pub(super) cfg: &'a LiveConfig,
     ctrl_tx: &'a dyn CtrlTx,
     snk_pool: &'a AtomicSinkPool,
     granter: &'a Mutex<Granter>,
-    snk_bufs: &'a [&'a Mutex<SlotBuf>],
     fair: FairShare<'a>,
     /// The grant-loop estimator (credit sent → data arrived), when this
     /// session runs adaptively. Drives the dwell window and the
@@ -274,9 +294,8 @@ pub(crate) struct SinkHandler<'a> {
     /// free (a clamped completion grant must not evaporate, or the
     /// credit loop leaks and the source starves into `MrRequest`s).
     deferred: u32,
-    verify_payload: bool,
     total_blocks: u64,
-    /// One bit per sequence this session has verified and freed: the
+    /// One bit per sequence this session has retired and freed: the
     /// online exactly-once check.
     retired: AtomicBitmap,
     /// Lowest sequence not yet retired — every one below it is.
@@ -288,8 +307,8 @@ pub(crate) struct SinkHandler<'a> {
     pending_acks: Vec<BlockAck>,
     pending_credits: Vec<u32>,
     pub(crate) delivered: u64,
-    /// Control frames, checksum failures, arrivals ahead of `low_water`,
-    /// and the verify clock.
+    /// Control frames, checksum failures and arrivals ahead of
+    /// `low_water`.
     pub(crate) tally: Tally,
 }
 
@@ -391,13 +410,15 @@ impl SinkHandler<'_> {
         sent
     }
 
-    /// Verify and free one placed block, whatever its place in the
-    /// sequence: neither consumer needs the order (module doc), so the
-    /// slot goes `DataReady → Free` with no hold in between. Retiring a
-    /// sequence twice is a protocol error — the receivers' claim bitmap
-    /// admits each sequence once, so a second retirement means a
-    /// transport handed over a frame it should have discarded.
-    fn retire(&mut self, seq: u32, slot: u32, len: u32) -> io::Result<()> {
+    /// Free one placed block, whatever its place in the sequence:
+    /// neither consumer needs the order (module doc), so the slot goes
+    /// `DataReady → Free` with no hold in between. Its bytes were
+    /// checked as they landed; a block that failed the check (`!intact`)
+    /// counts as a checksum failure. Retiring a sequence twice is a
+    /// protocol error — the receivers' claim bitmap admits each sequence
+    /// once, so a second retirement means a transport handed over a
+    /// frame it should have discarded.
+    fn retire(&mut self, seq: u32, slot: u32, intact: bool) -> io::Result<()> {
         if seq as u64 >= self.total_blocks {
             return Err(perr(format!(
                 "arrival for sequence {seq} of a {}-block transfer",
@@ -420,26 +441,9 @@ impl SinkHandler<'_> {
                 c.mark_first_block();
             }
         }
-        let t0 = Instant::now();
-        {
-            let buf = self.snk_bufs[slot as usize].lock();
-            let hdr = PayloadHeader::decode(&buf[..PAYLOAD_HEADER_LEN])
-                .map_err(|e| perr(format!("bad payload header: {e:?}")))?;
-            let ok = hdr.session == SESSION
-                && hdr.seq == seq
-                && hdr.len == len
-                && (!self.verify_payload
-                    || pattern_matches(
-                        &buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
-                        pattern_seed(seq),
-                    ));
-            if !ok {
-                self.tally.checksum_failures += 1;
-            }
+        if !intact {
+            self.tally.checksum_failures += 1;
         }
-        let ns = t0.elapsed().as_nanos() as u64;
-        self.tally.verify_ns += ns;
-        self.tally.tails.verify.record(ns);
         self.snk_pool
             .put_free(slot)
             .map_err(|e| perr(format!("FSM put_free: {e:?}")))?;
@@ -488,7 +492,12 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 
     fn handle(&mut self, ev: SinkEvt) -> io::Result<()> {
         match ev {
-            SinkEvt::Arrival { seq, slot, len } => {
+            SinkEvt::Arrival {
+                seq,
+                slot,
+                len,
+                intact,
+            } => {
                 if let Some(c) = self.ctl {
                     if let Some(granted) = self.grant_at.remove(&slot) {
                         // Grant-loop sample: credit out → data in. A
@@ -501,7 +510,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
                 self.snk_pool
                     .ready(slot)
                     .map_err(|e| perr(format!("arrival in non-granted slot {slot}: {e:?}")))?;
-                self.retire(seq, slot, len)?;
+                self.retire(seq, slot, intact)?;
                 let want = self.granter.lock().on_completion();
                 self.accumulate(want);
                 self.pending_acks.push(BlockAck { seq, slot, len });
@@ -590,8 +599,8 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 
 /// Run the sink half of a transfer over `t`: grant credits, place
 /// arriving frames into their credited slots (directly from the link —
-/// the transport read *is* the placement), verify and free each as it
-/// lands, ack placed blocks back to the source, and finish once
+/// the transport read *is* the placement), check each piece as it
+/// lands, free each block once it has landed, ack placed blocks back to the source, and finish once
 /// `DatasetComplete` has come and the last block has landed — the last
 /// ack leaves at once, then the half closes its links itself.
 ///
@@ -638,7 +647,7 @@ pub(crate) fn run_sink_session(
     } = t;
     let fail = Fail::new(abort);
     let (evt_tx, evt_rx) = bounded::<SinkEvt>(SINK_EVENTS);
-    let mut h = sess.handler(ctrl_tx.as_ref(), snk_bufs, fair);
+    let mut h = sess.handler(ctrl_tx.as_ref(), fair);
 
     let tally = std::thread::scope(|s| {
         let (front, fail) = (&*sess.front, &fail);
@@ -702,7 +711,8 @@ fn pump(ctrl_rx: &mut dyn CtrlRx, events: &Sender<SinkEvt>) -> io::Result<()> {
 
 /// Receiver, one per data link — the "NIC". Each admitted frame's wire
 /// image is read straight into the slot its header names — the credited,
-/// pre-registered buffer — and a duplicate is discarded unread.
+/// pre-registered buffer — and checked piece by piece on this thread as
+/// it lands; a duplicate is discarded unread.
 fn receive(
     rx: &mut dyn DataRx,
     front: &SinkFront,
@@ -715,10 +725,11 @@ fn receive(
             rx.discard_wire(hdr.wire_len())?;
             continue;
         }
+        let mut land = front.landing(&hdr);
         let t0 = Instant::now();
         let mut dst = snk_bufs[hdr.slot as usize].lock();
-        rx.recv_wire(&mut dst[..hdr.wire_len()])?;
-        let ev = front.landed(&hdr, &dst, t0, t)?;
+        rx.recv_wire_checked(&mut dst[..hdr.wire_len()], &mut land)?;
+        let ev = front.landed(&hdr, &dst, &land, t0, t)?;
         drop(dst);
         if events.send(ev).is_err() {
             return Ok(()); // handler bailed; fail is set
@@ -730,7 +741,8 @@ fn receive(
 
 /// Where placed payload goes.
 pub(crate) enum SnkBackend {
-    /// Checksum-verify the pattern and discard.
+    /// Pattern data: the receiver that lands each block compares every
+    /// payload byte with the pattern as it lands, and nothing is kept.
     Verify,
     /// Write-behind `pwrite` into a real file at `seq * block_size`.
     File(FileSink),

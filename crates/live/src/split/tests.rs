@@ -4,7 +4,7 @@ use super::sink::SinkHandler;
 use super::*;
 use crate::coalesce::CoalescedSink;
 use crate::pipeline::{pattern_seed, MAX_POOL_BLOCKS, SESSION};
-use crate::transport::{CtrlRx, CtrlTx, DataTx, SourceTransport};
+use crate::transport::{CtrlRx, CtrlTx, DataTx, Landing, SourceTransport};
 use rftp_core::pattern::fill_pattern;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use std::collections::HashSet;
@@ -381,7 +381,8 @@ impl Sent {
 }
 
 /// Put sequence `seq` of a pattern transfer of `len`-byte blocks
-/// into `slot`, as a receiver would have; the arrival to announce.
+/// into `slot` and check it, as a receiver would have; the arrival to
+/// announce.
 fn land(bufs: &BlockPool, len: u32, seq: u32, slot: u32) -> SinkEvt {
     let mut buf = bufs[slot as usize].lock();
     PayloadHeader {
@@ -395,7 +396,20 @@ fn land(bufs: &BlockPool, len: u32, seq: u32, slot: u32) -> SinkEvt {
         &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
         pattern_seed(seq),
     );
-    SinkEvt::Arrival { seq, slot, len }
+    let hdr = DataFrameHeader {
+        session: SESSION,
+        seq,
+        slot,
+        len,
+    };
+    let mut check = Landing::new(&hdr, Some(pattern_seed(seq)));
+    check.advance(&buf[..hdr.wire_len()], hdr.wire_len());
+    SinkEvt::Arrival {
+        seq,
+        slot,
+        len,
+        intact: check.intact(),
+    }
 }
 
 /// [`land`] and announce.
@@ -429,7 +443,7 @@ fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
     let sent = Sent::default();
     let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
     let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, &view, None);
+    let mut h = sess.handler(&sent, None);
     h.handle(request(&cfg)).unwrap();
     let granted = sent.take_granted();
     let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
@@ -486,7 +500,7 @@ fn slots_behind_a_hole_retire_and_are_granted_again() {
     let sent = Sent::default();
     let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
     let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let (snk_pool, mut h) = (&sess.snk_pool, sess.handler(&sent, &view, None));
+    let (snk_pool, mut h) = (&sess.snk_pool, sess.handler(&sent, None));
 
     h.handle(request(&cfg)).unwrap();
     let granted = sent.take_granted();
@@ -564,7 +578,7 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
     let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, &view, None);
+    let mut h = sess.handler(&sent, None);
     h.handle(request(&cfg)).unwrap();
     let mut opening = sent.take_granted();
     assert_eq!(
@@ -587,7 +601,7 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
     let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, &view, None);
+    let mut h = sess.handler(&sent, None);
     h.handle(request(&cfg)).unwrap();
     h.handle(SinkEvt::Ctrl(CtrlMsg::DatasetComplete {
         session: SESSION,

@@ -24,10 +24,14 @@
 use crate::store::{BlockPool, SlotBuf};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use rftp_core::wire::{encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder};
+use rftp_core::pattern::pattern_matches_at;
+use rftp_core::wire::{
+    encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder, PayloadHeader, PAYLOAD_HEADER_LEN,
+};
 use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use std::io;
 use std::sync::{Arc, OnceLock, Weak};
+use std::time::Instant;
 
 /// The pinned block pool as a transport sees it: slot index → locked
 /// slot buffer, shared between the pipeline and any in-flight sends.
@@ -95,18 +99,102 @@ pub trait DataTx: Send + Sync {
 
 /// Receiving side of one data link. Split in two so placement is
 /// zero-copy: [`DataRx::recv_header`] yields the frame header naming the
-/// credited slot, then exactly one of [`DataRx::recv_wire`] (read the
-/// wire image straight into that slot's buffer) or
-/// [`DataRx::discard_wire`] (duplicate arrival — consume the bytes
-/// without placing them) must follow.
+/// credited slot, then exactly one of [`DataRx::recv_wire`] /
+/// [`DataRx::recv_wire_checked`] (read the wire image straight into that
+/// slot's buffer) or [`DataRx::discard_wire`] (duplicate arrival —
+/// consume the bytes without placing them) must follow.
+///
+/// The sink reads through [`DataRx::recv_wire_checked`], so the thread
+/// that lands a block's bytes also checks them ([`Landing`]). A backend
+/// that copies the image in pieces overrides it to check each piece
+/// right after it lands, while the piece is still in this core's cache:
+/// the TCP link after every `read`, the in-process link after every
+/// 64 KiB step of its copy. The default checks the whole image once
+/// [`DataRx::recv_wire`] returns — right for a backend that copies
+/// nothing (shm) and for wrappers that only implement `recv_wire`.
 pub trait DataRx: Send {
     /// Next frame's header; `Ok(None)` at clean end-of-stream.
     fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>>;
     /// Read the frame's wire image into `buf` (exactly `hdr.wire_len()`
     /// bytes).
     fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()>;
+    /// [`DataRx::recv_wire`], telling `land` about the bytes as they
+    /// land: each call of [`Landing::advance`] names a longer prefix of
+    /// `buf` that is in place, the last one all of it.
+    fn recv_wire_checked(&mut self, buf: &mut [u8], land: &mut Landing) -> io::Result<()> {
+        self.recv_wire(buf)?;
+        land.advance(buf, buf.len());
+        Ok(())
+    }
     /// Consume and drop the frame's wire image.
     fn discard_wire(&mut self, wire_len: usize) -> io::Result<()>;
+}
+
+/// The check of one admitted frame's wire image, made piece by piece as
+/// the image lands — on the receiving thread, while each piece is still
+/// in its cache — so no later pass reads the block again. It holds the
+/// 24-byte [`PayloadHeader`] to the frame header (session, sequence,
+/// length) and compares each payload byte with the pattern stream for
+/// the block's seed ([`pattern_matches_at`]); without a seed (a file
+/// destination) it checks the header only.
+pub struct Landing {
+    hdr: DataFrameHeader,
+    seed: Option<u64>,
+    /// Bytes of the wire image already checked.
+    checked: usize,
+    /// No checked byte has differed so far.
+    ok: bool,
+    ns: u64,
+}
+
+impl Landing {
+    /// The check of the frame `hdr` names; `seed` is its block's pattern
+    /// seed, `None` to check the header only.
+    pub fn new(hdr: &DataFrameHeader, seed: Option<u64>) -> Landing {
+        Landing {
+            hdr: *hdr,
+            seed,
+            checked: 0,
+            ok: true,
+            ns: 0,
+        }
+    }
+
+    /// `image[..landed]` is now in place: check what landed since the
+    /// last call — the payload header once all 24 bytes are in, each
+    /// newly landed payload range against the pattern at its offset.
+    pub fn advance(&mut self, image: &[u8], landed: usize) {
+        // A header still short of its 24 bytes waits for the call that
+        // completes it.
+        if landed <= self.checked || landed < PAYLOAD_HEADER_LEN {
+            return;
+        }
+        let t0 = Instant::now();
+        if self.checked == 0 {
+            let want = &self.hdr;
+            self.ok &= PayloadHeader::decode(&image[..PAYLOAD_HEADER_LEN])
+                .is_ok_and(|h| h.session == want.session && h.seq == want.seq && h.len == want.len);
+        }
+        if let Some(seed) = self.seed {
+            let start = self.checked.max(PAYLOAD_HEADER_LEN);
+            let offset = start - PAYLOAD_HEADER_LEN;
+            self.ok &= pattern_matches_at(&image[start..landed], seed, offset);
+        }
+        self.checked = landed;
+        self.ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Whether the whole image landed and every byte of it checked out:
+    /// a receiver that stopped telling the check about its bytes leaves
+    /// the block failed, never passed unread.
+    pub fn intact(&self) -> bool {
+        self.ok && self.checked == self.hdr.wire_len()
+    }
+
+    /// Nanoseconds spent checking.
+    pub fn check_ns(&self) -> u64 {
+        self.ns
+    }
 }
 
 /// Ring-level counters a completion-based (io_uring) backend reports
@@ -321,6 +409,37 @@ struct ChanDataRx {
     pending: Option<ChanWire>,
 }
 
+/// The step of the in-process copy: each step is checked right after
+/// it lands, while it is still in the receiving core's L2.
+const COPY_STEP: usize = 64 * 1024;
+
+impl ChanDataRx {
+    /// The one copy of the pending frame's wire image into `buf` — out
+    /// of the pinned source block, or out of the frame's own bytes — in
+    /// [`COPY_STEP`] steps, each handed to `land` as it lands.
+    fn copy_in(&mut self, buf: &mut [u8], mut land: Option<&mut Landing>) {
+        let mut step = |src: &[u8]| {
+            for at in (0..buf.len()).step_by(COPY_STEP) {
+                let end = (at + COPY_STEP).min(buf.len());
+                buf[at..end].copy_from_slice(&src[at..end]);
+                if let Some(land) = land.as_deref_mut() {
+                    land.advance(buf, end);
+                }
+            }
+        };
+        match self.pending.take().expect("recv_wire without a header") {
+            ChanWire::Bytes(wire) => step(&wire),
+            ChanWire::Block(block) => {
+                let pool = self
+                    .pool
+                    .get()
+                    .expect("block frame implies a registered pool");
+                step(&pool[block as usize].lock())
+            }
+        }
+    }
+}
+
 impl DataRx for ChanDataRx {
     fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
         debug_assert!(self.pending.is_none(), "previous frame not consumed");
@@ -334,17 +453,12 @@ impl DataRx for ChanDataRx {
     }
 
     fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        match self.pending.take().expect("recv_wire without a header") {
-            ChanWire::Bytes(wire) => buf[..wire.len()].copy_from_slice(&wire),
-            ChanWire::Block(block) => {
-                let pool = self
-                    .pool
-                    .get()
-                    .expect("block frame implies a registered pool");
-                let src = pool[block as usize].lock();
-                buf.copy_from_slice(&src[..buf.len()]);
-            }
-        }
+        self.copy_in(buf, None);
+        Ok(())
+    }
+
+    fn recv_wire_checked(&mut self, buf: &mut [u8], land: &mut Landing) -> io::Result<()> {
+        self.copy_in(buf, Some(land));
         Ok(())
     }
 
@@ -483,6 +597,63 @@ mod tests {
         (src.shutdown_write)();
         assert!(snk.data[0].recv_header().unwrap().is_none());
         assert!(snk.data[1].recv_header().unwrap().is_none());
+    }
+
+    /// A frame's image, payload header and `len` pattern bytes.
+    fn image(hdr: &DataFrameHeader, seed: u64) -> Vec<u8> {
+        let mut wire = vec![0u8; hdr.wire_len()];
+        PayloadHeader {
+            session: hdr.session,
+            seq: hdr.seq,
+            offset: 0,
+            len: hdr.len,
+        }
+        .encode(&mut wire[..PAYLOAD_HEADER_LEN]);
+        rftp_core::pattern::fill_pattern(&mut wire[PAYLOAD_HEADER_LEN..], seed);
+        wire
+    }
+
+    /// Land `wire` in pieces ending at each of `cuts`, checking as it goes.
+    fn land_in(hdr: &DataFrameHeader, seed: Option<u64>, wire: &[u8], cuts: &[usize]) -> bool {
+        let mut land = Landing::new(hdr, seed);
+        for &end in cuts {
+            land.advance(wire, end);
+        }
+        land.intact()
+    }
+
+    /// The piecewise check passes an intact image however it is cut —
+    /// the header split across pieces too — and fails one flipped
+    /// payload byte in any piece, a payload header naming another
+    /// block, and an image that was never wholly reported.
+    #[test]
+    fn landing_checks_every_piece_and_the_header() {
+        let hdr = DataFrameHeader {
+            session: 1,
+            seq: 9,
+            slot: 0,
+            len: 100,
+        };
+        let wire = image(&hdr, 77);
+        let cuts = [5, 24, 30, 77, 77, 124];
+        assert!(land_in(&hdr, Some(77), &wire, &cuts));
+        assert!(land_in(&hdr, Some(77), &wire, &[124]));
+        for k in [24, 29, 30, 31, 76, 77, 123] {
+            let mut bad = wire.clone();
+            bad[k] ^= 0x04;
+            assert!(!land_in(&hdr, Some(77), &bad, &cuts), "flip at {k}");
+        }
+        assert!(!land_in(&hdr, Some(78), &wire, &cuts), "another seed");
+        assert!(!land_in(&hdr, Some(77), &wire, &cuts[..4]), "short");
+        let other = DataFrameHeader { seq: 10, ..hdr };
+        assert!(!land_in(&other, Some(77), &wire, &cuts), "another seq");
+
+        // No seed (a file destination): the header alone is checked.
+        let mut file = wire.clone();
+        file[60] ^= 0xFF;
+        assert!(land_in(&hdr, None, &file, &cuts));
+        file[6] ^= 0x01;
+        assert!(!land_in(&hdr, None, &file, &cuts), "header seq byte");
     }
 
     /// A block is sent by reference only out of the registered pool: with

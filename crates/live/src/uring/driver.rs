@@ -9,7 +9,9 @@
 //! read: a first arrival commits one `READ_FIXED` straight into the
 //! credited slot's registered buffer (the CQE is the placement, no
 //! user-space copy), and a duplicate is read into a scratch buffer and
-//! dropped.
+//! dropped. The driver checks each placed image against the pattern as
+//! its `READ_FIXED` completes — the kernel just wrote it on this core —
+//! so the session's handler never reads a payload byte.
 
 use super::ring::{Ring, RING_ENTRIES};
 use super::sys::*;
@@ -30,8 +32,8 @@ use std::time::Instant;
 
 /// Cap on a session's concurrently-armed payload reads: a session's
 /// blocks land one at a time, in the order their headers routed them,
-/// so its handler verifies a steady stream instead of a burst of
-/// sibling copies that evicts each block before its turn.
+/// so the driver checks each block as it completes instead of a burst
+/// of sibling copies that evicts each block before its turn.
 const PLACE_CAP: u32 = 1;
 
 /// Where one data link's framing state machine stands.
@@ -626,10 +628,14 @@ impl<'a> MultiDriver<'a> {
                             next = Next::Arm;
                         } else {
                             // Clock from max(armed, floor) — see
-                            // `place_floor`.
+                            // `place_floor`. The image just landed
+                            // on this core: check it here, in one
+                            // pass, while it is hot.
                             let dst = slots[sess.lease[hdr.slot as usize] as usize].lock();
                             let t0 = t0.max(place_floor);
-                            match sess.front.landed(&hdr, &dst, t0, &mut sess.tally) {
+                            let mut land = sess.front.landing(&hdr);
+                            land.advance(&dst[..hdr.wire_len()], hdr.wire_len());
+                            match sess.front.landed(&hdr, &dst, &land, t0, &mut sess.tally) {
                                 Err(e) => next = Next::Fail(e),
                                 Ok(ev) => {
                                     sess.emit.push(ev);

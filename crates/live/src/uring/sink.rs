@@ -260,7 +260,7 @@ pub(crate) fn run_shared_uring_session(
     );
     let sid = hub.next_sid.fetch_add(1, Ordering::Relaxed);
 
-    let mut h = sess.handler(&ctrl_tx, snk_bufs, fair);
+    let mut h = sess.handler(&ctrl_tx, fair);
     // Register before answering the hello: the opening grants go
     // out only after the driver can be armed, so no data races the
     // first receive.
