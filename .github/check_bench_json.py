@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fail on schema drift in a live-bench JSON file (crates/bench/src/live.rs).
+"""Fail on schema drift in a live-bench JSON file (crates/bench/src/live.rs),
+and on a full run (`quick` false) that records a failed gate.
 
 usage: check_bench_json.py BENCH_x.json [...]
 """
@@ -24,4 +25,7 @@ for path in sys.argv[1:]:
         assert list(r)[-3:] == ["runs", "source", "sink"], f"{path}: row tail {list(r)[-3:]}"
     for g in doc["gates"]:
         assert list(g) == GATE, f"{path}: gate keys {list(g)}"
+    if not doc["quick"]:
+        failed = [g["name"] for g in doc["gates"] if g["pass"] is not True]
+        assert not failed, f"{path}: full run with failed gates {failed}"
     print(f"{path}: {len(doc['results'])} rows, {len(doc['gates'])} gates, schema ok")

@@ -4,12 +4,13 @@
 //! behaviour; this crate proves its *concurrency* behaviour. It runs the
 //! same middleware machinery — the Fig. 7 wire formats, the Fig. 6
 //! buffer-block state machines, the proactive credit granter, and (at
-//! the source's dispatcher) the reassembly buffer — as a native
+//! the source's sender) the reassembly buffer — as a native
 //! multi-threaded pipeline.
 //!
 //! There is **one** pipeline ([`split`]), and each half is a chain of
-//! named stages started by one spawner: a source half (loaders, an
-//! in-order dispatcher, a control stage, a retransmit watchdog) and a
+//! named stages started by one spawner: a source half (loaders, one
+//! sender that sends first attempts in order and re-sends lost ones,
+//! and a control stage) and a
 //! sink half (per-link receivers that check each block's bytes as they
 //! land, a control pump, and the handler that grants, and frees each
 //! block the moment it lands — both live consumers are offset-addressed,

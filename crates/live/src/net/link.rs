@@ -23,8 +23,8 @@ pub(crate) struct NetCtrlTx<S = TcpStream>(pub(crate) Mutex<S>);
 
 impl<S: Write + Send> CtrlTx for NetCtrlTx<S> {
     fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
-        // The lock scopes the whole frame: concurrent senders (dispatcher
-        // MrRequests vs the control thread) never interleave bytes.
+        // The lock scopes the whole frame: a frame from one thread never
+        // interleaves with another's.
         send_raw_ctrl(&mut *self.0.lock(), msg)
     }
 }
@@ -146,7 +146,7 @@ fn write_all_vectored(s: &mut impl Write, mut iov: &mut [IoSlice<'_>]) -> io::Re
 
 /// A data stream's send side. With the source pool registered,
 /// [`DataTx::send_block`] queues and [`DataTx::kick`] writes the queue
-/// with one `writev` — one syscall per dispatcher drain, not per block.
+/// with one `writev` — one syscall per sender drain, not per block.
 /// A borrowed or owned image ([`DataTx::send`], and through it
 /// [`DataTx::send_owned`]) is written at once, behind the queue: a WAN
 /// delay line hands each frame over at the instant it is due, and

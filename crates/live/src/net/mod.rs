@@ -57,7 +57,7 @@
 //! The mapping of "RDMA WRITE from a pinned buffer" onto a socket is a
 //! vectored write straight from the slot buffer — no staging copy at the
 //! sender. The 16-byte frame header goes into the slot's dead space, so
-//! header and wire image are one iovec, and one `writev` per dispatcher
+//! header and wire image are one iovec, and one `writev` per sender
 //! drain carries every frame the drain queued on the stream (the
 //! doorbell, [`DataTx::kick`]). The receiver reads the header, then reads
 //! the wire image directly into the slot the header names — the socket

@@ -19,7 +19,7 @@
 //! and the in-flight bandwidth-delay product lives in the lines, not in
 //! socket buffers that `wmem_max` clamps. Control frames are delayed
 //! but never dropped or reordered: only data frames have a recovery
-//! path (the retransmit watchdog + claim-bitmap dedup).
+//! path (the source's re-sends + claim-bitmap dedup).
 
 use crate::store::SlotBuf;
 use crate::transport::{BufPool, CtrlRx, CtrlTx, DataTx, SinkTransport, SourceTransport};
@@ -280,7 +280,7 @@ impl DataLeg {
         let mut guard = self.shaper.lock();
         let (dice, stash) = &mut *guard;
         if dice.roll(self.path.wan.loss_p) {
-            return Ok(()); // lost on the wire; the source's watchdog recovers it
+            return Ok(()); // lost on the wire; the source re-sends it
         }
         let at = self.path.schedule(hdr.wire_len(), dice);
         if stash.is_none() && dice.roll(self.path.wan.reorder_p) {

@@ -2,9 +2,9 @@
 //! entry point.
 //!
 //! There is one live data path: the split halves of [`crate::split`]
-//! (source: loaders → dispatcher → wire, with a control stage and the
-//! retransmit watchdog; sink: per-channel receivers and a control pump →
-//! handler), joined by a [`crate::transport`]. [`run_live`] /
+//! (source: loaders → sender → wire, with a control stage, the sender
+//! re-sending lost blocks; sink: per-channel receivers and a control
+//! pump → handler), joined by a [`crate::transport`]. [`run_live`] /
 //! [`try_run_live`] run both halves in this process over the in-process
 //! channel transport and [`LiveReport::merge`] their two reports into one.
 //! That transport is a one-sided WRITE analogue — a data frame names the
@@ -66,13 +66,13 @@ pub struct LiveConfig {
     pub flush_window: std::time::Duration,
     /// Fault injection: probability that a dispatched payload is dropped
     /// on the wire instead of reaching a receiver (0.0 = perfect
-    /// fabric). Dropped blocks are recovered by the retransmit watchdog.
+    /// fabric). The source's sender re-sends each dropped block.
     pub fault_drop_p: f64,
     /// Seed for the drop RNG — same seed, same drop pattern.
     pub fault_seed: u64,
-    /// A dispatched block still unacked after this long is retransmitted
-    /// by the watchdog's timer (the watchdog runs on every transfer; a
-    /// loss the ack stream reveals is re-sent without waiting for it).
+    /// A dispatched block still unacked after this long is re-sent by
+    /// the sender's timer scan (it runs on every transfer; a loss the
+    /// ack stream reveals is re-sent without waiting for it).
     /// Must comfortably exceed the pipeline's ack latency or healthy
     /// blocks are re-sent.
     pub retx_timeout: std::time::Duration,
@@ -195,8 +195,8 @@ impl LiveConfig {
 pub struct StageBreakdown {
     /// Header encode + pattern fill (or source-file read) at the loaders.
     pub load_ns: f64,
-    /// Credit pairing, FSM transitions, and the transport send at the
-    /// dispatcher.
+    /// Credit pairing, FSM transitions, and the transport send of each
+    /// first attempt at the sender.
     pub dispatch_ns: f64,
     /// Placement memcpy at the receivers.
     pub place_ns: f64,
@@ -231,7 +231,7 @@ pub struct LiveReport {
     pub credit_requests: u64,
     /// Payloads the fault injector dropped on the wire.
     pub dropped_payloads: u64,
-    /// Blocks the watchdog re-sent, whichever trigger fired.
+    /// Blocks the sender re-sent, whichever trigger fired.
     pub retransmits: u64,
     /// The subset of `retransmits` triggered by ack inference (three
     /// later sends on the channel acked) rather than the timer. Only the

@@ -112,16 +112,16 @@ pub(crate) enum PlaceOutcome {
 /// **Why the seq rule exists.** Credits can overtake acks: the sink
 /// flushes a freed slot's re-grant immediately while the block's
 /// ack may dwell in a coalescing batch. A slot can therefore be
-/// re-credited and re-dispatched to a *new* block while the old
-/// block's retransmit watchdog still considers it in flight. The
+/// re-credited and re-dispatched to a *new* block while the source
+/// still considers the old block in flight and may re-send it. The
 /// per-slot `(last seq, epoch)` record disambiguates every case by
-/// seq comparison — the dispatcher pairs blocks to slots in seq
+/// seq comparison — the sender pairs blocks to slots in seq
 /// order, so per-slot seqs are strictly monotonic:
 ///
 /// * `hdr.seq > last`: first placement of a newer block — the word
 ///   must be `GRANTED` (anything else is a protocol fault, failed
 ///   loudly rather than hung);
-/// * `hdr.seq == last`: watchdog resend of the same block —
+/// * `hdr.seq == last`: a re-send of the same block —
 ///   re-notify if the slot still holds it published, else stale;
 /// * `hdr.seq < last`: stale resend for a slot that moved on — drop.
 pub(crate) struct SrcWindow {

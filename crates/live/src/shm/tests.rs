@@ -131,7 +131,7 @@ fn place_follows_grant_epochs() {
     assert_eq!(src.place(&h0, &wire(&h0)).unwrap(), PlaceOutcome::Placed);
     snk.check_published(&h0).unwrap();
 
-    // Watchdog duplicate of the same seq: renotify, no rewrite.
+    // A re-sent duplicate of the same seq: renotify, no rewrite.
     assert_eq!(src.place(&h0, &wire(&h0)).unwrap(), PlaceOutcome::Renotify);
     snk.check_published(&h0).unwrap();
 

@@ -1,9 +1,11 @@
 //! The live pipeline: a standalone source half and sink half joined
 //! only by a [`crate::transport`].
 //!
-//! [`run_split_source`] (`source.rs`) runs loaders → dispatcher, a
-//! control stage and the retransmit watchdog against a
-//! [`SourceTransport`](crate::transport::SourceTransport);
+//! [`run_split_source`] (`source.rs`) runs loaders → sender and a
+//! control stage against a
+//! [`SourceTransport`](crate::transport::SourceTransport): the sender is
+//! the one thread that sends — first sends, re-sends, credit requests
+//! and `DatasetComplete`;
 //! [`run_split_sink`] (`sink.rs`) runs per-link receivers and a
 //! control pump → handler against a
 //! [`SinkTransport`](crate::transport::SinkTransport); each half may run
@@ -47,11 +49,12 @@
 //!   retired-sequence bitmap. (The simulated sink, which feeds a
 //!   *stream* consumer, still reassembles in order — §IV.C.)
 //!
-//! The source still dispatches in sequence order (loaders finish out of
-//! order; the dispatcher's reorder buffer puts them back). Against a sink
-//! that freed in order this was load-bearing — later sequences taking
-//! the last credits while an earlier one lagged filled the pool with
-//! blocks the sink could not free, a head-of-line deadlock (DESIGN.md).
+//! The source still sends first attempts in sequence order (loaders
+//! finish out of order; the sender's reorder buffer puts them back).
+//! Against a sink that freed in order this was load-bearing — later
+//! sequences taking the last credits while an earlier one lagged filled
+//! the pool with blocks the sink could not free, a head-of-line deadlock
+//! (DESIGN.md).
 //! This sink cannot be wedged that way; ordered dispatch stays because
 //! it keeps the unplaced sequences one contiguous window, at most a pool
 //! wide. For the same reason a loader takes a block *before* it claims a

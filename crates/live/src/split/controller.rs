@@ -7,7 +7,7 @@ use std::time::Instant;
 
 /// Per-session adaptive control: one RFC 6298 estimator behind a lock,
 /// with every figure the hot paths consume (retransmit deadline, dwell
-/// window, in-flight depth target) mirrored into atomics so the watchdog
+/// window, in-flight depth target) mirrored into atomics so the sender
 /// and the coalescing loop read without contending on the estimator.
 ///
 /// Each half runs its own controller off its own feedback loop:
@@ -82,7 +82,7 @@ impl Controller {
         }
     }
 
-    /// The watchdog re-sent a block (either trigger): count it toward
+    /// The sender re-sent a block (either trigger): count it toward
     /// the loss rate.
     pub(crate) fn on_loss(&self) {
         self.est.lock().on_loss();

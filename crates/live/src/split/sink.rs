@@ -59,6 +59,7 @@ const SINK_EVENT_DRAIN: usize = 64;
 pub(crate) struct SinkFront {
     block_size: usize,
     pool_blocks: u32,
+    total_bytes: u64,
     total_blocks: u64,
     /// Claim-before-copy: one bit per sequence, set by whichever frame
     /// arrives first.
@@ -71,6 +72,7 @@ impl SinkFront {
         Ok(SinkFront {
             block_size: cfg.block_size,
             pool_blocks: cfg.pool_blocks,
+            total_bytes: cfg.total_bytes,
             total_blocks: cfg.total_blocks(),
             placed: AtomicBitmap::new(cfg.total_blocks()),
             backend: SnkBackend::open(cfg)?,
@@ -82,12 +84,15 @@ impl SinkFront {
     /// `Ok(false)` is a duplicate — a retransmit raced a slow ack, its
     /// slot may have been re-granted, so the caller discards the wire
     /// image unread and nothing is placed twice; `Ok(true)` means read
-    /// it into slot `hdr.slot`.
+    /// it into slot `hdr.slot`. A frame's length is its block's: a full
+    /// block, or what is left at the tail — a shorter one would leave a
+    /// hole in a file destination that every other check passes.
     pub(crate) fn admit(&self, hdr: &DataFrameHeader, tally: &mut Tally) -> io::Result<bool> {
+        let offset = hdr.seq as u64 * self.block_size as u64;
         if hdr.session != SESSION
             || hdr.slot >= self.pool_blocks
-            || hdr.len as usize > self.block_size
             || hdr.seq as u64 >= self.total_blocks
+            || hdr.len as u64 != (self.total_bytes - offset).min(self.block_size as u64)
         {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

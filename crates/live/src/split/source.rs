@@ -1,6 +1,7 @@
-//! The source half: loaders → dispatcher → wire, a control stage that
-//! retires blocks on the sink's acks, and the retransmit watchdog. Each
-//! stage is a function over one shared [`Src`].
+//! The source half: loaders → sender → wire, and a control stage that
+//! retires blocks on the sink's acks and condemns the ones they prove
+//! lost. Each stage is a function over one shared [`Src`]; after the
+//! `SessionRequest` the sender is the only one that sends.
 
 use super::{perr, stage, Controller, Fail, Tally};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION};
@@ -31,11 +32,15 @@ fn retx_deadline(cfg: &LiveConfig, ctl: Option<&Controller>) -> Duration {
     }
 }
 
-/// The queues between source stages — `loaded` (loaders → dispatcher)
-/// and `lost` (control → watchdog) — carry pool block indices, one entry
-/// per pool block at most.
-fn block_queue(cfg: &LiveConfig) -> (Sender<u32>, Receiver<u32>) {
-    bounded(cfg.pool_blocks as usize)
+/// An entry of the sender's inbox: a pool block the loaders filled (and
+/// its sequence), for its first send, or one the acks prove lost, for a
+/// re-send. The tag is load-bearing: a stale re-send entry can name a
+/// block acked and reloaded since, which must never go out as a first
+/// send.
+#[derive(Clone, Copy)]
+enum Job {
+    Loaded(u32, u32),
+    Lost(u32),
 }
 
 /// What every source stage shares.
@@ -50,14 +55,24 @@ struct Src<'a> {
     /// Arc'd so a completion-based transport can hold the pool across its
     /// in-flight sends (the registered-buffer lifetime).
     bufs: Arc<BlockPool>,
-    stock: CreditSlots,
+    /// Granted sink slots (a credit's rkey and length never vary, so the
+    /// slot is the credit). No sink pool is larger than the ring's
+    /// [`MAX_POOL_BLOCKS`], and the control stage refuses a slot past it.
+    credits: IndexQueue,
+    /// An `MrRequest` is outstanding (at most one at a time).
+    asked: AtomicBool,
     inflight: Vec<Mutex<Option<InFlightInfo>>>,
+    /// Per pool block: a `Lost` entry for it waits in the sender's inbox.
+    /// One `Loaded` and one `Lost` entry per block at most: the inbox (two
+    /// per block) never fills, and the control stage never waits on it.
+    /// `Relaxed`: the flag publishes nothing, the inbox carries the block.
+    condemned: Vec<AtomicBool>,
     /// Which pool block carries each in-flight sequence — the ack names a
     /// sequence, and over a real wire the sink cannot name our block.
     seq2block: Mutex<HashMap<u32, u32>>,
     next_seq: AtomicU64,
     /// Dispatched blocks not yet acked: each earns a grant as it lands,
-    /// so the dispatcher asks for credits only when this is zero.
+    /// so the sender asks for credits only when this is zero.
     unacked: AtomicU32,
     /// Set just before `DatasetComplete` leaves: from then on the sink
     /// may end, and close its links, the moment the last block lands.
@@ -96,10 +111,10 @@ impl Src<'_> {
 }
 
 /// Run the source half of a transfer over `t`: negotiate, load blocks
-/// (pattern or `src_file`), dispatch them in sequence order as data
-/// frames, send `DatasetComplete` behind the last of them, retire them
-/// on the sink's acks, and hang up once the sink has closed its side.
-/// Returns this half's view of the transfer.
+/// (pattern or `src_file`), send them in sequence order as data frames,
+/// send `DatasetComplete` behind the last of them, re-send what is lost,
+/// retire blocks on the sink's acks, and hang up once the sink has closed
+/// its side. Returns this half's view of the transfer.
 pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<LiveReport> {
     assert!(cfg.channels >= 1 && cfg.loaders >= 1 && cfg.total_bytes > 0);
     let backend = SrcBackend::open(cfg)?;
@@ -141,11 +156,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         ra_limit: (cfg.readahead.saturating_add(1)).min(cfg.pool_blocks) as usize,
         pool: AtomicSourcePool::new(PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks)),
         bufs: Arc::new(BlockPool::new(cfg.pool_blocks, cfg.block_size)),
-        stock: CreditSlots {
-            slots: IndexQueue::new(MAX_POOL_BLOCKS as usize),
-            request_outstanding: AtomicBool::new(false),
-        },
+        credits: IndexQueue::new(MAX_POOL_BLOCKS as usize),
+        asked: AtomicBool::new(false),
         inflight: (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect(),
+        condemned: (0..cfg.pool_blocks).map(|_| Default::default()).collect(),
         seq2block: Mutex::new(HashMap::new()),
         next_seq: AtomicU64::new(0),
         unacked: AtomicU32::new(0),
@@ -161,15 +175,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     // Pin the pool into the transport (fixed-buffer registration on
     // io_uring, no-op elsewhere) before any data is sent.
     register(&src.bufs)?;
-    let (loaded_tx, loaded_rx) = block_queue(cfg);
-    // Loss recovery runs on one watchdog with two triggers: the control
-    // stage hands it blocks the ack stream proves lost (see
-    // [`rftp_core::LossDetector`]), and a timer scan catches what acks
-    // cannot — the tail of a transfer, a re-send with too few sends
-    // behind it. It runs on every transfer: any path can lose a frame,
-    // whether or not the config expects it to.
-    let (lost_tx, lost_rx) = block_queue(cfg);
-    let mut lost_tx = Some(lost_tx);
+    // The sender's one inbox: loaded blocks from the loaders, condemned
+    // ones from the control stage. It disconnects once every loader and
+    // the control stage have ended, and that ends the sender.
+    let (inbox_tx, inbox) = bounded(2 * cfg.pool_blocks as usize);
 
     let mut tally = Tally {
         ctrl: 1, // the SessionRequest
@@ -179,18 +188,15 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         let (src, fail) = (&src, &src.fail);
         let loaders: Vec<_> = (0..cfg.loaders)
             .map(|_| {
-                let loaded_tx = loaded_tx.clone();
-                stage(s, fail, move |t| load(src, &loaded_tx, t))
+                let inbox_tx = inbox_tx.clone();
+                stage(s, fail, move |t| load(src, &inbox_tx, t))
             })
             .collect();
-        drop(loaded_tx);
-        let dispatcher = stage(s, fail, move |t| dispatch(src, &loaded_rx, t));
-        let watchdog = stage(s, fail, move |t| watchdog(src, &lost_rx, t));
+        let sender = stage(s, fail, move |t| send(src, &inbox, t));
         let control = stage(s, fail, move |t| {
-            control(src, &mut *ctrl_rx, &mut lost_tx, &*shutdown_write, t)
+            control(src, &mut *ctrl_rx, &inbox_tx, &*shutdown_write, t)
         });
-        let stages = loaders.into_iter().chain([dispatcher, watchdog]);
-        for h in stages.chain([control]) {
+        for h in loaders.into_iter().chain([sender, control]) {
             tally.merge(&h.join().expect("source stage panicked"));
         }
     });
@@ -212,20 +218,18 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
 }
 
 /// Loader: claim sequence numbers, fill blocks with header + payload
-/// (pattern or file read), hand them to the dispatcher. The free-wait
+/// (pattern or file read), hand them to the sender. The free-wait
 /// polls the failure latch so a dead transport releases it.
-fn load(src: &Src, loaded: &Sender<u32>, t: &mut Tally) -> io::Result<()> {
+fn load(src: &Src, inbox: &Sender<Job>, t: &mut Tally) -> io::Result<()> {
     let cfg = src.cfg;
     loop {
         // Hold a block BEFORE claiming a sequence: claiming first would
         // let sibling loaders absorb the whole pool for later sequences
-        // and starve the one the in-order pipeline needs next.
-        //
-        // Read-ahead pacing rides the same wait: a loader only prefetches
-        // while fewer than `ra_limit` blocks are in flight. At the default
-        // (full-pool) depth that is the free-list wait itself; at
-        // `readahead = 0` it serializes the transfer for overlap-ablation
-        // runs.
+        // and starve the one the in-order pipeline needs next. Read-ahead
+        // pacing rides the same wait: a loader prefetches only while fewer
+        // than `ra_limit` blocks are in flight — at the default (full-pool)
+        // depth the free-list wait itself; at `readahead = 0` a serialized
+        // transfer, for overlap-ablation runs.
         let mut spins = 0;
         let block = loop {
             if src.next_seq.load(Ordering::Relaxed) >= src.total_blocks || src.fail.is_set() {
@@ -279,232 +283,242 @@ fn load(src: &Src, loaded: &Sender<u32>, t: &mut Tally) -> io::Result<()> {
         });
         src.seq2block.lock().insert(seq as u32, block);
         src.pool.loaded(block).expect("FSM: loaded");
-        if loaded.send(block).is_err() {
-            return Ok(()); // dispatcher bailed; fail is set
+        if inbox.send(Job::Loaded(block, seq as u32)).is_err() {
+            return Ok(()); // the sender bailed; fail is set
         }
     }
 }
 
-/// Dispatcher: in-order, credit-paired, one vectored send per block
-/// straight from the pinned block buffer, then `DatasetComplete` as soon
-/// as every sequence has gone out once — the sink knows the block count
-/// from the request, so it needs no ack round trip to learn the end.
-fn dispatch(src: &Src, loaded: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
-    let (cfg, data, inflight) = (src.cfg, &src.data, &src.inflight);
-    let mut rr = 0usize;
-    let mut fault_dice = WanDice::from_state(cfg.fault_seed);
-    let mut sent = 0u64;
-    // Dispatch stays in sequence order (see the module doc); loaders
-    // finish out of order.
-    let mut dispatch_order = ReorderBuffer::<u32>::new();
-    let mut ready: VecDeque<u32> = Default::default();
-    let mut drain: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
-    let kick_all = || data.iter().try_for_each(|d| d.kick());
-    while let Ok(_n) = loaded.recv_batch(&mut drain, cfg.pool_blocks as usize) {
-        for block in drain.drain(..) {
-            let seq = inflight[block as usize]
-                .lock()
-                .as_ref()
-                .expect("loaded block untracked")
-                .seq;
-            for (_, b) in dispatch_order.push(seq, block) {
-                ready.push_back(b);
-            }
-        }
-        while let Some(block) = ready.pop_front() {
-            let slot = {
-                let mut spins = 0;
-                let mut starved_since: Option<Instant> = None;
-                let mut kicked = false;
-                loop {
-                    if src.fail.is_set() {
-                        return Ok(());
-                    }
-                    if let Some(s2) = src.stock.slots.try_pop() {
-                        break s2;
-                    }
-                    // Out of credits: before waiting on the sink's grants,
-                    // make sure every queued send is actually on the wire
-                    // — the grants we are waiting for are earned by
-                    // arrivals.
-                    if !kicked {
-                        kicked = true;
-                        kick_all()?;
-                    }
-                    // Every dispatched block still unacked earns a grant
-                    // as it lands: ask only when none is.
-                    if src.unacked.load(Ordering::Acquire) == 0
-                        && !src.stock.request_outstanding.swap(true, Ordering::AcqRel)
-                    {
-                        t.credit_requests += 1;
-                        t.ctrl += 1;
-                        src.ctrl_tx.send(&CtrlMsg::MrRequest { session: SESSION })?;
-                        starved_since = Some(Instant::now());
-                    }
-                    // Re-arm only once the first request's answer is
-                    // overdue: on a measured path that is the retransmit
-                    // deadline — a fixed 20 ms re-asks two or three times
-                    // per starvation inside one WAN round trip, each
-                    // answered by a grant the first request already earned.
-                    let rearm = match &src.ctl {
-                        Some(c) => retx_deadline(cfg, Some(c)),
-                        None => Duration::from_millis(20),
-                    };
-                    if starved_since.is_some_and(|t| t.elapsed() > rearm) {
-                        src.stock
-                            .request_outstanding
-                            .store(false, Ordering::Release);
-                        starved_since = None;
-                    }
-                    backoff(&mut spins);
-                }
-            };
-            let t0 = Instant::now();
-            let ch = rr % data.len();
-            rr += 1;
-            // The FSM moves before the block's slot is published: from
-            // that store on the watchdog may re-send the block and its ack
-            // may complete it, even ahead of the send below — a dispatcher
-            // descheduled here for one retransmit deadline must leave the
-            // block in a state `complete` accepts.
-            src.unacked.fetch_add(1, Ordering::AcqRel);
-            src.pool.start_sending(block).expect("FSM: start_sending");
-            src.pool.posted(block).expect("FSM: posted");
-            let info = {
-                let mut inf = inflight[block as usize].lock();
-                let i = inf.as_mut().expect("loaded block untracked");
-                i.slot = slot;
-                i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
-                *i
-            };
-            if fault_dice.roll(cfg.fault_drop_p) {
-                // The wire ate it — ordinal and all, as a real loss
-                // would; the watchdog re-sends.
-                t.dropped += 1;
-            } else {
-                let hdr = DataFrameHeader {
-                    session: SESSION,
-                    seq: info.seq,
-                    slot,
-                    len: info.len,
-                };
-                data[ch].send_block(hdr, &src.bufs, block)?;
-            }
-            sent += 1;
-            let ns = t0.elapsed().as_nanos() as u64;
-            t.dispatch_ns += ns;
-            t.tails.dispatch.record(ns);
-        }
-        // One doorbell per drain: submit the whole batch of queued sends
-        // with a single kernel crossing before blocking for the next load.
-        let t0 = Instant::now();
-        kick_all()?;
-        t.dispatch_ns += t0.elapsed().as_nanos() as u64;
-    }
-    assert!(
-        src.fail.is_set() || dispatch_order.is_drained(),
-        "loads ended with a sequence gap"
-    );
-    if sent == src.total_blocks {
-        src.dc_sent.store(true, Ordering::Release);
-        t.ctrl += 1;
-        src.ctrl_tx.send(&CtrlMsg::DatasetComplete {
-            session: SESSION,
-            total_blocks: src.total_blocks as u32,
-        })?;
-    }
-    Ok(())
-}
-
-/// Retransmit watchdog — the live analogue of the simulated engine's
-/// TOK_RETX scan, parked on the control stage's hand-off queue, judging
-/// by the same [`LossDetector::verdict`]. It wakes for a block the acks
-/// prove lost, or after a quarter deadline to scan every block; either
-/// way the block is judged again under its in-flight lock, so one queued
-/// twice (or acked meanwhile) is not sent twice. A re-send can itself be
-/// lost and retried. The queue disconnecting — the control stage
-/// finished or failed — ends the stage at once.
-fn watchdog(src: &Src, lost: &Receiver<u32>, t: &mut Tally) -> io::Result<()> {
-    let (cfg, data, ctl) = (src.cfg, &src.data, src.ctl.as_ref());
-    let mut rr = 0usize;
-    let mut due: Vec<u32> = Vec::with_capacity(cfg.pool_blocks as usize);
-    let mut next_scan = Instant::now() + retx_deadline(cfg, ctl) / 4;
+/// Sender: after the `SessionRequest`, the only thread that sends. One
+/// loop takes loaded and condemned blocks off the inbox, re-sends what the
+/// acks condemn or its quarter-deadline scan finds overdue, sends first
+/// attempts in sequence order as far as credits reach, and sends
+/// `DatasetComplete` once every sequence has gone out once (the sink knows
+/// the count from the request). Starved of credits it keeps re-sending: a
+/// lost block holds its sink slot until its re-send lands, so a small pool
+/// could wait for ever. The inbox disconnecting or the latch ends it.
+fn send(src: &Src, inbox: &Receiver<Job>, t: &mut Tally) -> io::Result<()> {
+    let cfg = src.cfg;
+    let mut s = Sending {
+        src,
+        rr: 0,
+        fault_dice: WanDice::from_state(cfg.fault_seed),
+        sent: 0,
+        order: ReorderBuffer::new(),
+        ready: VecDeque::new(),
+        next_scan: Instant::now() + retx_deadline(cfg, src.ctl.as_ref()) / 4,
+    };
+    let kick_all = || src.data.iter().try_for_each(|d| d.kick());
+    let mut jobs = Vec::new();
+    // The current credit starvation: its backoff, and when it asked.
+    let (mut spins, mut asked) = (0, None::<Instant>);
     loop {
-        let wait = next_scan.saturating_duration_since(Instant::now());
-        if lost.recv_batch_timeout(&mut due, cfg.pool_blocks as usize, wait)
-            == Err(TryRecvError::Disconnected)
-            || src.fail.is_set()
-        {
+        // Block only when no block waits for a credit.
+        let wait = if s.ready.is_empty() {
+            s.next_scan.saturating_duration_since(Instant::now())
+        } else {
+            Duration::ZERO
+        };
+        let batch = inbox.recv_batch_timeout(&mut jobs, usize::MAX, wait);
+        if batch == Err(TryRecvError::Disconnected) || src.fail.is_set() {
             return Ok(());
         }
-        let deadline = retx_deadline(cfg, ctl);
-        let rto_ns = deadline.as_nanos() as u64;
-        if Instant::now() >= next_scan {
-            due.clear();
-            due.extend(0..cfg.pool_blocks);
-            next_scan = Instant::now() + deadline / 4;
+        for job in jobs.drain(..) {
+            s.take(job, t)?;
         }
-        for block in due.drain(..) {
-            // Hold the entry across the re-send so a racing ack cannot
-            // retire the block mid-send.
-            let mut inf = src.inflight[block as usize].lock();
-            let Some(i) = inf.as_mut() else { continue };
-            if i.slot == u32::MAX {
-                continue;
+        s.scan(t)?;
+        let before = s.sent;
+        while let Some(&block) = s.ready.front() {
+            let Some(slot) = src.credits.try_pop() else {
+                break;
+            };
+            s.ready.pop_front();
+            s.first_send(block, slot, t)?;
+        }
+        if s.sent > before {
+            (spins, asked) = (0, None);
+            if s.ready.is_empty() {
+                // One doorbell per drain: submit the whole batch of queued
+                // sends with a single kernel crossing.
+                let t0 = Instant::now();
+                kick_all()?;
+                t.dispatch_ns += t0.elapsed().as_nanos() as u64;
             }
-            let verdict = src.detector.verdict(&i.at, rto_ns, src.now_ns());
-            match verdict {
-                Verdict::Wait => continue,
-                Verdict::GiveUp => panic!("block seq {} will not go through", i.seq),
-                Verdict::Fast | Verdict::Timer => {}
-            }
-            let ch = rr % data.len();
-            rr += 1;
-            t.retransmits += 1;
-            t.fast_retransmits += (verdict == Verdict::Fast) as u64;
-            if let Some(c) = ctl {
-                c.on_loss();
-            }
-            // The same drop dice as a first send, keyed by (sequence,
-            // attempt): which re-sends the wire eats is a property of the
-            // seed, not of the order recovery happened to run in.
-            let key = (i.seq as u64) << 8 | (i.at.attempts + 1) as u64;
-            let state = cfg.fault_seed ^ 0x5EED_5EED_5EED_5EED ^ key;
-            if WanDice::from_state(state).roll(cfg.fault_drop_p) {
-                t.dropped += 1;
-            } else {
-                let hdr = DataFrameHeader {
+            if s.sent == src.total_blocks {
+                src.dc_sent.store(true, Ordering::Release);
+                t.ctrl += 1;
+                src.ctrl_tx.send(&CtrlMsg::DatasetComplete {
                     session: SESSION,
-                    seq: i.seq,
-                    slot: i.slot,
-                    len: i.len,
-                };
-                // Queue + kick immediately: retransmits are rare and
-                // latency-bound, not batched.
-                let sent =
-                    (data[ch].send_block(hdr, &src.bufs, block)).and_then(|()| data[ch].kick());
-                if let Err(e) = sent {
-                    src.link_err(e)?;
-                }
+                    total_blocks: src.total_blocks as u32,
+                })?;
             }
-            // Stamped once the frame is on the link, not before: the
-            // dispatcher shares these channels, and an ordinal drawn ahead
-            // of a send it then overtakes would read as a hole three acks
-            // later. Stamped late, the attempt can only understate how
-            // long it has been out.
-            i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
         }
+        if s.ready.is_empty() {
+            continue;
+        }
+        // Out of credits: first put every queued send on the wire (arrivals
+        // earn the grants awaited), and ask for more only when no dispatched
+        // block is unacked (each earns a grant as it lands).
+        if spins == 0 {
+            kick_all()?;
+        }
+        if src.unacked.load(Ordering::Acquire) == 0 && !src.asked.swap(true, Ordering::AcqRel) {
+            t.credit_requests += 1;
+            t.ctrl += 1;
+            src.ctrl_tx.send(&CtrlMsg::MrRequest { session: SESSION })?;
+            asked = Some(Instant::now());
+        }
+        // Re-arm only once the request's answer is overdue: on a measured
+        // path that is the retransmit deadline — a fixed 20 ms re-asks two
+        // or three times per starvation inside one WAN round trip, each
+        // answered by a grant the first request already earned.
+        let rearm = match &src.ctl {
+            Some(c) => retx_deadline(cfg, Some(c)),
+            None => Duration::from_millis(20),
+        };
+        if asked.is_some_and(|at| at.elapsed() > rearm) {
+            src.asked.store(false, Ordering::Release);
+            asked = None;
+        }
+        backoff(&mut spins);
     }
 }
 
-/// Control: deposits credits, retires blocks on the sink's acks, and runs
-/// the teardown — once every block is acked, a drain to the sink's
-/// end-of-stream (it closes its side behind its last ack), then write
-/// shutdown.
+/// The sender's own state.
+struct Sending<'a, 's> {
+    src: &'a Src<'s>,
+    /// Round-robin over the data links, first sends and re-sends alike.
+    rr: usize,
+    /// The drop dice of first sends, rolled in sequence order.
+    fault_dice: WanDice,
+    sent: u64,
+    /// Loaders finish out of order; first sends leave in sequence order
+    /// (see the module doc) from `ready`, each as a credit comes.
+    order: ReorderBuffer<u32>,
+    ready: VecDeque<u32>,
+    next_scan: Instant,
+}
+
+impl Sending<'_, '_> {
+    fn next_link(&mut self) -> usize {
+        self.rr += 1;
+        (self.rr - 1) % self.src.data.len()
+    }
+
+    /// One inbox entry: a loaded block joins the sequence-order queue,
+    /// a condemned one is judged for a re-send.
+    fn take(&mut self, job: Job, t: &mut Tally) -> io::Result<()> {
+        match job {
+            Job::Loaded(block, seq) => {
+                let next = self.order.push(seq, block);
+                self.ready.extend(next.into_iter().map(|(_, b)| b));
+                Ok(())
+            }
+            Job::Lost(block) => {
+                self.src.condemned[block as usize].store(false, Ordering::Relaxed);
+                self.resend(block, t)
+            }
+        }
+    }
+
+    /// The timer's share of recovery, every quarter deadline: judge every
+    /// block, which catches what acks cannot — the tail of a transfer, a
+    /// re-send with too few sends behind it.
+    fn scan(&mut self, t: &mut Tally) -> io::Result<()> {
+        if Instant::now() < self.next_scan {
+            return Ok(());
+        }
+        let (cfg, ctl) = (self.src.cfg, self.src.ctl.as_ref());
+        self.next_scan = Instant::now() + retx_deadline(cfg, ctl) / 4;
+        (0..cfg.pool_blocks).try_for_each(|block| self.resend(block, t))
+    }
+
+    /// Re-send `block` if the verdict on its latest attempt says so. The
+    /// block is judged and sent under its in-flight lock, so a racing
+    /// ack cannot retire it mid-send and a block condemned twice goes
+    /// out once. A re-send can itself be lost and retried; a block out of
+    /// re-sends fails the transfer with `TimedOut`.
+    fn resend(&mut self, block: u32, t: &mut Tally) -> io::Result<()> {
+        let src = self.src;
+        let mut inf = src.inflight[block as usize].lock();
+        let Some(i) = inf.as_mut().filter(|i| i.slot != u32::MAX) else {
+            return Ok(()); // idle, or loaded and not yet sent
+        };
+        let rto_ns = retx_deadline(src.cfg, src.ctl.as_ref()).as_nanos() as u64;
+        let verdict = src.detector.verdict(&i.at, rto_ns, src.now_ns());
+        match verdict {
+            Verdict::Wait => return Ok(()),
+            Verdict::GiveUp => {
+                let resends = i.at.attempts - 1;
+                let msg = format!("block seq {} still unacked after {resends} re-sends", i.seq);
+                return Err(io::Error::new(io::ErrorKind::TimedOut, msg));
+            }
+            Verdict::Fast | Verdict::Timer => {}
+        }
+        t.retransmits += 1;
+        t.fast_retransmits += (verdict == Verdict::Fast) as u64;
+        if let Some(c) = &src.ctl {
+            c.on_loss();
+        }
+        let ch = self.next_link();
+        i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
+        // The same drop dice as a first send, keyed by (sequence,
+        // attempt): which re-sends the wire eats is a property of the
+        // seed, not of the order recovery happened to run in.
+        let key = (i.seq as u64) << 8 | i.at.attempts as u64;
+        let state = src.cfg.fault_seed ^ 0x5EED_5EED_5EED_5EED ^ key;
+        if WanDice::from_state(state).roll(src.cfg.fault_drop_p) {
+            t.dropped += 1;
+            return Ok(());
+        }
+        // Queue + kick at once: re-sends are rare and latency-bound, not
+        // batched. The kick also puts the first sends queued ahead of it
+        // on the wire, in the order their ordinals were drawn.
+        let link = &src.data[ch];
+        let sent = (link.send_block(i.header(), &src.bufs, block)).and_then(|()| link.kick());
+        sent.or_else(|e| src.link_err(e))
+    }
+
+    /// The first attempt of `block`, into the sink's `slot`.
+    fn first_send(&mut self, block: u32, slot: u32, t: &mut Tally) -> io::Result<()> {
+        let src = self.src;
+        let t0 = Instant::now();
+        let ch = self.next_link();
+        // Everything the block's ack touches is in place before the frame
+        // leaves: the ack can retire the block before `send_block`
+        // returns, and `complete` takes only a posted block.
+        src.unacked.fetch_add(1, Ordering::AcqRel);
+        src.pool.start_sending(block).expect("FSM: start_sending");
+        src.pool.posted(block).expect("FSM: posted");
+        let hdr = {
+            let mut inf = src.inflight[block as usize].lock();
+            let i = inf.as_mut().expect("loaded block untracked");
+            i.slot = slot;
+            i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
+            i.header()
+        };
+        if self.fault_dice.roll(src.cfg.fault_drop_p) {
+            // The wire ate it — ordinal and all, as a real loss would.
+            t.dropped += 1;
+        } else {
+            src.data[ch].send_block(hdr, &src.bufs, block)?;
+        }
+        self.sent += 1;
+        let ns = t0.elapsed().as_nanos() as u64;
+        t.dispatch_ns += ns;
+        t.tails.dispatch.record(ns);
+        Ok(())
+    }
+}
+
+/// Control: deposits credits, retires blocks on the sink's acks, hands
+/// the sender every block the acks prove lost, and runs the teardown —
+/// once every block is acked, a drain to the sink's end-of-stream (it
+/// closes its side behind its last ack), then write shutdown.
 fn control(
     src: &Src,
     ctrl_rx: &mut dyn CtrlRx,
-    lost_tx: &mut Option<Sender<u32>>,
+    inbox: &Sender<Job>,
     shutdown_write: &dyn Fn(),
     t: &mut Tally,
 ) -> io::Result<()> {
@@ -565,7 +579,11 @@ fn control(
                             format!("credit for slot {slot}, past the {MAX_POOL_BLOCKS}-slot ring"),
                         ));
                     }
-                    src.stock.deposit(slot);
+                    // Outstanding credits never exceed the sink's pool, but a
+                    // sender preempted mid-pop can make the ring look full to
+                    // a lapping push; `push_must` rides that out.
+                    src.credits.push_must(slot);
+                    src.asked.store(false, Ordering::Release);
                 }
             }
             CtrlMsg::AckBatch { session, acks } if session == SESSION => {
@@ -578,22 +596,19 @@ fn control(
             // (transient), a reject names a geometry the sink will never
             // take. Distinct error kinds so callers can tell them apart.
             CtrlMsg::SessionBusy { retry_after_ms, .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionRefused,
-                    format!("sink is busy; retry after {retry_after_ms} ms"),
-                ))
+                let msg = format!("sink is busy; retry after {retry_after_ms} ms");
+                return Err(io::Error::new(io::ErrorKind::ConnectionRefused, msg));
             }
             CtrlMsg::SessionReject { reason, .. } => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("sink rejected the session (reason {reason})"),
-                ))
+                let msg = format!("sink rejected the session (reason {reason})");
+                return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
             }
             other => return Err(perr(format!("unexpected ctrl at source: {other:?}"))),
         }
-        // A high-water mark moved: hand the watchdog every attempt it now
-        // proves lost. (Nothing is scanned for acks that moved no mark.)
-        if let (true, Some(tx)) = (advanced, &*lost_tx) {
+        // A high-water mark moved: hand the sender every attempt it now
+        // proves lost, each block at most once in the inbox. (Nothing is
+        // scanned for acks that moved no mark.)
+        if advanced {
             for block in 0..src.cfg.pool_blocks {
                 let lost = src.inflight[block as usize]
                     .lock()
@@ -601,17 +616,16 @@ fn control(
                     .is_some_and(|i| {
                         i.slot != u32::MAX && src.detector.is_lost(i.at.ch, i.at.ordinal)
                     });
-                if lost {
-                    // A dead watchdog has set `fail`.
-                    let _ = tx.send(block);
+                if lost && !src.condemned[block as usize].swap(true, Ordering::Relaxed) {
+                    // A dead sender has set `fail`.
+                    let _ = inbox.send(Job::Lost(block));
                 }
             }
         }
     }
-    // Every block is acked: wake the watchdog to exit now. Drain
-    // trailing frames (credits granted after our last block freed) up to
-    // the sink's end-of-stream, which follows its last ack; then let go.
-    lost_tx.take();
+    // Every block is acked. Drain trailing frames (credits granted after
+    // our last block freed) up to the sink's end-of-stream, which follows
+    // its last ack; then let go.
     while let Ok(Some(_)) = ctrl_rx.recv() {
         t.ctrl += 1;
     }
@@ -630,25 +644,20 @@ pub(crate) enum SrcBackend {
 impl SrcBackend {
     /// Open the backend `cfg` names, validating the source covers the
     /// transfer.
-    pub(crate) fn open(cfg: &LiveConfig) -> std::io::Result<SrcBackend> {
-        match &cfg.src_file {
-            Some(path) => {
-                let f = FileSource::open(path, cfg.direct_io)?;
-                if f.len() < cfg.total_bytes {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        format!(
-                            "source file {} holds {} bytes, transfer wants {}",
-                            path.display(),
-                            f.len(),
-                            cfg.total_bytes
-                        ),
-                    ));
-                }
-                Ok(SrcBackend::File(f))
-            }
-            None => Ok(SrcBackend::Pattern),
+    pub(crate) fn open(cfg: &LiveConfig) -> io::Result<SrcBackend> {
+        let Some(path) = &cfg.src_file else {
+            return Ok(SrcBackend::Pattern);
+        };
+        let f = FileSource::open(path, cfg.direct_io)?;
+        if f.len() < cfg.total_bytes {
+            let (have, want) = (f.len(), cfg.total_bytes);
+            let msg = format!(
+                "source file {} holds {have} bytes, transfer wants {want}",
+                path.display()
+            );
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, msg));
         }
+        Ok(SrcBackend::File(f))
     }
 
     pub(crate) fn direct_active(&self) -> bool {
@@ -662,8 +671,20 @@ pub(crate) struct InFlightInfo {
     pub(crate) slot: u32,
     pub(crate) len: u32,
     /// The latest wire attempt (none yet while loading) — what the
-    /// watchdog's [`LossDetector::verdict`] judges.
+    /// sender's [`LossDetector::verdict`] judges.
     pub(crate) at: Attempt,
+}
+
+impl InFlightInfo {
+    /// The data-frame header of any attempt of this block.
+    fn header(&self) -> DataFrameHeader {
+        DataFrameHeader {
+            session: SESSION,
+            seq: self.seq,
+            slot: self.slot,
+            len: self.len,
+        }
+    }
 }
 
 /// Backoff for lock-free waits. Escalates fast to `yield_now`: on a
@@ -679,29 +700,5 @@ pub(crate) fn backoff(spins: &mut u32) {
         std::thread::yield_now();
     } else {
         std::thread::sleep(std::time::Duration::from_micros(50));
-    }
-}
-
-/// Lock-free source-side credit inventory: granted sink slots in a
-/// Vyukov ring (every credit of a pool transfer shares rkey and length,
-/// so the slot index is the whole credit), plus the MrRequest debounce
-/// flag. The threaded replacement for `Mutex<CreditStock>` + condvar.
-/// The ring holds [`MAX_POOL_BLOCKS`] credits: the peer's pool bounds how
-/// many can be outstanding, no sink opens a larger pool, and the control
-/// stage refuses a credit for a slot past it.
-pub(crate) struct CreditSlots {
-    pub(crate) slots: IndexQueue,
-    /// True while an MrRequest is outstanding (at most one at a time).
-    pub(crate) request_outstanding: AtomicBool,
-}
-
-impl CreditSlots {
-    pub(crate) fn deposit(&self, slot: u32) {
-        // The protocol bounds outstanding credits to the sink pool size,
-        // so the ring can never actually overflow — but a dispatcher
-        // preempted mid-pop can make it look transiently full to a
-        // lapping deposit. push_must rides that window out.
-        self.slots.push_must(slot);
-        self.request_outstanding.store(false, Ordering::Release);
     }
 }

@@ -13,11 +13,13 @@ use std::time::Instant;
 const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };
 
 /// The one admission check every receiver shares: a frame outside
-/// the session's geometry is `InvalidData` and claims nothing; a
-/// sequence is admitted once and counted as a duplicate after.
+/// the session's geometry is `InvalidData` and claims nothing — a
+/// length other than its block's among them, short or long, at the
+/// tail or before it; a sequence is admitted once and counted as a
+/// duplicate after.
 #[test]
 fn admit_bounds_each_header_field_and_claims_once() {
-    let mut cfg = LiveConfig::new(4096, 1, 8 * 4096);
+    let mut cfg = LiveConfig::new(4096, 1, 8 * 4096 - 96);
     cfg.pool_blocks = 4;
     let front = SinkFront::open(&cfg).unwrap();
     let mut tally = Tally::default();
@@ -25,7 +27,7 @@ fn admit_bounds_each_header_field_and_claims_once() {
         session: SESSION,
         seq: 7,
         slot: 3,
-        len: 4096,
+        len: 4000,
     };
     let bad = [
         DataFrameHeader {
@@ -35,6 +37,8 @@ fn admit_bounds_each_header_field_and_claims_once() {
         DataFrameHeader { slot: 4, ..good },
         DataFrameHeader { len: 4097, ..good },
         DataFrameHeader { seq: 8, ..good },
+        DataFrameHeader { seq: 3, ..good },
+        DataFrameHeader { len: 4096, ..good },
     ];
     for hdr in bad {
         let err = front.admit(&hdr, &mut tally).unwrap_err();
@@ -115,28 +119,27 @@ fn split_pair_recovers_dropped_payloads() {
     );
 }
 
-/// Sequences sent at least once, and those whose ack the source's
-/// control stage has handled; shared by one [`StallFirstSends`]
-/// transport's links.
+/// Sequences whose ack the source's control stage has handled; shared
+/// by one [`HoldUntilAcked`] transport's links.
 #[derive(Default)]
 struct Acked {
-    state: Mutex<(HashSet<u32>, HashSet<u32>)>,
-    handled: parking_lot::Condvar,
+    handled: Mutex<HashSet<u32>>,
+    cond: parking_lot::Condvar,
 }
 
-/// A source data link that holds each sequence's first `send_block`
-/// until a second send of it has passed and been acked, and the control
-/// stage has handled that ack (or `bound` goes by): the dispatcher
-/// descheduled between publishing a block and sending it, on demand,
-/// so the watchdog's re-send overtakes it.
-struct StallFirstSends {
+/// A source data link that passes each frame on, then holds the
+/// `send_block` call until the control stage has handled that
+/// sequence's ack (or `bound` goes by), counting the holds the ack
+/// ended: the sender descheduled after its frame left, on demand.
+struct HoldUntilAcked {
     links: Arc<Vec<Box<dyn DataTx>>>,
     ch: usize,
     acked: Arc<Acked>,
     bound: std::time::Duration,
+    retired_inside: Arc<std::sync::atomic::AtomicU64>,
 }
 
-impl DataTx for StallFirstSends {
+impl DataTx for HoldUntilAcked {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         self.links[self.ch].send(hdr, wire)
     }
@@ -147,15 +150,16 @@ impl DataTx for StallFirstSends {
         bufs: &[Mutex<SlotBuf>],
         block: u32,
     ) -> io::Result<()> {
-        let mut state = self.acked.state.lock();
-        if state.0.insert(hdr.seq) {
-            let t0 = Instant::now();
-            while !state.1.contains(&hdr.seq) && t0.elapsed() < self.bound {
-                (self.acked.handled).wait_for(&mut state, std::time::Duration::from_millis(1));
-            }
+        self.links[self.ch].send_block(hdr, bufs, block)?;
+        self.links[self.ch].kick()?;
+        let (t0, mut handled) = (Instant::now(), self.acked.handled.lock());
+        while !handled.contains(&hdr.seq) && t0.elapsed() < self.bound {
+            (self.acked.cond).wait_for(&mut handled, std::time::Duration::from_millis(1));
         }
-        drop(state);
-        self.links[self.ch].send_block(hdr, bufs, block)
+        if handled.contains(&hdr.seq) {
+            (self.retired_inside).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     fn kick(&self) -> io::Result<()> {
@@ -163,7 +167,7 @@ impl DataTx for StallFirstSends {
     }
 }
 
-/// The source's control receiver of a [`StallFirstSends`] transport: the
+/// The source's control receiver of a [`HoldUntilAcked`] transport: the
 /// acks of one message count as handled once the control stage comes
 /// back for the next.
 struct NoteHandledAcks {
@@ -174,8 +178,8 @@ struct NoteHandledAcks {
 
 impl CtrlRx for NoteHandledAcks {
     fn recv(&mut self) -> io::Result<Option<CtrlMsg>> {
-        self.acked.state.lock().1.extend(self.pending.drain(..));
-        self.acked.handled.notify_all();
+        self.acked.handled.lock().extend(self.pending.drain(..));
+        self.acked.cond.notify_all();
         let msg = self.inner.recv()?;
         if let Some(CtrlMsg::AckBatch { acks, .. }) = &msg {
             self.pending.extend(acks.iter().map(|a| a.seq));
@@ -184,27 +188,27 @@ impl CtrlRx for NoteHandledAcks {
     }
 }
 
-/// The watchdog overtakes a stalled dispatcher: a block is re-sent,
-/// placed and acked before its first send leaves, so its ack
-/// reaches `complete` while the dispatcher still waits. The
-/// FSM must already have moved when the slot became visible — when
-/// it moved after, that ack found the block `Loaded`, the control
-/// thread panicked and the transfer hung. The last block stalls too:
-/// every block is acked before its first send, but `DatasetComplete`
-/// leaves only behind that send, so the sink is still up to discard
-/// it as a duplicate.
+/// A block's ack can retire it before its first `send_block` returns:
+/// the frame is on the link, the sink places and acks it, and the
+/// control stage completes the block while the sender is still inside
+/// the call. Everything the ack touches — the pool FSM above all —
+/// must have moved before the frame left: when the FSM moved after,
+/// that ack found the block `Loaded`, the control stage panicked and
+/// the transfer hung. Every first send is held this way here, and the
+/// transfer must still land byte-exact.
 #[test]
-fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
-    let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
-    cfg.retx_timeout = std::time::Duration::from_millis(4);
+fn an_ack_inside_the_first_send_finds_the_block_posted() {
+    let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
     let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
     let acked = Arc::new(Acked::default());
+    let retired_inside = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let data = (0..cfg.channels).map(|ch| {
-        Box::new(StallFirstSends {
+        Box::new(HoldUntilAcked {
             links: Arc::clone(&st.data),
             ch,
             acked: Arc::clone(&acked),
-            bound: 100 * cfg.retx_timeout,
+            bound: std::time::Duration::from_secs(5),
+            retired_inside: Arc::clone(&retired_inside),
         }) as Box<dyn DataTx>
     });
     let st = SourceTransport {
@@ -222,30 +226,74 @@ fn watchdog_overtaking_a_stalled_dispatcher_is_harmless() {
         (src, sink.join().unwrap().expect("sink half"))
     });
     assert_eq!((snk.blocks, snk.checksum_failures), (8, 0));
-    assert_eq!(src.dropped_payloads, 0);
-    assert!(
-        src.retransmits >= 8,
-        "the watchdog sent each stalled block first"
-    );
-    assert!(
-        snk.duplicate_payloads > 0,
-        "the late first sends are discarded"
+    assert_eq!(src.blocks, 8);
+    assert_eq!(
+        retired_inside.load(std::sync::atomic::Ordering::Relaxed),
+        8,
+        "every block was retired inside its first send"
     );
 }
 
-/// A pipeline thread that panics takes the transfer down with it:
-/// every send is dropped and the deadline is 100 µs, so a block spends
-/// its [`rftp_core::MAX_RESENDS`] re-sends and the watchdog panics
-/// within a second. Both halves
-/// must then end — the source by that panic surfacing at the join (or
-/// an error), the sink with an error — where they used to wait for
-/// ever on acks and frames that could no longer come.
+/// A block that spends its [`rftp_core::MAX_RESENDS`] re-sends fails
+/// the transfer with a typed error, not a panic: every send is dropped
+/// and the deadline is 100 µs, so the budget runs out within a second.
+/// The sink must end with an error too, not wait for frames that can no
+/// longer come.
 #[test]
-fn a_panicking_pipeline_thread_fails_both_halves() {
+fn a_block_out_of_resends_fails_the_transfer_with_timed_out() {
     let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
     cfg.fault_drop_p = 1.0;
     cfg.retx_timeout = std::time::Duration::from_micros(100);
     let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (src_tx, src_rx) = std::sync::mpsc::channel();
+    let (snk_tx, snk_rx) = std::sync::mpsc::channel();
+    let (src_cfg, snk_cfg) = (cfg.clone(), cfg);
+    std::thread::spawn(move || {
+        let _ = src_tx.send(run_split_source(&src_cfg, st));
+    });
+    std::thread::spawn(move || {
+        let _ = snk_tx.send(run_split_sink(&snk_cfg, kt, None));
+    });
+    let deadline = std::time::Duration::from_secs(10);
+    let src = src_rx.recv_timeout(deadline).expect("source half hung");
+    let err = src.expect_err("nothing was delivered");
+    assert_eq!(err.kind(), io::ErrorKind::TimedOut, "{err}");
+    assert!(err.to_string().contains("re-sends"), "{err}");
+    let snk = snk_rx.recv_timeout(deadline).expect("sink half hung");
+    assert!(snk.is_err(), "the sink must fail, not block");
+}
+
+/// A source data link whose `send_block` panics.
+struct PanicOnSend;
+
+impl DataTx for PanicOnSend {
+    fn send(&self, _: DataFrameHeader, _: &[u8]) -> io::Result<()> {
+        panic!("a data link panics on purpose")
+    }
+
+    fn send_block(&self, _: DataFrameHeader, _: &[Mutex<SlotBuf>], _: u32) -> io::Result<()> {
+        panic!("a data link panics on purpose")
+    }
+
+    fn kick(&self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A pipeline thread that panics takes the transfer down with it: the
+/// source's first `send_block` panics on the sender's thread. Both
+/// halves must then end — the source by that panic surfacing at the
+/// join (or an error), the sink with an error — where they used to wait
+/// for ever on acks and frames that could no longer come.
+#[test]
+fn a_panicking_pipeline_thread_fails_both_halves() {
+    let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let data = (0..cfg.channels).map(|_| Box::new(PanicOnSend) as Box<dyn DataTx>);
+    let st = SourceTransport {
+        data: Arc::new(data.collect()),
+        ..st
+    };
     let (src_tx, src_rx) = std::sync::mpsc::channel();
     let (snk_tx, snk_rx) = std::sync::mpsc::channel();
     let (src_cfg, snk_cfg) = (cfg.clone(), cfg);
@@ -263,11 +311,105 @@ fn a_panicking_pipeline_thread_fails_both_halves() {
     assert!(snk.is_err(), "the sink must fail, not block");
 }
 
+/// The thread of every send call a source makes, once its
+/// `SessionRequest` is out: data links and the control link alike.
+#[derive(Default)]
+struct Senders(Mutex<HashSet<std::thread::ThreadId>>);
+
+impl Senders {
+    fn note(&self) {
+        self.0.lock().insert(std::thread::current().id());
+    }
+}
+
+/// A data link that notes the thread of every call into it.
+struct NoteDataTx {
+    links: Arc<Vec<Box<dyn DataTx>>>,
+    ch: usize,
+    seen: Arc<Senders>,
+}
+
+impl DataTx for NoteDataTx {
+    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
+        self.seen.note();
+        self.links[self.ch].send(hdr, wire)
+    }
+
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        self.seen.note();
+        self.links[self.ch].send_block(hdr, bufs, block)
+    }
+
+    fn kick(&self) -> io::Result<()> {
+        self.seen.note();
+        self.links[self.ch].kick()
+    }
+}
+
+/// A control link that notes the thread of every send but the request.
+struct NoteCtrlTx {
+    inner: Arc<dyn CtrlTx>,
+    seen: Arc<Senders>,
+}
+
+impl CtrlTx for NoteCtrlTx {
+    fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
+        if !matches!(msg, CtrlMsg::SessionRequest { .. }) {
+            self.seen.note();
+        }
+        self.inner.send(msg)
+    }
+}
+
+/// After the `SessionRequest`, one thread makes every send call of a
+/// source — first sends, re-sends, kicks, `MrRequest` and
+/// `DatasetComplete` — on a lossy transfer that re-sends.
+#[test]
+fn every_send_after_the_request_leaves_from_one_thread() {
+    let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
+    cfg.pool_blocks = 4;
+    cfg.fault_drop_p = 0.25;
+    cfg.fault_seed = 7;
+    cfg.retx_timeout = std::time::Duration::from_millis(5);
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let seen = Arc::new(Senders::default());
+    let data = (0..cfg.channels).map(|ch| {
+        Box::new(NoteDataTx {
+            links: Arc::clone(&st.data),
+            ch,
+            seen: Arc::clone(&seen),
+        }) as Box<dyn DataTx>
+    });
+    let ctrl_tx = Arc::new(NoteCtrlTx {
+        inner: st.ctrl_tx,
+        seen: Arc::clone(&seen),
+    });
+    let st = SourceTransport {
+        data: Arc::new(data.collect()),
+        ctrl_tx,
+        ..st
+    };
+    let (src, snk) = std::thread::scope(|s| {
+        let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
+        let src = run_split_source(&cfg, st).expect("source half");
+        (src, sink.join().unwrap().expect("sink half"))
+    });
+    assert_eq!(snk.checksum_failures, 0);
+    assert_eq!(snk.blocks, 128 / SCALE);
+    assert!(src.retransmits > 0, "nothing was re-sent");
+    assert_eq!(seen.0.lock().len(), 1, "sends left from several threads");
+}
+
 /// Recovery with the timer out of the picture: one send in twenty
 /// vanishes, the deadline is ten seconds (its first scan would come
 /// at 2.5 s), and the transfer must still finish at once — only the
-/// ack stream can have named the lost blocks, and only completion
-/// waking the watchdog can have let the source return. Seed 32 drops
+/// ack stream can have named the lost blocks, and only the control
+/// stage ending can have let the sender, and with it the source, return. Seed 32 drops
 /// 18 first sends, the last of them sequence 450 of 512, and none of
 /// their re-sends: every casualty has well over three later sends
 /// behind it on its channel, which is exactly the case the inference
@@ -678,7 +820,7 @@ fn split_pair_repeated_runs_are_clean() {
     }
 }
 
-/// A watchdog regression once seen: at 49 ms RTT a clean
+/// A retransmit regression once seen: at 49 ms RTT a clean
 /// transfer must finish with **zero** retransmits. A fixed 100 ms
 /// deadline survives this; the adaptive deadline must too, even
 /// after `rttvar` has decayed and the RTO has tightened onto `srtt`.

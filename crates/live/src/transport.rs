@@ -16,10 +16,11 @@
 //! * **TCP** ([`crate::net`]) — real stream sockets, one per link, so
 //!   the two halves can run as separate OS processes on separate hosts.
 //!
-//! Send sides are `&self` (internally synchronized): the dispatcher and
-//! the retransmit watchdog share each data link, and several source
-//! threads share the control link. Receive sides are `&mut self` —
-//! exactly one thread drains each link.
+//! Send sides are `&self` (internally synchronized), though after the
+//! `SessionRequest` one source thread, its sender, makes every send
+//! call; a link may still hand frames to threads of its own (a WAN delay
+//! line). Receive sides are `&mut self` — exactly one thread drains each
+//! link.
 
 use crate::store::{BlockPool, SlotBuf};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -87,7 +88,7 @@ pub trait DataTx: Send + Sync {
     }
 
     /// Write everything [`DataTx::send_block`] queued since the last
-    /// kick — called once per dispatcher drain, so a queueing backend
+    /// kick — called once per sender drain, so a queueing backend
     /// pays one kernel crossing per *batch* of blocks (the doorbell):
     /// one `io_uring_enter` on the ring, one `writev` per link on TCP.
     /// A backend that writes in every call has nothing queued; for it
@@ -222,8 +223,8 @@ pub struct UringStats {
     pub registrations: u64,
 }
 
-/// The source half's endpoints. `data` is shared (`Arc`) because the
-/// dispatcher and the retransmit watchdog both send on the data links.
+/// The source half's endpoints. `data` is shared (`Arc`) so a wrapper —
+/// the WAN shim, a test's link — can hold the links it wraps.
 pub struct SourceTransport {
     pub ctrl_tx: Arc<dyn CtrlTx>,
     pub ctrl_rx: Box<dyn CtrlRx>,
@@ -238,7 +239,7 @@ pub struct SourceTransport {
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for the channel and TCP backends — the
-    /// dispatcher's send or kick *is* the wire write; 1 for a
+    /// sender's send or kick *is* the wire write; 1 for a
     /// completion-based backend's ring reaper). Reported so the
     /// O(channels) → O(1) claim is checkable from a bench run.
     pub transport_threads: usize,

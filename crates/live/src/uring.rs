@@ -16,7 +16,7 @@
 //!   re-pinning pages per call;
 //! * the source queues one `WRITE_FIXED` per block (frame header
 //!   written into the slot's dead space, so header + wire image is a
-//!   single contiguous SQE) and submits the whole dispatcher drain with
+//!   single contiguous SQE) and submits the whole sender drain with
 //!   one `io_uring_enter` — the doorbell ([`crate::transport::DataTx::kick`]); one reaper
 //!   thread retires completions for every channel;
 //! * the sink runs a **single driver thread** for all data links, with

@@ -410,7 +410,7 @@ pub fn uring_supported() -> bool {
 /// thread that created the ring; that unlocks `DEFER_TASKRUN`, which
 /// keeps completion task-work out of signal context so it stops
 /// interrupting the driver mid-verify. The source ring submits from
-/// two threads (dispatcher + reaper), so it only gets `COOP_TASKRUN`.
+/// two threads (sender + reaper), so it only gets `COOP_TASKRUN`.
 /// Each flag combination degrades to the next on older kernels.
 pub(super) fn transfer_ring(single_issuer: bool) -> io::Result<Ring> {
     if single_issuer {

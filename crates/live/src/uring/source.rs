@@ -197,7 +197,7 @@ impl SrcRing {
     }
 
     /// The doorbell: retire whatever has already completed (so
-    /// short-write continuations resubmit on the dispatcher's
+    /// short-write continuations resubmit on the sender's
     /// schedule, not the reaper's), then submit everything queued
     /// since the last kick with one kernel crossing.
     fn kick(&self) -> io::Result<()> {
@@ -252,7 +252,7 @@ impl SrcRing {
     }
 
     /// The reaper: the source's single transport thread, the
-    /// backstop for completions that land while the dispatcher is
+    /// backstop for completions that land while the sender is
     /// blocked elsewhere. Exits once the teardown guard raises
     /// `shutdown` and every expected CQE has drained.
     fn reap_loop(self: &Arc<SrcRing>) {

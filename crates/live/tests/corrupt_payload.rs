@@ -3,10 +3,12 @@
 //! the first 64 KiB of the wire image, at an offset inside a word —
 //! must make the sink count exactly that block as a checksum failure,
 //! while every other block lands intact: threaded TCP, in process,
-//! io_uring (where the kernel has it) and shm.
+//! io_uring (where the kernel has it) and shm. A block shortened in both
+//! its headers passes every byte check, so into a file destination it
+//! would leave a hole: every engine must refuse it as `InvalidData`.
 
 use parking_lot::Mutex;
-use rftp_core::wire::DataFrameHeader;
+use rftp_core::wire::{DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use rftp_live::net::{connect_source, NetListener};
 use rftp_live::transport::DataTx;
 use rftp_live::{
@@ -15,6 +17,7 @@ use rftp_live::{
     SlotBuf, SourceTransport,
 };
 use std::io;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -42,6 +45,9 @@ struct FlipOne {
     links: Arc<Vec<Box<dyn DataTx>>>,
     ch: usize,
     flipped: Arc<AtomicBool>,
+    /// Shorten the frame to this payload length, in both headers,
+    /// instead of flipping a byte.
+    shorten: Option<u32>,
 }
 
 impl DataTx for FlipOne {
@@ -57,8 +63,15 @@ impl DataTx for FlipOne {
     ) -> io::Result<()> {
         if hdr.seq == BAD_SEQ && !self.flipped.swap(true, Ordering::AcqRel) {
             let mut wire = bufs[block as usize].lock()[..hdr.wire_len()].to_vec();
-            wire[FLIP_AT] ^= 0x10;
-            return self.links[self.ch].send(hdr, &wire);
+            let Some(len) = self.shorten else {
+                wire[FLIP_AT] ^= 0x10;
+                return self.links[self.ch].send(hdr, &wire);
+            };
+            let mut payload = PayloadHeader::decode(&wire[..PAYLOAD_HEADER_LEN]).unwrap();
+            payload.len = len;
+            payload.encode(&mut wire[..PAYLOAD_HEADER_LEN]);
+            let hdr = DataFrameHeader { len, ..hdr };
+            return self.links[self.ch].send(hdr, &wire[..hdr.wire_len()]);
         }
         self.links[self.ch].send_block(hdr, bufs, block)
     }
@@ -69,12 +82,22 @@ impl DataTx for FlipOne {
 }
 
 fn flip_one(t: SourceTransport) -> SourceTransport {
+    wrap(t, None)
+}
+
+/// [`BAD_SEQ`], not the last block, goes out 1 000 bytes long.
+fn shorten_one(t: SourceTransport) -> SourceTransport {
+    wrap(t, Some(1000))
+}
+
+fn wrap(t: SourceTransport, shorten: Option<u32>) -> SourceTransport {
     let flipped = Arc::new(AtomicBool::new(false));
     let data = (0..t.data.len()).map(|ch| {
         Box::new(FlipOne {
             links: Arc::clone(&t.data),
             ch,
             flipped: Arc::clone(&flipped),
+            shorten,
         }) as Box<dyn DataTx>
     });
     SourceTransport {
@@ -154,4 +177,93 @@ fn shm_sink_catches_one_flipped_byte() {
     let (sess, first) = listener.accept_session().unwrap();
     let snk = run_shm_sink(&cfg, sess, Some(first)).unwrap();
     assert_one_failure(src.join().unwrap().unwrap(), snk);
+}
+
+/// A file → file transfer of [`BLOCKS`] blocks for the `engine` test:
+/// the source's and the sink's configurations, and both paths to remove.
+fn file_pair(engine: &str) -> (LiveConfig, LiveConfig, [PathBuf; 2]) {
+    let dir = std::env::temp_dir();
+    let tag = format!("rftp-short-{}-{engine}", std::process::id());
+    let (src, dst) = (
+        dir.join(format!("{tag}.src")),
+        dir.join(format!("{tag}.dst")),
+    );
+    let data: Vec<u8> = (0..BLOCKS as u32 * 256 * 1024)
+        .map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+        .collect();
+    std::fs::write(&src, data).unwrap();
+    let (mut src_cfg, mut snk_cfg) = (cfg(), cfg());
+    src_cfg.src_file = Some(src.clone());
+    snk_cfg.dst_file = Some(dst.clone());
+    (src_cfg, snk_cfg, [src, dst])
+}
+
+/// The sink refused the shortened block, and the source did not
+/// succeed without it.
+fn assert_refused(src: io::Result<LiveReport>, snk: io::Result<LiveReport>, files: [PathBuf; 2]) {
+    for f in files {
+        std::fs::remove_file(f).ok();
+    }
+    let err = snk.expect_err("the sink placed a short block");
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    assert!(src.is_err(), "the source finished without the block");
+}
+
+#[test]
+fn threaded_tcp_sink_refuses_a_short_block() {
+    let (src_cfg, cfg, files) = file_pair("tcp");
+    let listener = NetListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let src = std::thread::spawn(move || {
+        let t = shorten_one(connect_source(addr, src_cfg.channels, 0)?);
+        run_split_source(&src_cfg, t)
+    });
+    let (t, first) = listener.accept_session(0).unwrap();
+    let snk = run_split_sink(&cfg, t, Some(first));
+    assert_refused(src.join().unwrap(), snk, files);
+}
+
+#[test]
+fn in_process_sink_refuses_a_short_block() {
+    let (src_cfg, cfg, files) = file_pair("inproc");
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let st = shorten_one(st);
+    let (src, snk) = std::thread::scope(|s| {
+        let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
+        let src = run_split_source(&src_cfg, st);
+        (src, sink.join().unwrap())
+    });
+    assert_refused(src, snk, files);
+}
+
+#[test]
+fn uring_sink_refuses_a_short_block() {
+    if !uring_supported() {
+        eprintln!("skipping: io_uring not supported by this kernel");
+        return;
+    }
+    let (src_cfg, cfg, files) = file_pair("uring");
+    let listener = NetListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let src = std::thread::spawn(move || {
+        let t = shorten_one(connect_source(addr, src_cfg.channels, 0)?);
+        run_split_source(&src_cfg, t)
+    });
+    let (sess, first) = accept_source_uring(&listener, 0).unwrap();
+    let snk = run_uring_sink(&cfg, sess, Some(first));
+    assert_refused(src.join().unwrap(), snk, files);
+}
+
+#[test]
+fn shm_sink_refuses_a_short_block() {
+    let (src_cfg, cfg, files) = file_pair("shm");
+    let path = std::env::temp_dir().join(format!("rftp-short-{}.sock", std::process::id()));
+    let listener = ShmListener::bind(&path).unwrap();
+    let src = std::thread::spawn(move || {
+        let t = shorten_one(connect_source_shm(&path, src_cfg.channels)?);
+        run_split_source(&src_cfg, t)
+    });
+    let (sess, first) = listener.accept_session().unwrap();
+    let snk = run_shm_sink(&cfg, sess, Some(first));
+    assert_refused(src.join().unwrap(), snk, files);
 }

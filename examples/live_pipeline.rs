@@ -10,7 +10,7 @@
 //! ```
 //!
 //! With `--fault drop=<p>` every dispatched payload is lost with
-//! probability `p`; the retransmit watchdog recovers each loss and the
+//! probability `p`; the source's re-sends recover each loss and the
 //! run still ends byte-verified (drops/retx columns show the damage).
 
 use rftp_live::{run_live, LiveConfig};
