@@ -67,6 +67,25 @@ impl<T> ReorderBuffer<T> {
     /// Duplicate or stale sequence numbers panic: RC transport never
     /// duplicates, so such an arrival is a protocol bug.
     pub fn push(&mut self, seq: u32, item: T) -> Vec<(u32, T)> {
+        let mut out = Vec::new();
+        self.push_into(seq, item, &mut out);
+        out
+    }
+
+    /// [`push`](Self::push) that appends the deliverable run to `out`
+    /// instead of returning it, so a caller with a queue of its own
+    /// allocates nothing per block.
+    ///
+    /// ```
+    /// use rftp_core::ReorderBuffer;
+    /// use std::collections::VecDeque;
+    /// let (mut r, mut ready) = (ReorderBuffer::new(), VecDeque::new());
+    /// r.push_into(1, "b", &mut ready);
+    /// assert!(ready.is_empty());
+    /// r.push_into(0, "a", &mut ready);
+    /// assert_eq!(ready, [(0, "a"), (1, "b")]);
+    /// ```
+    pub fn push_into(&mut self, seq: u32, item: T, out: &mut impl Extend<(u32, T)>) {
         assert!(
             seq >= self.next,
             "stale sequence {seq}, already delivered up to {}",
@@ -77,15 +96,14 @@ impl<T> ReorderBuffer<T> {
             let prev = self.held.insert(seq, item);
             assert!(prev.is_none(), "duplicate sequence {seq}");
             self.max_held = self.max_held.max(self.held.len());
-            return Vec::new();
+            return;
         }
-        let mut out = vec![(seq, item)];
+        out.extend(Some((seq, item)));
         self.next += 1;
         while let Some(item) = self.held.remove(&self.next) {
-            out.push((self.next, item));
+            out.extend(Some((self.next, item)));
             self.next += 1;
         }
-        out
     }
 
     /// Like [`push`](Self::push), but tolerant of duplicate and stale
@@ -183,6 +201,27 @@ mod tests {
         assert_eq!(r.offer(69, ()), Err(())); // below the resume point
         assert_eq!(r.offer(70, ()).unwrap().len(), 1);
         assert_eq!(r.expected(), 71);
+    }
+
+    /// `push_into` appends exactly the runs `push` returns, in the same
+    /// order, and keeps the same counters.
+    #[test]
+    fn push_into_delivers_the_runs_push_returns() {
+        let order = [3u32, 0, 1, 7, 2, 5, 4, 6, 9, 8, 10];
+        let (mut a, mut b) = (ReorderBuffer::new(), ReorderBuffer::new());
+        let mut queue = std::collections::VecDeque::new();
+        for seq in order {
+            let run = a.push(seq, seq * 10);
+            let before = queue.len();
+            b.push_into(seq, seq * 10, &mut queue);
+            assert!(queue.iter().skip(before).eq(run.iter()), "seq {seq}");
+        }
+        assert_eq!(queue.len(), order.len());
+        assert_eq!(
+            (a.expected(), a.max_held, a.ooo_arrivals),
+            (b.expected(), b.max_held, b.ooo_arrivals)
+        );
+        assert!(b.is_drained());
     }
 
     #[test]

@@ -287,7 +287,8 @@ pub fn connect_source(
         data: Arc::new(data),
         register: Box::new(move |bufs| {
             pool.set(bufs.clone())
-                .map_err(|_| io::Error::other("a pool is already registered"))
+                .map_err(|_| io::Error::other("a pool is already registered"))?;
+            Ok(None)
         }),
         transport_threads: 0,
         shutdown_write: Box::new(move || shutdown_all(&shutdown_handles, Shutdown::Write)),

@@ -251,6 +251,10 @@ enum Wire {
 
 type Frame = (DataFrameHeader, Wire);
 
+/// The pool the inner `register` hook was handed, and whether it
+/// answered with a window to load into.
+type Registered = (BufPool, bool);
+
 /// One data channel's leg, shared by its [`DataTx`] and the transport's
 /// write shutdown (which flushes it).
 struct DataLeg {
@@ -317,19 +321,24 @@ impl DataTx for NetemDataTx {
 /// doorbell ([`DataTx::kick`]) puts the queue on the wire, so the line
 /// neither allocates nor copies per frame. A retransmit still on the
 /// line after its block was retired and reused carries the new bytes
-/// under its old header: a duplicate, which the sink discards (shm
-/// refuses it as stale before writing). It goes as a copy of the
-/// block's current bytes, written at once ([`DataTx::send_owned`]),
-/// rather than queued by reference, so a link that frames a queued
-/// block from the block itself never sees the block under two headers.
-/// The block is unlocked before any send: a link's write locks the
-/// blocks it has queued, and this block may be one of them.
-fn deliver(inner: &dyn DataTx, pool: &OnceLock<BufPool>, (hdr, wire): Frame) -> io::Result<()> {
+/// under its old header: a duplicate, which the sink discards. It goes
+/// as a copy of the block's current bytes, written at once
+/// ([`DataTx::send_owned`]), rather than queued by reference, so a link
+/// that frames a queued block from the block itself never sees the
+/// block under two headers. The block is unlocked before any send: a
+/// link's write locks the blocks it has queued, and this block may be
+/// one of them. A block loaded into the inner link's window (shm) never
+/// touched the pool: it always goes by reference, and the window's own
+/// per-slot record turns a late one into a re-notify or a stale drop.
+fn deliver(inner: &dyn DataTx, pool: &OnceLock<Registered>, (hdr, wire): Frame) -> io::Result<()> {
     let block = match wire {
         Wire::Bytes(bytes) => return inner.send_owned(hdr, bytes),
         Wire::Block(block) => block,
     };
-    let pool = pool.get().expect("a block frame implies a registered pool");
+    let (pool, windowed) = pool.get().expect("a block frame implies a registered pool");
+    if *windowed {
+        return inner.send_block(hdr, pool, block);
+    }
     let stale = {
         let buf = pool[block as usize].lock();
         let held = PayloadHeader::decode(&buf[..PAYLOAD_HEADER_LEN]);
@@ -359,7 +368,7 @@ pub fn wrap_source(t: SourceTransport, p: &WanProfile) -> SourceTransport {
         wan: p.clone(),
         link_free: Mutex::new(Instant::now()),
     });
-    let pool = Arc::new(OnceLock::<BufPool>::new());
+    let pool = Arc::new(OnceLock::<Registered>::new());
     let legs: Vec<Arc<DataLeg>> = (0..t.data.len())
         .map(|ch| {
             let (inner, doorbell) = (Arc::clone(&t.data), Arc::clone(&t.data));
@@ -377,8 +386,9 @@ pub fn wrap_source(t: SourceTransport, p: &WanProfile) -> SourceTransport {
         .collect();
     let inner_register = t.register;
     let register = move |bufs: &BufPool| {
-        let _ = pool.set(Arc::clone(bufs));
-        inner_register(bufs)
+        let window = inner_register(bufs)?;
+        let _ = pool.set((Arc::clone(bufs), window.is_some()));
+        Ok(window)
     };
     let inner_ctrl = t.ctrl_tx;
     let ctrl = Arc::new(NetemCtrlTx {

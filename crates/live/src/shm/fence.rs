@@ -1,5 +1,5 @@
-//! The per-slot generation word: the source's place and the sink's
-//! grant and publication check, both sides of one handshake.
+//! The per-slot generation word: the source's load and publish and the
+//! sink's grant and publication check, both sides of one handshake.
 
 use super::window::WindowDesc;
 use crate::net::proto_err;
@@ -80,20 +80,27 @@ impl Slots {
         self.map
             .at(s * self.stride + STORE_ALIGN - PAYLOAD_HEADER_LEN)
     }
+
+    /// Bytes from a slot's wire image to the end of its stride: the
+    /// payload header and the whole padded payload room.
+    fn room(&self) -> usize {
+        self.stride - STORE_ALIGN + PAYLOAD_HEADER_LEN
+    }
 }
 
-/// What the source last placed into one sink slot: the block seq and
-/// the grant epoch it was published under. `seq == -1` means the
+/// What the source last loaded into one sink slot: the block seq and
+/// the grant epoch it claimed the slot under. `seq == -1` means the
 /// slot was never written by this session.
 struct SentEntry {
     seq: i64,
     epoch: u64,
 }
 
-/// Outcome of a one-sided place attempt.
+/// Outcome of publishing a loaded block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PlaceOutcome {
-    /// Fresh write: wire image stored, slot published — notify.
+    /// First publication: the slot went `WRITING` → `PUBLISHED` —
+    /// notify.
     Placed,
     /// Duplicate of the block already published in this slot —
     /// memory untouched, but the notify record is worth resending
@@ -101,29 +108,38 @@ pub(crate) enum PlaceOutcome {
     /// sink, which dedups on seq).
     Renotify,
     /// Stale retransmit: the slot has since been re-credited to a
-    /// newer block. Dropped entirely — writing would tear the
-    /// successor, notifying would lie.
+    /// newer block. Dropped entirely — publishing would expose the
+    /// successor half-written, notifying would lie.
     Stale,
 }
 
-/// The source's view of the sink's window: its slots and the per-slot send history that makes retransmits
-/// tear-proof.
+/// The source's view of the sink's window: its slots and the per-slot
+/// load history that makes retransmits tear-proof.
+///
+/// A block reaches a slot in two steps. A loader [`load`]s it — claims
+/// the granted slot and writes the wire image in place — and the
+/// sender later [`publish`]es it, the release store the sink's check
+/// acquires, and re-publishes it on every re-send.
 ///
 /// **Why the seq rule exists.** Credits can overtake acks: the sink
 /// flushes a freed slot's re-grant immediately while the block's
 /// ack may dwell in a coalescing batch. A slot can therefore be
-/// re-credited and re-dispatched to a *new* block while the source
+/// re-credited and re-loaded with a *new* block while the source
 /// still considers the old block in flight and may re-send it. The
 /// per-slot `(last seq, epoch)` record disambiguates every case by
-/// seq comparison — the sender pairs blocks to slots in seq
-/// order, so per-slot seqs are strictly monotonic:
+/// seq comparison — a loader takes its credit before it claims a
+/// sequence, and a slot is credited again only after its last block
+/// landed, so per-slot seqs are strictly monotonic:
 ///
-/// * `hdr.seq > last`: first placement of a newer block — the word
-///   must be `GRANTED` (anything else is a protocol fault, failed
-///   loudly rather than hung);
-/// * `hdr.seq == last`: a re-send of the same block —
-///   re-notify if the slot still holds it published, else stale;
-/// * `hdr.seq < last`: stale resend for a slot that moved on — drop.
+/// * loading `hdr.seq > last`: the word must be `GRANTED` (anything
+///   else is a protocol fault, failed loudly rather than hung);
+/// * publishing `hdr.seq == last`: publish if the slot still holds it
+///   `WRITING` under its grant, re-notify if `PUBLISHED`, else stale;
+/// * publishing `hdr.seq < last`: stale resend for a slot that moved
+///   on — drop.
+///
+/// [`load`]: SrcWindow::load
+/// [`publish`]: SrcWindow::publish
 pub(crate) struct SrcWindow {
     slots: Slots,
     sent: Vec<Mutex<SentEntry>>,
@@ -140,67 +156,105 @@ impl SrcWindow {
         }
     }
 
-    /// One-sided place of `wire` into the slot `hdr` names. This is
-    /// the transport's entire data path: bounds checks, the
-    /// generation-word handshake, one `memcpy` into shared memory,
-    /// one release fence. No socket, no receiver copy.
-    pub(crate) fn place(&self, hdr: &DataFrameHeader, wire: &[u8]) -> io::Result<PlaceOutcome> {
-        let slot = self.slots.check(hdr, "place")?;
-        assert_eq!(wire.len(), hdr.wire_len());
+    /// Claim the slot `hdr` names for block `hdr.seq` — require
+    /// `GRANTED`, CAS to `WRITING` under the grant's epoch — then let
+    /// `fill` write the wire image straight into the shared slot. The
+    /// slice is the slot's whole payload room. A slot that is not
+    /// granted, or a seq no newer than the slot's last, is an
+    /// `InvalidData` error, and nothing is written.
+    pub(crate) fn load(
+        &self,
+        hdr: &DataFrameHeader,
+        fill: &mut dyn FnMut(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        let slot = self.slots.check(hdr, "load")?;
         let word = self.slots.word(slot);
-        let mut entry = self.sent[slot].lock();
+        {
+            let mut entry = self.sent[slot].lock();
+            let seq = hdr.seq as i64;
+            if seq <= entry.seq {
+                return Err(proto_err(format!(
+                    "shm load: seq {seq} into slot {slot}, which already held seq {}",
+                    entry.seq
+                )));
+            }
+            let w = word.load(Ordering::Acquire);
+            if w & 0b11 != SLOT_GRANTED {
+                return Err(proto_err(format!(
+                    "shm load: slot {slot} not granted (word {w:#x}) for seq {seq} — \
+                     window desynchronized"
+                )));
+            }
+            let epoch = w >> 2;
+            let claim = word_of(epoch, SLOT_WRITING);
+            if (word.compare_exchange(w, claim, Ordering::Acquire, Ordering::Relaxed)).is_err() {
+                return Err(proto_err(format!(
+                    "shm load: slot {slot} changed hands mid-claim — window desynchronized"
+                )));
+            }
+            *entry = SentEntry { seq, epoch };
+        }
+        // SAFETY: the slot's payload room lies whole in the mapping
+        // (`check`, and `WindowDesc::validate` bounds the stride), ends
+        // at the next slot's base, so it never covers a generation
+        // word, and the mapping outlives this call. The claim above,
+        // made under the slot's lock, leaves this call the room's one
+        // writer in this process: any later load of the slot fails (its
+        // word is no longer GRANTED, or its seq is no newer), and
+        // `place` writes only through `load`. The sink reads the room
+        // only once it is published; a peer writing it anyway is the
+        // trust model's scribble, which the sink's pattern check sees.
+        let room =
+            unsafe { std::slice::from_raw_parts_mut(self.slots.wire(slot), self.slots.room()) };
+        fill(room)
+    }
+
+    /// Publish the block [`SrcWindow::load`] wrote into the slot `hdr`
+    /// names: the release store that replaces the receiver copy. A
+    /// re-send re-notifies; one for a slot that moved on is stale.
+    pub(crate) fn publish(&self, hdr: &DataFrameHeader) -> io::Result<PlaceOutcome> {
+        let slot = self.slots.check(hdr, "publish")?;
+        let entry = self.sent[slot].lock();
         let seq = hdr.seq as i64;
         if seq < entry.seq {
             return Ok(PlaceOutcome::Stale);
         }
-        if seq == entry.seq {
-            // Same block resent: if the slot still holds it
-            // published under the same grant, the bytes are already
-            // there (byte-identical by protocol) — never rewrite a
-            // slot the sink may be verifying.
-            let w = word.load(Ordering::Acquire);
-            return if w == word_of(entry.epoch, SLOT_PUBLISHED) {
-                Ok(PlaceOutcome::Renotify)
-            } else {
-                Ok(PlaceOutcome::Stale)
-            };
+        if seq > entry.seq {
+            return Err(proto_err(format!(
+                "shm publish: seq {seq} was never loaded into slot {slot}"
+            )));
         }
-        // Fresh block for this slot: the sink must have re-granted.
+        let word = self.slots.word(slot);
         let w = word.load(Ordering::Acquire);
-        if w & 0b11 != SLOT_GRANTED {
-            return Err(proto_err(format!(
-                "shm place: slot {slot} not granted (word {w:#x}) for seq {} — \
-                 window desynchronized",
-                hdr.seq
-            )));
+        if w == word_of(entry.epoch, SLOT_WRITING) {
+            // Everything the loader stored (the inbox carried the block
+            // from it to this thread) happens-before any sink thread
+            // that acquire-loads PUBLISHED.
+            word.store(word_of(entry.epoch, SLOT_PUBLISHED), Ordering::Release);
+            Ok(PlaceOutcome::Placed)
+        } else if w == word_of(entry.epoch, SLOT_PUBLISHED) {
+            // Same block resent under the same grant: the bytes are
+            // already there — never rewrite a slot the sink may be
+            // verifying.
+            Ok(PlaceOutcome::Renotify)
+        } else {
+            Ok(PlaceOutcome::Stale)
         }
-        let epoch = w >> 2;
-        if word
-            .compare_exchange(
-                w,
-                word_of(epoch, SLOT_WRITING),
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_err()
-        {
-            return Err(proto_err(format!(
-                "shm place: slot {slot} changed hands mid-claim — window desynchronized"
-            )));
+    }
+
+    /// One-sided place of a borrowed wire image: a [`SrcWindow::load`]
+    /// that copies `wire` in, unless the slot already holds this seq,
+    /// then [`SrcWindow::publish`].
+    pub(crate) fn place(&self, hdr: &DataFrameHeader, wire: &[u8]) -> io::Result<PlaceOutcome> {
+        assert_eq!(wire.len(), hdr.wire_len());
+        let slot = self.slots.check(hdr, "place")?;
+        if hdr.seq as i64 > self.sent[slot].lock().seq {
+            self.load(hdr, &mut |room| {
+                room[..wire.len()].copy_from_slice(wire);
+                Ok(())
+            })?;
         }
-        // SAFETY: the slot lies whole in the mapping and `wire`, as long
-        // as `hdr` says, fits its payload room (`check`); the CAS above made this call its one
-        // writer, and a shared mapping never aliases `wire`.
-        unsafe {
-            std::ptr::copy_nonoverlapping(wire.as_ptr(), self.slots.wire(slot), wire.len());
-        }
-        // The fence that replaces the receiver copy: everything
-        // stored above happens-before any sink thread that
-        // acquire-loads PUBLISHED.
-        word.store(word_of(epoch, SLOT_PUBLISHED), Ordering::Release);
-        entry.seq = seq;
-        entry.epoch = epoch;
-        Ok(PlaceOutcome::Placed)
+        self.publish(hdr)
     }
 }
 

@@ -13,7 +13,8 @@
 //!   source → sink: the WRITE-with-notification doorbell. The payload
 //!   itself never touches this stream;
 //! * **the window** — payload bytes, written exactly once, by the
-//!   source, directly into the slot the credit named.
+//!   source's loader (a pattern fill or a file `pread`), directly into
+//!   the slot the credit named: no source-side copy either.
 //!
 //! Session set-up is not this module's: both sockets open with the
 //! `net` hello and are grouped by the one
@@ -57,10 +58,12 @@
 //!
 //! * **sink, at credit time**: bump the epoch and release-store
 //!   `(e, GRANTED)` — the slot now belongs to the source;
-//! * **source, at place time**: acquire-load the word, require
-//!   `GRANTED`, CAS to `(e, WRITING)`, copy the wire image in, then
-//!   release-store `(e, PUBLISHED)` — the fence that replaces the
-//!   receiver copy — and write one notify record;
+//! * **source, at load time**: a loader holding the credit
+//!   acquire-loads the word, requires `GRANTED`, CASes to
+//!   `(e, WRITING)` and writes the wire image straight into the slot;
+//! * **source, at send time**: the sender release-stores
+//!   `(e, PUBLISHED)` — the fence that replaces the receiver copy — and
+//!   writes one notify record;
 //! * **sink, at notify time**: acquire-load and require exactly
 //!   `(e, PUBLISHED)` for the epoch it granted — anything else means a
 //!   stale or torn write and fails the session loudly instead of
@@ -70,7 +73,7 @@
 //! verification: the source keeps a per-slot `(last seq, epoch)` record
 //! and a resend of an already-placed seq re-notifies without touching
 //! memory, while a *stale* resend (the slot was since re-credited to a
-//! newer block) is dropped entirely — see [`SrcWindow::place`].
+//! newer block) is dropped entirely — see `SrcWindow::publish`.
 //!
 //! ## Trust model
 //!

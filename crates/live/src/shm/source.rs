@@ -1,13 +1,14 @@
-//! The source half: one-sided places into the window, notify records,
-//! and the control reader that takes the descriptor off the front of
-//! the control stream.
+//! The source half: the window the loaders write blocks into, the
+//! publication and notify record of each send, and the control reader
+//! that takes the descriptor off the front of the control stream.
 
 use super::fence::{PlaceOutcome, SrcWindow};
 use super::window::{read_preamble, Preamble};
 use crate::net::{
     self, proto_err, retry_interrupted, shutdown_all, write_hello, NetCtrlRx, KIND_CTRL, KIND_DATA,
 };
-use crate::transport::{CtrlRx, DataTx, SourceTransport};
+use crate::store::SlotBuf;
+use crate::transport::{CtrlRx, DataTx, LoadWindow, SourceTransport};
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN};
 use std::io::{self, Write};
@@ -21,6 +22,25 @@ use std::sync::{Arc, OnceLock};
 /// the descriptor precedes every control frame on the same stream.
 type Window = Arc<OnceLock<SrcWindow>>;
 
+/// The window once its descriptor has landed.
+fn established(window: &OnceLock<SrcWindow>) -> io::Result<&SrcWindow> {
+    window
+        .get()
+        .ok_or_else(|| proto_err("shm window not established (no descriptor before first credit)"))
+}
+
+/// What the `register` hook hands the loaders: they write each block
+/// straight into its credited slot.
+impl LoadWindow for OnceLock<SrcWindow> {
+    fn load(
+        &self,
+        hdr: &DataFrameHeader,
+        fill: &mut dyn FnMut(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        established(self)?.load(hdr, fill)
+    }
+}
+
 /// The session's one data link: the window is one and the notify stream
 /// is one, so every channel's blocks leave through this link.
 struct ShmDataTx {
@@ -28,19 +48,30 @@ struct ShmDataTx {
     window: Window,
 }
 
-impl DataTx for ShmDataTx {
-    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
-        let win = self.window.get().ok_or_else(|| {
-            proto_err("shm window not established (no descriptor before first credit)")
-        })?;
-        match win.place(&hdr, wire)? {
-            PlaceOutcome::Stale => Ok(()),
-            PlaceOutcome::Placed | PlaceOutcome::Renotify => {
-                let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
-                hdr.encode(&mut rec);
-                retry_interrupted(|| self.notify.lock().write_all(&rec))
-            }
+impl ShmDataTx {
+    /// Ring the doorbell for a publication, unless it was stale.
+    fn notify(&self, hdr: DataFrameHeader, outcome: PlaceOutcome) -> io::Result<()> {
+        if outcome == PlaceOutcome::Stale {
+            return Ok(());
         }
+        let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
+        hdr.encode(&mut rec);
+        retry_interrupted(|| self.notify.lock().write_all(&rec))
+    }
+}
+
+impl DataTx for ShmDataTx {
+    /// A borrowed image is copied into its slot, then published.
+    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
+        let outcome = established(&self.window)?.place(&hdr, wire)?;
+        self.notify(hdr, outcome)
+    }
+
+    /// The loaders wrote the block into its slot already (the window is
+    /// what `register` returned), so a send only publishes it: no copy.
+    fn send_block(&self, hdr: DataFrameHeader, _: &[Mutex<SlotBuf>], _: u32) -> io::Result<()> {
+        let outcome = established(&self.window)?.publish(&hdr)?;
+        self.notify(hdr, outcome)
     }
 }
 
@@ -90,6 +121,7 @@ pub fn connect_source_shm(path: impl AsRef<Path>, channels: usize) -> io::Result
     let mut notify = UnixStream::connect(path)?;
     write_hello(&mut notify, KIND_DATA, 0, token)?;
     let window = Window::default();
+    let loads = Arc::clone(&window);
     let data: Vec<Box<dyn DataTx>> = vec![Box::new(ShmDataTx {
         notify: Mutex::new(notify.try_clone()?),
         window: Arc::clone(&window),
@@ -101,7 +133,7 @@ pub fn connect_source_shm(path: impl AsRef<Path>, channels: usize) -> io::Result
         ctrl_tx: Arc::new(net::NetCtrlTx(Mutex::new(ctrl))),
         ctrl_rx: Box::new(ctrl_rx),
         data: Arc::new(data),
-        register: Box::new(|_| Ok(())),
+        register: Box::new(move |_| Ok(Some(Arc::clone(&loads) as Arc<dyn LoadWindow>))),
         transport_threads: 0,
         shutdown_write: Box::new(move || shutdown_all(&shutdown_handles, Shutdown::Write)),
         abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),

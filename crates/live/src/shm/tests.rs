@@ -154,6 +154,179 @@ fn place_follows_grant_epochs() {
     assert!(snk.check_published(&h2).is_err());
 }
 
+/// A source window and the sink's view of the same memfd: `slots`
+/// slots of `block` payload bytes.
+fn window_pair(slots: u32, block: usize) -> (SrcWindow, SnkWindow) {
+    let stride = SlotBuf::stride(block);
+    let len = stride * slots as usize;
+    let fd = memfd_create(len).unwrap();
+    let desc = WindowDesc {
+        slot_count: slots,
+        stride: stride as u64,
+        block_cap: block as u32,
+    };
+    let src = SrcWindow::new(map_window(fd.as_raw_fd(), len).unwrap(), &desc);
+    let snk_map = map_window(fd.as_raw_fd(), len).unwrap();
+    (src, SnkWindow::owned(snk_map, fd, &desc))
+}
+
+/// The first `n` bytes of `slot`'s wire image, as the sink sees them.
+fn slot_bytes(snk: &SnkWindow, slot: u32, n: usize) -> Vec<u8> {
+    // SAFETY: `n` is within the slot's wire image in the sink's live
+    // mapping, and no thread writes the window during the read.
+    unsafe { std::slice::from_raw_parts(snk.wire_at(slot), n) }.to_vec()
+}
+
+/// A loader's two steps: load writes the image into the granted slot
+/// and leaves it unpublished until the send publishes it. A slot
+/// whose word is not `GRANTED` — still being written, published, or a
+/// seq the slot already held — is a typed error, and `fill` never runs:
+/// not a byte of the slot changes.
+#[test]
+fn a_load_needs_a_granted_slot_and_writes_nothing_otherwise() {
+    let (src, snk) = window_pair(2, 4096);
+    let hdr = |seq: u32| DataFrameHeader {
+        session: 1,
+        seq,
+        slot: 0,
+        len: 16,
+    };
+    let fill_with = |byte: u8| {
+        move |room: &mut [u8]| -> std::io::Result<()> {
+            room[..hdr(0).wire_len()].fill(byte);
+            Ok(())
+        }
+    };
+    snk.grant(0);
+    let room_len = std::cell::Cell::new(0);
+    let h0 = hdr(0);
+    src.load(&h0, &mut |room| {
+        room_len.set(room.len());
+        fill_with(0xA5)(room)
+    })
+    .unwrap();
+    assert_eq!(room_len.get(), SlotBuf::stride(4096) - STORE_ALIGN + 24);
+    // Loaded, not yet published: the sink must not trust it.
+    assert!(snk.check_published(&h0).is_err());
+    let before = slot_bytes(&snk, 0, h0.wire_len());
+    assert_eq!(before, vec![0xA5; h0.wire_len()]);
+
+    let refused = |h: &DataFrameHeader| {
+        let mut called = false;
+        let err = src
+            .load(h, &mut |room| {
+                called = true;
+                fill_with(0x5A)(room)
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(!called, "fill ran on a refused slot");
+        assert_eq!(slot_bytes(&snk, 0, h0.wire_len()), before, "a byte changed");
+    };
+    // WRITING: a second block into the slot before any re-grant.
+    refused(&hdr(1));
+    assert_eq!(src.publish(&h0).unwrap(), PlaceOutcome::Placed);
+    snk.check_published(&h0).unwrap();
+    // PUBLISHED: still no re-grant.
+    refused(&hdr(2));
+    // Granted again, but for a seq no newer than the slot's last.
+    snk.grant(0);
+    refused(&h0);
+    // Outside the window.
+    let mut far = hdr(3);
+    far.slot = 9;
+    assert!(src.load(&far, &mut fill_with(0)).is_err());
+}
+
+/// A re-send whose slot the sink has re-granted since is stale: it
+/// publishes nothing and notifies nothing, the slot's word stays
+/// `GRANTED` for the next loader, and the bytes stay as they were.
+#[test]
+fn a_resend_after_the_regrant_is_stale_and_leaves_the_slot() {
+    let (src, snk) = window_pair(1, 4096);
+    let hdr = |seq: u32| DataFrameHeader {
+        session: 1,
+        seq,
+        slot: 0,
+        len: 32,
+    };
+    let h0 = hdr(0);
+    snk.grant(0);
+    src.load(&h0, &mut |room| {
+        room[..h0.wire_len()].fill(0x11);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(src.publish(&h0).unwrap(), PlaceOutcome::Placed);
+    assert_eq!(src.publish(&h0).unwrap(), PlaceOutcome::Renotify);
+    let bytes = slot_bytes(&snk, 0, h0.wire_len());
+
+    snk.grant(0);
+    assert_eq!(src.publish(&h0).unwrap(), PlaceOutcome::Stale);
+    assert_eq!(slot_bytes(&snk, 0, h0.wire_len()), bytes);
+    assert!(
+        snk.check_published(&h0).is_err(),
+        "a stale re-send published"
+    );
+    // The word is still the grant: the next block loads and publishes
+    // under it, and the old seq stays stale after that too.
+    let h1 = hdr(1);
+    src.load(&h1, &mut |room| {
+        room[..h1.wire_len()].fill(0x22);
+        Ok(())
+    })
+    .unwrap();
+    assert_eq!(src.publish(&h0).unwrap(), PlaceOutcome::Stale);
+    assert_eq!(src.publish(&h1).unwrap(), PlaceOutcome::Placed);
+    snk.check_published(&h1).unwrap();
+    // A seq never loaded into the slot cannot be published.
+    assert!(src.publish(&hdr(5)).is_err());
+}
+
+/// A file → file transfer over shm whose last block is ragged lands
+/// byte-identical with `O_DIRECT` reads on and off: the loaders read
+/// straight into the window's slots, whose payloads are aligned, and
+/// the tail through the buffered fallback.
+#[test]
+fn shm_file_transfer_with_a_ragged_tail_is_byte_identical() {
+    let size = (3 << 20) + 777;
+    let data: Vec<u8> = (0..size as u32)
+        .map(|i| i.wrapping_mul(0x9E37_79B9).to_le_bytes()[3])
+        .collect();
+    for direct in [false, true] {
+        let dir = std::env::temp_dir();
+        let tag = format!("rftp-shm-file-{}-{direct}", std::process::id());
+        let (src_file, dst_file) = (
+            dir.join(format!("{tag}.src")),
+            dir.join(format!("{tag}.dst")),
+        );
+        std::fs::write(&src_file, &data).unwrap();
+        let mut cfg = LiveConfig::new(64 * 1024, 2, size as u64);
+        cfg.direct_io = direct;
+        let mut src_cfg = cfg.clone();
+        src_cfg.src_file = Some(src_file.clone());
+        cfg.dst_file = Some(dst_file.clone());
+        let path = temp_sock("file");
+        let listener = ShmListener::bind(&path).unwrap();
+        let src = std::thread::spawn(move || {
+            let t = connect_source_shm(&path, src_cfg.channels)?;
+            crate::split::run_split_source(&src_cfg, t)
+        });
+        let (sess, first) = listener.accept_session().unwrap();
+        let snk = run_shm_sink(&cfg, sess, Some(first));
+        let src = src.join().unwrap();
+        let got = std::fs::read(&dst_file);
+        std::fs::remove_file(&src_file).ok();
+        std::fs::remove_file(&dst_file).ok();
+        let (src, snk) = (src.unwrap(), snk.unwrap());
+        assert_eq!(
+            (src.blocks, snk.blocks),
+            (cfg.total_blocks(), cfg.total_blocks())
+        );
+        assert!(got.unwrap() == data, "direct_io {direct}: the copy differs");
+    }
+}
+
 /// A descriptor whose fd is shorter than the window it claims
 /// must produce a typed error at map time — never a mapping
 /// that SIGBUSes on first write (the "sink crashed mid-setup"

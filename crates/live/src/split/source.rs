@@ -2,11 +2,19 @@
 //! retires blocks on the sink's acks and condemns the ones they prove
 //! lost. Each stage is a function over one shared [`Src`]; after the
 //! `SessionRequest` the sender is the only one that sends.
+//!
+//! Loaders write a block into one of two places, and that is the only
+//! difference between transports here. Most load ahead into the
+//! source's own pool, and the sender pairs each block with a credit as
+//! it sends it. A one-sided transport (shm) hands back its window from
+//! `register`: a loader then takes a credit before it claims a sequence
+//! and writes the block straight into that sink slot, so the send only
+//! publishes it and the pool is bookkeeping that is never written.
 
 use super::{perr, stage, Controller, Fail, Tally};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION};
 use crate::store::{BlockPool, FileSource, RatePacer};
-use crate::transport::{CtrlRx, CtrlTx, DataTx, SourceTransport};
+use crate::transport::{CtrlRx, CtrlTx, DataTx, LoadWindow, SourceTransport};
 use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 use rftp_core::pattern::fill_pattern;
@@ -34,13 +42,14 @@ fn retx_deadline(cfg: &LiveConfig, ctl: Option<&Controller>) -> Duration {
 
 /// An entry of the sender's inbox: a pool block the loaders filled (and
 /// its sequence), for its first send, or one the acks prove lost, for a
-/// re-send. The tag is load-bearing: a stale re-send entry can name a
-/// block acked and reloaded since, which must never go out as a first
-/// send.
+/// re-send, or a loader starved of credits, for an `MrRequest`. The tag
+/// is load-bearing: a stale re-send entry can name a block acked and
+/// reloaded since, which must never go out as a first send.
 #[derive(Clone, Copy)]
 enum Job {
     Loaded(u32, u32),
     Lost(u32),
+    Ask,
 }
 
 /// What every source stage shares.
@@ -55,16 +64,22 @@ struct Src<'a> {
     /// Arc'd so a completion-based transport can hold the pool across its
     /// in-flight sends (the registered-buffer lifetime).
     bufs: Arc<BlockPool>,
+    /// The window a one-sided transport's `register` returned: loaders
+    /// write blocks into credited sink slots, never into `bufs`.
+    window: Option<Arc<dyn LoadWindow>>,
     /// Granted sink slots (a credit's rkey and length never vary, so the
     /// slot is the credit). No sink pool is larger than the ring's
     /// [`MAX_POOL_BLOCKS`], and the control stage refuses a slot past it.
     credits: IndexQueue,
     /// An `MrRequest` is outstanding (at most one at a time).
     asked: AtomicBool,
+    /// A loader's [`Job::Ask`] waits in the inbox (at most one at a time).
+    ask_queued: AtomicBool,
     inflight: Vec<Mutex<Option<InFlightInfo>>>,
     /// Per pool block: a `Lost` entry for it waits in the sender's inbox.
-    /// One `Loaded` and one `Lost` entry per block at most: the inbox (two
-    /// per block) never fills, and the control stage never waits on it.
+    /// One `Loaded` and one `Lost` entry per block and one `Ask` at most:
+    /// the inbox (two per block, plus one) never fills, and the control
+    /// stage never waits on it.
     /// `Relaxed`: the flag publishes nothing, the inbox carries the block.
     condemned: Vec<AtomicBool>,
     /// Which pool block carries each in-flight sequence — the ack names a
@@ -108,6 +123,29 @@ impl Src<'_> {
         self.late_err.lock().get_or_insert(e);
         Ok(())
     }
+
+    /// Whether a side out of credits should ask for more: only when no
+    /// dispatched block is unacked (each earns a grant as it lands) and
+    /// no request is already outstanding.
+    fn wants_credit(&self) -> bool {
+        self.unacked.load(Ordering::Acquire) == 0 && !self.asked.load(Ordering::Acquire)
+    }
+
+    /// [`Src::wants_credit`], claiming the one outstanding request.
+    fn claim_ask(&self) -> bool {
+        self.wants_credit() && !self.asked.swap(true, Ordering::AcqRel)
+    }
+
+    /// How long an unanswered `MrRequest` stands before it may be re-sent:
+    /// on a measured path the retransmit deadline — a fixed 20 ms re-asks
+    /// two or three times per starvation inside one WAN round trip, each
+    /// answered by a grant the first request already earned.
+    fn ask_rearm(&self) -> Duration {
+        match &self.ctl {
+            Some(c) => retx_deadline(self.cfg, Some(c)),
+            None => Duration::from_millis(20),
+        }
+    }
 }
 
 /// Run the source half of a transfer over `t`: negotiate, load blocks
@@ -135,8 +173,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     } = t;
     let ctl = cfg.adaptive.then(|| Controller::new(cfg));
 
-    // The request leaves before the pool exists: zero-filling a BDP-sized
-    // pool takes as long as a WAN round trip, and the sink needs nothing
+    // The request leaves before the pool exists: the sink needs nothing
     // from it to accept the session and start granting.
     let start = Instant::now();
     ctrl_tx.send(&CtrlMsg::SessionRequest {
@@ -146,6 +183,11 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         total_bytes: cfg.total_bytes,
         notify_imm: true, // stream arrivals are inherently in-band
     })?;
+    // Pin the pool into the transport (fixed-buffer registration on
+    // io_uring, no-op elsewhere) before any data is sent; a one-sided
+    // transport answers with the window to load into instead.
+    let bufs = Arc::new(BlockPool::new(cfg.pool_blocks, cfg.block_size));
+    let window = register(&bufs)?;
     let src = Src {
         cfg,
         total_blocks: cfg.total_blocks(),
@@ -155,9 +197,11 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         // capped at the pool, where the free-list wait already throttles.
         ra_limit: (cfg.readahead.saturating_add(1)).min(cfg.pool_blocks) as usize,
         pool: AtomicSourcePool::new(PoolGeometry::new(cfg.block_size as u64, cfg.pool_blocks)),
-        bufs: Arc::new(BlockPool::new(cfg.pool_blocks, cfg.block_size)),
+        bufs,
+        window,
         credits: IndexQueue::new(MAX_POOL_BLOCKS as usize),
         asked: AtomicBool::new(false),
+        ask_queued: AtomicBool::new(false),
         inflight: (0..cfg.pool_blocks).map(|_| Mutex::new(None)).collect(),
         condemned: (0..cfg.pool_blocks).map(|_| Default::default()).collect(),
         seq2block: Mutex::new(HashMap::new()),
@@ -172,13 +216,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
         data,
         fail: Fail::new(abort),
     };
-    // Pin the pool into the transport (fixed-buffer registration on
-    // io_uring, no-op elsewhere) before any data is sent.
-    register(&src.bufs)?;
-    // The sender's one inbox: loaded blocks from the loaders, condemned
-    // ones from the control stage. It disconnects once every loader and
-    // the control stage have ended, and that ends the sender.
-    let (inbox_tx, inbox) = bounded(2 * cfg.pool_blocks as usize);
+    // The sender's one inbox: loaded blocks and asks from the loaders,
+    // condemned blocks from the control stage. It disconnects once every
+    // loader and the control stage have ended, and that ends the sender.
+    let (inbox_tx, inbox) = bounded(2 * cfg.pool_blocks as usize + 1);
 
     let mut tally = Tally {
         ctrl: 1, // the SessionRequest
@@ -217,9 +258,10 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
     ))
 }
 
-/// Loader: claim sequence numbers, fill blocks with header + payload
-/// (pattern or file read), hand them to the sender. The free-wait
-/// polls the failure latch so a dead transport releases it.
+/// Loader: claim sequence numbers, write blocks — header + payload
+/// (pattern or file read) — into the pool or, on a window, into a
+/// credited sink slot, and hand them to the sender. Each wait polls the
+/// failure latch so a dead transport releases it.
 fn load(src: &Src, inbox: &Sender<Job>, t: &mut Tally) -> io::Result<()> {
     let cfg = src.cfg;
     loop {
@@ -242,42 +284,46 @@ fn load(src: &Src, inbox: &Sender<Job>, t: &mut Tally) -> io::Result<()> {
             }
             backoff(&mut spins);
         };
+        // On a window the block's destination is a sink slot, so hold
+        // its credit before claiming a sequence too, for the same reason.
+        let slot = match &src.window {
+            None => u32::MAX,
+            Some(_) => match credit(src, inbox) {
+                Some(slot) => slot,
+                None => {
+                    src.pool.abandon(block).expect("FSM: abandon");
+                    return Ok(());
+                }
+            },
+        };
         let seq = src.next_seq.fetch_add(1, Ordering::Relaxed);
         if seq >= src.total_blocks {
             src.pool.abandon(block).expect("FSM: abandon");
+            if slot != u32::MAX {
+                src.credits.push_must(slot);
+            }
             return Ok(());
         }
         let offset = seq * cfg.block_size as u64;
         let len = (cfg.total_bytes - offset).min(cfg.block_size as u64) as u32;
+        let hdr = DataFrameHeader {
+            session: SESSION,
+            seq: seq as u32,
+            slot,
+            len,
+        };
         let t0 = Instant::now();
-        {
-            let mut buf = src.bufs[block as usize].lock();
-            PayloadHeader {
-                session: SESSION,
-                seq: seq as u32,
-                offset,
-                len,
-            }
-            .encode(&mut buf[..PAYLOAD_HEADER_LEN]);
-            match &src.backend {
-                SrcBackend::Pattern => fill_pattern(
-                    &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len as usize],
-                    pattern_seed(seq as u32),
-                ),
-                SrcBackend::File(f) => {
-                    f.read_block(&mut buf[PAYLOAD_HEADER_LEN..], len as usize, offset)?;
-                    if let Some(p) = &src.pacer {
-                        p.pace(len as usize);
-                    }
-                }
-            }
+        let mut write = |buf: &mut [u8]| write_block(src, &hdr, offset, buf);
+        match &src.window {
+            None => write(&mut src.bufs[block as usize].lock())?,
+            Some(window) => window.load(&hdr, &mut write)?,
         }
         let ns = t0.elapsed().as_nanos() as u64;
         t.load_ns += ns;
         t.tails.load.record(ns);
         *src.inflight[block as usize].lock() = Some(InFlightInfo {
             seq: seq as u32,
-            slot: u32::MAX,
+            slot,
             len,
             at: Attempt::default(),
         });
@@ -289,14 +335,64 @@ fn load(src: &Src, inbox: &Sender<Job>, t: &mut Tally) -> io::Result<()> {
     }
 }
 
+/// Write block `hdr.seq`'s wire image into `buf`: the payload header,
+/// then the pattern or the file's bytes at `offset`.
+fn write_block(src: &Src, hdr: &DataFrameHeader, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+    let len = hdr.len as usize;
+    PayloadHeader {
+        session: SESSION,
+        seq: hdr.seq,
+        offset,
+        len: hdr.len,
+    }
+    .encode(&mut buf[..PAYLOAD_HEADER_LEN]);
+    match &src.backend {
+        SrcBackend::Pattern => fill_pattern(
+            &mut buf[PAYLOAD_HEADER_LEN..PAYLOAD_HEADER_LEN + len],
+            pattern_seed(hdr.seq),
+        ),
+        SrcBackend::File(f) => {
+            f.read_block(&mut buf[PAYLOAD_HEADER_LEN..], len, offset)?;
+            if let Some(p) = &src.pacer {
+                p.pace(len);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A loader's credit wait on a window: a granted sink slot, or `None`
+/// once every sequence is claimed or the transfer failed. Only the
+/// sender sends, so a starved loader that should ask for credits queues
+/// one [`Job::Ask`] for it.
+fn credit(src: &Src, inbox: &Sender<Job>) -> Option<u32> {
+    let mut spins = 0;
+    loop {
+        if src.next_seq.load(Ordering::Relaxed) >= src.total_blocks || src.fail.is_set() {
+            return None;
+        }
+        if let Some(slot) = src.credits.try_pop() {
+            return Some(slot);
+        }
+        if src.wants_credit() && !src.ask_queued.swap(true, Ordering::AcqRel) {
+            // Never waits: the inbox has room for one `Ask`. An error
+            // means the sender bailed, and `fail` is set.
+            let _ = inbox.send(Job::Ask);
+        }
+        backoff(&mut spins);
+    }
+}
+
 /// Sender: after the `SessionRequest`, the only thread that sends. One
 /// loop takes loaded and condemned blocks off the inbox, re-sends what the
 /// acks condemn or its quarter-deadline scan finds overdue, sends first
-/// attempts in sequence order as far as credits reach, and sends
-/// `DatasetComplete` once every sequence has gone out once (the sink knows
-/// the count from the request). Starved of credits it keeps re-sending: a
-/// lost block holds its sink slot until its re-send lands, so a small pool
-/// could wait for ever. The inbox disconnecting or the latch ends it.
+/// attempts in sequence order as far as credits reach (a block loaded
+/// into a window holds its credit already), and sends `DatasetComplete`
+/// once every sequence has gone out once (the sink knows the count from
+/// the request). Starved of credits — its own, or a loader's [`Job::Ask`]
+/// — it asks for more and keeps re-sending: a lost block holds its sink
+/// slot until its re-send lands, so a small pool could wait for ever. The
+/// inbox disconnecting or the latch ends it.
 fn send(src: &Src, inbox: &Receiver<Job>, t: &mut Tally) -> io::Result<()> {
     let cfg = src.cfg;
     let mut s = Sending {
@@ -307,15 +403,19 @@ fn send(src: &Src, inbox: &Receiver<Job>, t: &mut Tally) -> io::Result<()> {
         order: ReorderBuffer::new(),
         ready: VecDeque::new(),
         next_scan: Instant::now() + retx_deadline(cfg, src.ctl.as_ref()) / 4,
+        asked_at: None,
     };
     let kick_all = || src.data.iter().try_for_each(|d| d.kick());
     let mut jobs = Vec::new();
-    // The current credit starvation: its backoff, and when it asked.
-    let (mut spins, mut asked) = (0, None::<Instant>);
+    // The current credit starvation's backoff.
+    let mut spins = 0;
     loop {
-        // Block only when no block waits for a credit.
+        // Block only when no block waits for a credit, and wake by the
+        // next scan and by the time an unanswered ask may be re-armed.
         let wait = if s.ready.is_empty() {
-            s.next_scan.saturating_duration_since(Instant::now())
+            let rearm = s.asked_at.map(|at| at + src.ask_rearm());
+            let wake = rearm.map_or(s.next_scan, |r| r.min(s.next_scan));
+            wake.saturating_duration_since(Instant::now())
         } else {
             Duration::ZERO
         };
@@ -327,16 +427,24 @@ fn send(src: &Src, inbox: &Receiver<Job>, t: &mut Tally) -> io::Result<()> {
             s.take(job, t)?;
         }
         s.scan(t)?;
+        if s.asked_at.is_some_and(|at| at.elapsed() > src.ask_rearm()) {
+            src.asked.store(false, Ordering::Release);
+            s.asked_at = None;
+        }
         let before = s.sent;
-        while let Some(&block) = s.ready.front() {
-            let Some(slot) = src.credits.try_pop() else {
-                break;
+        while let Some(&(_, block)) = s.ready.front() {
+            let slot = match &src.window {
+                Some(_) => None,
+                None => match src.credits.try_pop() {
+                    Some(slot) => Some(slot),
+                    None => break,
+                },
             };
             s.ready.pop_front();
             s.first_send(block, slot, t)?;
         }
         if s.sent > before {
-            (spins, asked) = (0, None);
+            spins = 0;
             if s.ready.is_empty() {
                 // One doorbell per drain: submit the whole batch of queued
                 // sends with a single kernel crossing.
@@ -357,28 +465,12 @@ fn send(src: &Src, inbox: &Receiver<Job>, t: &mut Tally) -> io::Result<()> {
             continue;
         }
         // Out of credits: first put every queued send on the wire (arrivals
-        // earn the grants awaited), and ask for more only when no dispatched
-        // block is unacked (each earns a grant as it lands).
+        // earn the grants awaited), then ask if no arrival will.
         if spins == 0 {
             kick_all()?;
         }
-        if src.unacked.load(Ordering::Acquire) == 0 && !src.asked.swap(true, Ordering::AcqRel) {
-            t.credit_requests += 1;
-            t.ctrl += 1;
-            src.ctrl_tx.send(&CtrlMsg::MrRequest { session: SESSION })?;
-            asked = Some(Instant::now());
-        }
-        // Re-arm only once the request's answer is overdue: on a measured
-        // path that is the retransmit deadline — a fixed 20 ms re-asks two
-        // or three times per starvation inside one WAN round trip, each
-        // answered by a grant the first request already earned.
-        let rearm = match &src.ctl {
-            Some(c) => retx_deadline(cfg, Some(c)),
-            None => Duration::from_millis(20),
-        };
-        if asked.is_some_and(|at| at.elapsed() > rearm) {
-            src.asked.store(false, Ordering::Release);
-            asked = None;
+        if src.claim_ask() {
+            s.ask(t)?;
         }
         backoff(&mut spins);
     }
@@ -395,8 +487,10 @@ struct Sending<'a, 's> {
     /// Loaders finish out of order; first sends leave in sequence order
     /// (see the module doc) from `ready`, each as a credit comes.
     order: ReorderBuffer<u32>,
-    ready: VecDeque<u32>,
+    ready: VecDeque<(u32, u32)>,
     next_scan: Instant,
+    /// When the outstanding `MrRequest` went out.
+    asked_at: Option<Instant>,
 }
 
 impl Sending<'_, '_> {
@@ -406,19 +500,35 @@ impl Sending<'_, '_> {
     }
 
     /// One inbox entry: a loaded block joins the sequence-order queue,
-    /// a condemned one is judged for a re-send.
+    /// a condemned one is judged for a re-send, an ask is made if still
+    /// wanted.
     fn take(&mut self, job: Job, t: &mut Tally) -> io::Result<()> {
         match job {
             Job::Loaded(block, seq) => {
-                let next = self.order.push(seq, block);
-                self.ready.extend(next.into_iter().map(|(_, b)| b));
+                self.order.push_into(seq, block, &mut self.ready);
                 Ok(())
             }
             Job::Lost(block) => {
                 self.src.condemned[block as usize].store(false, Ordering::Relaxed);
                 self.resend(block, t)
             }
+            Job::Ask => {
+                self.src.ask_queued.store(false, Ordering::Release);
+                if self.src.claim_ask() {
+                    self.ask(t)?;
+                }
+                Ok(())
+            }
         }
+    }
+
+    /// Ask the sink for credits.
+    fn ask(&mut self, t: &mut Tally) -> io::Result<()> {
+        t.credit_requests += 1;
+        t.ctrl += 1;
+        (self.src.ctrl_tx).send(&CtrlMsg::MrRequest { session: SESSION })?;
+        self.asked_at = Some(Instant::now());
+        Ok(())
     }
 
     /// The timer's share of recovery, every quarter deadline: judge every
@@ -441,7 +551,7 @@ impl Sending<'_, '_> {
     fn resend(&mut self, block: u32, t: &mut Tally) -> io::Result<()> {
         let src = self.src;
         let mut inf = src.inflight[block as usize].lock();
-        let Some(i) = inf.as_mut().filter(|i| i.slot != u32::MAX) else {
+        let Some(i) = inf.as_mut().filter(|i| i.sent()) else {
             return Ok(()); // idle, or loaded and not yet sent
         };
         let rto_ns = retx_deadline(src.cfg, src.ctl.as_ref()).as_nanos() as u64;
@@ -479,8 +589,9 @@ impl Sending<'_, '_> {
         sent.or_else(|e| src.link_err(e))
     }
 
-    /// The first attempt of `block`, into the sink's `slot`.
-    fn first_send(&mut self, block: u32, slot: u32, t: &mut Tally) -> io::Result<()> {
+    /// The first attempt of `block`, into the sink's `slot` — or, for a
+    /// block loaded into the window, into the slot it was loaded into.
+    fn first_send(&mut self, block: u32, slot: Option<u32>, t: &mut Tally) -> io::Result<()> {
         let src = self.src;
         let t0 = Instant::now();
         let ch = self.next_link();
@@ -493,7 +604,9 @@ impl Sending<'_, '_> {
         let hdr = {
             let mut inf = src.inflight[block as usize].lock();
             let i = inf.as_mut().expect("loaded block untracked");
-            i.slot = slot;
+            if let Some(slot) = slot {
+                i.slot = slot;
+            }
             i.at = src.detector.next_attempt(&i.at, ch, src.now_ns());
             i.header()
         };
@@ -547,7 +660,7 @@ fn control(
         }
         src.pool.complete(block).expect("FSM: complete");
         src.unacked.fetch_sub(1, Ordering::AcqRel);
-        if src.dc_sent.load(Ordering::Acquire) {
+        if src.dc_sent.load(Ordering::Acquire) && src.window.is_none() {
             // Every load is done: the block is never filled again, so
             // its pages go back while the last acks are still in flight.
             src.bufs.release(block as usize);
@@ -613,9 +726,7 @@ fn control(
                 let lost = src.inflight[block as usize]
                     .lock()
                     .as_ref()
-                    .is_some_and(|i| {
-                        i.slot != u32::MAX && src.detector.is_lost(i.at.ch, i.at.ordinal)
-                    });
+                    .is_some_and(|i| i.sent() && src.detector.is_lost(i.at.ch, i.at.ordinal));
                 if lost && !src.condemned[block as usize].swap(true, Ordering::Relaxed) {
                     // A dead sender has set `fail`.
                     let _ = inbox.send(Job::Lost(block));
@@ -668,6 +779,8 @@ impl SrcBackend {
 #[derive(Clone, Copy)]
 pub(crate) struct InFlightInfo {
     pub(crate) seq: u32,
+    /// The sink slot: bound at load time on a window, at the first send
+    /// elsewhere (`u32::MAX` until then).
     pub(crate) slot: u32,
     pub(crate) len: u32,
     /// The latest wire attempt (none yet while loading) — what the
@@ -676,6 +789,11 @@ pub(crate) struct InFlightInfo {
 }
 
 impl InFlightInfo {
+    /// Whether the block has gone out at least once.
+    fn sent(&self) -> bool {
+        self.at.attempts > 0
+    }
+
     /// The data-frame header of any attempt of this block.
     fn header(&self) -> DataFrameHeader {
         DataFrameHeader {

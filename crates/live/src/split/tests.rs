@@ -366,39 +366,74 @@ impl CtrlTx for NoteCtrlTx {
     }
 }
 
-/// After the `SessionRequest`, one thread makes every send call of a
-/// source — first sends, re-sends, kicks, `MrRequest` and
-/// `DatasetComplete` — on a lossy transfer that re-sends.
-#[test]
-fn every_send_after_the_request_leaves_from_one_thread() {
+/// A lossy transfer that re-sends, through a 4-block pool.
+fn one_sender_cfg() -> LiveConfig {
     let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
     cfg.pool_blocks = 4;
     cfg.fault_drop_p = 0.25;
     cfg.fault_seed = 7;
     cfg.retx_timeout = std::time::Duration::from_millis(5);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
-    let seen = Arc::new(Senders::default());
-    let data = (0..cfg.channels).map(|ch| {
+    cfg
+}
+
+/// `st` with every send call after the request noted in `seen`.
+fn note_sends(st: SourceTransport, seen: &Arc<Senders>) -> SourceTransport {
+    let data = (0..st.data.len()).map(|ch| {
         Box::new(NoteDataTx {
             links: Arc::clone(&st.data),
             ch,
-            seen: Arc::clone(&seen),
+            seen: Arc::clone(seen),
         }) as Box<dyn DataTx>
     });
     let ctrl_tx = Arc::new(NoteCtrlTx {
         inner: st.ctrl_tx,
-        seen: Arc::clone(&seen),
+        seen: Arc::clone(seen),
     });
-    let st = SourceTransport {
+    SourceTransport {
         data: Arc::new(data.collect()),
         ctrl_tx,
         ..st
-    };
+    }
+}
+
+/// After the `SessionRequest`, one thread makes every send call of a
+/// source — first sends, re-sends, kicks, `MrRequest` and
+/// `DatasetComplete` — on a lossy transfer that re-sends.
+#[test]
+fn every_send_after_the_request_leaves_from_one_thread() {
+    let cfg = one_sender_cfg();
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let seen = Arc::new(Senders::default());
+    let st = note_sends(st, &seen);
     let (src, snk) = std::thread::scope(|s| {
         let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
         let src = run_split_source(&cfg, st).expect("source half");
         (src, sink.join().unwrap().expect("sink half"))
     });
+    assert_eq!(snk.checksum_failures, 0);
+    assert_eq!(snk.blocks, 128 / SCALE);
+    assert!(src.retransmits > 0, "nothing was re-sent");
+    assert_eq!(seen.0.lock().len(), 1, "sends left from several threads");
+}
+
+/// The same on shm, where the loaders write into the window, wait for
+/// credits themselves and have the sender ask for more when starved.
+#[cfg(target_os = "linux")]
+#[test]
+fn every_shm_send_after_the_request_leaves_from_one_thread() {
+    use crate::shm::{connect_source_shm, run_shm_sink, ShmListener};
+    let cfg = one_sender_cfg();
+    let path = std::env::temp_dir().join(format!("rftp-one-sender-{}.sock", std::process::id()));
+    let listener = ShmListener::bind(&path).unwrap();
+    let seen = Arc::new(Senders::default());
+    let (src_cfg, src_seen) = (cfg.clone(), Arc::clone(&seen));
+    let src = std::thread::spawn(move || {
+        let st = note_sends(connect_source_shm(&path, src_cfg.channels)?, &src_seen);
+        run_split_source(&src_cfg, st)
+    });
+    let (sess, first) = listener.accept_session().unwrap();
+    let snk = run_shm_sink(&cfg, sess, Some(first)).expect("sink half");
+    let src = src.join().unwrap().expect("source half");
     assert_eq!(snk.checksum_failures, 0);
     assert_eq!(snk.blocks, 128 / SCALE);
     assert!(src.retransmits > 0, "nothing was re-sent");

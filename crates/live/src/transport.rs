@@ -38,8 +38,30 @@ use std::time::Instant;
 /// slot buffer, shared between the pipeline and any in-flight sends.
 pub type BufPool = Arc<BlockPool>;
 
-/// The pool-registration hook of a [`SourceTransport`].
-pub type RegisterFn = Box<dyn Fn(&BufPool) -> io::Result<()> + Send>;
+/// The pool-registration hook of a [`SourceTransport`]. A one-sided
+/// transport answers with its window ([`LoadWindow`]), and the loaders
+/// then write each block straight into a credited sink slot instead of
+/// the pool; every other transport answers `None`.
+pub type RegisterFn = Box<dyn Fn(&BufPool) -> io::Result<Option<Arc<dyn LoadWindow>>> + Send>;
+
+/// A one-sided transport's window as the source's loaders see it: each
+/// credited sink slot is a place to load a block, so the bytes reach
+/// the sink without a source-side copy. A block loaded here is then
+/// sent with [`DataTx::send_block`] under the same header, which only
+/// publishes it; the `bufs` and `block` it is given are bookkeeping.
+pub trait LoadWindow: Send + Sync {
+    /// Load block `hdr.seq` into sink slot `hdr.slot`: claim the slot
+    /// inside its grant, then let `fill` write the wire image (payload
+    /// header + payload) into the slice it is given — the slot's whole
+    /// payload room, so an aligned read of a short tail fits. A slot the
+    /// sink has not granted is an `InvalidData` error, and nothing is
+    /// written.
+    fn load(
+        &self,
+        hdr: &DataFrameHeader,
+        fill: &mut dyn FnMut(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<()>;
+}
 
 /// Sending side of the control link. Implementations serialize whole
 /// frames internally — a frame from one thread never interleaves with
@@ -70,7 +92,9 @@ pub trait DataTx: Send + Sync {
     /// block by reference until [`DataTx::kick`] — legal because the
     /// block stays pinned until its ack retires it, no ack can come
     /// before the frame is written, and a retransmit rewrites
-    /// byte-identical contents.
+    /// byte-identical contents. A link whose transport returned a
+    /// [`LoadWindow`] from `register` overrides it to publish the block
+    /// the loader already wrote into its sink slot.
     fn send_block(
         &self,
         hdr: DataFrameHeader,
@@ -235,7 +259,8 @@ pub struct SourceTransport {
     /// and maps them once instead of per operation) so
     /// [`DataTx::send_block`] can reference them by index; the channel
     /// backend keeps it to carry block indices, the TCP backend to queue
-    /// blocks by index until the kick.
+    /// blocks by index until the kick. The shm backend returns its
+    /// window instead, and the pool is never written.
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for the channel and TCP backends — the
@@ -523,7 +548,8 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
         data: Arc::new(data_tx),
         register: Box::new(move |bufs| {
             pool.set(bufs.clone())
-                .map_err(|_| io::Error::other("a pool is already registered"))
+                .map_err(|_| io::Error::other("a pool is already registered"))?;
+            Ok(None)
         }),
         transport_threads: 0,
         shutdown_write: Box::new(close_s2k.clone()),

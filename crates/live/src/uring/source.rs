@@ -435,7 +435,8 @@ pub fn connect_source_uring(
         data: Arc::new(data_tx),
         register: Box::new(move |bufs: &BufPool| {
             let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
-            reg_shared.ring.register_pool(&view)
+            reg_shared.ring.register_pool(&view)?;
+            Ok(None)
         }),
         transport_threads: 1,
         shutdown_write: Box::new(move || {

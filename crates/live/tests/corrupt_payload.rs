@@ -6,11 +6,16 @@
 //! io_uring (where the kernel has it) and shm. A block shortened in both
 //! its headers passes every byte check, so into a file destination it
 //! would leave a hole: every engine must refuse it as `InvalidData`.
+//!
+//! On shm the loaders write each block straight into the sink's window,
+//! and a send only publishes it, so there the corruption goes in through
+//! the window the `register` hook returns: it edits the chosen block's
+//! image as it is loaded.
 
 use parking_lot::Mutex;
 use rftp_core::wire::{DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use rftp_live::net::{connect_source, NetListener};
-use rftp_live::transport::DataTx;
+use rftp_live::transport::{DataTx, LoadWindow};
 use rftp_live::{
     accept_source_uring, channel_transport, connect_source_shm, run_shm_sink, run_split_sink,
     run_split_source, run_uring_sink, uring_supported, LiveConfig, LiveReport, ShmListener,
@@ -38,9 +43,22 @@ fn cfg() -> LiveConfig {
     cfg
 }
 
+/// Flip one byte of a wire image, or shorten it to `len` in its
+/// payload header.
+fn corrupt(wire: &mut [u8], shorten: Option<u32>) {
+    let Some(len) = shorten else {
+        wire[FLIP_AT] ^= 0x10;
+        return;
+    };
+    let mut payload = PayloadHeader::decode(&wire[..PAYLOAD_HEADER_LEN]).unwrap();
+    payload.len = len;
+    payload.encode(&mut wire[..PAYLOAD_HEADER_LEN]);
+}
+
 /// A source data link that sends [`BAD_SEQ`]'s first frame through
 /// [`DataTx::send`] as a copy with one byte flipped, and every other
-/// frame as the link would.
+/// frame as the link would. Behind a window ([`FlipLoad`] already
+/// corrupted the loaded image) it only shortens the frame header.
 struct FlipOne {
     links: Arc<Vec<Box<dyn DataTx>>>,
     ch: usize,
@@ -48,6 +66,8 @@ struct FlipOne {
     /// Shorten the frame to this payload length, in both headers,
     /// instead of flipping a byte.
     shorten: Option<u32>,
+    /// The `register` hook returned a window.
+    windowed: Arc<AtomicBool>,
 }
 
 impl DataTx for FlipOne {
@@ -62,16 +82,16 @@ impl DataTx for FlipOne {
         block: u32,
     ) -> io::Result<()> {
         if hdr.seq == BAD_SEQ && !self.flipped.swap(true, Ordering::AcqRel) {
-            let mut wire = bufs[block as usize].lock()[..hdr.wire_len()].to_vec();
-            let Some(len) = self.shorten else {
-                wire[FLIP_AT] ^= 0x10;
-                return self.links[self.ch].send(hdr, &wire);
+            let short = DataFrameHeader {
+                len: self.shorten.unwrap_or(hdr.len),
+                ..hdr
             };
-            let mut payload = PayloadHeader::decode(&wire[..PAYLOAD_HEADER_LEN]).unwrap();
-            payload.len = len;
-            payload.encode(&mut wire[..PAYLOAD_HEADER_LEN]);
-            let hdr = DataFrameHeader { len, ..hdr };
-            return self.links[self.ch].send(hdr, &wire[..hdr.wire_len()]);
+            if self.windowed.load(Ordering::Acquire) {
+                return self.links[self.ch].send_block(short, bufs, block);
+            }
+            let mut wire = bufs[block as usize].lock()[..hdr.wire_len()].to_vec();
+            corrupt(&mut wire, self.shorten);
+            return self.links[self.ch].send(short, &wire[..short.wire_len()]);
         }
         self.links[self.ch].send_block(hdr, bufs, block)
     }
@@ -90,18 +110,54 @@ fn shorten_one(t: SourceTransport) -> SourceTransport {
     wrap(t, Some(1000))
 }
 
+/// A window whose load of [`BAD_SEQ`] leaves the image corrupted as
+/// [`FlipOne`] would send it.
+struct FlipLoad {
+    inner: Arc<dyn LoadWindow>,
+    shorten: Option<u32>,
+}
+
+impl LoadWindow for FlipLoad {
+    fn load(
+        &self,
+        hdr: &DataFrameHeader,
+        fill: &mut dyn FnMut(&mut [u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if hdr.seq != BAD_SEQ {
+            return self.inner.load(hdr, fill);
+        }
+        self.inner.load(hdr, &mut |room| {
+            fill(room)?;
+            corrupt(room, self.shorten);
+            Ok(())
+        })
+    }
+}
+
 fn wrap(t: SourceTransport, shorten: Option<u32>) -> SourceTransport {
     let flipped = Arc::new(AtomicBool::new(false));
+    let windowed = Arc::new(AtomicBool::new(false));
     let data = (0..t.data.len()).map(|ch| {
         Box::new(FlipOne {
             links: Arc::clone(&t.data),
             ch,
             flipped: Arc::clone(&flipped),
             shorten,
+            windowed: Arc::clone(&windowed),
         }) as Box<dyn DataTx>
     });
+    let data = Arc::new(data.collect());
+    let inner_register = t.register;
+    let register = move |bufs: &_| {
+        let window = inner_register(bufs)?.map(|inner| {
+            windowed.store(true, Ordering::Release);
+            Arc::new(FlipLoad { inner, shorten }) as Arc<dyn LoadWindow>
+        });
+        Ok(window)
+    };
     SourceTransport {
-        data: Arc::new(data.collect()),
+        data,
+        register: Box::new(register),
         ..t
     }
 }
