@@ -116,7 +116,7 @@ impl RttEstimator {
     }
 
     /// Retransmit deadline: `srtt + max(4·rttvar, srtt/4)`, floored at
-    /// `4·min_rtt` and [`MIN_RTO_NS`]; `None` before the first sample.
+    /// `4·min_rtt` and `MIN_RTO_NS` (10 ms); `None` before the first sample.
     /// The srtt/4 band matters on a *steady* path: `rttvar` dies, but the
     /// sink's coalescing dwell (~srtt/8) still delays acks. The min_rtt
     /// floor covers a block queued behind a full [`window_blocks`]

@@ -8,7 +8,7 @@
 //! * **One accept loop, N sessions, one front door.** A nonblocking
 //!   accept loop feeds every incoming socket — TCP, and with
 //!   [`DaemonConfig::shm_path`] the unix listener's — to a
-//!   [`StreamAssembler`] under one accept policy
+//!   `StreamAssembler` under one accept policy
 //!   (`net::accept_into`); the hello token groups each
 //!   source's control + data connections into a session, interleaved
 //!   arbitrarily with other sources' connections.
@@ -39,7 +39,6 @@ use crate::net::{
     sink_transport_from_streams, SessionSocket, SessionStreams, StreamAssembler,
 };
 use crate::pipeline::{LiveConfig, LiveReport};
-#[cfg(target_os = "linux")]
 use crate::shm::ShmListener;
 use crate::split::run_sink_session;
 use crate::store::{BlockPool, SlotBuf};
@@ -99,11 +98,11 @@ pub struct DaemonConfig {
     /// `<dst_dir>/session-<n>.dat`; otherwise payloads are
     /// pattern-verified and discarded.
     pub dst_dir: Option<PathBuf>,
-    /// When set (Linux only), the daemon also accepts *shared-memory*
-    /// sessions at this unix socket path (created owner-only): each
-    /// admitted shm session gets its **own** memfd window sized to its
-    /// lease (fd shipped over `SCM_RIGHTS`), and placement is the
-    /// source's own write — zero receiver copies. The arena lease the
+    /// When set, the daemon also accepts *shared-memory* sessions at
+    /// this unix socket path (created owner-only): each admitted shm
+    /// session gets its **own** memfd window sized to its lease (fd
+    /// shipped over `SCM_RIGHTS`), and placement is the source's own
+    /// write — zero receiver copies. The arena lease the
     /// session holds is the admission/fairness currency, so shm, TCP
     /// and uring sessions contend for the one arena exactly as before,
     /// while no tenant ever maps another tenant's memory.
@@ -212,39 +211,26 @@ extern "C" fn on_sigterm(_sig: i32) {
 
 /// Route SIGTERM to this daemon handle: the default disposition kills
 /// the process mid-transfer; with the hook installed, SIGTERM starts
-/// the graceful drain instead. No-op off Unix.
+/// the graceful drain instead.
 pub fn install_sigterm_hook(h: &DaemonHandle) {
     *signal_target().lock() = Some(h.clone());
-    #[cfg(unix)]
-    {
-        // `signal(2)` from the platform libc (std links it already;
-        // same precedent as the raw `setsockopt` in `net/mod.rs`). glibc's
-        // signal() installs BSD semantics: SA_RESTART, handler stays.
-        extern "C" {
-            fn signal(signum: i32, handler: usize) -> usize;
-        }
-        const SIGTERM: i32 = 15;
-        // SAFETY: `on_sigterm` has the C handler signature and touches
-        // only a lock it never blocks on and an atomic; the target it
-        // reads was initialised above, before the handler can run.
-        unsafe {
-            signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
-        }
+    // `signal(2)` from the platform libc (std links it already; same
+    // precedent as the raw `setsockopt` in `net/mod.rs`). glibc's
+    // signal() installs BSD semantics: SA_RESTART, handler stays.
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGTERM: i32 = 15;
+    // SAFETY: `on_sigterm` has the C handler signature and touches only
+    // a lock it never blocks on and an atomic; the target it reads was
+    // initialised above, before the handler can run.
+    unsafe {
+        signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
     }
 }
 
 /// Accept-loop poll interval while the listener is idle.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-struct Tally {
-    completed: u64,
-    failed: u64,
-    rejected_busy: u64,
-    rejected_geometry: u64,
-    dropped_preadmission: u64,
-    shm_sessions: u64,
-    sessions: Vec<SessionSummary>,
-}
 
 /// Cuts an in-flight session loose: shuts down clones of every socket of
 /// its set — whatever the family — so its blocked threads fail out.
@@ -263,7 +249,8 @@ struct DaemonState {
     /// Abort hooks for in-flight sessions by token, fired on the
     /// stragglers when the drain deadline passes.
     aborts: Mutex<Vec<(u64, AbortHook)>>,
-    tally: Mutex<Tally>,
+    /// The report so far; `served` and `uring` are filled in at the end.
+    report: Mutex<DaemonReport>,
 }
 
 /// A bound, not-yet-running daemon. [`Daemon::run`] consumes it and
@@ -272,7 +259,6 @@ pub struct Daemon {
     listener: TcpListener,
     /// The second way in (owner-only unix socket, unlinked on drop),
     /// polled non-blocking from the same accept loop.
-    #[cfg(target_os = "linux")]
     shm: Option<ShmListener>,
     state: DaemonState,
 }
@@ -283,19 +269,11 @@ impl Daemon {
         assert!(cfg.max_sessions > 0 && cfg.max_channels > 0);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        #[cfg(not(target_os = "linux"))]
-        if cfg.shm_path.is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "shm endpoint requires Linux (memfd + SCM_RIGHTS)",
-            ));
-        }
         // The shm endpoint is just another way in: each admitted shm
         // session gets its own memfd window at admission time, so the
         // arena slots here stay ordinary process-private buffers for
         // every transport. The socket is owner-only — admission is
         // limited to the daemon's uid.
-        #[cfg(target_os = "linux")]
         let shm = match &cfg.shm_path {
             Some(p) => {
                 let l = ShmListener::bind(p)?;
@@ -309,7 +287,6 @@ impl Daemon {
         let fair = WeightedFair::new(cfg.credit_budget);
         Ok(Daemon {
             listener,
-            #[cfg(target_os = "linux")]
             shm,
             state: DaemonState {
                 cfg,
@@ -320,15 +297,7 @@ impl Daemon {
                 active: AtomicUsize::new(0),
                 admitted_seq: AtomicU64::new(0),
                 aborts: Mutex::new(Vec::new()),
-                tally: Mutex::new(Tally {
-                    completed: 0,
-                    failed: 0,
-                    rejected_busy: 0,
-                    rejected_geometry: 0,
-                    dropped_preadmission: 0,
-                    shm_sessions: 0,
-                    sessions: Vec::new(),
-                }),
+                report: Mutex::new(DaemonReport::default()),
             },
         })
     }
@@ -351,13 +320,11 @@ impl Daemon {
     pub fn run(self) -> io::Result<DaemonReport> {
         let Daemon {
             listener,
-            #[cfg(target_os = "linux")]
             shm,
             state,
         } = self;
         let d = &state;
         let mut asm = StreamAssembler::new(d.cfg.sockbuf);
-        #[cfg(target_os = "linux")]
         let mut shm_asm = StreamAssembler::new(0);
         let mut last_sweep = Instant::now();
 
@@ -383,7 +350,6 @@ impl Daemon {
                 // The shm endpoint shares the loop: drain its accept
                 // queue, assemble (control, notify) pairs by hello
                 // token, and serve them on the same ladder as TCP sets.
-                #[cfg(target_os = "linux")]
                 if let Some(l) = &shm {
                     while accept_into(|| l.accept(), &mut shm_asm)? {}
                     while let Some(streams) = shm_asm.poll() {
@@ -402,7 +368,6 @@ impl Daemon {
                 }
                 if last_sweep.elapsed() >= Duration::from_secs(1) {
                     asm.sweep_stale(Instant::now());
-                    #[cfg(target_os = "linux")]
                     shm_asm.sweep_stale(Instant::now());
                     last_sweep = Instant::now();
                 }
@@ -436,18 +401,10 @@ impl Daemon {
             "drained daemon leaked arena slots"
         );
 
-        let t = state.tally.into_inner();
-        Ok(DaemonReport {
-            served: t.sessions.len() as u64,
-            completed: t.completed,
-            failed: t.failed,
-            rejected_busy: t.rejected_busy,
-            rejected_geometry: t.rejected_geometry,
-            dropped_preadmission: t.dropped_preadmission,
-            uring: driver_stats,
-            shm_sessions: t.shm_sessions,
-            sessions: t.sessions,
-        })
+        let mut report = state.report.into_inner();
+        report.served = report.sessions.len() as u64;
+        report.uring = driver_stats;
+        Ok(report)
     }
 }
 
@@ -478,7 +435,7 @@ fn serve_session<S: SessionSocket>(
         // the set; the listener itself never blocked on it.
         shutdown_all(&streams.data, Shutdown::Both);
         let _ = streams.ctrl.shutdown(Shutdown::Both);
-        d.tally.lock().dropped_preadmission += 1;
+        d.report.lock().dropped_preadmission += 1;
         return;
     };
 
@@ -491,7 +448,7 @@ fn serve_session<S: SessionSocket>(
             retry_after_ms,
         };
         reply_and_close(streams, &msg);
-        d.tally.lock().rejected_busy += 1;
+        d.report.lock().rejected_busy += 1;
     };
     // The channel cap bounds what one hello can cost the daemon: a
     // threaded TCP session runs a reader thread per channel (thread-spawn
@@ -502,7 +459,7 @@ fn serve_session<S: SessionSocket>(
     let (slot_cap, max_channels) = (d.cfg.slot_cap, d.cfg.max_channels);
     if let Some(reject) = geometry_reject(&first, streams.channels, slot_cap, max_channels) {
         reply_and_close(streams, &reject);
-        d.tally.lock().rejected_geometry += 1;
+        d.report.lock().rejected_geometry += 1;
         return;
     }
     if d.stop.load(Ordering::Acquire) {
@@ -560,12 +517,12 @@ fn serve_session<S: SessionSocket>(
     d.arena.release(&lease);
     d.active.fetch_sub(1, Ordering::AcqRel);
 
-    let mut t = d.tally.lock();
+    let mut r = d.report.lock();
     match &result {
-        Ok(_) => t.completed += 1,
-        Err(_) => t.failed += 1,
+        Ok(_) => r.completed += 1,
+        Err(_) => r.failed += 1,
     }
-    t.sessions.push(SessionSummary {
+    r.sessions.push(SessionSummary {
         index,
         token,
         result,
@@ -608,14 +565,13 @@ fn run_net(
 /// admission/fairness transport-blind); the fd a tenant receives maps
 /// its own window and nothing else, so a hostile or buggy session can
 /// scribble only payloads it could already corrupt on the wire.
-#[cfg(target_os = "linux")]
 fn run_shm(
     d: &DaemonState,
     cfg: LiveConfig,
     streams: SessionStreams<std::os::unix::net::UnixStream>,
     first: CtrlMsg,
 ) -> io::Result<LiveReport> {
-    d.tally.lock().shm_sessions += 1;
+    d.report.lock().shm_sessions += 1;
     let fair = Some((&d.fair, streams.token));
     crate::shm::run_shm_session(&cfg, streams, Some(first), fair)
 }
@@ -626,7 +582,6 @@ mod tests {
     use crate::net::{connect_streams, read_one_ctrl_frame, send_raw_ctrl};
     use rftp_core::wire::reject_reason;
     use std::io::{Read, Write};
-    #[cfg(target_os = "linux")]
     use std::os::unix::net::UnixStream;
 
     fn start(
@@ -664,7 +619,6 @@ mod tests {
 
     /// The shm counterpart of `connect_streams`: one (control, notify)
     /// pair on the daemon's unix socket, hellos sent, nothing else.
-    #[cfg(target_os = "linux")]
     fn shm_streams(sock: &std::path::Path, channels: u16) -> SessionStreams<UnixStream> {
         use crate::net::{new_session_token, write_hello, KIND_CTRL, KIND_DATA};
         let token = new_session_token();
@@ -723,7 +677,6 @@ mod tests {
     /// connection cost (unlike TCP), so the admission cap is the only
     /// bound. The reject must be typed, and the daemon must keep
     /// serving afterwards.
-    #[cfg(target_os = "linux")]
     #[test]
     fn shm_hello_cannot_spawn_unbounded_channel_readers() {
         if !crate::shm::shm_supported() {
@@ -763,7 +716,6 @@ mod tests {
     /// for that session, never the arena (one tenant reading or
     /// scribbling another's in-flight payloads through a shared slab fd
     /// was the isolation hole this pins shut).
-    #[cfg(target_os = "linux")]
     #[test]
     fn shm_descriptor_covers_only_the_session_lease() {
         if !crate::shm::shm_supported() {
@@ -895,7 +847,6 @@ mod tests {
     /// clean, and the report must count exactly one shm session —
     /// proof one admission ladder serves both the zero-copy path and
     /// the ordinary copy path.
-    #[cfg(target_os = "linux")]
     #[test]
     fn shm_and_tcp_sessions_share_one_arena() {
         if !crate::shm::shm_supported() {
@@ -966,7 +917,6 @@ mod tests {
         let ask_all = |hello: u16, first: &CtrlMsg| {
             let mut tcp = connect_streams(addr, hello as usize, 0).unwrap();
             let tcp = ask(&mut tcp, first);
-            #[cfg(target_os = "linux")]
             if shm {
                 return vec![tcp, ask(&mut shm_streams(&sock, hello), first)];
             }
@@ -1017,14 +967,12 @@ mod tests {
         // hellos go out here, so the two round trips below put them
         // through the accept loop before `shutdown` stops it.
         let mut late_tcp = connect_streams(addr, 1, 0).unwrap();
-        #[cfg(target_os = "linux")]
         let mut late_shm = shm.then(|| shm_streams(&sock, 1));
         for reply in ask_all(1, &small) {
             assert_eq!(reply.unwrap(), busy, "session table full");
         }
         handle.shutdown();
         assert_eq!(ask(&mut late_tcp, &small).unwrap(), busy, "draining");
-        #[cfg(target_os = "linux")]
         if let Some(s) = &mut late_shm {
             assert_eq!(ask(s, &small).unwrap(), busy, "draining");
         }

@@ -41,6 +41,13 @@
 
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+// Every data path here stands on a Linux interface: io_uring fixed
+// buffers, a memfd window passed over `SCM_RIGHTS`, `O_DIRECT`. Whether
+// the running kernel grants them is probed at run time
+// (`uring_supported`, `shm_supported`, the buffered fallback).
+#[cfg(not(target_os = "linux"))]
+compile_error!("rftp-live runs on Linux only; the simulator crates build anywhere");
+
 pub mod args;
 pub(crate) mod coalesce;
 pub mod daemon;

@@ -160,7 +160,7 @@ impl NetListener {
     }
 
     /// Accept one source's full connection set, then read the opening
-    /// `SessionRequest` ([`read_admissible_request`]) so the caller can
+    /// `SessionRequest` (`read_admissible_request`) so the caller can
     /// size its half before any payload is in flight. Returns the
     /// connected transport and that first control frame — pass it to
     /// [`crate::run_split_sink`] as `first_ctrl`.

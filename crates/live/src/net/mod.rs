@@ -2,10 +2,10 @@
 //!
 //! The source [`connect_source`]s a control stream plus one data stream
 //! per channel; the sink's [`NetListener`] accepts them and hands back a
-//! connected [`SinkTransport`]. Each stream opens with a 16-byte hello
-//! naming its role and its session, so the N+1 connections can land in
-//! any order — and, under the daemon, interleaved with other sessions'
-//! connections:
+//! connected [`SinkTransport`](crate::SinkTransport). Each stream opens
+//! with a 16-byte hello naming its role and its session, so the N+1
+//! connections can land in any order — and, under the daemon,
+//! interleaved with other sessions' connections:
 //!
 //! ```text
 //! offset  0..4    magic  "RFTP" (0x5246_5450, big-endian)
@@ -16,7 +16,7 @@
 //! ```
 //!
 //! The token groups one source's connection set: all N+1 streams of a
-//! session carry the same value, so [`StreamAssembler`] can assemble
+//! session carry the same value, so `StreamAssembler` can assemble
 //! many sessions' streams concurrently from one accept loop. The hello
 //! is transport preamble, not protocol — the control and data frames
 //! after it are unchanged.
@@ -34,7 +34,7 @@
 //! connection parks one helper, not the listener — a connection that
 //! stalls, hangs up, or speaks garbage is dropped without disturbing
 //! the accept loop, and a partial connection set whose source died
-//! mid-negotiation is swept after [`STALE_SESSION_TIMEOUT`] — a dying
+//! mid-negotiation is swept after `STALE_SESSION_TIMEOUT` — a dying
 //! client can no longer wedge the listener.
 //!
 //! **Trust model.** The hello token is client-chosen and
@@ -59,9 +59,9 @@
 //! sender. The 16-byte frame header goes into the slot's dead space, so
 //! header and wire image are one iovec, and one `writev` per sender
 //! drain carries every frame the drain queued on the stream (the
-//! doorbell, [`DataTx::kick`]). The receiver reads the header, then reads
-//! the wire image directly into the slot the header names — the socket
-//! read *is* the placement.
+//! doorbell, [`DataTx::kick`](crate::transport::DataTx::kick)). The
+//! receiver reads the header, then reads the wire image directly into
+//! the slot the header names — the socket read *is* the placement.
 //!
 //! Control streams run `TCP_NODELAY` (credit and ack latency is the
 //! credit loop's round-trip). Data streams get their socket buffers sized
@@ -147,7 +147,7 @@ pub(crate) fn read_hello(s: &mut impl Read) -> io::Result<(u8, u16, u64)> {
 /// value a tuning flag *asked for* and the value the socket actually
 /// *got* can differ wildly — this reports both so tuning runs stop
 /// lying. Note the effective values are as the kernel reports them,
-/// i.e. including its 2× bookkeeping doubling on Linux.
+/// i.e. including its 2× bookkeeping doubling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SockbufEffective {
     /// Bytes the caller requested for each direction.
@@ -160,14 +160,10 @@ pub struct SockbufEffective {
 
 impl SockbufEffective {
     /// Whether the kernel clamped either direction below the request.
-    /// Linux doubles the set value on read-back, so "honored" means
-    /// effective ≥ 2× requested (conservatively, ≥ requested elsewhere).
+    /// The kernel doubles the set value on read-back, so "honored" means
+    /// effective ≥ 2× requested.
     pub fn clamped(&self) -> bool {
-        let floor = if cfg!(target_os = "linux") {
-            self.requested.saturating_mul(2)
-        } else {
-            self.requested
-        };
+        let floor = self.requested.saturating_mul(2);
         self.sndbuf < floor || self.rcvbuf < floor
     }
 }
@@ -177,7 +173,6 @@ impl SockbufEffective {
 /// `getsockopt` — the std API has no knob for this, and the kernel
 /// clamps to `net.core.{w,r}mem_max` on its own, so set failures are
 /// advice we can ignore; the read-back is how we notice the clamp.
-#[cfg(target_os = "linux")]
 fn set_sockbuf(s: &impl std::os::fd::AsRawFd, bytes: usize) -> Option<SockbufEffective> {
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
@@ -238,16 +233,11 @@ fn set_sockbuf(s: &impl std::os::fd::AsRawFd, bytes: usize) -> Option<SockbufEff
     })
 }
 
-#[cfg(not(target_os = "linux"))]
-fn set_sockbuf(_s: &impl std::os::fd::AsRawFd, _bytes: usize) -> Option<SockbufEffective> {
-    None
-}
-
 /// Probe what the kernel would actually grant for a `bytes`-sized
 /// socket-buffer request: set and read back on a throwaway loopback
 /// connection subject to the same `net.core.{w,r}mem_max` clamps as
 /// the real data sockets. `Ok(None)` when `bytes == 0` (OS defaults,
-/// nothing to compare) or off Linux.
+/// nothing to compare).
 pub fn probe_sockbuf(bytes: usize) -> io::Result<Option<SockbufEffective>> {
     if bytes == 0 {
         return Ok(None);

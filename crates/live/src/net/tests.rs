@@ -23,6 +23,27 @@ fn hello_roundtrip_over_loopback() {
     drop(t.join().unwrap());
 }
 
+/// No request means nothing to probe; a request is honoured only when
+/// both directions read back at least twice it (the kernel's doubling),
+/// and clamped when either falls short.
+#[test]
+fn sockbuf_clamp_rule() {
+    assert_eq!(probe_sockbuf(0).unwrap(), None);
+    let eff = |sndbuf, rcvbuf| SockbufEffective {
+        requested: 1000,
+        sndbuf,
+        rcvbuf,
+    };
+    assert!(!eff(2000, 2000).clamped());
+    assert!(!eff(4096, 2000).clamped());
+    assert!(eff(1999, 2000).clamped());
+    assert!(eff(2000, 1999).clamped());
+    assert!(
+        eff(1000, 1000).clamped(),
+        "an undoubled read-back is a clamp"
+    );
+}
+
 #[test]
 fn bad_magic_is_rejected() {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -81,7 +102,6 @@ fn tcp_door() -> Door<TcpStream> {
     }
 }
 
-#[cfg(target_os = "linux")]
 fn unix_door(tag: &str) -> Door<std::os::unix::net::UnixStream> {
     let name = format!("rftp-door-{tag}-{}.sock", std::process::id());
     let l = crate::shm::ShmListener::bind(std::env::temp_dir().join(name)).unwrap();
@@ -98,7 +118,6 @@ fn unix_door(tag: &str) -> Door<std::os::unix::net::UnixStream> {
 #[test]
 fn silent_connection_does_not_block_assembly() {
     silent_connection(tcp_door());
-    #[cfg(target_os = "linux")]
     silent_connection(unix_door("silent"));
 }
 
@@ -131,7 +150,6 @@ fn silent_connection<S: SessionSocket>(door: Door<S>) {
 #[test]
 fn duplicate_control_hello_drops_offender_not_the_victim_set() {
     duplicate_control(tcp_door());
-    #[cfg(target_os = "linux")]
     duplicate_control(unix_door("dupctrl"));
 }
 
@@ -163,7 +181,6 @@ fn duplicate_control<S: SessionSocket>(door: Door<S>) {
 #[test]
 fn early_data_stream_waits_for_its_control_hello() {
     early_data(tcp_door());
-    #[cfg(target_os = "linux")]
     early_data(unix_door("early"));
 }
 

@@ -4,7 +4,7 @@
 //! cap, loss, reorder — is injected between the pipeline and any
 //! backend by wrapping the source's transport endpoints
 //! ([`wrap_source`]), driven by a seeded
-//! [`WanProfile`](rftp_faults::WanProfile): the same profile + seed
+//! [`WanProfile`]: the same profile + seed
 //! replays the identical impairment, and an identity profile returns
 //! the transport untouched. Each leg is delayed where it starts: data
 //! frames (per-channel loss, adjacent reorder, serialization against

@@ -9,7 +9,8 @@
 //!   PROTOCOL.md is byte-identical on this plane), plus a one-shot
 //!   *window descriptor* preamble that also ferries the memfd file
 //!   descriptor via `SCM_RIGHTS`;
-//! * **notify** (`UnixStream`) — 16-byte [`DataFrameHeader`] records,
+//! * **notify** (`UnixStream`) — 16-byte
+//!   [`DataFrameHeader`](rftp_core::wire::DataFrameHeader) records,
 //!   source → sink: the WRITE-with-notification doorbell. The payload
 //!   itself never touches this stream;
 //! * **the window** — payload bytes, written exactly once, by the
@@ -79,7 +80,7 @@
 //!
 //! Same-host, same trust domain as the hello token (`net`): the peer
 //! holds a writable mapping of **its own session's window** — one memfd
-//! created for that session alone ([`SessionWindow`]), so under the
+//! created for that session alone (`SessionWindow`), so under the
 //! daemon a tenant can scribble its own in-flight payloads (the sink's
 //! pattern comparison detects that, as with an RDMA rkey holder writing
 //! your pinned memory) but can never see or corrupt another session's.
@@ -90,32 +91,24 @@
 //!
 //! `window` holds the memfd, `SCM_RIGHTS` passing and the descriptor;
 //! `fence` the per-slot generation word; `source` and `sink` the two
-//! halves' endpoints; `stub` the non-Linux build.
+//! halves' endpoints.
 
-// One cfg gate for the whole Linux transport; its files sit beside this
-// one.
-#[cfg(target_os = "linux")]
+mod fence;
+mod sink;
+mod source;
+mod window;
+
+pub(crate) use sink::run_shm_session;
+pub use sink::{run_shm_sink, ShmListener, ShmSessionStreams};
+#[cfg(test)]
+pub(crate) use window::{decode_desc_head, DESC_HEAD_LEN, DESC_MAGIC};
+pub use {source::connect_source_shm, window::shm_supported};
+
+// The unit tests live in `tests.rs` beside this file, under an `imp`
+// module that keeps their names (`shm::imp::tests::…`) stable.
+#[cfg(test)]
 #[path = "."]
 mod imp {
-    mod fence;
-    pub(super) mod sink;
-    pub(super) mod source;
-    #[cfg(test)]
+    use super::{fence, sink, source, window};
     mod tests;
-    pub(super) mod window;
 }
-
-#[cfg(target_os = "linux")]
-pub(crate) use imp::sink::run_shm_session;
-#[cfg(target_os = "linux")]
-pub use imp::sink::{run_shm_sink, ShmListener, ShmSessionStreams};
-#[cfg(all(target_os = "linux", test))]
-pub(crate) use imp::window::{decode_desc_head, DESC_HEAD_LEN, DESC_MAGIC};
-#[cfg(target_os = "linux")]
-pub use imp::{source::connect_source_shm, window::shm_supported};
-
-#[cfg(not(target_os = "linux"))]
-mod stub;
-
-#[cfg(not(target_os = "linux"))]
-pub use stub::{connect_source_shm, run_shm_sink, shm_supported, ShmListener, ShmSessionStreams};

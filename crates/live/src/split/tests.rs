@@ -418,7 +418,6 @@ fn every_send_after_the_request_leaves_from_one_thread() {
 
 /// The same on shm, where the loaders write into the window, wait for
 /// credits themselves and have the sender ask for more when starved.
-#[cfg(target_os = "linux")]
 #[test]
 fn every_shm_send_after_the_request_leaves_from_one_thread() {
     use crate::shm::{connect_source_shm, run_shm_sink, ShmListener};

@@ -44,20 +44,15 @@ const O_DIRECT: i32 = 0o40000;
 /// Advise the kernel we stream this file front to back (best effort —
 /// the transfer is correct either way).
 fn fadvise_sequential(file: &File) {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::unix::io::AsRawFd;
-        extern "C" {
-            fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
-        }
-        const POSIX_FADV_SEQUENTIAL: i32 = 2;
-        // Failure is advisory too.
-        // SAFETY: `posix_fadvise` reads no memory, and `file` keeps its
-        // fd open for the call.
-        unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_SEQUENTIAL) };
+    use std::os::unix::io::AsRawFd;
+    extern "C" {
+        fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
     }
-    #[cfg(not(target_os = "linux"))]
-    let _ = file;
+    const POSIX_FADV_SEQUENTIAL: i32 = 2;
+    // Failure is advisory too.
+    // SAFETY: `posix_fadvise` reads no memory, and `file` keeps its
+    // fd open for the call.
+    unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_SEQUENTIAL) };
 }
 
 /// Try to open `path` with `O_DIRECT` in the given mode; `None` when the
@@ -138,7 +133,6 @@ impl SlotBuf {
     /// # Safety
     /// `base` is [`STORE_ALIGN`]-aligned, valid for `stride(block_size)`
     /// bytes while the view is used, and shared with no other view.
-    #[cfg(target_os = "linux")]
     unsafe fn external(base: *mut u8, block_size: usize) -> SlotBuf {
         assert!(block_size > 0);
         assert!((base as usize).is_multiple_of(STORE_ALIGN));
@@ -228,13 +222,11 @@ impl std::fmt::Debug for SlotBuf {
 /// each slot to one owner at a time behind its mutex, the shm window
 /// publishes through per-slot atomics, the ring through the kernel's
 /// head and tail words.
-#[cfg(target_os = "linux")]
 pub(crate) struct Mapping {
     base: *mut u8,
     len: usize,
 }
 
-#[cfg(target_os = "linux")]
 pub(crate) mod sys {
     use core::ffi::c_void;
     extern "C" {
@@ -254,13 +246,10 @@ pub(crate) mod sys {
 // SAFETY: `base`/`len` never change after construction and name memory
 // this value alone unmaps; what is stored *in* the mapping is
 // synchronised by its users (see the type's doc).
-#[cfg(target_os = "linux")]
 unsafe impl Send for Mapping {}
 // SAFETY: as for `Send`; `&Mapping` hands out addresses, never access.
-#[cfg(target_os = "linux")]
 unsafe impl Sync for Mapping {}
 
-#[cfg(target_os = "linux")]
 impl Mapping {
     const MAP_SHARED: i32 = 0x01;
 
@@ -338,7 +327,6 @@ impl Mapping {
 /// # Safety
 ///
 /// `map` must stay mapped while any returned view is used.
-#[cfg(target_os = "linux")]
 pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> Vec<Mutex<SlotBuf>> {
     let stride = SlotBuf::stride(block_size);
     assert!(n.checked_mul(stride).is_some_and(|len| len <= map.len));
@@ -351,7 +339,6 @@ pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> V
         .collect()
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for Mapping {
     fn drop(&mut self) {
         // SAFETY: `base..base+len` is exactly what `map` mapped, and no
@@ -365,7 +352,7 @@ impl Drop for Mapping {
 /// credited slots, the daemon's arena: `slots` buffers, each a
 /// [`SlotBuf`] for `block_size` payload bytes, indexable as a slice.
 ///
-/// On Linux the pool is one anonymous private mapping of
+/// The pool is one anonymous private mapping of
 /// `slots × SlotBuf::stride(block_size)` bytes and the slots are views
 /// into it. `alloc_zeroed` at [`STORE_ALIGN`] alignment is served as
 /// `posix_memalign` plus an explicit `memset`, which writes every page
@@ -374,16 +361,14 @@ impl Drop for Mapping {
 /// page on first touch — when a loader fills it or a socket copy lands
 /// in it. A mapping is page-aligned and the stride a page multiple, so
 /// every payload stays `O_DIRECT`- and fixed-buffer-legal; dropping the
-/// pool is one `munmap`. Elsewhere each slot owns a [`SlotBuf::new`].
+/// pool is one `munmap`.
 pub struct BlockPool {
     slots: Vec<Mutex<SlotBuf>>,
     // Declared after the views into it: fields drop in order.
-    #[cfg(target_os = "linux")]
     _map: Mapping,
 }
 
 impl BlockPool {
-    #[cfg(target_os = "linux")]
     pub fn new(slots: u32, block_size: usize) -> BlockPool {
         assert!(slots > 0);
         let slots = slots as usize;
@@ -398,23 +383,12 @@ impl BlockPool {
         BlockPool { slots, _map: map }
     }
 
-    #[cfg(not(target_os = "linux"))]
-    pub fn new(slots: u32, block_size: usize) -> BlockPool {
-        assert!(slots > 0);
-        BlockPool {
-            slots: (0..slots)
-                .map(|_| Mutex::new(SlotBuf::new(block_size)))
-                .collect(),
-        }
-    }
-
     /// Hand slot `i`'s pages back to the kernel once nothing will write
     /// the slot again — a source's block acked after its last load — so
     /// they are freed while a transfer's last acks are still on their
     /// way instead of when the pool drops. The slot stays mapped: a late
     /// read (a re-send queued behind its block's ack) sees zeros, and
     /// the sink discards that frame unread as a duplicate.
-    #[cfg(target_os = "linux")]
     pub(crate) fn release(&self, i: usize) {
         const MADV_DONTNEED: i32 = 4;
         let slot = self.slots[i].lock();
@@ -425,9 +399,6 @@ impl BlockPool {
         // nothing, so every view into the slot stays valid.
         unsafe { sys::madvise(base.cast(), len, MADV_DONTNEED) };
     }
-
-    #[cfg(not(target_os = "linux"))]
-    pub(crate) fn release(&self, _i: usize) {}
 }
 
 impl std::ops::Deref for BlockPool {
@@ -644,7 +615,6 @@ mod tests {
     }
 
     /// Bytes of `map` the kernel currently backs with a page.
-    #[cfg(target_os = "linux")]
     fn resident_bytes(map: &Mapping) -> usize {
         extern "C" {
             fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
@@ -660,7 +630,6 @@ mod tests {
     /// land in it — and then only the slots that were written.
     /// (Counted on the pool's own pages: `VmRSS` would also see what the
     /// tests running beside this one allocate.)
-    #[cfg(target_os = "linux")]
     #[test]
     fn block_pool_is_paged_in_by_use_not_by_construction() {
         let (slots, bs) = (1024usize, 256 * 1024);
@@ -706,7 +675,6 @@ mod tests {
     /// registration span inside the mapping and clear of its neighbours,
     /// nothing for a slot to free on its own — so the pool's drop is the
     /// mapping's single `munmap`.
-    #[cfg(target_os = "linux")]
     #[test]
     fn block_pool_slots_tile_one_mapping() {
         for bs in [512usize, 4096, 65536 + 1000] {

@@ -47,32 +47,17 @@
 //! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
 //! 425/426/427 on every Linux architecture) over `extern "C"` shims —
 //! the workspace links no FFI crate, matching the raw `setsockopt` in
-//! [`crate::net`]. [`uring_supported`] probes the running kernel; on
-//! non-Linux targets or old kernels every entry point reports
-//! `Unsupported` and callers fall back to the TCP backend.
+//! [`crate::net`]. [`uring_supported`] probes the running kernel; on a
+//! kernel without io_uring every entry point reports `Unsupported` and
+//! callers fall back to the TCP backend.
 
-#[cfg(target_os = "linux")]
 mod driver;
-#[cfg(target_os = "linux")]
 mod ring;
-#[cfg(target_os = "linux")]
 mod sink;
-#[cfg(target_os = "linux")]
 mod source;
-#[cfg(not(target_os = "linux"))]
-mod stub;
-#[cfg(target_os = "linux")]
 mod sys;
 
-#[cfg(target_os = "linux")]
 pub(crate) use sink::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
-#[cfg(not(target_os = "linux"))]
-pub use stub::{
-    accept_source_uring, connect_source_uring, run_uring_sink, uring_supported, UringSinkSession,
-};
-#[cfg(not(target_os = "linux"))]
-pub(crate) use stub::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
-#[cfg(target_os = "linux")]
 pub use {
     ring::uring_supported,
     sink::{accept_source_uring, run_uring_sink, UringSinkSession},

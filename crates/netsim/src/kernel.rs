@@ -17,7 +17,7 @@
 //! paying a heap sift per event, and pushes landing *on* the instant
 //! currently draining ride an O(1) FIFO batch lane (completion storms
 //! never pay a sorted insert). Pop order is *exactly* `(time, seq)` —
-//! identical to the reference binary heap retained in [`reference`] —
+//! identical to the reference binary heap retained in [`reference`](mod@reference) —
 //! which the differential tests assert.
 
 use crate::time::{SimDur, SimTime};

@@ -264,7 +264,7 @@ pub fn ani_wan() -> Testbed {
 
 /// iWARP LAN: the third RDMA architecture §II discusses. iWARP carries
 /// the verbs service over a full offloaded TCP/IP stack (MPA/DDP/RDMAP
-/// framing); the paper cites Cohen et al. [9] for RoCE being the more
+/// framing); the paper cites Cohen et al. \[9\] for RoCE being the more
 /// efficient Ethernet mapping. Modelled as the RoCE LAN with heavier
 /// per-operation verbs costs (TOE doorbells/completions) and larger
 /// per-packet framing.

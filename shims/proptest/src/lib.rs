@@ -344,7 +344,7 @@ impl_tuple_strategy!(A, B, C, D, E, F, G, H, I, J, K, L);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`].
+    /// Length specification for [`vec()`].
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,
