@@ -40,7 +40,7 @@ use crate::net::{
 };
 use crate::pipeline::{LiveConfig, LiveReport};
 use crate::shm::ShmListener;
-use crate::split::run_sink_session;
+use crate::split::{caught, run_sink_session};
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use crate::uring::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
@@ -50,7 +50,7 @@ use std::io;
 use std::net::{Shutdown, TcpListener, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which sink backend each admitted session runs on.
@@ -191,42 +191,12 @@ impl DaemonHandle {
     }
 }
 
-/// The SIGTERM hook targets whichever handle was installed last; the
-/// handler itself only does an atomic store (async-signal-safe).
-static SIGNAL_TARGET: OnceLock<Mutex<Option<DaemonHandle>>> = OnceLock::new();
-
-fn signal_target() -> &'static Mutex<Option<DaemonHandle>> {
-    SIGNAL_TARGET.get_or_init(|| Mutex::new(None))
-}
-
-extern "C" fn on_sigterm(_sig: i32) {
-    // Only atomics in here: no allocation, no locks… except the
-    // parking_lot try_lock below, which never blocks. A lost wakeup
-    // (lock held at signal time) is acceptable for a drain signal —
-    // the operator's next SIGTERM lands.
-    if let Some(Some(h)) = signal_target().try_lock().map(|g| g.clone()) {
-        h.stop.store(true, Ordering::Release);
-    }
-}
-
 /// Route SIGTERM to this daemon handle: the default disposition kills
 /// the process mid-transfer; with the hook installed, SIGTERM starts
-/// the graceful drain instead.
+/// the graceful drain instead. The handle installed last is the one
+/// SIGTERM drains.
 pub fn install_sigterm_hook(h: &DaemonHandle) {
-    *signal_target().lock() = Some(h.clone());
-    // `signal(2)` from the platform libc (std links it already; same
-    // precedent as the raw `setsockopt` in `net/mod.rs`). glibc's
-    // signal() installs BSD semantics: SA_RESTART, handler stays.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-    const SIGTERM: i32 = 15;
-    // SAFETY: `on_sigterm` has the C handler signature and touches only
-    // a lock it never blocks on and an atomic; the target it reads was
-    // initialised above, before the handler can run.
-    unsafe {
-        signal(SIGTERM, on_sigterm as extern "C" fn(i32) as usize);
-    }
+    crate::sys::raise_on_sigterm(Arc::clone(&h.stop));
 }
 
 /// Accept-loop poll interval while the listener is idle.
@@ -466,34 +436,23 @@ fn serve_session<S: SessionSocket>(
         // Draining: admit nothing new, tell the source to come back.
         return busy(streams);
     }
-    // Claim a session-table entry before touching the arena so a burst
-    // can't both oversubscribe the table and strand a lease.
-    if d.active.fetch_add(1, Ordering::AcqRel) >= d.cfg.max_sessions {
-        d.active.fetch_sub(1, Ordering::AcqRel);
-        return busy(streams);
-    }
     let total_blocks = total_bytes.div_ceil(block_size).max(1);
     let want_slots = (d.cfg.session_slots as u64).min(total_blocks).max(1) as usize;
-    let Some(lease) = d.arena.lease(want_slots) else {
-        d.active.fetch_sub(1, Ordering::AcqRel);
-        return busy(streams);
-    };
-
-    // --- Admitted: register with the arbiter, run the sink session
-    // over the lease, and undo everything on the way out. ---
     let token = streams.token;
-    let index = d.admitted_seq.fetch_add(1, Ordering::AcqRel);
     let weight = if total_bytes <= d.cfg.interactive_cutoff {
         d.cfg.interactive_weight
     } else {
         1
     };
-    // Its guarantee is capped at its lease: it can never have more
-    // credits out than it has slots.
-    d.fair.register_leased(token, weight, lease.len() as u32);
+    let Some(held) = Held::admit(d, token, weight, want_slots) else {
+        return busy(streams);
+    };
 
+    // --- Admitted: run the sink session over the lease; `held` gives
+    // it all back on the way out. ---
+    let index = d.admitted_seq.fetch_add(1, Ordering::AcqRel);
     let mut cfg = LiveConfig::new(block_size as usize, channels as usize, total_bytes);
-    cfg.pool_blocks = lease.len() as u32;
+    cfg.pool_blocks = held.lease.len() as u32;
     if let Some(wan) = &d.cfg.wan {
         // The pool stays the arena lease (the admission currency can't
         // grow per session), but the sink brain adapts its dwell window
@@ -505,17 +464,14 @@ fn serve_session<S: SessionSocket>(
         cfg.dst_file = Some(dir.join(format!("session-{index}.dat")));
     }
     // Keep socket clones around so the drain deadline can cut a
-    // straggler loose (its blocked threads fail out with EOF/EPIPE).
+    // straggler loose (its blocked threads fail out with EOF/EPIPE). A
+    // runner's panic is its session's error: the session fails alone.
     let result = streams.handles().and_then(|socks| {
         let cut = Box::new(move || shutdown_all(&socks, Shutdown::Both));
         d.aborts.lock().push((token, cut));
-        run(cfg, streams, first, &lease)
+        caught(|| run(cfg, streams, first, &held.lease))?
     });
-
-    d.aborts.lock().retain(|(t, _)| *t != token);
-    d.fair.deregister(token);
-    d.arena.release(&lease);
-    d.active.fetch_sub(1, Ordering::AcqRel);
+    drop(held);
 
     let mut r = d.report.lock();
     match &result {
@@ -527,6 +483,52 @@ fn serve_session<S: SessionSocket>(
         token,
         result,
     });
+}
+
+/// What an admitted session holds of the daemon — its session-table
+/// entry, arena lease, [`WeightedFair`] registration and abort hook —
+/// given back by one drop on every way out of [`serve_session`], a
+/// runner's panic too. A uring runner returns only after its detach
+/// handshake, so the ring no longer targets the lease by then.
+struct Held<'d> {
+    d: &'d DaemonState,
+    /// Its key in the arbiter and among the abort hooks.
+    token: u64,
+    /// Wire slot `i` of the session is arena slot `lease[i]`; empty
+    /// until admitted.
+    lease: Vec<u32>,
+}
+
+impl<'d> Held<'d> {
+    /// Admit session `token`: a session-table entry first — so a burst
+    /// can't both oversubscribe the table and strand a lease — then
+    /// `want` arena slots, then the arbiter at `weight`, its guarantee
+    /// capped at its lease (it can never have more credits out than it
+    /// has slots). `None`, holding nothing, when the table or arena is
+    /// full.
+    fn admit(d: &'d DaemonState, token: u64, weight: u32, want: usize) -> Option<Held<'d>> {
+        let ahead = d.active.fetch_add(1, Ordering::AcqRel);
+        let lease = Vec::new();
+        let mut held = Held { d, token, lease };
+        if ahead >= d.cfg.max_sessions {
+            return None;
+        }
+        held.lease = d.arena.lease(want)?;
+        d.fair.register_leased(token, weight, want as u32);
+        Some(held)
+    }
+}
+
+impl Drop for Held<'_> {
+    fn drop(&mut self) {
+        let (d, token) = (self.d, self.token);
+        if !self.lease.is_empty() {
+            d.aborts.lock().retain(|(t, _)| *t != token);
+            d.fair.deregister(token);
+            d.arena.release(&self.lease);
+        }
+        d.active.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// The tcp and uring runner: both take the same TCP connection set and
@@ -632,6 +634,90 @@ mod tests {
             token,
             channels: channels as usize,
         }
+    }
+
+    /// A server-side tcp set whose one data channel is open and whose
+    /// peer has sent `first`; the peer's ends come back to keep alive.
+    fn tcp_set(first: &CtrlMsg) -> (SessionStreams, Vec<std::net::TcpStream>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut peer: Vec<_> = (0..2)
+            .map(|_| std::net::TcpStream::connect(addr).unwrap())
+            .collect();
+        let mut ours: Vec<_> = (0..2).map(|_| listener.accept().unwrap().0).collect();
+        send_raw_ctrl(&mut peer[0], first).unwrap();
+        let data = ours.split_off(1);
+        let ctrl = ours.pop().unwrap();
+        let token = crate::net::new_session_token();
+        (
+            SessionStreams {
+                ctrl,
+                data,
+                token,
+                channels: 1,
+            },
+            peer,
+        )
+    }
+
+    /// The shm counterpart of [`tcp_set`]: a (control, notify) pair.
+    fn shm_set(first: &CtrlMsg) -> (SessionStreams<UnixStream>, Vec<UnixStream>) {
+        let ((ctrl, mut peer_ctrl), (notify, peer_notify)) =
+            (UnixStream::pair().unwrap(), UnixStream::pair().unwrap());
+        send_raw_ctrl(&mut peer_ctrl, first).unwrap();
+        let token = crate::net::new_session_token();
+        let streams = SessionStreams {
+            ctrl,
+            data: vec![notify],
+            token,
+            channels: 1,
+        };
+        (streams, vec![peer_ctrl, peer_notify])
+    }
+
+    /// A runner that panics fails its session alone, on either way in:
+    /// the panic is the session's error, counted `failed`, and all the
+    /// session held — its table entry, lease, arbiter registration and
+    /// abort hook — comes back, so the next session gets a full lease.
+    #[test]
+    fn a_panicking_runner_fails_alone_and_gives_everything_back() {
+        fn check<S: SessionSocket, P>(open: impl Fn(&CtrlMsg) -> (SessionStreams<S>, P)) {
+            let cfg = DaemonConfig {
+                slot_cap: 64 * 1024,
+                arena_slots: 4,
+                session_slots: 4,
+                max_sessions: 1,
+                ..DaemonConfig::default()
+            };
+            let daemon = Daemon::bind("127.0.0.1:0", cfg).unwrap();
+            let d = &daemon.state;
+            let first = req(64 * 1024, 1, 1 << 20);
+            let (streams, _peer) = open(&first);
+            let token = streams.token;
+            serve_session(d, streams, |_, _, _, _| -> io::Result<LiveReport> {
+                panic!("a runner bug")
+            });
+            assert_eq!(d.arena.free_slots(), 4, "the lease came back");
+            assert_eq!(d.active.load(Ordering::Acquire), 0, "the table entry");
+            assert_eq!(d.fair.allow(token, 1000), 1000, "still in the arbiter");
+            assert!(!d.aborts.lock().iter().any(|(t, _)| *t == token));
+            {
+                let r = d.report.lock();
+                assert_eq!((r.failed, r.completed), (1, 0), "{:?}", *r);
+                let err = r.sessions[0].result.as_ref().unwrap_err().to_string();
+                assert!(err.contains("panicked: a runner bug"), "{err}");
+            }
+            let (streams, _peer) = open(&first);
+            let mut leased = 0;
+            serve_session(d, streams, |_, _, _, lease| {
+                leased = lease.len();
+                Err(io::Error::other("an honest runner's own error"))
+            });
+            assert_eq!(leased, 4, "the next session's lease is whole");
+            assert_eq!(d.arena.free_slots(), 4);
+        }
+        check(tcp_set);
+        check(shm_set);
     }
 
     /// A `SessionRequest` with `block_size: 0` used to divide-by-zero in

@@ -58,6 +58,7 @@ pub mod pipeline;
 pub mod shm;
 pub mod split;
 pub mod store;
+mod sys;
 pub mod transport;
 pub mod uring;
 

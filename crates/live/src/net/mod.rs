@@ -90,6 +90,7 @@ pub(crate) use door::{read_one_ctrl_frame, send_raw_ctrl};
 pub use link::connect_source;
 pub(crate) use link::{sink_transport_from_streams, NetCtrlRx, NetCtrlTx};
 
+use crate::sys;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::time::Instant;
@@ -177,59 +178,17 @@ fn set_sockbuf(s: &impl std::os::fd::AsRawFd, bytes: usize) -> Option<SockbufEff
     const SOL_SOCKET: i32 = 1;
     const SO_SNDBUF: i32 = 7;
     const SO_RCVBUF: i32 = 8;
-    extern "C" {
-        fn setsockopt(
-            fd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const core::ffi::c_void,
-            optlen: u32,
-        ) -> i32;
-        fn getsockopt(
-            fd: i32,
-            level: i32,
-            optname: i32,
-            optval: *mut core::ffi::c_void,
-            optlen: *mut u32,
-        ) -> i32;
-    }
-    fn read_back(fd: i32, optname: i32) -> usize {
-        let mut val: i32 = 0;
-        let mut len = std::mem::size_of::<i32>() as u32;
-        // SAFETY: `val` and `len` are live locals, and `len` tells the
-        // kernel `val`'s size.
-        let rc = unsafe {
-            getsockopt(
-                fd,
-                SOL_SOCKET,
-                optname,
-                &mut val as *mut i32 as *mut core::ffi::c_void,
-                &mut len,
-            )
-        };
-        if rc == 0 {
-            val.max(0) as usize
-        } else {
-            0
-        }
-    }
     if bytes == 0 {
         return None;
     }
-    let val = bytes.min(i32::MAX as usize) as i32;
-    let p = &val as *const i32 as *const core::ffi::c_void;
-    let n = std::mem::size_of::<i32>() as u32;
-    let fd = s.as_raw_fd();
-    // SAFETY: `p` points at the live local `val`, `n` bytes long, which
-    // the kernel only reads.
-    unsafe {
-        setsockopt(fd, SOL_SOCKET, SO_SNDBUF, p, n);
-        setsockopt(fd, SOL_SOCKET, SO_RCVBUF, p, n);
-    }
+    let (fd, val) = (s.as_raw_fd(), bytes.min(i32::MAX as usize) as i32);
+    let _ = sys::set_sockopt(fd, SOL_SOCKET, SO_SNDBUF, val);
+    let _ = sys::set_sockopt(fd, SOL_SOCKET, SO_RCVBUF, val);
+    let read_back = |name| sys::get_sockopt(fd, SOL_SOCKET, name).map_or(0, |v| v.max(0) as usize);
     Some(SockbufEffective {
         requested: bytes,
-        sndbuf: read_back(fd, SO_SNDBUF),
-        rcvbuf: read_back(fd, SO_RCVBUF),
+        sndbuf: read_back(SO_SNDBUF),
+        rcvbuf: read_back(SO_RCVBUF),
     })
 }
 

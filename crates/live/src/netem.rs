@@ -21,6 +21,7 @@
 //! but never dropped or reordered: only data frames have a recovery
 //! path (the source's re-sends + claim-bitmap dedup).
 
+use crate::split::caught;
 use crate::store::SlotBuf;
 use crate::transport::{BufPool, CtrlRx, CtrlTx, DataTx, SinkTransport, SourceTransport};
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -96,7 +97,8 @@ impl<T: Send + 'static> Line<T> {
     /// Start the far end: `deliver` sends one item on the inner link,
     /// `idle` is the inner link's doorbell, rung whenever nothing queued
     /// is due yet (a completion-based backend submits its batch there).
-    /// The far end stops at the first inner error; sends fail from then.
+    /// The far end stops at the first inner error or panic; sends fail
+    /// from then.
     fn spawn(
         name: &str,
         mut deliver: impl FnMut(T) -> io::Result<()> + Send + 'static,
@@ -105,7 +107,7 @@ impl<T: Send + 'static> Line<T> {
         let (tx, rx) = bounded(LINE_DEPTH);
         let far = std::thread::Builder::new()
             .name(name.into())
-            .spawn(move || drop(drain_line(&rx, &mut deliver, &mut idle)))
+            .spawn(move || drop(caught(|| drain_line(&rx, &mut deliver, &mut idle))))
             .expect("spawn netem delay line");
         Line {
             tx: Mutex::new(Some(tx)),
@@ -126,16 +128,17 @@ impl<T: Send + 'static> Line<T> {
 
 impl<T> Line<T> {
     /// Close the line and wait until everything on it was delivered (or
-    /// the far end stopped at an inner error). `Err` is its panic.
-    fn flush(&self) -> std::thread::Result<()> {
+    /// the far end stopped).
+    fn flush(&self) {
         self.tx.lock().take();
-        self.far.lock().take().map_or(Ok(()), JoinHandle::join)
+        // The far end catches its own panic: a join only waits.
+        let _ = self.far.lock().take().map(JoinHandle::join);
     }
 }
 
 impl<T> Drop for Line<T> {
     fn drop(&mut self) {
-        let _ = self.flush();
+        self.flush();
     }
 }
 
@@ -271,7 +274,7 @@ struct DataLeg {
 impl DataLeg {
     /// Release a frame held for reordering — at write shutdown it was
     /// merely delayed, not lost — then flush the line.
-    fn flush(&self) -> std::thread::Result<()> {
+    fn flush(&self) {
         if let Some((frame, at)) = self.shaper.lock().1.take() {
             let _ = self.line.push(frame, at);
         }
@@ -404,9 +407,9 @@ pub fn wrap_source(t: SourceTransport, p: &WanProfile) -> SourceTransport {
         let (legs, ctrl, inner) = (legs.clone(), Arc::clone(&ctrl), t.shutdown_write);
         move || {
             for leg in &legs {
-                leg.flush().expect("a netem data line panicked");
+                leg.flush();
             }
-            ctrl.line.flush().expect("the netem control line panicked");
+            ctrl.line.flush();
             inner()
         }
     };

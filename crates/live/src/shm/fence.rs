@@ -3,7 +3,7 @@
 
 use super::window::WindowDesc;
 use crate::net::proto_err;
-use crate::store::{Mapping, STORE_ALIGN};
+use crate::{store::STORE_ALIGN, sys::Mapping};
 use parking_lot::Mutex;
 use rftp_core::wire::{DataFrameHeader, PAYLOAD_HEADER_LEN};
 use std::io;

@@ -3,46 +3,15 @@
 
 use super::fence::SnkWindow;
 use crate::net::{proto_err, retry_interrupted};
-use crate::store::{slot_views, Mapping, SlotBuf, STORE_ALIGN};
+use crate::store::{slot_views, SlotBuf, STORE_ALIGN};
+use crate::sys::{self, Mapping};
 use parking_lot::Mutex;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, IoSliceMut, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
 
-// -----------------------------------------------------------------
-// Raw syscall shims (no libc dep; precedent: `net`, `uring`)
-// -----------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-const SYS_MEMFD_CREATE: i64 = 319;
-#[cfg(target_arch = "aarch64")]
-const SYS_MEMFD_CREATE: i64 = 279;
-
-const MFD_CLOEXEC: u32 = 1;
-const MSG_NOSIGNAL: i32 = 0x4000;
-const MSG_CMSG_CLOEXEC: i32 = 0x4000_0000;
 const SOL_SOCKET: i32 = 1;
 const SCM_RIGHTS: i32 = 1;
-
-#[repr(C)]
-struct IoVec {
-    base: *mut core::ffi::c_void,
-    len: usize,
-}
-
-/// 64-bit Linux `struct msghdr` — `repr(C)` field order matches the
-/// kernel/glibc layout (natural alignment inserts the same padding
-/// after `namelen` and `flags` as the C definition).
-#[repr(C)]
-struct MsgHdr {
-    name: *mut core::ffi::c_void,
-    namelen: u32,
-    iov: *mut IoVec,
-    iovlen: usize,
-    control: *mut core::ffi::c_void,
-    controllen: usize,
-    flags: i32,
-}
 
 /// 64-bit Linux `struct cmsghdr`: 16-byte header, data follows.
 /// For one fd: CMSG_LEN(4) = 20, CMSG_SPACE(4) = 24.
@@ -50,24 +19,8 @@ const CMSG_HDR: usize = 16;
 const CMSG_LEN_ONE_FD: usize = CMSG_HDR + 4;
 const CMSG_SPACE_ONE_FD: usize = 24;
 
-extern "C" {
-    fn syscall(num: i64, ...) -> i64;
-    fn sendmsg(fd: i32, msg: *const MsgHdr, flags: i32) -> isize;
-    fn recvmsg(fd: i32, msg: *mut MsgHdr, flags: i32) -> isize;
-    fn lseek(fd: i32, offset: i64, whence: i32) -> i64;
-}
-
-const SEEK_END: i32 = 2;
-
 pub(super) fn memfd_create(len: usize) -> io::Result<OwnedFd> {
-    let name = b"rftp-shm-window\0";
-    // SAFETY: `name` is NUL-terminated and outlives the call.
-    let fd = unsafe { syscall(SYS_MEMFD_CREATE, name.as_ptr(), MFD_CLOEXEC) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // SAFETY: the kernel just returned this fd, and nothing else owns it.
-    let file = std::fs::File::from(unsafe { OwnedFd::from_raw_fd(fd as RawFd) });
+    let file = std::fs::File::from(sys::memfd_create(c"rftp-shm-window")?);
     file.set_len(len as u64)?;
     Ok(file.into())
 }
@@ -88,17 +41,13 @@ pub(crate) fn map_window(fd: RawFd, len: usize) -> io::Result<Mapping> {
     // fd whose size cannot even be read (a pipe, a socket) is
     // refused outright — mapping it blind would forfeit exactly
     // the guard this check exists for.
-    // SAFETY: `lseek` reads no memory; on an fd that is not open it
-    // fails with `EBADF`, refused below.
-    let size = unsafe { lseek(fd, 0, SEEK_END) };
-    if size < 0 {
-        return Err(proto_err(format!(
-            "shm window fd size unreadable ({}) — refusing to map an \
-             unverifiable length",
-            io::Error::last_os_error()
-        )));
-    }
-    if (size as u64) < len as u64 {
+    let size = sys::seek_end(fd).map_err(|e| {
+        proto_err(format!(
+            "shm window fd size unreadable ({e}) — refusing to map an \
+             unverifiable length"
+        ))
+    })?;
+    if size < len as u64 {
         return Err(proto_err(format!(
             "shm window fd holds {size} bytes but the descriptor claims {len} — \
              refusing a mapping that would fault on first write"
@@ -120,28 +69,12 @@ pub(crate) fn send_with_fd(sock: &UnixStream, bytes: &[u8], fd: RawFd) -> io::Re
     cmsg[8..12].copy_from_slice(&SOL_SOCKET.to_ne_bytes());
     cmsg[12..16].copy_from_slice(&SCM_RIGHTS.to_ne_bytes());
     cmsg[16..20].copy_from_slice(&fd.to_ne_bytes());
-    let mut iov = IoVec {
-        base: bytes.as_ptr() as *mut core::ffi::c_void,
-        len: bytes.len(),
-    };
-    let msg = MsgHdr {
-        name: std::ptr::null_mut(),
-        namelen: 0,
-        iov: &mut iov,
-        iovlen: 1,
-        control: cmsg.as_mut_ptr() as *mut core::ffi::c_void,
-        controllen: CMSG_LEN_ONE_FD,
-        flags: 0,
-    };
     let n = retry_interrupted(|| {
-        // SAFETY: `msg` points at `iov`, `bytes` and `cmsg`, all alive
-        // for the call, and the kernel only reads them.
-        let n = unsafe { sendmsg(sock.as_raw_fd(), &msg, MSG_NOSIGNAL) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
+        sys::send_msg(
+            sock.as_raw_fd(),
+            &[IoSlice::new(bytes)],
+            &cmsg[..CMSG_LEN_ONE_FD],
+        )
     })?;
     if n == 0 {
         return Err(io::ErrorKind::WriteZero.into());
@@ -161,35 +94,14 @@ fn recvmsg_with_fd(
     // truncated by the kernel (MSG_CTRUNC) and the extra fds closed
     // on its side of the truncation.
     let mut cmsg = [0u8; 4 * CMSG_SPACE_ONE_FD];
-    let mut iov = IoVec {
-        base: buf.as_mut_ptr() as *mut core::ffi::c_void,
-        len: buf.len(),
-    };
-    let mut msg = MsgHdr {
-        name: std::ptr::null_mut(),
-        namelen: 0,
-        iov: &mut iov,
-        iovlen: 1,
-        control: cmsg.as_mut_ptr() as *mut core::ffi::c_void,
-        controllen: cmsg.len(),
-        flags: 0,
-    };
-    let n = retry_interrupted(|| {
-        // SAFETY: `msg` points at `iov`, `buf` and `cmsg`, all alive for
-        // the call, and the kernel writes no more than the lengths it
-        // is given.
-        let n = unsafe { recvmsg(sock.as_raw_fd(), &mut msg, MSG_CMSG_CLOEXEC) };
-        if n < 0 {
-            Err(io::Error::last_os_error())
-        } else {
-            Ok(n as usize)
-        }
+    let (n, controllen) = retry_interrupted(|| {
+        sys::recv_msg(sock.as_raw_fd(), &mut [IoSliceMut::new(buf)], &mut cmsg)
     })?;
     // Walk the control messages we actually received.
     let mut off = 0usize;
-    while off + CMSG_HDR <= msg.controllen {
+    while off + CMSG_HDR <= controllen {
         let clen = u64::from_ne_bytes(cmsg[off..off + 8].try_into().unwrap()) as usize;
-        if clen < CMSG_HDR || off + clen > msg.controllen {
+        if clen < CMSG_HDR || off + clen > controllen {
             break;
         }
         let level = i32::from_ne_bytes(cmsg[off + 8..off + 12].try_into().unwrap());

@@ -105,13 +105,6 @@ impl Fail {
         }
     }
 
-    pub(crate) fn set(&self, e: io::Error) {
-        if !self.closed.load(Ordering::Acquire) {
-            let _ = self.err.set(e);
-        }
-        (self.abort)();
-    }
-
     /// Tear the transport down on success: the half's work is done, so
     /// a link error from here on is this teardown's echo in a stage
     /// still reading, and is not recorded.
@@ -182,27 +175,38 @@ impl Tally {
 
 /// How every pipeline stage runs, fails and reports, on the calling
 /// thread: an `Err` goes into the first-error latch, and the stage's
-/// tally comes back either way. A panic trips the latch too — so the
-/// transport is torn down and the siblings and the peer error out instead
-/// of waiting on a thread that is gone — and then resumes, to surface
-/// where the stage is joined. The body is `FnMut` so what it captures —
-/// queue ends above all — drops only once the latch holds its error: a
-/// sibling that sees the queue close then finds the root cause already
-/// recorded.
+/// tally comes back either way. A panic is its error too — so the
+/// transport is torn down and the siblings and the peer error out
+/// instead of waiting on a thread that is gone — recorded even once the
+/// half has closed, as a panic is never a teardown's echo. The body is
+/// `FnMut` so what it captures — queue ends above all — drops only once
+/// the latch holds its error: a sibling that sees the queue close then
+/// finds the root cause already recorded.
 pub(crate) fn run_stage(fail: &Fail, mut body: impl FnMut(&mut Tally) -> io::Result<()>) -> Tally {
     let mut tally = Tally::default();
-    match panic::catch_unwind(AssertUnwindSafe(|| body(&mut tally))) {
-        Ok(Ok(())) => {}
-        Ok(Err(e)) => fail.set(e),
-        Err(payload) => {
-            fail.set(perr("a pipeline thread panicked"));
-            panic::resume_unwind(payload);
-        }
+    match caught(|| body(&mut tally)) {
+        Ok(Ok(())) => return tally,
+        Ok(Err(_)) if fail.closed.load(Ordering::Acquire) => {}
+        Ok(Err(e)) | Err(e) => drop(fail.err.set(e)),
     }
+    (fail.abort)();
     tally
 }
 
-/// [`run_stage`] on a thread of `scope`.
+/// The one place a live thread's panic is caught — for [`run_stage`], a
+/// daemon session, the ring driver's loop, a ring session's handler and
+/// a WAN delay line: `body`'s value, or its panic as an error that
+/// keeps the payload's message.
+pub(crate) fn caught<T>(body: impl FnOnce() -> T) -> io::Result<T> {
+    panic::catch_unwind(AssertUnwindSafe(body)).map_err(|payload| {
+        let msg = (payload.downcast_ref::<&str>().copied())
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("(no message)");
+        io::Error::other(format!("a pipeline thread panicked: {msg}"))
+    })
+}
+
+/// [`run_stage`] on a thread of `scope`, which it keeps from panicking.
 pub(crate) fn stage<'s>(
     scope: &'s Scope<'s, '_>,
     fail: &'s Fail,
@@ -233,23 +237,24 @@ pub fn run_split_pair(cfg: &LiveConfig, wan: &WanProfile) -> io::Result<(LiveRep
     // transfer time.
     let snk_bufs = BlockPool::new(snk_cfg.pool_blocks, snk_cfg.block_size);
     let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    std::thread::scope(|s| {
-        let sink = s.spawn(|| run_sink_session(&snk_cfg, kt, None, &view, None));
-        let source = run_split_source(&src_cfg, st);
-        let sink = sink.join().expect("sink half panicked");
-        match (source, sink) {
-            (Ok(source), Ok(sink)) => Ok((source, sink)),
-            // When one half dies the other sees its links hang up
-            // (`BrokenPipe`); report the root cause, not its echo.
-            (Err(echo), Err(root))
-                if echo.kind() == io::ErrorKind::BrokenPipe
-                    && root.kind() != io::ErrorKind::BrokenPipe =>
-            {
-                Err(root)
-            }
-            (Err(e), _) | (_, Err(e)) => Err(e),
+    let mut sink = None;
+    let source = std::thread::scope(|s| {
+        s.spawn(|| sink = Some(run_sink_session(&snk_cfg, kt, None, &view, None)));
+        run_split_source(&src_cfg, st)
+    });
+    // A panic in a stage is the sink's error; outside them, the scope's.
+    match (source, sink.expect("the scope joined the sink half")) {
+        (Ok(source), Ok(sink)) => Ok((source, sink)),
+        // When one half dies the other sees its links hang up
+        // (`BrokenPipe`); report the root cause, not its echo.
+        (Err(echo), Err(root))
+            if echo.kind() == io::ErrorKind::BrokenPipe
+                && root.kind() != io::ErrorKind::BrokenPipe =>
+        {
+            Err(root)
         }
-    })
+        (Err(e), _) | (_, Err(e)) => Err(e),
+    }
 }
 
 #[cfg(test)]

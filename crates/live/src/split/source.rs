@@ -238,7 +238,7 @@ pub fn run_split_source(cfg: &LiveConfig, t: SourceTransport) -> io::Result<Live
             control(src, &mut *ctrl_rx, &inbox_tx, &*shutdown_write, t)
         });
         for h in loaders.into_iter().chain([sender, control]) {
-            tally.merge(&h.join().expect("source stage panicked"));
+            tally.merge(&h.join().unwrap_or_default());
         }
     });
 

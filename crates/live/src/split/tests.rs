@@ -311,6 +311,29 @@ fn a_panicking_pipeline_thread_fails_both_halves() {
     assert!(snk.is_err(), "the sink must fail, not block");
 }
 
+/// A stage's panic is its half's error, not a panic at the caller: with
+/// every data link panicking, `run_split_source` returns an `Err` that
+/// names the panic and keeps its message, and the sink fails too.
+#[test]
+fn a_panicking_data_link_is_the_source_error() {
+    let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let data = (0..cfg.channels).map(|_| Box::new(PanicOnSend) as Box<dyn DataTx>);
+    let st = SourceTransport {
+        data: Arc::new(data.collect()),
+        ..st
+    };
+    let (src, snk) = std::thread::scope(|s| {
+        let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
+        (run_split_source(&cfg, st), sink.join().unwrap())
+    });
+    let err = src.expect_err("nothing was delivered");
+    let msg = err.to_string();
+    assert!(msg.contains("panicked"), "{msg}");
+    assert!(msg.contains("a data link panics on purpose"), "{msg}");
+    assert!(snk.is_err(), "the sink must fail, not block");
+}
+
 /// The thread of every send call a source makes, once its
 /// `SessionRequest` is out: data links and the control link alike.
 #[derive(Default)]
@@ -947,8 +970,9 @@ fn sink_errors_when_source_vanishes_mid_transfer() {
 }
 
 /// The stage spawner: the first `Err` trips the latch and a later one
-/// does not replace it; a panic trips the latch and still surfaces at
-/// the join; the tally comes back on the `Ok` and `Err` paths alike.
+/// does not replace it; a panic is the stage's error, naming the panic,
+/// and does not surface at the join; the tally comes back on the `Ok`,
+/// `Err` and panic paths alike.
 #[test]
 fn stage_latches_the_first_error_or_panic_and_returns_its_tally() {
     let (fail, panicked) = (Fail::new(Arc::new(|| {})), Fail::new(Arc::new(|| {})));
@@ -967,8 +991,11 @@ fn stage_latches_the_first_error_or_panic_and_returns_its_tally() {
         stage(s, &fail, |_| Err(io::Error::other("e2")))
             .join()
             .unwrap();
-        let h = stage(s, &panicked, |_| panic!("stage body panics on purpose"));
-        assert!(h.join().is_err(), "the panic surfaces at join");
+        let h = stage(s, &panicked, |t| {
+            t.ctrl = 3;
+            panic!("stage body panics on purpose")
+        });
+        assert_eq!(h.join().unwrap().ctrl, 3, "the tally of a panicked stage");
     });
     assert_eq!(
         fail.into_err().unwrap().to_string(),
@@ -977,7 +1004,7 @@ fn stage_latches_the_first_error_or_panic_and_returns_its_tally() {
     );
     assert_eq!(
         panicked.into_err().unwrap().to_string(),
-        "a pipeline thread panicked"
+        "a pipeline thread panicked: stage body panics on purpose"
     );
 }
 

@@ -24,10 +24,12 @@
 //! begins. An endpoint's slots come from one [`BlockPool`]: a single
 //! demand-paged mapping, so building a pool touches no payload page.
 
+use crate::sys::Mapping;
 use parking_lot::Mutex;
 use rftp_core::wire::PAYLOAD_HEADER_LEN;
 use std::fs::{File, OpenOptions};
 use std::io;
+use std::os::fd::AsRawFd;
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::path::Path;
 
@@ -40,20 +42,6 @@ pub const STORE_ALIGN: usize = 4096;
 const O_DIRECT: i32 = 0o200000;
 #[cfg(not(any(target_arch = "aarch64", target_arch = "arm")))]
 const O_DIRECT: i32 = 0o40000;
-
-/// Advise the kernel we stream this file front to back (best effort —
-/// the transfer is correct either way).
-fn fadvise_sequential(file: &File) {
-    use std::os::unix::io::AsRawFd;
-    extern "C" {
-        fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
-    }
-    const POSIX_FADV_SEQUENTIAL: i32 = 2;
-    // Failure is advisory too.
-    // SAFETY: `posix_fadvise` reads no memory, and `file` keeps its
-    // fd open for the call.
-    unsafe { posix_fadvise(file.as_raw_fd(), 0, 0, POSIX_FADV_SEQUENTIAL) };
-}
 
 /// Try to open `path` with `O_DIRECT` in the given mode; `None` when the
 /// filesystem refuses (the caller falls back to its buffered handle).
@@ -214,112 +202,6 @@ impl std::fmt::Debug for SlotBuf {
     }
 }
 
-/// A read+write mapping, unmapped on drop — the one owner of mapped
-/// memory in this crate: anonymous and private for a [`BlockPool`],
-/// shared over a memfd for an shm session window ([`crate::shm`]),
-/// shared and populated over an io_uring fd for a ring's queues. The
-/// raw pointer is shared across threads (`Send + Sync`): the pool hands
-/// each slot to one owner at a time behind its mutex, the shm window
-/// publishes through per-slot atomics, the ring through the kernel's
-/// head and tail words.
-pub(crate) struct Mapping {
-    base: *mut u8,
-    len: usize,
-}
-
-pub(crate) mod sys {
-    use core::ffi::c_void;
-    extern "C" {
-        pub(crate) fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        pub(crate) fn munmap(addr: *mut c_void, len: usize) -> i32;
-        pub(crate) fn madvise(addr: *mut c_void, len: usize, advice: i32) -> i32;
-    }
-}
-
-// SAFETY: `base`/`len` never change after construction and name memory
-// this value alone unmaps; what is stored *in* the mapping is
-// synchronised by its users (see the type's doc).
-unsafe impl Send for Mapping {}
-// SAFETY: as for `Send`; `&Mapping` hands out addresses, never access.
-unsafe impl Sync for Mapping {}
-
-impl Mapping {
-    const MAP_SHARED: i32 = 0x01;
-
-    /// Map `len` bytes read+write: of `fd` from offset 0, shared, or —
-    /// with no fd — fresh anonymous private memory, which the kernel
-    /// zero-fills a page at a time on first touch.
-    pub(crate) fn map(len: usize, fd: Option<std::os::fd::RawFd>) -> io::Result<Mapping> {
-        const MAP_PRIVATE_ANONYMOUS: i32 = 0x02 | 0x20;
-        match fd {
-            Some(fd) => Mapping::mmap(len, Self::MAP_SHARED, fd, 0),
-            None => Mapping::mmap(len, MAP_PRIVATE_ANONYMOUS, -1, 0),
-        }
-    }
-
-    /// Map `len` bytes of a kernel object's `fd` (an io_uring's queues)
-    /// at `offset`, shared, every page populated up front.
-    pub(crate) fn map_kernel(
-        fd: std::os::fd::RawFd,
-        len: usize,
-        offset: i64,
-    ) -> io::Result<Mapping> {
-        const MAP_POPULATE: i32 = 0x8000;
-        Mapping::mmap(len, Self::MAP_SHARED | MAP_POPULATE, fd, offset)
-    }
-
-    /// A failed map is a typed error, never a raw `MAP_FAILED` pointer
-    /// escaping.
-    fn mmap(len: usize, flags: i32, fd: i32, offset: i64) -> io::Result<Mapping> {
-        const PROT_READ_WRITE: i32 = 1 | 2;
-        // SAFETY: a null hint lets the kernel choose the address, so no
-        // existing mapping is replaced; the result is checked below.
-        let p = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ_WRITE,
-                flags,
-                fd,
-                offset,
-            )
-        };
-        if p as isize == -1 || p.is_null() {
-            let e = io::Error::last_os_error();
-            return Err(io::Error::new(
-                e.kind(),
-                format!("mmap of {len} bytes failed: {e}"),
-            ));
-        }
-        Ok(Mapping {
-            base: p as *mut u8,
-            len,
-        })
-    }
-
-    pub(crate) fn base(&self) -> *mut u8 {
-        self.base
-    }
-
-    /// The address `off` bytes into the mapping, which must lie inside
-    /// it.
-    pub(crate) fn at(&self, off: usize) -> *mut u8 {
-        assert!(
-            off < self.len,
-            "offset {off} outside a {}-byte mapping",
-            self.len
-        );
-        self.base.wrapping_add(off)
-    }
-}
-
 /// The `Mutex<SlotBuf>` views of the first `n` slots for `block_size`
 /// payload bytes laid over `map`, slot `i` at `i × SlotBuf::stride`:
 /// page-aligned, disjoint, and backed by `map` alone.
@@ -329,7 +211,7 @@ impl Mapping {
 /// `map` must stay mapped while any returned view is used.
 pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> Vec<Mutex<SlotBuf>> {
     let stride = SlotBuf::stride(block_size);
-    assert!(n.checked_mul(stride).is_some_and(|len| len <= map.len));
+    assert!(n.checked_mul(stride).is_some_and(|len| len <= map.len()));
     (0..n)
         // SAFETY: slot `i` is bytes `i·stride .. (i+1)·stride` of `map`
         // (asserted above) — disjoint from every other view, page-aligned
@@ -337,15 +219,6 @@ pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> V
         // `map` mapped while the views are used.
         .map(|i| Mutex::new(unsafe { SlotBuf::external(map.at(i * stride), block_size) }))
         .collect()
-}
-
-impl Drop for Mapping {
-    fn drop(&mut self) {
-        // SAFETY: `base..base+len` is exactly what `map` mapped, and no
-        // view of it outlives `self` (a `BlockPool` drops its slots
-        // first; the shm windows keep their mapping beside their views).
-        unsafe { sys::munmap(self.base as *mut core::ffi::c_void, self.len) };
-    }
 }
 
 /// One endpoint's block pool — the source's pinned blocks, a sink's
@@ -390,14 +263,10 @@ impl BlockPool {
     /// read (a re-send queued behind its block's ack) sees zeros, and
     /// the sink discards that frame unread as a duplicate.
     pub(crate) fn release(&self, i: usize) {
-        const MADV_DONTNEED: i32 = 4;
-        let slot = self.slots[i].lock();
-        let (base, len) = slot.registration_parts();
-        // SAFETY: the slot's span is a page-aligned stride inside the
-        // pool's private anonymous mapping (see `new`). `MADV_DONTNEED`
-        // swaps its pages for zero-fill-on-demand ones and unmaps
-        // nothing, so every view into the slot stays valid.
-        unsafe { sys::madvise(base.cast(), len, MADV_DONTNEED) };
+        let mut slot = self.slots[i].lock();
+        // The whole slot, dead space included. Best effort: a slot that
+        // keeps its pages only costs memory.
+        let _ = crate::sys::discard(slot.framed_mut(STORE_ALIGN - PAYLOAD_HEADER_LEN));
     }
 }
 
@@ -484,7 +353,9 @@ impl FileSource {
             None
         };
         if direct.is_none() {
-            fadvise_sequential(&buffered);
+            // Stream front to back: kernel read-ahead then works with the
+            // loaders' own. Advice only, so a refusal changes nothing.
+            let _ = crate::sys::fadvise_sequential(buffered.as_raw_fd());
         }
         Ok(FileSource {
             buffered,
@@ -619,9 +490,9 @@ mod tests {
         extern "C" {
             fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
         }
-        let mut pages = vec![0u8; map.len.div_ceil(STORE_ALIGN)];
+        let mut pages = vec![0u8; map.len().div_ceil(STORE_ALIGN)];
         // SAFETY: `pages` holds one byte per page of the live mapping.
-        let rc = unsafe { mincore(map.base as *mut _, map.len, pages.as_mut_ptr()) };
+        let rc = unsafe { mincore(map.base().cast(), map.len(), pages.as_mut_ptr()) };
         assert_eq!(rc, 0, "mincore: {}", io::Error::last_os_error());
         pages.iter().filter(|&&p| p & 1 == 1).count() * STORE_ALIGN
     }
@@ -680,7 +551,7 @@ mod tests {
         for bs in [512usize, 4096, 65536 + 1000] {
             let pool = BlockPool::new(5, bs);
             let stride = SlotBuf::stride(bs);
-            assert_eq!(pool._map.len, 5 * stride);
+            assert_eq!(pool._map.len(), 5 * stride);
             for (i, slot) in pool.iter().enumerate() {
                 let slot = slot.lock();
                 assert!(!slot.owned, "slot {i} would free mapped memory");

@@ -44,18 +44,17 @@
 //! [`crate::split`]'s `SinkFront`, the same one the TCP receivers
 //! call.
 //!
-//! Everything is raw syscalls (`io_uring_setup`/`enter`/`register` are
-//! 425/426/427 on every Linux architecture) over `extern "C"` shims —
-//! the workspace links no FFI crate, matching the raw `setsockopt` in
-//! [`crate::net`]. [`uring_supported`] probes the running kernel; on a
-//! kernel without io_uring every entry point reports `Unsupported` and
-//! callers fall back to the TCP backend.
+//! Everything is raw syscalls (`io_uring_setup`/`enter`/`register`,
+//! wrapped by the crate's `sys` module) — the workspace links no FFI
+//! crate. [`uring_supported`] probes the running kernel; on a kernel
+//! without io_uring every entry point reports `Unsupported` and callers
+//! fall back to the TCP backend.
 
+pub(crate) mod abi;
 mod driver;
 mod ring;
 mod sink;
 mod source;
-mod sys;
 
 pub(crate) use sink::{run_shared_uring_session, spawn_shared_uring_driver, UringHub};
 pub use {

@@ -1,12 +1,6 @@
-//! The raw io_uring ABI (uapi/linux/io_uring.h): syscall numbers,
-//! flag and opcode constants, the `repr(C)` structs the kernel shares,
-//! and the `syscall` shim.
-
-use core::ffi::c_long;
-
-pub(super) const SYS_IO_URING_SETUP: i64 = 425;
-pub(super) const SYS_IO_URING_ENTER: i64 = 426;
-pub(super) const SYS_IO_URING_REGISTER: i64 = 427;
+//! The raw io_uring ABI (uapi/linux/io_uring.h): flag and opcode
+//! constants and the `repr(C)` structs the kernel shares. The calls
+//! themselves are [`crate::sys`]'s.
 
 pub(super) const IORING_OFF_SQ_RING: i64 = 0;
 pub(super) const IORING_OFF_CQ_RING: i64 = 0x800_0000;
@@ -71,7 +65,7 @@ pub(super) struct CqringOffsets {
 
 #[repr(C)]
 #[derive(Clone, Copy, Default)]
-pub(super) struct IoUringParams {
+pub(crate) struct IoUringParams {
     pub(super) sq_entries: u32,
     pub(super) cq_entries: u32,
     pub(super) flags: u32,
@@ -121,7 +115,7 @@ pub(super) struct IoVec {
 
 /// `IORING_ENTER_EXT_ARG` payload: a timed `GETEVENTS` wait.
 #[repr(C)]
-pub(super) struct GeteventsArg {
+pub(crate) struct GeteventsArg {
     pub(super) sigmask: u64,
     pub(super) sigmask_sz: u32,
     pub(super) pad: u32,
@@ -132,10 +126,6 @@ pub(super) struct GeteventsArg {
 pub(super) struct Timespec {
     pub(super) tv_sec: i64,
     pub(super) tv_nsec: i64,
-}
-
-extern "C" {
-    pub(super) fn syscall(num: c_long, ...) -> c_long;
 }
 
 #[cfg(test)]

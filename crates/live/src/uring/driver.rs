@@ -13,8 +13,8 @@
 //! its `READ_FIXED` completes — the kernel just wrote it on this core —
 //! so the session's handler never reads a payload byte.
 
+use super::abi::*;
 use super::ring::{Ring, RING_ENTRIES};
-use super::sys::*;
 use crate::net::shutdown_all;
 use crate::split::{perr, SinkEvt, SinkFront, Tally};
 use crate::store::SlotBuf;

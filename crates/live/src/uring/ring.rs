@@ -1,13 +1,14 @@
 //! One ring: [`Ring`] (setup, submit, wait, reap, fixed-buffer
 //! registration) and the once-per-process capability probe.
 
+use super::abi::*;
 use super::source::OWNED_BUF;
-use super::sys::{self, *};
 use crate::split::perr;
-use crate::store::{Mapping, SlotBuf};
+use crate::store::SlotBuf;
+use crate::sys::{self, Mapping, SYS_IO_URING_ENTER, SYS_IO_URING_REGISTER};
 use parking_lot::Mutex;
 use std::io;
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+use std::os::fd::{AsRawFd, OwnedFd};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -60,19 +61,7 @@ impl Ring {
             flags: setup_flags,
             ..Default::default()
         };
-        // SAFETY: `p` is a live `io_uring_params`, which the kernel fills.
-        let r = unsafe {
-            sys::syscall(
-                SYS_IO_URING_SETUP as core::ffi::c_long,
-                entries as usize,
-                &mut p as *mut IoUringParams,
-            )
-        };
-        if r < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        // SAFETY: the kernel just returned this fd, and nothing else owns it.
-        let fd = unsafe { OwnedFd::from_raw_fd(r as i32) };
+        let fd = sys::io_uring_setup(entries, &mut p)?;
         let raw = fd.as_raw_fd();
 
         let sq_len = p.sq_off.array as usize + p.sq_entries as usize * 4;
@@ -129,51 +118,29 @@ impl Ring {
         to_submit: u32,
         min_complete: u32,
         flags: u32,
-        arg: *const core::ffi::c_void,
-        argsz: usize,
+        wait: Option<&GeteventsArg>,
     ) -> io::Result<u32> {
         self.enters.fetch_add(1, Ordering::Relaxed);
-        loop {
+        let (arg, argsz) = match wait {
+            Some(a) => (std::ptr::from_ref(a), std::mem::size_of::<GeteventsArg>()),
+            None => (std::ptr::null(), 0),
+        };
+        let fd = self.fd.as_raw_fd() as usize;
+        let [sub, min, flags] = [to_submit, min_complete, flags].map(|v| v as usize);
+        crate::net::retry_interrupted(|| {
             // SAFETY: the ring's SQEs point only at memory their owners
-            // keep alive until completion, and `arg`, when set, at a live
-            // `argsz`-byte wait argument.
-            let r = unsafe {
-                sys::syscall(
-                    SYS_IO_URING_ENTER as core::ffi::c_long,
-                    self.fd.as_raw_fd() as usize,
-                    to_submit as usize,
-                    min_complete as usize,
-                    flags as usize,
-                    arg,
-                    argsz,
-                )
-            };
-            if r >= 0 {
-                return Ok(r as u32);
-            }
-            let e = io::Error::last_os_error();
-            if e.kind() != io::ErrorKind::Interrupted {
-                return Err(e);
-            }
-        }
+            // keep alive until completion, and `arg` is null or a live
+            // wait argument whose `ts` names a live `Timespec`.
+            let r = unsafe { sys::syscall(SYS_IO_URING_ENTER, fd, sub, min, flags, arg, argsz) };
+            sys::cvt(r).map(|n| n as u32)
+        })
     }
 
     fn register(&self, opcode: u32, arg: *const core::ffi::c_void, nr: u32) -> io::Result<()> {
+        let (fd, op, nr) = (self.fd.as_raw_fd() as usize, opcode as usize, nr as usize);
         // SAFETY: callers pass `arg` pointing at `nr` live entries of the
         // type `opcode` takes.
-        let r = unsafe {
-            sys::syscall(
-                SYS_IO_URING_REGISTER as core::ffi::c_long,
-                self.fd.as_raw_fd() as usize,
-                opcode as usize,
-                arg,
-                nr as usize,
-            )
-        };
-        if r < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        sys::cvt(unsafe { sys::syscall(SYS_IO_URING_REGISTER, fd, op, arg, nr) }).map(drop)
     }
 
     /// Queue one SQE without telling the kernel (callers batch a
@@ -202,7 +169,7 @@ impl Ring {
     pub(super) fn submit(&self, queued: u32) -> io::Result<()> {
         let mut left = queued;
         while left > 0 {
-            left -= self.enter(left, 0, 0, std::ptr::null(), 0)?;
+            left -= self.enter(left, 0, 0, None)?;
         }
         Ok(())
     }
@@ -225,7 +192,7 @@ impl Ring {
         }
         match timeout {
             None => {
-                self.enter(0, 1, IORING_ENTER_GETEVENTS, std::ptr::null(), 0)?;
+                self.enter(0, 1, IORING_ENTER_GETEVENTS, None)?;
                 Ok(true)
             }
             Some(w) => {
@@ -239,13 +206,8 @@ impl Ring {
                     pad: 0,
                     ts: &ts as *const Timespec as u64,
                 };
-                let r = self.enter(
-                    0,
-                    1,
-                    IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG,
-                    &arg as *const GeteventsArg as *const core::ffi::c_void,
-                    std::mem::size_of::<GeteventsArg>(),
-                );
+                let flags = IORING_ENTER_GETEVENTS | IORING_ENTER_EXT_ARG;
+                let r = self.enter(0, 1, flags, Some(&arg));
                 match r {
                     Ok(_) => Ok(true),
                     Err(e) if e.raw_os_error() == Some(ETIME) => Ok(false),
@@ -271,7 +233,7 @@ impl Ring {
             if left == 0 && flags == 0 {
                 return Ok(());
             }
-            left -= self.enter(left, 1, flags, std::ptr::null(), 0)?;
+            left -= self.enter(left, 1, flags, None)?;
             if left == 0 {
                 return Ok(());
             }

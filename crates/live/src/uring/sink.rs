@@ -5,15 +5,14 @@
 
 use super::driver::{MultiDriver, Sess, SessionStats, WakeLink};
 use super::ring::{probe, transfer_ring};
-use crate::net::{read_admissible_request, shutdown_all, NetCtrlTx, NetListener, SessionStreams};
+use crate::net::{read_admissible_request, NetCtrlTx, NetListener, SessionStreams};
 use crate::pipeline::{LiveConfig, LiveReport};
-use crate::split::{perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS};
+use crate::split::{caught, perr, FairShare, SinkEvt, SinkSession, Tally, SINK_EVENTS};
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::UringStats;
 use parking_lot::Mutex;
 use rftp_core::wire::CtrlMsg;
 use std::io;
-use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -55,14 +54,15 @@ pub fn run_uring_sink(
     std::thread::scope(|scope| {
         // Pinning the pool is set-up, like allocating it: the driver
         // registers it before the session's clock starts.
-        let (hub, driver) = spawn_shared_uring_driver(scope, &pool)?;
-        let run =
-            run_shared_uring_session(cfg, session.streams, first_ctrl, &view, &lease, &hub, None);
+        let (hub, _driver) = spawn_shared_uring_driver(scope, &pool)?;
+        let run = caught(|| {
+            run_shared_uring_session(cfg, session.streams, first_ctrl, &view, &lease, &hub, None)
+        });
+        // The session's panic is its error, so the driver is always
+        // stopped, and the scope joins it. A driver-side error, a panic
+        // in its loop too, reached the session through its stats.
         hub.stop();
-        let joined = driver.join();
-        let report = run?;
-        joined.map_err(|_| perr("shared uring driver panicked"))?;
-        Ok(report)
+        run?
     })
 }
 
@@ -101,18 +101,36 @@ impl UringHub {
     }
 }
 
-/// A session's place on the driver. Dropping it sends the detach — on
-/// the normal way out, and while a panic unwinds the handler — so the
-/// driver never keeps a session that no thread will collect (and a
-/// sink waiting for its driver to stop never hangs on one).
-struct Registered<'h> {
-    hub: &'h UringHub,
+/// A session's place on the driver, given up by the detach handshake:
+/// send the detach — the driver cuts the session's sockets, its final
+/// acks riding out ahead of the FIN — and wait for the driver to drain
+/// the session's ops and hand back its [`SessionStats`]. Until then the
+/// ring may still `READ_FIXED` into the session's slots, so no lease may
+/// come back before it; a drop — an early return, a panic — runs it too.
+struct Registered<'s> {
+    hub: &'s UringHub,
     sid: u32,
+    stats: &'s std::sync::mpsc::Receiver<SessionStats>,
+    detached: bool,
+}
+
+impl Registered<'_> {
+    fn detach(&mut self) -> SessionStats {
+        self.detached = true;
+        let _ = self.hub.send(HubMsg::Detach(self.sid));
+        self.stats.recv().unwrap_or_else(|_| SessionStats {
+            tally: Tally::default(),
+            err: Some(perr("uring driver exited before detach")),
+            ring: UringStats::default(),
+        })
+    }
 }
 
 impl Drop for Registered<'_> {
     fn drop(&mut self) {
-        let _ = self.hub.send(HubMsg::Detach(self.sid));
+        if !self.detached {
+            self.detach();
+        }
     }
 }
 
@@ -143,7 +161,7 @@ fn driver_main(
         buf: Box::new([0u8; 64]),
     };
     let mut drv = MultiDriver::new(&ring, &view, wake);
-    let run = (|| -> io::Result<()> {
+    let run = caught(|| -> io::Result<()> {
         drv.arm_wake()?;
         drv.submit_queued()?;
         let mut stop = false;
@@ -166,12 +184,12 @@ fn driver_main(
             }
             drv.tick()?;
         }
-    })();
-    if let Err(e) = run {
+    });
+    if let Err(e) = run.and_then(|r| r) {
         drv.fail_all(e);
     }
     // Drain every kernel op targeting the arena or the wake buffer
-    // before either can be freed, then
+    // before either can be freed — after a panic in the loop too — then
     // complete outstanding detach handshakes.
     drv.quiesce();
     drv.finalize_sessions();
@@ -241,52 +259,35 @@ pub(crate) fn run_shared_uring_session(
     assert_eq!(lease.len(), snk_bufs.len(), "lease covers the pool");
     let SessionStreams { ctrl, data, .. } = streams;
 
-    // The driver gets its own socket clones (it cuts them on a
-    // driver-side failure); this thread keeps the originals for the
-    // handler's control writes and its own teardown.
-    let drv_data = data
-        .iter()
-        .map(TcpStream::try_clone)
-        .collect::<io::Result<Vec<_>>>()?;
+    // The driver owns the session's sockets: it cuts them at detach or
+    // on a driver-side failure. This thread keeps a control clone for
+    // the handler's writes.
     let ctrl_tx = NetCtrlTx(Mutex::new(ctrl.try_clone()?));
     let (evt_tx, evt_rx) = crossbeam::channel::bounded::<SinkEvt>(SINK_EVENTS);
     let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel::<SessionStats>(1);
-    let entry = Sess::new(
-        sess.front.clone(),
-        lease.to_vec(),
-        ctrl.try_clone()?,
-        drv_data,
-        (evt_tx, stats_tx),
-    );
+    let mailbox = (evt_tx, stats_tx);
+    let entry = Sess::new(sess.front.clone(), lease.to_vec(), ctrl, data, mailbox);
     let sid = hub.next_sid.fetch_add(1, Ordering::Relaxed);
 
     let mut h = sess.handler(&ctrl_tx, fair);
     // Register before answering the hello: the opening grants go
     // out only after the driver can be armed, so no data races the
     // first receive.
-    let registered = Registered { hub, sid };
+    let mut registered = Registered {
+        hub,
+        sid,
+        stats: &stats_rx,
+        detached: false,
+    };
     let run = hub
         .send(HubMsg::Register(sid, Box::new(entry)))
-        .and_then(|()| h.run(first_ctrl, &evt_rx));
+        .and_then(|()| caught(|| h.run(first_ctrl, &evt_rx))?);
     let mut synced = Tally::default();
     let durable = run.as_ref().map_or(Ok(()), |()| sess.sync(&mut synced));
     // The handler is done, so the sockets go down now rather than when
     // the source hangs up; a late duplicate still on a data link is not
     // read.
-    //
-    // Detach handshake: cut our socket halves (the final acks are
-    // already flushed and ride out ahead of the FIN), then wait for
-    // the driver to drain its in-flight ops and hand back the
-    // session's stats. Only after that may the caller release the
-    // arena lease — no kernel op can target the leased slots.
-    let _ = ctrl.shutdown(Shutdown::Both);
-    shutdown_all(&data, Shutdown::Both);
-    drop(registered);
-    let stats = stats_rx.recv().unwrap_or_else(|_| SessionStats {
-        tally: Tally::default(),
-        err: Some(perr("uring driver exited before detach")),
-        ring: UringStats::default(),
-    });
+    let stats = registered.detach();
     if let Err(e) = run {
         // The driver-side error is the root cause when both halves
         // failed (a closed mailbox surfaces here only as "pipeline
@@ -305,6 +306,7 @@ pub(crate) fn run_shared_uring_session(
 mod tests {
     use super::super::{connect_source_uring, uring_supported};
     use super::*;
+    use std::net::TcpStream;
     use std::time::Duration;
 
     /// The capability probe must never panic, whatever the kernel.
@@ -370,13 +372,18 @@ mod tests {
         let data = socks.split_off(1);
         let ctrl = socks.pop().unwrap();
         let (evt_tx, _evt_rx) = crossbeam::channel::bounded(SINK_EVENTS);
-        let (stats_tx, _stats_rx) = std::sync::mpsc::sync_channel(1);
+        let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel(1);
         let front = Arc::new(crate::split::SinkFront::open(&cfg).unwrap());
         let entry = Sess::new(front, vec![0, 1], ctrl, data, (evt_tx, stats_tx));
         std::thread::scope(|scope| {
             let (hub, driver) = spawn_shared_uring_driver(scope, &pool).unwrap();
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let _registered = Registered { hub: &hub, sid: 0 };
+                let _registered = Registered {
+                    hub: &hub,
+                    sid: 0,
+                    stats: &stats_rx,
+                    detached: false,
+                };
                 hub.send(HubMsg::Register(0, Box::new(entry))).unwrap();
                 panic!("a handler bug");
             }));
@@ -392,6 +399,58 @@ mod tests {
                 let _ = hub.send(HubMsg::Detach(0));
             }
             assert!(exited, "the driver kept a session whose handler panicked");
+            driver.join().unwrap();
+        });
+    }
+
+    /// Unwinding through a session's `Registered` runs the whole detach
+    /// handshake: the unwind ends only once the driver has sent the
+    /// session's stats — its ops on the session's slots drained — so a
+    /// lease given back after it is one the ring no longer targets.
+    #[test]
+    fn unwinding_a_session_waits_for_its_stats() {
+        if !uring_supported() {
+            eprintln!("skipping: io_uring not supported by this kernel");
+            return;
+        }
+        let mut cfg = LiveConfig::new(4096, 1, 8192);
+        cfg.pool_blocks = 2;
+        let pool = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut peer = Vec::new();
+        let mut socks = Vec::new();
+        for _ in 0..2 {
+            peer.push(TcpStream::connect(addr).unwrap());
+            socks.push(listener.accept().unwrap().0);
+        }
+        let data = socks.split_off(1);
+        let ctrl = socks.pop().unwrap();
+        let (evt_tx, _evt_rx) = crossbeam::channel::bounded(SINK_EVENTS);
+        let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel(1);
+        let front = Arc::new(crate::split::SinkFront::open(&cfg).unwrap());
+        let entry = Sess::new(front, vec![0, 1], ctrl, data, (evt_tx, stats_tx));
+        std::thread::scope(|scope| {
+            let (hub, driver) = spawn_shared_uring_driver(scope, &pool).unwrap();
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _registered = Registered {
+                    hub: &hub,
+                    sid: 0,
+                    stats: &stats_rx,
+                    detached: false,
+                };
+                hub.send(HubMsg::Register(0, Box::new(entry))).unwrap();
+                panic!("a handler bug");
+            }));
+            assert!(unwound.is_err());
+            // The handshake took the stats before the unwind ended, so
+            // none is left to arrive; the driver then dropped the session.
+            let late = stats_rx.recv_timeout(Duration::from_millis(500));
+            assert!(
+                matches!(late, Err(std::sync::mpsc::RecvTimeoutError::Disconnected)),
+                "the unwind ended before the driver sent the session's stats"
+            );
+            hub.stop();
             driver.join().unwrap();
         });
     }

@@ -1,8 +1,8 @@
 //! Source half: every data link's writes through one ring, one reaper
 //! thread.
 
+use super::abi::*;
 use super::ring::{probe, transfer_ring, Ring, RING_ENTRIES};
-use super::sys::*;
 use crate::net::{connect_streams, shutdown_all, NetCtrlRx, NetCtrlTx, SessionStreams};
 use crate::store::SlotBuf;
 use crate::transport::{BufPool, DataTx, SourceTransport};
