@@ -172,6 +172,7 @@ impl SnkState {
 mod tests {
     use super::*;
 
+    // spec: [P2-source-fsm] [P4.2-load]
     #[test]
     fn source_happy_path() {
         let s = SrcState::Free;
@@ -184,6 +185,7 @@ mod tests {
         assert_eq!(s.complete().unwrap(), SrcState::Free);
     }
 
+    // spec: [P2-source-fsm]
     #[test]
     fn source_resend_path() {
         // Waiting --poll failure--> Loaded --> send again.
@@ -193,6 +195,7 @@ mod tests {
         assert!(s.start_sending().is_ok());
     }
 
+    // spec: [P2-source-fsm]
     #[test]
     fn source_illegal_transitions_error() {
         assert!(SrcState::Free.loaded().is_err());
@@ -205,6 +208,7 @@ mod tests {
         assert_eq!(e.actual, "Waiting");
     }
 
+    // spec: [P2-sink-fsm]
     #[test]
     fn sink_happy_path() {
         let s = SnkState::Free;
@@ -213,6 +217,7 @@ mod tests {
         assert_eq!(s.put_free().unwrap(), SnkState::Free);
     }
 
+    // spec: [P2-sink-fsm]
     #[test]
     fn sink_illegal_transitions_error() {
         assert!(SnkState::Free.ready().is_err());
@@ -224,6 +229,7 @@ mod tests {
 
     /// Exhaustive: from every state exactly one transition is legal on the
     /// sink (plus the resend alternative at the source's Waiting).
+    // spec: [P2-source-fsm] [P2-sink-fsm]
     #[test]
     fn exhaustive_legality() {
         use SrcState::*;

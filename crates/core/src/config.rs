@@ -264,6 +264,7 @@ mod tests {
         assert_eq!(c.notify, NotifyMode::CtrlMsg);
     }
 
+    // spec: [P4.1-initial-credits]
     #[test]
     fn sink_defaults_match_paper_policy() {
         let s = SinkConfig::default();

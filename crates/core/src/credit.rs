@@ -205,6 +205,7 @@ mod tests {
         }
     }
 
+    // spec: [P8-credits-conserved]
     #[test]
     fn stock_fifo_and_counters() {
         let mut s = CreditStock::new();
@@ -218,6 +219,7 @@ mod tests {
         assert_eq!(s.max_stock, 2);
     }
 
+    // spec: [P4.2-one-mr-request]
     #[test]
     fn request_debounces() {
         let mut s = CreditStock::new();
@@ -232,6 +234,7 @@ mod tests {
 
     /// Resume discards stale-session credits: a cleared stock accepts
     /// re-grants of the very same slots without double-counting state.
+    // spec: [P4.2-one-mr-request]
     #[test]
     fn clear_discards_stale_credits_and_request() {
         let mut s = CreditStock::new();
@@ -255,6 +258,7 @@ mod tests {
         assert_eq!(s.take().unwrap().slot, 1);
     }
 
+    // spec: [P4.1-initial-credits] [P4.2-grant-per-completion]
     #[test]
     fn proactive_granter_follows_paper_policy() {
         let mut g = Granter::paper_default();
@@ -272,6 +276,7 @@ mod tests {
         assert_eq!(g.on_request(10), 8);
     }
 
+    // spec: [P4.2-answer-starved]
     #[test]
     fn starved_request_is_remembered() {
         let mut g = Granter::paper_default();
@@ -284,6 +289,7 @@ mod tests {
         assert_eq!(g.on_block_freed(), 0);
     }
 
+    // spec: [P4.2-grant-per-completion]
     #[test]
     fn request_grant_capped_by_free() {
         let mut g = Granter::paper_default();
@@ -292,6 +298,7 @@ mod tests {
 
     /// The exponential ramp: granting 2 per completed 1 doubles the
     /// source's working set each round until the sink pool caps it.
+    // spec: [P4.2-grant-per-completion]
     #[test]
     fn grant_policy_yields_exponential_ramp() {
         let mut g = Granter::paper_default();

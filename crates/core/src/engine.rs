@@ -1963,6 +1963,7 @@ impl Application for SinkEngine {
 mod tests {
     use super::*;
 
+    // spec: [P4.2-write-imm]
     #[test]
     fn imm_packing_roundtrip() {
         for (slot, seq) in [(0u32, 0u32), (5, 1), (65535, 70000), (3, u32::MAX - 1)] {
@@ -1976,6 +1977,7 @@ mod tests {
         }
     }
 
+    // spec: [P4.2-write-imm]
     #[test]
     #[should_panic(expected = "2^16 sink slots")]
     fn imm_slot_overflow_panics() {

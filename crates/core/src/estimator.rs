@@ -219,6 +219,7 @@ mod tests {
         Duration::from_millis(n)
     }
 
+    // spec: [P6-rto]
     #[test]
     fn first_sample_initializes_per_rfc6298() {
         let mut e = RttEstimator::new();
@@ -230,6 +231,7 @@ mod tests {
         assert_eq!(e.rto().unwrap(), ms(196));
     }
 
+    // spec: [P6-rto]
     #[test]
     fn steady_samples_converge_and_tighten_variance() {
         let mut e = RttEstimator::new();
@@ -305,6 +307,7 @@ mod tests {
         assert_eq!(e.loss_events(), 8);
     }
 
+    // spec: [P6-rto]
     #[test]
     fn retransmitted_blocks_do_not_feed_samples() {
         // Karn's rule lives at the call site (attempts == 1); here we
@@ -314,6 +317,7 @@ mod tests {
         assert!(!e.has_sample() && e.rto().is_none());
     }
 
+    // spec: [P6-rto]
     #[test]
     fn rto_never_falls_below_four_min_rtts_under_queue_inflated_samples() {
         // A 49 ms path whose window builds a queue: samples climb to
@@ -330,6 +334,7 @@ mod tests {
         assert_eq!(e.rto().unwrap(), ms(196), "the band is below the floor");
     }
 
+    // spec: [P6-rto]
     #[test]
     fn rto_has_a_floor() {
         let mut e = RttEstimator::new();

@@ -167,6 +167,7 @@ mod tests {
         assert!(!d.is_lost(1, other));
     }
 
+    // spec: [P6-fast]
     #[test]
     fn a_hole_is_flagged_by_the_third_later_ack() {
         let d = LossDetector::new(1);
@@ -183,6 +184,7 @@ mod tests {
         assert_eq!(lost(&d, &ords[5..]), Vec::<u64>::new());
     }
 
+    // spec: [P6-fast]
     #[test]
     fn adjacent_swaps_flag_nothing() {
         // The shim's `reorder=1.0`: every frame swaps with its successor,
@@ -199,6 +201,7 @@ mod tests {
         }
     }
 
+    // spec: [P6-fast]
     #[test]
     fn a_late_ack_does_not_move_the_mark() {
         let d = LossDetector::new(1);
@@ -209,6 +212,7 @@ mod tests {
         assert!(d.on_ack(0, ords[3], true, 0));
     }
 
+    // spec: [P6-one-sender-ordinals]
     #[test]
     fn a_resend_takes_a_fresh_ordinal_and_is_judged_afresh() {
         let d = LossDetector::new(1);
@@ -232,6 +236,7 @@ mod tests {
         assert!(d.is_lost(0, fresh));
     }
 
+    // spec: [P6-fast]
     #[test]
     fn acks_of_retransmitted_blocks_never_advance_the_mark() {
         let d = LossDetector::new(1);
@@ -258,6 +263,7 @@ mod tests {
         }
     }
 
+    // spec: [P6-timer]
     #[test]
     fn a_queued_attempt_on_a_channel_that_is_still_acking_is_not_due() {
         // Eight jobs' windows queue far past the RTO: the block at the
@@ -273,6 +279,7 @@ mod tests {
         }
     }
 
+    // spec: [P6-timer]
     #[test]
     fn a_silent_channel_makes_an_old_attempt_due() {
         let d = LossDetector::new(2);
@@ -290,6 +297,7 @@ mod tests {
         assert_eq!(d.verdict(&b, RTO, RTO + 5), Verdict::Timer);
     }
 
+    // spec: [P6-timer]
     #[test]
     fn backoff_doubles_up_to_64x() {
         let d = LossDetector::new(1);
@@ -305,6 +313,7 @@ mod tests {
         assert_eq!(RTO << 6, 64 * RTO);
     }
 
+    // spec: [P6-budget]
     #[test]
     fn the_budget_gives_up() {
         let d = LossDetector::new(1);

@@ -470,6 +470,7 @@ mod tests {
         PoolGeometry::new(128 * 1024, 8)
     }
 
+    // spec: [P2-slot-layout]
     #[test]
     fn geometry_math() {
         let g = geo();
@@ -479,6 +480,7 @@ mod tests {
         assert_eq!(g.offset(3), 3 * g.slot_bytes());
     }
 
+    // spec: [P2-slot-layout]
     #[test]
     #[should_panic]
     fn geometry_offset_bounds() {
@@ -575,6 +577,7 @@ mod tests {
         p.check_invariants();
     }
 
+    // spec: [P2-sink-fsm]
     #[test]
     fn sink_pool_rejects_double_ready() {
         let p = AtomicSinkPool::new(geo());

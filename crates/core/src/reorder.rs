@@ -129,6 +129,7 @@ impl<T> ReorderBuffer<T> {
 mod tests {
     use super::*;
 
+    // spec: [P4.2-stream-in-order]
     #[test]
     fn in_order_passthrough() {
         let mut r = ReorderBuffer::new();
@@ -140,6 +141,7 @@ mod tests {
         assert_eq!(r.ooo_arrivals, 0);
     }
 
+    // spec: [P4.2-stream-in-order]
     #[test]
     fn gap_holds_then_flushes() {
         let mut r = ReorderBuffer::new();
@@ -153,6 +155,7 @@ mod tests {
         assert_eq!(r.ooo_arrivals, 2);
     }
 
+    // spec: [P4.2-stream-in-order]
     #[test]
     fn interleaved_gaps() {
         let mut r = ReorderBuffer::new();
@@ -179,6 +182,7 @@ mod tests {
         r.push(0, ());
     }
 
+    // spec: [P6-duplicate-block]
     #[test]
     fn offer_rejects_duplicates_without_double_delivery() {
         let mut r = ReorderBuffer::new();

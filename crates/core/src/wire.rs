@@ -689,6 +689,7 @@ mod tests {
         assert_eq!(back, msg);
     }
 
+    // spec: [P3-ctrl-types] [P8-wire-roundtrip]
     #[test]
     fn all_variants_roundtrip() {
         roundtrip(CtrlMsg::SessionRequest {
@@ -776,6 +777,151 @@ mod tests {
     /// Batches shorter than the maximum — the partial final batch a
     /// coalescing sender flushes at a drain boundary or end of transfer —
     /// must round-trip at every size from 1 to the cap.
+    /// The byte layouts of the spec tables: every control message opens
+    /// with its table number, zero flags and the session, big-endian;
+    /// the payload header is its five big-endian fields in order.
+    // spec: [P2-payload-header] [P3-ctrl-header] [P3-ctrl-types]
+    #[test]
+    fn wire_layouts_match_the_spec_tables() {
+        let table = [
+            (
+                1,
+                CtrlMsg::SessionRequest {
+                    session: 0xA1B2_C3D4,
+                    block_size: 1,
+                    channels: 1,
+                    total_bytes: 1,
+                    notify_imm: true,
+                },
+            ),
+            (
+                2,
+                CtrlMsg::SessionAccept {
+                    session: 0xA1B2_C3D4,
+                    block_size: 1,
+                    data_qpns: vec![1],
+                },
+            ),
+            (
+                3,
+                CtrlMsg::SessionReject {
+                    session: 0xA1B2_C3D4,
+                    reason: reject_reason::BUSY,
+                },
+            ),
+            (
+                4,
+                CtrlMsg::ChannelsReady {
+                    session: 0xA1B2_C3D4,
+                },
+            ),
+            (
+                5,
+                CtrlMsg::Credits {
+                    session: 0xA1B2_C3D4,
+                    credits: vec![Credit {
+                        slot: 1,
+                        rkey: 1,
+                        offset: 0,
+                        len: 1,
+                    }],
+                },
+            ),
+            (
+                6,
+                CtrlMsg::MrRequest {
+                    session: 0xA1B2_C3D4,
+                },
+            ),
+            (
+                7,
+                CtrlMsg::BlockComplete {
+                    session: 0xA1B2_C3D4,
+                    seq: 1,
+                    slot: 1,
+                    len: 1,
+                },
+            ),
+            (
+                8,
+                CtrlMsg::DatasetComplete {
+                    session: 0xA1B2_C3D4,
+                    total_blocks: 1,
+                },
+            ),
+            (
+                9,
+                CtrlMsg::SessionResume {
+                    session: 0xA1B2_C3D4,
+                    next_seq: 1,
+                    nonce: 1,
+                },
+            ),
+            (
+                10,
+                CtrlMsg::ResumeAccept {
+                    session: 0xA1B2_C3D4,
+                    resume_from: 1,
+                    nonce: 1,
+                },
+            ),
+            (
+                11,
+                CtrlMsg::AckBatch {
+                    session: 0xA1B2_C3D4,
+                    acks: vec![BlockAck {
+                        seq: 1,
+                        slot: 1,
+                        len: 1,
+                    }],
+                },
+            ),
+            (
+                12,
+                CtrlMsg::CreditBatch {
+                    session: 0xA1B2_C3D4,
+                    rkey: 1,
+                    slot_len: 1,
+                    slots: vec![1],
+                },
+            ),
+            (
+                13,
+                CtrlMsg::SessionBusy {
+                    session: 0xA1B2_C3D4,
+                    retry_after_ms: 1,
+                },
+            ),
+        ];
+        for (code, msg) in table {
+            let mut buf = [0u8; CTRL_SLOT_LEN];
+            msg.encode(&mut buf);
+            let mut head = [0u8; 8];
+            head[..2].copy_from_slice(&(code as u16).to_be_bytes());
+            head[4..].copy_from_slice(&0xA1B2_C3D4u32.to_be_bytes());
+            assert_eq!(buf[..8], head, "{msg:?}");
+        }
+        assert_eq!(
+            (
+                reject_reason::BLOCK_TOO_LARGE,
+                reject_reason::TOO_MANY_CHANNELS
+            ),
+            (1, 2)
+        );
+
+        let mut buf = [0xFFu8; PAYLOAD_HEADER_LEN];
+        PayloadHeader {
+            session: 0x0102_0304,
+            seq: 0x0506_0708,
+            offset: 0x090A_0B0C_0D0E_0F10,
+            len: 0x1112_1314,
+        }
+        .encode(&mut buf);
+        let want: Vec<u8> = (1..=20).chain([0; 4]).collect();
+        assert_eq!(buf[..], want[..]);
+    }
+
+    // spec: [P3-ctrl-types]
     #[test]
     fn partial_final_batches_roundtrip() {
         for n in 1..=MAX_ACKS_PER_BATCH {
@@ -800,6 +946,7 @@ mod tests {
         }
     }
 
+    // spec: [P3-ctrl-types]
     #[test]
     fn batch_sizes_out_of_range_rejected() {
         // AckBatch with count 0 and count > max.
@@ -825,6 +972,7 @@ mod tests {
         }
     }
 
+    // spec: [P3-ctrl-header]
     #[test]
     fn max_size_variants_fit_the_slot() {
         let mut buf = [0u8; CTRL_SLOT_LEN];
@@ -868,6 +1016,7 @@ mod tests {
         assert!(batch.encode(&mut buf) <= CTRL_SLOT_LEN);
     }
 
+    // spec: [P3-ctrl-types]
     #[test]
     fn truncation_is_detected() {
         let mut buf = [0u8; CTRL_SLOT_LEN];
@@ -897,6 +1046,7 @@ mod tests {
         }
     }
 
+    // spec: [P3-ctrl-types]
     #[test]
     fn unknown_type_rejected() {
         let mut buf = [0u8; 8];
@@ -904,6 +1054,7 @@ mod tests {
         assert_eq!(CtrlMsg::decode(&buf), Err(WireError::UnknownType(999)));
     }
 
+    // spec: [P3-ctrl-types]
     #[test]
     fn bad_counts_rejected() {
         // Credits with count 0.
@@ -918,6 +1069,7 @@ mod tests {
         assert_eq!(CtrlMsg::decode(&buf), Err(WireError::BadCount));
     }
 
+    // spec: [P2-payload-header]
     #[test]
     fn payload_header_roundtrip() {
         let h = PayloadHeader {
@@ -931,12 +1083,14 @@ mod tests {
         assert_eq!(PayloadHeader::decode(&buf).unwrap(), h);
     }
 
+    // spec: [P2-payload-header]
     #[test]
     fn payload_header_is_24_bytes() {
         // Fig. 7b: 32 + 32 + 64 + 32 + 32 bits.
         assert_eq!(PAYLOAD_HEADER_LEN, 24);
     }
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn stream_frames_roundtrip_through_the_decoder() {
         let msgs = vec![
@@ -995,6 +1149,7 @@ mod tests {
         assert_eq!(dec.pending_bytes(), 0);
     }
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn frame_decoder_rejects_bad_length_prefixes() {
         for bad in [0u16, 7, CTRL_SLOT_LEN as u16 + 1, u16::MAX] {
@@ -1004,6 +1159,7 @@ mod tests {
         }
     }
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn frame_decoder_reports_mid_frame_state() {
         let mut buf = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
@@ -1020,6 +1176,7 @@ mod tests {
         assert_eq!(dec.pending_bytes(), 0);
     }
 
+    // spec: [P7-data-frame]
     #[test]
     fn data_frame_header_roundtrip() {
         let h = DataFrameHeader {

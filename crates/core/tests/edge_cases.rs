@@ -135,6 +135,7 @@ fn on_demand_with_write_imm() {
     assert_eq!(r.sink.checksum_failures, 0);
 }
 
+// spec: [P4.1-reuse]
 #[test]
 fn write_imm_sequential_jobs() {
     let mut cfg = SourceConfig::new(MB, 2, 0);
@@ -153,6 +154,7 @@ fn write_imm_sequential_jobs() {
     assert_eq!(r.sink.checksum_failures, 0);
 }
 
+// spec: [P1-ctrl-ring]
 #[test]
 fn tiny_ctrl_ring_throttles_but_completes() {
     // A deliberately undersized control ring on the WAN: notifications
@@ -176,6 +178,7 @@ fn tiny_ctrl_ring_throttles_but_completes() {
     );
 }
 
+// spec: [P4.1-reuse]
 #[test]
 fn many_small_jobs() {
     let mut cfg = SourceConfig::new(MB, 2, 0);
@@ -207,6 +210,7 @@ fn single_loader_single_data_thread() {
     assert_eq!(r.source.blocks_sent, 64);
 }
 
+// spec: [P1-data-qps]
 #[test]
 fn sixteen_channels() {
     let mut cfg = SourceConfig::new(512 * KB, 16, 64 * MB);

@@ -14,7 +14,10 @@
 //! build fills and verifies it in seconds. The remaining cases only
 //! assert on protocol counters and run virtual multi-gigabyte payloads.
 
-use rftp_core::{build_experiment, RecoveryConfig, SinkConfig, SourceConfig, TransferReport};
+use rftp_core::{
+    build_experiment, NotifyMode, RecoveryConfig, SinkConfig, SourceConfig, SourceEngine,
+    TransferReport,
+};
 use rftp_fabric::HostId;
 use rftp_faults::FaultPlan;
 use rftp_netsim::testbed;
@@ -89,6 +92,7 @@ fn assert_delivered(r: &TransferReport, total: u64) {
 /// The recovery machinery (watchdog + always-armed timers) must not
 /// perturb a healthy run: stats with recovery enabled, with recovery
 /// disabled, and with an empty fault plan applied are all identical.
+// spec: [P6-fault-stats] [P8-faults-complete]
 #[test]
 fn empty_plan_and_recovery_arming_are_byte_identical() {
     let run = |recovery: bool, empty_plan: bool| {
@@ -125,6 +129,7 @@ fn empty_plan_and_recovery_arming_are_byte_identical() {
 
 /// A 200 ms link outage mid-transfer: every in-flight WRITE fails with
 /// retry-exceeded; the session resumes once the link returns.
+// spec: [P5-fatal-resumes] [P6-void-credits] [P6-resume-request] [P8-faults-complete]
 #[test]
 fn link_flap_mid_transfer_resumes_and_completes() {
     let clean = run_checksummed(&FaultPlan::new());
@@ -162,6 +167,7 @@ fn link_flap_mid_transfer_resumes_and_completes() {
 
 /// A lossy window (2% per-fragment drop for 150 ms): repeated QP errors
 /// and resume churn while the window lasts, clean completion after.
+// spec: [P6-reask] [P6-reset-once] [P6-void-credits] [P6-resume-accept] [P6-latest-nonce] [P6-credits-in-transfer] [P8-faults-complete]
 #[test]
 fn lossy_window_survives_with_degraded_goodput() {
     let plan = FaultPlan::new().drop_window(WAN_LINK, at(150), at(300), 0.02);
@@ -179,6 +185,7 @@ fn lossy_window_survives_with_degraded_goodput() {
 }
 
 /// Three consecutive flaps; each one forces a fresh resume round.
+// spec: [P6-resume-backoff] [P6-reset-once]
 #[test]
 fn repeated_flaps_resume_each_time() {
     let plan = FaultPlan::new()
@@ -198,6 +205,7 @@ fn repeated_flaps_resume_each_time() {
 /// The source's control QP dies while the SessionRequest is still in
 /// flight: negotiation restarts from scratch (the sink treats the
 /// duplicate request idempotently and must not double-grant).
+// spec: [P5-fatal-resumes] [P6-reask] [P8-faults-complete]
 #[test]
 fn qp_kill_during_negotiation_source_side() {
     let plan = FaultPlan::new().qp_kill(SRC_CTRL_QP, at(10));
@@ -210,6 +218,7 @@ fn qp_kill_during_negotiation_source_side() {
 
 /// The sink's control QP dies just after it accepted: early credits and
 /// completion notifications are lost both ways until both sides repair.
+// spec: [P6-reask] [P6-credits-in-transfer]
 #[test]
 fn qp_kill_during_negotiation_sink_side() {
     let plan = FaultPlan::new().qp_kill(SNK_CTRL_QP, at(60));
@@ -227,6 +236,7 @@ fn qp_kill_during_negotiation_sink_side() {
 /// The control QP dies at 90% of the clean run's duration — right around
 /// teardown. The resume handshake learns everything already landed and
 /// re-drives `DatasetComplete` without re-sending payload wholesale.
+// spec: [P6-resume-request] [P6-resume-accept] [P6-duplicate-block] [P8-faults-complete]
 #[test]
 fn qp_kill_near_teardown_completes_without_redelivery() {
     let total = GB;
@@ -251,6 +261,7 @@ fn qp_kill_near_teardown_completes_without_redelivery() {
 /// Swallowed WRITE completions (the lost-CQE fault): the only fault that
 /// leaves no QP error behind, so only the retransmit watchdog can save
 /// the transfer. The sink must not double-deliver the duplicates.
+// spec: [P6-original-credit] [P6-fast] [P6-duplicate-block] [P8-faults-complete]
 #[test]
 fn swallowed_completions_are_retransmitted() {
     let plan = FaultPlan::new().cqe_drop_window(HostId(0), at(150), at(170));
@@ -279,6 +290,7 @@ fn swallowed_completions_are_retransmitted() {
 /// A 300 ms NIC transmit freeze delays traffic without dropping any of
 /// it; the transfer absorbs the stall without tripping recovery: no QP
 /// error, no resume, no duplicate, and at most one window re-posted.
+// spec: [P8-faults-complete]
 #[test]
 fn nic_stall_is_absorbed() {
     let plan = FaultPlan::new().nic_stall(HostId(0), at(1_000), SimDur::from_millis(300));
@@ -297,6 +309,7 @@ fn nic_stall_is_absorbed() {
 /// the RTO is at least four RTTs, so a 100 ms NIC stall at 1 s — five
 /// initial timeouts of silence on every channel — re-posts nothing more,
 /// and every block still completes once.
+// spec: [P6-rto]
 #[test]
 fn the_estimator_takes_over_the_initial_rto() {
     let (mut cfg, snk) = wan_cfgs(2 * GB, 4 * MB, false);
@@ -321,6 +334,7 @@ fn the_estimator_takes_over_the_initial_rto() {
 
 /// Determinism under faults: the same plan replays the same outage and
 /// the same recovery, fragment for fragment.
+// spec: [P6-fault-stats]
 #[test]
 fn faulted_runs_are_deterministic() {
     let plan = FaultPlan::new()
@@ -339,6 +353,7 @@ fn faulted_runs_are_deterministic() {
 /// both copies complete. The first completion frees the block, which is
 /// reloaded for a new sequence; the late copy's completion must be
 /// ignored rather than complete the new occupant.
+// spec: [P6-post-id]
 #[test]
 fn late_completion_of_a_reposted_block_is_ignored() {
     let (mut cfg, snk) = wan_cfgs(GB, 4 * MB, false);
@@ -358,4 +373,76 @@ fn late_completion_of_a_reposted_block_is_ignored() {
         "each block completes once"
     );
     assert_eq!(r.source.bytes_sent, GB);
+}
+
+/// In write-with-immediate mode a lost completion is not re-posted: a
+/// second immediate would consume a second receive at the sink and
+/// could name a slot it has since recycled. The watchdog resumes the
+/// session instead, and the dataset still arrives exactly once.
+// spec: [P6-write-imm-resumes]
+#[test]
+fn write_imm_recovers_swallowed_completions_by_resume() {
+    let (mut cfg, snk) = wan_cfgs(CHECKED_TOTAL, MB, true);
+    cfg.notify = NotifyMode::WriteImm;
+    let mut exp = build_experiment(&testbed::ani_wan(), cfg, snk);
+    FaultPlan::new()
+        .cqe_drop_window(HostId(0), at(150), at(170))
+        .apply(&mut exp.sim);
+    let r = exp.run(hour());
+    // `bytes_sent` counts WRITE completions, and a block the resume
+    // finds already placed is never re-sent: the sink counts delivery.
+    assert_eq!(r.sink.bytes_delivered, CHECKED_TOTAL);
+    assert_eq!(r.sink.checksum_failures, 0, "payload corrupted in flight");
+    assert_eq!(r.source.sessions_completed, 1);
+    assert!(r.source.faults.reconnects >= 1, "{:?}", r.source.faults);
+    assert_eq!(
+        r.source.faults.fast_retransmits, 0,
+        "a WRITE_WITH_IMM was re-posted: {:?}",
+        r.source.faults
+    );
+}
+
+/// The source's end, from `SourceEngine::failure`, of a run against a
+/// link that goes down at 150 ms and never comes back.
+fn fate_behind_a_dead_link(recovery: RecoveryConfig) -> (Option<String>, u64) {
+    let (mut cfg, snk) = wan_cfgs(GB, 4 * MB, false);
+    cfg.recovery = recovery;
+    let mut exp = build_experiment(&testbed::ani_wan(), cfg, snk);
+    FaultPlan::new()
+        .link_flap(WAN_LINK, at(150), hour())
+        .apply(&mut exp.sim);
+    let src = exp.src;
+    exp.sim
+        .run_until(SimTime::ZERO + SimDur::from_secs(60), |w| {
+            w.app::<SourceEngine>(src).is_finished()
+        });
+    let s: &SourceEngine = exp.sim.world().app(src);
+    (s.failure.clone(), s.stats.faults.reconnects)
+}
+
+/// With recovery disabled a transport error fails the engine at once,
+/// the pre-recovery behaviour.
+// spec: [P5-fatal-resumes]
+#[test]
+fn with_recovery_disabled_a_downed_link_fails_the_source() {
+    let (failure, reconnects) = fate_behind_a_dead_link(RecoveryConfig::disabled());
+    assert!(failure.is_some(), "the source kept going");
+    assert_eq!(reconnects, 0);
+}
+
+/// A link that never returns spends the resume budget — back-offs of
+/// 10, 20 and 40 ms, then a fourth attempt is refused — and the source
+/// fails instead of retrying forever.
+// spec: [P6-resume-backoff]
+#[test]
+fn a_link_that_never_returns_exhausts_the_resume_budget() {
+    let (failure, reconnects) = fate_behind_a_dead_link(RecoveryConfig {
+        resume_backoff: SimDur::from_millis(10),
+        resume_backoff_max: SimDur::from_millis(40),
+        max_resume_attempts: 3,
+        ..RecoveryConfig::default()
+    });
+    let failure = failure.expect("the source must give up");
+    assert!(failure.contains("resume attempts exhausted"), "{failure}");
+    assert_eq!(reconnects, 0);
 }

@@ -101,6 +101,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn random_chunk_boundaries_reassemble_exactly(
         picks in prop::collection::vec((any::<u8>(), 1usize..=8), 1..24),
@@ -111,6 +112,7 @@ proptest! {
         prop_assert_eq!(decode_chunked(&stream, &cuts), msgs);
     }
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn one_byte_reads_reassemble_exactly(
         picks in prop::collection::vec((any::<u8>(), 1usize..=8), 1..12),
@@ -120,6 +122,7 @@ proptest! {
         prop_assert_eq!(decode_chunked(&stream, &[1]), msgs);
     }
 
+    // spec: [P7-ctrl-codec]
     #[test]
     fn whole_stream_single_push_reassembles_exactly(
         picks in prop::collection::vec((any::<u8>(), 1usize..=8), 1..24),
@@ -136,6 +139,7 @@ proptest! {
     /// decodes each delivered frame intact and in delivery order —
     /// reordering and duplication must never desynchronize the length-
     /// prefixed stream itself.
+    // spec: [P7-ctrl-codec]
     #[test]
     fn reordered_and_duplicated_frames_never_desynchronize(
         picks in prop::collection::vec((any::<u8>(), 1usize..=8), 1..16),

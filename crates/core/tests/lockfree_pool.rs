@@ -165,6 +165,7 @@ fn atomic_source_pool_full_cycle_under_contention() {
     }
 }
 
+// spec: [P4.3-revoke]
 #[test]
 fn atomic_sink_pool_grant_ready_free_under_contention() {
     const BLOCKS: u32 = 8;
@@ -207,6 +208,7 @@ fn atomic_sink_pool_grant_ready_free_under_contention() {
     pool.check_invariants();
 }
 
+// spec: [P2-source-fsm]
 #[test]
 fn atomic_source_pool_rejects_illegal_transitions() {
     let pool = AtomicSourcePool::new(geo(2));
@@ -271,6 +273,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
+    // spec: [P2-source-fsm] [P8-blocks-conserved]
     #[test]
     fn atomic_source_pool_obeys_fig6a_model(ops in proptest::collection::vec(src_op(), 1..200)) {
         let pool = AtomicSourcePool::new(geo(8));
@@ -326,6 +329,7 @@ proptest! {
         }
     }
 
+    // spec: [P2-sink-fsm] [P8-blocks-conserved]
     #[test]
     fn atomic_sink_pool_obeys_fig6b_model(ops in proptest::collection::vec(
         (0u8..4, 0u32..8),

@@ -16,6 +16,7 @@ fn hour() -> SimDur {
     SimDur::from_secs(3600)
 }
 
+// spec: [P4.2-load]
 #[test]
 fn small_real_transfer_is_byte_exact() {
     let tb = testbed::roce_lan();
@@ -98,6 +99,7 @@ fn rftp_fills_the_wan_pipe() {
     );
 }
 
+// spec: [P4.1-initial-credits] [P4.2-grant-per-completion]
 #[test]
 fn credit_ramp_is_slow_start_like() {
     let tb = testbed::ani_wan();
@@ -152,6 +154,7 @@ fn proactive_credits_beat_on_demand_on_the_wan() {
     );
 }
 
+// spec: [P4.2-stream-in-order]
 #[test]
 fn parallel_channels_reorder_out_of_order_blocks() {
     // A short tail block on one of 8 channels serializes faster than the
@@ -177,6 +180,7 @@ fn parallel_channels_reorder_out_of_order_blocks() {
     assert_eq!(r.sink.bytes_delivered, 256 * MB + 999);
 }
 
+// spec: [P4.1-reuse] [P4.3-revoke]
 #[test]
 fn sequential_jobs_reuse_channels_and_memory() {
     let tb = testbed::roce_lan();
@@ -203,6 +207,7 @@ fn sequential_jobs_reuse_channels_and_memory() {
     );
 }
 
+// spec: [P4.1-validate] [P5-reject]
 #[test]
 fn oversized_block_is_rejected() {
     let tb = testbed::roce_lan();
@@ -226,6 +231,7 @@ fn oversized_block_is_rejected() {
     assert!(failure.contains("rejected"), "failure: {failure}");
 }
 
+// spec: [P1-data-qps] [P4.2-write-imm]
 #[test]
 fn write_imm_mode_works_end_to_end() {
     let tb = testbed::roce_lan();
@@ -396,6 +402,7 @@ fn full_duplex_wan_asymmetric_sizes() {
     assert_eq!(r.reverse.bytes_sent, 512 * MB);
 }
 
+// spec: [P8-fuzz-completes]
 #[test]
 fn cost_jitter_desynchronizes_channels_into_reordering() {
     // With idealized (zero-jitter) costs, symmetric channels complete in
@@ -431,6 +438,7 @@ fn cost_jitter_desynchronizes_channels_into_reordering() {
     assert!((noisy.goodput_gbps - ideal.goodput_gbps).abs() / ideal.goodput_gbps < 0.05);
 }
 
+// spec: [P8-fuzz-completes]
 #[test]
 fn jittered_runs_are_still_deterministic() {
     let run = || {
@@ -505,6 +513,7 @@ fn four_concurrent_jobs_on_the_wan() {
     assert!(agg > 8.5, "aggregate {agg:.2}");
 }
 
+// spec: [P6-timer]
 #[test]
 fn eight_wan_jobs_queue_past_the_retransmit_timeout_and_complete_exactly_once() {
     // The concurrent_jobs harness's heaviest WAN row: 8 jobs × 58 blocks
@@ -537,6 +546,7 @@ fn eight_wan_jobs_queue_past_the_retransmit_timeout_and_complete_exactly_once() 
     }
 }
 
+// spec: [P4.1-accept] [P4.2-block-complete] [P4.3-dataset-complete]
 #[test]
 fn protocol_trace_shows_the_three_phases() {
     let tb = testbed::roce_lan();

@@ -14,6 +14,7 @@ fn horizon() -> SimTime {
 
 /// Two QPs share one SRQ: sends on either consume from the same pool of
 /// buffers, FIFO.
+// spec: [P1-data-qps]
 #[test]
 fn srq_is_shared_across_qps() {
     let tb = testbed::roce_lan();

@@ -244,6 +244,7 @@ fn rdma_read_fetches_remote_data() {
     assert_eq!(w.core.hosts[a.index()].mr(mr_a).checksum(0, 16384), sum);
 }
 
+// spec: [P5-rnr]
 #[test]
 fn rnr_retries_until_receiver_posts() {
     // Receiver posts its buffer only after 5 ms; the sender's SEND takes
@@ -310,6 +311,7 @@ fn rnr_retries_until_receiver_posts() {
     assert_eq!(r.completions.len(), 1);
 }
 
+// spec: [P5-rnr]
 #[test]
 fn rnr_retry_budget_exhaustion_errors_the_qp() {
     let opts = QpOptions {
@@ -355,6 +357,7 @@ fn rnr_retry_budget_exhaustion_errors_the_qp() {
     assert_eq!(w.core.qps[qa.index()].counters.rnr_retries_exhausted, 1);
 }
 
+// spec: [P5-remote-access]
 #[test]
 fn bad_rkey_faults_with_remote_access_error() {
     let (mut core, a, b, qa, _qb) = rc_pair(QpOptions::default());

@@ -266,6 +266,7 @@ mod tests {
         assert!(sim.world().core.fault_counters.frags_dropped >= 1);
     }
 
+    // spec: [P6-fault-stats]
     #[test]
     fn empty_plan_changes_nothing() {
         let (mut clean, a, _) = wired();

@@ -8,8 +8,8 @@
 //! events, because the live shim sits on real sockets where there is no
 //! simulated clock to schedule against.
 //!
-//! The three named presets reproduce the paper's Table I testbeds, with
-//! the same numbers `rftp_netsim::testbed` uses:
+//! The three named presets are the paper's Table I testbeds, built from
+//! `rftp_netsim::testbed`, so the numbers live in one place:
 //!
 //! | preset     | RTT      | rate      | notes                      |
 //! |------------|----------|-----------|----------------------------|
@@ -20,6 +20,7 @@
 //! Specs extend a preset with `key=value` overrides, or build a path
 //! from scratch: `ani-wan,drop=0.01`, `rtt=49ms,rate=10G,seed=7`.
 
+use rftp_netsim::testbed::{self, Testbed};
 use std::time::Duration;
 
 /// A deterministic WAN path description for the live impairment shim.
@@ -44,39 +45,29 @@ pub struct WanProfile {
 impl WanProfile {
     /// The paper's 40 Gbps RoCE LAN (Table I column 2).
     pub fn roce_lan() -> WanProfile {
-        WanProfile {
-            name: "roce-lan".into(),
-            one_way: Duration::from_micros(13),
-            jitter: Duration::ZERO,
-            rate_bps: Some(40e9),
-            loss_p: 0.0,
-            reorder_p: 0.0,
-            seed: DEFAULT_SEED,
-        }
+        WanProfile::table_one("roce-lan", &testbed::roce_lan())
     }
 
     /// The paper's PCIe-limited InfiniBand LAN (Table I column 1).
     pub fn ib_lan() -> WanProfile {
-        WanProfile {
-            name: "ib-lan".into(),
-            one_way: Duration::from_nanos(6_500),
-            jitter: Duration::ZERO,
-            rate_bps: Some(25.6e9),
-            loss_p: 0.0,
-            reorder_p: 0.0,
-            seed: DEFAULT_SEED,
-        }
+        WanProfile::table_one("ib-lan", &testbed::ib_lan())
     }
 
     /// The DOE ANI WAN path (Table I column 3): 10 Gbps, 49 ms RTT,
     /// residual microloss.
     pub fn ani_wan() -> WanProfile {
+        WanProfile::table_one("ani-wan", &testbed::ani_wan())
+    }
+
+    /// The path of a Table I testbed: its one-way delay, bare-metal
+    /// rate and residual loss, without jitter or reordering.
+    fn table_one(name: &str, tb: &Testbed) -> WanProfile {
         WanProfile {
-            name: "ani-wan".into(),
-            one_way: Duration::from_micros(24_500),
+            name: name.into(),
+            one_way: Duration::from_nanos(tb.one_way.nanos()),
             jitter: Duration::ZERO,
-            rate_bps: Some(10e9),
-            loss_p: 1e-6,
+            rate_bps: Some(tb.bare_metal.bits_per_sec() as f64),
+            loss_p: tb.loss_per_packet,
             reorder_p: 0.0,
             seed: DEFAULT_SEED,
         }
@@ -281,6 +272,10 @@ mod tests {
         assert_eq!(WanProfile::roce_lan().rtt(), Duration::from_micros(26));
         assert_eq!(WanProfile::ib_lan().rtt(), Duration::from_micros(13));
         assert_eq!(WanProfile::ani_wan().rtt(), Duration::from_millis(49));
+        let rate_loss = |p: WanProfile| (p.rate_bps, p.loss_p);
+        assert_eq!(rate_loss(WanProfile::roce_lan()), (Some(40e9), 0.0));
+        assert_eq!(rate_loss(WanProfile::ib_lan()), (Some(25.6e9), 0.0));
+        assert_eq!(rate_loss(WanProfile::ani_wan()), (Some(10e9), 1e-6));
         // 10 Gbps * 49 ms = 61.25 MB — the window the WAN demands.
         let bdp = WanProfile::ani_wan().bdp_bytes();
         assert!((bdp as f64 - 61_250_000.0).abs() < 1e4, "bdp={bdp}");

@@ -679,6 +679,7 @@ mod tests {
     /// the panic is the session's error, counted `failed`, and all the
     /// session held — its table entry, lease, arbiter registration and
     /// abort hook — comes back, so the next session gets a full lease.
+    // spec: [P5-panic-fails-alone]
     #[test]
     fn a_panicking_runner_fails_alone_and_gives_everything_back() {
         fn check<S: SessionSocket, P>(open: impl Fn(&CtrlMsg) -> (SessionStreams<S>, P)) {
@@ -724,6 +725,7 @@ mod tests {
     /// the slot math, leak a session-table entry, and take down the
     /// whole daemon when the panic re-raised at scope join. It must be
     /// an ordinary typed reject — and admission must survive repeats.
+    // spec: [P7.1-reject]
     #[test]
     fn zero_block_size_is_a_typed_reject_not_a_panic() {
         let (addr, handle, jh) = start(DaemonConfig::default());
@@ -742,6 +744,7 @@ mod tests {
     /// `channels` reader threads: each admitted channel costs a thread,
     /// and thread-spawn failure would panic through the session scope
     /// and take the whole daemon down.
+    // spec: [P7.1-reject] [P7.2-max-channels]
     #[test]
     fn oversized_channel_count_is_a_typed_reject() {
         let cfg = DaemonConfig {
@@ -763,6 +766,7 @@ mod tests {
     /// connection cost (unlike TCP), so the admission cap is the only
     /// bound. The reject must be typed, and the daemon must keep
     /// serving afterwards.
+    // spec: [P7.2-max-channels]
     #[test]
     fn shm_hello_cannot_spawn_unbounded_channel_readers() {
         if !crate::shm::shm_supported() {
@@ -802,6 +806,7 @@ mod tests {
     /// for that session, never the arena (one tenant reading or
     /// scribbling another's in-flight payloads through a shared slab fd
     /// was the isolation hole this pins shut).
+    // spec: [P7.2-slot-address] [P7.2-window-per-session]
     #[test]
     fn shm_descriptor_covers_only_the_session_lease() {
         if !crate::shm::shm_supported() {
@@ -933,6 +938,7 @@ mod tests {
     /// clean, and the report must count exactly one shm session —
     /// proof one admission ladder serves both the zero-copy path and
     /// the ordinary copy path.
+    // spec: [P7.2-window-per-session]
     #[test]
     fn shm_and_tcp_sessions_share_one_arena() {
         if !crate::shm::shm_supported() {
@@ -982,6 +988,7 @@ mod tests {
     /// one behaviour: every rung, asked over tcp and over the shm socket
     /// of one daemon, answers with the same typed reply — and every set
     /// that came in is accounted for exactly once in the report.
+    // spec: [P7.1-reject] [P7.1-busy] [P7.1-one-ladder]
     #[test]
     fn admission_ladder_is_identical_on_every_way_in() {
         const BLK: u64 = 64 * 1024;
@@ -1075,6 +1082,7 @@ mod tests {
     /// A rejected peer that keeps trickling bytes on its control stream
     /// must not pin the reply thread past the drain's total bound — the
     /// daemon still shuts down promptly.
+    // spec: [P7.1-reply-then-drain]
     #[test]
     fn trickling_peer_cannot_pin_a_rejected_session() {
         let cfg = DaemonConfig {

@@ -9,6 +9,7 @@ use std::net::Shutdown;
 use std::sync::Arc;
 use std::time::Duration;
 
+// spec: [P7-hello]
 #[test]
 fn hello_roundtrip_over_loopback() {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -26,6 +27,7 @@ fn hello_roundtrip_over_loopback() {
 /// No request means nothing to probe; a request is honoured only when
 /// both directions read back at least twice it (the kernel's doubling),
 /// and clamped when either falls short.
+// spec: [P7-sockopts]
 #[test]
 fn sockbuf_clamp_rule() {
     assert_eq!(probe_sockbuf(0).unwrap(), None);
@@ -44,6 +46,35 @@ fn sockbuf_clamp_rule() {
     );
 }
 
+/// Control streams run `TCP_NODELAY` at both ends (Nagle would hold a
+/// small credit or ack frame for a delayed-ack timer), and a data
+/// stream's buffers take the size asked for, above the kernel's
+/// defaults (16 KiB send, 128 KiB receive), at both ends.
+// spec: [P7-sockopts]
+#[test]
+fn control_runs_nodelay_and_data_buffers_take_their_size() {
+    use std::os::fd::AsRawFd;
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+    let want = 160 << 10;
+    let l = TcpListener::bind("127.0.0.1:0").unwrap();
+    let src = connect_streams(l.local_addr().unwrap(), 1, want).unwrap();
+    let (ctrl, _) = l.accept().unwrap();
+    let (data, _) = l.accept().unwrap();
+    ctrl.tune(KIND_CTRL, want).unwrap();
+    data.tune(KIND_DATA, want).unwrap();
+    assert!(src.ctrl.nodelay().unwrap(), "source control");
+    assert!(ctrl.nodelay().unwrap(), "sink control");
+    for (end, s) in [("source", &src.data[0]), ("sink", &data)] {
+        for opt in [SO_SNDBUF, SO_RCVBUF] {
+            let got = crate::sys::get_sockopt(s.as_raw_fd(), SOL_SOCKET, opt).unwrap();
+            assert!(got as usize >= want, "{end} option {opt}: {got} < {want}");
+        }
+    }
+}
+
+// spec: [P7-hello]
 #[test]
 fn bad_magic_is_rejected() {
     let l = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -115,6 +146,7 @@ fn unix_door(tag: &str) -> Door<std::os::unix::net::UnixStream> {
 /// A connection that never sends its hello must park a helper
 /// thread, not the accept path: `offer` returns immediately and a
 /// real session assembles while the silent one still pends.
+// spec: [P7-grouping]
 #[test]
 fn silent_connection_does_not_block_assembly() {
     silent_connection(tcp_door());
@@ -147,6 +179,7 @@ fn silent_connection<S: SessionSocket>(door: Door<S>) {
 /// Tokens are unauthenticated, so a third party that learns one must
 /// not be able to destroy the owner's pending set: the duplicate
 /// control hello is dropped alone and the victim still assembles.
+// spec: [P7-token-unauthenticated]
 #[test]
 fn duplicate_control_hello_drops_offender_not_the_victim_set() {
     duplicate_control(tcp_door());
@@ -178,6 +211,7 @@ fn duplicate_control<S: SessionSocket>(door: Door<S>) {
 /// dropped *alone* — TCP places both indices; shm has exactly one
 /// data stream (the notify stream, index 0), so its index 1 is hung
 /// up on and the pair still assembles.
+// spec: [P7-grouping] [P7.2-streams]
 #[test]
 fn early_data_stream_waits_for_its_control_hello() {
     early_data(tcp_door());
@@ -284,6 +318,7 @@ fn read_n(peer: &mut TcpStream, n: usize) -> Vec<u8> {
 /// wire, and one kick delivers every one of them byte-exact and in
 /// queue order — which is not the block order the flush locks the
 /// slots in.
+// spec: [P7-writev]
 #[test]
 fn queued_blocks_leave_on_the_kick_in_queue_order() {
     const LEN: usize = 4096;
@@ -317,6 +352,7 @@ fn queued_blocks_leave_on_the_kick_in_queue_order() {
 /// so the 200 ms timeout makes the kernel cut the batch at least
 /// twice, and the flush must resume each time exactly where it
 /// stopped.
+// spec: [P7-writev]
 #[test]
 fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
     const LEN: usize = 16 << 10;
@@ -357,6 +393,7 @@ fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
 /// `send` of a borrowed image and `send_owned` of a handed-over one
 /// write at once, behind everything already queued on their link —
 /// channel order holds without a kick.
+// spec: [P7-writev]
 #[test]
 fn send_after_queued_blocks_keeps_channel_order() {
     const LEN: usize = 1024;
@@ -380,6 +417,7 @@ fn send_after_queued_blocks_keeps_channel_order() {
     assert_eq!(read_n(&mut peer, want.len()), want);
 }
 
+// spec: [P7-data-frame]
 #[test]
 fn transport_pair_connects_and_frames_flow() {
     let listener = NetListener::bind("127.0.0.1:0").unwrap();

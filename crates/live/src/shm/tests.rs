@@ -32,6 +32,7 @@ fn probe_reports_shm_support() {
     assert!(shm_supported());
 }
 
+// spec: [P7.2-descriptor] [P7.2-slot-address] [P7.2-desc-validate]
 #[test]
 fn descriptor_roundtrips_and_validates() {
     let stride = SlotBuf::stride(64 * 1024) as u64;
@@ -81,6 +82,7 @@ fn descriptor_roundtrips_and_validates() {
 /// An fd whose size cannot be read (here: a socket) must be a
 /// typed error — falling through to mmap would silently lose
 /// the short-fd SIGBUS guard.
+// spec: [P7.2-desc-validate]
 #[test]
 fn unseekable_window_fd_is_a_typed_error() {
     let (a, _b) = UnixStream::pair().unwrap();
@@ -95,6 +97,7 @@ fn unseekable_window_fd_is_a_typed_error() {
 /// grant → fresh place → duplicate re-notify without touching
 /// memory → stale drop → write without grant is a typed error,
 /// and a bogus slot index is a typed error (never wild memory).
+// spec: [P7.2-publish-epoch]
 #[test]
 fn place_follows_grant_epochs() {
     let block = 4 * 1024usize;
@@ -182,6 +185,7 @@ fn slot_bytes(snk: &SnkWindow, slot: u32, n: usize) -> Vec<u8> {
 /// whose word is not `GRANTED` — still being written, published, or a
 /// seq the slot already held — is a typed error, and `fill` never runs:
 /// not a byte of the slot changes.
+// spec: [P7.2-load-needs-granted]
 #[test]
 fn a_load_needs_a_granted_slot_and_writes_nothing_otherwise() {
     let (src, snk) = window_pair(2, 4096);
@@ -241,6 +245,7 @@ fn a_load_needs_a_granted_slot_and_writes_nothing_otherwise() {
 /// A re-send whose slot the sink has re-granted since is stale: it
 /// publishes nothing and notifies nothing, the slot's word stays
 /// `GRANTED` for the next loader, and the bytes stay as they were.
+// spec: [P6-original-credit] [P7.2-resend]
 #[test]
 fn a_resend_after_the_regrant_is_stale_and_leaves_the_slot() {
     let (src, snk) = window_pair(1, 4096);
@@ -287,6 +292,7 @@ fn a_resend_after_the_regrant_is_stale_and_leaves_the_slot() {
 /// byte-identical with `O_DIRECT` reads on and off: the loaders read
 /// straight into the window's slots, whose payloads are aligned, and
 /// the tail through the buffered fallback.
+// spec: [P7.2-credit-is-rkey]
 #[test]
 fn shm_file_transfer_with_a_ragged_tail_is_byte_identical() {
     let size = (3 << 20) + 777;
@@ -331,6 +337,7 @@ fn shm_file_transfer_with_a_ragged_tail_is_byte_identical() {
 /// must produce a typed error at map time — never a mapping
 /// that SIGBUSes on first write (the "sink crashed mid-setup"
 /// ladder rung).
+// spec: [P7.2-desc-validate]
 #[test]
 fn short_window_fd_is_a_typed_error_not_a_sigbus() {
     let (a, b) = UnixStream::pair().unwrap();
@@ -356,6 +363,7 @@ fn short_window_fd_is_a_typed_error_not_a_sigbus() {
 /// A control stream that opens with an ordinary frame instead of
 /// the descriptor (daemon busy/reject path) must flow through
 /// frame decoding untouched.
+// spec: [P7.2-busy-fallthrough]
 #[test]
 fn rejection_frame_instead_of_descriptor_decodes_normally() {
     let (a, b) = UnixStream::pair().unwrap();
@@ -373,6 +381,7 @@ fn rejection_frame_instead_of_descriptor_decodes_normally() {
 /// verified at the sink, zero transport threads either side —
 /// and the place stage must be fence-cheap, far under the
 /// copying backends.
+// spec: [P7.2-notify-record]
 #[test]
 fn shm_pattern_transfer_loopback() {
     let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
@@ -407,6 +416,7 @@ fn shm_pattern_transfer_loopback() {
 /// sink verified: the seq rule turns duplicates into re-notifies
 /// and stale resends into drops, so the transfer still lands
 /// byte-identical.
+// spec: [P7.2-notify-record] [P7.2-resend] [P7.2-dup-notify]
 #[test]
 fn fault_injected_retransmits_never_tear_slots() {
     let cfg = LiveConfig::new(16 * 1024, 4, 4 << 20);
@@ -433,6 +443,7 @@ fn fault_injected_retransmits_never_tear_slots() {
 /// runs that reader plus its control pump — two transport threads, not
 /// one per channel. Held under the one-shot sink and under the daemon's
 /// shm way in.
+// spec: [P7.2-streams]
 #[test]
 fn an_eight_channel_session_runs_one_receiver() {
     use crate::daemon::{Daemon, DaemonConfig};
@@ -482,4 +493,20 @@ fn an_eight_channel_session_runs_one_receiver() {
             "one notify reader + the control pump"
         );
     }
+}
+
+/// The sink's unix socket is created owner-only, and a source pointed
+/// at a path nobody listens on gets a typed connect error: there is no
+/// fallback to TCP.
+// spec: [P7.2-no-fallback] [P7.2-owner-only]
+#[test]
+fn the_socket_is_owner_only_and_a_missing_one_is_a_connect_error() {
+    use std::os::unix::fs::PermissionsExt;
+    let path = temp_sock("mode");
+    let listener = ShmListener::bind(&path).unwrap();
+    let mode = std::fs::metadata(&path).unwrap().permissions().mode();
+    assert_eq!(mode & 0o777, 0o600, "mode {mode:o}");
+    drop(listener);
+    let err = connect_source_shm(&path, 1).err().expect("nobody listens");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
 }

@@ -803,6 +803,7 @@ impl AtomicBitmap {
 mod tests {
     use super::*;
 
+    // spec: [P7-exactly-once-placement]
     #[test]
     fn atomic_bitmap_claims_each_bit_once() {
         let bm = AtomicBitmap::new(130);

@@ -17,6 +17,7 @@ const SCALE: u64 = if cfg!(debug_assertions) { 8 } else { 1 };
 /// length other than its block's among them, short or long, at the
 /// tail or before it; a sequence is admitted once and counted as a
 /// duplicate after.
+// spec: [P7-frame-len] [P7-exactly-once-placement]
 #[test]
 fn admit_bounds_each_header_field_and_claims_once() {
     let mut cfg = LiveConfig::new(4096, 1, 8 * 4096 - 96);
@@ -98,6 +99,7 @@ fn split_pair_short_tail_and_single_block() {
 /// transport those stale frames name a block that now holds a newer
 /// sequence; the claim bitmap must discard each of them unread, or a
 /// checksum fails.
+// spec: [P6-duplicate-block]
 #[test]
 fn split_pair_recovers_dropped_payloads() {
     let mut cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE + 777);
@@ -196,6 +198,7 @@ impl CtrlRx for NoteHandledAcks {
 /// that ack found the block `Loaded`, the control stage panicked and
 /// the transfer hung. Every first send is held this way here, and the
 /// transfer must still land byte-exact.
+// spec: [P6-one-sender-ordinals]
 #[test]
 fn an_ack_inside_the_first_send_finds_the_block_posted() {
     let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
@@ -239,6 +242,7 @@ fn an_ack_inside_the_first_send_finds_the_block_posted() {
 /// and the deadline is 100 µs, so the budget runs out within a second.
 /// The sink must end with an error too, not wait for frames that can no
 /// longer come.
+// spec: [P6-budget]
 #[test]
 fn a_block_out_of_resends_fails_the_transfer_with_timed_out() {
     let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
@@ -285,6 +289,7 @@ impl DataTx for PanicOnSend {
 /// halves must then end — the source by that panic surfacing at the
 /// join (or an error), the sink with an error — where they used to wait
 /// for ever on acks and frames that could no longer come.
+// spec: [P5-panic-fails-alone]
 #[test]
 fn a_panicking_pipeline_thread_fails_both_halves() {
     let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
@@ -422,6 +427,7 @@ fn note_sends(st: SourceTransport, seen: &Arc<Senders>) -> SourceTransport {
 /// After the `SessionRequest`, one thread makes every send call of a
 /// source — first sends, re-sends, kicks, `MrRequest` and
 /// `DatasetComplete` — on a lossy transfer that re-sends.
+// spec: [P6-one-sender-ordinals]
 #[test]
 fn every_send_after_the_request_leaves_from_one_thread() {
     let cfg = one_sender_cfg();
@@ -441,6 +447,7 @@ fn every_send_after_the_request_leaves_from_one_thread() {
 
 /// The same on shm, where the loaders write into the window, wait for
 /// credits themselves and have the sender ask for more when starved.
+// spec: [P6-one-sender-ordinals] [P7.2-credit-is-rkey]
 #[test]
 fn every_shm_send_after_the_request_leaves_from_one_thread() {
     use crate::shm::{connect_source_shm, run_shm_sink, ShmListener};
@@ -473,6 +480,7 @@ fn every_shm_send_after_the_request_leaves_from_one_thread() {
 /// covers. (A tail drop is the timer's, and so is a lost re-send that
 /// went out after the stalled source had spent its last credit — at
 /// zero RTT that is a race, so the seed avoids both.)
+// spec: [P6-fast]
 #[test]
 fn dropped_payloads_recover_from_acks_alone() {
     let mut cfg = LiveConfig::new(8 * 1024, 2, 4 << 20);
@@ -632,6 +640,7 @@ fn request(cfg: &LiveConfig) -> SinkEvt {
 /// drain it lands in, its ack flushed at once — no dwell on the
 /// partial batch, however long the window — and it joins the acks
 /// of the blocks before it in one `AckBatch`.
+// spec: [P7-acks-reverse] [P7-teardown-sink]
 #[test]
 fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
     let mut cfg = LiveConfig::new(4096, 1, 4 * 4096);
@@ -689,6 +698,7 @@ fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
 /// back as they land (a sink that frees in order parks all three and
 /// answers the credit request with nothing), and the transfer still
 /// completes exactly when the hole fills.
+// spec: [P4.2-retire-on-arrival] [P4.2-retire-once] [P6-hole-one-slot] [P8-exactly-once]
 #[test]
 fn slots_behind_a_hole_retire_and_are_granted_again() {
     let mut cfg = LiveConfig::new(4096, 1, 4 * 4096);
@@ -743,9 +753,136 @@ fn slots_behind_a_hole_retire_and_are_granted_again() {
     assert_eq!(h.delivered, 4);
 }
 
+/// A data link that records the sequence of every frame sent on it.
+struct SeqDataTx {
+    inner: Box<dyn DataTx>,
+    seqs: Arc<Mutex<Vec<u32>>>,
+}
+
+impl DataTx for SeqDataTx {
+    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
+        self.seqs.lock().push(hdr.seq);
+        self.inner.send(hdr, wire)
+    }
+
+    fn send_block(
+        &self,
+        hdr: DataFrameHeader,
+        bufs: &[Mutex<SlotBuf>],
+        block: u32,
+    ) -> io::Result<()> {
+        self.seqs.lock().push(hdr.seq);
+        self.inner.send_block(hdr, bufs, block)
+    }
+
+    fn kick(&self) -> io::Result<()> {
+        self.inner.kick()
+    }
+}
+
+/// Four loaders finish their blocks in any order, and the sender still
+/// puts them on the wire in sequence order: on a clean run the frames,
+/// over both channels, carry 0, 1, 2, … in the order they were sent.
+// spec: [P4.2-dispatch-in-order] [P8-dispatch-order]
+#[test]
+fn first_sends_leave_in_sequence_order() {
+    let mut cfg = LiveConfig::new(16 * 1024, 2, (4 << 20) / SCALE);
+    cfg.loaders = 4;
+    cfg.pool_blocks = 16;
+    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let seqs = Arc::new(Mutex::new(Vec::new()));
+    let links = Arc::try_unwrap(st.data).ok().expect("the one handle");
+    let data = links.into_iter().map(|inner| {
+        Box::new(SeqDataTx {
+            inner,
+            seqs: Arc::clone(&seqs),
+        }) as Box<dyn DataTx>
+    });
+    let st = SourceTransport {
+        data: Arc::new(data.collect()),
+        ..st
+    };
+    let (src, snk) = std::thread::scope(|s| {
+        let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
+        let src = run_split_source(&cfg, st).expect("source half");
+        (src, sink.join().unwrap().expect("sink half"))
+    });
+    assert_eq!((src.retransmits, snk.checksum_failures), (0, 0));
+    let want: Vec<u32> = (0..snk.blocks as u32).collect();
+    assert_eq!(*seqs.lock(), want);
+}
+
+/// The live source speaks the stream mapping's control plane: its
+/// opening `SessionRequest` asks for in-band notification (every live
+/// arrival passes through a sink receiver), and a `BlockComplete`, the
+/// simulator's per-block notification, fails it.
+// spec: [P7-notify-imm] [P7-acks-reverse]
+#[test]
+fn the_live_source_asks_for_notify_imm_and_refuses_block_complete() {
+    let cfg = LiveConfig::new(4096, 1, 4 * 4096);
+    let (st, mut kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (done, src) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done.send(run_split_source(&cfg, st));
+    });
+    let first = kt.ctrl_rx.recv().unwrap().expect("the opening frame");
+    assert!(
+        matches!(
+            first,
+            CtrlMsg::SessionRequest {
+                notify_imm: true,
+                ..
+            }
+        ),
+        "{first:?}"
+    );
+    kt.ctrl_tx
+        .send(&CtrlMsg::BlockComplete {
+            session: SESSION,
+            seq: 0,
+            slot: 0,
+            len: 4096,
+        })
+        .unwrap();
+    let end = src.recv_timeout(std::time::Duration::from_secs(10));
+    (kt.abort)();
+    let err = (end.expect("the source took the BlockComplete and went on"))
+        .expect_err("BlockComplete at the source");
+    assert!(
+        err.to_string().contains("unexpected ctrl at source"),
+        "{err}"
+    );
+}
+
+/// The live sink acks with `AckBatch` and never hears of a block but
+/// from its own receivers: a `BlockComplete` is a protocol error.
+// spec: [P7-acks-reverse]
+#[test]
+fn the_live_sink_refuses_block_complete() {
+    let cfg = LiveConfig::new(4096, 1, 4 * 4096);
+    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+    let sent = Sent::default();
+    let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
+    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
+    let mut h = sess.handler(&sent, None);
+    h.handle(request(&cfg)).unwrap();
+    let slot = sent.take_granted()[0];
+    let err = h
+        .handle(SinkEvt::Ctrl(CtrlMsg::BlockComplete {
+            session: SESSION,
+            seq: 0,
+            slot,
+            len: 4096,
+        }))
+        .expect_err("BlockComplete at the sink");
+    assert!(err.to_string().contains("unexpected ctrl at sink"), "{err}");
+    assert_eq!(h.delivered, 0, "nothing retired on its word");
+}
+
 /// `apply_wan` sizes both pools and the first grant by the one
 /// window rule at the declared path; a LAN preset's window is under
 /// the default pool, which it keeps.
+// spec: [P4.1-wan-first-grant]
 #[test]
 fn apply_wan_sizes_pools_and_first_grant_by_the_window() {
     let ani = WanProfile::parse("ani-wan").unwrap();
@@ -769,6 +906,7 @@ fn apply_wan_sizes_pools_and_first_grant_by_the_window() {
 /// more than the window on loan — not at the opening grant (sized by
 /// the declared path), nor once the controller has measured it (the
 /// depth clamp), however the 2-per-completion grants fall.
+// spec: [P4.1-wan-first-grant]
 #[test]
 fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     let ani = WanProfile::parse("ani-wan").unwrap();
@@ -943,6 +1081,7 @@ fn static_runs_report_no_adapt_state() {
     assert!(src.adapt.is_none() && snk.adapt.is_none());
 }
 
+// spec: [P7-peer-loss]
 #[test]
 fn sink_errors_when_source_vanishes_mid_transfer() {
     // Source half dies (simulated by aborting its transport after
@@ -1012,6 +1151,7 @@ fn stage_latches_the_first_error_or_panic_and_returns_its_tally() {
 /// (the ring fills and the source's control stage spins on a deposit),
 /// so the sink refuses one; `apply_wan` leaves such a pool alone,
 /// without panicking, for the sink to refuse.
+// spec: [P7-credit-slot-bound]
 #[test]
 fn a_pool_past_the_credit_ring_is_refused() {
     let ani = WanProfile::parse("ani-wan").unwrap();
@@ -1034,6 +1174,7 @@ fn a_pool_past_the_credit_ring_is_refused() {
 /// A peer that is not a sink from this tree may grant a slot past the
 /// credit ring; the source's control stage must refuse it rather
 /// than spin on a full ring.
+// spec: [P7-credit-slot-bound]
 #[test]
 fn a_credit_past_the_ring_fails_the_source() {
     let cfg = LiveConfig::new(64 * 1024, 1, 1 << 20);

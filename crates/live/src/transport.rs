@@ -602,6 +602,7 @@ mod tests {
             .is_err());
     }
 
+    // spec: [P7-route-before-read]
     #[test]
     fn channel_data_place_and_discard() {
         let (src, mut snk) = channel_transport(2, 4);
@@ -706,6 +707,7 @@ mod tests {
     /// The pinned path's invariant: a first arrival copies byte-exactly
     /// out of the registered block, and a duplicate whose block has since
     /// been reused is discarded without that block ever being read.
+    // spec: [P7-route-before-read]
     #[test]
     fn registered_send_block_copies_once_and_discard_never_reads_the_block() {
         let (src, mut snk) = channel_transport(1, 4);

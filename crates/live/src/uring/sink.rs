@@ -352,6 +352,7 @@ mod tests {
     /// `Registered` guard sends the detach while the panic unwinds, so
     /// a stopped driver exits instead of holding a session that no
     /// thread will collect.
+    // spec: [P5-panic-fails-alone]
     #[test]
     fn a_panicking_session_still_detaches() {
         if !uring_supported() {
@@ -499,6 +500,7 @@ mod tests {
 
     /// Header-first pattern transfer: a header read and a payload
     /// read per block, so ≈ 2 CQEs.
+    // spec: [P7-route-before-read]
     #[test]
     fn header_first_pattern_transfer() {
         let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);
@@ -543,6 +545,7 @@ mod tests {
     /// dwell so healthy blocks are re-sent too: every re-send of a
     /// block already placed must be read off the socket and dropped
     /// (the `Discard` arm), never placed twice.
+    // spec: [P7-exactly-once-placement]
     #[test]
     fn header_first_drops_recover_exactly_once() {
         let cfg = LiveConfig::new(64 * 1024, 4, 8 << 20);

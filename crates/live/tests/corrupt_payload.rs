@@ -265,6 +265,7 @@ fn assert_refused(src: io::Result<LiveReport>, snk: io::Result<LiveReport>, file
     assert!(src.is_err(), "the source finished without the block");
 }
 
+// spec: [P7-frame-len]
 #[test]
 fn threaded_tcp_sink_refuses_a_short_block() {
     let (src_cfg, cfg, files) = file_pair("tcp");
@@ -279,6 +280,7 @@ fn threaded_tcp_sink_refuses_a_short_block() {
     assert_refused(src.join().unwrap(), snk, files);
 }
 
+// spec: [P7-frame-len]
 #[test]
 fn in_process_sink_refuses_a_short_block() {
     let (src_cfg, cfg, files) = file_pair("inproc");
@@ -292,6 +294,7 @@ fn in_process_sink_refuses_a_short_block() {
     assert_refused(src, snk, files);
 }
 
+// spec: [P7-frame-len]
 #[test]
 fn uring_sink_refuses_a_short_block() {
     if !uring_supported() {
@@ -310,6 +313,7 @@ fn uring_sink_refuses_a_short_block() {
     assert_refused(src.join().unwrap(), snk, files);
 }
 
+// spec: [P7-frame-len]
 #[test]
 fn shm_sink_refuses_a_short_block() {
     let (src_cfg, cfg, files) = file_pair("shm");

@@ -155,11 +155,13 @@ fn concurrent_sessions_byte_identical(transport: DaemonTransport, mixed_src: boo
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// spec: [P7-grouping] [P7.1-transparent]
 #[test]
 fn daemon_serves_four_concurrent_tcp_sessions_byte_identical() {
     concurrent_sessions_byte_identical(DaemonTransport::Tcp, false, "conc_tcp");
 }
 
+// spec: [P7-backend-interop] [P7.1-transparent]
 #[test]
 fn uring_daemon_serves_mixed_backend_sessions_byte_identical() {
     if !rftp_live::uring_supported() {
@@ -255,6 +257,7 @@ fn uring_daemon_serves_a_lossy_wan_source_exactly_once() {
 
 /// A full session table turns the next source away with a typed
 /// `SessionBusy` — promptly, never a hang.
+// spec: [P3-session-busy] [P7.1-busy] [P7.1-reply-then-drain] [P7.1-source-errors]
 #[test]
 fn admission_busy_on_full_session_table_is_typed_and_prompt() {
     let dir = tmp_dir("busy_table");
@@ -290,6 +293,7 @@ fn admission_busy_on_full_session_table_is_typed_and_prompt() {
 
 /// An exhausted slot arena (table has room, memory does not) is the
 /// same typed busy reply.
+// spec: [P3-session-busy] [P7.1-busy]
 #[test]
 fn admission_busy_on_exhausted_arena() {
     let dir = tmp_dir("busy_arena");
@@ -319,6 +323,7 @@ fn admission_busy_on_exhausted_arena() {
 
 /// Impossible geometry (block larger than any arena slot) is a typed
 /// `SessionReject`, distinct from transient busy.
+// spec: [P7.1-reject] [P7.1-source-errors]
 #[test]
 fn admission_rejects_oversized_blocks() {
     let mut cfg = base_daemon_cfg();
@@ -355,18 +360,21 @@ fn bulk_cannot_starve_interactive_session() {
         let done = Arc::clone(&bulk_done);
         std::thread::spawn(move || {
             let r = run_client(addr, &LiveConfig::new(64 * 1024, 2, bulk_bytes), false);
+            let end = Instant::now();
             done.store(true, Ordering::Release);
-            r
+            (r, end)
         })
     };
     std::thread::sleep(Duration::from_millis(50));
 
     let t0 = Instant::now();
-    let interactive = run_client(addr, &LiveConfig::new(64 * 1024, 1, 128 * 1024), false);
-    let latency = t0.elapsed();
     let bulk_was_running = !bulk_done.load(Ordering::Acquire);
+    let interactive = run_client(addr, &LiveConfig::new(64 * 1024, 1, 128 * 1024), false);
+    let interactive_end = Instant::now();
+    let latency = interactive_end - t0;
     interactive.expect("interactive session failed");
-    bulk_jh.join().unwrap().expect("bulk session failed");
+    let (bulk, bulk_end) = bulk_jh.join().unwrap();
+    bulk.expect("bulk session failed");
     let report = drain(&handle, jh);
 
     assert_eq!(report.completed, 2, "{report:?}");
@@ -374,6 +382,12 @@ fn bulk_cannot_starve_interactive_session() {
         bulk_was_running,
         "bulk finished before the interactive session even started — \
          grow bulk_bytes, the test never exercised contention"
+    );
+    assert!(
+        interactive_end < bulk_end,
+        "interactive session starved: it ended {:?} after t0, the bulk session {:?} after t0",
+        interactive_end - t0,
+        bulk_end.saturating_duration_since(t0)
     );
     assert!(
         latency < Duration::from_secs(2),
@@ -504,6 +518,7 @@ fn sequential_sessions_reuse_the_arena() {
 
 /// `rftpd --session-slots` past the source's credit ring is refused at
 /// parse time: a session pool that large would hang its transfer.
+// spec: [P7-credit-slot-bound]
 #[test]
 fn session_slots_past_the_credit_ring_are_rejected_at_parse_time() {
     let mut rftpd = std::process::Command::new(env!("CARGO_BIN_EXE_rftpd"))

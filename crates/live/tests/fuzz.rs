@@ -12,6 +12,7 @@ proptest! {
         timeout: 60_000,
     })]
 
+    // spec: [P8-fuzz-completes]
     #[test]
     fn any_legal_live_configuration_completes(
         block_kb in 4u64..=256,

@@ -130,6 +130,7 @@ fn tcp_sink_fails_the_one_block_with_a_flipped_byte() {
     assert_eq!(snk.checksum_failures, 1);
 }
 
+// spec: [P7-exactly-once-placement] [P8-exactly-once]
 #[test]
 fn tcp_drop_faults_recover_exactly_once() {
     let mut src_cfg = LiveConfig::new(32 * 1024, 2, (4 << 20) / SCALE);
@@ -257,6 +258,7 @@ fn uring_file_to_file_is_byte_identical() {
     let _ = std::fs::remove_file(&dst_path);
 }
 
+// spec: [P7-exactly-once-placement]
 #[test]
 fn uring_drop_faults_recover_exactly_once() {
     if !uring_or_skip() {
@@ -280,6 +282,7 @@ fn uring_drop_faults_recover_exactly_once() {
     assert_eq!(snk.blocks, src.blocks);
 }
 
+// spec: [P7-backend-interop]
 #[test]
 fn mixed_backends_move_files_byte_identically() {
     if !uring_or_skip() {
@@ -519,6 +522,7 @@ fn two_processes_exactly_once_through_lossy_wan_uring() {
 
 /// Killing the sink process mid-transfer must fail the source promptly —
 /// a broken-pipe style error, not a hang.
+// spec: [P7-peer-loss]
 #[test]
 fn source_fails_cleanly_when_sink_is_killed() {
     let (mut sink, addr) = spawn_sink(&[]);
@@ -551,6 +555,7 @@ fn source_fails_cleanly_when_sink_is_killed() {
 }
 
 /// Killing the source process mid-transfer must fail the sink promptly.
+// spec: [P7-peer-loss]
 #[test]
 fn sink_fails_cleanly_when_source_is_killed() {
     let (mut sink, addr) = spawn_sink(&[]);
@@ -612,6 +617,7 @@ fn two_processes_move_a_file_over_uring() {
 /// Peer death over the uring backend, both directions: the ring's
 /// in-flight ops must complete with errors that trip the failure latch,
 /// not wedge the driver.
+// spec: [P7-peer-loss]
 #[test]
 fn uring_source_fails_cleanly_when_sink_is_killed() {
     if !uring_or_skip() {
@@ -645,6 +651,7 @@ fn uring_source_fails_cleanly_when_sink_is_killed() {
     );
 }
 
+// spec: [P7-peer-loss]
 #[test]
 fn uring_sink_fails_cleanly_when_source_is_killed() {
     if !uring_or_skip() {
@@ -747,6 +754,7 @@ fn silent_post_hello_client_times_out_the_one_shot_accept() {
 /// request, so a request it cannot serve — a hello census of two
 /// streams under `channels: 3`, or `block_size: 0` — must get the typed
 /// `SessionReject` and a clean exit 1, not abort the process.
+// spec: [P7.1-one-ladder]
 #[test]
 fn one_shot_sink_rejects_an_unservable_request() {
     use rftp_core::wire::{encode_stream_frame, CtrlMsg, CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
@@ -820,6 +828,7 @@ fn unknown_flags_are_rejected_with_usage() {
 
 /// A pool past the source's credit ring would hang the transfer once the
 /// ring fills: refused at parse time, like any bad count.
+// spec: [P7-credit-slot-bound]
 #[test]
 fn pool_past_the_credit_ring_is_rejected_at_parse_time() {
     let mut run = rftp_live_cmd()

@@ -77,6 +77,7 @@ fn transfer_256mib_is_byte_identical() {
 /// Satellite: seeded-shuffle out-of-order delivery into the file sink.
 /// Sparse positioned writes are the reassembly, so any delivery order
 /// must produce the same bytes as in-order delivery and as the source.
+// spec: [P4.2-retire-on-arrival]
 #[test]
 fn shuffled_placement_matches_in_order_and_source() {
     let block = 4096usize;
@@ -139,6 +140,7 @@ fn shuffled_placement_matches_in_order_and_source() {
 /// double-write could land after the slot was re-granted and corrupt the
 /// file, so byte identity under heavy loss is the proof the claim gates
 /// the flush.
+// spec: [P7-exactly-once-placement]
 #[test]
 fn fault_drops_never_double_write_the_file() {
     let total: u64 = 8 << 20;

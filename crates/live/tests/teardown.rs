@@ -23,6 +23,7 @@ use std::time::Duration;
 /// their acks. With `DatasetComplete` held back until the last ack the
 /// end took a third round trip (`DatasetComplete` out, the sink's close
 /// back) plus the sink's ack dwell.
+// spec: [P7-teardown-source] [P7-teardown-sink]
 #[test]
 fn tail_four_blocks_end_two_round_trips_after_the_request() {
     let wan = WanProfile::parse("rtt=100ms").unwrap();
@@ -77,6 +78,7 @@ fn spawn_source(
     std::thread::spawn(move || run_split_source(&cfg, wrap_source(connect()?, &wan)))
 }
 
+// spec: [P7-teardown-source] [P7-teardown-order]
 #[test]
 fn late_resend_to_an_ended_tcp_sink_is_not_an_error() {
     let (cfg, wan) = late_resend_cfg();
@@ -91,6 +93,7 @@ fn late_resend_to_an_ended_tcp_sink_is_not_an_error() {
     assert_late_resends(&cfg, &src, &snk);
 }
 
+// spec: [P7-teardown-order]
 #[test]
 fn late_resend_to_an_ended_shm_sink_is_not_an_error() {
     if !shm_supported() {
@@ -128,6 +131,7 @@ fn uring_daemon() -> Daemon {
     Daemon::bind("127.0.0.1:0", cfg).unwrap()
 }
 
+// spec: [P7-teardown-order]
 #[test]
 fn late_resend_to_an_ended_uring_daemon_session_is_not_an_error() {
     if !uring_supported() {
@@ -155,6 +159,7 @@ fn late_resend_to_an_ended_uring_daemon_session_is_not_an_error() {
 /// blocks through one uring daemon while a bulk client streams beside
 /// them. Every short session ends on the sink's close, as soon as its
 /// last block lands; none may fail.
+// spec: [P7-teardown-order]
 #[test]
 fn late_resend_back_to_back_short_sessions_through_one_daemon_all_succeed() {
     if !uring_supported() {

@@ -64,6 +64,7 @@ fn assert_both_fail(src: mpsc::Receiver<HalfResult>, snk: mpsc::Receiver<HalfRes
 // Channel backend
 // ---------------------------------------------------------------------------
 
+// spec: [P7-peer-loss]
 #[test]
 fn channel_source_abort_trips_both_halves() {
     let cfg = big_cfg(3);
@@ -135,6 +136,7 @@ fn tcp_pair_with_abort(
     (src_rx, snk, abort)
 }
 
+// spec: [P7-peer-loss]
 #[test]
 fn tcp_source_abort_trips_both_halves() {
     let cfg = big_cfg(2);
@@ -158,6 +160,7 @@ fn tcp_sink_abort_trips_both_halves() {
 /// placement and must not desynchronize the stream — the next frame
 /// still parses. After an abort, a reader blocked on the link unblocks
 /// promptly instead of hanging on a half-dead socket.
+// spec: [P7-route-before-read] [P7-exactly-once-placement]
 #[test]
 fn tcp_discard_wire_consumes_duplicates_and_unblocks_after_abort() {
     let listener = NetListener::bind("127.0.0.1:0").unwrap();
@@ -263,6 +266,7 @@ fn uring_source_abort_trips_both_halves() {
 /// Remote teardown seen from the uring *source*: the TCP sink aborts its
 /// links and every ring-queued send on the source side must fail the
 /// transfer instead of wedging the dispatcher.
+// spec: [P7-backend-interop]
 #[test]
 fn tcp_sink_abort_trips_uring_source() {
     if !uring_or_skip() {

@@ -11,6 +11,7 @@ const GB: u64 = 1 << 30;
 
 /// Negotiation rejection: a block size beyond the sink's memory policy
 /// fails the session cleanly (SessionReject), not with a hang.
+// spec: [P5-reject]
 #[test]
 fn session_reject_fails_cleanly_and_fast() {
     let tb = testbed::ani_wan();
@@ -33,6 +34,7 @@ fn session_reject_fails_cleanly_and_fast() {
 }
 
 /// Channel-count rejection uses its own reason code.
+// spec: [P4.1-validate] [P5-reject]
 #[test]
 fn too_many_channels_rejected() {
     let tb = testbed::roce_lan();
@@ -53,6 +55,7 @@ fn too_many_channels_rejected() {
 
 /// RNR retry exhaustion kills the queue pair with the right status and
 /// flushes everything behind the failed work request (verbs semantics).
+// spec: [P5-rnr]
 #[test]
 fn rnr_exhaustion_is_fatal_and_flushes() {
     use rftp_fabric::{

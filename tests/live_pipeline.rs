@@ -27,6 +27,7 @@ fn pattern_transfer_with_odd_tail_is_exact() {
     assert!(r.adapt.is_none(), "static run must not grow a controller");
 }
 
+// spec: [P6-timer]
 #[test]
 fn seeded_drops_recover_through_the_one_watchdog() {
     let mut cfg = LiveConfig::new(16 << 10, 2, 64 * (16 << 10));
@@ -52,6 +53,7 @@ fn seeded_drops_recover_through_the_one_watchdog() {
 /// named by the ack stream and the watchdog was woken by completion.
 /// Seed 32 drops 18 first sends (the last is sequence 450 of 512) and
 /// none of their re-sends, so nothing is left for the timer.
+// spec: [P6-fast]
 #[test]
 fn seeded_drops_recover_from_acks_alone() {
     acks_alone_recover_every_drop(64);
@@ -63,6 +65,7 @@ fn seeded_drops_recover_from_acks_alone() {
 /// and every drop waits out the 10 s timer. Retiring slots as they land
 /// costs a hole one slot: the other three keep cycling, and the acks
 /// name the loss.
+// spec: [P4.2-one-mr-request] [P6-hole-one-slot]
 #[test]
 fn seeded_drops_recover_from_acks_alone_with_a_four_slot_pool() {
     acks_alone_recover_every_drop(4);

@@ -75,6 +75,7 @@ fn arb_ctrl_msg() -> impl Strategy<Value = CtrlMsg> {
 
 proptest! {
     /// Every control message round-trips byte-exactly and fits its slot.
+    // spec: [P8-wire-roundtrip]
     #[test]
     fn ctrl_msg_roundtrip(msg in arb_ctrl_msg()) {
         let mut buf = [0u8; CTRL_SLOT_LEN];
@@ -85,6 +86,7 @@ proptest! {
     }
 
     /// Payload headers round-trip for arbitrary field values.
+    // spec: [P8-wire-roundtrip]
     #[test]
     fn payload_header_roundtrip(session in any::<u32>(), seq in any::<u32>(),
                                 offset in any::<u64>(), len in any::<u32>()) {
@@ -95,6 +97,7 @@ proptest! {
     }
 
     /// Decoding arbitrary bytes never panics.
+    // spec: [P8-wire-roundtrip]
     #[test]
     fn ctrl_decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..CTRL_SLOT_LEN)) {
         let _ = CtrlMsg::decode(&bytes);
@@ -103,6 +106,7 @@ proptest! {
 
     /// The reorder buffer delivers exactly 0..n in order for any arrival
     /// permutation.
+    // spec: [P4.2-stream-in-order] [P8-exactly-once]
     #[test]
     fn reorder_delivers_any_permutation(
         perm in (0u32..64)
@@ -126,6 +130,7 @@ proptest! {
 
     /// Source pool conservation: across arbitrary operation sequences,
     /// every block is in exactly one state and the free list matches.
+    // spec: [P8-blocks-conserved]
     #[test]
     fn source_pool_conserves_blocks(ops in prop::collection::vec(0u8..5, 0..200)) {
         let pool = AtomicSourcePool::new(PoolGeometry::new(4096, 8));
@@ -171,6 +176,7 @@ proptest! {
     }
 
     /// Sink pool: grant/ready/consume/revoke sequences conserve blocks.
+    // spec: [P4.3-revoke] [P8-blocks-conserved] [P8-credits-conserved]
     #[test]
     fn sink_pool_conserves_blocks(ops in prop::collection::vec(0u8..4, 0..200)) {
         let pool = AtomicSinkPool::new(PoolGeometry::new(4096, 8));
@@ -206,6 +212,7 @@ proptest! {
     }
 
     /// Credit stock never loses or invents credits.
+    // spec: [P8-credits-conserved]
     #[test]
     fn credit_stock_conserves(deposits in prop::collection::vec(1u32..16, 0..50)) {
         let mut stock = CreditStock::new();

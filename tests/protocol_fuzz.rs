@@ -73,6 +73,7 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
+    // spec: [P8-fuzz-completes]
     #[test]
     fn any_legal_configuration_completes_byte_exactly(cfg in arb_cfg()) {
         let tb = if cfg.testbed == 0 {
