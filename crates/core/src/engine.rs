@@ -285,6 +285,9 @@ pub struct SourceEngine {
     next_load_off: u64,
     job_blocks: u64,
     blocks_completed: u64,
+    /// `stats.blocks_sent` and `stats.bytes_sent` when the current job
+    /// started: a resume recounts the job from here.
+    job_base: (u64, u64),
     loads_in_flight: u32,
     next_loader: usize,
     /// Blocks loaded but not yet dispatched, ordered by sequence number.
@@ -388,6 +391,7 @@ impl SourceEngine {
             next_load_off: 0,
             job_blocks,
             blocks_completed: 0,
+            job_base: (0, 0),
             loads_in_flight: 0,
             next_loader: 0,
             loaded_order: ReorderBuffer::new(),
@@ -728,6 +732,7 @@ impl SourceEngine {
         self.next_load_off = 0;
         self.loaded_order = ReorderBuffer::new();
         self.blocks_completed = 0;
+        self.job_base = (self.stats.blocks_sent, self.stats.bytes_sent);
         self.job_blocks = self.cfg.blocks_for(self.job_bytes());
         self.credits = CreditStock::new();
         self.max_seq_started = 0;
@@ -780,12 +785,17 @@ impl SourceEngine {
 
     /// Rewind the job cursor to `resume_from` (the sink's highest
     /// contiguous sequence): everything before it is already placed and
-    /// is never re-sent.
+    /// is never re-sent. The sent counters then hold exactly that prefix
+    /// — whether or not its completions were seen — so each later block
+    /// counts once, when its WRITE completes.
     fn rewind_to(&mut self, resume_from: u32) {
         self.next_seq = resume_from;
         self.next_load_off = (resume_from as u64 * self.cfg.block_size).min(self.job_bytes());
         self.loaded_order = ReorderBuffer::starting_at(resume_from);
         self.blocks_completed = resume_from as u64;
+        let (blocks, bytes) = self.job_base;
+        self.stats.blocks_sent = blocks + resume_from as u64;
+        self.stats.bytes_sent = bytes + self.next_load_off;
     }
 
     /// The back-off expired: tear the transport down to a clean state and

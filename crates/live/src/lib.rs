@@ -18,10 +18,11 @@
 //! control frames both ways and data frames source → sink. What varies
 //! is the transport:
 //!
-//! * **in-process channels** ([`channel_transport`]) — both halves in one
-//!   address space; a data frame names the source's pinned block and the
-//!   sink end copies once into the credited slot, the RDMA WRITE
-//!   analogue. [`run_live`] is this, with the two reports merged;
+//! * **in-process** ([`channel_transport`]) — both halves in one address
+//!   space over the shm window: the loaders write each block straight
+//!   into the credited sink slot, and a channel carries only the 16-byte
+//!   notify record — the RDMA WRITE analogue, with no copy. [`run_live`]
+//!   is this, with the two reports merged;
 //! * **TCP** ([`net`]) — `rftp-live --listen` / `--connect` move a file
 //!   between two OS processes; a WRITE becomes one vectored write of
 //!   frame header + payload straight from the pinned block, read

@@ -6,14 +6,13 @@ use super::door::{connect_streams, send_raw_ctrl, shutdown_all, SessionStreams};
 use super::{proto_err, read_exact_or_eof, retry_interrupted};
 use crate::store::SlotBuf;
 use crate::transport::{
-    registered, BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Landing, Registered, SinkTransport,
-    SourceTransport,
+    BufPool, CtrlRx, CtrlTx, DataRx, DataTx, Landing, SinkTransport, SourceTransport,
 };
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, FrameDecoder, DATA_FRAME_HEADER_LEN};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Whole-frame control sender over any byte stream (TCP for the
 /// network backends, `UnixStream` for shm). Generic so the shm control
@@ -144,11 +143,15 @@ fn write_all_vectored(s: &mut impl Write, mut iov: &mut [IoSlice<'_>]) -> io::Re
     Ok(())
 }
 
+/// The source pool the `register` hook pinned, shared by every data
+/// link of one transport.
+pub(super) type Registered = Arc<OnceLock<BufPool>>;
+
 /// A data stream's send side. With the source pool registered,
 /// [`DataTx::send_block`] queues and [`DataTx::kick`] writes the queue
 /// with one `writev` — one syscall per sender drain, not per block.
-/// A borrowed or owned image ([`DataTx::send`], and through it
-/// [`DataTx::send_owned`]) is written at once, behind the queue: a WAN
+/// A borrowed image ([`DataTx::send`]) is written at once, behind the
+/// queue: a WAN
 /// delay line hands each frame over at the instant it is due, and
 /// holding it for a kick would move it off that instant.
 pub(super) struct NetDataTx {
@@ -188,7 +191,14 @@ impl DataTx for NetDataTx {
         bufs: &[Mutex<SlotBuf>],
         block: u32,
     ) -> io::Result<()> {
-        let pool = registered(&self.pool)?;
+        // A block is sent by reference only once the `register` hook
+        // has pinned its pool.
+        let pool = (self.pool.get()).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "send_block with no registered pool",
+            )
+        })?;
         debug_assert!(
             std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
             "send_block from a pool other than the registered one"

@@ -3,7 +3,7 @@
 use super::door::*;
 use super::link::*;
 use super::*;
-use crate::transport::{BufPool, DataTx, Registered};
+use crate::transport::{BufPool, DataTx};
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN};
 use std::net::Shutdown;
 use std::sync::Arc;
@@ -390,9 +390,8 @@ fn a_batch_larger_than_the_send_buffer_survives_short_writes() {
     assert!(got == want, "the batch arrived out of order or torn");
 }
 
-/// `send` of a borrowed image and `send_owned` of a handed-over one
-/// write at once, behind everything already queued on their link —
-/// channel order holds without a kick.
+/// `send` of a borrowed image writes at once, behind everything already
+/// queued on its link — channel order holds without a kick.
 // spec: [P7-writev]
 #[test]
 fn send_after_queued_blocks_keeps_channel_order() {
@@ -412,7 +411,7 @@ fn send_after_queued_blocks_keeps_channel_order() {
     want.clear();
     tx.send_block(block_hdr(0, LEN), &pool, 0).unwrap();
     want.extend(block_frame(&pool, 0, LEN));
-    tx.send_owned(hdr, wire.clone().into()).unwrap();
+    tx.send(hdr, &wire).unwrap();
     want.extend(frame_bytes(hdr, &wire));
     assert_eq!(read_n(&mut peer, want.len()), want);
 }

@@ -326,16 +326,16 @@ impl DataTx for NetemDataTx {
 /// line after its block was retired and reused carries the new bytes
 /// under its old header: a duplicate, which the sink discards. It goes
 /// as a copy of the block's current bytes, written at once
-/// ([`DataTx::send_owned`]), rather than queued by reference, so a link
+/// ([`DataTx::send`]), rather than queued by reference, so a link
 /// that frames a queued block from the block itself never sees the
 /// block under two headers. The block is unlocked before any send: a
 /// link's write locks the blocks it has queued, and this block may be
-/// one of them. A block loaded into the inner link's window (shm) never
+/// one of them. A block loaded into the inner link's window never
 /// touched the pool: it always goes by reference, and the window's own
 /// per-slot record turns a late one into a re-notify or a stale drop.
 fn deliver(inner: &dyn DataTx, pool: &OnceLock<Registered>, (hdr, wire): Frame) -> io::Result<()> {
     let block = match wire {
-        Wire::Bytes(bytes) => return inner.send_owned(hdr, bytes),
+        Wire::Bytes(bytes) => return inner.send(hdr, &bytes),
         Wire::Block(block) => block,
     };
     let (pool, windowed) = pool.get().expect("a block frame implies a registered pool");
@@ -345,11 +345,11 @@ fn deliver(inner: &dyn DataTx, pool: &OnceLock<Registered>, (hdr, wire): Frame) 
     let stale = {
         let buf = pool[block as usize].lock();
         let held = PayloadHeader::decode(&buf[..PAYLOAD_HEADER_LEN]);
-        (!held.is_ok_and(|p| p.seq == hdr.seq)).then(|| buf[..hdr.wire_len()].into())
+        (!held.is_ok_and(|p| p.seq == hdr.seq)).then(|| buf[..hdr.wire_len()].to_vec())
     };
     match stale {
         None => inner.send_block(hdr, pool, block),
-        Some(copy) => inner.send_owned(hdr, copy),
+        Some(copy) => inner.send(hdr, &copy),
     }
 }
 
@@ -436,16 +436,22 @@ pub fn wrap_sink(t: SinkTransport, _p: &WanProfile) -> SinkTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::BlockPool;
     use crate::transport::{channel_transport, DataRx};
 
+    /// Each test frame has its own window slot: sequence `seq` in slot
+    /// `seq`.
     fn hdr(seq: u32) -> DataFrameHeader {
         DataFrameHeader {
             session: 1,
             seq,
-            slot: 0,
+            slot: seq,
             len: 64,
         }
     }
+
+    /// Slots in the test window: every sequence the tests send.
+    const SLOTS: u32 = 128;
 
     fn try_send_frame(t: &SourceTransport, ch: usize, seq: u32) -> io::Result<()> {
         let h = hdr(seq);
@@ -466,10 +472,37 @@ mod tests {
         seqs
     }
 
-    /// The source half behind `spec`, and the sink half as it is.
+    /// The source half behind `spec`, and the sink half as it is, with
+    /// the window open and every slot granted (the credit read off the
+    /// control link before the shim goes in); and the sink's slots.
+    fn shimmed_slots(
+        spec: &str,
+        channels: usize,
+        depth: usize,
+    ) -> (SourceTransport, SinkTransport, BlockPool) {
+        let (mut src, snk) = channel_transport(channels, depth);
+        let slots = snk.ctrl_tx.open_window(SLOTS, 64).unwrap().unwrap();
+        for first in (0..SLOTS).step_by(32) {
+            let credit = CtrlMsg::CreditBatch {
+                session: 1,
+                rkey: 0,
+                slot_len: 0,
+                slots: (first..first + 32).collect(),
+            };
+            snk.ctrl_tx.send(&credit).unwrap();
+            assert_eq!(src.ctrl_rx.recv().unwrap(), Some(credit));
+        }
+        (src.register)(&Arc::new(BlockPool::new(1, 64))).unwrap();
+        (
+            wrap_source(src, &WanProfile::parse(spec).unwrap()),
+            snk,
+            slots,
+        )
+    }
+
     fn shimmed(spec: &str, channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
-        let (src, snk) = channel_transport(channels, depth);
-        (wrap_source(src, &WanProfile::parse(spec).unwrap()), snk)
+        let (src, snk, _) = shimmed_slots(spec, channels, depth);
+        (src, snk)
     }
 
     #[test]
@@ -485,7 +518,7 @@ mod tests {
 
     #[test]
     fn data_and_ctrl_pick_up_one_way_delay() {
-        let (mut src, mut snk) = shimmed("rtt=20ms", 1, 8);
+        let (mut src, mut snk, slots) = shimmed_slots("rtt=20ms", 1, 8);
 
         let t0 = Instant::now();
         send_frame(&src, 0, 7);
@@ -493,8 +526,8 @@ mod tests {
         let data_lat = t0.elapsed();
         assert_eq!(got.seq, 7);
         assert!(data_lat >= Duration::from_millis(10), "{data_lat:?}");
-        let mut buf = vec![0u8; got.wire_len()];
-        snk.data[0].recv_wire(&mut buf).unwrap();
+        let mut buf = slots[7].lock();
+        snk.data[0].recv_wire(&mut buf[..got.wire_len()]).unwrap();
         assert_eq!(buf[1], 1 ^ 7);
 
         let t1 = Instant::now();
@@ -676,15 +709,12 @@ mod tests {
     }
 
     impl DataTx for Recorder {
-        fn send(&self, hdr: DataFrameHeader, _: &[u8]) -> io::Result<()> {
-            self.note(hdr, "send")
+        fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
+            assert_eq!(wire.len(), hdr.wire_len());
+            self.note(hdr, "copy")
         }
         fn send_block(&self, hdr: DataFrameHeader, _: &[Mutex<SlotBuf>], _: u32) -> io::Result<()> {
             self.note(hdr, "block")
-        }
-        fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
-            assert_eq!(wire.len(), hdr.wire_len());
-            self.note(hdr, "copy")
         }
     }
 
@@ -704,6 +734,7 @@ mod tests {
         let src = wrap_source(
             SourceTransport {
                 data: Arc::new(vec![Box::new(rec) as Box<dyn DataTx>]),
+                register: Box::new(|_| Ok(None)),
                 ..src
             },
             &WanProfile::parse("rtt=2ms").unwrap(),

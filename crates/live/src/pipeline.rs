@@ -7,10 +7,10 @@
 //! pump → handler), joined by a [`crate::transport`]. [`run_live`] /
 //! [`try_run_live`] run both halves in this process over the in-process
 //! channel transport and [`LiveReport::merge`] their two reports into one.
-//! That transport is a one-sided WRITE analogue — a data frame names the
-//! source's pinned block and the sink end copies once into the credited
-//! slot — so a single-address-space transfer still pays exactly one copy
-//! per block.
+//! That transport is the shm window in one address space — a loader
+//! writes each block straight into the credited sink slot, and a data
+//! frame is the 16-byte notify record of its publication — so a
+//! single-address-space transfer pays no copy after the load.
 //!
 //! What lives here besides the entry point is what every transport
 //! backend and both halves share: [`LiveConfig`] (and the largest pool a
@@ -198,7 +198,8 @@ pub struct StageBreakdown {
     /// Credit pairing, FSM transitions, and the transport send of each
     /// first attempt at the sender.
     pub dispatch_ns: f64,
-    /// Placement memcpy at the receivers.
+    /// Placement at the receivers: the socket-to-slot copy, or on a
+    /// window the publication check alone.
     pub place_ns: f64,
     /// Header check + pattern comparison at the consumer.
     pub verify_ns: f64,
@@ -445,8 +446,8 @@ mod tests {
 
     #[test]
     fn throughput_is_real_and_every_stage_clock_survives_the_merge() {
-        // The full pipeline: loaders pattern-fill, one placement copy per
-        // block, pattern verification. Release builds should beat
+        // The full pipeline: loaders pattern-fill into the window, the
+        // publication check, pattern verification. Release builds should beat
         // 0.2 GB/s on any machine; debug builds run a reduced volume with
         // a token floor (the word loops are unoptimized there).
         let mut cfg = LiveConfig::new(1 << 20, 4, (256 << 20) / SCALE);

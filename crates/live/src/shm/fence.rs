@@ -7,34 +7,37 @@ use crate::{store::STORE_ALIGN, sys::Mapping};
 use parking_lot::Mutex;
 use rftp_core::wire::{DataFrameHeader, PAYLOAD_HEADER_LEN};
 use std::io;
-use std::os::fd::OwnedFd;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 // -----------------------------------------------------------------
 // Per-slot generation word
 // -----------------------------------------------------------------
 
 /// Slot states in the low 2 bits of the generation word; the epoch
-/// lives in the upper 62 and is bumped by the sink at every grant.
-const SLOT_GRANTED: u64 = 0;
-const SLOT_WRITING: u64 = 1;
-const SLOT_PUBLISHED: u64 = 2;
+/// lives in the upper 62 and is bumped by the sink at every grant. A
+/// fresh window's zero word is none of them: a slot never granted
+/// takes no load and passes no publication check.
+const SLOT_GRANTED: u64 = 1;
+const SLOT_WRITING: u64 = 2;
+const SLOT_PUBLISHED: u64 = 3;
 
 fn word_of(epoch: u64, state: u64) -> u64 {
     (epoch << 2) | state
 }
 
 /// A mapped window's slots: slot `i` at `base + i × stride`, each
-/// holding at most `block_cap` payload bytes.
+/// holding at most `block_cap` payload bytes. In one process both views
+/// share one mapping; across two, each maps the memfd itself.
 struct Slots {
-    map: Mapping,
+    map: Arc<Mapping>,
     stride: usize,
     count: usize,
     block_cap: u32,
 }
 
 impl Slots {
-    fn new(map: Mapping, desc: &WindowDesc) -> Slots {
+    fn new(map: Arc<Mapping>, desc: &WindowDesc) -> Slots {
         Slots {
             map,
             stride: desc.stride as usize,
@@ -146,7 +149,7 @@ pub(crate) struct SrcWindow {
 }
 
 impl SrcWindow {
-    pub(super) fn new(map: Mapping, desc: &WindowDesc) -> SrcWindow {
+    pub(super) fn new(map: Arc<Mapping>, desc: &WindowDesc) -> SrcWindow {
         let sent = (0..desc.slot_count)
             .map(|_| Mutex::new(SentEntry { seq: -1, epoch: 0 }))
             .collect();
@@ -202,7 +205,10 @@ impl SrcWindow {
         // writer in this process: any later load of the slot fails (its
         // word is no longer GRANTED, or its seq is no newer), and
         // `place` writes only through `load`. The sink reads the room
-        // only once it is published; a peer writing it anyway is the
+        // only once it is published, and a published slot takes no load
+        // until the sink grants it again, after its last read — so in
+        // one process, where the sink's slot views alias this room, the
+        // two are never live together. A peer writing it anyway is the
         // trust model's scribble, which the sink's pattern check sees.
         let room =
             unsafe { std::slice::from_raw_parts_mut(self.slots.wire(slot), self.slots.room()) };
@@ -260,22 +266,20 @@ impl SrcWindow {
 
 /// The sink's view of its own window: its slots and the epoch it
 /// granted each slot at — what a published word must match before the
-/// payload is trusted. Owns the mapping and memfd: every window is
-/// created for exactly one session and dies with it.
+/// payload is trusted. Every window is created for exactly one session
+/// and dies with it.
 pub(crate) struct SnkWindow {
     slots: Slots,
     /// Epoch granted per wire slot; a notify is only honoured when
     /// the slot word reads exactly `(expected, PUBLISHED)`.
     expected: Vec<AtomicU64>,
-    _fd: OwnedFd,
 }
 
 impl SnkWindow {
-    pub(crate) fn owned(map: Mapping, fd: OwnedFd, desc: &WindowDesc) -> SnkWindow {
+    pub(super) fn new(map: Arc<Mapping>, desc: &WindowDesc) -> SnkWindow {
         SnkWindow {
             slots: Slots::new(map, desc),
             expected: (0..desc.slot_count).map(|_| AtomicU64::new(0)).collect(),
-            _fd: fd,
         }
     }
 

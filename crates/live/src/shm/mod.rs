@@ -1,8 +1,9 @@
 //! Shared-memory one-sided transport: the sink's credited slot pool
 //! *is* a memfd window both processes map, and a source "send" is a
 //! store into the credited slot's memory — a real one-sided WRITE with
-//! zero receiver-side payload copies. Only three things ever cross a
-//! socket:
+//! zero receiver-side payload copies. The in-process pair runs the same
+//! window over one anonymous mapping, its descriptor passed in memory.
+//! Between two processes only three things ever cross a socket:
 //!
 //! * **control** (`UnixStream`) — the exact length-prefixed control
 //!   frames every other backend speaks (credits, acks, session setup;
@@ -54,8 +55,9 @@
 //! The first 8 bytes of each slot's stride are dead space on the wire
 //! (the wire image starts at `STORE_ALIGN - PAYLOAD_HEADER_LEN`; see
 //! `SlotBuf`) and hold one `AtomicU64` generation word:
-//! `(epoch << 2) | state`, state ∈ {GRANTED=0, WRITING=1,
-//! PUBLISHED=2}. Ownership alternates one-sidedly:
+//! `(epoch << 2) | state`, state ∈ {GRANTED=1, WRITING=2,
+//! PUBLISHED=3}; a fresh window's zero word is none of them, so a slot
+//! never granted is never writable. Ownership alternates one-sidedly:
 //!
 //! * **sink, at credit time**: bump the epoch and release-store
 //!   `(e, GRANTED)` — the slot now belongs to the source;
@@ -80,7 +82,7 @@
 //!
 //! Same-host, same trust domain as the hello token (`net`): the peer
 //! holds a writable mapping of **its own session's window** — one memfd
-//! created for that session alone (`SessionWindow`), so under the
+//! created for that session alone (`window::share_window`), so under the
 //! daemon a tenant can scribble its own in-flight payloads (the sink's
 //! pattern comparison detects that, as with an RDMA rkey holder writing
 //! your pinned memory) but can never see or corrupt another session's.
@@ -89,15 +91,20 @@
 //!
 //! ## Files
 //!
-//! `window` holds the memfd, `SCM_RIGHTS` passing and the descriptor;
-//! `fence` the per-slot generation word; `source` and `sink` the two
-//! halves' endpoints.
+//! `fence` holds the per-slot generation word; `link` the window's data
+//! links and granting control sender, whatever carries their records;
+//! `window` the memfd, `SCM_RIGHTS` passing and the descriptor; `source`
+//! and `sink` the two halves' unix-socket endpoints.
 
 mod fence;
+mod link;
 mod sink;
 mod source;
 mod window;
 
+pub(crate) use link::{
+    in_process, Doorbell, GrantTx, Notices, SinkView, SourceView, WindowRx, WindowTx,
+};
 pub(crate) use sink::run_shm_session;
 pub use sink::{run_shm_sink, ShmListener, ShmSessionStreams};
 #[cfg(test)]

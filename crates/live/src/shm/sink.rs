@@ -1,12 +1,12 @@
-//! The sink half: the control sender that grants the window, the notify
-//! reader, the unix-socket way in and the session runner.
+//! The sink half between two processes: the memfd window its control
+//! stream opens, the notify reader, the unix-socket way in and the
+//! session runner.
 
-use super::fence::SnkWindow;
-use super::window::SessionWindow;
+use super::link::{GrantTx, Notices, SinkView, WindowRx};
+use super::window::share_window;
 use crate::net::{self, proto_err, read_exact_or_eof, shutdown_all, SessionSocket, SessionStreams};
-use crate::split::{run_sink_session, FairShare};
-use crate::store::SlotBuf;
-use crate::transport::{CtrlTx, DataRx, SinkTransport};
+use crate::split::{run_sink_pool, FairShare};
+use crate::transport::{DataRx, SinkTransport};
 use crate::{LiveConfig, LiveReport};
 use parking_lot::Mutex;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN};
@@ -43,77 +43,23 @@ impl SessionSocket for UnixStream {
     }
 }
 
-/// Sink control sender: the ordinary frame encoder, plus the window
-/// re-arm — every credit leaving this endpoint grants its slot's
-/// generation word first, so by the time the source reads the
-/// credit, the slot is already writable shared memory.
-struct ShmCtrlTx {
-    inner: net::NetCtrlTx<UnixStream>,
-    win: Arc<SnkWindow>,
-}
-
-impl CtrlTx for ShmCtrlTx {
-    fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
-        if let CtrlMsg::CreditBatch { slots, .. } = msg {
-            for &s in slots {
-                self.win.grant(s);
-            }
-        }
-        self.inner.send(msg)
-    }
-}
-
-/// The session's one data link: it reads the notify stream.
-/// `recv_wire` never reads a socket — the payload is already in the
-/// slot the caller's buffer aliases; all that remains is the
-/// publication check. This is the zero-copy place stage.
-struct ShmDataRx {
-    notify: UnixStream,
-    win: Arc<SnkWindow>,
-    pending: Option<DataFrameHeader>,
-}
-
-impl DataRx for ShmDataRx {
-    fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
-        debug_assert!(self.pending.is_none(), "previous frame not consumed");
+/// The notify stream: one 16-byte record per publication.
+impl Notices for UnixStream {
+    fn next(&mut self) -> io::Result<Option<DataFrameHeader>> {
         let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
-        if !read_exact_or_eof(&mut self.notify, &mut rec)? {
+        if !read_exact_or_eof(self, &mut rec)? {
             return Ok(None);
         }
-        let hdr = DataFrameHeader::decode(&rec)
-            .map_err(|e| proto_err(format!("bad shm notify record: {e:?}")))?;
-        self.pending = Some(hdr);
-        Ok(Some(hdr))
-    }
-
-    fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        let hdr = self.pending.take().expect("recv_wire without a header");
-        self.win.check_published(&hdr)?;
-        // The caller's buffer is the slot's external SlotBuf view —
-        // the same physical bytes the source stored. Nothing to
-        // move; the check above was the whole place stage.
-        debug_assert_eq!(
-            buf.as_ptr() as usize,
-            self.win.wire_at(hdr.slot) as usize,
-            "shm sink buffer must alias the shared slot"
-        );
-        debug_assert_eq!(buf.len(), hdr.wire_len());
-        Ok(())
-    }
-
-    fn discard_wire(&mut self, _wire_len: usize) -> io::Result<()> {
-        // Duplicate notify: the payload never crossed the stream, so
-        // there is nothing to drain — dropping the record is the
-        // whole discard.
-        self.pending.take().expect("discard_wire without a header");
-        Ok(())
+        DataFrameHeader::decode(&rec)
+            .map(Some)
+            .map_err(|e| proto_err(format!("bad shm notify record: {e:?}")))
     }
 }
 
-/// Wrap one assembled shm connection pair plus a window into a
-/// [`SinkTransport`]: one data link, the notify reader, whatever channel
-/// count the control hello announced; control framing unchanged,
-/// credits re-arming the window on their way out.
+/// Wrap one assembled shm connection pair into a [`SinkTransport`]: one
+/// data link, the notify reader, whatever channel count the control
+/// hello announced; control framing unchanged, the control sender
+/// opening the window and granting it on the credits' way out.
 ///
 /// One reader, because arrivals — and so acks — must leave in the
 /// order the source stored them: the source infers a loss from
@@ -121,24 +67,26 @@ impl DataRx for ShmDataRx {
 /// and readers racing on one stream hand records to the handler out
 /// of that order whenever one of them is descheduled, which reads as
 /// a loss and re-sends a block that arrived.
-fn sink_transport_for_window(
-    mut streams: SessionStreams<UnixStream>,
-    win: Arc<SnkWindow>,
-) -> io::Result<SinkTransport> {
+fn sink_transport(mut streams: SessionStreams<UnixStream>) -> io::Result<SinkTransport> {
     let handles = streams.handles()?;
     let ctrl_wr = streams.ctrl.try_clone()?;
     let notify = streams
         .data
         .pop()
         .expect("an shm set has its notify stream");
-    let data: Vec<Box<dyn DataRx>> = vec![Box::new(ShmDataRx {
+    let win = SinkView::default();
+    let data: Vec<Box<dyn DataRx>> = vec![Box::new(WindowRx {
         notify,
         win: Arc::clone(&win),
         pending: None,
     })];
+    // The session's memfd window: the descriptor and fd leave on the
+    // control stream ahead of every control frame.
+    let desc_wr = streams.ctrl.try_clone()?;
     Ok(SinkTransport {
-        ctrl_tx: Arc::new(ShmCtrlTx {
+        ctrl_tx: Arc::new(GrantTx {
             inner: net::NetCtrlTx(Mutex::new(ctrl_wr)),
+            map: Box::new(move |desc| share_window(desc, &desc_wr).map(Arc::new)),
             win,
         }),
         ctrl_rx: Box::new(net::NetCtrlRx::new(streams.ctrl)),
@@ -210,24 +158,18 @@ impl Drop for ShmListener {
     }
 }
 
-/// Run the sink half of an assembled shm session: create the memfd
-/// window for **this session alone**, sized to its pool
-/// (`cfg.pool_blocks` — under the daemon, the arena lease), ship the
-/// descriptor + fd, lay external slot buffers over the window, and
-/// run the standard sink pipeline — whose "placement" is now the
-/// publication check alone.
+/// Run the sink half of an assembled shm session: the sink pipeline
+/// opens a memfd window for **this session alone**, sized to its pool
+/// (`cfg.pool_blocks` — under the daemon, the arena lease), ships the
+/// descriptor + fd and lands blocks in the window's slots — so its
+/// "placement" is the publication check alone.
 pub(crate) fn run_shm_session(
     cfg: &LiveConfig,
     streams: SessionStreams<UnixStream>,
     first_ctrl: Option<CtrlMsg>,
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    let sw = SessionWindow::create(cfg.pool_blocks as usize, cfg.block_size)?;
-    sw.send_descriptor(&streams.ctrl)?;
-    let (snk_bufs, win) = sw.into_sink();
-    let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    let t = sink_transport_for_window(streams, Arc::new(win))?;
-    run_sink_session(cfg, t, first_ctrl, &view, fair)
+    run_sink_pool(cfg, sink_transport(streams)?, first_ctrl, fair)
 }
 
 /// Run the sink half of an shm session accepted by [`ShmListener`]

@@ -111,8 +111,8 @@ fn place_follows_grant_epochs() {
         block_cap: block as u32,
     };
     let snk_map = map_window(fd.as_raw_fd(), len).unwrap();
-    let snk = SnkWindow::owned(snk_map, fd, &desc);
-    let src = SrcWindow::new(map, &desc);
+    let snk = SnkWindow::new(Arc::new(snk_map), &desc);
+    let src = SrcWindow::new(Arc::new(map), &desc);
 
     let hdr = |seq: u32, slot: u32, len: u32| DataFrameHeader {
         session: 1,
@@ -126,11 +126,11 @@ fn place_follows_grant_epochs() {
     let bad = hdr(0, 7, 16);
     assert!(src.place(&bad, &wire(&bad)).is_err());
 
-    // Writing before any grant: slots start epoch-0 GRANTED in a
-    // fresh window, so emulate a used slot by granting and
-    // placing once first.
-    snk.grant(0);
+    // Writing before any grant: a fresh window's slots are not
+    // granted, so the place is refused.
     let h0 = hdr(0, 0, 16);
+    assert!(src.place(&h0, &wire(&h0)).is_err());
+    snk.grant(0);
     assert_eq!(src.place(&h0, &wire(&h0)).unwrap(), PlaceOutcome::Placed);
     snk.check_published(&h0).unwrap();
 
@@ -168,9 +168,10 @@ fn window_pair(slots: u32, block: usize) -> (SrcWindow, SnkWindow) {
         stride: stride as u64,
         block_cap: block as u32,
     };
-    let src = SrcWindow::new(map_window(fd.as_raw_fd(), len).unwrap(), &desc);
+    let src_map = map_window(fd.as_raw_fd(), len).unwrap();
     let snk_map = map_window(fd.as_raw_fd(), len).unwrap();
-    (src, SnkWindow::owned(snk_map, fd, &desc))
+    let src = SrcWindow::new(Arc::new(src_map), &desc);
+    (src, SnkWindow::new(Arc::new(snk_map), &desc))
 }
 
 /// The first `n` bytes of `slot`'s wire image, as the sink sees them.

@@ -1,11 +1,10 @@
-//! The window: memfd creation and mapping, `SCM_RIGHTS` fd passing, the
-//! window descriptor, a session's own window and the capability probe.
+//! The window between two processes: memfd creation and mapping,
+//! `SCM_RIGHTS` fd passing, the window descriptor, a session's own
+//! window and the capability probe.
 
-use super::fence::SnkWindow;
 use crate::net::{proto_err, retry_interrupted};
-use crate::store::{slot_views, SlotBuf, STORE_ALIGN};
+use crate::store::{SlotBuf, STORE_ALIGN};
 use crate::sys::{self, Mapping};
-use parking_lot::Mutex;
 use std::io::{self, IoSlice, IoSliceMut, Write};
 use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -178,6 +177,18 @@ pub(crate) struct WindowDesc {
 }
 
 impl WindowDesc {
+    /// The packed window of `slots` slots for `block_cap` payload bytes
+    /// each — the layout of a [`crate::store::BlockPool`] — validated.
+    pub(crate) fn packed(slots: u32, block_cap: usize) -> io::Result<WindowDesc> {
+        let desc = WindowDesc {
+            slot_count: slots,
+            stride: SlotBuf::stride(block_cap) as u64,
+            block_cap: u32::try_from(block_cap).map_err(|_| proto_err("block cap past u32"))?,
+        };
+        desc.validate()?;
+        Ok(desc)
+    }
+
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut b = Vec::with_capacity(DESC_HEAD_LEN);
         b.extend_from_slice(&DESC_MAGIC.to_be_bytes());
@@ -285,48 +296,18 @@ pub(super) fn read_preamble(ctrl: &UnixStream) -> io::Result<Preamble> {
 // Per-session window
 // -----------------------------------------------------------------
 
-/// A freshly-created memfd window for exactly one session: its own
-/// fd, its own mapping, slot `i` at `i × stride`. This is the isolation
-/// boundary of the transport — a session's peer maps *this* window and
-/// nothing else, so one tenant can never read or scribble another
-/// tenant's in-flight payloads (the daemon hands each admitted shm
-/// session one of these; the lease it holds in the shared arena is
-/// accounting, not memory).
-pub(crate) struct SessionWindow {
-    fd: OwnedFd,
-    map: Mapping,
-    desc: WindowDesc,
-}
-
-impl SessionWindow {
-    pub(crate) fn create(slots: usize, block_cap: usize) -> io::Result<SessionWindow> {
-        let desc = WindowDesc {
-            slot_count: slots as u32,
-            stride: SlotBuf::stride(block_cap) as u64,
-            block_cap: block_cap as u32,
-        };
-        desc.validate()?;
-        let fd = memfd_create(desc.window_len())?;
-        let map = map_window(fd.as_raw_fd(), desc.window_len())?;
-        Ok(SessionWindow { fd, map, desc })
-    }
-
-    /// Ship the descriptor preamble with the window fd attached.
-    pub(crate) fn send_descriptor(&self, ctrl: &UnixStream) -> io::Result<()> {
-        send_with_fd(ctrl, &self.desc.encode(), self.fd.as_raw_fd())
-    }
-
-    /// The sink's side of the window: slot views over it — the sink
-    /// pipeline's buffers alias the very bytes the source stores — and
-    /// the sink window, which keeps the fd and mapping alive for the
-    /// session.
-    pub(crate) fn into_sink(self) -> (Vec<Mutex<SlotBuf>>, SnkWindow) {
-        let n = self.desc.slot_count as usize;
-        // SAFETY: the window returned beside the views owns the mapping
-        // and keeps it mapped while the session uses them.
-        let bufs = unsafe { slot_views(&self.map, n, self.desc.block_cap as usize) };
-        (bufs, SnkWindow::owned(self.map, self.fd, &self.desc))
-    }
+/// Create a memfd window for exactly one session, as `desc` lays it
+/// out, and ship the descriptor preamble on `ctrl` with the fd
+/// attached. This is the isolation boundary of the transport — a
+/// session's peer maps *this* window and nothing else, so one tenant can
+/// never read or scribble another tenant's in-flight payloads (the
+/// daemon's arena lease for an shm session is accounting, not memory).
+/// The mapping keeps the memfd alive; the fd itself closes on return.
+pub(super) fn share_window(desc: &WindowDesc, ctrl: &UnixStream) -> io::Result<Mapping> {
+    let fd = memfd_create(desc.window_len())?;
+    let map = map_window(fd.as_raw_fd(), desc.window_len())?;
+    send_with_fd(ctrl, &desc.encode(), fd.as_raw_fd())?;
+    Ok(map)
 }
 
 // -----------------------------------------------------------------

@@ -11,9 +11,10 @@
 //! [`SinkTransport`](crate::transport::SinkTransport); each half may run
 //! the adaptive `Controller` (`controller.rs`). Nothing crosses except
 //! control frames and data frames. Over the TCP backend ([`crate::net`])
-//! the two halves are two OS processes; over the in-process channel
-//! backend ([`run_split_pair`]) they are the single-process transfer
-//! [`run_live`](crate::run_live) reports on.
+//! the two halves are two OS processes; over the in-process backend
+//! ([`run_split_pair`]) they are the single-process transfer
+//! [`run_live`](crate::run_live) reports on, with the sink's slots a
+//! window the source's loaders write into.
 //!
 //! Every stage of either half is a function started the same way — by
 //! `stage` on a scoped thread, or `run_stage` on the caller's: its
@@ -37,6 +38,8 @@
 //!   frame's wire image straight into the slot its credit named — the
 //!   transport hands over the header first, then fills the credited
 //!   buffer, so there is no intermediate copy on either side of the wire.
+//!   On a window (shm, in process) the loader already wrote the slot,
+//!   and the read is the publication check.
 //!
 //! * **Slots retire on arrival.** Both consumers a live sink has are
 //!   offset-addressed — pattern verification is a function of the
@@ -66,14 +69,14 @@ mod source;
 
 pub(crate) use controller::Controller;
 pub use sink::run_split_sink;
-pub(crate) use sink::{run_sink_session, FairShare, SinkEvt, SinkFront, SinkSession, SINK_EVENTS};
+pub(crate) use sink::{
+    run_sink_pool, run_sink_session, FairShare, SinkEvt, SinkFront, SinkSession, SINK_EVENTS,
+};
 pub use source::run_split_source;
 
 use crate::hist::StageTails;
 use crate::pipeline::{LiveConfig, LiveReport};
-use crate::store::{BlockPool, SlotBuf};
 use crate::transport::channel_transport;
-use parking_lot::Mutex;
 use rftp_faults::WanProfile;
 use std::io;
 use std::panic::{self, AssertUnwindSafe};
@@ -215,8 +218,9 @@ pub(crate) fn stage<'s>(
     scope.spawn(move || run_stage(fail, body))
 }
 
-/// Run both halves in this process over the in-proc channel transport —
-/// the split pipeline's loopback — with the source behind `wan`, so
+/// Run both halves in this process over the in-process transport — the
+/// split pipeline's loopback, whose sink opens the window the source
+/// loads into — with the source behind `wan`, so
 /// control and data feel the profile's full RTT, loss, and rate cap
 /// (the in-process form of a two-process `--wan` run; a clean profile
 /// wraps nothing). Source takes the `src_file`/fault side of `cfg`, sink
@@ -230,16 +234,9 @@ pub fn run_split_pair(cfg: &LiveConfig, wan: &WanProfile) -> io::Result<(LiveRep
     snk_cfg.src_file = None;
     snk_cfg.src_rate = None;
     snk_cfg.fault_drop_p = 0.0;
-    // The sink's pool exists before either half starts, as a listening
-    // sink's does in two-process mode. Zeroing it takes tens of
-    // milliseconds at megabyte blocks; a source that started its clock
-    // while the sink was still allocating would report that wait as
-    // transfer time.
-    let snk_bufs = BlockPool::new(snk_cfg.pool_blocks, snk_cfg.block_size);
-    let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
     let mut sink = None;
     let source = std::thread::scope(|s| {
-        s.spawn(|| sink = Some(run_sink_session(&snk_cfg, kt, None, &view, None)));
+        s.spawn(|| sink = Some(run_split_sink(&snk_cfg, kt, None)));
         run_split_source(&src_cfg, st)
     });
     // A panic in a stage is the sink's error; outside them, the scope's.

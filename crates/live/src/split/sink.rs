@@ -624,15 +624,28 @@ pub fn run_split_sink(
     t: SinkTransport,
     first_ctrl: Option<CtrlMsg>,
 ) -> io::Result<LiveReport> {
-    let snk_bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
-    let view: Vec<&Mutex<SlotBuf>> = snk_bufs.iter().collect();
-    run_sink_session(cfg, t, first_ctrl, &view, None)
+    run_sink_pool(cfg, t, first_ctrl, None)
+}
+
+/// [`run_sink_session`] over slots the session owns: the window the
+/// transport opens ([`CtrlTx::open_window`]) — before any credit leaves
+/// — or else a pool of its own.
+pub(crate) fn run_sink_pool(
+    cfg: &LiveConfig,
+    t: SinkTransport,
+    first_ctrl: Option<CtrlMsg>,
+    fair: FairShare<'_>,
+) -> io::Result<LiveReport> {
+    let slots = (t.ctrl_tx.open_window(cfg.pool_blocks, cfg.block_size)?)
+        .unwrap_or_else(|| BlockPool::new(cfg.pool_blocks, cfg.block_size));
+    let view: Vec<&Mutex<SlotBuf>> = slots.iter().collect();
+    run_sink_session(cfg, t, first_ctrl, &view, fair)
 }
 
 /// The reusable per-session sink runner the daemon schedules: exactly
 /// [`run_split_sink`], but the slot buffers are borrowed (a lease from
-/// the daemon's shared arena — or the standalone wrapper's own pool)
-/// and grants can run under a [`WeightedFair`] arbiter. `bufs[i]` backs
+/// the daemon's shared arena — or [`run_sink_pool`]'s slots) and grants
+/// can run under a [`WeightedFair`] arbiter. `bufs[i]` backs
 /// wire slot `i`; its capacity may exceed `cfg.block_size` (arena slots
 /// are sized for the largest admissible session — every access is a
 /// `wire_len` prefix).

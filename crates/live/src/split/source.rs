@@ -6,10 +6,11 @@
 //! Loaders write a block into one of two places, and that is the only
 //! difference between transports here. Most load ahead into the
 //! source's own pool, and the sender pairs each block with a credit as
-//! it sends it. A one-sided transport (shm) hands back its window from
-//! `register`: a loader then takes a credit before it claims a sequence
-//! and writes the block straight into that sink slot, so the send only
-//! publishes it and the pool is bookkeeping that is never written.
+//! it sends it. A one-sided transport (shm, and the in-process pair)
+//! hands back its window from `register`: a loader then takes a credit
+//! before it claims a sequence and writes the block straight into that
+//! sink slot, so the send only publishes it and the pool is bookkeeping
+//! that is never written.
 
 use super::{perr, stage, Controller, Fail, Tally};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION};

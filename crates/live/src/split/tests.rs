@@ -4,7 +4,9 @@ use super::sink::SinkHandler;
 use super::*;
 use crate::coalesce::CoalescedSink;
 use crate::pipeline::{pattern_seed, MAX_POOL_BLOCKS, SESSION};
+use crate::store::{BlockPool, SlotBuf};
 use crate::transport::{CtrlRx, CtrlTx, DataTx, Landing, SourceTransport};
+use parking_lot::Mutex;
 use rftp_core::pattern::fill_pattern;
 use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use std::collections::HashSet;
@@ -1184,6 +1186,7 @@ fn a_credit_past_the_ring_fails_the_source() {
     std::thread::spawn(move || {
         let _ = tx.send(run_split_source(&src_cfg, st));
     });
+    let _window = kt.ctrl_tx.open_window(cfg.pool_blocks, cfg.block_size);
     kt.ctrl_tx
         .send(&CtrlMsg::CreditBatch {
             session: SESSION,

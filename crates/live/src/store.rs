@@ -32,6 +32,7 @@ use std::io;
 use std::os::fd::AsRawFd;
 use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Alignment for direct I/O: buffer addresses, file offsets, and request
 /// lengths are all multiples of this (the ubiquitous 4 KiB logical block).
@@ -238,21 +239,27 @@ pub(crate) unsafe fn slot_views(map: &Mapping, n: usize, block_size: usize) -> V
 pub struct BlockPool {
     slots: Vec<Mutex<SlotBuf>>,
     // Declared after the views into it: fields drop in order.
-    _map: Mapping,
+    _map: Arc<Mapping>,
 }
 
 impl BlockPool {
     pub fn new(slots: u32, block_size: usize) -> BlockPool {
         assert!(slots > 0);
-        let slots = slots as usize;
-        let stride = SlotBuf::stride(block_size);
-        let len = stride.checked_mul(slots).expect("pool size overflows");
+        let len = SlotBuf::stride(block_size)
+            .checked_mul(slots as usize)
+            .expect("pool size overflows");
         // Like a failed allocation, a refused mapping is not a condition
         // a transfer can run through.
         let map = Mapping::map(len, None).unwrap_or_else(|e| panic!("block pool: {e}"));
-        // SAFETY: `_map` is declared after `slots`, so it is unmapped
-        // only after every view has dropped.
-        let slots = unsafe { slot_views(&map, slots, block_size) };
+        BlockPool::over(Arc::new(map), slots, block_size)
+    }
+
+    /// The pool laid over `map`, which another owner may share — a
+    /// window whose source view loads into these very slots.
+    pub(crate) fn over(map: Arc<Mapping>, slots: u32, block_size: usize) -> BlockPool {
+        // SAFETY: `_map` is declared after `slots`, so this pool's hold
+        // on the mapping ends only after every view has dropped.
+        let slots = unsafe { slot_views(&map, slots as usize, block_size) };
         BlockPool { slots, _map: map }
     }
 

@@ -5,14 +5,15 @@
 //! layer: one control link carrying length-prefixed Fig. 7(a) frames in
 //! both directions, plus N data links — one per parallel data channel —
 //! carrying bulk frames ([`DataFrameHeader`] + wire image) one way,
-//! source to sink. The layer has two backends:
+//! source to sink. Two of its backends:
 //!
-//! * **channels** ([`channel_transport`]) — in-process crossbeam
-//!   channels, the loopback of the suite and the transport under
-//!   [`crate::run_live`]. Control rides real encoded frame bytes; a data
-//!   frame carries the *index* of the source's pinned block, and the
-//!   receiver copies once from that block into the credited slot — the
-//!   one-sided RDMA WRITE analogue (see [`channel_transport`]).
+//! * **channels** ([`channel_transport`]) — both halves in one process,
+//!   the loopback of the suite and the transport under
+//!   [`crate::run_live`]. Control rides real encoded frame bytes; the
+//!   data side is the shm window ([`crate::shm`]) over one anonymous
+//!   mapping, so a loader writes each block straight into the credited
+//!   sink slot and a data frame is its 16-byte notify record — the
+//!   one-sided RDMA WRITE analogue, with no copy.
 //! * **TCP** ([`crate::net`]) — real stream sockets, one per link, so
 //!   the two halves can run as separate OS processes on separate hosts.
 //!
@@ -22,6 +23,9 @@
 //! line). Receive sides are `&mut self` — exactly one thread drains each
 //! link.
 
+use crate::shm::{
+    in_process, Doorbell, GrantTx, Notices, SinkView, SourceView, WindowRx, WindowTx,
+};
 use crate::store::{BlockPool, SlotBuf};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -31,7 +35,7 @@ use rftp_core::wire::{
 };
 use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
 use std::io;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// The pinned block pool as a transport sees it: slot index → locked
@@ -68,6 +72,17 @@ pub trait LoadWindow: Send + Sync {
 /// another's.
 pub trait CtrlTx: Send + Sync {
     fn send(&self, msg: &CtrlMsg) -> io::Result<()>;
+
+    /// The sink's slot memory, when the transport brings it: a window of
+    /// `slots` slots for `block_size` payload bytes that the source's
+    /// loaders write into, opened by the sink's control sender because
+    /// the credits it sends grant those slots. The sink calls this once,
+    /// before its first credit leaves — the window's rule (PROTOCOL
+    /// §7.2) — and lands every block in place. `None`, the default: the
+    /// sink lands blocks in a pool of its own.
+    fn open_window(&self, _slots: u32, _block_size: usize) -> io::Result<Option<BlockPool>> {
+        Ok(None)
+    }
 }
 
 /// Receiving side of the control link. `Ok(None)` is clean end-of-stream
@@ -86,30 +101,19 @@ pub trait DataTx: Send + Sync {
     /// (written, or copied).
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()>;
 
-    /// Ship one block straight from its pinned pool slot. The default
-    /// locks the slot and sends its wire image synchronously. A backend
-    /// that holds the registered pool overrides this to *queue* the
-    /// block by reference until [`DataTx::kick`] — legal because the
-    /// block stays pinned until its ack retires it, no ack can come
-    /// before the frame is written, and a retransmit rewrites
+    /// Ship one block of the registered pool `bufs`. A stream backend
+    /// *queues* the block by reference until [`DataTx::kick`] — legal
+    /// because the block stays pinned until its ack retires it, no ack
+    /// can come before the frame is written, and a retransmit rewrites
     /// byte-identical contents. A link whose transport returned a
-    /// [`LoadWindow`] from `register` overrides it to publish the block
-    /// the loader already wrote into its sink slot.
+    /// [`LoadWindow`] from `register` publishes the block the loader
+    /// already wrote into its sink slot.
     fn send_block(
         &self,
         hdr: DataFrameHeader,
         bufs: &[Mutex<SlotBuf>],
         block: u32,
-    ) -> io::Result<()> {
-        let buf = bufs[block as usize].lock();
-        self.send(hdr, &buf[..hdr.wire_len()])
-    }
-
-    /// [`DataTx::send`] of a copy the caller hands over (a WAN delay
-    /// line's); a backend that would copy a borrowed image keeps it.
-    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
-        self.send(hdr, &wire)
-    }
+    ) -> io::Result<()>;
 
     /// Write everything [`DataTx::send_block`] queued since the last
     /// kick — called once per sender drain, so a queueing backend
@@ -133,10 +137,10 @@ pub trait DataTx: Send + Sync {
 /// that lands a block's bytes also checks them ([`Landing`]). A backend
 /// that copies the image in pieces overrides it to check each piece
 /// right after it lands, while the piece is still in this core's cache:
-/// the TCP link after every `read`, the in-process link after every
-/// 64 KiB step of its copy. The default checks the whole image once
-/// [`DataRx::recv_wire`] returns — right for a backend that copies
-/// nothing (shm) and for wrappers that only implement `recv_wire`.
+/// the TCP link after every `read`. The default checks the whole image
+/// once [`DataRx::recv_wire`] returns — right for a window link, which
+/// copies nothing (shm, and the in-process pair), and for wrappers that
+/// only implement `recv_wire`.
 pub trait DataRx: Send {
     /// Next frame's header; `Ok(None)` at clean end-of-stream.
     fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>>;
@@ -257,10 +261,10 @@ pub struct SourceTransport {
     /// transfer starts. A completion-based backend registers the slots
     /// as fixed buffers (the MR-registration analogue — the kernel pins
     /// and maps them once instead of per operation) so
-    /// [`DataTx::send_block`] can reference them by index; the channel
-    /// backend keeps it to carry block indices, the TCP backend to queue
-    /// blocks by index until the kick. The shm backend returns its
-    /// window instead, and the pool is never written.
+    /// [`DataTx::send_block`] can reference them by index; the TCP
+    /// backend keeps it to queue blocks by index until the kick. A window
+    /// backend (shm, in process) returns its window instead, and the
+    /// pool is never written.
     pub register: RegisterFn,
     /// Threads this transport runs for the data path beyond the
     /// pipeline's own (0 for the channel and TCP backends — the
@@ -278,7 +282,9 @@ pub struct SourceTransport {
     pub abort: Arc<dyn Fn() + Send + Sync>,
 }
 
-/// The sink half's endpoints.
+/// The sink half's endpoints. A transport that brings the sink's slot
+/// memory — a window the source loads into — hands it over through its
+/// control sender ([`CtrlTx::open_window`]).
 pub struct SinkTransport {
     pub ctrl_tx: Arc<dyn CtrlTx>,
     pub ctrl_rx: Box<dyn CtrlRx>,
@@ -366,161 +372,50 @@ impl CtrlRx for ChanCtrlRx {
     }
 }
 
-/// The payload of one data frame on a channel link.
-enum ChanWire {
-    /// A private copy of the wire image, for [`DataTx::send`] callers
-    /// that hold bytes rather than a registered pool.
-    Bytes(Box<[u8]>),
-    /// Index of the source's pinned block holding the wire image.
-    Block(u32),
-}
-
-/// The source pool the `register` hook pinned, shared by every data
-/// link of one transport (and, in process, by both ends of each link).
-pub(crate) type Registered = Arc<OnceLock<BufPool>>;
-
-/// The pool a `send_block` sends from: the registered one. A block can
-/// only be sent by reference once the `register` hook has pinned its
-/// pool.
-pub(crate) fn registered(pool: &Registered) -> io::Result<&BufPool> {
-    pool.get().ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "send_block on a link with no registered pool",
-        )
-    })
-}
-
-struct ChanDataTx {
-    link: Closable<(DataFrameHeader, ChanWire)>,
-    pool: Registered,
-}
-
-impl DataTx for ChanDataTx {
-    fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
-        debug_assert_eq!(wire.len(), hdr.wire_len());
-        self.link.send((hdr, ChanWire::Bytes(wire.into())))
-    }
-
-    fn send_owned(&self, hdr: DataFrameHeader, wire: Box<[u8]>) -> io::Result<()> {
-        self.link.send((hdr, ChanWire::Bytes(wire)))
-    }
-
-    /// The WRITE analogue: only the index of a registered block crosses
-    /// the link, and the receiver does the single copy,
-    /// source block → credited slot. Sound for the reason the io_uring
-    /// `send_block` is: the block stays pinned until its ack retires it,
-    /// and an ack is only ever sent after the copy. A frame that is
-    /// still queued when its block has been retired and reused is a
-    /// retransmit whose sequence the sink already claimed, so the sink
-    /// discards it ([`DataRx::discard_wire`]) without reading the block.
-    fn send_block(
-        &self,
-        hdr: DataFrameHeader,
-        bufs: &[Mutex<SlotBuf>],
-        block: u32,
-    ) -> io::Result<()> {
-        let pool = registered(&self.pool)?;
-        debug_assert!(
-            std::ptr::eq(pool.as_ptr(), bufs.as_ptr()),
-            "send_block from a pool other than the registered one"
-        );
-        self.link.send((hdr, ChanWire::Block(block)))
+/// In process, a notify record is the frame header itself, on the
+/// channel's link.
+impl Doorbell for Closable<DataFrameHeader> {
+    fn ring(&self, hdr: &DataFrameHeader) -> io::Result<()> {
+        self.send(*hdr)
     }
 }
 
-struct ChanDataRx {
-    rx: Receiver<(DataFrameHeader, ChanWire)>,
-    pool: Registered,
-    pending: Option<ChanWire>,
-}
-
-/// The step of the in-process copy: each step is checked right after
-/// it lands, while it is still in the receiving core's L2.
-const COPY_STEP: usize = 64 * 1024;
-
-impl ChanDataRx {
-    /// The one copy of the pending frame's wire image into `buf` — out
-    /// of the pinned source block, or out of the frame's own bytes — in
-    /// [`COPY_STEP`] steps, each handed to `land` as it lands.
-    fn copy_in(&mut self, buf: &mut [u8], mut land: Option<&mut Landing>) {
-        let mut step = |src: &[u8]| {
-            for at in (0..buf.len()).step_by(COPY_STEP) {
-                let end = (at + COPY_STEP).min(buf.len());
-                buf[at..end].copy_from_slice(&src[at..end]);
-                if let Some(land) = land.as_deref_mut() {
-                    land.advance(buf, end);
-                }
-            }
-        };
-        match self.pending.take().expect("recv_wire without a header") {
-            ChanWire::Bytes(wire) => step(&wire),
-            ChanWire::Block(block) => {
-                let pool = self
-                    .pool
-                    .get()
-                    .expect("block frame implies a registered pool");
-                step(&pool[block as usize].lock())
-            }
-        }
-    }
-}
-
-impl DataRx for ChanDataRx {
-    fn recv_header(&mut self) -> io::Result<Option<DataFrameHeader>> {
-        debug_assert!(self.pending.is_none(), "previous frame not consumed");
-        match self.rx.recv() {
-            Ok((hdr, wire)) => {
-                self.pending = Some(wire);
-                Ok(Some(hdr))
-            }
-            Err(_) => Ok(None),
-        }
-    }
-
-    fn recv_wire(&mut self, buf: &mut [u8]) -> io::Result<()> {
-        self.copy_in(buf, None);
-        Ok(())
-    }
-
-    fn recv_wire_checked(&mut self, buf: &mut [u8], land: &mut Landing) -> io::Result<()> {
-        self.copy_in(buf, Some(land));
-        Ok(())
-    }
-
-    fn discard_wire(&mut self, _wire_len: usize) -> io::Result<()> {
-        self.pending.take().expect("discard_wire without a header");
-        Ok(())
+impl Notices for Receiver<DataFrameHeader> {
+    fn next(&mut self) -> io::Result<Option<DataFrameHeader>> {
+        Ok(self.recv().ok())
     }
 }
 
 /// Build a connected in-process transport pair: `channels` data links of
-/// `depth` frames each, control links deep enough that coalesced control
-/// traffic never blocks on the link itself.
+/// `depth` notify records each, control links deep enough that coalesced
+/// control traffic never blocks on the link itself.
 ///
-/// The source's `register` hook keeps the block pool, which makes
-/// [`DataTx::send_block`] one-copy: the link carries block indices and
-/// the sink end copies straight out of the pinned source block.
+/// The data side is the window: the sink's control sender opens one
+/// anonymous mapping that both halves' views share
+/// ([`CtrlTx::open_window`]), the source's `register` hook returns it
+/// to the loaders, and [`DataTx::send_block`] publishes the block the
+/// loader wrote into its credited slot and queues its notify record —
+/// so no byte of a block is copied after it is loaded.
 pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
     let (c_s2k_tx, c_s2k_rx) = bounded::<CtrlBytes>(1024);
     let (c_k2s_tx, c_k2s_rx) = bounded::<CtrlBytes>(1024);
     let (ctrl_tx, ctrl_closer) = Closable::new(c_s2k_tx);
     let (k2s_tx, k2s_closer) = Closable::new(c_k2s_tx);
+    let (source_view, sink_view) = (SourceView::default(), SinkView::default());
     let mut data_tx: Vec<Box<dyn DataTx>> = Vec::with_capacity(channels);
     let mut data_rx: Vec<Box<dyn DataRx>> = Vec::with_capacity(channels);
     let mut data_closers = Vec::with_capacity(channels);
-    let pool = Registered::default();
     for _ in 0..channels {
         let (tx, rx) = bounded(depth);
-        let (link, closer) = Closable::new(tx);
+        let (notify, closer) = Closable::new(tx);
         data_closers.push(closer);
-        data_tx.push(Box::new(ChanDataTx {
-            link,
-            pool: pool.clone(),
+        data_tx.push(Box::new(WindowTx {
+            notify,
+            window: Arc::clone(&source_view),
         }));
-        data_rx.push(Box::new(ChanDataRx {
-            rx,
-            pool: pool.clone(),
+        data_rx.push(Box::new(WindowRx {
+            notify: rx,
+            win: Arc::clone(&sink_view),
             pending: None,
         }));
     }
@@ -539,6 +434,7 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
     };
     let s2k_ctrl = Arc::downgrade(&ctrl_closer);
     let s2k_data: Vec<_> = data_closers.iter().map(Arc::downgrade).collect();
+    let loads = Arc::clone(&source_view);
     let source = SourceTransport {
         ctrl_tx: Arc::new(ChanCtrlTx(ctrl_tx)),
         ctrl_rx: Box::new(ChanCtrlRx {
@@ -546,24 +442,24 @@ pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, Sin
             dec: FrameDecoder::new(),
         }),
         data: Arc::new(data_tx),
-        register: Box::new(move |bufs| {
-            pool.set(bufs.clone())
-                .map_err(|_| io::Error::other("a pool is already registered"))?;
-            Ok(None)
-        }),
+        register: Box::new(move |_| Ok(Some(Arc::clone(&loads) as Arc<dyn LoadWindow>))),
         transport_threads: 0,
         shutdown_write: Box::new(close_s2k.clone()),
         abort: Arc::new(close_s2k),
     };
     let sink = SinkTransport {
-        ctrl_tx: Arc::new(ChanCtrlTx(k2s_tx)),
+        ctrl_tx: Arc::new(GrantTx {
+            inner: ChanCtrlTx(k2s_tx),
+            map: in_process(source_view),
+            win: sink_view,
+        }),
         ctrl_rx: Box::new(ChanCtrlRx {
             rx: c_s2k_rx,
             dec: FrameDecoder::new(),
         }),
         data: data_rx,
         // Close both directions: the sink's readers see end-of-stream
-        // once the frames already queued are drained, and the source's
+        // once the records already queued are drained, and the source's
         // control reader once it has read every frame the sink sent.
         // The source→sink senders are held weakly, so a source that
         // drops its transport still hangs those links up by itself.
@@ -602,10 +498,74 @@ mod tests {
             .is_err());
     }
 
+    /// Payload bytes per slot in the window tests.
+    const BLOCK: usize = 4096;
+
+    /// An in-process pair with its window open at `slots` slots of
+    /// [`BLOCK`] bytes: the sink's slot views and the window the
+    /// source's loaders write into.
+    fn windowed(
+        channels: usize,
+        slots: u32,
+    ) -> (
+        SourceTransport,
+        SinkTransport,
+        BlockPool,
+        Arc<dyn LoadWindow>,
+    ) {
+        let (src, snk) = channel_transport(channels, 8);
+        let pool = (snk.ctrl_tx.open_window(slots, BLOCK).unwrap())
+            .expect("the in-process sink lands blocks in a window");
+        let bookkeeping: BufPool = Arc::new(BlockPool::new(1, BLOCK));
+        let window = ((src.register)(&bookkeeping).unwrap())
+            .expect("the in-process source loads into the window");
+        (src, snk, pool, window)
+    }
+
+    /// Grant `slots` the way the sink does: a credit leaving its
+    /// control link grants each slot's generation word first.
+    fn grant(snk: &SinkTransport, slots: &[u32]) {
+        let credit = CtrlMsg::CreditBatch {
+            session: 1,
+            rkey: 0,
+            slot_len: 0,
+            slots: slots.to_vec(),
+        };
+        snk.ctrl_tx.send(&credit).unwrap();
+    }
+
+    /// The header of `seq` in `slot`, a full block long.
+    fn block_hdr(seq: u32, slot: u32) -> DataFrameHeader {
+        DataFrameHeader {
+            session: 1,
+            seq,
+            slot,
+            len: BLOCK as u32,
+        }
+    }
+
+    /// Load `hdr`'s image as `byte`s into its slot, as a loader does.
+    fn load(window: &dyn LoadWindow, hdr: &DataFrameHeader, byte: u8) -> io::Result<()> {
+        window.load(hdr, &mut |room| {
+            room[..hdr.wire_len()].fill(byte);
+            Ok(())
+        })
+    }
+
+    /// The wire image in the sink's slot `slot`.
+    fn slot_image(pool: &BlockPool, hdr: &DataFrameHeader) -> Vec<u8> {
+        pool[hdr.slot as usize].lock()[..hdr.wire_len()].to_vec()
+    }
+
+    /// The header comes first and names the slot; the image is already
+    /// in that slot, so reading it only checks its publication. A
+    /// second send of the same sequence is a record with nothing
+    /// behind it to discard.
     // spec: [P7-route-before-read]
     #[test]
     fn channel_data_place_and_discard() {
-        let (src, mut snk) = channel_transport(2, 4);
+        let (src, mut snk, pool, _) = windowed(2, 4);
+        grant(&snk, &[2]);
         let hdr = DataFrameHeader {
             session: 1,
             seq: 0,
@@ -617,9 +577,10 @@ mod tests {
         src.data[0].send(hdr, &wire).unwrap();
         let got = snk.data[0].recv_header().unwrap().unwrap();
         assert_eq!(got, hdr);
-        let mut buf = vec![0u8; got.wire_len()];
-        snk.data[0].recv_wire(&mut buf).unwrap();
-        assert_eq!(buf, wire);
+        snk.data[0]
+            .recv_wire(&mut pool[2].lock()[..got.wire_len()])
+            .unwrap();
+        assert_eq!(slot_image(&pool, &hdr), wire);
         let got = snk.data[0].recv_header().unwrap().unwrap();
         snk.data[0].discard_wire(got.wire_len()).unwrap();
         (src.shutdown_write)();
@@ -684,75 +645,106 @@ mod tests {
         assert!(!land_in(&hdr, None, &file, &cuts), "header seq byte");
     }
 
-    /// A block is sent by reference only out of the registered pool: with
-    /// none registered, `send_block` is refused and nothing reaches the
-    /// link.
+    /// A load into a slot the sink has not granted — never granted, or
+    /// published and not granted again — is `InvalidData`, the loader's
+    /// fill never runs, not a byte of the slot changes, and nothing
+    /// reaches the sink.
+    // spec: [P7.2-load-needs-granted]
     #[test]
-    fn send_block_without_a_registered_pool_is_refused() {
-        let (src, snk) = channel_transport(1, 4);
-        let pool: BufPool = Arc::new(BlockPool::new(1, 64));
-        let hdr = DataFrameHeader {
-            session: 1,
-            seq: 0,
-            slot: 0,
-            len: 64,
+    fn a_load_into_an_ungranted_slot_is_refused_and_writes_nothing() {
+        let (src, mut snk, pool, window) = windowed(1, 2);
+        let refused = |hdr: &DataFrameHeader| {
+            let before = slot_image(&pool, hdr);
+            let mut called = false;
+            let err = window
+                .load(hdr, &mut |_| {
+                    called = true;
+                    Ok(())
+                })
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(!called, "the fill ran on a refused slot");
+            assert_eq!(slot_image(&pool, hdr), before, "a byte changed");
         };
-        let err = src.data[0].send_block(hdr, &pool, 0).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        refused(&block_hdr(0, 1));
+        grant(&snk, &[0]);
+        let first = block_hdr(0, 0);
+        load(&*window, &first, 0xA5).unwrap();
+        src.data[0].send_block(first, &[], 0).unwrap();
+        refused(&block_hdr(1, 0));
         (src.shutdown_write)();
-        let SinkTransport { mut data, .. } = snk;
-        assert!(data[0].recv_header().unwrap().is_none(), "a frame went out");
+        assert_eq!(snk.data[0].recv_header().unwrap(), Some(first));
+        snk.data[0]
+            .recv_wire(&mut pool[0].lock()[..first.wire_len()])
+            .unwrap();
+        assert!(
+            snk.data[0].recv_header().unwrap().is_none(),
+            "a refused load was sent"
+        );
     }
 
-    /// The pinned path's invariant: a first arrival copies byte-exactly
-    /// out of the registered block, and a duplicate whose block has since
-    /// been reused is discarded without that block ever being read.
-    // spec: [P7-route-before-read]
+    /// A re-send of a published sequence — by reference or as a borrowed
+    /// image with other bytes — only re-notifies: the sink reads a
+    /// duplicate record, discards it, and the slot keeps what the sink
+    /// holds there.
+    // spec: [P7.2-resend] [P7.2-dup-notify]
     #[test]
-    fn registered_send_block_copies_once_and_discard_never_reads_the_block() {
-        let (src, mut snk) = channel_transport(1, 4);
-        let pool: BufPool = Arc::new(BlockPool::new(2, 64));
-        (src.register)(&pool).unwrap();
-        assert!((src.register)(&pool).is_err(), "one pool per transport");
+    fn a_resend_of_a_published_block_renotifies_and_leaves_the_slot() {
+        let (src, mut snk, pool, window) = windowed(1, 1);
+        grant(&snk, &[0]);
+        let hdr = block_hdr(5, 0);
+        load(&*window, &hdr, 0xA5).unwrap();
+        src.data[0].send_block(hdr, &[], 0).unwrap();
+        assert_eq!(snk.data[0].recv_header().unwrap(), Some(hdr));
+        snk.data[0]
+            .recv_wire(&mut pool[0].lock()[..hdr.wire_len()])
+            .unwrap();
+        assert_eq!(slot_image(&pool, &hdr), vec![0xA5; hdr.wire_len()]);
 
-        let hdr = DataFrameHeader {
-            session: 1,
-            seq: 5,
-            slot: 0,
-            len: 64,
-        };
-        let fill = |salt: u8| {
-            let mut buf = pool[1].lock();
-            for (i, b) in buf[..hdr.wire_len()].iter_mut().enumerate() {
-                *b = (i as u8) ^ salt;
-            }
-        };
-        // Sequence 5 goes out twice from block 1: first send + retransmit.
-        fill(0xA5);
-        src.data[0].send_block(hdr, &pool, 1).unwrap();
-        src.data[0].send_block(hdr, &pool, 1).unwrap();
+        // The sink now owns what the slot holds; a re-send must not
+        // write it.
+        pool[0].lock()[..hdr.wire_len()].fill(0x77);
+        src.data[0].send_block(hdr, &[], 0).unwrap();
+        src.data[0].send(hdr, &vec![0x3C; hdr.wire_len()]).unwrap();
+        for _ in 0..2 {
+            assert_eq!(snk.data[0].recv_header().unwrap(), Some(hdr));
+            snk.data[0].discard_wire(hdr.wire_len()).unwrap();
+        }
+        assert_eq!(slot_image(&pool, &hdr), vec![0x77; hdr.wire_len()]);
+    }
 
-        let got = snk.data[0].recv_header().unwrap().unwrap();
-        assert_eq!(got, hdr);
-        let mut placed = vec![0u8; got.wire_len()];
-        snk.data[0].recv_wire(&mut placed).unwrap();
-        let want: Vec<u8> = (0..hdr.wire_len()).map(|i| (i as u8) ^ 0xA5).collect();
-        assert_eq!(placed, want, "first arrival must be byte-exact");
+    /// A re-send whose slot the sink has since granted again, and a
+    /// loader has reloaded with a newer block, is stale: by reference or
+    /// as a borrowed image, it never reaches the sink, and the newer
+    /// block is the next record the sink reads, intact.
+    // spec: [P7.2-resend]
+    #[test]
+    fn a_stale_resend_never_reaches_the_sink() {
+        let (src, mut snk, pool, window) = windowed(1, 1);
+        grant(&snk, &[0]);
+        let old = block_hdr(5, 0);
+        load(&*window, &old, 0xA5).unwrap();
+        src.data[0].send_block(old, &[], 0).unwrap();
+        assert_eq!(snk.data[0].recv_header().unwrap(), Some(old));
+        snk.data[0]
+            .recv_wire(&mut pool[0].lock()[..old.wire_len()])
+            .unwrap();
 
-        // The ack retired block 1 and a loader is refilling it for a newer
-        // sequence: it holds the block's lock. Discarding the stale frame
-        // must complete regardless — i.e. without touching the block.
-        fill(0x3C);
-        let reuse = pool[1].lock();
-        let got = snk.data[0].recv_header().unwrap().unwrap();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let discarder = std::thread::spawn(move || {
-            snk.data[0].discard_wire(got.wire_len()).unwrap();
-            done_tx.send(()).unwrap();
-        });
-        let finished = done_rx.recv_timeout(std::time::Duration::from_secs(10));
-        drop(reuse);
-        discarder.join().unwrap();
-        assert!(finished.is_ok(), "discard_wire blocked on the reused block");
+        grant(&snk, &[0]);
+        let new = block_hdr(9, 0);
+        load(&*window, &new, 0x3C).unwrap();
+        src.data[0].send_block(old, &[], 0).unwrap();
+        src.data[0].send(old, &vec![0xA5; old.wire_len()]).unwrap();
+        src.data[0].send_block(new, &[], 0).unwrap();
+        (src.shutdown_write)();
+        assert_eq!(snk.data[0].recv_header().unwrap(), Some(new));
+        snk.data[0]
+            .recv_wire(&mut pool[0].lock()[..new.wire_len()])
+            .unwrap();
+        assert_eq!(slot_image(&pool, &new), vec![0x3C; new.wire_len()]);
+        assert!(
+            snk.data[0].recv_header().unwrap().is_none(),
+            "a stale re-send arrived"
+        );
     }
 }
