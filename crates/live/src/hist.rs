@@ -1,6 +1,7 @@
 //! Log-bucketed nanosecond histograms for per-stage tail latency.
 //!
-//! The stage clocks in [`crate::pipeline::StageBreakdown`] are sums —
+//! The stage clocks in [`crate::pipeline::StageBreakdown`] are sums
+//! (load, place and verify are these histograms' [`NsHist::sum`]s) —
 //! they give a mean, and a mean hides exactly the thing a completion
 //! batched backend changes: the shape of the tail. Each worker records
 //! its per-block stage times into a local [`NsHist`] (one increment per
@@ -60,6 +61,11 @@ impl NsHist {
 
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Every sample added up, ns: a stage's clock.
+    pub fn sum(&self) -> u64 {
+        self.sum
     }
 
     /// Mean sample, ns (0.0 when empty).
@@ -156,6 +162,23 @@ mod tests {
         assert_eq!(m.count(), 6);
         assert!(m.mean() > a.mean());
         assert!(m.p99() >= a.p99());
+    }
+
+    /// The sum is each recorded sample added once, and a merge adds
+    /// the other histogram's.
+    #[test]
+    fn sum_adds_every_sample_and_every_merge() {
+        let mut a = NsHist::new();
+        let mut b = NsHist::new();
+        for ns in [0u64, 3, 1000] {
+            a.record(ns);
+        }
+        b.record(1 << 40);
+        assert_eq!(a.sum(), 1003);
+        a.merge(&b);
+        assert_eq!(a.sum(), 1003 + (1 << 40));
+        assert_eq!(b.sum(), 1 << 40);
+        assert_eq!(NsHist::new().sum(), 0);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! sender that sends first attempts in order and re-sends lost ones,
 //! and a control stage) and a
 //! sink half (per-link receivers that check each block's bytes as they
-//! land, a control pump, and the handler that grants, and frees each
-//! block the moment it lands — both live consumers are offset-addressed,
-//! so no slot waits on sequence order), joined only by a [`transport`] carrying encoded Fig. 7(a)
-//! control frames both ways and data frames source → sink. What varies
+//! land, a control pump, and the one sink session that grants, and frees
+//! each block the moment it lands — both live consumers are
+//! offset-addressed, so no slot waits on sequence order), joined only by
+//! a [`transport`] carrying encoded Fig. 7(a) control frames both ways
+//! and data frames source → sink. What varies
 //! is the transport:
 //!
 //! * **in-process** ([`channel_transport`]) — both halves in one address
@@ -50,7 +51,6 @@
 compile_error!("rftp-live runs on Linux only; the simulator crates build anywhere");
 
 pub mod args;
-pub(crate) mod coalesce;
 pub mod daemon;
 pub mod hist;
 pub mod net;

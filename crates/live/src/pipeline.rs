@@ -4,7 +4,7 @@
 //! There is one live data path: the split halves of [`crate::split`]
 //! (source: loaders → sender → wire, with a control stage, the sender
 //! re-sending lost blocks; sink: per-channel receivers and a control
-//! pump → handler), joined by a [`crate::transport`]. [`run_live`] /
+//! pump → session), joined by a [`crate::transport`]. [`run_live`] /
 //! [`try_run_live`] run both halves in this process over the in-process
 //! channel transport and [`LiveReport::merge`] their two reports into one.
 //! That transport is the shm window in one address space — a loader
@@ -295,10 +295,10 @@ impl LiveReport {
             fast_retransmits: t.fast_retransmits,
             duplicate_payloads: t.duplicates,
             stages: StageBreakdown {
-                load_ns: per_block(t.load_ns),
+                load_ns: per_block(t.tails.load.sum()),
                 dispatch_ns: per_block(t.dispatch_ns),
-                place_ns: per_block(t.place_ns),
-                verify_ns: per_block(t.verify_ns),
+                place_ns: per_block(t.tails.place.sum()),
+                verify_ns: per_block(t.tails.verify.sum()),
                 flush_ns: per_block(t.flush_ns),
                 sync_ns: per_block(t.sync_ns),
             },

@@ -64,7 +64,7 @@ impl Notices for UnixStream {
 /// One reader, because arrivals — and so acks — must leave in the
 /// order the source stored them: the source infers a loss from
 /// three later acks on the same channel ([`rftp_core::LossDetector`]),
-/// and readers racing on one stream hand records to the handler out
+/// and readers racing on one stream hand records to the session out
 /// of that order whenever one of them is descheduled, which reads as
 /// a loss and re-sends a block that arrived.
 fn sink_transport(mut streams: SessionStreams<UnixStream>) -> io::Result<SinkTransport> {

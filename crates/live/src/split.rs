@@ -7,7 +7,8 @@
 //! the one thread that sends — first sends, re-sends, credit requests
 //! and `DatasetComplete`;
 //! [`run_split_sink`] (`sink.rs`) runs per-link receivers and a
-//! control pump → handler against a
+//! control pump → one sink session, which owns the slot FSM, the
+//! granter and the coalescing drain, against a
 //! [`SinkTransport`](crate::transport::SinkTransport); each half may run
 //! the adaptive `Controller` (`controller.rs`). Nothing crosses except
 //! control frames and data frames. Over the TCP backend ([`crate::net`])
@@ -33,7 +34,8 @@
 //! * **Acks flow sink → source.** A send completing locally says nothing
 //!   about remote placement. The sink acks placed blocks (coalesced
 //!   `AckBatch`, its only ack form — one cap and one flush window for
-//!   acks and grants alike) and the source retires blocks on those acks.
+//!   acks and grants alike, PROTOCOL `[P7-coalesce]`) and the source
+//!   retires blocks on those acks.
 //! * **Placement is the transport read.** The receiver reads each
 //!   frame's wire image straight into the slot its credit named — the
 //!   transport hands over the header first, then fills the credited
@@ -45,10 +47,10 @@
 //!   offset-addressed — pattern verification is a function of the
 //!   block's own sequence, checked by the receiver as the bytes land, a
 //!   file sink `pwrite`s at `seq × block_size` at placement — so the
-//!   handler frees a slot the moment its block lands, in whatever order
+//!   session frees a slot the moment its block lands, in whatever order
 //!   that is. A lost frame holds one
 //!   slot until its re-send arrives, not the pool behind it; exactly-once
-//!   is the receivers' claim-before-copy bitmap plus the handler's
+//!   is the receivers' claim-before-copy bitmap plus the session's
 //!   retired-sequence bitmap. (The simulated sink, which feeds a
 //!   *stream* consumer, still reassembles in order — §IV.C.)
 //!
@@ -143,11 +145,9 @@ pub(crate) struct Tally {
     pub(crate) checksum_failures: u64,
     /// Blocks retired ahead of the lowest unretired sequence.
     pub(crate) ooo: u64,
-    /// Stage clocks, nanoseconds summed over the stage's threads.
-    pub(crate) load_ns: u64,
+    /// Stage clocks, nanoseconds summed over the stage's threads; the
+    /// load, place and verify clocks are their histograms' sums.
     pub(crate) dispatch_ns: u64,
-    pub(crate) place_ns: u64,
-    pub(crate) verify_ns: u64,
     pub(crate) flush_ns: u64,
     pub(crate) sync_ns: u64,
     pub(crate) tails: StageTails,
@@ -163,10 +163,7 @@ impl Tally {
         self.duplicates += o.duplicates;
         self.checksum_failures += o.checksum_failures;
         self.ooo += o.ooo;
-        self.load_ns += o.load_ns;
         self.dispatch_ns += o.dispatch_ns;
-        self.place_ns += o.place_ns;
-        self.verify_ns += o.verify_ns;
         self.flush_ns += o.flush_ns;
         self.sync_ns += o.sync_ns;
         self.tails.load.merge(&o.tails.load);
@@ -197,9 +194,9 @@ pub(crate) fn run_stage(fail: &Fail, mut body: impl FnMut(&mut Tally) -> io::Res
 }
 
 /// The one place a live thread's panic is caught — for [`run_stage`], a
-/// daemon session, the ring driver's loop, a ring session's handler and
-/// a WAN delay line: `body`'s value, or its panic as an error that
-/// keeps the payload's message.
+/// daemon session, the ring driver's loop, a ring session, the ring
+/// source's reaper and a WAN delay line: `body`'s value, or its panic
+/// as an error that keeps the payload's message.
 pub(crate) fn caught<T>(body: impl FnOnce() -> T) -> io::Result<T> {
     panic::catch_unwind(AssertUnwindSafe(body)).map_err(|payload| {
         let msg = (payload.downcast_ref::<&str>().copied())

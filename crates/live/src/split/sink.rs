@@ -1,12 +1,11 @@
 //! The sink half: per-link receivers that land and check each block,
-//! and a control pump, feeding one handler that grants, frees on
-//! arrival and acks. A receiver checks the bytes it lands as they land
-//! ([`Landing`]), so the handler never reads a payload byte: it trusts
-//! the verdict each arrival carries. Each stage is a function;
-//! [`SinkSession`] is the state they share, whatever carries the bytes.
+//! and a control pump, feeding one [`SinkSession`] that grants, frees
+//! on arrival and acks. A receiver checks the bytes it lands as they
+//! land ([`Landing`]), so the session never reads a payload byte: it
+//! trusts the verdict each arrival carries. Each stage is a function;
+//! [`SinkFront`] is all they share, whatever carries the bytes.
 
 use super::{perr, run_stage, stage, Controller, Fail, Tally};
-use crate::coalesce::{drain_coalesced, CoalescedSink, DrainEnd};
 use crate::pipeline::{pattern_seed, LiveConfig, LiveReport, MAX_POOL_BLOCKS, SESSION, SINK_RKEY};
 use crate::store::{BlockPool, FileSink, SlotBuf};
 use crate::transport::{CtrlRx, CtrlTx, DataRx, Landing, SinkTransport, UringStats};
@@ -20,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Everything the sink's control handler reacts to, on one channel.
+/// Everything a sink session reacts to, on one channel.
 pub(crate) enum SinkEvt {
     /// A data frame placed into its credited slot; `intact` is the
     /// receiver's verdict on its bytes ([`Landing::intact`]).
@@ -45,7 +44,7 @@ pub(crate) enum SinkEvt {
 pub(crate) type FairShare<'a> = Option<(&'a WeightedFair, u64)>;
 
 /// Depth of a session's event queue (receivers, control pump or ring
-/// driver → handler), and how many events one handler drain takes.
+/// driver → session), and how many events one drain takes.
 pub(crate) const SINK_EVENTS: usize = 1024;
 const SINK_EVENT_DRAIN: usize = 64;
 
@@ -119,7 +118,7 @@ impl SinkFront {
     /// time goes on the verify clock instead, so the two stay apart —
     /// write the payload behind to a file sink at its final offset
     /// (sparse placement *is* the reassembly), and name the arrival and
-    /// its verdict for the handler.
+    /// its verdict for the session.
     pub(crate) fn landed(
         &self,
         hdr: &DataFrameHeader,
@@ -130,9 +129,7 @@ impl SinkFront {
     ) -> io::Result<SinkEvt> {
         let check = land.check_ns();
         let ns = (t0.elapsed().as_nanos() as u64).saturating_sub(check);
-        tally.place_ns += ns;
         tally.tails.place.record(ns);
-        tally.verify_ns += check;
         tally.tails.verify.record(check);
         if let SnkBackend::File(sink) = &self.backend {
             let t1 = Instant::now();
@@ -151,147 +148,35 @@ impl SinkFront {
     }
 }
 
-/// One sink session's shared state, whatever carries its bytes: the
-/// placement front, the Fig. 6 slot FSM, the granter, the grant-loop
-/// controller and the session clock. The two runners
-/// ([`run_sink_session`] and the uring session in [`crate::uring`])
-/// differ only in who feeds [`SinkHandler::run`] its events.
-pub(crate) struct SinkSession<'a> {
-    cfg: &'a LiveConfig,
-    /// `Arc` because the shared uring driver places on another thread
-    /// that this session does not scope.
-    pub(crate) front: Arc<SinkFront>,
-    pub(super) snk_pool: AtomicSinkPool,
-    granter: Mutex<Granter>,
-    pub(super) ctl: Option<Controller>,
-    /// Data links the session reads: one per channel on TCP and in
-    /// process, the one notify stream on shm.
-    links: usize,
-    start: Instant,
-}
-
-impl<'a> SinkSession<'a> {
-    /// Open the session over `slots` borrowed slot buffers and `links`
-    /// data links; the clock starts here. A pool past [`MAX_POOL_BLOCKS`]
-    /// is refused: it could grant more credits than the source's ring
-    /// holds. (A hello census that disagrees with the request never gets
-    /// here: `net::geometry_reject` refuses it at admission.)
-    pub(crate) fn open(cfg: &'a LiveConfig, slots: usize, links: usize) -> io::Result<Self> {
-        assert!(cfg.channels >= 1 && cfg.total_bytes > 0 && links >= 1);
-        assert_eq!(slots, cfg.pool_blocks as usize, "one buffer per pool block");
-        if cfg.pool_blocks > MAX_POOL_BLOCKS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("{slots} slots (max {MAX_POOL_BLOCKS})"),
-            ));
-        }
-        Ok(SinkSession {
-            cfg,
-            front: Arc::new(SinkFront::open(cfg)?),
-            snk_pool: AtomicSinkPool::new(PoolGeometry::new(
-                cfg.block_size as u64,
-                cfg.pool_blocks,
-            )),
-            granter: Mutex::new(Granter::new(
-                rftp_core::CreditMode::Proactive,
-                cfg.initial_credits,
-                cfg.grant_per_completion,
-                4,
-            )),
-            ctl: cfg.adaptive.then(|| Controller::new(cfg)),
-            links,
-            start: Instant::now(),
-        })
-    }
-
-    pub(crate) fn handler(
-        &'a self,
-        ctrl_tx: &'a dyn CtrlTx,
-        fair: FairShare<'a>,
-    ) -> SinkHandler<'a> {
-        let cfg = self.cfg;
-        SinkHandler {
-            cfg,
-            ctrl_tx,
-            snk_pool: &self.snk_pool,
-            granter: &self.granter,
-            fair,
-            ctl: self.ctl.as_ref(),
-            grant_at: HashMap::new(),
-            deferred: 0,
-            total_blocks: cfg.total_blocks(),
-            retired: AtomicBitmap::new(cfg.total_blocks()),
-            low_water: 0,
-            dc_seen: false,
-            links: self.links,
-            eof_data: 0,
-            pending_acks: Vec::with_capacity(cfg.ack_batch()),
-            pending_credits: Vec::with_capacity(cfg.pool_blocks as usize),
-            delivered: 0,
-            tally: Tally::default(),
-        }
-    }
-
-    /// Make a file sink's data durable — called once the handler is
-    /// done and before the links go down, so the source's end-of-stream
-    /// means the dataset is on disk.
-    pub(crate) fn sync(&self, t: &mut Tally) -> io::Result<()> {
-        if let SnkBackend::File(sink) = &self.front.backend {
-            let t0 = Instant::now();
-            sink.sync()?;
-            t.sync_ns = t0.elapsed().as_nanos() as u64;
-        }
-        Ok(())
-    }
-
-    /// Close a session whose handler ran to `Done` and whose data is
-    /// durable ([`SinkSession::sync`]): the exactly-once and FSM
-    /// invariants, and the sink half's report — the handler's tally
-    /// merged into the receivers' `tally`.
-    pub(crate) fn finish(
-        &self,
-        h: SinkHandler<'_>,
-        mut tally: Tally,
-        transport_threads: usize,
-        uring: Option<UringStats>,
-    ) -> io::Result<LiveReport> {
-        tally.merge(&h.tally);
-        let elapsed = self.start.elapsed();
-        assert_eq!(h.delivered, h.total_blocks, "blocks lost in the pipeline");
-        self.snk_pool.check_invariants();
-        Ok(LiveReport::from_tally(
-            self.cfg,
-            elapsed,
-            tally,
-            transport_threads,
-            self.front.backend.direct_active(),
-            uring,
-            self.ctl.as_ref().map(Controller::snapshot),
-        ))
-    }
-}
-
-/// The sink's protocol brain: negotiation, credit grants, free on
-/// arrival, and the coalesced sink→source control traffic (`AckBatch`
-/// for placements, `CreditBatch` for grants, one flush window for
-/// both). Shared by the thread-per-link sink below and the io_uring
-/// sink driver ([`crate::uring`]).
+/// One sink session, whatever carries its bytes: the sink's protocol
+/// brain — negotiation, credit grants, free on arrival, and the
+/// coalesced sink→source control traffic (`AckBatch` for placements,
+/// `CreditBatch` for grants, one flush window for both) — on one
+/// thread. It owns the Fig. 6 slot FSM, the granter, the grant-loop
+/// controller, the retired-sequence bitmap, the pending batches and the
+/// session clock; only the placement front is shared, with the threads
+/// that land the bytes. The two runners ([`run_sink_session`] and the
+/// uring session in [`crate::uring`]) differ only in who feeds
+/// [`SinkSession::run`] its events.
 ///
 /// It never touches a slot's bytes: whoever landed a block checked it
 /// ([`SinkFront::landing`]), and the arrival carries the verdict. So
-/// the handler holds no view of the slot buffers — wire slot `i` is
+/// the session holds no view of the slot buffers — wire slot `i` is
 /// only a number to it, whether a standalone pool or a daemon's arena
 /// lease backs it.
-pub(crate) struct SinkHandler<'a> {
+pub(crate) struct SinkSession<'a> {
     pub(super) cfg: &'a LiveConfig,
-    ctrl_tx: &'a dyn CtrlTx,
-    snk_pool: &'a AtomicSinkPool,
-    granter: &'a Mutex<Granter>,
-    fair: FairShare<'a>,
+    /// `Arc` because the receivers and the shared uring driver place
+    /// on other threads.
+    pub(crate) front: Arc<SinkFront>,
+    pub(super) snk_pool: AtomicSinkPool,
+    granter: Granter,
     /// The grant-loop estimator (credit sent → data arrived), when this
     /// session runs adaptively. Drives the dwell window and the
     /// one-loop clamp on outstanding credits.
-    ctl: Option<&'a Controller>,
+    pub(super) ctl: Option<Controller>,
+    ctrl_tx: &'a dyn CtrlTx,
+    fair: FairShare<'a>,
     /// When each outstanding slot's grant left, for the grant-loop RTT
     /// sample its arrival closes. Only maintained under `ctl`.
     grant_at: HashMap<u32, Instant>,
@@ -306,7 +191,9 @@ pub(crate) struct SinkHandler<'a> {
     /// Lowest sequence not yet retired — every one below it is.
     low_water: u64,
     dc_seen: bool,
-    /// The session's data links, and how many have reached end-of-stream.
+    /// Data links the session reads — one per channel on TCP and in
+    /// process, the one notify stream on shm — and how many have
+    /// reached end-of-stream.
     links: usize,
     eof_data: usize,
     pending_acks: Vec<BlockAck>,
@@ -315,13 +202,71 @@ pub(crate) struct SinkHandler<'a> {
     /// Control frames, checksum failures and arrivals ahead of
     /// `low_water`.
     pub(crate) tally: Tally,
+    start: Instant,
 }
 
-impl SinkHandler<'_> {
+impl<'a> SinkSession<'a> {
+    /// Open the session over `links` data links, answering on `ctrl_tx`
+    /// and granting under `fair`; the clock starts here. A pool past
+    /// [`MAX_POOL_BLOCKS`] is refused: it could grant more credits than
+    /// the source's ring holds. (A hello census that disagrees with the
+    /// request never gets here: `net::geometry_reject` refuses it at
+    /// admission.)
+    pub(crate) fn open(
+        cfg: &'a LiveConfig,
+        links: usize,
+        ctrl_tx: &'a dyn CtrlTx,
+        fair: FairShare<'a>,
+    ) -> io::Result<Self> {
+        assert!(cfg.channels >= 1 && cfg.total_bytes > 0 && links >= 1);
+        if cfg.pool_blocks > MAX_POOL_BLOCKS {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{} slots (max {MAX_POOL_BLOCKS})", cfg.pool_blocks),
+            ));
+        }
+        Ok(SinkSession {
+            cfg,
+            front: Arc::new(SinkFront::open(cfg)?),
+            snk_pool: AtomicSinkPool::new(PoolGeometry::new(
+                cfg.block_size as u64,
+                cfg.pool_blocks,
+            )),
+            granter: Granter::new(
+                rftp_core::CreditMode::Proactive,
+                cfg.initial_credits,
+                cfg.grant_per_completion,
+                4,
+            ),
+            ctl: cfg.adaptive.then(|| Controller::new(cfg)),
+            ctrl_tx,
+            fair,
+            grant_at: HashMap::new(),
+            deferred: 0,
+            total_blocks: cfg.total_blocks(),
+            retired: AtomicBitmap::new(cfg.total_blocks()),
+            low_water: 0,
+            dc_seen: false,
+            links,
+            eof_data: 0,
+            pending_acks: Vec::with_capacity(cfg.ack_batch()),
+            pending_credits: Vec::with_capacity(cfg.pool_blocks as usize),
+            delivered: 0,
+            tally: Tally::default(),
+            start: Instant::now(),
+        })
+    }
+
     /// Drive the session to completion: replay `first_ctrl` (a frame the
-    /// listener already read to size the session), then coalesce over
-    /// the events the receivers or the ring driver send, until
-    /// `DatasetComplete` and the last block.
+    /// listener already read to size the session), then take the events
+    /// the receivers or the ring driver send, at most
+    /// `SINK_EVENT_DRAIN` at a time, until `DatasetComplete` and the
+    /// last block. The flush rule is PROTOCOL `[P7-coalesce]`: a
+    /// partial batch dwells up to the flush window for more events, and
+    /// leaves before the next unbounded wait, so coalescing never costs
+    /// latency. Each wait gets the full window, so the dwell extends
+    /// while events keep arriving (adaptive batching under load) and
+    /// ends after one quiet window.
     pub(crate) fn run(
         &mut self,
         first_ctrl: Option<CtrlMsg>,
@@ -330,10 +275,85 @@ impl SinkHandler<'_> {
         if let Some(msg) = first_ctrl {
             self.handle(SinkEvt::Ctrl(msg))?;
         }
-        match drain_coalesced(self, events, SINK_EVENT_DRAIN)? {
-            DrainEnd::Done => Ok(()),
-            DrainEnd::Closed => Err(perr("event pipeline stopped before transfer completed")),
+        let mut batch = Vec::with_capacity(SINK_EVENT_DRAIN);
+        while !self.done() {
+            if events.recv_batch(&mut batch, SINK_EVENT_DRAIN).is_err() {
+                self.flush()?;
+                return Err(perr("event pipeline stopped before transfer completed"));
+            }
+            loop {
+                for ev in batch.drain(..) {
+                    self.handle(ev)?;
+                }
+                let pending = !(self.pending_acks.is_empty() && self.pending_credits.is_empty());
+                if self.done() || !pending {
+                    break;
+                }
+                // Re-read before every wait: an adaptive session rescales
+                // it as its RTT estimate converges.
+                let window = self.cfg.flush_window;
+                let window = self.ctl.as_ref().map_or(window, |c| c.dwell(window));
+                if events
+                    .recv_batch_timeout(&mut batch, SINK_EVENT_DRAIN, window)
+                    .is_err()
+                {
+                    break;
+                }
+            }
+            self.flush()?;
         }
+        Ok(())
+    }
+
+    /// `DatasetComplete` has come and every block has landed.
+    pub(super) fn done(&self) -> bool {
+        self.dc_seen && self.delivered == self.total_blocks
+    }
+
+    /// Send the pending acks, then the pending grants.
+    pub(super) fn flush(&mut self) -> io::Result<()> {
+        self.flush_acks()?;
+        self.flush_credits()
+    }
+
+    /// Make a file sink's data durable — called once the session is
+    /// done and before the links go down, so the source's end-of-stream
+    /// means the dataset is on disk.
+    pub(crate) fn sync(&self, t: &mut Tally) -> io::Result<()> {
+        if let SnkBackend::File(sink) = &self.front.backend {
+            let t0 = Instant::now();
+            sink.sync()?;
+            t.sync_ns = t0.elapsed().as_nanos() as u64;
+        }
+        Ok(())
+    }
+
+    /// Close a session that ran to done and whose data is durable
+    /// ([`SinkSession::sync`]): the exactly-once and FSM invariants,
+    /// and the sink half's report — the session's tally merged into
+    /// the receivers' `tally`.
+    pub(crate) fn finish(
+        self,
+        mut tally: Tally,
+        transport_threads: usize,
+        uring: Option<UringStats>,
+    ) -> io::Result<LiveReport> {
+        tally.merge(&self.tally);
+        let elapsed = self.start.elapsed();
+        assert_eq!(
+            self.delivered, self.total_blocks,
+            "blocks lost in the pipeline"
+        );
+        self.snk_pool.check_invariants();
+        Ok(LiveReport::from_tally(
+            self.cfg,
+            elapsed,
+            tally,
+            transport_threads,
+            self.front.backend.direct_active(),
+            uring,
+            self.ctl.as_ref().map(Controller::snapshot),
+        ))
     }
 
     /// Pop up to `want` free slots into the pending grant batch. Under
@@ -343,7 +363,7 @@ impl SinkHandler<'_> {
     /// clamps to the controller's depth target — withheld grants are
     /// deferred, not dropped, and retried as blocks free.
     fn accumulate(&mut self, want: u32) {
-        let want = match self.ctl.and_then(Controller::depth) {
+        let want = match self.ctl.as_ref().and_then(Controller::depth) {
             Some(depth) => {
                 // Everything not free is on loan to the source (granted
                 // or in flight) — including the slots already batched in
@@ -440,7 +460,7 @@ impl SinkHandler<'_> {
             self.low_water += 1;
         }
         if self.delivered == 0 {
-            if let Some(c) = self.ctl {
+            if let Some(c) = &self.ctl {
                 // First-block latency: the credit-ramp figure. Proactive
                 // grants should land this inside 2·RTT of session start.
                 c.mark_first_block();
@@ -455,7 +475,7 @@ impl SinkHandler<'_> {
         if let Some((fair, id)) = self.fair {
             fair.release(id, 1); // the credit this block rode came home
         }
-        let owed = self.granter.lock().on_block_freed();
+        let owed = self.granter.on_block_freed();
         if owed > 0 {
             // Answer a starved MrRequest immediately.
             self.accumulate(owed);
@@ -470,32 +490,9 @@ impl SinkHandler<'_> {
         self.delivered += 1;
         Ok(())
     }
-}
 
-/// The shared [`drain_coalesced`] loop drives the handler, with
-/// arrivals, peer control frames, and link EOFs as the event stream.
-impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
-    type Err = io::Error;
-
-    fn done(&self) -> bool {
-        self.dc_seen && self.delivered == self.total_blocks
-    }
-
-    fn dwell(&self) -> bool {
-        !(self.pending_acks.is_empty() && self.pending_credits.is_empty())
-    }
-
-    fn window(&self) -> std::time::Duration {
-        self.ctl
-            .map_or(self.cfg.flush_window, |c| c.dwell(self.cfg.flush_window))
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.flush_acks()?;
-        self.flush_credits()
-    }
-
-    fn handle(&mut self, ev: SinkEvt) -> io::Result<()> {
+    /// Take one event; a full ack or grant batch leaves at once.
+    pub(super) fn handle(&mut self, ev: SinkEvt) -> io::Result<()> {
         match ev {
             SinkEvt::Arrival {
                 seq,
@@ -503,7 +500,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
                 len,
                 intact,
             } => {
-                if let Some(c) = self.ctl {
+                if let Some(c) = &self.ctl {
                     if let Some(granted) = self.grant_at.remove(&slot) {
                         // Grant-loop sample: credit out → data in. A
                         // retransmitted block inflates this (no Karn
@@ -516,7 +513,7 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
                     .ready(slot)
                     .map_err(|e| perr(format!("arrival in non-granted slot {slot}: {e:?}")))?;
                 self.retire(seq, slot, intact)?;
-                let want = self.granter.lock().on_completion();
+                let want = self.granter.on_completion();
                 self.accumulate(want);
                 self.pending_acks.push(BlockAck { seq, slot, len });
                 if self.pending_acks.len() >= self.cfg.ack_batch() {
@@ -555,13 +552,13 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
                             block_size: self.cfg.block_size as u64,
                             data_qpns: (0..self.cfg.channels as u32).collect(),
                         })?;
-                        let want = self.granter.lock().on_accept();
+                        let want = self.granter.on_accept();
                         self.accumulate(want);
                         self.flush_credits()
                     }
                     CtrlMsg::MrRequest { session } if session == SESSION => {
                         let free = self.snk_pool.free_count();
-                        let want = self.granter.lock().on_request(free);
+                        let want = self.granter.on_request(free);
                         self.accumulate(want);
                         self.flush_credits()
                     }
@@ -610,11 +607,11 @@ impl CoalescedSink<SinkEvt> for SinkHandler<'_> {
 /// ack leaves at once, then the half closes its links itself.
 ///
 /// `cfg` must agree with the source on `block_size`, `channels`, and
-/// `total_bytes` (the handler checks the `SessionRequest` against it);
+/// `total_bytes` (the session checks the `SessionRequest` against it);
 /// pool size, destination file, and I/O mode are this side's own.
 /// `first_ctrl` is a frame already read off the control link during
 /// session setup (the TCP listener consumes the `SessionRequest` to
-/// build `cfg`), replayed to the handler before live traffic.
+/// build `cfg`), replayed to the session before live traffic.
 ///
 /// Without a `dst_file` the sink compares every block with the pattern
 /// generator — pair a file *source* with a file *sink*, or every block
@@ -656,19 +653,20 @@ pub(crate) fn run_sink_session(
     snk_bufs: &[&Mutex<SlotBuf>],
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    let sess = SinkSession::open(cfg, snk_bufs.len(), t.data.len())?;
     let SinkTransport {
         ctrl_tx,
         mut ctrl_rx,
         data,
         abort,
     } = t;
+    let links = data.len();
+    let mut sess = SinkSession::open(cfg, links, ctrl_tx.as_ref(), fair)?;
+    let front = Arc::clone(&sess.front);
     let fail = Fail::new(abort);
     let (evt_tx, evt_rx) = bounded::<SinkEvt>(SINK_EVENTS);
-    let mut h = sess.handler(ctrl_tx.as_ref(), fair);
 
     let tally = std::thread::scope(|s| {
-        let (front, fail) = (&*sess.front, &fail);
+        let (front, fail) = (&*front, &fail);
         let ctrl = {
             let evt_tx = evt_tx.clone();
             stage(s, fail, move |_| pump(&mut *ctrl_rx, &evt_tx))
@@ -683,8 +681,8 @@ pub(crate) fn run_sink_session(
             })
             .collect();
         drop(evt_tx);
-        // The handler runs on the scope's own thread.
-        run_stage(fail, |_| h.run(first_ctrl.take(), &evt_rx));
+        // The session runs on the scope's own thread.
+        run_stage(fail, |_| sess.run(first_ctrl.take(), &evt_rx));
         // Done, the last acks written: the data goes durable, then the
         // links go down. The control stream's FIN rides behind the last
         // ack, and the receivers and the pump read end-of-stream now
@@ -711,7 +709,7 @@ pub(crate) fn run_sink_session(
     }
     // One receiver per data link plus the control pump — on TCP the
     // O(channels) thread zoo the ring backend collapses.
-    sess.finish(h, tally, sess.links + 1, None)
+    sess.finish(tally, links + 1, None)
 }
 
 /// Control pump: frames off the control link into the event queue, until
@@ -720,7 +718,7 @@ pub(crate) fn run_sink_session(
 fn pump(ctrl_rx: &mut dyn CtrlRx, events: &Sender<SinkEvt>) -> io::Result<()> {
     while let Some(msg) = ctrl_rx.recv()? {
         if events.send(SinkEvt::Ctrl(msg)).is_err() {
-            return Ok(()); // handler bailed; fail is set
+            return Ok(()); // session bailed; fail is set
         }
     }
     let _ = events.send(SinkEvt::CtrlEof);
@@ -750,7 +748,7 @@ fn receive(
         let ev = front.landed(&hdr, &dst, &land, t0, t)?;
         drop(dst);
         if events.send(ev).is_err() {
-            return Ok(()); // handler bailed; fail is set
+            return Ok(()); // session bailed; fail is set
         }
     }
     let _ = events.send(SinkEvt::DataEof);
@@ -788,7 +786,7 @@ impl SnkBackend {
 /// discarded instead of overwriting a slot the sink has since freed and
 /// re-granted. One bit per block of the whole transfer (the table this
 /// replaced spent a mutex per block — 1 byte + state and a pointer-chase
-/// per check). The sink handler keeps a second one for the sequences it
+/// per check). The sink session keeps a second one for the sequences it
 /// has retired.
 pub(crate) struct AtomicBitmap {
     words: Vec<AtomicU64>,

@@ -320,7 +320,6 @@ fn load(src: &Src, inbox: &Sender<Job>, t: &mut Tally) -> io::Result<()> {
             Some(window) => window.load(&hdr, &mut write)?,
         }
         let ns = t0.elapsed().as_nanos() as u64;
-        t.load_ns += ns;
         t.tails.load.record(ns);
         *src.inflight[block as usize].lock() = Some(InFlightInfo {
             seq: seq as u32,

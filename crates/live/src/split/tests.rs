@@ -1,8 +1,6 @@
 //! Unit tests of the split pipeline's stages and both halves.
 
-use super::sink::SinkHandler;
 use super::*;
-use crate::coalesce::CoalescedSink;
 use crate::pipeline::{pattern_seed, MAX_POOL_BLOCKS, SESSION};
 use crate::store::{BlockPool, SlotBuf};
 use crate::transport::{CtrlRx, CtrlTx, DataTx, Landing, SourceTransport};
@@ -622,7 +620,7 @@ fn land(bufs: &BlockPool, len: u32, seq: u32, slot: u32) -> SinkEvt {
 }
 
 /// [`land`] and announce.
-fn arrive(h: &mut SinkHandler, bufs: &BlockPool, seq: u32, slot: u32) -> io::Result<()> {
+fn arrive(h: &mut SinkSession, bufs: &BlockPool, seq: u32, slot: u32) -> io::Result<()> {
     h.handle(land(bufs, h.cfg.block_size as u32, seq, slot))
 }
 
@@ -651,9 +649,7 @@ fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
     cfg.flush_window = std::time::Duration::from_secs(2);
     let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let sent = Sent::default();
-    let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
-    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, None);
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
     h.handle(request(&cfg)).unwrap();
     let granted = sent.take_granted();
     let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
@@ -695,6 +691,133 @@ fn last_arrival_after_dataset_complete_leaves_its_ack_without_a_dwell() {
     assert_eq!(acks, [vec![0, 1, 2, 3]], "one AckBatch, the last ack in it");
 }
 
+/// The sequences of each `AckBatch` sent so far, in send order.
+fn ack_batches(sent: &Sent) -> Vec<Vec<u32>> {
+    (sent.0.lock().iter())
+        .filter_map(|m| match m {
+            CtrlMsg::AckBatch { acks, .. } => Some(acks.iter().map(|a| a.seq).collect()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A session of `blocks` blocks over a pool that grants them all at
+/// the opening, with `ctrl_batch` entries per frame and a flush window
+/// of `window`.
+fn coalescing_cfg(blocks: u64, ctrl_batch: usize, window: std::time::Duration) -> LiveConfig {
+    let mut cfg = LiveConfig::new(4096, 1, blocks * 4096);
+    cfg.pool_blocks = 16;
+    cfg.initial_credits = blocks as u32;
+    cfg.ctrl_batch = ctrl_batch;
+    cfg.flush_window = window;
+    cfg
+}
+
+/// A drain that ends the session flushes what is pending: ten arrivals
+/// under a cap of four leave as two full `AckBatch`es and the partial
+/// one, at once, though the flush window is far longer than the run;
+/// no frame of either kind holds more than the cap.
+// spec: [P7-coalesce]
+#[test]
+fn a_drain_to_done_flushes_partial_batches() {
+    let cfg = coalescing_cfg(10, 4, std::time::Duration::from_secs(2));
+    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+    let sent = Sent::default();
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
+    h.handle(request(&cfg)).unwrap();
+    let granted = sent.take_granted();
+    let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
+    for seq in 0..10 {
+        assert!(tx
+            .send(land(&bufs, 4096, seq, granted[seq as usize]))
+            .is_ok());
+    }
+    let dc = CtrlMsg::DatasetComplete {
+        session: SESSION,
+        total_blocks: 10,
+    };
+    assert!(tx.send(SinkEvt::Ctrl(dc)).is_ok());
+    let t0 = Instant::now();
+    h.run(None, &rx).expect("the session ran to done");
+    let took = t0.elapsed();
+    assert!(took < std::time::Duration::from_secs(1), "dwelt {took:?}");
+    assert_eq!(
+        ack_batches(&sent),
+        [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8, 9]]
+    );
+    for m in sent.0.lock().iter() {
+        if let CtrlMsg::CreditBatch { slots, .. } = m {
+            assert!(slots.len() <= 4, "{} slots in one frame", slots.len());
+        }
+    }
+}
+
+/// The dwell: a partial batch waits out the flush window for more
+/// events, so an arrival inside the window joins the same flush
+/// instead of costing frames of its own; a quiet window ends the
+/// dwell, and the batch leaves before the session waits again with no
+/// deadline.
+// spec: [P7-coalesce]
+#[test]
+fn arrivals_inside_one_flush_window_share_one_flush() {
+    let cfg = coalescing_cfg(4, 16, std::time::Duration::from_millis(200));
+    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+    let sent = Sent::default();
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
+    h.handle(request(&cfg)).unwrap();
+    let granted = sent.take_granted();
+    let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
+    let flushed = std::thread::scope(|s| {
+        let run = s.spawn(move || h.run(None, &rx));
+        assert!(tx.send(land(&bufs, 4096, 0, granted[0])).is_ok());
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        assert!(tx.send(land(&bufs, 4096, 1, granted[1])).is_ok());
+        let deadline = Instant::now() + std::time::Duration::from_secs(5);
+        while ack_batches(&sent).is_empty() && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let flushed = ack_batches(&sent);
+        drop(tx);
+        let end = run.join().unwrap();
+        assert!(end.is_err(), "the stream closed mid-transfer");
+        flushed
+    });
+    assert_eq!(
+        flushed,
+        [vec![0, 1]],
+        "one flush, both acks, the stream still open"
+    );
+    let credits = (sent.0.lock().iter())
+        .filter(|m| matches!(m, CtrlMsg::CreditBatch { .. }))
+        .count();
+    assert_eq!(credits, 1, "the grants ride the same flush");
+}
+
+/// A closed event stream flushes the pending batch, then fails the
+/// session, without waiting out the window: the peer hears of every
+/// block that landed.
+// spec: [P7-coalesce]
+#[test]
+fn a_closed_event_stream_flushes_then_fails_the_session() {
+    let cfg = coalescing_cfg(4, 16, std::time::Duration::from_secs(2));
+    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
+    let sent = Sent::default();
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
+    h.handle(request(&cfg)).unwrap();
+    let granted = sent.take_granted();
+    let (tx, rx) = crossbeam::channel::bounded(SINK_EVENTS);
+    assert!(tx.send(land(&bufs, 4096, 0, granted[0])).is_ok());
+    drop(tx);
+    let t0 = Instant::now();
+    let err = h
+        .run(None, &rx)
+        .expect_err("the stream closed mid-transfer");
+    let took = t0.elapsed();
+    assert!(err.to_string().contains("event pipeline stopped"), "{err}");
+    assert!(took < std::time::Duration::from_secs(1), "dwelt {took:?}");
+    assert_eq!(ack_batches(&sent), [vec![0]]);
+}
+
 /// A four-block transfer into a four-slot pool with sequence 0
 /// missing: the three blocks behind the hole must hand their slots
 /// back as they land (a sink that frees in order parks all three and
@@ -709,20 +832,18 @@ fn slots_behind_a_hole_retire_and_are_granted_again() {
     cfg.grant_per_completion = 0; // grants only on request: the free list is observable
     let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let sent = Sent::default();
-    let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
-    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let (snk_pool, mut h) = (&sess.snk_pool, sess.handler(&sent, None));
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
 
     h.handle(request(&cfg)).unwrap();
     let granted = sent.take_granted();
     assert_eq!(granted.len(), 4);
-    assert_eq!(snk_pool.free_count(), 0);
+    assert_eq!(h.snk_pool.free_count(), 0);
 
     // Sequence 0 rode granted[0] and was lost; 1, 2, 3 land.
     for seq in 1..4 {
         arrive(&mut h, &bufs, seq, granted[seq as usize]).unwrap();
     }
-    assert_eq!(snk_pool.free_count(), 3, "the hole holds one slot");
+    assert_eq!(h.snk_pool.free_count(), 3, "the hole holds one slot");
     assert_eq!(
         (h.delivered, h.tally.ooo, h.tally.checksum_failures),
         (3, 3, 0)
@@ -862,11 +983,8 @@ fn the_live_source_asks_for_notify_imm_and_refuses_block_complete() {
 #[test]
 fn the_live_sink_refuses_block_complete() {
     let cfg = LiveConfig::new(4096, 1, 4 * 4096);
-    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
     let sent = Sent::default();
-    let view: Vec<&Mutex<SlotBuf>> = bufs.iter().collect();
-    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, None);
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
     h.handle(request(&cfg)).unwrap();
     let slot = sent.take_granted()[0];
     let err = h
@@ -914,10 +1032,8 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     let ani = WanProfile::parse("ani-wan").unwrap();
     let mut cfg = LiveConfig::new(256 * 1024, 1, 1 << 30);
     cfg.apply_wan(&ani);
-    let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
-    let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
-    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, None);
+    let sent = Sent::default();
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
     h.handle(request(&cfg)).unwrap();
     let mut opening = sent.take_granted();
     assert_eq!(
@@ -928,7 +1044,7 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     opening.sort_unstable();
     opening.dedup();
     assert_eq!(opening.len(), 263, "each slot granted once");
-    assert_eq!(sess.snk_pool.free_count(), 0);
+    assert_eq!(h.snk_pool.free_count(), 0);
 
     let path = WanProfile::parse("rtt=10ms,rate=80M").unwrap();
     let total = 256u32;
@@ -938,9 +1054,8 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     let window = rftp_core::window_blocks(80e6, path.rtt(), 4096, 1);
     assert_eq!((cfg.pool_blocks, window), (64, 28), "the pool is larger");
     let bufs = BlockPool::new(cfg.pool_blocks, cfg.block_size);
-    let (sent, view) = (Sent::default(), bufs.iter().collect::<Vec<_>>());
-    let sess = SinkSession::open(&cfg, view.len(), 1).unwrap();
-    let mut h = sess.handler(&sent, None);
+    let sent = Sent::default();
+    let mut h = SinkSession::open(&cfg, 1, &sent, None).unwrap();
     h.handle(request(&cfg)).unwrap();
     h.handle(SinkEvt::Ctrl(CtrlMsg::DatasetComplete {
         session: SESSION,
@@ -956,7 +1071,7 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
     // The controller's measured round trip: the declared path. The
     // handler's own samples (no wire) can only lower the minimum,
     // and with it the clamp.
-    let ctl = sess.ctl.as_ref().expect("apply_wan runs adaptively");
+    let ctl = h.ctl.as_ref().expect("apply_wan runs adaptively");
     ctl.on_rtt_sample(path.rtt());
     assert_eq!(ctl.snapshot().effective_depth, window);
     for seq in 0..total {
@@ -971,7 +1086,7 @@ fn the_first_grant_is_the_window_and_never_more_is_outstanding() {
         );
     }
     assert!(h.done() && h.delivered == total as u64);
-    assert!(ctl.snapshot().effective_depth <= window);
+    assert!(h.ctl.as_ref().unwrap().snapshot().effective_depth <= window);
 }
 
 /// Retire-on-arrival under everything a WAN does to order — loss,
@@ -1162,7 +1277,7 @@ fn a_pool_past_the_credit_ring_is_refused() {
         cfg.pool_blocks = slots;
         cfg.apply_wan(&ani);
         assert_eq!(cfg.pool_blocks, slots, "apply_wan never shrinks a pool");
-        let err = SinkSession::open(&cfg, slots as usize, 2).err();
+        let err = SinkSession::open(&cfg, 2, &Sent::default(), None).err();
         assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidInput));
     }
     // A pool the WAN widens stops at the ring (one credit loop is
@@ -1170,7 +1285,7 @@ fn a_pool_past_the_credit_ring_is_refused() {
     let mut cfg = LiveConfig::new(4096, 2, 1 << 20);
     cfg.apply_wan(&ani);
     assert_eq!(cfg.pool_blocks, MAX_POOL_BLOCKS);
-    assert!(SinkSession::open(&cfg, MAX_POOL_BLOCKS as usize, 2).is_ok());
+    assert!(SinkSession::open(&cfg, 2, &Sent::default(), None).is_ok());
 }
 
 /// A peer that is not a sink from this tree may grant a slot past the

@@ -290,7 +290,7 @@ pub struct SinkTransport {
     pub ctrl_rx: Box<dyn CtrlRx>,
     pub data: Vec<Box<dyn DataRx>>,
     /// Tear every link down, releasing the blocked readers: on an
-    /// error, and on success once the handler is done — the last ack is
+    /// error, and on success once the session is done — the last ack is
     /// already written and leaves ahead of the control stream's
     /// end-of-stream, so the sink never waits for the source to hang up.
     /// Shared so any failing sink thread can pull it.

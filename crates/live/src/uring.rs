@@ -27,8 +27,8 @@
 //!   no user-space copy, the one-sided WRITE analogue), a scratch read
 //!   for a duplicate. Control frames are read off the same ring, and
 //!   each session's events go through its mailbox to the session's own
-//!   thread, which runs the same handler and coalesced ack/credit dwell
-//!   (`drain_coalesced`) as the TCP sink;
+//!   thread, which runs the same `SinkSession` — one coalesced
+//!   ack/credit dwell — as the TCP sink;
 //! * the daemon ([`crate::daemon`]) shares ONE ring and ONE driver
 //!   thread (`MultiDriver`) across every admitted session: the whole
 //!   slot arena is registered once at startup, leases map to

@@ -1,7 +1,7 @@
 //! The sink's single data-path driver: per-session link state machines
 //! ([`Sess`]) and [`MultiDriver`], the one loop that retires every
 //! session's completions and forwards its events to the session's
-//! handler thread — one session for a standalone sink, every admitted
+//! own thread — one session for a standalone sink, every admitted
 //! session under the daemon.
 //!
 //! There is one receive path. Each data link reads the 16-byte
@@ -11,7 +11,7 @@
 //! user-space copy), and a duplicate is read into a scratch buffer and
 //! dropped. The driver checks each placed image against the pattern as
 //! its `READ_FIXED` completes — the kernel just wrote it on this core —
-//! so the session's handler never reads a payload byte.
+//! so the session never reads a payload byte.
 
 use super::abi::*;
 use super::ring::{Ring, RING_ENTRIES};
@@ -75,7 +75,7 @@ struct CtrlLink {
     eof: bool,
 }
 
-/// What one session's driver half hands back to its handler thread
+/// What one session's driver half hands back to its session thread
 /// at detach: the placement tally the driver accumulated on the
 /// session's behalf, any driver-side error, and a snapshot of the
 /// shared ring's counters.
@@ -94,7 +94,7 @@ type Mailbox = (
 );
 
 /// One admitted session as the driver sees it: the placement front,
-/// link state machines, the slot mapping, and the handler-side
+/// link state machines, the slot mapping, and the session-side
 /// plumbing.
 pub(super) struct Sess {
     front: Arc<SinkFront>,
@@ -110,10 +110,10 @@ pub(super) struct Sess {
     /// Driver-owned socket clones (control first), shut down to cut
     /// the session loose on a driver-side failure or detach.
     socks: Vec<TcpStream>,
-    /// Events parsed this loop, not yet handed to the handler.
+    /// Events parsed this loop, not yet handed to the session.
     emit: Vec<SinkEvt>,
     /// The session thread's mailbox; `None` after a failure or a
-    /// detach, which is how the handler learns the source is gone.
+    /// detach, which is how the session learns the source is gone.
     mailbox: Option<crossbeam::channel::Sender<SinkEvt>>,
     /// Where the detach handshake delivers [`SessionStats`].
     stats_tx: std::sync::mpsc::SyncSender<SessionStats>,
@@ -223,10 +223,9 @@ enum Next {
 /// The sink's single data-path driver: one ring, one thread, every
 /// admitted session's links. Each [`MultiDriver::tick`] retires a
 /// batch of completions and forwards each session's events through
-/// its mailbox to the session thread, which runs the handler
-/// ([`crate::split::SinkSession::handler`]) over
-/// [`crate::coalesce::drain_coalesced`] — the same drain as every
-/// other sink.
+/// its mailbox to the session thread, which runs
+/// [`crate::split::SinkSession::run`] — the same drain as every other
+/// sink.
 pub(super) struct MultiDriver<'a> {
     ring: &'a Ring,
     /// The registered fixed-buffer table; each session's `lease`
@@ -415,7 +414,7 @@ impl<'a> MultiDriver<'a> {
 
     /// First-error-wins session failure: record it, cut the
     /// session's sockets (in-flight ops complete as errors
-    /// promptly), and drop the mailbox so the handler thread sees
+    /// promptly), and drop the mailbox so the session thread sees
     /// the source close after draining what was already parsed.
     fn sess_fail(&mut self, sid: u32, e: io::Error) {
         let Some(sess) = self.sessions.get_mut(&sid) else {
@@ -471,7 +470,7 @@ impl<'a> MultiDriver<'a> {
 
     /// Forward freshly-parsed events to each session's
     /// mailbox (batched per driver loop, so a CQE burst arrives at
-    /// the handler as one `recv_batch`).
+    /// the session as one `recv_batch`).
     fn deliver_mailboxes(&mut self) {
         for sess in self.sessions.values_mut() {
             if sess.emit.is_empty() {

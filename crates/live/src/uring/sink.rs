@@ -1,5 +1,5 @@
 //! Sink runners: the one shared driver thread and its hub, and a
-//! session's handler half against it. A standalone sink is a
+//! session's own half against it. A standalone sink is a
 //! one-session driver over its own pool; a daemon runs one driver over
 //! its whole arena for every session it admits.
 
@@ -38,11 +38,11 @@ pub fn accept_source_uring(
 }
 
 /// Run the sink half over one io_uring: the protocol brain is the
-/// same `SinkSession` and handler as the TCP sink, but placement and
+/// same `SinkSession` as the TCP sink, but placement and
 /// control reads ride the ring on **one** driver thread — no
 /// per-channel receivers, no control pump. It is the daemon's shared
 /// driver with one session: the sink's own pool is the registered
-/// table (identity lease), and this thread runs the handler half.
+/// table (identity lease), and this thread runs the session.
 pub fn run_uring_sink(
     cfg: &LiveConfig,
     session: UringSinkSession,
@@ -239,9 +239,9 @@ pub(crate) fn spawn_shared_uring_driver<'scope, 'env>(
     ))
 }
 
-/// Run one session's *handler half* against a shared driver: register
+/// Run one session's *own half* against a shared driver: register
 /// the session's sockets with the hub, then drive the same
-/// [`SinkSession`] and handler as every other sink over a mailbox the
+/// [`SinkSession`] as every other sink over a mailbox the
 /// driver fills. Admission does **not** touch buffer registration —
 /// the driver registered its slots once at start-up, and the lease
 /// maps this session's wire slots onto those stable fixed-buffer
@@ -255,21 +255,20 @@ pub(crate) fn run_shared_uring_session(
     hub: &UringHub,
     fair: FairShare<'_>,
 ) -> io::Result<LiveReport> {
-    let sess = SinkSession::open(cfg, snk_bufs.len(), streams.data.len())?;
     assert_eq!(lease.len(), snk_bufs.len(), "lease covers the pool");
     let SessionStreams { ctrl, data, .. } = streams;
 
     // The driver owns the session's sockets: it cuts them at detach or
     // on a driver-side failure. This thread keeps a control clone for
-    // the handler's writes.
+    // the session's writes.
     let ctrl_tx = NetCtrlTx(Mutex::new(ctrl.try_clone()?));
+    let mut sess = SinkSession::open(cfg, data.len(), &ctrl_tx, fair)?;
     let (evt_tx, evt_rx) = crossbeam::channel::bounded::<SinkEvt>(SINK_EVENTS);
     let (stats_tx, stats_rx) = std::sync::mpsc::sync_channel::<SessionStats>(1);
     let mailbox = (evt_tx, stats_tx);
     let entry = Sess::new(sess.front.clone(), lease.to_vec(), ctrl, data, mailbox);
     let sid = hub.next_sid.fetch_add(1, Ordering::Relaxed);
 
-    let mut h = sess.handler(&ctrl_tx, fair);
     // Register before answering the hello: the opening grants go
     // out only after the driver can be armed, so no data races the
     // first receive.
@@ -281,10 +280,10 @@ pub(crate) fn run_shared_uring_session(
     };
     let run = hub
         .send(HubMsg::Register(sid, Box::new(entry)))
-        .and_then(|()| caught(|| h.run(first_ctrl, &evt_rx))?);
+        .and_then(|()| caught(|| sess.run(first_ctrl, &evt_rx))?);
     let mut synced = Tally::default();
     let durable = run.as_ref().map_or(Ok(()), |()| sess.sync(&mut synced));
-    // The handler is done, so the sockets go down now rather than when
+    // The session is done, so the sockets go down now rather than when
     // the source hangs up; a late duplicate still on a data link is not
     // read.
     let stats = registered.detach();
@@ -299,7 +298,7 @@ pub(crate) fn run_shared_uring_session(
     tally.merge(&synced);
     // The data path lives on the ONE shared driver thread; this
     // session thread only runs the protocol brain.
-    sess.finish(h, tally, 1, Some(stats.ring))
+    sess.finish(tally, 1, Some(stats.ring))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use super::abi::*;
 use super::ring::{probe, transfer_ring, Ring, RING_ENTRIES};
 use crate::net::{connect_streams, shutdown_all, NetCtrlRx, NetCtrlTx, SessionStreams};
+use crate::split::caught;
 use crate::store::SlotBuf;
 use crate::transport::{BufPool, DataTx, SourceTransport};
 use parking_lot::Mutex;
@@ -260,6 +261,8 @@ impl SrcRing {
             if self.shutdown.load(Ordering::Acquire) && self.inflight.load(Ordering::Acquire) == 0 {
                 return;
             }
+            #[cfg(test)]
+            tests::fault_point(&self.socks);
             if let Err(e) = self.ring.wait(None) {
                 self.fail(format!("io_uring wait: {e}"));
                 return;
@@ -408,9 +411,15 @@ pub fn connect_source_uring(
     });
     let reaper = {
         let shared = shared.clone();
+        // A panic is the transport's error: the sender's next send or
+        // kick returns it.
         std::thread::Builder::new()
             .name("rftp-uring-src".into())
-            .spawn(move || shared.reap_loop())?
+            .spawn(move || {
+                if let Err(e) = caught(|| shared.reap_loop()) {
+                    shared.fail(e.to_string());
+                }
+            })?
     };
     let guard = ReaperGuard {
         shared: shared.clone(),
@@ -451,4 +460,72 @@ pub fn connect_source_uring(
             shutdown_all(&handles, Shutdown::Both);
         }),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::uring_supported;
+    use super::*;
+    use crate::net::NetListener;
+    use std::sync::atomic::AtomicU16;
+    use std::time::Instant;
+
+    /// The sink port whose source reaper panics at its next turn; 0 is
+    /// none. A port names one test's session, whatever else runs.
+    static PANIC_FOR_PORT: AtomicU16 = AtomicU16::new(0);
+
+    pub(super) fn fault_point(socks: &[TcpStream]) {
+        let port = socks
+            .first()
+            .and_then(|s| s.peer_addr().ok())
+            .map(|a| a.port());
+        if port.is_some_and(|p| p == PANIC_FOR_PORT.load(Ordering::Acquire)) {
+            panic!("an injected reaper fault");
+        }
+    }
+
+    /// A reaper that panics fails the transport with the panic's
+    /// message: the sender's next kick or send returns it, rather than
+    /// queueing writes that no thread will ever reap.
+    // spec: [P5-panic-fails-alone]
+    #[test]
+    fn a_panicking_reaper_is_the_senders_error() {
+        if !uring_supported() {
+            eprintln!("skipping: io_uring not supported by this kernel");
+            return;
+        }
+        let listener = NetListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        PANIC_FOR_PORT.store(addr.port(), Ordering::Release);
+        let accept = std::thread::spawn(move || listener.accept_streams(0));
+        let t = connect_source_uring(addr, 1, 0).unwrap();
+        let _streams = accept.join().unwrap().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let err = loop {
+            match t.data[0].kick() {
+                Err(e) => break e,
+                Ok(()) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+                Ok(()) => panic!("the reaper's panic never reached the sender"),
+            }
+        };
+        PANIC_FOR_PORT.store(0, Ordering::Release);
+        assert!(
+            err.to_string().contains("an injected reaper fault"),
+            "{err}"
+        );
+        let hdr = DataFrameHeader {
+            session: crate::pipeline::SESSION,
+            seq: 0,
+            slot: 0,
+            len: 1,
+        };
+        let sent = t.data[0]
+            .send(hdr, &[0])
+            .expect_err("a send after the panic");
+        assert!(
+            sent.to_string().contains("an injected reaper fault"),
+            "{sent}"
+        );
+        (t.abort)();
+    }
 }
