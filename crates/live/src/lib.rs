@@ -20,10 +20,11 @@
 //! is the transport:
 //!
 //! * **in-process** ([`channel_transport`]) — both halves in one address
-//!   space over the shm window: the loaders write each block straight
-//!   into the credited sink slot, and a channel carries only the 16-byte
-//!   notify record — the RDMA WRITE analogue, with no copy. [`run_live`]
-//!   is this, with the two reports merged;
+//!   space over shm's window endpoints, their links on socketpairs: the
+//!   loaders write each block straight into the credited sink slot, and
+//!   the notify stream carries only the 16-byte record — the RDMA WRITE
+//!   analogue, with no copy. [`run_live`] is this, with the two reports
+//!   merged;
 //! * **TCP** ([`net`]) — `rftp-live --listen` / `--connect` move a file
 //!   between two OS processes; a WRITE becomes one vectored write of
 //!   frame header + payload straight from the pinned block, read

@@ -3,14 +3,15 @@
 //!
 //! There is one live data path: the split halves of [`crate::split`]
 //! (source: loaders → sender → wire, with a control stage, the sender
-//! re-sending lost blocks; sink: per-channel receivers and a control
+//! re-sending lost blocks; sink: per-link receivers and a control
 //! pump → session), joined by a [`crate::transport`]. [`run_live`] /
 //! [`try_run_live`] run both halves in this process over the in-process
-//! channel transport and [`LiveReport::merge`] their two reports into one.
-//! That transport is the shm window in one address space — a loader
-//! writes each block straight into the credited sink slot, and a data
-//! frame is the 16-byte notify record of its publication — so a
-//! single-address-space transfer pays no copy after the load.
+//! transport and [`LiveReport::merge`] their two reports into one.
+//! That transport is shm's window endpoints in one address space, their
+//! links on socketpairs — a loader writes each block straight into the
+//! credited sink slot, and a data frame is the 16-byte notify record of
+//! its publication — so a single-address-space transfer pays no copy
+//! after the load.
 //!
 //! What lives here besides the entry point is what every transport
 //! backend and both halves share: [`LiveConfig`] (and the largest pool a
@@ -47,9 +48,9 @@ pub struct LiveConfig {
     pub loaders: usize,
     /// Total payload bytes to move.
     pub total_bytes: u64,
-    /// Per-channel queue depth (the "send queue"): each link's queue in
-    /// the in-process channel transport, and the depth the default
-    /// socket buffers are sized for ([`crate::net::default_sockbuf`]).
+    /// Per-channel queue depth (the "send queue"): the blocks each data
+    /// stream's default socket buffers are sized for
+    /// ([`crate::net::default_sockbuf`]).
     pub channel_depth: usize,
     /// Credits granted per completion notification (paper: 2).
     pub grant_per_completion: u32,

@@ -2,8 +2,9 @@
 //! *is* a memfd window both processes map, and a source "send" is a
 //! store into the credited slot's memory — a real one-sided WRITE with
 //! zero receiver-side payload copies. The in-process pair runs the same
-//! window over one anonymous mapping, its descriptor passed in memory.
-//! Between two processes only three things ever cross a socket:
+//! endpoints with their two streams on socketpairs and the window one
+//! anonymous mapping, its source view installed in memory. Between two
+//! processes only three things ever cross a socket:
 //!
 //! * **control** (`UnixStream`) — the exact length-prefixed control
 //!   frames every other backend speaks (credits, acks, session setup;
@@ -12,8 +13,9 @@
 //!   descriptor via `SCM_RIGHTS`;
 //! * **notify** (`UnixStream`) — 16-byte
 //!   [`DataFrameHeader`](rftp_core::wire::DataFrameHeader) records,
-//!   source → sink: the WRITE-with-notification doorbell. The payload
-//!   itself never touches this stream;
+//!   source → sink: the WRITE-with-notification doorbell, rung by each
+//!   channel's data link and read by the sink's one receiver. The
+//!   payload itself never touches this stream;
 //! * **the window** — payload bytes, written exactly once, by the
 //!   source's loader (a pattern fill or a file `pread`), directly into
 //!   the slot the credit named: no source-side copy either.
@@ -91,10 +93,10 @@
 //!
 //! ## Files
 //!
-//! `fence` holds the per-slot generation word; `link` the window's data
-//! links and granting control sender, whatever carries their records;
-//! `window` the memfd, `SCM_RIGHTS` passing and the descriptor; `source`
-//! and `sink` the two halves' unix-socket endpoints.
+//! `fence` holds the per-slot generation word; `link` both halves'
+//! endpoints over a control and a notify stream, whoever maps the
+//! window; `window` the memfd, `SCM_RIGHTS` passing and the descriptor;
+//! `source` and `sink` the two halves' way in between two processes.
 
 mod fence;
 mod link;
@@ -102,9 +104,7 @@ mod sink;
 mod source;
 mod window;
 
-pub(crate) use link::{
-    in_process, Doorbell, GrantTx, Notices, SinkView, SourceView, WindowRx, WindowTx,
-};
+pub(crate) use link::{in_process, window_sink, window_source, SourceView};
 pub(crate) use sink::run_shm_session;
 pub use sink::{run_shm_sink, ShmListener, ShmSessionStreams};
 #[cfg(test)]

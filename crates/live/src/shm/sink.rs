@@ -1,15 +1,13 @@
 //! The sink half between two processes: the memfd window its control
-//! stream opens, the notify reader, the unix-socket way in and the
-//! session runner.
+//! stream opens, the unix-socket way in and the session runner.
 
-use super::link::{GrantTx, Notices, SinkView, WindowRx};
+use super::link::window_sink;
 use super::window::share_window;
-use crate::net::{self, proto_err, read_exact_or_eof, shutdown_all, SessionSocket, SessionStreams};
+use crate::net::{self, SessionSocket, SessionStreams};
 use crate::split::{run_sink_pool, FairShare};
-use crate::transport::{DataRx, SinkTransport};
+use crate::transport::SinkTransport;
 use crate::{LiveConfig, LiveReport};
-use parking_lot::Mutex;
-use rftp_core::wire::{CtrlMsg, DataFrameHeader, DATA_FRAME_HEADER_LEN};
+use rftp_core::wire::CtrlMsg;
 use std::io;
 use std::net::Shutdown;
 use std::os::unix::fs::PermissionsExt;
@@ -43,56 +41,18 @@ impl SessionSocket for UnixStream {
     }
 }
 
-/// The notify stream: one 16-byte record per publication.
-impl Notices for UnixStream {
-    fn next(&mut self) -> io::Result<Option<DataFrameHeader>> {
-        let mut rec = [0u8; DATA_FRAME_HEADER_LEN];
-        if !read_exact_or_eof(self, &mut rec)? {
-            return Ok(None);
-        }
-        DataFrameHeader::decode(&rec)
-            .map(Some)
-            .map_err(|e| proto_err(format!("bad shm notify record: {e:?}")))
-    }
-}
-
-/// Wrap one assembled shm connection pair into a [`SinkTransport`]: one
-/// data link, the notify reader, whatever channel count the control
-/// hello announced; control framing unchanged, the control sender
-/// opening the window and granting it on the credits' way out.
-///
-/// One reader, because arrivals — and so acks — must leave in the
-/// order the source stored them: the source infers a loss from
-/// three later acks on the same channel ([`rftp_core::LossDetector`]),
-/// and readers racing on one stream hand records to the session out
-/// of that order whenever one of them is descheduled, which reads as
-/// a loss and re-sends a block that arrived.
+/// Wrap one assembled shm connection pair into a [`SinkTransport`]: the
+/// window's sink endpoints over the control and notify streams, the
+/// window a memfd whose descriptor and fd leave on the control stream
+/// ahead of every control frame.
 fn sink_transport(mut streams: SessionStreams<UnixStream>) -> io::Result<SinkTransport> {
-    let handles = streams.handles()?;
-    let ctrl_wr = streams.ctrl.try_clone()?;
     let notify = streams
         .data
         .pop()
         .expect("an shm set has its notify stream");
-    let win = SinkView::default();
-    let data: Vec<Box<dyn DataRx>> = vec![Box::new(WindowRx {
-        notify,
-        win: Arc::clone(&win),
-        pending: None,
-    })];
-    // The session's memfd window: the descriptor and fd leave on the
-    // control stream ahead of every control frame.
     let desc_wr = streams.ctrl.try_clone()?;
-    Ok(SinkTransport {
-        ctrl_tx: Arc::new(GrantTx {
-            inner: net::NetCtrlTx(Mutex::new(ctrl_wr)),
-            map: Box::new(move |desc| share_window(desc, &desc_wr).map(Arc::new)),
-            win,
-        }),
-        ctrl_rx: Box::new(net::NetCtrlRx::new(streams.ctrl)),
-        data,
-        abort: Arc::new(move || shutdown_all(&handles, Shutdown::Both)),
-    })
+    let map = Box::new(move |desc: &_| share_window(desc, &desc_wr).map(Arc::new));
+    window_sink(streams.ctrl, notify, map)
 }
 
 /// One shm session's connection pair, hellos consumed: the control

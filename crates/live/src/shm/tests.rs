@@ -380,7 +380,7 @@ fn rejection_frame_instead_of_descriptor_decodes_normally() {
 
 /// Full shm↔shm loopback transfer: pattern data, checksum
 /// verified at the sink, zero transport threads either side —
-/// and the place stage must be fence-cheap, far under the
+/// and the median block's place stage must be fence-cheap, far under the
 /// copying backends.
 // spec: [P7.2-notify-record]
 #[test]
@@ -406,10 +406,12 @@ fn shm_pattern_transfer_loopback() {
     // loss.
     assert_eq!(snk.ooo_blocks, 0, "arrivals out of store order");
     assert_eq!(src.fast_retransmits, 0, "a clean run read as lossy");
+    // The median block, not the mean: one descheduled receiver can
+    // hold a block for milliseconds, while a copy slows every block.
+    let place = snk.tails.place.p50();
     assert!(
-        snk.stages.place_ns < 2_000.0,
-        "zero-copy place should be fence-cheap, got {} ns/blk",
-        snk.stages.place_ns
+        place < 2_000.0,
+        "zero-copy place should be fence-cheap, got a median {place} ns/blk"
     );
 }
 

@@ -13,9 +13,9 @@
 //! the adaptive `Controller` (`controller.rs`). Nothing crosses except
 //! control frames and data frames. Over the TCP backend ([`crate::net`])
 //! the two halves are two OS processes; over the in-process backend
-//! ([`run_split_pair`]) they are the single-process transfer
-//! [`run_live`](crate::run_live) reports on, with the sink's slots a
-//! window the source's loaders write into.
+//! ([`run_split_pair`]) — shm's window links on socketpairs — they are
+//! the single-process transfer [`run_live`](crate::run_live) reports on,
+//! with the sink's slots a window the source's loaders write into.
 //!
 //! Every stage of either half is a function started the same way — by
 //! `stage` on a scoped thread, or `run_stage` on the caller's: its
@@ -88,6 +88,16 @@ use std::thread::{Scope, ScopedJoinHandle};
 
 pub(crate) fn perr(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::BrokenPipe, msg.into())
+}
+
+/// Whether `e` says only that the peer hung up — a write into a closed
+/// link (`BrokenPipe`), or a socket whose peer closed with bytes unread
+/// (`ConnectionReset`) — rather than why.
+pub(crate) fn is_hangup(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::BrokenPipe | io::ErrorKind::ConnectionReset
+    )
 }
 
 /// First-error-wins failure latch shared by every thread of a half.
@@ -216,14 +226,15 @@ pub(crate) fn stage<'s>(
 }
 
 /// Run both halves in this process over the in-process transport — the
-/// split pipeline's loopback, whose sink opens the window the source
-/// loads into — with the source behind `wan`, so
+/// split pipeline's loopback, shm's window links on socketpairs, whose
+/// sink opens the window the source loads into — with the source behind
+/// `wan`, so
 /// control and data feel the profile's full RTT, loss, and rate cap
 /// (the in-process form of a two-process `--wan` run; a clean profile
 /// wraps nothing). Source takes the `src_file`/fault side of `cfg`, sink
 /// the `dst_file` side. Returns `(source, sink)` reports.
 pub fn run_split_pair(cfg: &LiveConfig, wan: &WanProfile) -> io::Result<(LiveReport, LiveReport)> {
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels)?;
     let st = crate::netem::wrap_source(st, wan);
     let mut src_cfg = cfg.clone();
     src_cfg.dst_file = None;
@@ -239,14 +250,9 @@ pub fn run_split_pair(cfg: &LiveConfig, wan: &WanProfile) -> io::Result<(LiveRep
     // A panic in a stage is the sink's error; outside them, the scope's.
     match (source, sink.expect("the scope joined the sink half")) {
         (Ok(source), Ok(sink)) => Ok((source, sink)),
-        // When one half dies the other sees its links hang up
-        // (`BrokenPipe`); report the root cause, not its echo.
-        (Err(echo), Err(root))
-            if echo.kind() == io::ErrorKind::BrokenPipe
-                && root.kind() != io::ErrorKind::BrokenPipe =>
-        {
-            Err(root)
-        }
+        // When one half dies the other sees its links hang up; report
+        // the root cause, not its echo.
+        (Err(echo), Err(root)) if is_hangup(&echo) && !is_hangup(&root) => Err(root),
         (Err(e), _) | (_, Err(e)) => Err(e),
     }
 }

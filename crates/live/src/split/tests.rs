@@ -202,7 +202,7 @@ impl CtrlRx for NoteHandledAcks {
 #[test]
 fn an_ack_inside_the_first_send_finds_the_block_posted() {
     let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let acked = Arc::new(Acked::default());
     let retired_inside = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let data = (0..cfg.channels).map(|ch| {
@@ -248,7 +248,7 @@ fn a_block_out_of_resends_fails_the_transfer_with_timed_out() {
     let mut cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
     cfg.fault_drop_p = 1.0;
     cfg.retx_timeout = std::time::Duration::from_micros(100);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let (src_tx, src_rx) = std::sync::mpsc::channel();
     let (snk_tx, snk_rx) = std::sync::mpsc::channel();
     let (src_cfg, snk_cfg) = (cfg.clone(), cfg);
@@ -293,7 +293,7 @@ impl DataTx for PanicOnSend {
 #[test]
 fn a_panicking_pipeline_thread_fails_both_halves() {
     let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let data = (0..cfg.channels).map(|_| Box::new(PanicOnSend) as Box<dyn DataTx>);
     let st = SourceTransport {
         data: Arc::new(data.collect()),
@@ -322,7 +322,7 @@ fn a_panicking_pipeline_thread_fails_both_halves() {
 #[test]
 fn a_panicking_data_link_is_the_source_error() {
     let cfg = LiveConfig::new(16 * 1024, 2, 8 * 16 * 1024);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let data = (0..cfg.channels).map(|_| Box::new(PanicOnSend) as Box<dyn DataTx>);
     let st = SourceTransport {
         data: Arc::new(data.collect()),
@@ -431,7 +431,7 @@ fn note_sends(st: SourceTransport, seen: &Arc<Senders>) -> SourceTransport {
 #[test]
 fn every_send_after_the_request_leaves_from_one_thread() {
     let cfg = one_sender_cfg();
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let seen = Arc::new(Senders::default());
     let st = note_sends(st, &seen);
     let (src, snk) = std::thread::scope(|s| {
@@ -912,7 +912,7 @@ fn first_sends_leave_in_sequence_order() {
     let mut cfg = LiveConfig::new(16 * 1024, 2, (4 << 20) / SCALE);
     cfg.loaders = 4;
     cfg.pool_blocks = 16;
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let seqs = Arc::new(Mutex::new(Vec::new()));
     let links = Arc::try_unwrap(st.data).ok().expect("the one handle");
     let data = links.into_iter().map(|inner| {
@@ -943,7 +943,7 @@ fn first_sends_leave_in_sequence_order() {
 #[test]
 fn the_live_source_asks_for_notify_imm_and_refuses_block_complete() {
     let cfg = LiveConfig::new(4096, 1, 4 * 4096);
-    let (st, mut kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, mut kt) = channel_transport(cfg.channels).unwrap();
     let (done, src) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let _ = done.send(run_split_source(&cfg, st));
@@ -1205,7 +1205,7 @@ fn sink_errors_when_source_vanishes_mid_transfer() {
     // the session opens); the sink must surface an error, not hang.
     let mut cfg = LiveConfig::new(64 * 1024, 2, 8 << 20);
     cfg.pool_blocks = 8;
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let cfg2 = cfg.clone();
     let sink = std::thread::spawn(move || run_split_sink(&cfg2, kt, None));
     // Open the session by hand, then cut every link.
@@ -1222,7 +1222,35 @@ fn sink_errors_when_source_vanishes_mid_transfer() {
     (st.abort)();
     drop(st);
     let err = sink.join().unwrap().expect_err("sink must fail");
-    assert_eq!(err.kind(), io::ErrorKind::BrokenPipe, "{err}");
+    assert!(is_hangup(&err), "{err}");
+}
+
+/// The in-process pair runs shm's sink endpoints: one notify reader and
+/// the control pump, whatever the channel count.
+#[test]
+fn the_in_process_sink_runs_one_receiver_at_any_channel_count() {
+    for channels in [1, 8] {
+        let cfg = LiveConfig::new(64 * 1024, channels, (4 << 20) / SCALE);
+        let (src, snk) = run_split_pair(&cfg, &WanProfile::clean()).expect("split transfer");
+        assert_eq!(snk.checksum_failures, 0);
+        let threads = (src.transport_threads, snk.transport_threads);
+        assert_eq!(threads, (0, 2), "{channels} channels");
+    }
+}
+
+/// A sink that cannot open its file fails the pair with that error,
+/// every time: the source only sees its links hang up — a closed pipe,
+/// or a reset when the sink's end closed with bytes unread — and that
+/// echo is never what the pair reports.
+#[test]
+fn a_sink_that_cannot_open_its_file_reports_why_every_time() {
+    let mut cfg = LiveConfig::new(64 * 1024, 4, 64 << 20);
+    let dir = std::env::temp_dir().join(format!("rftp-missing-{}", std::process::id()));
+    cfg.dst_file = Some(dir.join("x"));
+    for run in 0..20 {
+        let err = crate::try_run_live(&cfg).expect_err("the sink has no file");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound, "run {run}: {err}");
+    }
 }
 
 /// The stage spawner: the first `Err` trips the latch and a later one
@@ -1295,7 +1323,7 @@ fn a_pool_past_the_credit_ring_is_refused() {
 #[test]
 fn a_credit_past_the_ring_fails_the_source() {
     let cfg = LiveConfig::new(64 * 1024, 1, 1 << 20);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let (tx, rx) = std::sync::mpsc::channel();
     let src_cfg = cfg.clone();
     std::thread::spawn(move || {

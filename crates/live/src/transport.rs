@@ -7,13 +7,13 @@
 //! carrying bulk frames ([`DataFrameHeader`] + wire image) one way,
 //! source to sink. Two of its backends:
 //!
-//! * **channels** ([`channel_transport`]) — both halves in one process,
-//!   the loopback of the suite and the transport under
-//!   [`crate::run_live`]. Control rides real encoded frame bytes; the
-//!   data side is the shm window ([`crate::shm`]) over one anonymous
-//!   mapping, so a loader writes each block straight into the credited
-//!   sink slot and a data frame is its 16-byte notify record — the
-//!   one-sided RDMA WRITE analogue, with no copy.
+//! * **in process** ([`channel_transport`]) — both halves in one
+//!   process, the loopback of the suite and the transport under
+//!   [`crate::run_live`]: shm's window endpoints ([`crate::shm`]) with
+//!   their control and notify streams on socketpairs and the window one
+//!   anonymous mapping, so a loader writes each block straight into the
+//!   credited sink slot and a data frame is its 16-byte notify record —
+//!   the one-sided RDMA WRITE analogue, with no copy.
 //! * **TCP** ([`crate::net`]) — real stream sockets, one per link, so
 //!   the two halves can run as separate OS processes on separate hosts.
 //!
@@ -23,19 +23,15 @@
 //! line). Receive sides are `&mut self` — exactly one thread drains each
 //! link.
 
-use crate::shm::{
-    in_process, Doorbell, GrantTx, Notices, SinkView, SourceView, WindowRx, WindowTx,
-};
+use crate::net::NetCtrlRx;
+use crate::shm::{in_process, window_sink, window_source, SourceView};
 use crate::store::{BlockPool, SlotBuf};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rftp_core::pattern::pattern_matches_at;
-use rftp_core::wire::{
-    encode_stream_frame, CtrlMsg, DataFrameHeader, FrameDecoder, PayloadHeader, PAYLOAD_HEADER_LEN,
-};
-use rftp_core::{CTRL_SLOT_LEN, FRAME_PREFIX_LEN};
+use rftp_core::wire::{CtrlMsg, DataFrameHeader, PayloadHeader, PAYLOAD_HEADER_LEN};
 use std::io;
-use std::sync::{Arc, Weak};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The pinned block pool as a transport sees it: slot index → locked
@@ -297,183 +293,25 @@ pub struct SinkTransport {
     pub abort: Arc<dyn Fn() + Send + Sync>,
 }
 
-// ---------------------------------------------------------------------------
-// Channel backend
-// ---------------------------------------------------------------------------
-
-/// One encoded control frame on a channel: the length-prefixed stream
-/// bytes, exactly as a byte-stream transport would carry them.
-type CtrlBytes = Vec<u8>;
-
-/// The closing handle for a [`Closable`]: `take()`-ing the sender out
-/// drops it, and the receiving side sees end-of-stream once every
-/// sender is gone.
-type Closer<T> = Arc<Mutex<Option<Sender<T>>>>;
-
-/// A `Sender` whose hangup can be triggered from the shutdown hook via
-/// its [`Closer`].
-struct Closable<T>(Closer<T>);
-
-impl<T> Closable<T> {
-    fn new(tx: Sender<T>) -> (Closable<T>, Closer<T>) {
-        let inner = Arc::new(Mutex::new(Some(tx)));
-        (Closable(inner.clone()), inner)
-    }
-
-    fn send(&self, value: T) -> io::Result<()> {
-        let guard = self.0.lock();
-        let tx = guard
-            .as_ref()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::BrokenPipe, "link closed"))?;
-        tx.send(value)
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer gone"))
-    }
-}
-
-struct ChanCtrlTx(Closable<CtrlBytes>);
-
-impl CtrlTx for ChanCtrlTx {
-    fn send(&self, msg: &CtrlMsg) -> io::Result<()> {
-        let mut buf = [0u8; FRAME_PREFIX_LEN + CTRL_SLOT_LEN];
-        let n = encode_stream_frame(msg, &mut buf);
-        self.0.send(buf[..n].to_vec())
-    }
-}
-
-struct ChanCtrlRx {
-    rx: Receiver<CtrlBytes>,
-    dec: FrameDecoder,
-}
-
-impl CtrlRx for ChanCtrlRx {
-    fn recv(&mut self) -> io::Result<Option<CtrlMsg>> {
-        loop {
-            if let Some(msg) = self
-                .dec
-                .next_frame()
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            {
-                return Ok(Some(msg));
-            }
-            match self.rx.recv() {
-                Ok(bytes) => self.dec.push(&bytes),
-                Err(_) => {
-                    return if self.dec.pending_bytes() == 0 {
-                        Ok(None)
-                    } else {
-                        Err(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "control link closed mid-frame",
-                        ))
-                    };
-                }
-            }
-        }
-    }
-}
-
-/// In process, a notify record is the frame header itself, on the
-/// channel's link.
-impl Doorbell for Closable<DataFrameHeader> {
-    fn ring(&self, hdr: &DataFrameHeader) -> io::Result<()> {
-        self.send(*hdr)
-    }
-}
-
-impl Notices for Receiver<DataFrameHeader> {
-    fn next(&mut self) -> io::Result<Option<DataFrameHeader>> {
-        Ok(self.recv().ok())
-    }
-}
-
-/// Build a connected in-process transport pair: `channels` data links of
-/// `depth` notify records each, control links deep enough that coalesced
-/// control traffic never blocks on the link itself.
+/// Build a connected in-process transport pair: shm's window endpoints
+/// ([`crate::shm`]) with their links on socketpairs — one control
+/// stream, one notify stream that each of the source's `channels` data
+/// links rings, and one sink receiver — and the window one anonymous
+/// mapping whose source view is installed in memory, with no memfd and
+/// no `SCM_RIGHTS`.
 ///
-/// The data side is the window: the sink's control sender opens one
-/// anonymous mapping that both halves' views share
-/// ([`CtrlTx::open_window`]), the source's `register` hook returns it
-/// to the loaders, and [`DataTx::send_block`] publishes the block the
-/// loader wrote into its credited slot and queues its notify record —
-/// so no byte of a block is copied after it is loaded.
-pub fn channel_transport(channels: usize, depth: usize) -> (SourceTransport, SinkTransport) {
-    let (c_s2k_tx, c_s2k_rx) = bounded::<CtrlBytes>(1024);
-    let (c_k2s_tx, c_k2s_rx) = bounded::<CtrlBytes>(1024);
-    let (ctrl_tx, ctrl_closer) = Closable::new(c_s2k_tx);
-    let (k2s_tx, k2s_closer) = Closable::new(c_k2s_tx);
-    let (source_view, sink_view) = (SourceView::default(), SinkView::default());
-    let mut data_tx: Vec<Box<dyn DataTx>> = Vec::with_capacity(channels);
-    let mut data_rx: Vec<Box<dyn DataRx>> = Vec::with_capacity(channels);
-    let mut data_closers = Vec::with_capacity(channels);
-    for _ in 0..channels {
-        let (tx, rx) = bounded(depth);
-        let (notify, closer) = Closable::new(tx);
-        data_closers.push(closer);
-        data_tx.push(Box::new(WindowTx {
-            notify,
-            window: Arc::clone(&source_view),
-        }));
-        data_rx.push(Box::new(WindowRx {
-            notify: rx,
-            win: Arc::clone(&sink_view),
-            pending: None,
-        }));
-    }
-    // Closing the source→sink senders is both the graceful write
-    // shutdown and the source's abort: the sink reads end-of-stream
-    // either way, and a channel has no half-open state to preserve.
-    let close_s2k = {
-        let ctrl_closer = ctrl_closer.clone();
-        let data_closers = data_closers.clone();
-        move || {
-            ctrl_closer.lock().take();
-            for c in &data_closers {
-                c.lock().take();
-            }
-        }
-    };
-    let s2k_ctrl = Arc::downgrade(&ctrl_closer);
-    let s2k_data: Vec<_> = data_closers.iter().map(Arc::downgrade).collect();
-    let loads = Arc::clone(&source_view);
-    let source = SourceTransport {
-        ctrl_tx: Arc::new(ChanCtrlTx(ctrl_tx)),
-        ctrl_rx: Box::new(ChanCtrlRx {
-            rx: c_k2s_rx,
-            dec: FrameDecoder::new(),
-        }),
-        data: Arc::new(data_tx),
-        register: Box::new(move |_| Ok(Some(Arc::clone(&loads) as Arc<dyn LoadWindow>))),
-        transport_threads: 0,
-        shutdown_write: Box::new(close_s2k.clone()),
-        abort: Arc::new(close_s2k),
-    };
-    let sink = SinkTransport {
-        ctrl_tx: Arc::new(GrantTx {
-            inner: ChanCtrlTx(k2s_tx),
-            map: in_process(source_view),
-            win: sink_view,
-        }),
-        ctrl_rx: Box::new(ChanCtrlRx {
-            rx: c_s2k_rx,
-            dec: FrameDecoder::new(),
-        }),
-        data: data_rx,
-        // Close both directions: the sink's readers see end-of-stream
-        // once the records already queued are drained, and the source's
-        // control reader once it has read every frame the sink sent.
-        // The source→sink senders are held weakly, so a source that
-        // drops its transport still hangs those links up by itself.
-        abort: Arc::new(move || {
-            k2s_closer.lock().take();
-            if let Some(c) = s2k_ctrl.upgrade() {
-                c.lock().take();
-            }
-            for c in s2k_data.iter().filter_map(Weak::upgrade) {
-                c.lock().take();
-            }
-        }),
-    };
-    (source, sink)
+/// The sink's control sender opens the window ([`CtrlTx::open_window`]),
+/// the source's `register` hook returns it to the loaders, and
+/// [`DataTx::send_block`] publishes the block the loader wrote into its
+/// credited slot and writes its notify record — so no byte of a block
+/// is copied after it is loaded. Running out of descriptors is an error.
+pub fn channel_transport(channels: usize) -> io::Result<(SourceTransport, SinkTransport)> {
+    let (src_ctrl, snk_ctrl) = UnixStream::pair()?;
+    let (src_notify, snk_notify) = UnixStream::pair()?;
+    let view = SourceView::default();
+    let ctrl_rx = Box::new(NetCtrlRx::new(src_ctrl.try_clone()?));
+    let source = window_source(src_ctrl, ctrl_rx, src_notify, channels, Arc::clone(&view))?;
+    Ok((source, window_sink(snk_ctrl, snk_notify, in_process(view))?))
 }
 
 #[cfg(test)]
@@ -482,7 +320,7 @@ mod tests {
 
     #[test]
     fn channel_ctrl_roundtrip_and_eof() {
-        let (src, mut snk) = channel_transport(1, 4);
+        let (src, mut snk) = channel_transport(1).unwrap();
         src.ctrl_tx
             .send(&CtrlMsg::MrRequest { session: 3 })
             .unwrap();
@@ -513,7 +351,7 @@ mod tests {
         BlockPool,
         Arc<dyn LoadWindow>,
     ) {
-        let (src, snk) = channel_transport(channels, 8);
+        let (src, snk) = channel_transport(channels).unwrap();
         let pool = (snk.ctrl_tx.open_window(slots, BLOCK).unwrap())
             .expect("the in-process sink lands blocks in a window");
         let bookkeeping: BufPool = Arc::new(BlockPool::new(1, BLOCK));
@@ -585,7 +423,6 @@ mod tests {
         snk.data[0].discard_wire(got.wire_len()).unwrap();
         (src.shutdown_write)();
         assert!(snk.data[0].recv_header().unwrap().is_none());
-        assert!(snk.data[1].recv_header().unwrap().is_none());
     }
 
     /// A frame's image, payload header and `len` pattern bytes.

@@ -290,8 +290,8 @@ struct UringDataTx {
 impl DataTx for UringDataTx {
     fn send(&self, hdr: DataFrameHeader, wire: &[u8]) -> io::Result<()> {
         // No registered slot backs this payload, so carry an owned
-        // copy (exactly what the channel backend does) and kick
-        // immediately — this path is control-scale, not bulk.
+        // copy and kick immediately — this path is control-scale, not
+        // bulk.
         let mut own = vec![0u8; DATA_FRAME_HEADER_LEN + wire.len()].into_boxed_slice();
         hdr.encode(&mut own[..DATA_FRAME_HEADER_LEN]);
         own[DATA_FRAME_HEADER_LEN..].copy_from_slice(wire);

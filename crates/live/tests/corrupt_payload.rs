@@ -191,7 +191,7 @@ fn threaded_tcp_sink_catches_one_flipped_byte() {
 #[test]
 fn in_process_sink_catches_one_flipped_byte() {
     let cfg = cfg();
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let st = flip_one(st);
     let (src, snk) = std::thread::scope(|s| {
         let sink = s.spawn(|| run_split_sink(&cfg, kt, None));
@@ -284,7 +284,7 @@ fn threaded_tcp_sink_refuses_a_short_block() {
 #[test]
 fn in_process_sink_refuses_a_short_block() {
     let (src_cfg, cfg, files) = file_pair("inproc");
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let st = shorten_one(st);
     let (src, snk) = std::thread::scope(|s| {
         let sink = s.spawn(|| run_split_sink(&cfg, kt, None));

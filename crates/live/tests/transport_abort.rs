@@ -68,7 +68,7 @@ fn assert_both_fail(src: mpsc::Receiver<HalfResult>, snk: mpsc::Receiver<HalfRes
 #[test]
 fn channel_source_abort_trips_both_halves() {
     let cfg = big_cfg(3);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let abort = st.abort.clone();
     let (sc, kc) = (cfg.clone(), cfg.clone());
     let src = spawn_half(move || run_split_source(&sc, st));
@@ -81,7 +81,7 @@ fn channel_source_abort_trips_both_halves() {
 #[test]
 fn channel_sink_abort_trips_both_halves() {
     let cfg = big_cfg(3);
-    let (st, kt) = channel_transport(cfg.channels, cfg.channel_depth);
+    let (st, kt) = channel_transport(cfg.channels).unwrap();
     let abort = kt.abort.clone();
     let (sc, kc) = (cfg.clone(), cfg.clone());
     let src = spawn_half(move || run_split_source(&sc, st));
